@@ -12,11 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gamecert.families import RcdSpec, RcoSpec
-from gamecert.optimize import (
-    DEFAULT_CONFIG,
-    optimize_intersection,
-    optimize_pattern_count,
-)
+from gamecert.optimize import optimize_intersection, optimize_pattern_count
 
 U5 = 900019043105
 V5 = 999921083009
@@ -55,21 +51,16 @@ MIXED = [
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--threads", type=int, default=1)
-    args = ap.parse_args()
-    from dataclasses import replace
-    config = replace(DEFAULT_CONFIG, threads=args.threads)
-
+    argparse.ArgumentParser(description=__doc__).parse_args()
     print(f"{'instance':<42} {'M':>6} {'dim >=':>20} {'secs':>7}")
     for name, family in SINGLE:
         t0 = time.perf_counter()
-        res = optimize_pattern_count(family, config)
+        res = optimize_pattern_count(family)
         dt = time.perf_counter() - t0
         print(f"{name:<42} {res.pattern_count:>6} {res.dim_bound:>20.15f} {dt:>7.2f}")
     for name, members, want_patterns in MIXED:
         t0 = time.perf_counter()
-        res = optimize_intersection(members, config, want_patterns=want_patterns)
+        res = optimize_intersection(members, want_patterns=want_patterns)
         dt = time.perf_counter() - t0
         m = res.pattern_count if want_patterns else "-"
         print(f"{name:<42} {m:>6} {res.dim_bound:>20.15f} {dt:>7.2f}")

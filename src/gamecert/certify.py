@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     REL_MARGIN,
@@ -50,7 +50,6 @@ __all__ = [
     "dim_lower_bound",
     "pattern_feasible",
     "pattern_dim_bound",
-    "max_pattern_size",
     "intersect_certificate",
     "distance_set_certificate",
     "branching_lower_bound",
@@ -296,52 +295,6 @@ def pattern_dim_bound(
     return PatternBound(
         pattern_count, stated, combined, k_m, strengthened, coeff, report
     )
-
-
-def max_pattern_size(
-    alpha: LogScalar,
-    contraction: DiagonalContraction,
-    c: float,
-    delta: float | None = None,
-    cap: int = 1 << 40,
-) -> int:
-    """Largest M whose pattern certificate succeeds (0 if even M = 1 fails).
-
-    With an explicit delta the witness is fixed; otherwise each M is given
-    its own best witness from the optimizer's delta search.  Feasibility is
-    antitone in M (condition (1) tightens, the free-step count shrinks), so
-    doubling + binary search is exact.
-    """
-
-    if delta is not None:
-        def ok(m: int) -> bool:
-            return pattern_feasible(alpha, contraction, c, delta, m).feasible
-    else:
-        from .optimize import delta_max  # local import; optimize imports us
-
-        def ok(m: int) -> bool:
-            combined = LogScalar(math.log(m) / c + alpha.log)
-            best = delta_max(contraction, combined)
-            if best is None:
-                return False
-            return pattern_feasible(alpha, contraction, c, best.delta, m).feasible
-
-    if not ok(1):
-        return 0
-    hi = 1
-    while hi < cap and ok(hi * 2):
-        hi *= 2
-    lo = hi          # ok(lo) holds
-    hi = min(hi * 2, cap)
-    if ok(hi):
-        return hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 @dataclass(frozen=True)

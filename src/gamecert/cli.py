@@ -13,7 +13,6 @@ malformed config (reported with the offending field path).
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from dataclasses import replace
@@ -56,7 +55,7 @@ from .optimize import (
     SMALLEST_U_CONFIG,
     SearchConfig,
     SearchResult,
-    optimize_dimension,
+    _family_extras,
     optimize_intersection,
     optimize_pattern_count,
     smallest_u_for_patterns,
@@ -73,7 +72,6 @@ COMMANDS = (
     "find-pattern",
     "smallest-u",
 )
-THREADS_ENV = "GAMECERT_THREADS"
 _REQUIRED = object()
 
 
@@ -278,15 +276,6 @@ def _alpha_for(cfg: Config, family: RcoSpec | RcdSpec | None, c: float) -> LogSc
     return rcd_alpha(family.u, family.v, c, t)
 
 
-def _family_echo(family: RcoSpec | RcdSpec) -> dict[str, str]:
-    if isinstance(family, RcoSpec):
-        return {"family.kind": "cutout", "family.u": str(family.u),
-                "family.v": str(family.v), "family.m": str(family.m),
-                "family.t": str(family.t)}
-    return {"family.kind": "corner", "family.u": str(family.u),
-            "family.v": str(family.v)}
-
-
 # ------------------------------------------------------------------ artifacts
 
 
@@ -316,7 +305,7 @@ def _search_text(result: SearchResult) -> str:
     return "\n".join(f"{k} = {_fmt(v)}" for k, v in rows if v is not None) + "\n"
 
 
-def _search_config(cfg: Config, base: SearchConfig, threads: int,
+def _search_config(cfg: Config, base: SearchConfig,
                    trace_path: str | None) -> SearchConfig:
     fields = dict(
         c_count=cfg.get_int("optimizer.c_count", base.c_count, lo=2),
@@ -329,7 +318,6 @@ def _search_config(cfg: Config, base: SearchConfig, threads: int,
         t_hi=cfg.get_float("optimizer.t_hi", base.t_hi, lo=0.0, open_ends=True),
         t_step=cfg.get_float("optimizer.t_step", base.t_step, lo=0.0, open_ends=True),
         pattern_cap=cfg.get_int("optimizer.pattern_cap", base.pattern_cap, lo=1),
-        threads=threads,
         trace_path=trace_path,
     )
     if fields["c_s_lo"] >= fields["c_s_hi"]:
@@ -340,7 +328,7 @@ def _search_config(cfg: Config, base: SearchConfig, threads: int,
 # ------------------------------------------------------------------- commands
 
 
-def _cmd_certify(cfg: Config, out: Path, threads: int, trace: bool,
+def _cmd_certify(cfg: Config, out: Path, trace: bool,
                  finish: Callable[[], None]) -> int:
     if cfg.has("certify.certificate"):
         return _revalidate(cfg, out, finish)
@@ -362,7 +350,7 @@ def _cmd_certify(cfg: Config, out: Path, threads: int, trace: bool,
     try:
         if delta is None:
             delta = default_delta(contraction)
-        extras = _family_echo(family) if family else {
+        extras = _family_extras(family) if family else {
             "betas": ",".join("%.17g" % b for b in contraction.betas)}
         if kind == "dimension":
             cert = dimension_certificate(alpha, contraction, c, delta, rho2, extras)
@@ -385,14 +373,17 @@ def _cmd_certify(cfg: Config, out: Path, threads: int, trace: bool,
 def _recertify(cert: Certificate) -> Certificate:
     """Recompute a certificate from its own stated parameters."""
     extras = cert.extras
-    if "family.u" in extras:
+    # intersection members share cell ratios, so the first member's suffice
+    echo = next((p for p in ("family", "member.1") if f"{p}.u" in extras), None)
+    if echo is not None:
         contraction = DiagonalContraction.from_denominators(
-            (int(extras["family.u"]), int(extras["family.v"])))
+            (int(extras[f"{echo}.u"]), int(extras[f"{echo}.v"])))
     elif "betas" in extras:
         contraction = DiagonalContraction(
             tuple(float(b) for b in extras["betas"].split(",")))
     else:
-        raise ValueError("certificate carries neither a family echo nor a betas list")
+        raise ValueError("certificate carries neither a family or member echo "
+                         "nor a betas list")
     c = cert.fields["c"]
     delta = cert.fields["delta"]
     rho2 = cert.fields.get("rho2", 1.0)
@@ -446,21 +437,19 @@ def _revalidate(cfg: Config, out: Path, finish: Callable[[], None]) -> int:
     return 0
 
 
-def _cmd_maximize(cfg: Config, out: Path, threads: int, trace: bool,
+def _cmd_maximize(cfg: Config, out: Path, trace: bool,
                   finish: Callable[[], None]) -> int:
     family = _family_from(cfg)
     objective = cfg.get_str("maximize.objective", "pattern-count",
                             choices=("pattern-count", "dimension"))
     trace_path = str(out / "trace.txt") if trace else None
-    search = _search_config(cfg, DEFAULT_CONFIG, threads, trace_path)
+    search = _search_config(cfg, DEFAULT_CONFIG, trace_path)
     rho2 = cfg.get_float("game.rho2", 1.0, lo=0.0, open_ends=True)
     finish()
     if trace:
         out.mkdir(parents=True, exist_ok=True)
-    if objective == "pattern-count":
-        result = optimize_pattern_count(family, search, rho2)
-    else:
-        result = optimize_dimension(family, search, rho2)
+    result = optimize_pattern_count(family, search, rho2,
+                                    want_patterns=objective == "pattern-count")
     _write(out, "search.txt", _search_text(result))
     if result.certificate is not None:
         _write(out, "certificate.txt", result.certificate.to_text())
@@ -474,7 +463,7 @@ def _cmd_maximize(cfg: Config, out: Path, threads: int, trace: bool,
     return 0
 
 
-def _cmd_intersect(cfg: Config, out: Path, threads: int, trace: bool,
+def _cmd_intersect(cfg: Config, out: Path, trace: bool,
                    finish: Callable[[], None]) -> int:
     members: list[RcoSpec | RcdSpec] = []
     i = 1
@@ -485,7 +474,7 @@ def _cmd_intersect(cfg: Config, out: Path, threads: int, trace: bool,
         raise ConfigError("member.1.kind", "required key is missing")
     want_patterns = cfg.get_bool("intersect.want_patterns", False)
     trace_path = str(out / "trace.txt") if trace else None
-    search = _search_config(cfg, DEFAULT_CONFIG, threads, trace_path)
+    search = _search_config(cfg, DEFAULT_CONFIG, trace_path)
     rho2 = cfg.get_float("game.rho2", 1.0, lo=0.0, open_ends=True)
     finish()
     if trace:
@@ -527,7 +516,7 @@ def _build_rect(family, depth: int, placement: str, seed: int):
         raise ConfigError("generate.depth", str(exc)) from None
 
 
-def _cmd_generate(cfg: Config, out: Path, threads: int, trace: bool,
+def _cmd_generate(cfg: Config, out: Path, trace: bool,
                   finish: Callable[[], None]) -> int:
     params = _read_generate(cfg)
     formats = [f.strip() for f in cfg.get_str("generate.format", "csv").split(",")]
@@ -546,7 +535,7 @@ def _cmd_generate(cfg: Config, out: Path, threads: int, trace: bool,
     return 0
 
 
-def _cmd_simulate(cfg: Config, out: Path, threads: int, trace: bool,
+def _cmd_simulate(cfg: Config, out: Path, trace: bool,
                   finish: Callable[[], None]) -> int:
     family, depth, placement, seed = _read_generate(
         cfg, default_depth=cfg.get_int("simulate.moves", lo=1))
@@ -589,8 +578,7 @@ def _cmd_simulate(cfg: Config, out: Path, threads: int, trace: bool,
     return 0
 
 
-def _verify_report(cfg: Config, threads: int,
-                   finish: Callable[[], None]) -> tuple[str, bool]:
+def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
     check = cfg.get_str("verify.check", choices=(
         "projection", "half-shrink", "budget", "child-grid", "overlap", "transfer"))
     lines = [f"schema = gamecert.verify.v1", f"check = {check}"]
@@ -712,15 +700,15 @@ def _verify_report(cfg: Config, threads: int,
     return "\n".join(lines) + "\n", ok
 
 
-def _cmd_verify(cfg: Config, out: Path, threads: int, trace: bool,
+def _cmd_verify(cfg: Config, out: Path, trace: bool,
                 finish: Callable[[], None]) -> int:
-    text, ok = _verify_report(cfg, threads, finish)
+    text, ok = _verify_report(cfg, finish)
     _write(out, "report.txt", text)
     print("all checks passed" if ok else "counterexample found (see report)")
     return 0 if ok else 2
 
 
-def _cmd_find_pattern(cfg: Config, out: Path, threads: int, trace: bool,
+def _cmd_find_pattern(cfg: Config, out: Path, trace: bool,
                       finish: Callable[[], None]) -> int:
     params = _read_generate(cfg)
     points = cfg.get_points("pattern.points")
@@ -732,7 +720,7 @@ def _cmd_find_pattern(cfg: Config, out: Path, threads: int, trace: bool,
     rect = _build_rect(*params)
     try:
         query = PatternQuery(points, lam_lo, lam_hi, depth, resolution)
-        candidates = find_homothety(query, rect, threads=threads)
+        candidates = find_homothety(query, rect)
     except ValueError as exc:
         raise ConfigError("pattern", str(exc)) from None
     _write(out, "candidates.csv", candidates_to_csv(candidates))
@@ -744,12 +732,12 @@ def _cmd_find_pattern(cfg: Config, out: Path, threads: int, trace: bool,
     return 0
 
 
-def _cmd_smallest_u(cfg: Config, out: Path, threads: int, trace: bool,
+def _cmd_smallest_u(cfg: Config, out: Path, trace: bool,
                     finish: Callable[[], None]) -> int:
     count = cfg.get_int("smallest.pattern_count", lo=1)
     gap = cfg.get_int("smallest.gap", 0, lo=0)
     trace_path = str(out / "trace.txt") if trace else None
-    search = _search_config(cfg, SMALLEST_U_CONFIG, threads, trace_path)
+    search = _search_config(cfg, SMALLEST_U_CONFIG, trace_path)
     finish()
     if trace:
         out.mkdir(parents=True, exist_ok=True)
@@ -788,20 +776,6 @@ _DISPATCH: dict[str, tuple[Callable, tuple[str, ...]]] = {
 }
 
 
-def _resolve_threads(flag: int | None, cfg: Config) -> int:
-    if flag is not None:
-        return flag
-    if cfg.has("optimizer.threads"):
-        return cfg.get_int("optimizer.threads", lo=1)
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(THREADS_ENV, f"expected an integer, got {env!r}") from None
-    return 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="gamecert",
@@ -813,8 +787,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="flat key = value config file")
     parser.add_argument("--out", default=".", metavar="DIR",
                         help="directory for output artifacts (default: current)")
-    parser.add_argument("--threads", type=int, default=None, metavar="K",
-                        help=f"worker threads (default: ${THREADS_ENV} or 1)")
     parser.add_argument("--trace", action="store_true",
                         help="write the optimizer probe trace next to the artifacts")
     args = parser.parse_args(argv)
@@ -830,11 +802,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                                   f"config says {configured!r} but the command line says {command!r}")
         if command is None:
             raise ConfigError("command", "no command given (argument or config key)")
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("--threads", "must be >= 1")
-        threads = _resolve_threads(args.threads, cfg)
         handler, prefixes = _DISPATCH[command]
-        return handler(cfg, Path(args.out), threads, args.trace,
+        return handler(cfg, Path(args.out), args.trace,
                        lambda: cfg.reject_unknown(prefixes))
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

@@ -20,8 +20,7 @@ reduction in grid order, ties broken toward smaller (c, delta, t).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .certify import (
@@ -49,8 +48,8 @@ __all__ = [
     "SearchResult",
     "SmallestU",
     "delta_max",
+    "max_pattern_size",
     "optimize_pattern_count",
-    "optimize_dimension",
     "optimize_intersection",
     "smallest_u_for_patterns",
     "DEFAULT_CONFIG",
@@ -74,7 +73,6 @@ class SearchConfig:
     t_step: float = 0.25
     t_integer_offsets: tuple[float, ...] = (1e-5, 1e-8)
     pattern_cap: int = 1 << 40            # never search beyond this count
-    threads: int = 1
     trace_path: str | None = None
 
 
@@ -171,6 +169,50 @@ def delta_max(
     return best
 
 
+def max_pattern_size(
+    alpha: LogScalar,
+    contraction: DiagonalContraction,
+    c: float,
+    delta: float | None = None,
+    cap: int = 1 << 40,
+) -> tuple[int, float | None]:
+    """Largest M <= cap whose pattern certificate succeeds, with its witness.
+
+    With an explicit delta the witness is fixed; otherwise each M is given
+    its own largest witness from `delta_max`.  Feasibility is antitone in M
+    (condition (1) tightens, the free-step count shrinks), so doubling up to
+    the cap and then bisecting is exact.  Returns (0, None) if M = 1 fails.
+    """
+
+    def witness(m: int) -> float | None:
+        d = delta
+        if d is None:
+            choice = delta_max(contraction, LogScalar(math.log(m) / c + alpha.log))
+            if choice is None:
+                return None
+            d = choice.delta
+        return d if pattern_feasible(alpha, contraction, c, d, m).feasible else None
+
+    lo_delta = witness(1)
+    if lo_delta is None:
+        return 0, None
+    lo, hi = 1, 2
+    while hi <= cap:
+        probe = witness(hi)
+        if probe is None:
+            break
+        lo, lo_delta, hi = hi, probe, hi * 2
+    hi = min(hi, cap + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        probe = witness(mid)
+        if probe is None:
+            hi = mid
+        else:
+            lo, lo_delta = mid, probe
+    return lo, lo_delta
+
+
 # ------------------------------------------------------------ grid builders
 
 
@@ -242,65 +284,17 @@ def _refine_t(best_t: float, grid: Sequence[float], count: int) -> tuple[float, 
 # ----------------------------------------------------------------- engine
 
 
-def _best_pattern_count(
-    alpha: LogScalar,
-    contraction: DiagonalContraction,
-    c: float,
-    cap: int,
-) -> tuple[int, DeltaChoice | None]:
-    """Largest certifiable pattern count at (alpha, c), each M given its own
-    best witness.  Feasibility is antitone in M in practice; a short upward
-    walk after the binary search guards the few boundary cases."""
-
-    def attempt(m: int) -> DeltaChoice | None:
-        combined = LogScalar(math.log(m) / c + alpha.log)
-        if combined.log >= 0.0:
-            return None
-        choice = delta_max(contraction, combined)
-        if choice is None:
-            return None
-        if pattern_feasible(alpha, contraction, c, choice.delta, m).feasible:
-            return choice
-        return None
-
-    first = attempt(1)
-    if first is None:
-        return 0, None
-    lo, lo_choice = 1, first
-    while lo < cap:
-        probe = attempt(lo * 2)
-        if probe is None:
-            break
-        lo, lo_choice = lo * 2, probe
-    hi = min(lo * 2, cap + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        probe = attempt(mid)
-        if probe is not None:
-            lo, lo_choice = mid, probe
-        else:
-            hi = mid
-    for _ in range(8):                       # non-monotone boundary guard
-        if lo >= cap:
-            break
-        probe = attempt(lo + 1)
-        if probe is None:
-            break
-        lo, lo_choice = lo + 1, probe
-    return lo, lo_choice
-
-
 def _sweep_delta(
     alpha: LogScalar,
     contraction: DiagonalContraction,
     c: float,
     pattern_count: int,
-    choice: DeltaChoice,
+    witness: float,
     config: SearchConfig,
 ) -> PatternBound | None:
     """Best stated dimension bound over witnesses below the maximum one."""
-    lo = choice.delta * config.delta_floor_factor
-    hi = choice.delta * (1.0 - config.delta_head_factor)
+    lo = witness * config.delta_floor_factor
+    hi = witness * (1.0 - config.delta_head_factor)
     best: PatternBound | None = None
     best_delta = hi
     points = _geom(lo, hi, config.delta_samples)
@@ -313,7 +307,7 @@ def _sweep_delta(
             return None
         ratio = (hi / lo) ** (1.0 / max(config.delta_samples - 1, 1))
         lo = best_delta / ratio
-        hi = min(best_delta * ratio, choice.delta * (1.0 - config.delta_head_factor))
+        hi = min(best_delta * ratio, witness * (1.0 - config.delta_head_factor))
         points = _geom(lo, hi, config.delta_samples)
     return best
 
@@ -349,13 +343,6 @@ class SearchResult:
     trace: tuple[str, ...] = ()
 
 
-def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _better(a: _Point | None, b: _Point | None) -> _Point | None:
     if a is None:
         return b
@@ -382,10 +369,10 @@ def _search(
         alpha = alpha_fn(c, t)
         if alpha is None or alpha.log >= 0.0:
             return None
-        count, choice = _best_pattern_count(alpha, contraction, c, cap)
-        if count < 1 or choice is None:
+        count, witness = max_pattern_size(alpha, contraction, c, cap=cap)
+        if witness is None:
             return None
-        bound = _sweep_delta(alpha, contraction, c, count, choice, config)
+        bound = _sweep_delta(alpha, contraction, c, count, witness, config)
         if bound is None:
             return None
         return _Point(
@@ -397,9 +384,8 @@ def _search(
         nonlocal probes
         cells = [(t, c) for t in ts for c in cs]
         probes += len(cells)
-        results = _parallel_map(eval_cell, cells, config.threads)
         local: _Point | None = None
-        for point in results:
+        for point in map(eval_cell, cells):
             if point is not None and config.trace_path is not None:
                 trace.append(
                     "t=%.17g c=%.17g count=%d dim=%.17g delta=%.17g"
@@ -483,67 +469,45 @@ def _result_from_point(
     )
 
 
-def _rcd_alpha_fn(
-    spec: RcdSpec, covers: dict[float, CoverCount]
-) -> Callable[[float, float], LogScalar | None]:
-    def fn(c: float, t: float) -> LogScalar | None:
-        cover = covers.get(t)
-        if cover is None:
-            cover = rcd_cover_count(spec.u, spec.v, t)
-            covers[t] = cover
-        alpha = rcd_alpha(spec.u, spec.v, c, t, cover_count=cover)
-        return alpha if alpha.log < 0.0 else None
-    return fn
+def _member_alpha(
+    spec: RcoSpec | RcdSpec, c: float, t: float, covers: dict[float, CoverCount]
+) -> LogScalar:
+    """Budget rate of one family at (c, t).
+
+    Cut-out families keep their own depth offset; corner families take the
+    grid's t, with the slab cover count cached per t in `covers`.
+    """
+    if isinstance(spec, RcoSpec):
+        return rco_alpha(spec.u, spec.v, spec.m, spec.t, c)
+    cover = covers.get(t)
+    if cover is None:
+        cover = covers[t] = rcd_cover_count(spec.u, spec.v, t)
+    return rcd_alpha(spec.u, spec.v, c, t, cover_count=cover)
 
 
 def optimize_pattern_count(
     family: RcoSpec | RcdSpec,
     config: SearchConfig = DEFAULT_CONFIG,
     rho2: float = 1.0,
+    want_patterns: bool = True,
 ) -> SearchResult:
     """Largest certifiable pattern count for one family, with best dimension
-    among the parameter choices attaining it."""
-    contraction = family.contraction()
+    among the parameter choices attaining it.  With want_patterns=False the
+    count is pinned to 1 and only the dimension bound is optimized."""
+    covers: dict[float, CoverCount] = {}
+
+    def alpha_fn(c: float, t: float) -> LogScalar | None:
+        alpha = _member_alpha(family, c, t, covers)
+        return alpha if alpha.log < 0.0 else None
+
     if isinstance(family, RcoSpec):
         t_values: tuple[float, ...] = (float(family.t),)
-
-        def alpha_fn(c: float, t: float) -> LogScalar | None:
-            alpha = rco_alpha(family.u, family.v, family.m, t, c)
-            return alpha if alpha.log < 0.0 else None
-
         kind = "cutout"
     else:
         t_values = _t_grid(config)
-        alpha_fn = _rcd_alpha_fn(family, {})
         kind = "corner"
-    point, probes, trace = _search(contraction, alpha_fn, t_values, config, True)
-    _write_trace(config, trace)
-    return _result_from_point(
-        kind, point, probes, trace, contraction, alpha_fn, rho2,
-        _family_extras(family),
-    )
-
-
-def optimize_dimension(
-    family: RcoSpec | RcdSpec,
-    config: SearchConfig = DEFAULT_CONFIG,
-    rho2: float = 1.0,
-) -> SearchResult:
-    """Best certified dimension bound (pattern count pinned to 1)."""
     contraction = family.contraction()
-    if isinstance(family, RcoSpec):
-        t_values: tuple[float, ...] = (float(family.t),)
-
-        def alpha_fn(c: float, t: float) -> LogScalar | None:
-            alpha = rco_alpha(family.u, family.v, family.m, t, c)
-            return alpha if alpha.log < 0.0 else None
-
-        kind = "cutout"
-    else:
-        t_values = _t_grid(config)
-        alpha_fn = _rcd_alpha_fn(family, {})
-        kind = "corner"
-    point, probes, trace = _search(contraction, alpha_fn, t_values, config, False)
+    point, probes, trace = _search(contraction, alpha_fn, t_values, config, want_patterns)
     _write_trace(config, trace)
     return _result_from_point(
         kind, point, probes, trace, contraction, alpha_fn, rho2,
@@ -574,17 +538,7 @@ def optimize_intersection(
     t_values = _t_grid(config) if has_corner else (0.0,)
 
     def member_alphas(c: float, t: float) -> list[LogScalar]:
-        out = []
-        for sp in members:
-            if isinstance(sp, RcoSpec):
-                out.append(rco_alpha(sp.u, sp.v, sp.m, sp.t, c))
-            else:
-                cover = covers.get(t)
-                if cover is None:
-                    cover = rcd_cover_count(sp.u, sp.v, t)
-                    covers[t] = cover
-                out.append(rcd_alpha(sp.u, sp.v, c, t, cover_count=cover))
-        return out
+        return [_member_alpha(sp, c, t, covers) for sp in members]
 
     def alpha_fn(c: float, t: float) -> LogScalar | None:
         alphas = member_alphas(c, t)

@@ -14,10 +14,9 @@ the full query depth implies passing every shallower depth.
 """
 from __future__ import annotations
 
-import concurrent.futures as _futures
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,9 +33,6 @@ __all__ = [
     "pattern_diameter",
     "scale_range_admissible",
 ]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 ROOT = BoxRegion((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
 
@@ -290,28 +286,18 @@ def _scan_one_scale(
     return out
 
 
-def _ordered_map(
-    fn: Callable[[_T], _R], items: Sequence[_T], threads: int
-) -> list[_R]:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with _futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def find_homothety(
     query: PatternQuery,
     rect: RectangleSet,
-    threads: int = 1,
     cross_check: int = 8,
 ) -> tuple[PatternCandidate, ...]:
     """Scan scales and grid translations for depth-consistent pattern copies.
 
     Returns every (x, lambda) on the grid whose placed pattern passes the
     full query depth — a necessary-condition filter, not a membership proof.
-    Scales partition the work (deterministic merge order); the first few
-    candidates are re-verified against the exact per-level checker as an
-    internal consistency guard.
+    Scales are scanned in increasing order; the first few candidates are
+    re-verified against the exact per-level checker as an internal
+    consistency guard.
     """
     family = rect.meta.get("family")
     if family not in ("rco", "rcd"):
@@ -325,17 +311,11 @@ def find_homothety(
         if query.grid_resolution is not None
         else _default_resolution(rect, query.depth)
     )
-    lams = []
+    out: list[PatternCandidate] = []
     lam = query.lambda_lo
     while lam <= query.lambda_hi:
-        lams.append(lam)
+        out.extend(_scan_one_scale(lam, query, rect, family, res))
         lam += res
-    slices = _ordered_map(
-        lambda lv: _scan_one_scale(lv, query, rect, family, res), lams, threads
-    )
-    out: list[PatternCandidate] = []
-    for part in slices:
-        out.extend(part)
     for cand in out[:cross_check]:
         report = verify_containment_depth(cand.x, cand.lam, query.points, rect)
         if not report.consistent_to(query.depth):

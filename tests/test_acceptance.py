@@ -8,17 +8,11 @@ is finite and with seeded random sweeps where it is not.
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from gamecert.certify import (
-    REL_MARGIN,
-    default_delta,
-    max_pattern_size,
-    pattern_feasible,
-)
+from gamecert.certify import REL_MARGIN, default_delta, pattern_feasible
 from gamecert.cli import _recertify
 from gamecert.core import DiagonalContraction, LogScalar
 from gamecert.families import (
@@ -37,8 +31,8 @@ from gamecert.gamesim import (
     verify_projection_return,
 )
 from gamecert.optimize import (
-    DEFAULT_CONFIG,
     delta_max,
+    max_pattern_size,
     optimize_intersection,
     optimize_pattern_count,
     smallest_u_for_patterns,
@@ -152,12 +146,35 @@ def test_c08_feasibility_antitone_and_search_agreement():
         if best is None:
             continue
         delta = best.delta
-        answer = max_pattern_size(alpha, con, c, delta, cap=10**4)
+        answer, _ = max_pattern_size(alpha, con, c, delta, cap=10**4)
         linear = 0
         while linear < 10**4 and pattern_feasible(
                 alpha, con, c, delta, linear + 1).feasible:
             linear += 1
         assert answer == linear
+
+
+def test_c08_headline_counts_have_no_feasible_count_just_above(headline):
+    # the bisection is exact only if no M past the threshold certifies
+    # again; scan the next eight counts, each with its own best witness
+    contractions = {
+        "c1": RcoSpec(12, 15, 1, 5).contraction(),
+        "c2": RcoSpec(17, 24, 1, 5).contraction(),
+        "c3": RcoSpec(271828, 314159, 2, 1).contraction(),
+        "c4": RcdSpec(2**37, 2**38).contraction(),
+        "c5": RcdSpec(U5, V5).contraction(),
+        "c6": RcdSpec(U5, V5).contraction(),
+    }
+    for key, con in contractions.items():
+        res = headline[key]
+        assert res.pattern_count > 1, key
+        alpha = LogScalar(res.alpha_log)
+        count, _ = max_pattern_size(alpha, con, res.c)
+        assert count == res.pattern_count, key
+        for m in range(count + 1, count + 9):
+            witness = delta_max(con, LogScalar(math.log(m) / res.c + alpha.log))
+            assert witness is None or not pattern_feasible(
+                alpha, con, res.c, witness.delta, m).feasible, (key, m)
 
 
 # ------------------------------- 9: exhaustive projection return + half-shrink
@@ -279,7 +296,3 @@ def test_c13_repeated_runs_byte_identical(headline):
         first = headline[key]
         assert rerun.certificate is not None and first.certificate is not None
         assert rerun.certificate.to_text() == first.certificate.to_text(), key
-    # thread count is a compliance knob, not a result knob
-    threaded = optimize_pattern_count(
-        RcoSpec(17, 24, 1, 5), replace(DEFAULT_CONFIG, threads=4))
-    assert threaded.certificate.to_text() == headline["c2"].certificate.to_text()

@@ -19,12 +19,12 @@ from gamecert.certify import (
     distance_set_certificate,
     feasibility_report,
     intersect_certificate,
-    max_pattern_size,
     pattern_certificate,
     pattern_dim_bound,
     pattern_feasible,
 )
 from gamecert.core import DiagonalContraction, LogScalar
+from gamecert.optimize import max_pattern_size
 
 B1 = DiagonalContraction((0.1,))
 B2 = DiagonalContraction((0.1, 0.1))
@@ -147,8 +147,8 @@ def test_pattern_feasibility_is_antitone(m):
 def test_max_pattern_size_matches_linear_scan():
     alpha = LogScalar.from_value(1e-15)
     delta = default_delta(B1)
-    best = max_pattern_size(alpha, B1, 0.5, delta)
-    assert best >= 1
+    best, witness = max_pattern_size(alpha, B1, 0.5, delta)
+    assert best >= 1 and witness == delta
     assert pattern_feasible(alpha, B1, 0.5, delta, best).feasible
     assert not pattern_feasible(alpha, B1, 0.5, delta, best + 1).feasible
     linear = 0
@@ -157,10 +157,13 @@ def test_max_pattern_size_matches_linear_scan():
         linear = m
         m += 1
     assert best == linear
+    for cap in (3, 100):
+        assert max_pattern_size(alpha, B1, 0.5, delta, cap=cap) == (min(linear, cap), delta)
 
 
 def test_max_pattern_size_zero_when_m1_fails():
-    assert max_pattern_size(LogScalar.from_value(0.5), B1, 0.5, 0.001) == 0
+    assert max_pattern_size(LogScalar.from_value(0.5), B1, 0.5, 0.001) == (0, None)
+    assert max_pattern_size(LogScalar.from_value(0.5), B1, 0.5) == (0, None)
 
 
 def test_pattern_dim_bound_combined_never_exceeds_stated():

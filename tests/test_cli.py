@@ -119,20 +119,29 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_intersect_two_members(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "int.cfg", """
-        command = intersect
-        member.1.kind = rcd
-        member.1.u = 68719476736
-        member.1.v = 1099511627776
-        member.2.kind = rco
-        member.2.u = 68719476736
-        member.2.v = 1099511627776
-        member.2.m = 1
-        member.2.t = 1
-    """)
-    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
-    text = (tmp_path / "certificate.txt").read_text()
-    assert "kind = intersection" in text and "member_count = 2" in text
+    # both certificate kinds an intersect run writes must re-validate
+    for want_patterns, kind in (("false", "intersection"), ("true", "pattern")):
+        out = tmp_path / want_patterns
+        cfg = write_cfg(tmp_path, "int.cfg", f"""
+            command = intersect
+            intersect.want_patterns = {want_patterns}
+            member.1.kind = rcd
+            member.1.u = 68719476736
+            member.1.v = 1099511627776
+            member.2.kind = rco
+            member.2.u = 68719476736
+            member.2.v = 1099511627776
+            member.2.m = 1
+            member.2.t = 1
+        """)
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        text = (out / "certificate.txt").read_text()
+        assert f"kind = {kind}" in text and "member_count = 2" in text
+        recheck = write_cfg(tmp_path, "recheck.cfg", f"""
+            command = certify
+            certify.certificate = {out / "certificate.txt"}
+        """)
+        assert main(["--config", recheck, "--out", str(out / "re")]) == 0
 
 
 def test_intersect_mismatched_ratios_is_config_error(tmp_path, capsys):
@@ -247,23 +256,6 @@ def test_find_pattern_and_clean_empty(tmp_path, capsys):
         "lambda,x1,x2,max_depth_passed"]
 
 
-def test_find_pattern_thread_invariant(tmp_path):
-    cfg = write_cfg(tmp_path, "pat.cfg", """
-        command = find-pattern
-        family.kind = rcd
-        family.u = 7
-        family.v = 4
-        generate.depth = 2
-        pattern.points = 0,0; 2,0
-        pattern.lambda_lo = 1/49
-        pattern.lambda_hi = 3/49
-    """)
-    assert main(["--config", cfg, "--out", str(tmp_path / "a"), "--threads", "1"]) == 0
-    assert main(["--config", cfg, "--out", str(tmp_path / "b"), "--threads", "4"]) == 0
-    assert (tmp_path / "a" / "candidates.csv").read_bytes() == \
-        (tmp_path / "b" / "candidates.csv").read_bytes()
-
-
 def test_smallest_u_quick(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "su.cfg", """
         command = smallest-u
@@ -310,20 +302,13 @@ def test_command_conflict_between_argv_and_config(tmp_path, capsys):
     assert main(["generate", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, "pat.cfg", """
-        command = find-pattern
-        family.kind = rcd
-        family.u = 7
-        family.v = 4
-        generate.depth = 1
-        pattern.points = 0,0
-        pattern.lambda_lo = 1/10
-    """)
-    monkeypatch.setenv("GAMECERT_THREADS", "3")
-    assert main(["--config", cfg, "--out", str(tmp_path / "a")]) == 0
-    monkeypatch.setenv("GAMECERT_THREADS", "soup")
-    assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 1
+def test_removed_thread_options_are_rejected(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "max.cfg", MAXIMIZE_CFG + "optimizer.threads = 2\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "optimizer.threads" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg, "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_module_entrypoint_runs(tmp_path):

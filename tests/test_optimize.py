@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamecert.certify import feasibility_report, max_pattern_size, pattern_feasible
+from gamecert.certify import feasibility_report, pattern_feasible
 from gamecert.core import DiagonalContraction, LogScalar
 from gamecert.families import RcdSpec, RcoSpec
 from gamecert.optimize import (
@@ -17,7 +17,7 @@ from gamecert.optimize import (
     _c_grid,
     _t_grid,
     delta_max,
-    optimize_dimension,
+    max_pattern_size,
     optimize_intersection,
     optimize_pattern_count,
     smallest_u_for_patterns,
@@ -80,9 +80,17 @@ def test_delta_max_handles_astronomic_ratio():
 
 def test_max_pattern_size_auto_witness_beats_fixed():
     alpha = LogScalar.from_value(1e-15)
-    fixed = max_pattern_size(alpha, B1, 0.5, 1.0 / 864.0)
-    auto = max_pattern_size(alpha, B1, 0.5)
+    fixed, fixed_delta = max_pattern_size(alpha, B1, 0.5, 1.0 / 864.0)
+    auto, auto_delta = max_pattern_size(alpha, B1, 0.5)
     assert auto >= fixed >= 1
+    assert fixed_delta == 1.0 / 864.0
+    assert pattern_feasible(alpha, B1, 0.5, auto_delta, auto).feasible
+    for cap in (3, 100):
+        capped_fixed, _ = max_pattern_size(alpha, B1, 0.5, 1.0 / 864.0, cap=cap)
+        capped_auto, witness = max_pattern_size(alpha, B1, 0.5, cap=cap)
+        assert capped_fixed == min(fixed, cap)
+        assert capped_auto == min(auto, cap)
+        assert pattern_feasible(alpha, B1, 0.5, witness, capped_auto).feasible
 
 
 # ------------------------------------------------------------------- grids
@@ -132,7 +140,7 @@ def test_corner_powers_of_two_certifies_four():
 
 
 def test_dimension_only_search_pins_count_to_one():
-    res = optimize_dimension(RcoSpec(12, 15, 1, 5))
+    res = optimize_pattern_count(RcoSpec(12, 15, 1, 5), want_patterns=False)
     assert res.feasible and res.pattern_count == 1
     assert res.dim_bound >= 1.999996
     assert res.certificate is not None
@@ -146,13 +154,12 @@ def test_search_is_deterministic():
     assert (a.pattern_count, a.c, a.t, a.delta) == (b.pattern_count, b.c, b.t, b.delta)
 
 
-def test_threads_do_not_change_the_answer():
-    base = optimize_pattern_count(RcoSpec(12, 15, 1, 5))
-    threaded = optimize_pattern_count(
-        RcoSpec(12, 15, 1, 5), SearchConfig(threads=4)
-    )
-    assert base.certificate is not None and threaded.certificate is not None
-    assert base.certificate.to_text() == threaded.certificate.to_text()
+def test_pattern_cap_is_honoured():
+    # uncapped this family certifies 232; the cap must bind exactly
+    res = optimize_pattern_count(RcoSpec(17, 24, 1, 5), SearchConfig(pattern_cap=100))
+    assert res.pattern_count == 100
+    assert res.certificate is not None
+    assert res.certificate.fields["pattern_count"] == 100
 
 
 def test_trace_file_is_written(tmp_path):
@@ -187,7 +194,7 @@ def test_intersection_of_two_cutouts_frozen():
 
 
 def test_intersection_dim_not_better_than_single_member():
-    single = optimize_dimension(RcoSpec(425, 365, 10, 3))
+    single = optimize_pattern_count(RcoSpec(425, 365, 10, 3), want_patterns=False)
     both = optimize_intersection(
         [RcoSpec(425, 365, 10, 3), RcoSpec(425, 365, 1, 2)]
     )
