@@ -313,7 +313,6 @@ def _search_config(cfg: Config, base: SearchConfig,
         c_s_hi=cfg.get_float("optimizer.c_s_hi", base.c_s_hi, lo=0.0, hi=1.0, open_ends=True),
         refine_passes=cfg.get_int("optimizer.refine_passes", base.refine_passes, lo=0),
         refine_points=cfg.get_int("optimizer.refine_points", base.refine_points, lo=3),
-        delta_samples=cfg.get_int("optimizer.delta_samples", base.delta_samples, lo=1),
         t_lo=cfg.get_float("optimizer.t_lo", base.t_lo, lo=0.0, open_ends=True),
         t_hi=cfg.get_float("optimizer.t_hi", base.t_hi, lo=0.0, open_ends=True),
         t_step=cfg.get_float("optimizer.t_step", base.t_step, lo=0.0, open_ends=True),

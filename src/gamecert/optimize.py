@@ -1,13 +1,15 @@
 """Search for winning parameters: best witness, largest pattern count, best dim.
 
-Everything here is glorified grid search over the few free knobs the
-certificates leave open:
+The certificates leave three knobs open, searched as follows:
 
 * the witness delta — `delta_max` finds the largest admissible witness for a
   given combined budget rate by walking the free-step lattice (the admissible
   region is a union of per-N slices, each cut off where condition (2) loses
-  its margin); the best dimension usually sits strictly below the largest
-  witness, so `_sweep_delta` then scans a geometric grid with zoom passes;
+  its margin).  The best dimension bound usually sits below the largest
+  witness: the deficit constant K(delta) = (2/delta)|log(lhs2(N) - P delta)|
+  is unimodal where certificates live, so `_best_witness` certifies three
+  analytic candidates — the condition-(1) boundary, the minimizer of K and
+  the largest witness — and keeps the best;
 * the budget exponent c — geometric grid in s = 1 - c, refined around the
   winner (the optimum c typically sits close to 1);
 * the depth offset t of corner families — uniform grid plus probes just
@@ -19,13 +21,15 @@ reduction in grid order, ties broken toward smaller (c, delta, t).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .certify import (
     Certificate,
     PatternBound,
+    _log1mexp,
     _pack_constant,
     condition2_parts,
     intersect_certificate,
@@ -65,9 +69,6 @@ class SearchConfig:
     c_s_hi: float = 0.6                   # largest 1-c
     refine_passes: int = 2                # zoom passes around the winner
     refine_points: int = 9                # points per refined axis
-    delta_samples: int = 24               # witness sweep resolution
-    delta_floor_factor: float = 1e-6      # sweep starts at delta_max * this
-    delta_head_factor: float = 1e-9       # sweep ends at delta_max * (1-this)
     t_lo: float = 0.25
     t_hi: float = 6.0
     t_step: float = 0.25
@@ -98,6 +99,47 @@ def _flat_steps(contraction: DiagonalContraction) -> int:
     for b in contraction.betas:
         n = max(n, int(math.ceil((60.0 * math.log(2.0) + math.log(5.0)) / -math.log(b))))
     return n
+
+
+def _k_minimizer(lhs: float, pack: float) -> float:
+    """The delta minimizing K(delta) = (2/delta) |log(lhs - pack*delta)|.
+
+    K' has the sign of g(d) = pack*d/(lhs - pack*d) + log(lhs - pack*d),
+    which increases from log(lhs) < 0 at d = 0 to +inf at d = lhs/pack, so
+    K falls, then rises; its minimizer is the root of g, bisected in floats.
+    """
+    lo, hi = 0.0, lhs / pack
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        rest = lhs - pack * mid
+        if rest > 0.0 and pack * mid / rest + math.log(rest) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+class _Slices(NamedTuple):
+    """Free-step slice data of one contraction.
+
+    caps[N] = lhs2(N) (1 - margin) / pack for N = 1..flat (index 0 unused).
+    At every N >= flat, 1 - 5 beta_j^N rounds to 1.0, so caps[flat] and
+    `minimizer`, the argmin of K at lhs2(flat), hold for the whole tail.
+    """
+
+    flat: int
+    caps: tuple[float, ...]
+    minimizer: float
+
+
+@functools.lru_cache(maxsize=64)
+def _slices(contraction: DiagonalContraction) -> _Slices:
+    flat = _flat_steps(contraction)
+    pack = _pack_constant(contraction.n)
+    lhs = [condition2_parts(contraction, 1.0, steps)[0] for steps in range(flat + 1)]
+    caps = tuple(x * (1.0 - REL_MARGIN) / pack for x in lhs)
+    return _Slices(flat, caps, _k_minimizer(lhs[flat], pack))
 
 
 def _admit(
@@ -133,40 +175,34 @@ def delta_max(
     """
     if combined_alpha.is_zero() or combined_alpha.log >= 0.0:
         return None
-    n = contraction.n
-    pack = _pack_constant(n)
-    margin = 1.0 - REL_MARGIN
-
-    def cap(steps: int) -> float:
-        lhs, _ = condition2_parts(contraction, 1.0, steps)
-        return lhs * margin / pack
-
-    best: DeltaChoice | None = None
-    flat = _flat_steps(contraction)
-    if combined_alpha.log > -650.0:
-        rate = math.exp(combined_alpha.log)
-        for steps in range(1, flat + 1):
-            hi = min(cap(steps), (steps + 1) * rate * (1.0 - 2.0 ** -40))
-            if hi <= steps * rate or hi <= 0.0 or hi >= 1.0:
-                continue
-            check = safe_floor_ratio(hi, combined_alpha)
-            if not check.usable or check.value < 1:
-                continue
-            if hi > cap(check.value):
-                continue
-            choice = _admit(contraction, combined_alpha, hi)
-            if choice is None:
-                continue
-            if best is None or choice.delta > best.delta:
-                best = choice
-    saturated = cap(flat)
+    table = _slices(contraction)
+    flat, caps = table.flat, table.caps
+    # Candidates are tried from the top: the saturated cap (when it floors
+    # above flat), then slices N = flat down to 1.  _admit moves a candidate
+    # at most 8 ulps down from its start, which floors to at least N and so
+    # is at least N*rate*(1 - 2^-45), while every lower slice's hi is at most
+    # N*rate*(1 - 2^-40); so the first admitted choice is the largest.
+    saturated = caps[flat]
     if 0.0 < saturated < 1.0:
         check = safe_floor_ratio(saturated, combined_alpha)
         if check.usable and check.value > flat:
             choice = _admit(contraction, combined_alpha, saturated)
-            if choice is not None and (best is None or choice.delta > best.delta):
-                best = choice
-    return best
+            if choice is not None:
+                return choice
+    if combined_alpha.log <= -650.0:
+        return None
+    rate = math.exp(combined_alpha.log)
+    for steps in range(flat, 0, -1):
+        hi = min(caps[steps], (steps + 1) * rate * (1.0 - 2.0 ** -40))
+        if hi <= steps * rate or hi <= 0.0 or hi >= 1.0:
+            continue
+        check = safe_floor_ratio(hi, combined_alpha)
+        if not check.usable or check.value < 1 or hi > caps[min(check.value, flat)]:
+            continue
+        choice = _admit(contraction, combined_alpha, hi)
+        if choice is not None:
+            return choice
+    return None
 
 
 def max_pattern_size(
@@ -284,31 +320,53 @@ def _refine_t(best_t: float, grid: Sequence[float], count: int) -> tuple[float, 
 # ----------------------------------------------------------------- engine
 
 
-def _sweep_delta(
+def _least_condition1_delta(
+    alpha: LogScalar, contraction: DiagonalContraction, c: float, pattern_count: int
+) -> float:
+    """Least float delta at which condition (1) holds with relative margin
+    REL_MARGIN: M alpha^c <= delta^2 (1 - (prod beta)^(1-c)) (1 - margin),
+    tested in logs exactly as a report's fields state it."""
+    lhs = math.log(pattern_count) + c * alpha.log
+    gap = _log1mexp((1.0 - c) * contraction.log_det())
+    shave = math.log1p(-REL_MARGIN)
+    delta = math.exp(0.5 * (lhs - gap - shave))
+    while delta < 1.0 and lhs > 2.0 * math.log(delta) + gap + shave:
+        delta = math.nextafter(delta, 1.0)
+    return delta
+
+
+def _best_witness(
     alpha: LogScalar,
     contraction: DiagonalContraction,
     c: float,
     pattern_count: int,
     witness: float,
-    config: SearchConfig,
 ) -> PatternBound | None:
-    """Best stated dimension bound over witnesses below the maximum one."""
-    lo = witness * config.delta_floor_factor
-    hi = witness * (1.0 - config.delta_head_factor)
+    """Best stated dimension bound over witnesses in [delta1, witness].
+
+    delta1 is the condition-(1) boundary and `witness` the largest
+    admissible delta.  Every certifiable delta lies in the saturated tail:
+    condition (1) gives rate^c = M alpha^c < delta^2, so rate < delta^2 and
+    N = floor(delta/rate) > 1/delta >= 216 (condition (2) keeps delta below
+    3^-n / pack <= 1/216), while flat <= 27 for beta_j < 1/5.  There K is
+    one unimodal function of delta, so the best bound is at delta1, at the
+    minimizer of K, or at the witness.  Each of them is certified; the best
+    stated bound wins, ties going to the smaller delta.  Condition (1) must
+    also hold with relative margin REL_MARGIN.
+    """
+    low = _least_condition1_delta(alpha, contraction, c, pattern_count)
+    if low > witness:
+        return None
+    middle = min(max(_slices(contraction).minimizer, low), witness)
+    shave = math.log1p(-REL_MARGIN)
     best: PatternBound | None = None
-    best_delta = hi
-    points = _geom(lo, hi, config.delta_samples)
-    for _ in range(config.refine_passes + 1):
-        for d in points:
-            bound = pattern_dim_bound(alpha, contraction, c, d, pattern_count)
-            if bound.report.feasible and (best is None or bound.stated > best.stated):
-                best, best_delta = bound, d
-        if best is None:
-            return None
-        ratio = (hi / lo) ** (1.0 / max(config.delta_samples - 1, 1))
-        lo = best_delta / ratio
-        hi = min(best_delta * ratio, witness * (1.0 - config.delta_head_factor))
-        points = _geom(lo, hi, config.delta_samples)
+    for d in sorted({low, middle, witness}):
+        bound = pattern_dim_bound(alpha, contraction, c, d, pattern_count)
+        report = bound.report
+        if (report.feasible
+                and report.condition1_lhs_log <= report.condition1_rhs_log + shave
+                and (best is None or bound.stated > best.stated)):
+            best = bound
     return best
 
 
@@ -372,7 +430,7 @@ def _search(
         count, witness = max_pattern_size(alpha, contraction, c, cap=cap)
         if witness is None:
             return None
-        bound = _sweep_delta(alpha, contraction, c, count, witness, config)
+        bound = _best_witness(alpha, contraction, c, count, witness)
         if bound is None:
             return None
         return _Point(
@@ -565,7 +623,6 @@ SMALLEST_U_CONFIG = SearchConfig(
     c_count=12,
     refine_passes=1,
     refine_points=7,
-    delta_samples=12,
     t_lo=0.5,
     t_hi=3.0,
     t_step=0.5,
@@ -587,13 +644,15 @@ def smallest_u_for_patterns(
     gap: int,
     config: SearchConfig = SMALLEST_U_CONFIG,
 ) -> SmallestU:
-    """Least denominator u (bracket sense) with corner family (u, u+gap)
-    certifying the requested pattern count.
+    """A denominator u at which the corner family (u, u+gap) starts to
+    certify the requested pattern count, in the bracket sense: the search at
+    u certifies it and the search at u - 1 does not.
 
-    Certifiability is monotone in u throughout the regime of interest (the
-    budget rate falls roughly like u^(2t-2) times the slab count), so the
-    doubling/bisection bracket [largest failing, smallest passing] is the
-    true threshold; both endpoints' searches are returned.
+    Doubling then bisection finds one such bracket; both endpoints' searches
+    are returned.  It need not be the least certifying u: the budget rate
+    falls with u, but the grid cells the search probes and refines move with
+    u, so the search need not be monotone in u, and a smaller u that
+    bisection skipped may also certify.
     """
     if pattern_count < 1 or gap < 0:
         raise ValueError("pattern count must be >= 1 and gap >= 0")

@@ -257,7 +257,7 @@ def test_c11_overlap_bound_dominates_10k_draws():
 
 def test_c12_smallest_u_for_four_points():
     answer = smallest_u_for_patterns(4, 0)
-    assert answer.u == 176924670435
+    assert answer.u == 176924670080
     assert answer.result.pattern_count >= 4
     assert answer.below.pattern_count < 4
     cert = answer.result.certificate

@@ -264,7 +264,7 @@ def test_smallest_u_quick(tmp_path, capsys):
     """)
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
     text = (tmp_path / "smallest.txt").read_text()
-    assert "u = 88192767594" in text
+    assert "u = 94371030244" in text
     assert "u_pattern_count = 2" in text and "below_pattern_count = 1" in text
 
 
@@ -309,6 +309,13 @@ def test_removed_thread_options_are_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--config", cfg, "--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_removed_delta_samples_key_is_rejected(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "max.cfg", MAXIMIZE_CFG + "optimizer.delta_samples = 12\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "optimizer.delta_samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_entrypoint_runs(tmp_path):

@@ -4,17 +4,28 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gamecert.certify import feasibility_report, pattern_feasible
-from gamecert.core import DiagonalContraction, LogScalar
+from gamecert import optimize
+from gamecert.certify import (
+    _pack_constant,
+    condition2_parts,
+    feasibility_report,
+    pattern_dim_bound,
+    pattern_feasible,
+)
+from gamecert.core import REL_MARGIN, DiagonalContraction, LogScalar, safe_floor_ratio
 from gamecert.families import RcdSpec, RcoSpec
 from gamecert.optimize import (
     DEFAULT_CONFIG,
     SMALLEST_U_CONFIG,
     SearchConfig,
+    _admit,
+    _best_witness,
     _c_grid,
+    _flat_steps,
+    _member_alpha,
     _t_grid,
     delta_max,
     max_pattern_size,
@@ -78,6 +89,61 @@ def test_delta_max_handles_astronomic_ratio():
     assert choice.delta == pytest.approx((1.0 / 9.0) / 2112.0, rel=1e-9)
 
 
+def _ascending_delta_max(contraction, combined_alpha):
+    """delta_max as an exhaustive ascending walk over every slice."""
+    if combined_alpha.is_zero() or combined_alpha.log >= 0.0:
+        return None
+    pack = _pack_constant(contraction.n)
+
+    def cap(steps):
+        return condition2_parts(contraction, 1.0, steps)[0] * (1.0 - REL_MARGIN) / pack
+
+    best = None
+    flat = _flat_steps(contraction)
+    if combined_alpha.log > -650.0:
+        rate = math.exp(combined_alpha.log)
+        for steps in range(1, flat + 1):
+            hi = min(cap(steps), (steps + 1) * rate * (1.0 - 2.0 ** -40))
+            if hi <= steps * rate or hi <= 0.0 or hi >= 1.0:
+                continue
+            check = safe_floor_ratio(hi, combined_alpha)
+            if not check.usable or check.value < 1 or hi > cap(check.value):
+                continue
+            choice = _admit(contraction, combined_alpha, hi)
+            if choice is not None and (best is None or choice.delta > best.delta):
+                best = choice
+    saturated = cap(flat)
+    if 0.0 < saturated < 1.0:
+        check = safe_floor_ratio(saturated, combined_alpha)
+        if check.usable and check.value > flat:
+            choice = _admit(contraction, combined_alpha, saturated)
+            if choice is not None and (best is None or choice.delta > best.delta):
+                best = choice
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(min_value=1e-3, max_value=0.199), min_size=1, max_size=3),
+    # log rates down to 1e-300 seldom put a slice's cap inside the slice,
+    # so half the draws aim at slice `steps`: rate = 3^-n / pack / (steps + frac)
+    st.one_of(st.floats(min_value=math.log(1e-300), max_value=math.log(1e-3)),
+              st.tuples(st.integers(min_value=1, max_value=30),
+                        st.floats(min_value=0.0, max_value=2.0))),
+)
+@example([0.1], math.log(1e-300))
+@example([0.1, 0.1], -800.0)
+@example([0.01, 0.19, 0.05], math.log(1e-3))
+def test_delta_max_matches_exhaustive_walk(betas, rate_log):
+    contraction = DiagonalContraction(tuple(betas))
+    if isinstance(rate_log, tuple):
+        steps, frac = rate_log
+        n = contraction.n
+        rate_log = -n * math.log(3.0) - math.log(_pack_constant(n) * (steps + frac))
+    rate = LogScalar(rate_log)
+    assert delta_max(contraction, rate) == _ascending_delta_max(contraction, rate)
+
+
 def test_max_pattern_size_auto_witness_beats_fixed():
     alpha = LogScalar.from_value(1e-15)
     fixed, fixed_delta = max_pattern_size(alpha, B1, 0.5, 1.0 / 864.0)
@@ -91,6 +157,69 @@ def test_max_pattern_size_auto_witness_beats_fixed():
         assert capped_fixed == min(fixed, cap)
         assert capped_auto == min(auto, cap)
         assert pattern_feasible(alpha, B1, 0.5, witness, capped_auto).feasible
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["rco", "rcd"]),
+    st.integers(min_value=12, max_value=60),
+    st.integers(min_value=12, max_value=60),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=4, max_value=5),
+    st.integers(min_value=2 ** 20, max_value=2 ** 40),
+    st.integers(min_value=2 ** 20, max_value=2 ** 40),
+    st.sampled_from([1.0 - 1e-5, 1.0, 1.25, 1.5, 2.0 - 1e-5, 2.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_best_witness_beats_a_dense_scan(kind, ru, rv, m, rt, du, dv, dt, where):
+    # ranges where most cells certify: log10(1 - c) in [-4, -1] for cut-out
+    # cells and in [-3, -2] for corner cells
+    if kind == "rco":
+        spec, t, c = RcoSpec(ru, rv, m, rt), float(rt), 1.0 - 10.0 ** (-4.0 + 3.0 * where)
+    else:
+        spec, t, c = RcdSpec(du, dv), dt, 1.0 - 10.0 ** (-3.0 + where)
+    alpha = _member_alpha(spec, c, t, {})
+    assume(alpha.log < 0.0)
+    contraction = spec.contraction()
+    count, witness = max_pattern_size(alpha, contraction, c)
+    assume(witness is not None)
+    chosen = _best_witness(alpha, contraction, c, count, witness)
+    shave = math.log1p(-REL_MARGIN)
+
+    def clears(report):
+        return report.feasible and \
+            report.condition1_lhs_log <= report.condition1_rhs_log + shave
+
+    delta1 = math.exp(0.5 * (math.log(count) + c * alpha.log
+                             - math.log(-math.expm1((1.0 - c) * contraction.log_det()))))
+    scan_best = None
+    for i in range(2000):
+        d = delta1 * (witness / delta1) ** (i / 1999) if i < 1999 else witness
+        bound = pattern_dim_bound(alpha, contraction, c, d, count)
+        if clears(bound.report) and (scan_best is None or bound.stated > scan_best):
+            scan_best = bound.stated
+    if scan_best is None:
+        return
+    assert chosen is not None
+    assert clears(chosen.report)
+    assert chosen.stated >= scan_best
+    # every certifiable witness lies in the saturated tail of the slices
+    assert chosen.report.free_steps.value > _flat_steps(contraction)
+
+
+def test_witness_choice_certifies_few_candidates_per_probe(monkeypatch):
+    calls = 0
+    certify = optimize.pattern_dim_bound
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "pattern_dim_bound", counted)
+    res = optimize_pattern_count(RcoSpec(17, 24, 1, 5))
+    assert res.pattern_count == 232
+    assert calls <= 4 * res.probes
 
 
 # ------------------------------------------------------------------- grids
@@ -219,7 +348,7 @@ def test_smallest_u_brackets_the_threshold():
     res = smallest_u_for_patterns(4, 0)
     assert res.result.pattern_count >= 4
     assert res.below.pattern_count < 4
-    assert res.u == 176924670435            # frozen bracket for the defaults
+    assert res.u == 176924670080            # frozen bracket for the defaults
     cert = res.result.certificate
     assert cert is not None
     assert cert.fields["condition2_margin"] >= 2.0 ** -40
