@@ -46,11 +46,11 @@ __all__ = [
     "PatternBound",
     "BranchingBound",
     "Certificate",
+    "check_ratio_range",
     "default_delta",
     "feasibility_report",
     "deficit_constant",
     "dim_lower_bound",
-    "pattern_feasible",
     "pattern_dim_bound",
     "intersect_certificate",
     "distance_set_certificate",
@@ -67,12 +67,18 @@ def _log1mexp(x: float) -> float:
     return math.log1p(-math.exp(x))
 
 
-def _require_certifiable(contraction: DiagonalContraction, c: float, delta: float) -> None:
+def check_ratio_range(contraction: DiagonalContraction) -> None:
+    """Raise ValueError unless every diagonal entry lies in (0, 1/5), the
+    range the theorem covers."""
     for b in contraction.betas:
         if not (0.0 < b < 0.2):
             raise ValueError(
                 f"certification requires diagonal entries in (0, 1/5), got {b!r}"
             )
+
+
+def _require_certifiable(contraction: DiagonalContraction, c: float, delta: float) -> None:
+    check_ratio_range(contraction)
     if not (0.0 < c < 1.0):
         raise ValueError(f"certification requires c in (0,1), got {c!r}")
     if not (0.0 < delta < 1.0):
@@ -110,9 +116,7 @@ def default_delta(contraction: DiagonalContraction) -> float:
     Halving the N = 1 left side of condition (2) guarantees strictness for
     every N >= 1; usually far from the delta that optimizes the dimension.
     """
-    for b in contraction.betas:
-        if not (0.0 < b < 0.2):
-            raise ValueError("default witness needs diagonal entries in (0, 1/5)")
+    check_ratio_range(contraction)
     n = contraction.n
     value = 3.0 ** -n / (2.0 * _pack_constant(n))
     for b in contraction.betas:
@@ -242,17 +246,6 @@ def dim_lower_bound(
     return DimensionBound(value, deficit, k, value > 0.0, report)
 
 
-def pattern_feasible(
-    alpha: LogScalar,
-    contraction: DiagonalContraction,
-    c: float,
-    delta: float,
-    pattern_count: int,
-) -> FeasibilityReport:
-    """Conditions (1)+(2) at pattern count M — the containment certificate."""
-    return feasibility_report(alpha, contraction, c, delta, pattern_count)
-
-
 @dataclass(frozen=True)
 class PatternBound:
     """Pattern certificate: containment plus witness-set dimension bounds.
@@ -282,7 +275,7 @@ def pattern_dim_bound(
     pattern_count: int,
     rho2: float = 1.0,
 ) -> PatternBound:
-    report = pattern_feasible(alpha, contraction, c, delta, pattern_count)
+    report = feasibility_report(alpha, contraction, c, delta, pattern_count)
     if not report.feasible:
         return PatternBound(
             pattern_count, 0.0, 0.0, math.inf, False, 0.0, report
@@ -308,11 +301,11 @@ class BranchingBound:
 
     value = (prod_j beta_j^-N) * (lhs2 - rhs2), with lhs2 and rhs2 as
     condition2_parts states them; count = ceil(value) is the splitting
-    number used by the dimension argument.  A ceiling within relative 2^-45
-    above an integer snaps down to it.  Tag "exact": an enclosure of value
-    settles the snapped ceiling.  Tag "approximate": count is the snapped
-    ceiling of the enclosure's lower end, a lower bound, or None when the
-    value exceeds exact integer range.
+    number used by the dimension argument.  A value below 2^44 within
+    relative 2^-45 above an integer snaps down to it.  Tag "exact": an
+    enclosure of value settles the snapped ceiling.  Tag "approximate":
+    count is the snapped ceiling of the enclosure's lower end, a lower
+    bound, or None when the value exceeds exact integer range.
     """
 
     value_log: float

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 from .certify import (
     Certificate,
+    check_ratio_range,
     default_delta,
     dimension_certificate,
     distance_set_certificate,
@@ -327,6 +328,16 @@ def _search_config(cfg: Config, base: SearchConfig,
 # ------------------------------------------------------------------- commands
 
 
+def _ineligible(contraction: DiagonalContraction) -> bool:
+    """Report and return True when the theorem does not cover these ratios."""
+    try:
+        check_ratio_range(contraction)
+    except ValueError as exc:
+        print(f"not certified: theorem-ineligible ({exc})")
+        return True
+    return False
+
+
 def _cmd_certify(cfg: Config, out: Path, trace: bool,
                  finish: Callable[[], None]) -> int:
     if cfg.has("certify.certificate"):
@@ -445,6 +456,8 @@ def _cmd_maximize(cfg: Config, out: Path, trace: bool,
     search = _search_config(cfg, DEFAULT_CONFIG, trace_path)
     rho2 = cfg.get_float("game.rho2", 1.0, lo=0.0, open_ends=True)
     finish()
+    if _ineligible(family.contraction()):
+        return 2
     if trace:
         out.mkdir(parents=True, exist_ok=True)
     result = optimize_pattern_count(family, search, rho2,
@@ -476,6 +489,11 @@ def _cmd_intersect(cfg: Config, out: Path, trace: bool,
     search = _search_config(cfg, DEFAULT_CONFIG, trace_path)
     rho2 = cfg.get_float("game.rho2", 1.0, lo=0.0, open_ends=True)
     finish()
+    # mismatched ratios stay a config error, reported by the search below
+    shared = members[0].contraction()
+    if (all(m.contraction().betas == shared.betas for m in members)
+            and _ineligible(shared)):
+        return 2
     if trace:
         out.mkdir(parents=True, exist_ok=True)
     try:

@@ -44,9 +44,10 @@ Coord = Fraction | float | int
 # relies on: "lhs > rhs" is only accepted when rhs <= lhs * (1 - REL_MARGIN).
 REL_MARGIN = 2.0 ** -40
 
-# Snap window for safe_floor_ratio: a ratio within relative 2^-45 of an
-# integer is treated as that integer before flooring.
+# Snap window for safe_floor_ratio: a ratio below 2^44 within relative 2^-45
+# of an integer is treated as that integer before flooring.
 _SNAP_INV = 2 ** 45
+_SNAP_LIMIT = 2 ** 44
 
 _EXACT_FLOOR_LIMIT = 2.0 ** 53
 
@@ -352,10 +353,10 @@ def combine_alphas(alphas: Sequence[LogScalar | float], c: float) -> LogScalar:
 class FloorResult:
     """floor(delta/alpha) with an honesty tag.
 
-    The snapped floor of a quotient q is floor(q), except that a q within
-    relative 2^-45 below a positive integer is lifted to that integer.  At
-    q >= 2^44 the window spans half a unit, so there it is q rounded to
-    nearest.
+    The snapped floor of a quotient q is floor(q), except that a q < 2^44
+    within relative 2^-45 below a positive integer is lifted to that
+    integer.  Below 2^44 the window stays under half a unit; from 2^44 on
+    nothing snaps, so an exact value there is the true floor.
 
     tag == "exact":        value >= 1 is the snapped floor of the true
                            quotient, which lies below 2^53; an enclosure of
@@ -383,15 +384,16 @@ class FloorResult:
 
 
 def snap_round(q: float | Fraction, rounding: Callable[[float | Fraction], int]) -> int:
-    """rounding(q) (math.floor or math.ceil), but a q >= 1/2 within relative
-    2^-45 of an integer snaps to that integer.
+    """rounding(q) (math.floor or math.ceil), but a q in [1/2, 2^44) within
+    relative 2^-45 of an integer snaps to that integer.
 
     Exact for floats and Fractions alike: q - round(q) is exact for a float
-    q >= 1/2, and the window test scales by a power of two.  Nondecreasing in
-    q, so it is constant on an interval iff it agrees at both ends.
+    q >= 1/2, and the window test scales by a power of two.  The window stays
+    under half a unit, so snapping is nondecreasing in q, also across 2^44;
+    hence it is constant on an interval iff it agrees at both ends.
     """
     nearest = round(q)
-    if nearest >= 1 and abs(q - nearest) * _SNAP_INV <= q:
+    if nearest >= 1 and q < _SNAP_LIMIT and abs(q - nearest) * _SNAP_INV <= q:
         return int(nearest)
     return rounding(q)
 
@@ -456,12 +458,12 @@ def safe_floor_ratio(delta: float | LogScalar, alpha: float | LogScalar) -> Floo
     The quotient is estimated in log domain, with the error bound of
     log_rounding_error.  When every quotient in that enclosure has the same
     snapped floor it is the answer (so e.g. delta=0.5, alpha=0.1 floors to
-    5, not 4); otherwise the floor is settled on the exact quotient of two
-    floats, or on a 128-bit mpmath enclosure when a LogScalar is involved,
-    and an enclosure that still straddles a step gives its floored lower end,
-    tagged approximate.  Estimates >= 2^53 cannot be floored exactly in
-    float64; the result is tagged and lowered by one as a conservative
-    surrogate.
+    5, not 4; from 2^44 on nothing snaps); otherwise the floor is settled
+    on the exact quotient of two floats, or on a 128-bit mpmath enclosure
+    when a LogScalar is involved, and an enclosure that still straddles a
+    step gives its floored lower end, tagged approximate.  Estimates
+    >= 2^53 cannot be floored exactly in float64; the result is tagged and
+    lowered by one as a conservative surrogate.
     """
     d = delta if isinstance(delta, LogScalar) else LogScalar.from_value(delta)
     a = alpha if isinstance(alpha, LogScalar) else LogScalar.from_value(alpha)

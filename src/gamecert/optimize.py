@@ -2,14 +2,17 @@
 
 The certificates leave three knobs open, searched as follows:
 
-* the witness delta — `delta_max` finds the largest admissible witness for a
-  given combined budget rate by walking the free-step lattice (the admissible
-  region is a union of per-N slices, each cut off where condition (2) loses
-  its margin).  The best dimension bound usually sits below the largest
-  witness: the deficit constant K(delta) = (2/delta)|log(lhs2(N) - P delta)|
-  is unimodal where certificates live, so `_best_witness` certifies three
-  analytic candidates — the condition-(1) boundary, the minimizer of K and
-  the largest witness — and keeps the best;
+* the witness delta — a witness meeting conditions (1) and (2) has
+  N = floor(delta/rate) > 1/delta >= 216 free steps: condition (1) gives
+  rate < delta^2, and condition (2) keeps delta below 3^-n / pack <= 1/216.
+  From N = 27 on, every 1 - 5 beta_j^N rounds to 1.0 (beta_j < 1/5), so in
+  this tail condition (2) reads pack * delta < 3^-n with margin, whatever
+  the rate.  The largest witness that can certify, the tail witness, is
+  thus a constant of the dimension n, and it certifies every pattern count
+  that any witness certifies.  The deficit constant
+  K(delta) = (2/delta)|log(3^-n - pack delta)| is unimodal in the tail, so
+  `_best_witness` certifies three candidates — the condition-(1) boundary,
+  the minimizer of K and the tail witness — and keeps the best;
 * the budget exponent c — geometric grid in s = 1 - c, refined around the
   winner (the optimum c typically sits close to 1);
 * the depth offset t of corner families — uniform grid plus probes just
@@ -24,34 +27,25 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .certify import (
     Certificate,
     PatternBound,
     _log1mexp,
     _pack_constant,
-    condition2_parts,
+    feasibility_report,
     intersect_certificate,
     pattern_certificate,
     pattern_dim_bound,
-    pattern_feasible,
 )
-from .core import (
-    REL_MARGIN,
-    DiagonalContraction,
-    LogScalar,
-    combine_alphas,
-    safe_floor_ratio,
-)
+from .core import REL_MARGIN, DiagonalContraction, LogScalar, combine_alphas
 from .families import CoverCount, RcdSpec, RcoSpec, rcd_alpha, rcd_cover_count, rco_alpha
 
 __all__ = [
     "SearchConfig",
-    "DeltaChoice",
     "SearchResult",
     "SmallestU",
-    "delta_max",
     "max_pattern_size",
     "optimize_pattern_count",
     "optimize_intersection",
@@ -80,27 +74,6 @@ class SearchConfig:
 DEFAULT_CONFIG = SearchConfig()
 
 
-@dataclass(frozen=True)
-class DeltaChoice:
-    """Largest admissible witness for one combined rate (condition (2) only)."""
-
-    delta: float
-    free_steps: int
-    tag: str                              # floor tag: "exact" | "approximate"
-
-
-def _flat_steps(contraction: DiagonalContraction) -> int:
-    """Smallest N beyond which every 5 beta_j^N sits below 2^-60.
-
-    Past this point the left side of condition (2) is saturated to within
-    one part in 2^57, far inside the 2^-40 margin we demand anyway.
-    """
-    n = 1
-    for b in contraction.betas:
-        n = max(n, int(math.ceil((60.0 * math.log(2.0) + math.log(5.0)) / -math.log(b))))
-    return n
-
-
 def _k_minimizer(lhs: float, pack: float) -> float:
     """The delta minimizing K(delta) = (2/delta) |log(lhs - pack*delta)|.
 
@@ -120,89 +93,23 @@ def _k_minimizer(lhs: float, pack: float) -> float:
             hi = mid
 
 
-class _Slices(NamedTuple):
-    """Free-step slice data of one contraction.
+@functools.lru_cache(maxsize=None)
+def _tail(n: int) -> tuple[float, float]:
+    """(tail witness, minimizer of K) of dimension n.
 
-    caps[N] = lhs2(N) (1 - margin) / pack for N = 1..flat (index 0 unused).
-    At every N >= flat, 1 - 5 beta_j^N rounds to 1.0, so caps[flat] and
-    `minimizer`, the argmin of K at lhs2(flat), hold for the whole tail.
+    In the tail N is far past the point where every 1 - 5 beta_j^N rounds
+    to 1.0, so the left side of condition (2) is 3^-n exactly and the
+    report's margin test reads pack * delta <= 3^-n (1 - margin).  The
+    tail witness is the largest float passing that test.
     """
-
-    flat: int
-    caps: tuple[float, ...]
-    minimizer: float
-
-
-@functools.lru_cache(maxsize=64)
-def _slices(contraction: DiagonalContraction) -> _Slices:
-    flat = _flat_steps(contraction)
-    pack = _pack_constant(contraction.n)
-    lhs = [condition2_parts(contraction, 1.0, steps)[0] for steps in range(flat + 1)]
-    caps = tuple(x * (1.0 - REL_MARGIN) / pack for x in lhs)
-    return _Slices(flat, caps, _k_minimizer(lhs[flat], pack))
-
-
-def _admit(
-    contraction: DiagonalContraction, combined_alpha: LogScalar, delta: float
-) -> DeltaChoice | None:
-    """Accept a candidate only if the report's own margin test passes on it.
-
-    The analytic cap rounds through a multiply and a divide, which can leave
-    the final margin one ulp short; stepping down a few ulps restores it
-    without measurably moving the witness.
-    """
-    for _ in range(8):
-        check = safe_floor_ratio(delta, combined_alpha)
-        if not check.usable or check.value < 1:
-            return None
-        lhs, rhs = condition2_parts(contraction, delta, check.value)
-        if rhs <= lhs * (1.0 - REL_MARGIN):
-            return DeltaChoice(delta, check.value, check.tag)
-        delta = math.nextafter(delta, 0.0)
-    return None
-
-
-def delta_max(
-    contraction: DiagonalContraction, combined_alpha: LogScalar
-) -> DeltaChoice | None:
-    """Largest delta whose condition (2) holds with margin at N = floor(delta/rate).
-
-    The admissible set is a union of slices: on the slice with free-step
-    count N the witness ranges over [N*rate, (N+1)*rate) capped at
-    lhs2(N) * (1 - margin) / pack.  The cap saturates once beta^N dies out,
-    so only the first `_flat_steps` slices need individual attention; the
-    tail is handled by one floor computation against the saturated cap.
-    """
-    if combined_alpha.is_zero() or combined_alpha.log >= 0.0:
-        return None
-    table = _slices(contraction)
-    flat, caps = table.flat, table.caps
-    # Candidates are tried from the top: the saturated cap (when it floors
-    # above flat), then slices N = flat down to 1.  _admit moves a candidate
-    # at most 8 ulps down from its start, which floors to at least N and so
-    # is at least N*rate*(1 - 2^-45), while every lower slice's hi is at most
-    # N*rate*(1 - 2^-40); so the first admitted choice is the largest.
-    saturated = caps[flat]
-    if 0.0 < saturated < 1.0:
-        check = safe_floor_ratio(saturated, combined_alpha)
-        if check.usable and check.value > flat:
-            choice = _admit(contraction, combined_alpha, saturated)
-            if choice is not None:
-                return choice
-    if combined_alpha.log <= -650.0:
-        return None
-    rate = math.exp(combined_alpha.log)
-    for steps in range(flat, 0, -1):
-        hi = min(caps[steps], (steps + 1) * rate * (1.0 - 2.0 ** -40))
-        if hi <= steps * rate or hi <= 0.0 or hi >= 1.0:
-            continue
-        check = safe_floor_ratio(hi, combined_alpha)
-        if not check.usable or check.value < 1 or hi > caps[min(check.value, flat)]:
-            continue
-        choice = _admit(contraction, combined_alpha, hi)
-        if choice is not None:
-            return choice
-    return None
+    lhs, pack = 3.0 ** -n, _pack_constant(n)
+    limit = lhs * (1.0 - REL_MARGIN)
+    witness = limit / pack
+    while pack * witness > limit:
+        witness = math.nextafter(witness, 0.0)
+    while pack * math.nextafter(witness, 1.0) <= limit:
+        witness = math.nextafter(witness, 1.0)
+    return witness, _k_minimizer(lhs, pack)
 
 
 def max_pattern_size(
@@ -214,39 +121,30 @@ def max_pattern_size(
 ) -> tuple[int, float | None]:
     """Largest M <= cap whose pattern certificate succeeds, with its witness.
 
-    With an explicit delta the witness is fixed; otherwise each M is given
-    its own largest witness from `delta_max`.  Feasibility is antitone in M
+    The witness is `delta`, or by default the tail witness, which certifies
+    every M that any witness certifies.  Feasibility is antitone in M
     (condition (1) tightens, the free-step count shrinks), so doubling up to
     the cap and then bisecting is exact.  Returns (0, None) if M = 1 fails.
     """
+    if delta is None:
+        delta = _tail(contraction.n)[0]
 
-    def witness(m: int) -> float | None:
-        d = delta
-        if d is None:
-            choice = delta_max(contraction, LogScalar(math.log(m) / c + alpha.log))
-            if choice is None:
-                return None
-            d = choice.delta
-        return d if pattern_feasible(alpha, contraction, c, d, m).feasible else None
+    def feasible(m: int) -> bool:
+        return feasibility_report(alpha, contraction, c, delta, m).feasible
 
-    lo_delta = witness(1)
-    if lo_delta is None:
+    if not feasible(1):
         return 0, None
     lo, hi = 1, 2
-    while hi <= cap:
-        probe = witness(hi)
-        if probe is None:
-            break
-        lo, lo_delta, hi = hi, probe, hi * 2
+    while hi <= cap and feasible(hi):
+        lo, hi = hi, hi * 2
     hi = min(hi, cap + 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        probe = witness(mid)
-        if probe is None:
-            hi = mid
+        if feasible(mid):
+            lo = mid
         else:
-            lo, lo_delta = mid, probe
-    return lo, lo_delta
+            hi = mid
+    return lo, delta
 
 
 # ------------------------------------------------------------ grid builders
@@ -340,24 +238,21 @@ def _best_witness(
     contraction: DiagonalContraction,
     c: float,
     pattern_count: int,
-    witness: float,
 ) -> PatternBound | None:
-    """Best stated dimension bound over witnesses in [delta1, witness].
+    """Best stated dimension bound over witnesses in [delta1, tail witness].
 
-    delta1 is the condition-(1) boundary and `witness` the largest
-    admissible delta.  Every certifiable delta lies in the saturated tail:
-    condition (1) gives rate^c = M alpha^c < delta^2, so rate < delta^2 and
-    N = floor(delta/rate) > 1/delta >= 216 (condition (2) keeps delta below
-    3^-n / pack <= 1/216), while flat <= 27 for beta_j < 1/5.  There K is
-    one unimodal function of delta, so the best bound is at delta1, at the
-    minimizer of K, or at the witness.  Each of them is certified; the best
-    stated bound wins, ties going to the smaller delta.  Condition (1) must
-    also hold with relative margin REL_MARGIN.
+    delta1 is the condition-(1) boundary.  Every certifying witness lies in
+    the tail, where K is one unimodal function of delta, so the best bound
+    is at delta1, at the minimizer of K, or at the tail witness.  Each of
+    them is certified; the best stated bound wins, ties going to the
+    smaller delta.  Condition (1) must also hold with relative margin
+    REL_MARGIN.
     """
+    witness, minimizer = _tail(contraction.n)
     low = _least_condition1_delta(alpha, contraction, c, pattern_count)
     if low > witness:
         return None
-    middle = min(max(_slices(contraction).minimizer, low), witness)
+    middle = min(max(minimizer, low), witness)
     shave = math.log1p(-REL_MARGIN)
     best: PatternBound | None = None
     for d in sorted({low, middle, witness}):
@@ -427,10 +322,10 @@ def _search(
         alpha = alpha_fn(c, t)
         if alpha is None or alpha.log >= 0.0:
             return None
-        count, witness = max_pattern_size(alpha, contraction, c, cap=cap)
-        if witness is None:
+        count, _ = max_pattern_size(alpha, contraction, c, cap=cap)
+        if count == 0:
             return None
-        bound = _best_witness(alpha, contraction, c, count, witness)
+        bound = _best_witness(alpha, contraction, c, count)
         if bound is None:
             return None
         return _Point(

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from gamecert.certify import REL_MARGIN, default_delta, pattern_feasible
+from gamecert.certify import REL_MARGIN, default_delta, feasibility_report
 from gamecert.cli import _recertify
 from gamecert.core import DiagonalContraction, LogScalar
 from gamecert.families import (
@@ -31,7 +31,7 @@ from gamecert.gamesim import (
     verify_projection_return,
 )
 from gamecert.optimize import (
-    delta_max,
+    _tail,
     max_pattern_size,
     optimize_intersection,
     optimize_pattern_count,
@@ -129,11 +129,11 @@ def test_c08_feasibility_antitone_and_search_agreement():
         alpha = LogScalar(rnd.uniform(-40.0, -15.0))
         m = rnd.randint(1, 256)
         delta = default_delta(con) * rnd.uniform(0.05, 0.95)
-        feasible = pattern_feasible(alpha, con, c, delta, m).feasible
+        feasible = feasibility_report(alpha, con, c, delta, m).feasible
         if feasible:
             smaller_rate = LogScalar(alpha.log - rnd.uniform(0.1, 3.0))
-            assert pattern_feasible(smaller_rate, con, c, delta, m).feasible
-            assert pattern_feasible(alpha, con, c, delta, max(1, m // 2)).feasible
+            assert feasibility_report(smaller_rate, con, c, delta, m).feasible
+            assert feasibility_report(alpha, con, c, delta, max(1, m // 2)).feasible
             checked += 1
     assert checked > 50  # the draw box must actually hit the feasible region
 
@@ -142,13 +142,10 @@ def test_c08_feasibility_antitone_and_search_agreement():
         con = DiagonalContraction((rnd.uniform(0.01, 0.19), rnd.uniform(0.01, 0.19)))
         c = rnd.uniform(0.7, 0.98)
         alpha = LogScalar(rnd.uniform(-34.0, -16.0))
-        best = delta_max(con, alpha)
-        if best is None:
-            continue
-        delta = best.delta
+        delta = _tail(con.n)[0]
         answer, _ = max_pattern_size(alpha, con, c, delta, cap=10**4)
         linear = 0
-        while linear < 10**4 and pattern_feasible(
+        while linear < 10**4 and feasibility_report(
                 alpha, con, c, delta, linear + 1).feasible:
             linear += 1
         assert answer == linear
@@ -156,7 +153,8 @@ def test_c08_feasibility_antitone_and_search_agreement():
 
 def test_c08_headline_counts_have_no_feasible_count_just_above(headline):
     # the bisection is exact only if no M past the threshold certifies
-    # again; scan the next eight counts, each with its own best witness
+    # again; scan the next eight counts over witnesses from the
+    # condition-(1) boundary up to where condition (2) ends, 3^-n / pack
     contractions = {
         "c1": RcoSpec(12, 15, 1, 5).contraction(),
         "c2": RcoSpec(17, 24, 1, 5).contraction(),
@@ -171,10 +169,16 @@ def test_c08_headline_counts_have_no_feasible_count_just_above(headline):
         alpha = LogScalar(res.alpha_log)
         count, _ = max_pattern_size(alpha, con, res.c)
         assert count == res.pattern_count, key
+        n = con.n
+        top = 3.0 ** -n / (8.0 ** n * (1.0 + 2.0 ** (2 * n + 1)))
+        gap = math.log(-math.expm1((1.0 - res.c) * con.log_det()))
         for m in range(count + 1, count + 9):
-            witness = delta_max(con, LogScalar(math.log(m) / res.c + alpha.log))
-            assert witness is None or not pattern_feasible(
-                alpha, con, res.c, witness.delta, m).feasible, (key, m)
+            low = min(math.exp(0.5 * (math.log(m) + res.c * alpha.log - gap)), top)
+            scan = [low * (top / low) ** (i / 399) for i in range(400)]
+            scan += [top * (1.0 - k * 2.0 ** -44) for k in range(1, 64)]
+            for delta in scan:
+                assert not feasibility_report(
+                    alpha, con, res.c, delta, m).feasible, (key, m, delta)
 
 
 # ------------------------------- 9: exhaustive projection return + half-shrink

@@ -12,6 +12,7 @@ from gamecert.certify import (
     BranchingBound,
     Certificate,
     branching_lower_bound,
+    check_ratio_range,
     condition2_parts,
     default_delta,
     deficit_constant,
@@ -22,7 +23,6 @@ from gamecert.certify import (
     intersect_certificate,
     pattern_certificate,
     pattern_dim_bound,
-    pattern_feasible,
 )
 from gamecert.core import DiagonalContraction, LogScalar
 from gamecert.optimize import max_pattern_size
@@ -44,6 +44,19 @@ def test_default_delta_frozen_plane():
 def test_default_delta_rejects_large_entries():
     with pytest.raises(ValueError):
         default_delta(DiagonalContraction((0.25,)))
+
+
+def test_ratio_range_is_one_check_for_every_entry_point():
+    edge = DiagonalContraction((0.1, 0.2))
+    message = r"diagonal entries in \(0, 1/5\), got 0\.2"
+    for call in (
+        lambda: check_ratio_range(edge),
+        lambda: default_delta(edge),
+        lambda: feasibility_report(LogScalar.from_value(1e-12), edge, 0.5, 1e-6),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    check_ratio_range(DiagonalContraction((0.1, math.nextafter(0.2, 0.0))))
 
 
 def test_condition2_parts_frozen():
@@ -150,8 +163,8 @@ def test_dim_lower_bound_infeasible_is_zero():
 def test_pattern_feasibility_is_antitone(m):
     alpha = LogScalar.from_value(1e-20)
     delta = default_delta(B2)
-    if pattern_feasible(alpha, B2, 0.5, delta, m).feasible:
-        assert pattern_feasible(alpha, B2, 0.5, delta, m - 1).feasible
+    if feasibility_report(alpha, B2, 0.5, delta, m).feasible:
+        assert feasibility_report(alpha, B2, 0.5, delta, m - 1).feasible
 
 
 def test_max_pattern_size_matches_linear_scan():
@@ -159,11 +172,11 @@ def test_max_pattern_size_matches_linear_scan():
     delta = default_delta(B1)
     best, witness = max_pattern_size(alpha, B1, 0.5, delta)
     assert best >= 1 and witness == delta
-    assert pattern_feasible(alpha, B1, 0.5, delta, best).feasible
-    assert not pattern_feasible(alpha, B1, 0.5, delta, best + 1).feasible
+    assert feasibility_report(alpha, B1, 0.5, delta, best).feasible
+    assert not feasibility_report(alpha, B1, 0.5, delta, best + 1).feasible
     linear = 0
     m = 1
-    while pattern_feasible(alpha, B1, 0.5, delta, m).feasible:
+    while feasibility_report(alpha, B1, 0.5, delta, m).feasible:
         linear = m
         m += 1
     assert best == linear
@@ -267,14 +280,17 @@ def test_feasible_report_respects_margin_invariant(a, c):
 )
 def test_report_free_steps_floor_the_stated_delta(delta, log2_ratio, m, c):
     # N must be the floor of delta as the certificate states it, a float,
-    # over the combined rate; only the documented snap may lift it by one.
+    # over the combined rate; only the documented snap below 2^44 may lift
+    # it by one.
     alpha = LogScalar(math.log(delta) - log2_ratio * math.log(2.0) - math.log(m) / c)
     rep = feasibility_report(alpha, B1, c, delta, m)
     free = rep.free_steps
     with mpmath.workdps(60):
         ratio = mpmath.mpf(delta) / mpmath.exp(mpmath.mpf(rep.combined_alpha_log))
         true_floor = int(mpmath.floor(ratio))
-        if free.tag == "exact":
+        if free.tag == "exact" and ratio >= 2**44:
+            assert free.value == true_floor
+        elif free.tag == "exact":
             assert free.value in (true_floor, true_floor + 1)
             if free.value == true_floor + 1:
                 assert free.value - ratio <= mpmath.mpf(2) ** -45 * ratio

@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gamecert
 from gamecert.cli import main
 
 
@@ -56,16 +59,38 @@ def test_generate_pbm(tmp_path):
 
 
 def test_certify_ineligible_ratio_is_clean_exit_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "bad.cfg", """
-        command = certify
-        family.kind = raw
-        family.betas = 0.3,0.25
-        family.alpha = 0.01
-        game.c = 0.5
-    """)
-    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "theorem-ineligible" in capsys.readouterr().out
-    assert not (tmp_path / "certificate.txt").exists()
+    # a ratio of 1/5 is outside (0, 1/5) for certify, maximize and intersect
+    configs = {
+        "certify": """
+            command = certify
+            family.kind = raw
+            family.betas = 0.3,0.25
+            family.alpha = 0.01
+            game.c = 0.5
+        """,
+        "maximize": """
+            command = maximize
+            family.kind = rco
+            family.u = 5
+            family.v = 24
+            family.m = 1
+            family.t = 5
+        """,
+        "intersect": """
+            command = intersect
+            member.1.kind = rco
+            member.1.u = 5
+            member.1.v = 24
+            member.1.m = 1
+            member.1.t = 5
+        """,
+    }
+    for name, text in configs.items():
+        out = tmp_path / name
+        cfg = write_cfg(tmp_path, f"{name}.cfg", text)
+        assert main(["--config", cfg, "--out", str(out)]) == 2, name
+        assert "theorem-ineligible" in capsys.readouterr().out, name
+        assert not out.exists(), name
 
 
 def test_certify_raw_feasible(tmp_path, capsys):
@@ -326,8 +351,11 @@ def test_module_entrypoint_runs(tmp_path):
         family.v = 4
         generate.depth = 1
     """)
+    # the child imports the same gamecert as the tests, installed or not
+    src = str(Path(gamecert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gamecert", "--config", cfg, "--out", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0 and "rectangles.csv" in proc.stdout

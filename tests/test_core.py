@@ -210,16 +210,20 @@ def test_safe_floor_ratio_accepts_logscalars():
 )
 @example(15348555623.0, 6.103515625e-05)
 @example(26804783444.0, 6.103515625e-05)
+@example(68719476735.999985, 3.0517578125e-05)    # 2^51 - 1/2: no snap up
 def test_safe_floor_ratio_matches_true_floor_off_lattice(delta, alpha):
-    ratio = delta / alpha
-    if ratio >= 2**53 or ratio <= 0:
+    ratio = Fraction(delta) / Fraction(alpha)
+    if ratio >= 2**53:
         return
     res = safe_floor_ratio(delta, alpha)
     true_floor = math.floor(ratio)
-    # allow the snap to lift a just-below-integer ratio by one
-    assert res.value in (true_floor, true_floor + 1)
-    if res.value == true_floor + 1:
-        assert abs(ratio - res.value) <= 2.0**-44 * res.value
+    if ratio >= 2**44:
+        assert res.value == true_floor      # nothing snaps from 2^44 on
+    else:
+        # the snap may lift a just-below-integer ratio by one
+        assert res.value in (true_floor, true_floor + 1)
+        if res.value == true_floor + 1:
+            assert res.value - ratio <= Fraction(1, 2**45) * ratio
     assert (res.tag == "infeasible") == (res.value == 0)
 
 
@@ -234,7 +238,9 @@ def test_safe_floor_ratio_float_delta_logscalar_rate(delta, log2_ratio):
     with mpmath.workdps(60):
         ratio = mpmath.mpf(delta) / mpmath.exp(mpmath.mpf(alpha.log))
         true_floor = int(mpmath.floor(ratio))
-        if res.tag == "exact":
+        if res.tag == "exact" and ratio >= 2**44:
+            assert res.value == true_floor      # nothing snaps from 2^44 on
+        elif res.tag == "exact":
             # only the documented snap may lift the floor, by one
             assert res.value in (true_floor, true_floor + 1)
             if res.value == true_floor + 1:
@@ -252,6 +258,20 @@ def test_snap_round_floats_and_fractions_agree():
     assert snap_round(4.999999999, math.floor) == 4
     assert snap_round(4.99999999999999, math.floor) == 5
     assert snap_round(Fraction(5) - Fraction(1, 2**50), math.floor) == 5
+
+
+def test_snap_round_stops_snapping_at_2_44():
+    # below 2^44 a quarter-unit gap is inside the window and snaps up; from
+    # 2^44 on plain rounding holds, and the step across the limit is monotone
+    top = 2.0**44
+    assert snap_round(top - 0.25, math.floor) == 2**44
+    assert snap_round(top + 0.25, math.ceil) == 2**44 + 1
+    assert snap_round(2.0**51 - 0.5, math.floor) == 2**51 - 1
+    assert snap_round(Fraction(2**51) - Fraction(1, 2), math.floor) == 2**51 - 1
+    qs = [top + k / 8.0 for k in range(-16, 17)]
+    for rounding in (math.floor, math.ceil):
+        values = [snap_round(q, rounding) for q in qs]
+        assert values == sorted(values)
 
 
 # -------------------------------------------------------------- BoxRegion

@@ -4,30 +4,22 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gamecert import optimize
-from gamecert.certify import (
-    _pack_constant,
-    condition2_parts,
-    feasibility_report,
-    pattern_dim_bound,
-    pattern_feasible,
-)
-from gamecert.core import REL_MARGIN, DiagonalContraction, LogScalar, safe_floor_ratio
+from gamecert.certify import feasibility_report, pattern_dim_bound
+from gamecert.core import REL_MARGIN, DiagonalContraction, LogScalar
 from gamecert.families import RcdSpec, RcoSpec
 from gamecert.optimize import (
     DEFAULT_CONFIG,
     SMALLEST_U_CONFIG,
     SearchConfig,
-    _admit,
     _best_witness,
     _c_grid,
-    _flat_steps,
     _member_alpha,
     _t_grid,
-    delta_max,
+    _tail,
     max_pattern_size,
     optimize_intersection,
     optimize_pattern_count,
@@ -35,113 +27,64 @@ from gamecert.optimize import (
 )
 
 B1 = DiagonalContraction((0.1,))
-B2 = DiagonalContraction((0.1, 0.1))
 
 
-# ----------------------------------------------------------- witness search
+# ------------------------------------------------------------- tail witness
 
 
-def test_delta_max_rejects_rate_at_least_one():
-    assert delta_max(B1, LogScalar.from_value(1.0)) is None
-    assert delta_max(B1, LogScalar.from_value(2.0)) is None
+def test_tail_witness_frozen_line():
+    witness, minimizer = _tail(1)
+    # (1/3) * (1 - 2^-40) / 72
+    assert witness == pytest.approx(1.0 / 216.0, rel=1e-9)
+    assert witness == 0.004629629629625419
+    assert 0.0 < minimizer < witness
 
 
-def test_delta_max_saturates_for_tiny_rate():
-    choice = delta_max(B1, LogScalar.from_value(1e-30))
-    assert choice is not None
-    # saturated cap: (1/3) * (1 - 2^-40) / 72
-    assert choice.delta == pytest.approx(1.0 / 216.0, rel=1e-9)
-    assert choice.tag == "approximate"      # ratio is far beyond 2^53
-    true_floor = math.floor(choice.delta / 1e-30)
-    assert 0 < choice.free_steps <= true_floor
-    assert choice.free_steps >= true_floor // 2
+def test_tail_witness_frozen_plane():
+    witness, minimizer = _tail(2)
+    # (1/9) * (1 - 2^-40) / 2112
+    assert witness == pytest.approx((1.0 / 9.0) / 2112.0, rel=1e-9)
+    assert witness == 5.260942760937976e-05
+    assert 0.0 < minimizer < witness
 
 
-def test_delta_max_is_admissible_and_monotone():
-    prev = 0.0
-    for a in (1e-3, 1e-4, 1e-5, 1e-8, 1e-12):
-        choice = delta_max(B1, LogScalar.from_value(a))
-        assert choice is not None
-        rep = feasibility_report(LogScalar.from_value(a), B1, 0.5, choice.delta)
-        assert rep.condition2_ok
-        assert rep.free_steps.value == choice.free_steps
-        assert choice.delta >= prev
-        prev = choice.delta
-
-
-def test_delta_max_matches_fine_scan():
-    a = 2e-3
-    choice = delta_max(B1, LogScalar.from_value(a))
-    assert choice is not None
-    best = 0.0
-    d = a
-    while d < 1.0 / 100.0:
-        rep = feasibility_report(LogScalar.from_value(a), B1, 0.5, d)
-        if rep.condition2_ok and rep.free_steps.value >= 1:
-            best = max(best, d)
-        d *= 1.0005
-    assert choice.delta >= best * (1.0 - 0.0006)
-
-
-def test_delta_max_handles_astronomic_ratio():
-    choice = delta_max(B2, LogScalar(-800.0))
-    assert choice is not None
-    assert choice.delta == pytest.approx((1.0 / 9.0) / 2112.0, rel=1e-9)
-
-
-def _ascending_delta_max(contraction, combined_alpha):
-    """delta_max as an exhaustive ascending walk over every slice."""
-    if combined_alpha.is_zero() or combined_alpha.log >= 0.0:
-        return None
-    pack = _pack_constant(contraction.n)
-
-    def cap(steps):
-        return condition2_parts(contraction, 1.0, steps)[0] * (1.0 - REL_MARGIN) / pack
-
-    best = None
-    flat = _flat_steps(contraction)
-    if combined_alpha.log > -650.0:
-        rate = math.exp(combined_alpha.log)
-        for steps in range(1, flat + 1):
-            hi = min(cap(steps), (steps + 1) * rate * (1.0 - 2.0 ** -40))
-            if hi <= steps * rate or hi <= 0.0 or hi >= 1.0:
-                continue
-            check = safe_floor_ratio(hi, combined_alpha)
-            if not check.usable or check.value < 1 or hi > cap(check.value):
-                continue
-            choice = _admit(contraction, combined_alpha, hi)
-            if choice is not None and (best is None or choice.delta > best.delta):
-                best = choice
-    saturated = cap(flat)
-    if 0.0 < saturated < 1.0:
-        check = safe_floor_ratio(saturated, combined_alpha)
-        if check.usable and check.value > flat:
-            choice = _admit(contraction, combined_alpha, saturated)
-            if choice is not None and (best is None or choice.delta > best.delta):
-                best = choice
-    return best
+@pytest.mark.parametrize("betas", [(0.1,), (0.1, 0.1), (0.01, 0.19, 0.05)])
+def test_tail_witness_is_the_condition2_edge(betas):
+    contraction = DiagonalContraction(betas)
+    n = contraction.n
+    witness = _tail(n)[0]
+    tiny = LogScalar.from_value(1e-30)
+    at = feasibility_report(tiny, contraction, 0.5, witness)
+    assert at.condition2_ok and at.feasible
+    assert at.condition2_lhs == 3.0 ** -n
+    above = feasibility_report(tiny, contraction, 0.5, math.nextafter(witness, 1.0))
+    assert not above.condition2_ok
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.floats(min_value=1e-3, max_value=0.199), min_size=1, max_size=3),
-    # log rates down to 1e-300 seldom put a slice's cap inside the slice,
-    # so half the draws aim at slice `steps`: rate = 3^-n / pack / (steps + frac)
-    st.one_of(st.floats(min_value=math.log(1e-300), max_value=math.log(1e-3)),
-              st.tuples(st.integers(min_value=1, max_value=30),
-                        st.floats(min_value=0.0, max_value=2.0))),
+    st.floats(min_value=0.05, max_value=0.999),
+    st.integers(min_value=1, max_value=1000),
+    # delta: log-uniform over (0, 1/216], or 2^-k below where condition (2)
+    # ends, 3^-n / pack, so that the draws reach the tail witness itself
+    st.one_of(st.floats(min_value=math.log(1e-300), max_value=-math.log(216.0)),
+              st.tuples(st.floats(min_value=1.0, max_value=60.0))),
+    # log slack of condition (1) at delta; below 0 it fails there
+    st.floats(min_value=-2.0, max_value=30.0),
 )
-@example([0.1], math.log(1e-300))
-@example([0.1, 0.1], -800.0)
-@example([0.01, 0.19, 0.05], math.log(1e-3))
-def test_delta_max_matches_exhaustive_walk(betas, rate_log):
+def test_feasible_anywhere_is_feasible_at_tail_witness(betas, c, m, delta_log, slack):
     contraction = DiagonalContraction(tuple(betas))
-    if isinstance(rate_log, tuple):
-        steps, frac = rate_log
-        n = contraction.n
-        rate_log = -n * math.log(3.0) - math.log(_pack_constant(n) * (steps + frac))
-    rate = LogScalar(rate_log)
-    assert delta_max(contraction, rate) == _ascending_delta_max(contraction, rate)
+    n = contraction.n
+    if isinstance(delta_log, tuple):
+        top = 3.0 ** -n / (8.0 ** n * (1.0 + 2.0 ** (2 * n + 1)))
+        delta_log = math.log(top) + math.log1p(-(2.0 ** -delta_log[0]))
+    delta = math.exp(delta_log)
+    gap = math.log(-math.expm1((1.0 - c) * contraction.log_det()))
+    alpha = LogScalar((2.0 * delta_log + gap - math.log(m) - slack) / c)
+    if feasibility_report(alpha, contraction, c, delta, m).feasible:
+        witness = _tail(n)[0]
+        assert feasibility_report(alpha, contraction, c, witness, m).feasible
 
 
 def test_max_pattern_size_auto_witness_beats_fixed():
@@ -150,13 +93,13 @@ def test_max_pattern_size_auto_witness_beats_fixed():
     auto, auto_delta = max_pattern_size(alpha, B1, 0.5)
     assert auto >= fixed >= 1
     assert fixed_delta == 1.0 / 864.0
-    assert pattern_feasible(alpha, B1, 0.5, auto_delta, auto).feasible
+    assert feasibility_report(alpha, B1, 0.5, auto_delta, auto).feasible
     for cap in (3, 100):
         capped_fixed, _ = max_pattern_size(alpha, B1, 0.5, 1.0 / 864.0, cap=cap)
         capped_auto, witness = max_pattern_size(alpha, B1, 0.5, cap=cap)
         assert capped_fixed == min(fixed, cap)
         assert capped_auto == min(auto, cap)
-        assert pattern_feasible(alpha, B1, 0.5, witness, capped_auto).feasible
+        assert feasibility_report(alpha, B1, 0.5, witness, capped_auto).feasible
 
 
 @settings(max_examples=30, deadline=None)
@@ -183,7 +126,8 @@ def test_best_witness_beats_a_dense_scan(kind, ru, rv, m, rt, du, dv, dt, where)
     contraction = spec.contraction()
     count, witness = max_pattern_size(alpha, contraction, c)
     assume(witness is not None)
-    chosen = _best_witness(alpha, contraction, c, count, witness)
+    assert witness == _tail(contraction.n)[0]
+    chosen = _best_witness(alpha, contraction, c, count)
     shave = math.log1p(-REL_MARGIN)
 
     def clears(report):
@@ -203,8 +147,8 @@ def test_best_witness_beats_a_dense_scan(kind, ru, rv, m, rt, du, dv, dt, where)
     assert chosen is not None
     assert clears(chosen.report)
     assert chosen.stated >= scan_best
-    # every certifiable witness lies in the saturated tail of the slices
-    assert chosen.report.free_steps.value > _flat_steps(contraction)
+    # every certifying witness lies in the tail, where lhs2 is exactly 3^-n
+    assert chosen.report.condition2_lhs == 3.0 ** -contraction.n
 
 
 def test_witness_choice_certifies_few_candidates_per_probe(monkeypatch):
@@ -359,17 +303,3 @@ def test_smallest_u_validates_inputs():
         smallest_u_for_patterns(0, 0)
     with pytest.raises(ValueError):
         smallest_u_for_patterns(2, -1)
-
-
-# --------------------------------------------------------------- invariants
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.floats(min_value=1e-12, max_value=1e-3))
-def test_delta_max_always_admissible(rate):
-    choice = delta_max(B2, LogScalar.from_value(rate))
-    if choice is None:
-        return
-    rep = feasibility_report(LogScalar.from_value(rate), B2, 0.5, choice.delta)
-    assert rep.condition2_ok
-    assert rep.free_steps.value >= 1
