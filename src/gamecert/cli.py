@@ -53,6 +53,7 @@ from .gamesim import (
 )
 from .optimize import (
     DEFAULT_CONFIG,
+    MAX_PATTERN_CAP,
     SMALLEST_U_CONFIG,
     SearchConfig,
     SearchResult,
@@ -317,11 +318,14 @@ def _search_config(cfg: Config, base: SearchConfig,
         t_lo=cfg.get_float("optimizer.t_lo", base.t_lo, lo=0.0, open_ends=True),
         t_hi=cfg.get_float("optimizer.t_hi", base.t_hi, lo=0.0, open_ends=True),
         t_step=cfg.get_float("optimizer.t_step", base.t_step, lo=0.0, open_ends=True),
-        pattern_cap=cfg.get_int("optimizer.pattern_cap", base.pattern_cap, lo=1),
+        pattern_cap=cfg.get_int("optimizer.pattern_cap", base.pattern_cap, lo=1,
+                                hi=MAX_PATTERN_CAP),
         trace_path=trace_path,
     )
     if fields["c_s_lo"] >= fields["c_s_hi"]:
         raise ConfigError("optimizer.c_s_lo", "must be below optimizer.c_s_hi")
+    if fields["t_lo"] > fields["t_hi"]:
+        raise ConfigError("optimizer.t_lo", "must not exceed optimizer.t_hi")
     return replace(base, **fields)
 
 

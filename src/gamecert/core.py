@@ -203,10 +203,6 @@ class DiagonalContraction:
     def beta_max(self) -> float:
         return max(self.betas)
 
-    def power_log(self, q: float) -> float:
-        """ln(prod_j beta_j^q) for a (possibly fractional) exponent q."""
-        return q * self.log_det()
-
 
 @dataclass(frozen=True)
 class GameParameters:
@@ -282,11 +278,6 @@ class BoxRegion:
     def shrink(self, factor: Coord) -> "BoxRegion":
         """Same center, half-widths scaled by `factor` (0 < factor)."""
         return BoxRegion(self.center, tuple(h * factor for h in self.half))
-
-    def translate(self, offset: Sequence[Coord]) -> "BoxRegion":
-        return BoxRegion(
-            tuple(self.center[j] + offset[j] for j in range(self.n)), self.half
-        )
 
     def diameter_sup(self) -> Coord:
         """Diameter in the sup metric = twice the largest half-width."""

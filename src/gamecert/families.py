@@ -56,8 +56,6 @@ __all__ = [
     "rco_alpha",
     "rcd_cover_count",
     "rcd_alpha",
-    "rco_params",
-    "rcd_params",
     "generate_rco",
     "generate_rcd",
     "rcd_children",
@@ -254,22 +252,6 @@ def rcd_alpha(
     nt = cover_count if cover_count is not None else rcd_cover_count(u, v, t)
     count = 9 * (u - 1) * (v - 1) * nt.value
     return LogScalar(math.log(count) / c - (1 + t) * (math.log(u) + math.log(v)))
-
-
-def rco_params(spec: RcoSpec, c: float, t: float | None = None) -> GameParameters:
-    """Winning tuple for every member of the cut-out family at exponent c."""
-    return GameParameters(
-        rco_alpha(spec.u, spec.v, spec.m, spec.t if t is None else t, c),
-        spec.contraction(),
-        c,
-    )
-
-
-def rcd_params(spec: RcdSpec, c: float, t: float) -> GameParameters:
-    """Winning tuple for every member of the corner-digit family at (c, t)."""
-    return GameParameters(
-        rcd_alpha(spec.u, spec.v, c, t), spec.contraction(), c
-    )
 
 
 # ----------------------------------------------------------- rectangle sets

@@ -1,15 +1,18 @@
-"""Search for winning parameters: best witness, largest pattern count, best dim.
+"""Search for winning parameters: largest pattern count, best witness and dim.
 
-The certificates leave three knobs open, searched as follows:
+The certificates leave four knobs open, searched as follows:
 
-* the witness delta — a witness meeting conditions (1) and (2) has
+* the pattern count M — a witness meeting conditions (1) and (2) has
   N = floor(delta/rate) > 1/delta >= 216 free steps: condition (1) gives
   rate < delta^2, and condition (2) keeps delta below 3^-n / pack <= 1/216.
   From N = 27 on, every 1 - 5 beta_j^N rounds to 1.0 (beta_j < 1/5), so in
   this tail condition (2) reads pack * delta < 3^-n with margin, whatever
   the rate.  The largest witness that can certify, the tail witness, is
   thus a constant of the dimension n, and it certifies every pattern count
-  that any witness certifies.  The deficit constant
+  that any witness certifies.  At the tail witness condition (2) holds
+  whenever condition (1) does, so the largest M is M* = the floor of
+  exp(rhs1 - c log alpha), settled by certifying M* and M* + 1;
+* the witness delta — the deficit constant
   K(delta) = (2/delta)|log(3^-n - pack delta)| is unimodal in the tail, so
   `_best_witness` certifies three candidates — the condition-(1) boundary,
   the minimizer of K and the tail witness — and keeps the best;
@@ -34,6 +37,7 @@ from .certify import (
     PatternBound,
     _log1mexp,
     _pack_constant,
+    _require_certifiable,
     feasibility_report,
     intersect_certificate,
     pattern_certificate,
@@ -53,6 +57,10 @@ __all__ = [
     "DEFAULT_CONFIG",
 ]
 
+MAX_PATTERN_CAP = 1 << 40
+# t probes just below each integer, where the slab cover count drops
+T_INTEGER_OFFSETS = (1e-5, 1e-8)
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -66,8 +74,7 @@ class SearchConfig:
     t_lo: float = 0.25
     t_hi: float = 6.0
     t_step: float = 0.25
-    t_integer_offsets: tuple[float, ...] = (1e-5, 1e-8)
-    pattern_cap: int = 1 << 40            # never search beyond this count
+    pattern_cap: int = MAX_PATTERN_CAP    # never search beyond this count
     trace_path: str | None = None
 
 
@@ -116,35 +123,43 @@ def max_pattern_size(
     alpha: LogScalar,
     contraction: DiagonalContraction,
     c: float,
-    delta: float | None = None,
-    cap: int = 1 << 40,
-) -> tuple[int, float | None]:
-    """Largest M <= cap whose pattern certificate succeeds, with its witness.
+    cap: int = MAX_PATTERN_CAP,
+) -> int:
+    """Largest M <= cap whose pattern certificate succeeds at the tail
+    witness, which certifies every M that any witness certifies; 0 if
+    M = 1 fails.
 
-    The witness is `delta`, or by default the tail witness, which certifies
-    every M that any witness certifies.  Feasibility is antitone in M
-    (condition (1) tightens, the free-step count shrinks), so doubling up to
-    the cap and then bisecting is exact.  Returns (0, None) if M = 1 fails.
+    At the tail witness condition (2) holds whenever condition (1) does:
+    (1) forces N > 1/delta >= 216 free steps, far past the N = 27 from which
+    the left side of (2) is 3^-n, and the witness clears (2) there with
+    margin.  So feasibility reduces to condition (1),
+    log M + c log alpha <= rhs1, whose largest solution is
+    M* = floor(exp(rhs1 - c log alpha)), clamped to [1, cap] (cap when the
+    exponential overflows).  Reports at M* and M* + 1 settle the float edge,
+    stepping by one while it is off; feasibility is antitone in M.  Adjacent
+    counts up to 2^40 have distinct float logs, so the steps stay few.
     """
-    if delta is None:
-        delta = _tail(contraction.n)[0]
+    if not 1 <= cap <= MAX_PATTERN_CAP:
+        raise ValueError(f"pattern cap must lie in [1, 2^40], got {cap}")
+    delta = _tail(contraction.n)[0]
+    _require_certifiable(contraction, c, delta)
 
     def feasible(m: int) -> bool:
         return feasibility_report(alpha, contraction, c, delta, m).feasible
 
-    if not feasible(1):
-        return 0, None
-    lo, hi = 1, 2
-    while hi <= cap and feasible(hi):
-        lo, hi = hi, hi * 2
-    hi = min(hi, cap + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, delta
+    rhs1_log = 2.0 * math.log(delta) + _log1mexp((1.0 - c) * contraction.log_det())
+    try:
+        m = min(max(math.floor(math.exp(rhs1_log - c * alpha.log)), 1), cap)
+    except OverflowError:
+        m = cap
+    if feasible(m):
+        while m < cap and feasible(m + 1):
+            m += 1
+        return m
+    m -= 1
+    while m >= 1 and not feasible(m):
+        m -= 1
+    return m
 
 
 # ------------------------------------------------------------ grid builders
@@ -165,12 +180,12 @@ def _c_grid(config: SearchConfig) -> tuple[float, ...]:
 
 def _t_grid(config: SearchConfig) -> tuple[float, ...]:
     values: set[float] = set()
-    steps = int(round((config.t_hi - config.t_lo) / config.t_step))
+    steps = math.floor((config.t_hi - config.t_lo) / config.t_step + 1e-9)
     for i in range(steps + 1):
         values.add(config.t_lo + i * config.t_step)
     for j in range(1, int(config.t_hi) + 1):
-        for off in config.t_integer_offsets:
-            if j - off > 0.0:
+        for off in T_INTEGER_OFFSETS:
+            if config.t_lo <= j - off <= config.t_hi:
                 values.add(j - off)
     return tuple(sorted(values))
 
@@ -322,7 +337,7 @@ def _search(
         alpha = alpha_fn(c, t)
         if alpha is None or alpha.log >= 0.0:
             return None
-        count, _ = max_pattern_size(alpha, contraction, c, cap=cap)
+        count = max_pattern_size(alpha, contraction, c, cap)
         if count == 0:
             return None
         bound = _best_witness(alpha, contraction, c, count)

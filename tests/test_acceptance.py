@@ -31,6 +31,7 @@ from gamecert.gamesim import (
     verify_projection_return,
 )
 from gamecert.optimize import (
+    _member_alpha,
     _tail,
     max_pattern_size,
     optimize_intersection,
@@ -143,7 +144,7 @@ def test_c08_feasibility_antitone_and_search_agreement():
         c = rnd.uniform(0.7, 0.98)
         alpha = LogScalar(rnd.uniform(-34.0, -16.0))
         delta = _tail(con.n)[0]
-        answer, _ = max_pattern_size(alpha, con, c, delta, cap=10**4)
+        answer = max_pattern_size(alpha, con, c, 10**4)
         linear = 0
         while linear < 10**4 and feasibility_report(
                 alpha, con, c, delta, linear + 1).feasible:
@@ -152,9 +153,10 @@ def test_c08_feasibility_antitone_and_search_agreement():
 
 
 def test_c08_headline_counts_have_no_feasible_count_just_above(headline):
-    # the bisection is exact only if no M past the threshold certifies
-    # again; scan the next eight counts over witnesses from the
-    # condition-(1) boundary up to where condition (2) ends, 3^-n / pack
+    # the count settled at the tail witness is the largest only if no M
+    # past it certifies at any witness; scan the next eight counts over
+    # witnesses from the condition-(1) boundary up to where condition (2)
+    # ends, 3^-n / pack
     contractions = {
         "c1": RcoSpec(12, 15, 1, 5).contraction(),
         "c2": RcoSpec(17, 24, 1, 5).contraction(),
@@ -167,7 +169,7 @@ def test_c08_headline_counts_have_no_feasible_count_just_above(headline):
         res = headline[key]
         assert res.pattern_count > 1, key
         alpha = LogScalar(res.alpha_log)
-        count, _ = max_pattern_size(alpha, con, res.c)
+        count = max_pattern_size(alpha, con, res.c)
         assert count == res.pattern_count, key
         n = con.n
         top = 3.0 ** -n / (8.0 ** n * (1.0 + 2.0 ** (2 * n + 1)))
@@ -179,6 +181,30 @@ def test_c08_headline_counts_have_no_feasible_count_just_above(headline):
             for delta in scan:
                 assert not feasibility_report(
                     alpha, con, res.c, delta, m).feasible, (key, m, delta)
+
+
+def test_c08_grid_count_is_the_best_over_a_dense_c_scan(headline):
+    # the c grid is count-optimal: at each winner's t, no 1 - c among 4,000
+    # log-spaced values in [1e-5, 0.6] certifies more points than the search
+    expected = {
+        "c1": (RcoSpec(12, 15, 1, 5), 3),
+        "c2": (RcoSpec(17, 24, 1, 5), 232),
+        "c3": (RcoSpec(271828, 314159, 2, 1), 3),
+        "c4": (RcdSpec(2**37, 2**38), 4),
+        "c5": (RcdSpec(U5, V5), 21),
+    }
+    for key, (spec, count) in expected.items():
+        res = headline[key]
+        assert res.pattern_count == count, key
+        con = spec.contraction()
+        covers = {}
+        best = 0
+        for i in range(4000):
+            c = 1.0 - 1e-5 * (0.6 / 1e-5) ** (i / 3999)
+            alpha = _member_alpha(spec, c, res.t, covers)
+            if alpha.log < 0.0:
+                best = max(best, max_pattern_size(alpha, con, c))
+        assert best == count, key
 
 
 # ------------------------------- 9: exhaustive projection return + half-shrink

@@ -25,7 +25,7 @@ from gamecert.certify import (
     pattern_dim_bound,
 )
 from gamecert.core import DiagonalContraction, LogScalar
-from gamecert.optimize import max_pattern_size
+from gamecert.optimize import _tail, max_pattern_size
 
 B1 = DiagonalContraction((0.1,))
 B2 = DiagonalContraction((0.1, 0.1))
@@ -167,26 +167,32 @@ def test_pattern_feasibility_is_antitone(m):
         assert feasibility_report(alpha, B2, 0.5, delta, m - 1).feasible
 
 
+def _linear_count(alpha, contraction, c, delta, cap=1 << 20):
+    """Largest M <= cap certifying at the fixed witness delta, by a scan."""
+    m = 0
+    while m < cap and feasibility_report(alpha, contraction, c, delta, m + 1).feasible:
+        m += 1
+    return m
+
+
 def test_max_pattern_size_matches_linear_scan():
     alpha = LogScalar.from_value(1e-15)
-    delta = default_delta(B1)
-    best, witness = max_pattern_size(alpha, B1, 0.5, delta)
-    assert best >= 1 and witness == delta
+    delta = _tail(1)[0]
+    best = max_pattern_size(alpha, B1, 0.5)
+    assert best >= 1
     assert feasibility_report(alpha, B1, 0.5, delta, best).feasible
     assert not feasibility_report(alpha, B1, 0.5, delta, best + 1).feasible
-    linear = 0
-    m = 1
-    while feasibility_report(alpha, B1, 0.5, delta, m).feasible:
-        linear = m
-        m += 1
+    linear = _linear_count(alpha, B1, 0.5, delta)
     assert best == linear
+    # the tail witness certifies at least what the always-admissible one does
+    assert 1 <= _linear_count(alpha, B1, 0.5, default_delta(B1)) <= best
     for cap in (3, 100):
-        assert max_pattern_size(alpha, B1, 0.5, delta, cap=cap) == (min(linear, cap), delta)
+        assert max_pattern_size(alpha, B1, 0.5, cap) == min(linear, cap)
 
 
 def test_max_pattern_size_zero_when_m1_fails():
-    assert max_pattern_size(LogScalar.from_value(0.5), B1, 0.5, 0.001) == (0, None)
-    assert max_pattern_size(LogScalar.from_value(0.5), B1, 0.5) == (0, None)
+    assert _linear_count(LogScalar.from_value(0.5), B1, 0.5, 0.001) == 0
+    assert max_pattern_size(LogScalar.from_value(0.5), B1, 0.5) == 0
 
 
 def test_pattern_dim_bound_combined_never_exceeds_stated():

@@ -306,6 +306,8 @@ def test_smallest_u_quick(tmp_path, capsys):
      "duplicate"),
     ("family.kind = rcd\nfamily.u = 7\nfamily.v = 4\ngenerate.depth = 1\n",
      "no command given"),
+    (MAXIMIZE_CFG + "optimizer.pattern_cap = 1099511627777\n", "optimizer.pattern_cap"),
+    (MAXIMIZE_CFG + "optimizer.t_lo = 3.0\noptimizer.t_hi = 2.0\n", "optimizer.t_lo"),
 ])
 def test_malformed_configs_exit_1_with_field_path(tmp_path, capsys, body, needle):
     cfg = write_cfg(tmp_path, "cfg", body)

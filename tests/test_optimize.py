@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -89,17 +90,123 @@ def test_feasible_anywhere_is_feasible_at_tail_witness(betas, c, m, delta_log, s
 
 def test_max_pattern_size_auto_witness_beats_fixed():
     alpha = LogScalar.from_value(1e-15)
-    fixed, fixed_delta = max_pattern_size(alpha, B1, 0.5, 1.0 / 864.0)
-    auto, auto_delta = max_pattern_size(alpha, B1, 0.5)
+    fixed_delta = 1.0 / 864.0
+
+    def fixed_count(cap):
+        m = 0
+        while m < cap and feasibility_report(alpha, B1, 0.5, fixed_delta, m + 1).feasible:
+            m += 1
+        return m
+
+    fixed = fixed_count(1 << 20)
+    auto = max_pattern_size(alpha, B1, 0.5)
     assert auto >= fixed >= 1
-    assert fixed_delta == 1.0 / 864.0
-    assert feasibility_report(alpha, B1, 0.5, auto_delta, auto).feasible
+    witness = _tail(1)[0]
+    assert feasibility_report(alpha, B1, 0.5, witness, auto).feasible
     for cap in (3, 100):
-        capped_fixed, _ = max_pattern_size(alpha, B1, 0.5, 1.0 / 864.0, cap=cap)
-        capped_auto, witness = max_pattern_size(alpha, B1, 0.5, cap=cap)
-        assert capped_fixed == min(fixed, cap)
+        capped_auto = max_pattern_size(alpha, B1, 0.5, cap)
+        assert min(fixed, cap) == fixed_count(cap) <= capped_auto
         assert capped_auto == min(auto, cap)
         assert feasibility_report(alpha, B1, 0.5, witness, capped_auto).feasible
+
+
+def _bisected_count(alpha, contraction, c, cap):
+    """The count search this module used before the closed form: doubling
+    up to the cap, then bisection, at the tail witness."""
+    delta = _tail(contraction.n)[0]
+
+    def feasible(m):
+        return feasibility_report(alpha, contraction, c, delta, m).feasible
+
+    if not feasible(1):
+        return 0
+    lo, hi = 1, 2
+    while hi <= cap and feasible(hi):
+        lo, hi = hi, hi * 2
+    hi = min(hi, cap + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["rco", "rcd", "raw"]),
+    st.integers(min_value=12, max_value=60),
+    st.integers(min_value=12, max_value=60),
+    st.integers(min_value=2 ** 20, max_value=2 ** 40),
+    st.lists(st.floats(min_value=1e-3, max_value=0.199), min_size=1, max_size=3),
+    st.floats(min_value=0.0, max_value=1.0),
+    # log of the count where condition (1) binds; an integer's log puts
+    # the edge exactly on a count
+    st.one_of(st.floats(min_value=-2.0, max_value=45.0),
+              st.integers(min_value=1, max_value=2 ** 41).map(math.log)),
+    st.sampled_from([1, 3, 100, 1 << 40]),
+)
+def test_closed_form_count_matches_bisection(kind, ru, rv, du, betas, where, edge, cap):
+    if kind == "rco":
+        spec = RcoSpec(ru, rv, 1 + ru % 3, 4 + rv % 2)
+        c = 1.0 - 10.0 ** (-4.0 + 3.0 * where)
+        alpha, contraction = _member_alpha(spec, c, float(spec.t), {}), spec.contraction()
+    elif kind == "rcd":
+        spec = RcdSpec(du, du + ru)
+        c = 1.0 - 10.0 ** (-3.0 + where)
+        alpha, contraction = _member_alpha(spec, c, 1.0 + where, {}), spec.contraction()
+    else:
+        contraction = DiagonalContraction(tuple(betas))
+        c = 0.05 + 0.949 * where
+        witness = _tail(contraction.n)[0]
+        rhs1 = 2.0 * math.log(witness) + math.log(
+            -math.expm1((1.0 - c) * contraction.log_det()))
+        alpha = LogScalar((rhs1 - edge) / c)
+    assume(alpha.log < 0.0)
+    calls = 0
+    report = optimize.feasibility_report
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return report(*args, **kwargs)
+
+    with mock.patch.object(optimize, "feasibility_report", counted):
+        count = max_pattern_size(alpha, contraction, c, cap)
+    assert count == _bisected_count(alpha, contraction, c, cap)
+    assert calls <= 3
+
+
+def test_max_pattern_size_huge_exponent_returns_the_cap():
+    alpha = LogScalar(-1e4)
+    for cap in (1, 3, 100, 1 << 40):
+        assert max_pattern_size(alpha, B1, 0.5, cap) == cap
+
+
+def test_max_pattern_size_rejects_out_of_range_inputs():
+    alpha = LogScalar.from_value(1e-15)
+    for cap in (0, (1 << 40) + 1):
+        with pytest.raises(ValueError, match="pattern cap"):
+            max_pattern_size(alpha, B1, 0.5, cap)
+    for c in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match=r"c in \(0,1\)"):
+            max_pattern_size(alpha, B1, c)
+
+
+def test_count_search_makes_few_reports_per_probe(monkeypatch):
+    calls = 0
+    report = optimize.feasibility_report
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "feasibility_report", counted)
+    res = optimize_pattern_count(RcoSpec(17, 24, 1, 5))
+    assert res.pattern_count == 232
+    assert calls <= 3 * res.probes
 
 
 @settings(max_examples=30, deadline=None)
@@ -124,9 +231,9 @@ def test_best_witness_beats_a_dense_scan(kind, ru, rv, m, rt, du, dv, dt, where)
     alpha = _member_alpha(spec, c, t, {})
     assume(alpha.log < 0.0)
     contraction = spec.contraction()
-    count, witness = max_pattern_size(alpha, contraction, c)
-    assume(witness is not None)
-    assert witness == _tail(contraction.n)[0]
+    count = max_pattern_size(alpha, contraction, c)
+    assume(count > 0)
+    witness = _tail(contraction.n)[0]
     chosen = _best_witness(alpha, contraction, c, count)
     shave = math.log1p(-REL_MARGIN)
 
@@ -184,6 +291,17 @@ def test_t_grid_contains_near_integer_probes():
     for j in (1, 2, 3, 4, 5, 6):
         assert any(abs(t - (j - 1e-5)) < 1e-12 for t in grid)
         assert any(abs(t - (j - 1e-8)) < 1e-12 for t in grid)
+
+
+def test_t_grid_stays_inside_its_range():
+    config = SearchConfig(t_lo=2.5, t_hi=4.0)
+    grid = _t_grid(config)
+    assert min(grid) == 2.5 and max(grid) == 4.0
+    assert 3.0 - 1e-5 in grid and 4.0 - 1e-8 in grid
+    assert 1.0 - 1e-5 not in grid and 2.0 - 1e-5 not in grid
+    assert _t_grid(SearchConfig(t_lo=3.0, t_hi=2.0)) == ()
+    # a step that does not divide the range stops short of t_hi
+    assert max(_t_grid(SearchConfig(t_lo=0.25, t_hi=1.2))) == 1.0
 
 
 # --------------------------------------------------- frozen family searches
