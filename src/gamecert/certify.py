@@ -67,6 +67,22 @@ def _log1mexp(x: float) -> float:
     return math.log1p(-math.exp(x))
 
 
+def _condition1_gap(contraction: DiagonalContraction, c: float) -> float:
+    """log(1 - (prod beta)^(1-c)), the delta-free term of condition (1)'s right side."""
+    return _log1mexp((1.0 - c) * contraction.log_det())
+
+
+def _condition1_rhs_log(contraction: DiagonalContraction, c: float, delta: float) -> float:
+    """2 log(delta) + log(1 - (prod beta)^(1-c)): the right side of condition (1),
+    M alpha^c <= delta^2 (1 - (prod beta)^(1-c)), in logs.
+
+    Every test of condition (1) evaluates it here, in this one float order,
+    so that the report, the count search and the witness search agree bit
+    for bit.
+    """
+    return 2.0 * math.log(delta) + _condition1_gap(contraction, c)
+
+
 def check_ratio_range(contraction: DiagonalContraction) -> None:
     """Raise ValueError unless every diagonal entry lies in (0, 1/5), the
     range the theorem covers."""
@@ -182,7 +198,7 @@ def feasibility_report(
             ("budget rate (or combined pattern rate) is not below 1",),
         )
     lhs1_log = math.log(pattern_count) + c * alpha.log
-    rhs1_log = 2.0 * math.log(delta) + _log1mexp((1.0 - c) * contraction.log_det())
+    rhs1_log = _condition1_rhs_log(contraction, c, delta)
     cond1 = lhs1_log <= rhs1_log
 
     free = safe_floor_ratio(delta, combined)
@@ -286,9 +302,7 @@ def pattern_dim_bound(
     stated = n - k_m * math.exp(alpha.log) / log_bmax
     combined = n - k_m * math.exp(report.combined_alpha_log) / log_bmax
     cap_log = math.log(min(delta * delta, n * log_bmax / k_m))
-    strengthened = report.condition1_lhs_log <= cap_log + _log1mexp(
-        (1.0 - c) * contraction.log_det()
-    )
+    strengthened = report.condition1_lhs_log <= cap_log + _condition1_gap(contraction, c)
     coeff = rho2 * (1.0 - contraction.beta_max())
     return PatternBound(
         pattern_count, stated, combined, k_m, strengthened, coeff, report

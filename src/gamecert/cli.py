@@ -649,9 +649,12 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
                 strategy = covering_strategy_for_rco(member, c)
             else:
                 strategy = covering_strategy_for_rcd(family, c, t, depth)
-            audit = verify_covering_budget(strategy, levels=levels, extent=extent)
         except (ValueError, OverflowError) as exc:
             raise ConfigError("verify", str(exc)) from None
+        try:
+            audit = verify_covering_budget(strategy, levels=levels, extent=extent)
+        except ValueError as exc:
+            raise ConfigError("verify.levels", str(exc)) from None
         for rep in audit.levels:
             lines.append(f"level.{rep.level}.boxes = {rep.strategy_boxes}")
             lines.append(f"level.{rep.level}.test_boxes = {rep.test_boxes}")

@@ -29,7 +29,12 @@ Two families on B[0,1] = [-1,1]^2 under the contraction A = diag(1/U, 1/V):
       rcd_alpha(U, V, c, t)
           = (9 (U-1)(V-1) rcd_cover_count(U,V,t))^(1/c) * (UV)^-(1+t).
 
-All generated geometry is exact (Fractions); budget rates are LogScalars.
+Generated geometry is exact.  Every coordinate a generator makes at one
+level is an integer over one denominator per axis (u^(k+t), v^(k+t) for a
+cut-out level, u^q (u-1), v^q (v-1) for a corner-digit level of exponent
+q), so the generators compute on integer numerators and build each box's
+Fractions only at the end, one Fraction object per distinct numerator per
+level, shared by every box that uses it.  Budget rates are LogScalars.
 """
 from __future__ import annotations
 
@@ -39,7 +44,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal
+from typing import Iterator, Literal
 
 import mpmath
 
@@ -353,27 +358,29 @@ class RectangleSet:
 
         Cut-out sets render as the root box minus all removed boxes;
         corner-digit sets as the union of the deepest components.  Pixels
-        are sampled at their centers over [-1,1]^2; 1 = kept (black).
+        are sampled at their centers over [-1,1]^2; 1 = kept (black).  A
+        pixel is in a box when |x - cx| <= hx and |y - cy| <= hy in floats;
+        x - cx is monotone along a row, so each test holds on one run of
+        columns (rows likewise) and a box paints one rectangle.
         """
         import numpy as np
 
         xs = np.linspace(-1 + 1 / width, 1 - 1 / width, width)
         ys = np.linspace(1 - 1 / height, -1 + 1 / height, height)
-        gx, gy = np.meshgrid(xs, ys)
         cuts = self.of_kind("cut")
         if cuts:
             keep = np.ones((height, width), dtype=bool)
-            for e in cuts:
-                cx, cy = (float(c) for c in e.box.center)
-                hx, hy = (float(h) for h in e.box.half)
-                keep &= ~((np.abs(gx - cx) <= hx) & (np.abs(gy - cy) <= hy))
+            paint, boxes = False, cuts
         else:
-            deepest = self.max_level()
             keep = np.zeros((height, width), dtype=bool)
-            for e in self.of_kind("comp", deepest):
-                cx, cy = (float(c) for c in e.box.center)
-                hx, hy = (float(h) for h in e.box.half)
-                keep |= (np.abs(gx - cx) <= hx) & (np.abs(gy - cy) <= hy)
+            paint, boxes = True, self.of_kind("comp", self.max_level())
+        for e in boxes:
+            cx, cy = (float(c) for c in e.box.center)
+            hx, hy = (float(h) for h in e.box.half)
+            cols = np.flatnonzero(np.abs(xs - cx) <= hx)
+            rows = np.flatnonzero(np.abs(ys - cy) <= hy)
+            if cols.size and rows.size:
+                keep[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1] = paint
         lines = [f"P1\n{width} {height}"]
         for row in keep.astype(int):
             lines.append(" ".join(map(str, row)))
@@ -393,6 +400,22 @@ def _rco_slots(spec: RcoSpec, level: int, address: str, seed: int) -> list[tuple
     return sorted(picked)
 
 
+class _FractionTable(dict):
+    """Coordinates on one axis of one level: numerator -> Fraction(numerator, den).
+
+    Each distinct numerator becomes one Fraction, shared by every box that
+    uses it.
+    """
+
+    def __init__(self, den: int) -> None:
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num: int) -> Fraction:
+        value = self[num] = Fraction(num, self.den)
+        return value
+
+
 def generate_rco(
     spec: RcoSpec,
     depth: int,
@@ -404,35 +427,38 @@ def generate_rco(
     Emits the level-k cells (kind "cell") and removed boxes (kind "cut") for
     k = 1..depth.  placement="corner" packs the m removals row-major against
     the cell's low corner (the adversarial arrangement for touch counts);
-    "hash" draws distinct slots deterministically from `seed`.
+    "hash" draws distinct slots deterministically from `seed`.  Level k
+    lives on the lattice with denominators (u^(k+t), v^(k+t)), where a cut
+    has half-widths (1, 1) and a cell (u^t, v^t).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v, m, t = spec.u, spec.v, spec.m, spec.t
+    ut, vt = u ** t, v ** t
+    corner_slots = [(s % ut, s // ut) for s in range(m)]
     entries: list[RectEntry] = []
     for k in range(1, depth + 1):
-        chx, chy = Fraction(1, u ** k), Fraction(1, v ** k)
-        cutx, cuty = Fraction(1, u ** (k + t)), Fraction(1, v ** (k + t))
+        fx, fy = _FractionTable(u ** (k + t)), _FractionTable(v ** (k + t))
+        cell_half, cut_half = (fx[ut], fy[vt]), (fx[1], fy[1])
         for i in range(u ** k):
+            cx = (2 * i + 1) * ut - fx.den
             for j in range(v ** k):
+                cy = (2 * j + 1) * vt - fy.den
                 path = f"{i}_{j}"
-                cx = -1 + (2 * i + 1) * chx
-                cy = -1 + (2 * j + 1) * chy
                 entries.append(
-                    RectEntry(k, f"cell:{path}", BoxRegion((cx, cy), (chx, chy)))
+                    RectEntry(k, f"cell:{path}", BoxRegion((fx[cx], fy[cy]), cell_half))
                 )
                 if placement == "corner":
-                    slots = [(s % u ** t, s // u ** t) for s in range(m)]
+                    slots = corner_slots
                 else:
                     slots = _rco_slots(spec, k, path, seed)
                 for ordinal, (a, b) in enumerate(slots):
-                    ox = cx - chx + (2 * a + 1) * cutx
-                    oy = cy - chy + (2 * b + 1) * cuty
+                    ox, oy = cx - ut + 2 * a + 1, cy - vt + 2 * b + 1
                     entries.append(
                         RectEntry(
                             k,
                             f"cut:{path}/{ordinal}",
-                            BoxRegion((ox, oy), (cutx, cuty)),
+                            BoxRegion((fx[ox], fy[oy]), cut_half),
                         )
                     )
     meta = {
@@ -448,6 +474,45 @@ def generate_rco(
     return RectangleSet(entries, meta)
 
 
+def _rcd_pieces(
+    spec: RcdSpec, address: str, cx: int | Fraction, cy: int | Fraction
+) -> Iterator[tuple[int, str, int | Fraction, int | Fraction, tuple[int, int]]]:
+    """The (u-1)(v-1) children of one component, on integer lattices.
+
+    (cx, cy) is the component's center as numerators over (u^k (u-1),
+    v^k (v-1)).  Yields (digit, child address, lx, ly, (sx, sy)): the center
+    of region L_digit as numerators over (u^(k+1) (u-1), v^(k+1) (v-1)) and
+    the corner the kept child takes.  On that lattice a region has
+    half-widths (u, v), a child (u-1, v-1), and the child's center is
+    (lx + sx, ly + sy).
+    """
+    u, v = spec.u, spec.v
+    for tt in range(1, v):
+        ly = v * cy + (2 * tt - v) * v
+        for s in range(1, u):
+            digit = s + (tt - 1) * (u - 1)
+            child = f"{address}/{digit}"
+            yield digit, child, u * cx + (2 * s - u) * u, ly, spec.corner_signs(child)
+
+
+def _rcd_walk(spec: RcdSpec, depth: int) -> Iterator[list[tuple[str, int, int, int, int]]]:
+    """The component tree of a corner-digit member, level by level.
+
+    Yields, for k = 0..depth-1, the level-k pieces as (child address, lx,
+    ly, sx, sy) in the order of _rcd_pieces, parents in the order of the
+    previous level.
+    """
+    frontier = [("r", 0, 0)]
+    for _ in range(depth):
+        pieces = [
+            (child, lx, ly, sx, sy)
+            for address, cx, cy in frontier
+            for _, child, lx, ly, (sx, sy) in _rcd_pieces(spec, address, cx, cy)
+        ]
+        yield pieces
+        frontier = [(child, lx + sx, ly + sy) for child, lx, ly, sx, sy in pieces]
+
+
 def rcd_children(
     spec: RcdSpec, level: int, address: str, component: BoxRegion
 ) -> list[tuple[int, BoxRegion, BoxRegion]]:
@@ -460,45 +525,34 @@ def rcd_children(
     is flush in the corner chosen by the member's corner rule.
     """
     u, v = spec.u, spec.v
-    k = level
-    lhx = Fraction(1, u ** k * (u - 1))
-    lhy = Fraction(1, v ** k * (v - 1))
-    chx = Fraction(1, u ** (k + 1))
-    chy = Fraction(1, v ** (k + 1))
-    out = []
-    for tt in range(1, v):
-        for s in range(1, u):
-            digit = s + (tt - 1) * (u - 1)
-            lcx = component.center[0] + Fraction(2 * s - u, u ** k * (u - 1))
-            lcy = component.center[1] + Fraction(2 * tt - v, v ** k * (v - 1))
-            sx, sy = spec.corner_signs(f"{address}/{digit}")
-            ccx = lcx + sx * (lhx - chx)
-            ccy = lcy + sy * (lhy - chy)
-            out.append(
-                (
-                    digit,
-                    BoxRegion((lcx, lcy), (lhx, lhy)),
-                    BoxRegion((ccx, ccy), (chx, chy)),
-                )
-            )
-    return out
+    cx = Fraction(component.center[0]) * (u ** level * (u - 1))
+    cy = Fraction(component.center[1]) * (v ** level * (v - 1))
+    dx, dy = u ** (level + 1) * (u - 1), v ** (level + 1) * (v - 1)
+    region_half = (Fraction(u, dx), Fraction(v, dy))
+    child_half = (Fraction(u - 1, dx), Fraction(v - 1, dy))
+    return [
+        (
+            digit,
+            BoxRegion((Fraction(lx, dx), Fraction(ly, dy)), region_half),
+            BoxRegion((Fraction(lx + sx, dx), Fraction(ly + sy, dy)), child_half),
+        )
+        for digit, _, lx, ly, (sx, sy) in _rcd_pieces(spec, address, cx, cy)
+    ]
 
 
 def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
     """Exact geometry of one corner-digit member: components of levels 1..depth."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    u, v = spec.u, spec.v
     entries: list[RectEntry] = []
-    root = BoxRegion((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-    frontier: list[tuple[str, BoxRegion]] = [("r", root)]
-    for k in range(depth):
-        next_frontier: list[tuple[str, BoxRegion]] = []
-        for address, comp in frontier:
-            for digit, _region, child in rcd_children(spec, k, address, comp):
-                child_addr = f"{address}/{digit}"
-                entries.append(RectEntry(k + 1, f"comp:{child_addr}", child))
-                next_frontier.append((child_addr, child))
-        frontier = next_frontier
+    for k, pieces in enumerate(_rcd_walk(spec, depth)):
+        fx, fy = _FractionTable(u ** (k + 1) * (u - 1)), _FractionTable(v ** (k + 1) * (v - 1))
+        half = (fx[u - 1], fy[v - 1])
+        for child, lx, ly, sx, sy in pieces:
+            entries.append(
+                RectEntry(k + 1, f"comp:{child}", BoxRegion((fx[lx + sx], fy[ly + sy]), half))
+            )
     meta = {
         "family": "rcd",
         "u": str(spec.u),
@@ -568,69 +622,59 @@ def covering_strategy_for_rco(
     spec = RcoSpec(u, v, m, t)
     alpha = rco_alpha(u, v, m, t, c)
     params = GameParameters(alpha, spec.contraction(), c)
-    levels = []
-    for k in range(1, member.max_level() + 1):
-        boxes = tuple(e.box for e in member.of_kind("cut", k))
-        levels.append(StrategyLevel(k, k + t, alpha.log, False, boxes))
-    return CoveringStrategy(params, "rco", tuple(levels))
+    cuts: dict[int, list[BoxRegion]] = {k: [] for k in range(1, member.max_level() + 1)}
+    for e in member.entries:
+        if e.level in cuts and e.kind == "cut":
+            cuts[e.level].append(e.box)
+    levels = tuple(
+        StrategyLevel(k, k + t, alpha.log, False, tuple(boxes)) for k, boxes in cuts.items()
+    )
+    return CoveringStrategy(params, "rco", levels)
 
 
-def _tile_axis(lo: Fraction, hi: Fraction, h: Fraction) -> list[Fraction]:
+def _tile_axis(lo: int, hi: int, h: int) -> list[int]:
     """Centers of boxes of half-width h covering [lo, hi], flush-trimmed.
 
-    Boxes march from lo; the last is pulled back flush to hi so every box
-    stays inside [lo, hi] whenever hi - lo >= 2h.  (For slabs thinner than
-    one box — possible only for non-integer cover depths — the single box
-    is centered and overhangs both sides.)
+    Boxes march from lo; the last is pulled back flush to hi, so every box
+    stays inside [lo, hi].  Needs hi - lo >= 2h, which integer cover depths
+    always give.
     """
-    width = hi - lo
-    if width <= 2 * h:
-        return [(lo + hi) / 2]
-    count = -((-width) // (2 * h))  # ceil(width / (2h))
-    centers = [lo + (2 * i + 1) * h for i in range(count - 1)]
-    centers.append(hi - h)
-    return centers
+    count = -((lo - hi) // (2 * h))  # ceil((hi - lo) / (2h))
+    return [lo + (2 * i + 1) * h for i in range(count - 1)] + [hi - h]
 
 
 def _cover_piece(
-    region: BoxRegion, child: BoxRegion, hx: Fraction, hy: Fraction
-) -> tuple[list[BoxRegion], int]:
-    """Cover region-minus-child with boxes of half-widths (hx, hy).
+    region_half: tuple[int, int],
+    child_half: tuple[int, int],
+    signs: tuple[int, int],
+    half: tuple[int, int],
+) -> list[tuple[int, int]]:
+    """Centers of the boxes of half-widths `half` covering region-minus-child.
 
-    Returns (boxes, option): option 1 runs the x-strip at full region
-    height plus the leftover y-strip at child width; option 2 transposes.
-    The cheaper option wins, ties to option 1.
+    All numbers are numerators on one integer lattice.  The region is
+    centered at the origin; the child sits flush in its corner `signs`.
+    Option 1 runs the x-strip at full region height plus the leftover
+    y-strip at child width; option 2 transposes.  The cheaper option wins,
+    ties to option 1.
     """
-    sx = 1 if child.center[0] > region.center[0] else -1
-    sy = 1 if child.center[1] > region.center[1] else -1
-    # x-strip: region minus the child's x-span; child-span strip likewise in y
-    if sx > 0:
-        xs_lo, xs_hi = region.low(0), child.low(0)
-    else:
-        xs_lo, xs_hi = child.high(0), region.high(0)
-    if sy > 0:
-        ys_lo, ys_hi = region.low(1), child.low(1)
-    else:
-        ys_lo, ys_hi = child.high(1), region.high(1)
-    cx_lo, cx_hi = child.low(0), child.high(0)
-    cy_lo, cy_hi = child.low(1), child.high(1)
+    full, span, strip = [], [], []
+    for rh, ch, sign in zip(region_half, child_half, signs):
+        center = sign * (rh - ch)
+        full.append((-rh, rh))
+        span.append((center - ch, center + ch))
+        # the region minus the child's span on this axis
+        strip.append((-rh, center - ch) if sign > 0 else (center + ch, rh))
 
-    def rect_cover(x0, x1, y0, y1) -> list[BoxRegion]:
+    def rect_cover(xr: tuple[int, int], yr: tuple[int, int]) -> list[tuple[int, int]]:
         return [
-            BoxRegion((cx, cy), (hx, hy))
-            for cx in _tile_axis(x0, x1, hx)
-            for cy in _tile_axis(y0, y1, hy)
+            (x, y)
+            for x in _tile_axis(*xr, half[0])
+            for y in _tile_axis(*yr, half[1])
         ]
 
-    opt1 = rect_cover(xs_lo, xs_hi, region.low(1), region.high(1)) + rect_cover(
-        cx_lo, cx_hi, ys_lo, ys_hi
-    )
-    opt2 = rect_cover(region.low(0), region.high(0), ys_lo, ys_hi) + rect_cover(
-        xs_lo, xs_hi, cy_lo, cy_hi
-    )
-    if len(opt1) <= len(opt2):
-        return opt1, 1
-    return opt2, 2
+    opt1 = rect_cover(strip[0], full[1]) + rect_cover(span[0], strip[1])
+    opt2 = rect_cover(full[0], strip[1]) + rect_cover(strip[0], span[1])
+    return opt1 if len(opt1) <= len(opt2) else opt2
 
 
 def covering_strategy_for_rcd(
@@ -647,33 +691,39 @@ def covering_strategy_for_rcd(
     Level 0 precedes any numbered move (the numbered response at move m is
     the level-m set); the simulator grants its deletions up front and
     accounts for them separately.  Exact cover geometry needs integer t.
+
+    Level k lives on the lattice with denominators (u^q (u-1), v^q (v-1)).
+    A piece's cover is its region's center plus one of four corner
+    templates, each built once per level.
     """
     if not isinstance(t, int) or t < 1:
         raise ValueError("exact cover geometry requires integer t >= 1")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v = spec.u, spec.v
+    ut, vt = u ** t, v ** t
     count = rcd_cover_count(u, v, t)
     alpha = rcd_alpha(u, v, c, t, count)
     params = GameParameters(alpha, spec.contraction(), c)
-    root = BoxRegion((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-    frontier: list[tuple[str, BoxRegion]] = [("r", root)]
     levels = []
-    for k in range(depth):
+    for k, pieces in enumerate(_rcd_walk(spec, depth)):
         q = k + 1 + t
-        hx, hy = Fraction(1, u ** q), Fraction(1, v ** q)
+        fx, fy = _FractionTable(u ** q * (u - 1)), _FractionTable(v ** q * (v - 1))
+        half = (fx[u - 1], fy[v - 1])
+        templates: dict[tuple[int, int], list[tuple[int, int]]] = {}
         boxes: list[BoxRegion] = []
-        next_frontier: list[tuple[str, BoxRegion]] = []
-        for address, comp in frontier:
-            for digit, region, child in rcd_children(spec, k, address, comp):
-                piece_boxes, option = _cover_piece(region, child, hx, hy)
-                if len(piece_boxes) != count.value:
+        for _, lx, ly, sx, sy in pieces:
+            template = templates.get((sx, sy))
+            if template is None:
+                template = _cover_piece((u * ut, v * vt), ((u - 1) * ut, (v - 1) * vt),
+                                        (sx, sy), (u - 1, v - 1))
+                if len(template) != count.value:
                     raise AssertionError(
-                        f"cover construction produced {len(piece_boxes)} boxes, "
+                        f"cover construction produced {len(template)} boxes, "
                         f"count formula says {count.value}"
                     )
-                boxes.extend(piece_boxes)
-                next_frontier.append((f"{address}/{digit}", child))
+                templates[(sx, sy)] = template
+            bx, by = lx * ut, ly * vt
+            boxes.extend(BoxRegion((fx[bx + ox], fy[by + oy]), half) for ox, oy in template)
         levels.append(StrategyLevel(k, q, alpha.log, k == 0, tuple(boxes)))
-        frontier = next_frontier
     return CoveringStrategy(params, "rcd", tuple(levels))

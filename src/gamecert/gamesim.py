@@ -23,6 +23,7 @@ audit for materialized covering strategies.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +64,41 @@ __all__ = [
 ]
 
 BUDGET_TOL = 1e-12          # log-domain slack when auditing budget legality
+
+# Numerators below this magnitude go to int64: a sum of eight of them still fits.
+_INT64_SAFE = 2 ** 60
+
+
+def _exact_lattice(values: Sequence[Fraction | int | float]) -> tuple[np.ndarray, int]:
+    """(numerators, denominator): exact rationals over their least common
+    denominator, as int64 when every numerator is below 2^60 in magnitude
+    and as Python integers in an object array otherwise.  A float counts as
+    the exact binary fraction it holds."""
+    try:
+        dens = {v.denominator for v in values}
+    except AttributeError:
+        values = [Fraction(v) for v in values]
+        dens = {v.denominator for v in values}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    nums = [v.numerator * scale[v.denominator] for v in values]
+    small = -_INT64_SAFE < min(nums) and max(nums) < _INT64_SAFE
+    return np.array(nums, dtype=np.int64 if small else object), den
+
+
+def _meets(box: BoxRegion, boxes: Sequence[BoxRegion]) -> np.ndarray:
+    """Mask of the `boxes` that meet `box` (closed: touching counts), exact."""
+    count = len(boxes)
+    mask = np.ones(count, dtype=bool)
+    for j in range(box.n):
+        nums, _ = _exact_lattice(
+            [box.center[j], box.half[j]]
+            + [b.center[j] for b in boxes]
+            + [b.half[j] for b in boxes]
+        )
+        centers, halves = nums[2:2 + count], nums[2 + count:]
+        mask &= np.abs(centers - nums[0]) <= halves + nums[1]
+    return mask
 
 
 # ------------------------------------------------------------------ lattices
@@ -525,11 +561,12 @@ def play_game(
         level = by_level.get(m)
         cap_log = c * (params.alpha.log + m * log_det)
         deletions: list[DeletionRecord] = []
-        if level is not None:
+        if level is not None and level.boxes:
             mass_log = c * level.exponent * log_det
-            for sbox in level.boxes:
-                if box.intersects(sbox):
-                    deletions.append(DeletionRecord(m, level.exponent, sbox, mass_log))
+            deletions = [
+                DeletionRecord(m, level.exponent, level.boxes[i], mass_log)
+                for i in np.flatnonzero(_meets(box, level.boxes))
+            ]
         if deletions:
             spent = LogScalar.sum(LogScalar(d.mass_log) for d in deletions)
             if spent.log <= cap_log + BUDGET_TOL:
@@ -803,13 +840,19 @@ def verify_covering_budget(
 ) -> BudgetAudit:
     """Audit the per-level deletion budget of a materialized strategy.
 
-    For each audited level k, sweeps every test box A^k(B[0, rho1]) + z with
-    z on the half-spacing grid (spacing rho1 beta_j^k / 2, |z_j| <= extent),
-    counts the strategy boxes each test box intersects, and compares the
-    worst summed mass against (a_k prod beta^k)^c.  Counting is exact and
-    linear: per-axis coordinates are rescaled to integers and every strategy
-    box scatters its intersecting index range onto the test grid through a
-    difference array.
+    For each audited level k (all levels when `levels` is None; a requested
+    level the strategy lacks raises ValueError), sweeps every test box
+    A^k(B[0, rho1]) + z with z on the half-spacing grid (spacing
+    rho1 beta_j^k / 2, |z_j| <= extent), counts the strategy boxes each test
+    box intersects, and compares the worst summed mass against
+    (a_k prod beta^k)^c.
+
+    Counting is exact and linear.  Per axis, the level's box coordinates,
+    the spacing and the test half-width are numerators on one integer
+    lattice (their least common denominator), so the test-center index range
+    each box meets is one floor division per bound, for all boxes at once.
+    The ranges' corners are scattered into a difference array, whose
+    prefix sums are the hit counts.
     """
     params = strategy.params
     contraction = params.contraction
@@ -820,6 +863,13 @@ def verify_covering_budget(
     n = contraction.n
     if n not in (1, 2):
         raise ValueError("budget audits support 1 or 2 axes")
+    if levels is not None:
+        missing = [k for k in levels if strategy.level(k) is None]
+        if missing:
+            raise ValueError(
+                f"strategy has no level {', '.join(map(str, missing))} "
+                f"(it has {', '.join(str(lvl.level) for lvl in strategy.levels) or 'none'})"
+            )
     extent = Fraction(extent)
     rho1 = Fraction(rho1)
     c = params.c
@@ -839,47 +889,34 @@ def verify_covering_budget(
                 -math.inf, cap_log, True,
             ))
             continue
-        # per-axis integer rescale: every coordinate shares the axis LCM
-        scales = []
-        for j in range(n):
-            pool = [spacing[j].denominator, test_half[j].denominator]
-            for box in lvl.boxes:
-                pool.append(Fraction(box.center[j]).denominator)
-                pool.append(Fraction(box.half[j]).denominator)
-            scales.append(math.lcm(*pool))
+        count = len(lvl.boxes)
         shape = tuple(2 * m + 1 for m in max_index)
+        inside = np.ones(count, dtype=bool)
+        lows, highs = [], []
+        for j in range(n):
+            nums, _ = _exact_lattice(
+                [spacing[j], test_half[j]]
+                + [box.center[j] for box in lvl.boxes]
+                + [box.half[j] for box in lvl.boxes]
+            )
+            sp, th = nums[0], nums[1]
+            bc, reach = nums[2:2 + count], th + nums[2 + count:]
+            # test centers i * sp with |i * sp - bc| <= reach
+            i_lo = np.maximum(-((reach - bc) // sp), -max_index[j])
+            i_hi = np.minimum((bc + reach) // sp, max_index[j])
+            inside &= i_lo <= i_hi
+            lows.append(i_lo)
+            highs.append(i_hi)
+        # each box adds 1 on the grid cells [start, stop) of its index ranges
+        starts = [(a[inside] + m).astype(np.intp) for a, m in zip(lows, max_index)]
+        stops = [(a[inside] + m + 1).astype(np.intp) for a, m in zip(highs, max_index)]
         diff = np.zeros(tuple(s + 1 for s in shape), dtype=np.int64)
-        sp = [int(spacing[j] * scales[j]) for j in range(n)]
-        th = [int(test_half[j] * scales[j]) for j in range(n)]
-        for box in lvl.boxes:
-            slab: list[tuple[int, int]] | None = []
-            for j in range(n):
-                bc = int(Fraction(box.center[j]) * scales[j])
-                bh = int(Fraction(box.half[j]) * scales[j])
-                reach = th[j] + bh
-                # test centers i * sp with |i * sp - bc| <= reach
-                i_lo = max(-((reach - bc) // sp[j]), -max_index[j])
-                i_hi = min((bc + reach) // sp[j], max_index[j])
-                if i_lo > i_hi:
-                    slab = None
-                    break
-                slab.append((i_lo + max_index[j], i_hi + max_index[j]))
-            if slab is None:
-                continue
-            if n == 1:
-                (x0, x1), = slab
-                diff[x0] += 1
-                diff[x1 + 1] -= 1
-            else:
-                (x0, x1), (y0, y1) = slab
-                diff[x0, y0] += 1
-                diff[x1 + 1, y0] -= 1
-                diff[x0, y1 + 1] -= 1
-                diff[x1 + 1, y1 + 1] += 1
-        if n == 1:
-            hits = diff.cumsum()[:-1]
-        else:
-            hits = diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
+        for corner in itertools.product((0, 1), repeat=n):
+            index = tuple(stops[j] if up else starts[j] for j, up in enumerate(corner))
+            np.add.at(diff, index, -1 if sum(corner) % 2 else 1)
+        for axis in range(n):
+            diff = diff.cumsum(axis=axis)
+        hits = diff[(slice(0, -1),) * n]
         worst = int(hits.max())
         where = np.unravel_index(int(hits.argmax()), hits.shape)
         worst_center = tuple(
@@ -890,7 +927,7 @@ def verify_covering_budget(
         legal = spent_log <= cap_log + BUDGET_TOL
         reports.append(BudgetLevelReport(
             k, lvl.exponent, lvl.preamble,
-            int(np.prod(shape)), len(lvl.boxes),
+            int(np.prod(shape)), count,
             worst, worst_center, spent_log, cap_log, legal,
         ))
     return BudgetAudit(tuple(reports))

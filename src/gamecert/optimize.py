@@ -35,7 +35,8 @@ from typing import Callable, Sequence
 from .certify import (
     Certificate,
     PatternBound,
-    _log1mexp,
+    _condition1_gap,
+    _condition1_rhs_log,
     _pack_constant,
     _require_certifiable,
     feasibility_report,
@@ -147,7 +148,7 @@ def max_pattern_size(
     def feasible(m: int) -> bool:
         return feasibility_report(alpha, contraction, c, delta, m).feasible
 
-    rhs1_log = 2.0 * math.log(delta) + _log1mexp((1.0 - c) * contraction.log_det())
+    rhs1_log = _condition1_rhs_log(contraction, c, delta)
     try:
         m = min(max(math.floor(math.exp(rhs1_log - c * alpha.log)), 1), cap)
     except OverflowError:
@@ -240,10 +241,10 @@ def _least_condition1_delta(
     REL_MARGIN: M alpha^c <= delta^2 (1 - (prod beta)^(1-c)) (1 - margin),
     tested in logs exactly as a report's fields state it."""
     lhs = math.log(pattern_count) + c * alpha.log
-    gap = _log1mexp((1.0 - c) * contraction.log_det())
+    gap = _condition1_gap(contraction, c)
     shave = math.log1p(-REL_MARGIN)
     delta = math.exp(0.5 * (lhs - gap - shave))
-    while delta < 1.0 and lhs > 2.0 * math.log(delta) + gap + shave:
+    while delta < 1.0 and lhs > _condition1_rhs_log(contraction, c, delta) + shave:
         delta = math.nextafter(delta, 1.0)
     return delta
 

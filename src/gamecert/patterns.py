@@ -276,14 +276,13 @@ def _scan_one_scale(
                              slab[1][0]:slab[1][1] + 1] = True
                 acc &= mask
 
-    out = []
-    for ix, iy in np.argwhere(acc):
-        out.append(PatternCandidate(
-            lam,
-            ((lo_idx[0] + int(ix)) * res, (lo_idx[1] + int(iy)) * res),
-            query.depth,
-        ))
-    return out
+    # one Fraction per grid translation, shared by the candidates on it
+    xs = [(lo_idx[0] + i) * res for i in range(shape[0])]
+    ys = [(lo_idx[1] + i) * res for i in range(shape[1])]
+    return [
+        PatternCandidate(lam, (xs[ix], ys[iy]), query.depth)
+        for ix, iy in np.argwhere(acc).tolist()
+    ]
 
 
 def find_homothety(

@@ -243,6 +243,25 @@ def test_verify_budget(tmp_path):
     assert "level.1.legal = true" in report and "worst_hits = " in report
 
 
+def test_verify_budget_rejects_levels_the_strategy_lacks(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "budget.cfg", """
+        command = verify
+        verify.check = budget
+        family.kind = rco
+        family.u = 4
+        family.v = 5
+        family.m = 2
+        family.t = 1
+        game.c = 0.5
+        generate.depth = 2
+        verify.levels = 7, 9
+    """)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "verify.levels" in err and "no level 7, 9" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_transfer_samples(tmp_path):
     cfg = write_cfg(tmp_path, "transfer.cfg", """
         command = verify

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gamecert.core import BoxRegion
@@ -14,6 +14,8 @@ from gamecert.families import (
     RcdSpec,
     RcoSpec,
     RectangleSet,
+    RectEntry,
+    _rco_slots,
     covering_strategy_for_rcd,
     covering_strategy_for_rco,
     generate_rcd,
@@ -297,3 +299,174 @@ def test_rcd_strategy_covers_exactly_the_removed_slabs():
 def test_rcd_strategy_requires_integer_t():
     with pytest.raises(ValueError):
         covering_strategy_for_rcd(RcdSpec(7, 4), c=0.5, t=1.5, depth=1)  # type: ignore[arg-type]
+
+
+# --------------------------------------- lattice geometry vs Fraction references
+
+
+def _reference_children(spec, level, component):
+    """Fraction-by-Fraction (digit, region, child), kept as the reference."""
+    u, v, k = spec.u, spec.v, level
+    lhx = Fraction(1, u ** k * (u - 1))
+    lhy = Fraction(1, v ** k * (v - 1))
+    chx = Fraction(1, u ** (k + 1))
+    chy = Fraction(1, v ** (k + 1))
+    address, box = component
+    out = []
+    for tt in range(1, v):
+        for s in range(1, u):
+            digit = s + (tt - 1) * (u - 1)
+            lcx = box.center[0] + Fraction(2 * s - u, u ** k * (u - 1))
+            lcy = box.center[1] + Fraction(2 * tt - v, v ** k * (v - 1))
+            sx, sy = spec.corner_signs(f"{address}/{digit}")
+            out.append((
+                digit,
+                BoxRegion((lcx, lcy), (lhx, lhy)),
+                BoxRegion((lcx + sx * (lhx - chx), lcy + sy * (lhy - chy)), (chx, chy)),
+            ))
+    return out
+
+
+def _reference_tile_axis(lo, hi, h):
+    width = hi - lo
+    if width <= 2 * h:
+        return [(lo + hi) / 2]
+    count = -((-width) // (2 * h))
+    centers = [lo + (2 * i + 1) * h for i in range(count - 1)]
+    centers.append(hi - h)
+    return centers
+
+
+def _reference_cover_piece(region, child, hx, hy):
+    sx = 1 if child.center[0] > region.center[0] else -1
+    sy = 1 if child.center[1] > region.center[1] else -1
+    if sx > 0:
+        xs_lo, xs_hi = region.low(0), child.low(0)
+    else:
+        xs_lo, xs_hi = child.high(0), region.high(0)
+    if sy > 0:
+        ys_lo, ys_hi = region.low(1), child.low(1)
+    else:
+        ys_lo, ys_hi = child.high(1), region.high(1)
+
+    def rect_cover(x0, x1, y0, y1):
+        return [
+            BoxRegion((cx, cy), (hx, hy))
+            for cx in _reference_tile_axis(x0, x1, hx)
+            for cy in _reference_tile_axis(y0, y1, hy)
+        ]
+
+    opt1 = rect_cover(xs_lo, xs_hi, region.low(1), region.high(1)) + rect_cover(
+        child.low(0), child.high(0), ys_lo, ys_hi
+    )
+    opt2 = rect_cover(region.low(0), region.high(0), ys_lo, ys_hi) + rect_cover(
+        xs_lo, xs_hi, child.low(1), child.high(1)
+    )
+    return opt1 if len(opt1) <= len(opt2) else opt2
+
+
+def _reference_rcd_levels(spec, t, depth):
+    """Per level k, ({address: comp box of level k+1}, cover boxes), one
+    piece at a time."""
+    root = BoxRegion((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
+    frontier = [("r", root)]
+    for k in range(depth):
+        hx, hy = Fraction(1, spec.u ** (k + 1 + t)), Fraction(1, spec.v ** (k + 1 + t))
+        comps, covers, nxt = {}, [], []
+        for address, comp in frontier:
+            for digit, region, child in _reference_children(spec, k, (address, comp)):
+                covers.extend(_reference_cover_piece(region, child, hx, hy))
+                comps[f"comp:{address}/{digit}"] = child
+                nxt.append((f"{address}/{digit}", child))
+        yield comps, covers
+        frontier = nxt
+
+
+def _cover_boxes(u, v, t, depth):
+    pieces = sum(((u - 1) * (v - 1)) ** (k + 1) for k in range(depth))
+    return pieces * rcd_cover_count(u, v, t).value
+
+
+@given(
+    st.integers(2, 9), st.integers(2, 9), st.sampled_from(["fixed", "hash"]),
+    st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.integers(1, 2),
+)
+@settings(max_examples=25, deadline=None)
+def test_rcd_lattice_walk_matches_fraction_reference(u, v, rule, seed, t, depth):
+    # The Fraction reference costs about 20 us a box; bigger members are
+    # covered by the fixed-size byte-identity checks of the benchmark.
+    assume(_cover_boxes(u, v, t, depth) <= 6000)
+    spec = RcdSpec(u, v, rule, seed)
+    strat = covering_strategy_for_rcd(spec, c=0.5, t=t, depth=depth)
+    member = generate_rcd(spec, depth)
+    for k, (comps, covers) in enumerate(_reference_rcd_levels(spec, t, depth)):
+        level = strat.level(k)
+        assert level.boxes == tuple(covers)
+        assert repr(level.boxes) == repr(tuple(covers))
+        got = {e.address: e.box for e in member.entries if e.level == k + 1}
+        assert repr(got) == repr(dict(sorted(comps.items())))
+    root = BoxRegion((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
+    assert rcd_children(spec, 0, "r", root) == _reference_children(spec, 0, ("r", root))
+
+
+def test_rco_lattice_generation_matches_fraction_reference():
+    for spec, placement in ((RcoSpec(4, 5, 2, 1), "corner"), (RcoSpec(3, 2, 3, 2), "hash")):
+        member = generate_rco(spec, 2, placement=placement, seed=9)
+        u, v, m, t = spec.u, spec.v, spec.m, spec.t
+        want = []
+        for k in (1, 2):
+            chx, chy = Fraction(1, u ** k), Fraction(1, v ** k)
+            cutx, cuty = Fraction(1, u ** (k + t)), Fraction(1, v ** (k + t))
+            for i in range(u ** k):
+                for j in range(v ** k):
+                    path = f"{i}_{j}"
+                    cx, cy = -1 + (2 * i + 1) * chx, -1 + (2 * j + 1) * chy
+                    want.append(RectEntry(k, f"cell:{path}", BoxRegion((cx, cy), (chx, chy))))
+                    if placement == "corner":
+                        slots = [(s % u ** t, s // u ** t) for s in range(m)]
+                    else:
+                        slots = _rco_slots(spec, k, path, 9)
+                    for ordinal, (a, b) in enumerate(slots):
+                        ox = cx - chx + (2 * a + 1) * cutx
+                        oy = cy - chy + (2 * b + 1) * cuty
+                        want.append(RectEntry(k, f"cut:{path}/{ordinal}",
+                                              BoxRegion((ox, oy), (cutx, cuty))))
+        reference = RectangleSet(want, dict(member.meta))
+        assert member.entries == reference.entries
+        assert member.to_csv() == reference.to_csv()
+
+
+def _reference_pbm(rect, width, height):
+    """The dense boxes-by-pixels raster, kept as the reference."""
+    import numpy as np
+
+    xs = np.linspace(-1 + 1 / width, 1 - 1 / width, width)
+    ys = np.linspace(1 - 1 / height, -1 + 1 / height, height)
+    gx, gy = np.meshgrid(xs, ys)
+    cuts = rect.of_kind("cut")
+    if cuts:
+        keep = np.ones((height, width), dtype=bool)
+        for e in cuts:
+            cx, cy = (float(c) for c in e.box.center)
+            hx, hy = (float(h) for h in e.box.half)
+            keep &= ~((np.abs(gx - cx) <= hx) & (np.abs(gy - cy) <= hy))
+    else:
+        keep = np.zeros((height, width), dtype=bool)
+        for e in rect.of_kind("comp", rect.max_level()):
+            cx, cy = (float(c) for c in e.box.center)
+            hx, hy = (float(h) for h in e.box.half)
+            keep |= (np.abs(gx - cx) <= hx) & (np.abs(gy - cy) <= hy)
+    lines = [f"P1\n{width} {height}"]
+    for row in keep.astype(int):
+        lines.append(" ".join(map(str, row)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("size", [(8, 8), (33, 17), (256, 256)])
+def test_pbm_runs_match_dense_reference(size):
+    members = (
+        generate_rco(RcoSpec(4, 5, 2, 1), depth=2),
+        generate_rcd(RcdSpec(7, 4, "hash", 3), depth=2),
+    )
+    for member in members:
+        assert member.to_pbm(*size) == _reference_pbm(member, *size)

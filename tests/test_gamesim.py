@@ -2,14 +2,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gamecert.core import DiagonalContraction, LogScalar
+from gamecert.core import BoxRegion, DiagonalContraction, LogScalar
 from gamecert.families import (
     RcdSpec,
     RcoSpec,
     CoveringStrategy,
+    StrategyLevel,
     covering_strategy_for_rcd,
     covering_strategy_for_rco,
     generate_rco,
@@ -17,6 +19,7 @@ from gamecert.families import (
 )
 from gamecert.core import GameParameters
 from gamecert.gamesim import (
+    BUDGET_TOL,
     Lattice,
     child_cover_grid,
     constant_policy,
@@ -382,3 +385,138 @@ def test_budget_audit_requires_exact_ratios():
                             DiagonalContraction((0.3, 0.4)), 0.5)
     with pytest.raises(ValueError, match="exact"):
         verify_covering_budget(CoveringStrategy(params, "rco", ()))
+
+
+def test_budget_audit_rejects_levels_the_strategy_lacks():
+    strat = covering_strategy_for_rco(generate_rco(RcoSpec(4, 5, 2, 1), depth=2), c=0.5)
+    with pytest.raises(ValueError, match=r"no level 7, 9 \(it has 1, 2\)"):
+        verify_covering_budget(strat, levels=[7, 2, 9])
+    assert [lv.level for lv in verify_covering_budget(strat, levels=[2]).levels] == [2]
+
+
+# ------------------------------- lattice arithmetic vs brute-force references
+
+
+def _brute_force_audit(strategy, level, extent=1, rho1=1):
+    """(test boxes, worst hits, first worst center), one intersects call per pair."""
+    dens = strategy.params.contraction.denominators
+    lvl = strategy.level(level)
+    half = tuple(Fraction(rho1) * Fraction(1, d ** level) for d in dens)
+    spacing = tuple(h / 2 for h in half)
+    reach = [int((Fraction(extent) + half[j]) / spacing[j]) for j in range(2)]
+    best, where, tests = -1, None, 0
+    for ix in range(-reach[0], reach[0] + 1):
+        for iy in range(-reach[1], reach[1] + 1):
+            test = BoxRegion((ix * spacing[0], iy * spacing[1]), half)
+            hits = sum(1 for b in lvl.boxes if test.intersects(b))
+            tests += 1
+            if hits > best:
+                best, where = hits, test.center
+    return tests, best, where
+
+
+def _brute_force_deletions(transcript, strategy):
+    """Per move, the boxes of its level that meet the play box, in box order."""
+    by_level = {lv.level: lv for lv in strategy.levels if not lv.preamble}
+    out = []
+    for mv in transcript.moves:
+        lvl = by_level.get(mv.move)
+        out.append([b for b in lvl.boxes if mv.box.intersects(b)] if lvl else [])
+    return out
+
+
+def _assert_deletions_match(transcript, strategy):
+    """Each move deletes exactly the brute-force boxes, or skips them when
+    they are none or over budget."""
+    exponents = {lv.level: lv.exponent for lv in strategy.levels}
+    log_det = strategy.params.contraction.log_det()
+    for mv, want in zip(transcript.moves, _brute_force_deletions(transcript, strategy)):
+        if mv.skipped:
+            assert mv.deletions == ()
+            if want:
+                mass = LogScalar(strategy.params.c * exponents[mv.move] * log_det)
+                assert LogScalar.sum(mass for _ in want).log > mv.budget_cap_log + BUDGET_TOL
+        else:
+            assert want and [d.box for d in mv.deletions] == want
+
+
+@pytest.mark.parametrize("strategy_args, level, extent, rho1", [
+    (("rcd", RcdSpec(3, 4, "hash", 21), 1, 1), 0, 1, 1),
+    (("rcd", RcdSpec(2, 3, "hash", 5), 1, 2), 1, 1, Fraction(2, 3)),
+    (("rco", RcoSpec(3, 2, 2, 1), None, 2), 1, 2, 1),
+], ids=["rcd-preamble", "rcd-rho1-2/3", "rco-extent-2"])
+def test_budget_audit_matches_brute_force(strategy_args, level, extent, rho1):
+    kind, spec, t, depth = strategy_args
+    if kind == "rcd":
+        strat = covering_strategy_for_rcd(spec, c=0.5, t=t, depth=depth)
+    else:
+        strat = covering_strategy_for_rco(generate_rco(spec, depth), c=0.5)
+    report, = verify_covering_budget(strat, levels=[level], extent=extent, rho1=rho1).levels
+    tests, worst, center = _brute_force_audit(strat, level, extent, rho1)
+    assert (report.test_boxes, report.worst_hits, report.worst_center) == (tests, worst, center)
+    assert report.strategy_boxes == len(strat.level(level).boxes)
+
+
+@pytest.mark.parametrize("target", [
+    (Fraction(7, 8), Fraction(9, 10)),
+    (Fraction(-5, 64), Fraction(33, 64)),
+    (Fraction(0), Fraction(-1, 3)),
+])
+def test_play_game_deletions_match_brute_force(target):
+    strat = covering_strategy_for_rcd(RcdSpec(5, 3, "hash", 8), c=0.5, t=1, depth=3)
+    tr = play_game(steering_policy(target), strat, depth=2)
+    assert any(mv.deletions for mv in tr.moves)
+    _assert_deletions_match(tr, strat)
+
+
+def _recording_lattice(monkeypatch):
+    """Patch gamesim's lattice helper to record the dtype of every result."""
+    import gamecert.gamesim as gamesim
+
+    seen = []
+    real = gamesim._exact_lattice
+
+    def spy(values):
+        nums, den = real(values)
+        seen.append(nums.dtype)
+        return nums, den
+
+    monkeypatch.setattr(gamesim, "_exact_lattice", spy)
+    return seen
+
+
+def test_huge_denominators_take_the_object_path(monkeypatch):
+    # boxes on a lattice of denominator 2^70 + 1: numerators far past int64
+    den = 2 ** 70 + 1
+    half = (Fraction(2 ** 60, den), Fraction(2 ** 61, den))
+    boxes = tuple(
+        BoxRegion((Fraction(i * 2 ** 63 + 1, den), Fraction(-j * 2 ** 64 - 3, den)), half)
+        for i in range(-2, 3) for j in range(3)
+    )
+    params = GameParameters(
+        rco_alpha(4, 5, 2, 1, 0.5), DiagonalContraction.from_denominators([4, 5]), 0.5
+    )
+    strat = CoveringStrategy(params, "rco", (StrategyLevel(1, 2, params.alpha.log, False, boxes),))
+    seen = _recording_lattice(monkeypatch)
+    report, = verify_covering_budget(strat, levels=[1]).levels
+    assert seen and all(dt == object for dt in seen)
+    assert (report.test_boxes, report.worst_hits, report.worst_center) == \
+        _brute_force_audit(strat, 1)
+    assert report.worst_hits > 1
+    seen.clear()
+    tr = play_game(steering_policy((Fraction(1, 10 ** 30), Fraction(-1, 7))), strat, depth=1)
+    assert seen and all(dt == object for dt in seen)
+    assert tr.moves[0].deletions
+    _assert_deletions_match(tr, strat)
+
+
+def test_tiny_steering_target_takes_the_object_path(monkeypatch):
+    strat = covering_strategy_for_rco(generate_rco(RcoSpec(4, 5, 2, 1), depth=2), c=0.5)
+    seen = _recording_lattice(monkeypatch)
+    tr = play_game(steering_policy((Fraction(1, 10 ** 30), Fraction(1, 10 ** 30))), strat, depth=2)
+    assert tr.moves[0].box.center == (Fraction(1, 10 ** 30), Fraction(1, 10 ** 30))
+    assert seen and all(dt == object for dt in seen)
+    _assert_deletions_match(tr, strat)
+    seen.clear()
+    play_game(steering_policy((Fraction(1, 8), Fraction(1, 10))), strat, depth=2)
+    assert seen and all(dt == np.int64 for dt in seen)
