@@ -40,17 +40,6 @@ from .families import (
     rcd_alpha,
     rco_alpha,
 )
-from .gamesim import (
-    child_cover_grid,
-    constant_policy,
-    play_game,
-    potential_transfer_bound,
-    steering_policy,
-    tuple_overlap_bound,
-    verify_covering_budget,
-    verify_half_shrink,
-    verify_projection_return,
-)
 from .optimize import (
     DEFAULT_CONFIG,
     MAX_PATTERN_CAP,
@@ -62,7 +51,6 @@ from .optimize import (
     optimize_pattern_count,
     smallest_u_for_patterns,
 )
-from .patterns import PatternQuery, candidates_to_csv, find_homothety
 
 COMMANDS = (
     "certify",
@@ -558,6 +546,8 @@ def _cmd_generate(cfg: Config, out: Path, trace: bool,
 
 def _cmd_simulate(cfg: Config, out: Path, trace: bool,
                   finish: Callable[[], None]) -> int:
+    from .gamesim import constant_policy, play_game, steering_policy  # loads numpy
+
     family, depth, placement, seed = _read_generate(
         cfg, default_depth=cfg.get_int("simulate.moves", lo=1))
     moves = cfg.get_int("simulate.moves", lo=1)
@@ -600,6 +590,15 @@ def _cmd_simulate(cfg: Config, out: Path, trace: bool,
 
 
 def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
+    from .gamesim import (  # loads numpy
+        child_cover_grid,
+        potential_transfer_bound,
+        tuple_overlap_bound,
+        verify_covering_budget,
+        verify_half_shrink,
+        verify_projection_return,
+    )
+
     check = cfg.get_str("verify.check", choices=(
         "projection", "half-shrink", "budget", "child-grid", "overlap", "transfer"))
     lines = [f"schema = gamecert.verify.v1", f"check = {check}"]
@@ -655,6 +654,8 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
             audit = verify_covering_budget(strategy, levels=levels, extent=extent)
         except ValueError as exc:
             raise ConfigError("verify.levels", str(exc)) from None
+        except OverflowError as exc:
+            raise ConfigError("verify.extent", str(exc)) from None
         for rep in audit.levels:
             lines.append(f"level.{rep.level}.boxes = {rep.strategy_boxes}")
             lines.append(f"level.{rep.level}.test_boxes = {rep.test_boxes}")
@@ -734,6 +735,8 @@ def _cmd_verify(cfg: Config, out: Path, trace: bool,
 
 def _cmd_find_pattern(cfg: Config, out: Path, trace: bool,
                       finish: Callable[[], None]) -> int:
+    from .patterns import PatternQuery, candidates_to_csv, find_homothety  # loads numpy
+
     params = _read_generate(cfg)
     points = cfg.get_points("pattern.points")
     lam_lo = cfg.get_fraction("pattern.lambda_lo", positive=True)

@@ -46,8 +46,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Literal
 
-import mpmath
-
 from .core import BoxRegion, DiagonalContraction, GameParameters, LogScalar
 
 __all__ = [
@@ -183,6 +181,8 @@ def _guarded_ceil(base: int, exponent: float, den: int) -> tuple[int, bool]:
     returns the upper one with exact=False (larger cover counts only weaken
     the certificate, so rounding up is the conservative direction).
     """
+    import mpmath  # only RCD cover counts need it
+
     frac = Fraction(exponent)
     p, q = frac.numerator, frac.denominator
     digits = int(exponent * math.log10(base)) + 40

@@ -68,6 +68,10 @@ BUDGET_TOL = 1e-12          # log-domain slack when auditing budget legality
 # Numerators below this magnitude go to int64: a sum of eight of them still fits.
 _INT64_SAFE = 2 ** 60
 
+# Largest difference array, in int64 cells, that one budget audit level may
+# build: 512 MiB.  A depth-5 RCO(4,5,2,1) level at extent 1 needs 4102 x 12506.
+MAX_AUDIT_CELLS = 2 ** 26
+
 
 def _exact_lattice(values: Sequence[Fraction | int | float]) -> tuple[np.ndarray, int]:
     """(numerators, denominator): exact rationals over their least common
@@ -852,7 +856,9 @@ def verify_covering_budget(
     lattice (their least common denominator), so the test-center index range
     each box meets is one floor division per bound, for all boxes at once.
     The ranges' corners are scattered into a difference array, whose
-    prefix sums are the hit counts.
+    prefix sums are the hit counts.  Before any level is counted, a level
+    whose difference array would exceed MAX_AUDIT_CELLS cells raises
+    OverflowError.
     """
     params = strategy.params
     contraction = params.contraction
@@ -875,13 +881,22 @@ def verify_covering_budget(
     c = params.c
     log_det = contraction.log_det()
     reports: list[BudgetLevelReport] = []
+    grids = []
     for lvl in strategy.levels:
         if levels is not None and lvl.level not in levels:
             continue
-        k = lvl.level
-        test_half = [rho1 * Fraction(1, d ** k) for d in dens]
+        test_half = [rho1 * Fraction(1, d ** lvl.level) for d in dens]
         spacing = [h / 2 for h in test_half]
         max_index = [int((extent + test_half[j]) / spacing[j]) for j in range(n)]
+        cells = math.prod(2 * m + 2 for m in max_index)
+        if lvl.boxes and cells > MAX_AUDIT_CELLS:
+            raise OverflowError(
+                f"level {lvl.level} at extent {extent} needs a {cells}-cell "
+                f"audit grid, over the limit of {MAX_AUDIT_CELLS}"
+            )
+        grids.append((lvl, test_half, spacing, max_index))
+    for lvl, test_half, spacing, max_index in grids:
+        k = lvl.level
         cap_log = c * (lvl.budget_rate_log + k * log_det)
         if not lvl.boxes:
             reports.append(BudgetLevelReport(

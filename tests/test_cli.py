@@ -327,6 +327,9 @@ def test_smallest_u_quick(tmp_path, capsys):
      "no command given"),
     (MAXIMIZE_CFG + "optimizer.pattern_cap = 1099511627777\n", "optimizer.pattern_cap"),
     (MAXIMIZE_CFG + "optimizer.t_lo = 3.0\noptimizer.t_hi = 2.0\n", "optimizer.t_lo"),
+    ("command = verify\nverify.check = budget\nfamily.kind = rco\nfamily.u = 4\n"
+     "family.v = 5\nfamily.m = 2\nfamily.t = 1\ngame.c = 0.5\ngenerate.depth = 2\n"
+     "verify.extent = 100000\n", "verify.extent"),
 ])
 def test_malformed_configs_exit_1_with_field_path(tmp_path, capsys, body, needle):
     cfg = write_cfg(tmp_path, "cfg", body)
@@ -364,6 +367,17 @@ def test_removed_delta_samples_key_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _run_module(*args):
+    """`python <args>` in a child that imports the same gamecert as the
+    tests, installed or not."""
+    src = str(Path(gamecert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 def test_module_entrypoint_runs(tmp_path):
     cfg = write_cfg(tmp_path, "gen.cfg", """
         command = generate
@@ -372,11 +386,33 @@ def test_module_entrypoint_runs(tmp_path):
         family.v = 4
         generate.depth = 1
     """)
-    # the child imports the same gamecert as the tests, installed or not
-    src = str(Path(gamecert.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gamecert", "--config", cfg, "--out", str(tmp_path)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = _run_module("-m", "gamecert", "--config", cfg, "--out", str(tmp_path))
     assert proc.returncode == 0 and "rectangles.csv" in proc.stdout
+
+
+def test_certificate_commands_import_neither_numpy_nor_mpmath(tmp_path):
+    # most of a short certify process's time went to importing these two
+    def run(name, body):
+        cfg = write_cfg(tmp_path, f"{name}.cfg", body)
+        proc = _run_module("-X", "importtime", "-m", "gamecert",
+                           "--config", cfg, "--out", str(tmp_path / name))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return {line.rsplit("|", 1)[-1].strip().split(".")[0]
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+    heavy = {"numpy", "mpmath"}
+    raw = """
+        command = certify
+        family.kind = raw
+        family.betas = 1/10,1/12
+        family.alpha = 1e-12
+        game.c = 0.9
+    """
+    loaded = run("raw", raw)
+    assert "gamecert" in loaded and not heavy & loaded
+    assert not heavy & run("rco", MAXIMIZE_CFG)
+    recheck = f"command = certify\ncertify.certificate = {tmp_path / 'rco' / 'certificate.txt'}\n"
+    assert not heavy & run("recheck", recheck)
+    # an RCD cover count imports mpmath where it needs it
+    rcd = "command = maximize\nfamily.kind = rcd\nfamily.u = 68719476736\nfamily.v = 1099511627776\n"
+    assert "mpmath" in run("rcd", rcd)

@@ -18,8 +18,10 @@ from gamecert.families import (
     rco_alpha,
 )
 from gamecert.core import GameParameters
+from gamecert import gamesim
 from gamecert.gamesim import (
     BUDGET_TOL,
+    MAX_AUDIT_CELLS,
     Lattice,
     child_cover_grid,
     constant_policy,
@@ -455,6 +457,31 @@ def test_budget_audit_matches_brute_force(strategy_args, level, extent, rho1):
     tests, worst, center = _brute_force_audit(strat, level, extent, rho1)
     assert (report.test_boxes, report.worst_hits, report.worst_center) == (tests, worst, center)
     assert report.strategy_boxes == len(strat.level(level).boxes)
+
+
+def test_budget_audit_bounds_its_grid_before_allocating(monkeypatch):
+    # the depth-5 RCO(4,5,2,1) audit at extent 1 stays within the limit
+    assert (4 * 4 ** 5 + 6) * (4 * 5 ** 5 + 6) <= MAX_AUDIT_CELLS
+    strat = covering_strategy_for_rco(generate_rco(RcoSpec(4, 5, 2, 1), 2), c=0.5)
+    # level 1 at extent 2: max indices 18 and 22, so (2*18 + 2) x (2*22 + 2) cells
+    cells = 38 * 46
+    monkeypatch.setattr(gamesim, "MAX_AUDIT_CELLS", cells)
+    report, = verify_covering_budget(strat, levels=[1], extent=2).levels
+    tests, worst, center = _brute_force_audit(strat, 1, extent=2)
+    assert (report.test_boxes, report.worst_hits, report.worst_center) == (tests, worst, center)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before checking the grid size")
+
+    monkeypatch.setattr(gamesim, "_exact_lattice", no_allocation)
+    monkeypatch.setattr(gamesim.np, "zeros", no_allocation)
+    monkeypatch.setattr(gamesim, "MAX_AUDIT_CELLS", cells - 1)
+    with pytest.raises(OverflowError, match=f"level 1 at extent 2 needs a {cells}-cell"):
+        verify_covering_budget(strat, levels=[1], extent=2)
+    # the 23 TiB request of extent 100000 is refused at the real limit
+    monkeypatch.setattr(gamesim, "MAX_AUDIT_CELLS", MAX_AUDIT_CELLS)
+    with pytest.raises(OverflowError, match="over the limit of 67108864"):
+        verify_covering_budget(strat, extent=100000)
 
 
 @pytest.mark.parametrize("target", [
