@@ -19,7 +19,7 @@ live here.  Masses like alpha * prod beta^m underflow float64 quickly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -160,6 +160,7 @@ class DiagonalContraction:
 
     betas: tuple[float, ...]                 # diagonal entries, in (0, 1)
     denominators: tuple[int, ...] | None = None  # U_j when beta_j == 1/U_j exactly
+    _log_det: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.betas:
@@ -167,6 +168,8 @@ class DiagonalContraction:
         for b in self.betas:
             if not (0.0 < b < 1.0):
                 raise ValueError(f"diagonal entries must lie in (0,1), got {b!r}")
+        # summed once: every certificate report reads it
+        object.__setattr__(self, "_log_det", sum(math.log(b) for b in self.betas))
         if self.denominators is not None:
             if len(self.denominators) != len(self.betas):
                 raise ValueError("denominators length mismatch")
@@ -198,7 +201,7 @@ class DiagonalContraction:
 
     def log_det(self) -> float:
         """ln(prod_j beta_j)."""
-        return sum(math.log(b) for b in self.betas)
+        return self._log_det
 
     def beta_max(self) -> float:
         return max(self.betas)

@@ -165,42 +165,69 @@ class CoverCount:
             raise ValueError("a slab pair always needs at least two boxes")
 
 
-def _ceil_int_pow(base: int, num_exp: int, den: int) -> int:
-    """ceil(base^num_exp / den) exactly (integers)."""
-    return -((-(base ** num_exp)) // den)
+def _iroot(x: int, q: int) -> int:
+    """floor(x^(1/q)) for integers x >= 0, q >= 1.
 
-
-def _guarded_ceil(base: int, exponent: float, den: int) -> tuple[int, bool]:
-    """ceil(base^exponent / den) with an exactness guarantee where possible.
-
-    Every float exponent is exactly a rational p/q; when q and the magnitude
-    are modest the ceiling is settled by big-integer comparison
-    (z*den)^q >= base^p, which is exact even when base^exponent is itself an
-    integer.  Otherwise mpmath evaluates at (magnitude + 40) digits and
-    brackets with x*(1 +- eps): agreement certifies the value, disagreement
-    returns the upper one with exact=False (larger cover counts only weaken
-    the certificate, so rounding up is the conservative direction).
+    Integer Newton steps: from any positive start one step lands at or above
+    the floor root (AM-GM), and from there the steps fall strictly until the
+    floor root, where the next step no longer falls.  The start is a float
+    estimate of the root of x's leading bits, so a few steps suffice.
     """
-    import mpmath  # only RCD cover counts need it
+    if x < 2 or q == 1:
+        return x
+    shift = -(-max(x.bit_length() - 1000, 0) // q)
+    r = (int((x >> (shift * q)) ** (1.0 / q)) + 1) << shift
+    r = ((q - 1) * r + x // r ** (q - 1)) // q
+    while True:
+        s = ((q - 1) * r + x // r ** (q - 1)) // q
+        if s >= r:
+            return r
+        r = s
 
-    frac = Fraction(exponent)
+
+def _ceil_powers(
+    base: int, t: float, ratios: tuple[tuple[int, int], ...]
+) -> tuple[list[int], bool]:
+    """[ceil(base^t * num / den) for (num, den) in ratios], and whether all
+    of them are certified exact.
+
+    Every float t is exactly a rational p/q.  When q and the magnitude are
+    modest each ceiling is settled in integers: with r the floor q-th root
+    of X = base^p num^q, ceil(base^(p/q) num) is r, plus 1 unless r^q = X,
+    and the ceiling division by den follows (ceil(y/den) = ceil(ceil(y)/den)).
+    Otherwise mpmath evaluates base^t once, at (magnitude + 40) digits, and
+    brackets each x = base^t num/den with x*(1 +- eps): agreement certifies
+    the value, disagreement returns the upper one, not exact (larger cover
+    counts only weaken the certificate, so rounding up is the conservative
+    direction).
+    """
+    frac = Fraction(t)
     p, q = frac.numerator, frac.denominator
-    digits = int(exponent * math.log10(base)) + 40
-    if q <= 64 and p * math.log10(base) <= 20000:
-        target = base ** p
-        with mpmath.workdps(max(30, digits)):
-            z = int(mpmath.ceil(mpmath.power(base, exponent) / den))
-        while z >= 1 and ((z - 1) * den) ** q >= target:
-            z -= 1
-        while (z * den) ** q < target:
-            z += 1
-        return (z, True)
-    with mpmath.workdps(max(30, digits)):
-        x = mpmath.power(base, exponent) / den
+    top = max(num for num, _ in ratios)
+    magnitude = p / q * math.log10(base) + math.log10(top)
+    if q == 1 or (q <= 64 and magnitude * q <= 20000):
+        power = base ** p
+        roots: dict[int, int] = {}
+        for num, _ in ratios:
+            if num not in roots:
+                x = power * num ** q
+                r = _iroot(x, q)
+                roots[num] = r if r ** q == x else r + 1
+        return [-(-roots[num] // den) for num, den in ratios], True
+    import mpmath  # only exponents off the q <= 64 grid need it
+
+    digits = max(30, int(magnitude) + 40)
+    values, exact = [], True
+    with mpmath.workdps(digits):
+        power = mpmath.power(base, t)
         eps = mpmath.mpf(10) ** (-(digits - 15))
-        lo = int(mpmath.ceil(x * (1 - eps)))
-        hi = int(mpmath.ceil(x * (1 + eps)))
-    return (hi, lo == hi)
+        for num, den in ratios:
+            x = power * num / den
+            lo = int(mpmath.ceil(x * (1 - eps)))
+            hi = int(mpmath.ceil(x * (1 + eps)))
+            values.append(hi)
+            exact = exact and lo == hi
+    return values, exact
 
 
 def rcd_cover_count(u: int, v: int, t: float) -> CoverCount:
@@ -212,35 +239,20 @@ def rcd_cover_count(u: int, v: int, t: float) -> CoverCount:
         n1 = ceil(u^t/(u-1)) * ceil(v^(t+1)/(v-1)) + ceil(u^t) * ceil(v^t/(v-1))
         n2 = ceil(u^(t+1)/(u-1)) * ceil(v^t/(v-1)) + ceil(v^t) * ceil(u^t/(u-1))
 
-    The smaller wins; ties go to option 1.
+    The smaller wins; ties go to option 1.  Each base is raised to t once:
+    u^(t+1) is taken as u * u^t, so the exponent t + 1 is exact even where
+    the float t + 1 is not.
     """
     if u < 2 or v < 2:
         raise ValueError("subdivision counts must be >= 2")
     if t <= 0:
         raise ValueError("cover depth offset must be positive")
-    if float(t).is_integer():
-        ti = int(t)
-        a = _ceil_int_pow(u, ti, u - 1)
-        b = _ceil_int_pow(v, ti + 1, v - 1)
-        cc = u ** ti
-        d = _ceil_int_pow(v, ti, v - 1)
-        n1 = a * b + cc * d
-        a2 = _ceil_int_pow(u, ti + 1, u - 1)
-        c2 = v ** ti
-        n2 = a2 * d + c2 * a
-        exact = True
-    else:
-        a, ea = _guarded_ceil(u, t, u - 1)
-        b, eb = _guarded_ceil(v, t + 1, v - 1)
-        cc, ec = _guarded_ceil(u, t, 1)
-        d, ed = _guarded_ceil(v, t, 1)
-        dd, edd = _guarded_ceil(v, t, v - 1)
-        a2, ea2 = _guarded_ceil(u, t + 1, u - 1)
-        n1 = a * b + cc * dd
-        n2 = a2 * dd + d * a
-        exact = all((ea, eb, ec, ed, edd, ea2))
+    (a, cu, a2), exact_u = _ceil_powers(u, t, ((1, u - 1), (1, 1), (u, u - 1)))
+    (d, cv, b), exact_v = _ceil_powers(v, t, ((1, v - 1), (1, 1), (v, v - 1)))
+    n1 = a * b + cu * d
+    n2 = a2 * d + cv * a
     value, option = (n1, 1) if n1 <= n2 else (n2, 2)
-    tag = "exact" if exact and value < 2 ** 53 else "approximate"
+    tag = "exact" if exact_u and exact_v and value < 2 ** 53 else "approximate"
     return CoverCount(value, tag, option)
 
 

@@ -23,7 +23,12 @@ The certificates leave four knobs open, searched as follows:
   the budget rate improves discontinuously.
 
 All searches are deterministic: fixed grids from the config, sequential
-reduction in grid order, ties broken toward smaller (c, delta, t).
+reduction in grid order, ties broken toward smaller (c, delta, t).  The
+ranking puts the count first, so each grid pass computes every cell's count
+and then certifies witnesses only for the cells at the pass's top count,
+falling to the next count only when none of them has a witness.  A traced
+search (`trace_path` set) certifies a witness for every cell with a count,
+so its trace still lists every witnessed cell; both return the same result.
 """
 from __future__ import annotations
 
@@ -333,14 +338,7 @@ def _search(
     probes = 0
     trace: list[str] = []
 
-    def eval_cell(cell: tuple[float, float]) -> _Point | None:
-        t, c = cell
-        alpha = alpha_fn(c, t)
-        if alpha is None or alpha.log >= 0.0:
-            return None
-        count = max_pattern_size(alpha, contraction, c, cap)
-        if count == 0:
-            return None
+    def witness(t: float, c: float, alpha: LogScalar, count: int) -> _Point | None:
         bound = _best_witness(alpha, contraction, c, count)
         if bound is None:
             return None
@@ -353,14 +351,36 @@ def _search(
         nonlocal probes
         cells = [(t, c) for t in ts for c in cs]
         probes += len(cells)
+        counted: list[tuple[float, float, LogScalar, int]] = []
+        by_count: dict[int, list[tuple[float, float, LogScalar, int]]] = {}
+        for t, c in cells:
+            alpha = alpha_fn(c, t)
+            if alpha is None or alpha.log >= 0.0:
+                continue
+            count = max_pattern_size(alpha, contraction, c, cap)
+            if count > 0:
+                cell = (t, c, alpha, count)
+                counted.append(cell)
+                by_count.setdefault(count, []).append(cell)
+        # _better ranks the count first, so only cells at the top count can
+        # win; the next count is witnessed only if none of them has a
+        # witness.  A traced search witnesses every cell for its trace.
+        if config.trace_path is not None:
+            levels = [counted]
+        else:
+            levels = [by_count[k] for k in sorted(by_count, reverse=True)]
         local: _Point | None = None
-        for point in map(eval_cell, cells):
-            if point is not None and config.trace_path is not None:
-                trace.append(
-                    "t=%.17g c=%.17g count=%d dim=%.17g delta=%.17g"
-                    % (point.t, point.c, point.pattern_count, point.dim, point.delta)
-                )
-            local = _better(local, point)
+        for level in levels:
+            for cell in level:
+                point = witness(*cell)
+                if point is not None and config.trace_path is not None:
+                    trace.append(
+                        "t=%.17g c=%.17g count=%d dim=%.17g delta=%.17g"
+                        % (point.t, point.c, point.pattern_count, point.dim, point.delta)
+                    )
+                local = _better(local, point)
+            if local is not None:
+                break
         return local
 
     best = run_grid(t_values, _c_grid(config))

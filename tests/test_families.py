@@ -2,12 +2,18 @@
 from __future__ import annotations
 
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gamecert
 from gamecert.core import BoxRegion
 from gamecert.families import (
     CoverCount,
@@ -15,6 +21,8 @@ from gamecert.families import (
     RcoSpec,
     RectangleSet,
     RectEntry,
+    _ceil_powers,
+    _iroot,
     _rco_slots,
     covering_strategy_for_rcd,
     covering_strategy_for_rco,
@@ -83,6 +91,156 @@ def test_rcd_cover_count_real_t_brackets_are_exact_for_small_args():
     # = ceil(21.6)*3 + 8*4 = 66 + 32 = 98
     assert near.value == 98
     assert near.option == 2
+
+
+def _reference_ceilings(base, t):
+    """[ceil(base^t/(base-1)), ceil(base^t), ceil(base^(t+1)/(base-1))] with
+    the exponents Fraction(t) and Fraction(t) + 1 taken exactly, in mpmath
+    at 120 digits past the magnitude."""
+    import mpmath
+
+    with mpmath.workdps(int((t + 1) * math.log10(base)) + 120):
+        exponent = mpmath.mpf(t)               # a float converts exactly
+        power = mpmath.power(base, exponent)
+        above = mpmath.power(base, exponent + 1)
+        return [int(mpmath.ceil(power / (base - 1))), int(mpmath.ceil(power)),
+                int(mpmath.ceil(above / (base - 1)))]
+
+
+def _reference_cover_count(u, v, t):
+    a, cu, a2 = _reference_ceilings(u, t)
+    d, cv, b = _reference_ceilings(v, t)
+    n1, n2 = a * b + cu * d, a2 * d + cv * a
+    return (n1, 1) if n1 <= n2 else (n2, 2)
+
+
+def test_rcd_cover_count_takes_t_plus_1_exactly():
+    # the float t + 1 drops the low bit of t = 1.2345: u^fl(t+1) once gave
+    # ceil(u^(t+1)/(u-1)) = 572168206594182, three below the true ceiling,
+    # tagged exact, so the count 1144336413193452 was too small
+    u, v, t = 900019043105, 5, 1.2345
+    assert Fraction(t + 1) != Fraction(t) + 1
+    assert _reference_ceilings(u, t)[2] == 572168206594185
+    got = rcd_cover_count(u, v, t)
+    assert (got.value, got.option) == _reference_cover_count(u, v, t)
+    assert got == CoverCount(1144336413193458, "exact", 2)
+
+
+def test_cover_ceilings_match_exact_exponents_where_t_plus_1_rounds():
+    rng = random.Random(20261018)
+    ts = []
+    while len(ts) < 24:
+        t = rng.uniform(0.05, 6.0)
+        if Fraction(t + 1) != Fraction(t) + 1:
+            ts.append(t)
+    for base in (5, 7, 12, 2 ** 37, 900019043105, 999921083009):
+        for t in ts:
+            got, _ = _ceil_powers(base, t, ((1, base - 1), (1, 1), (base, base - 1)))
+            assert got == _reference_ceilings(base, t), (base, t)
+    for u, v in ((7, 4), (2 ** 37, 2 ** 38), (900019043105, 999921083009)):
+        for t in ts[:8]:
+            got = rcd_cover_count(u, v, t)
+            assert (got.value, got.option) == _reference_cover_count(u, v, t), (u, v, t)
+
+
+@pytest.mark.parametrize("q", range(1, 65))
+def test_iroot_brackets_the_root(q):
+    rng = random.Random(q)
+    values = [0, 1, 2, 3, 7, 2 ** q, 3 ** q - 1, 3 ** q, 3 ** q + 1]
+    values += [rng.getrandbits(bits) | 1 for bits in (8, 53, 64, 200, 256, 1100, 4000)]
+    values += [(2 ** 70 + 12345) ** q - 1, (2 ** 70 + 12345) ** q]
+    for x in values:
+        r = _iroot(x, q)
+        assert r ** q <= x < (r + 1) ** q, (x, q)
+
+
+# (u, v): [(t, value, tag, option)], pinned from the earlier q <= 64 branch,
+# which stepped from an mpmath estimate by integer comparisons
+DYADIC_COVER_COUNTS = {
+    (7, 4): [
+        (0.25, 4, "exact", 1),
+        (0.5, 6, "exact", 1),
+        (1.5, 98, "exact", 2),
+        (2.75, 5572, "exact", 1),
+        (0.015625, 4, "exact", 1),
+        (0.046875, 4, "exact", 1),
+        (0.984375, 24, "exact", 2),
+        (1.015625, 28, "exact", 1),
+        (1.984375, 456, "exact", 1),
+        (2.984375, 11697, "exact", 1),
+        (5.984375, 254253707, "exact", 1),
+    ],
+    (2, 3): [
+        (0.25, 6, "exact", 1),
+        (0.5, 7, "exact", 2),
+        (1.5, 33, "exact", 1),
+        (2.75, 294, "exact", 1),
+        (0.015625, 6, "exact", 1),
+        (0.046875, 6, "exact", 1),
+        (0.984375, 14, "exact", 1),
+        (1.015625, 21, "exact", 1),
+        (1.984375, 76, "exact", 1),
+        (2.984375, 432, "exact", 1),
+        (5.984375, 91481, "exact", 2),
+    ],
+    (12, 15): [
+        (0.25, 5, "exact", 1),
+        (0.5, 8, "exact", 2),
+        (1.5, 462, "exact", 1),
+        (2.75, 270374, "exact", 2),
+        (0.015625, 4, "exact", 1),
+        (0.046875, 4, "exact", 1),
+        (0.984375, 56, "exact", 1),
+        (1.015625, 60, "exact", 1),
+        (1.984375, 5240, "exact", 1),
+        (2.984375, 912720, "exact", 2),
+        (5.984375, 5294801383268, "exact", 2),
+    ],
+    (137438953472, 274877906944): [
+        (0.25, 1334, "exact", 1),
+        (0.5, 895016, "exact", 2),
+        (1.5, 80141325303875182757517, "approximate", 1),
+        (2.75, 1334805615910494457990649593035103025748159701232662, "approximate", 2),
+        (0.015625, 4, "exact", 1),
+        (0.046875, 8, "exact", 1),
+        (0.984375, 274200388593, "exact", 2),
+        (1.015625, 1240039269800, "exact", 1),
+        (1.984375, 6913711338723014078831178140796604, "approximate", 2),
+        (2.984375, 261192629585098688302155845340193563708756105652483457194, "approximate", 2),
+        (5.984375, 14083478726934185957293824839054378494895800692205529862809183122588136247124714008708850968443518488890202708007407325789940, "approximate", 1),
+    ],
+    (900019043105, 999921083009): [
+        (0.25, 1975, "exact", 1),
+        (0.5, 1948655, "exact", 1),
+        (1.5, 1802390467464496189620138, "approximate", 1),
+        (2.75, 1579866560967871691640644835307274153405547199341819220, "approximate", 1),
+        (0.015625, 4, "exact", 1),
+        (0.046875, 8, "exact", 1),
+        (0.984375, 1234749783706, "exact", 1),
+        (1.015625, 5846973961586, "exact", 1),
+        (1.984375, 722225289697894682317064853201896177, "approximate", 2),
+        (2.984375, 649965216792308205870868170615285771225869891086199567408926, "approximate", 1),
+        (5.984375, 473742543939698714277880019296700318316211534147265876851738054480572536946773418575068840134982158804885929082404392546189528456689, "approximate", 1),
+    ],
+}
+
+
+@pytest.mark.parametrize("uv", sorted(DYADIC_COVER_COUNTS))
+def test_rcd_cover_count_dyadic_t_matches_pinned_table(uv):
+    for t, value, tag, option in DYADIC_COVER_COUNTS[uv]:
+        assert rcd_cover_count(*uv, t) == CoverCount(value, tag, option), (uv, t)
+
+
+def test_dyadic_cover_count_imports_no_mpmath():
+    src = str(Path(gamecert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from gamecert.families import rcd_cover_count\n"
+            "print(rcd_cover_count(7, 4, 0.5).value, 'mpmath' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6", "False"]
 
 
 def test_rcd_alpha_frozen_value():

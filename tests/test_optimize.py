@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -14,6 +15,7 @@ from gamecert.core import REL_MARGIN, DiagonalContraction, LogScalar
 from gamecert.families import RcdSpec, RcoSpec
 from gamecert.optimize import (
     DEFAULT_CONFIG,
+    MAX_PATTERN_CAP,
     SMALLEST_U_CONFIG,
     SearchConfig,
     _best_witness,
@@ -362,6 +364,65 @@ def test_trace_file_is_written(tmp_path):
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert lines and all(line.startswith("t=") for line in lines)
+
+
+U5, V5 = 900019043105, 999921083009
+# the nine headline instances; one member is a single-family search
+HEADLINE = {
+    "RCO(12,15,1,5)": [RcoSpec(12, 15, 1, 5)],
+    "RCO(17,24,1,5)": [RcoSpec(17, 24, 1, 5)],
+    "RCO(271828,314159,2,1)": [RcoSpec(271828, 314159, 2, 1)],
+    "RCD(2^37,2^38)": [RcdSpec(2 ** 37, 2 ** 38)],
+    "RCD(U5,V5)": [RcdSpec(U5, V5)],
+    "RCD+5xRCO(m=4)": [RcdSpec(U5, V5)] + [RcoSpec(U5, V5, 4, k) for k in range(1, 6)],
+    "2xRCD(2^37,2^36)+RCO(1,2)+RCO(1,6)": [
+        RcdSpec(2 ** 37, 2 ** 36), RcdSpec(2 ** 37, 2 ** 36),
+        RcoSpec(2 ** 37, 2 ** 36, 1, 2), RcoSpec(2 ** 37, 2 ** 36, 1, 6)],
+    "RCD(2^36,2^40)+RCO(1,1)": [RcdSpec(2 ** 36, 2 ** 40), RcoSpec(2 ** 36, 2 ** 40, 1, 1)],
+    "RCO(425,365,10,3)+RCO(1,2)": [RcoSpec(425, 365, 10, 3), RcoSpec(425, 365, 1, 2)],
+}
+
+
+def _headline_search(members, config, want_patterns):
+    if len(members) == 1:
+        return optimize_pattern_count(members[0], config, want_patterns=want_patterns)
+    return optimize_intersection(members, config, want_patterns=want_patterns)
+
+
+@pytest.mark.parametrize("name", list(HEADLINE))
+def test_pruned_search_equals_the_fully_witnessed_one(name, tmp_path):
+    # a traced search witnesses every cell, an untraced one only the cells
+    # at the top count; with want_patterns=False the cap is unused
+    for cap, want_patterns in ((MAX_PATTERN_CAP, True), (100, True), (MAX_PATTERN_CAP, False)):
+        plain = SearchConfig(pattern_cap=cap)
+        pruned = _headline_search(HEADLINE[name], plain, want_patterns)
+        full = _headline_search(
+            HEADLINE[name], replace(plain, trace_path=str(tmp_path / "t.txt")), want_patterns)
+        assert full.trace and not pruned.trace
+        assert pruned == replace(full, trace=())
+        assert pruned.certificate.to_text() == full.certificate.to_text()
+
+
+@pytest.mark.parametrize("spec, blocked", [(RcoSpec(17, 24, 1, 5), 231),
+                                           (RcdSpec(U5, V5), 20)])
+def test_pruned_search_falls_to_the_next_count(monkeypatch, tmp_path, spec, blocked):
+    # no cell with a count >= blocked gets a witness, so the pruned search
+    # must fall through the top counts to the best witnessed one below
+    counts: list[int] = []
+    best_witness = optimize._best_witness
+
+    def no_top_witness(alpha, contraction, c, count):
+        counts.append(count)
+        return None if count >= blocked else best_witness(alpha, contraction, c, count)
+
+    monkeypatch.setattr(optimize, "_best_witness", no_top_witness)
+    pruned = optimize_pattern_count(spec)
+    pruned_counts, counts[:] = counts[:], []
+    full = optimize_pattern_count(spec, SearchConfig(trace_path=str(tmp_path / "t.txt")))
+    assert pruned == replace(full, trace=())
+    assert pruned.feasible and pruned.pattern_count < blocked
+    assert max(pruned_counts) >= blocked
+    assert len(pruned_counts) < len(counts)
 
 
 # ------------------------------------------------------------ intersections
