@@ -590,7 +590,7 @@ def _cmd_simulate(cfg: Config, out: Path, trace: bool,
 
 
 def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
-    from .gamesim import (  # loads numpy
+    from .gamesim import (  # the projection, half-shrink and budget checks load numpy
         child_cover_grid,
         potential_transfer_bound,
         tuple_overlap_bound,

@@ -230,12 +230,13 @@ class GameParameters:
         return self.contraction.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxRegion:
     """Closed axis-aligned box: {x : |x_j - center_j| <= half_j for all j}.
 
     Coordinates may be exact Fractions (the oracles insist on it) or floats;
-    mixing works because comparisons go through the numeric tower.
+    mixing works because comparisons go through the numeric tower.  A
+    half-width must be positive; NaN is not.
     """
 
     center: tuple[Coord, ...]
@@ -247,7 +248,9 @@ class BoxRegion:
         if not self.center:
             raise ValueError("box needs at least one axis")
         for h in self.half:
-            if h <= 0:
+            # A Fraction's numerator has its sign, and comparing that int
+            # skips the numeric tower; "not > 0" also rejects NaN.
+            if not (getattr(h, "numerator", h) > 0):
                 raise ValueError(f"half-widths must be positive, got {h!r}")
 
     @property

@@ -34,7 +34,15 @@ level is an integer over one denominator per axis (u^(k+t), v^(k+t) for a
 cut-out level, u^q (u-1), v^q (v-1) for a corner-digit level of exponent
 q), so the generators compute on integer numerators and build each box's
 Fractions only at the end, one Fraction object per distinct numerator per
-level, shared by every box that uses it.  Budget rates are LogScalars.
+level, shared by every box that uses it.
+
+Every strategy level also carries its boxes on that integer lattice
+(StrategyLevel.lattice): per axis the least common denominator and the
+center and half-width numerators, int64 where they fit.  The corner-digit
+strategy hands over the numerators it computed; any other level derives
+them once from its boxes.  The budget audit and the game read them there
+instead of taking every box's Fractions apart again.  Budget rates are
+LogScalars.
 """
 from __future__ import annotations
 
@@ -42,9 +50,10 @@ import csv
 import io
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .core import BoxRegion, DiagonalContraction, GameParameters, LogScalar
 
@@ -53,6 +62,7 @@ __all__ = [
     "RcdSpec",
     "RectEntry",
     "RectangleSet",
+    "AxisLattice",
     "StrategyLevel",
     "CoveringStrategy",
     "CoverCount",
@@ -579,12 +589,78 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
 # ----------------------------------------------------- covering strategies
 
 
+class AxisLattice(NamedTuple):
+    """One axis of a strategy level's boxes on an integer lattice.
+
+    Box i has center centers[i] / den and half-width halves[i] / den, where
+    den is the least common denominator of the axis's coordinates.  The
+    numerators are an array('q') of int64 when all of them fit, else a tuple
+    of Python ints.
+    """
+
+    den: int
+    centers: Sequence[int]
+    halves: Sequence[int]
+
+
+def _int_column(den: int, values: Iterable[int] = ()) -> array | list[int]:
+    """A column for numerators of magnitude at most `den`: int64 when `den`
+    fits, Python ints otherwise."""
+    return array("q", values) if den < 2 ** 63 else list(values)
+
+
+def _axis_lattice(
+    den: int, centers: Sequence[int], halves: Sequence[int]
+) -> AxisLattice:
+    """The AxisLattice of numerators over `den`, in lowest terms.  int64
+    columns stay int64 (dividing cannot overflow them); Python ints are
+    stored as int64 when they all fit."""
+    g = math.gcd(den, *set(centers), *set(halves))
+    if g > 1:
+        den //= g
+        centers, halves = (
+            array("q", (x // g for x in col)) if isinstance(col, array) else [x // g for x in col]
+            for col in (centers, halves)
+        )
+    if isinstance(centers, array) and isinstance(halves, array):
+        return AxisLattice(den, centers, halves)
+    try:
+        return AxisLattice(den, array("q", centers), array("q", halves))
+    except OverflowError:
+        return AxisLattice(den, tuple(centers), tuple(halves))
+
+
+def _derived_lattice(boxes: Sequence[BoxRegion]) -> tuple[AxisLattice, ...]:
+    """Per axis, the boxes' coordinates over their least common denominator.
+
+    Fractions and ints give their numerator and denominator; a float counts
+    as the exact binary fraction it holds.
+    """
+    axes = []
+    for j in range(boxes[0].n if boxes else 0):
+        coords = [b.center[j] for b in boxes] + [b.half[j] for b in boxes]
+        try:
+            dens = {x.denominator for x in coords}
+        except AttributeError:
+            coords = [Fraction(x) for x in coords]
+            dens = {x.denominator for x in coords}
+        den = math.lcm(*dens)
+        scale = {d: den // d for d in dens}
+        nums = [x.numerator * scale[x.denominator] for x in coords]
+        axes.append(_axis_lattice(den, nums[:len(boxes)], nums[len(boxes):]))
+    return tuple(axes)
+
+
 @dataclass(frozen=True)
 class StrategyLevel:
     """One response set: boxes of exponent `exponent`, budgeted at rate a_k.
 
     `preamble` marks a set that precedes any numbered move (the corner-digit
-    strategy's level-0 covers; see covering_strategy_for_rcd).
+    strategy's level-0 covers; see covering_strategy_for_rcd).  `lattice`
+    holds the boxes again, per axis, as integer numerators (AxisLattice); a
+    generator that has them passes them, otherwise they are derived from
+    `boxes` here.  Like DiagonalContraction's cached log_det it is left out
+    of repr and ==.
     """
 
     level: int
@@ -592,6 +668,11 @@ class StrategyLevel:
     budget_rate_log: float       # ln(a_k)
     preamble: bool
     boxes: tuple[BoxRegion, ...]
+    lattice: tuple[AxisLattice, ...] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.lattice is None:
+            object.__setattr__(self, "lattice", _derived_lattice(self.boxes))
 
 
 @dataclass(frozen=True)
@@ -706,7 +787,8 @@ def covering_strategy_for_rcd(
 
     Level k lives on the lattice with denominators (u^q (u-1), v^q (v-1)).
     A piece's cover is its region's center plus one of four corner
-    templates, each built once per level.
+    templates, each built once per level.  The level keeps those numerators
+    as its lattice.
     """
     if not isinstance(t, int) or t < 1:
         raise ValueError("exact cover geometry requires integer t >= 1")
@@ -723,7 +805,7 @@ def covering_strategy_for_rcd(
         fx, fy = _FractionTable(u ** q * (u - 1)), _FractionTable(v ** q * (v - 1))
         half = (fx[u - 1], fy[v - 1])
         templates: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        boxes: list[BoxRegion] = []
+        xs, ys = _int_column(fx.den), _int_column(fy.den)
         for _, lx, ly, sx, sy in pieces:
             template = templates.get((sx, sy))
             if template is None:
@@ -736,6 +818,12 @@ def covering_strategy_for_rcd(
                     )
                 templates[(sx, sy)] = template
             bx, by = lx * ut, ly * vt
-            boxes.extend(BoxRegion((fx[bx + ox], fy[by + oy]), half) for ox, oy in template)
-        levels.append(StrategyLevel(k, q, alpha.log, k == 0, tuple(boxes)))
+            xs.extend([bx + ox for ox, _ in template])
+            ys.extend([by + oy for _, oy in template])
+        boxes = tuple(BoxRegion((fx[x], fy[y]), half) for x, y in zip(xs, ys))
+        lattice = (
+            _axis_lattice(fx.den, xs, _int_column(fx.den, [u - 1]) * len(xs)),
+            _axis_lattice(fy.den, ys, _int_column(fy.den, [v - 1]) * len(ys)),
+        )
+        levels.append(StrategyLevel(k, q, alpha.log, k == 0, boxes, lattice))
     return CoveringStrategy(params, "rcd", tuple(levels))

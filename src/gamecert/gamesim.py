@@ -20,19 +20,25 @@ rests on: the symmetric grid of coarse children inside a half-shrunk cell,
 the volume bound on how many fine coarse-grid cells one deleted box can
 touch, the min-term transfer inequality, and the per-level deletion-budget
 audit for materialized covering strategies.
+
+numpy is imported by the functions that use it (the projection and
+half-shrink sweeps, the game and the budget audit), so the scalar oracles
+run without loading it.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .core import BoxRegion, DiagonalContraction, LogScalar
-from .families import CoveringStrategy
+from .families import AxisLattice, CoveringStrategy, StrategyLevel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Lattice",
@@ -73,35 +79,41 @@ _INT64_SAFE = 2 ** 60
 MAX_AUDIT_CELLS = 2 ** 26
 
 
-def _exact_lattice(values: Sequence[Fraction | int | float]) -> tuple[np.ndarray, int]:
-    """(numerators, denominator): exact rationals over their least common
-    denominator, as int64 when every numerator is below 2^60 in magnitude
-    and as Python integers in an object array otherwise.  A float counts as
-    the exact binary fraction it holds."""
-    try:
-        dens = {v.denominator for v in values}
-    except AttributeError:
-        values = [Fraction(v) for v in values]
-        dens = {v.denominator for v in values}
-    den = math.lcm(*dens)
-    scale = {d: den // d for d in dens}
-    nums = [v.numerator * scale[v.denominator] for v in values]
-    small = -_INT64_SAFE < min(nums) and max(nums) < _INT64_SAFE
-    return np.array(nums, dtype=np.int64 if small else object), den
+def _on_one_lattice(
+    axis: AxisLattice, extras: Sequence[Fraction | int | float]
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(centers, halves, extra numerators): one axis of a strategy level and
+    a few more rationals (a float counts as the exact binary fraction it
+    holds), all over their least common denominator.
+
+    The level's numerators stay int64 when the level stores them so and
+    every scaled magnitude, the extras' included, is below 2^60; that is
+    checked on the unscaled maximum before anything is multiplied.
+    Otherwise they become Python integers in object arrays.
+    """
+    import numpy as np
+
+    extras = [Fraction(x) for x in extras]
+    den = math.lcm(axis.den, *(x.denominator for x in extras))
+    scale = den // axis.den
+    nums = [x.numerator * (den // x.denominator) for x in extras]
+    columns = (axis.centers, axis.halves)
+    if isinstance(axis.centers, array) and isinstance(axis.halves, array):
+        centers, halves = (np.frombuffer(col, dtype=np.int64) for col in columns)
+        top = max(-int(centers.min()), int(centers.max()), int(halves.max()))
+        if top * scale < _INT64_SAFE and all(abs(x) < _INT64_SAFE for x in nums):
+            return centers * scale, halves * scale, nums
+    centers, halves = (np.array(col, dtype=object) * scale for col in columns)
+    return centers, halves, nums
 
 
-def _meets(box: BoxRegion, boxes: Sequence[BoxRegion]) -> np.ndarray:
-    """Mask of the `boxes` that meet `box` (closed: touching counts), exact."""
-    count = len(boxes)
-    mask = np.ones(count, dtype=bool)
-    for j in range(box.n):
-        nums, _ = _exact_lattice(
-            [box.center[j], box.half[j]]
-            + [b.center[j] for b in boxes]
-            + [b.half[j] for b in boxes]
-        )
-        centers, halves = nums[2:2 + count], nums[2 + count:]
-        mask &= np.abs(centers - nums[0]) <= halves + nums[1]
+def _meets(box: BoxRegion, level: StrategyLevel) -> np.ndarray:
+    """Mask of the level's boxes that meet `box` (closed: touching counts),
+    exact, read from the level's lattice."""
+    mask = True
+    for j, axis in enumerate(level.lattice):
+        centers, halves, (center, half) = _on_one_lattice(axis, (box.center[j], box.half[j]))
+        mask = mask & (abs(centers - center) <= halves + half)
     return mask
 
 
@@ -228,6 +240,8 @@ class _AxisTable:
 
 
 def _axis_table(u: int, block: int, k: int, radius: int) -> _AxisTable:
+    import numpy as np
+
     gamma_floor = (u ** block - 2) // 6
     r = np.arange(-radius, radius + 1, dtype=np.int64)
     l = np.arange(-gamma_floor, gamma_floor + 1, dtype=np.int64)
@@ -262,6 +276,8 @@ class ProjectionAudit:
 
 
 def _first_index(mask: np.ndarray) -> tuple[int, int] | None:
+    import numpy as np
+
     hits = np.argwhere(mask)
     if len(hits) == 0:
         return None
@@ -375,6 +391,8 @@ def verify_half_shrink(
     reduces to the per-axis index test |y - u w| <= u - 2, so the exhaustive
     n-dimensional sweep is a product of per-axis sweeps.
     """
+    import numpy as np
+
     if level % block == 1 % block:
         raise ValueError(
             "half-shrink containment is only claimed off the coarse levels"
@@ -569,7 +587,7 @@ def play_game(
             mass_log = c * level.exponent * log_det
             deletions = [
                 DeletionRecord(m, level.exponent, level.boxes[i], mass_log)
-                for i in np.flatnonzero(_meets(box, level.boxes))
+                for i in _meets(box, level).nonzero()[0]
             ]
         if deletions:
             spent = LogScalar.sum(LogScalar(d.mass_log) for d in deletions)
@@ -851,15 +869,18 @@ def verify_covering_budget(
     box intersects, and compares the worst summed mass against
     (a_k prod beta^k)^c.
 
-    Counting is exact and linear.  Per axis, the level's box coordinates,
-    the spacing and the test half-width are numerators on one integer
-    lattice (their least common denominator), so the test-center index range
-    each box meets is one floor division per bound, for all boxes at once.
+    Counting is exact and linear.  Each level carries its boxes as integer
+    numerators (StrategyLevel.lattice); per axis they, the spacing and the
+    test half-width are put over one denominator, so the test-center index
+    range each box meets is one floor division per bound, for all boxes at
+    once.
     The ranges' corners are scattered into a difference array, whose
     prefix sums are the hit counts.  Before any level is counted, a level
     whose difference array would exceed MAX_AUDIT_CELLS cells raises
     OverflowError.
     """
+    import numpy as np
+
     params = strategy.params
     contraction = params.contraction
     if not contraction.is_exact:
@@ -909,13 +930,8 @@ def verify_covering_budget(
         inside = np.ones(count, dtype=bool)
         lows, highs = [], []
         for j in range(n):
-            nums, _ = _exact_lattice(
-                [spacing[j], test_half[j]]
-                + [box.center[j] for box in lvl.boxes]
-                + [box.half[j] for box in lvl.boxes]
-            )
-            sp, th = nums[0], nums[1]
-            bc, reach = nums[2:2 + count], th + nums[2 + count:]
+            bc, halves, (sp, th) = _on_one_lattice(lvl.lattice[j], (spacing[j], test_half[j]))
+            reach = th + halves
             # test centers i * sp with |i * sp - bc| <= reach
             i_lo = np.maximum(-((reach - bc) // sp), -max_index[j])
             i_hi = np.minimum((bc + reach) // sp, max_index[j])

@@ -390,15 +390,20 @@ def test_module_entrypoint_runs(tmp_path):
     assert proc.returncode == 0 and "rectangles.csv" in proc.stdout
 
 
+def _imported_packages(tmp_path, name, body):
+    """Top-level packages a fresh `python -m gamecert` run of `body` imports."""
+    cfg = write_cfg(tmp_path, f"{name}.cfg", body)
+    proc = _run_module("-X", "importtime", "-m", "gamecert",
+                       "--config", cfg, "--out", str(tmp_path / name))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {line.rsplit("|", 1)[-1].strip().split(".")[0]
+            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
 def test_certificate_commands_import_neither_numpy_nor_mpmath(tmp_path):
     # most of a short certify process's time went to importing these two
     def run(name, body):
-        cfg = write_cfg(tmp_path, f"{name}.cfg", body)
-        proc = _run_module("-X", "importtime", "-m", "gamecert",
-                           "--config", cfg, "--out", str(tmp_path / name))
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        return {line.rsplit("|", 1)[-1].strip().split(".")[0]
-                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        return _imported_packages(tmp_path, name, body)
 
     heavy = {"numpy", "mpmath"}
     raw = """
@@ -416,3 +421,19 @@ def test_certificate_commands_import_neither_numpy_nor_mpmath(tmp_path):
     # an RCD cover count imports mpmath where it needs it
     rcd = "command = maximize\nfamily.kind = rcd\nfamily.u = 68719476736\nfamily.v = 1099511627776\n"
     assert "mpmath" in run("rcd", rcd)
+
+
+def test_verify_imports_numpy_only_for_the_checks_that_use_it(tmp_path):
+    transfer = "command = verify\nverify.check = transfer\nverify.samples = 200\nverify.seed = 7\n"
+    loaded = _imported_packages(tmp_path, "transfer", transfer)
+    assert "gamecert" in loaded and "numpy" not in loaded
+    overlap = "command = verify\nverify.check = overlap\nverify.u = 4,5\nverify.level = 2\n" \
+              "verify.exponent = 3\n"
+    assert "numpy" not in _imported_packages(tmp_path, "overlap", overlap)
+    budget = ("command = verify\nverify.check = budget\nfamily.kind = rco\nfamily.u = 4\n"
+              "family.v = 5\nfamily.m = 2\nfamily.t = 1\ngame.c = 0.5\ngenerate.depth = 1\n")
+    assert "numpy" in _imported_packages(tmp_path, "budget", budget)
+    # importing the geometry modules loads no numpy either
+    probe = "import sys, gamecert.families, gamecert.gamesim; print('numpy' in sys.modules)"
+    proc = _run_module("-c", probe)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr[-2000:]

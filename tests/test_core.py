@@ -300,3 +300,17 @@ def test_box_region_shrink_and_diameter():
     assert half.half == (Fraction(1, 200),)
     assert half.center == box.center
     assert box.diameter_sup() == Fraction(1, 50)
+
+
+@pytest.mark.parametrize("half", [0, -0.0, Fraction(-1, 3), float("nan"), Fraction(0)])
+def test_box_region_rejects_a_half_width_that_is_not_positive(half):
+    with pytest.raises(ValueError, match="half-widths must be positive"):
+        BoxRegion((0.0,), (half,))
+    with pytest.raises(ValueError, match="half-widths must be positive"):
+        BoxRegion((Fraction(0), Fraction(1, 2)), (Fraction(1, 3), half))
+
+
+def test_box_region_accepts_infinite_and_positive_half_widths():
+    assert BoxRegion((0.0,), (float("inf"),)).contains_point((1e300,))
+    for half in (1, 0.5, Fraction(1, 10 ** 30), 2 ** 70):
+        assert BoxRegion((Fraction(1, 3),), (half,)).contains_point((Fraction(1, 3),))

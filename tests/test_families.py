@@ -21,6 +21,7 @@ from gamecert.families import (
     RcoSpec,
     RectangleSet,
     RectEntry,
+    StrategyLevel,
     _ceil_powers,
     _iroot,
     _rco_slots,
@@ -565,6 +566,70 @@ def test_rcd_lattice_walk_matches_fraction_reference(u, v, rule, seed, t, depth)
         assert repr(got) == repr(dict(sorted(comps.items())))
     root = BoxRegion((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
     assert rcd_children(spec, 0, "r", root) == _reference_children(spec, 0, ("r", root))
+
+
+def _derived(level):
+    """The lattice a level derives from its boxes when none is passed in."""
+    return StrategyLevel(level.level, level.exponent, level.budget_rate_log,
+                         level.preamble, level.boxes).lattice
+
+
+def _assert_lattice_holds_the_boxes(level):
+    assert len(level.lattice) == (level.boxes[0].n if level.boxes else 0)
+    for j, axis in enumerate(level.lattice):
+        assert len(axis.centers) == len(axis.halves) == len(level.boxes)
+        for box, cn, hn in zip(level.boxes, axis.centers, axis.halves):
+            assert Fraction(cn, axis.den) == box.center[j]
+            assert Fraction(hn, axis.den) == box.half[j]
+    assert level.lattice == _derived(level)
+    assert "lattice" not in repr(level) and "AxisLattice" not in repr(level)
+    # == and hash ignore the lattice
+    other = StrategyLevel(level.level, level.exponent, level.budget_rate_log,
+                          level.preamble, level.boxes, lattice=())
+    assert other == level and hash(other) == hash(level)
+
+
+@given(
+    st.integers(2, 9), st.integers(2, 9), st.sampled_from(["fixed", "hash"]),
+    st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.integers(1, 2),
+)
+@settings(max_examples=25, deadline=None)
+def test_rcd_levels_carry_the_lattice_of_their_boxes(u, v, rule, seed, t, depth):
+    assume(_cover_boxes(u, v, t, depth) <= 6000)
+    strat = covering_strategy_for_rcd(RcdSpec(u, v, rule, seed), c=0.5, t=t, depth=depth)
+    for level in strat.levels:
+        _assert_lattice_holds_the_boxes(level)
+
+
+@given(
+    st.integers(2, 9), st.integers(2, 9), st.integers(1, 3), st.integers(1, 2),
+    st.sampled_from(["corner", "hash"]), st.integers(0, 2 ** 32),
+)
+@settings(max_examples=25, deadline=None)
+def test_rco_levels_carry_the_lattice_of_their_boxes(u, v, m, t, placement, seed):
+    assume((u * v) ** 2 * (m + 1) <= 6000)
+    member = generate_rco(RcoSpec(u, v, m, t), 2, placement=placement, seed=seed)
+    for level in covering_strategy_for_rco(member, c=0.5).levels:
+        _assert_lattice_holds_the_boxes(level)
+
+
+def test_hand_built_levels_derive_their_lattice():
+    boxes = (
+        BoxRegion((Fraction(1, 6), 0), (Fraction(1, 4), Fraction(1, 3))),
+        BoxRegion((-1, 0.5), (Fraction(1, 12), 2)),
+    )
+    level = StrategyLevel(1, 2, -1.0, False, boxes)
+    (x, y) = level.lattice
+    assert (x.den, list(x.centers), list(x.halves)) == (12, [2, -12], [3, 1])
+    assert (y.den, list(y.centers), list(y.halves)) == (6, [0, 3], [2, 12])
+    _assert_lattice_holds_the_boxes(level)
+    # numerators past int64 are kept as Python ints
+    den = 2 ** 70 + 1
+    huge = StrategyLevel(1, 2, -1.0, False, (
+        BoxRegion((Fraction(2 ** 64, den),), (Fraction(1, den),)),))
+    assert huge.lattice[0] == (den, (2 ** 64,), (1,))
+    _assert_lattice_holds_the_boxes(huge)
+    assert StrategyLevel(0, 1, -1.0, True, ()).lattice == ()
 
 
 def test_rco_lattice_generation_matches_fraction_reference():

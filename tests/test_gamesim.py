@@ -473,8 +473,8 @@ def test_budget_audit_bounds_its_grid_before_allocating(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated before checking the grid size")
 
-    monkeypatch.setattr(gamesim, "_exact_lattice", no_allocation)
-    monkeypatch.setattr(gamesim.np, "zeros", no_allocation)
+    monkeypatch.setattr(gamesim, "_on_one_lattice", no_allocation)
+    monkeypatch.setattr(np, "zeros", no_allocation)
     monkeypatch.setattr(gamesim, "MAX_AUDIT_CELLS", cells - 1)
     with pytest.raises(OverflowError, match=f"level 1 at extent 2 needs a {cells}-cell"):
         verify_covering_budget(strat, levels=[1], extent=2)
@@ -501,14 +501,15 @@ def _recording_lattice(monkeypatch):
     import gamecert.gamesim as gamesim
 
     seen = []
-    real = gamesim._exact_lattice
+    real = gamesim._on_one_lattice
 
-    def spy(values):
-        nums, den = real(values)
-        seen.append(nums.dtype)
-        return nums, den
+    def spy(axis, extras):
+        centers, halves, nums = real(axis, extras)
+        assert centers.dtype == halves.dtype
+        seen.append(centers.dtype)
+        return centers, halves, nums
 
-    monkeypatch.setattr(gamesim, "_exact_lattice", spy)
+    monkeypatch.setattr(gamesim, "_on_one_lattice", spy)
     return seen
 
 
