@@ -375,10 +375,6 @@ class FloorResult:
         if self.value < 0:
             raise ValueError("floor surrogate must be nonnegative")
 
-    @property
-    def usable(self) -> bool:
-        return self.tag != "infeasible"
-
 
 def snap_round(q: float | Fraction, rounding: Callable[[float | Fraction], int]) -> int:
     """rounding(q) (math.floor or math.ceil), but a q in [1/2, 2^44) within

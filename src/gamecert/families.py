@@ -29,33 +29,44 @@ Two families on B[0,1] = [-1,1]^2 under the contraction A = diag(1/U, 1/V):
       rcd_alpha(U, V, c, t)
           = (9 (U-1)(V-1) rcd_cover_count(U,V,t))^(1/c) * (UV)^-(1+t).
 
-Generated geometry is exact.  Every coordinate a generator makes at one
-level is an integer over one denominator per axis (u^(k+t), v^(k+t) for a
-cut-out level, u^q (u-1), v^q (v-1) for a corner-digit level of exponent
-q), so the generators compute on integer numerators and build each box's
-Fractions only at the end, one Fraction object per distinct numerator per
-level, shared by every box that uses it.
+Generated geometry is exact, and the integer lattice is the only form it
+is stored in.  Every coordinate a generator makes at one level is an
+integer over one denominator per axis (u^(k+t), v^(k+t) for a cut-out
+level, u^q (u-1), v^q (v-1) for a corner-digit level of exponent q), so
+the generators compute on integer numerators and keep them in columns
+(AxisLattice: per axis a denominator and the center and half-width
+numerators, int64 where they fit):
 
-Every strategy level also carries its boxes on that integer lattice
-(StrategyLevel.lattice): per axis the least common denominator and the
-center and half-width numerators, int64 where they fit.  The corner-digit
-strategy hands over the numerators it computed; any other level derives
-them once from its boxes.  The budget audit and the game read them there
-instead of taking every box's Fractions apart again.  Budget rates are
-LogScalars.
+* a RectangleSet keeps a level column, an address column and one
+  AxisLattice per axis over the deepest level's denominators;
+* a StrategyLevel keeps one AxisLattice per axis over its least common
+  denominator.
+
+Their `entries` and `boxes` are read-only views that build a RectEntry or a
+Fraction BoxRegion only when an item is read; they compare, hash and print
+like the list and tuple of those items.  The budget audit, the game, the
+CSV and raster writers and the pattern scan read the numerators.  Sets and
+levels built by hand from boxes keep them as given and derive their
+lattice once.  Budget rates are LogScalars.
 """
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import math
 import random
 from array import array
+from bisect import bisect_left, bisect_right
+from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .core import BoxRegion, DiagonalContraction, GameParameters, LogScalar
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RcoSpec",
@@ -281,6 +292,187 @@ def rcd_alpha(
     return LogScalar(math.log(count) / c - (1 + t) * (math.log(u) + math.log(v)))
 
 
+# ------------------------------------------------------------------ lattices
+
+
+class AxisLattice(NamedTuple):
+    """One axis of a run of boxes on an integer lattice.
+
+    Box i has center centers[i] / den and half-width halves[i] / den.  The
+    numerators are an array('q') of int64 when all of them fit, else a
+    tuple (or, in a generated rectangle set, a list) of Python ints.  A
+    strategy level's den is the least common denominator of its axis.
+    """
+
+    den: int
+    centers: Sequence[int]
+    halves: Sequence[int]
+
+
+def _axis_lattice(
+    den: int, centers: Sequence[int], halves: Sequence[int]
+) -> AxisLattice:
+    """The AxisLattice of numerators over `den`, in lowest terms.  int64
+    columns stay int64 (dividing cannot overflow them); Python ints are
+    stored as int64 when they all fit."""
+    g = math.gcd(den, *set(centers), *set(halves))
+    if g > 1:
+        den //= g
+        centers, halves = (
+            array("q", [x // g for x in col]) if isinstance(col, array) else [x // g for x in col]
+            for col in (centers, halves)
+        )
+    if isinstance(centers, array) and isinstance(halves, array):
+        return AxisLattice(den, centers, halves)
+    try:
+        return AxisLattice(den, array("q", centers), array("q", halves))
+    except OverflowError:
+        return AxisLattice(den, tuple(centers), tuple(halves))
+
+
+def _derived_lattice(boxes: Sequence[BoxRegion]) -> tuple[AxisLattice, ...]:
+    """Per axis, the boxes' coordinates over their least common denominator.
+
+    Fractions and ints give their numerator and denominator; a float counts
+    as the exact binary fraction it holds.
+    """
+    boxes = tuple(boxes)  # a lazy view is read once
+    axes = []
+    for j in range(boxes[0].n if boxes else 0):
+        coords = [b.center[j] for b in boxes] + [b.half[j] for b in boxes]
+        try:
+            dens = {x.denominator for x in coords}
+        except AttributeError:
+            coords = [Fraction(x) for x in coords]
+            dens = {x.denominator for x in coords}
+        den = math.lcm(*dens)
+        scale = {d: den // d for d in dens}
+        nums = [x.numerator * scale[x.denominator] for x in coords]
+        axes.append(_axis_lattice(den, nums[:len(boxes)], nums[len(boxes):]))
+    return tuple(axes)
+
+
+def _lattice_box(lattice: tuple[AxisLattice, ...], i: int) -> BoxRegion:
+    """Box i of a lattice, as Fractions in lowest terms."""
+    return BoxRegion(
+        tuple(Fraction(axis.centers[i], axis.den) for axis in lattice),
+        tuple(Fraction(axis.halves[i], axis.den) for axis in lattice),
+    )
+
+
+# Numerators below this magnitude go to int64: a sum of eight of them still fits.
+_INT64_SAFE = 2 ** 60
+
+
+def _on_one_lattice(
+    axis: AxisLattice, extras: Sequence[Fraction | int | float]
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(centers, halves, extra numerators): one axis of a run of boxes and a
+    few more rationals (a float counts as the exact binary fraction it
+    holds), all over their least common denominator.
+
+    The numerators stay int64 when the axis stores them so and every scaled
+    magnitude, the extras' included, is below 2^60; that is checked on the
+    unscaled maximum before anything is multiplied.  Otherwise they become
+    Python integers in object arrays.
+    """
+    import numpy as np
+
+    extras = [Fraction(x) for x in extras]
+    den = math.lcm(axis.den, *(x.denominator for x in extras))
+    scale = den // axis.den
+    nums = [x.numerator * (den // x.denominator) for x in extras]
+    columns = (axis.centers, axis.halves)
+    if isinstance(axis.centers, array) and isinstance(axis.halves, array):
+        centers, halves = (np.frombuffer(col, dtype=np.int64) for col in columns)
+        top = max(-int(centers.min(initial=0)), int(centers.max(initial=0)),
+                  int(halves.max(initial=0)))
+        if top * scale < _INT64_SAFE and all(abs(x) < _INT64_SAFE for x in nums):
+            return centers * scale, halves * scale, nums
+    centers, halves = (np.array(col, dtype=object) * scale for col in columns)
+    return centers, halves, nums
+
+
+def _cover_counts(
+    shape: tuple[int, ...], starts: Sequence[np.ndarray], stops: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Per cell of a grid of `shape`, how many boxes cover it, where box b
+    covers the cells [starts[j][b], stops[j][b]) on axis j (intp index
+    arrays, every range nonempty and inside the grid).
+
+    Each box adds +-1 at the corners of its range in a difference array,
+    whose prefix sums, taken in place, are the counts.
+    """
+    import numpy as np
+
+    diff = np.zeros(tuple(s + 1 for s in shape), dtype=np.int64)
+    for corner in itertools.product((0, 1), repeat=len(shape)):
+        index = tuple(stops[j] if up else starts[j] for j, up in enumerate(corner))
+        np.add.at(diff, index, -1 if sum(corner) % 2 else 1)
+    for axis in range(len(shape)):
+        np.cumsum(diff, axis=axis, out=diff)
+    return diff[(slice(0, -1),) * len(shape)]
+
+
+def _to_floats(den: int, nums: Sequence[int]) -> np.ndarray:
+    """float(Fraction(n, den)) for every numerator n, correctly rounded.
+
+    Below 2^53 numerator and den convert to floats exactly, so one float
+    division rounds correctly; otherwise Python's int division does.
+    """
+    import numpy as np
+
+    if isinstance(nums, array) and den < 2 ** 53:
+        ints = np.frombuffer(nums, dtype=np.int64)
+        if not ints.size or -(2 ** 53) < ints.min() and ints.max() < 2 ** 53:
+            return ints.astype(np.float64) / den
+    return np.array([n / den for n in nums], dtype=np.float64)
+
+
+class _LazyRows(abc.Sequence):
+    """A read-only sequence whose items are built only when read.
+
+    Its length, items, iteration, repr and == are those of the tuple (or,
+    in a subclass, the list) of its items; a slice is a plain list.
+    """
+
+    __slots__ = ("_len", "_item")
+    _like: type = tuple
+
+    def __init__(self, length: int, item: Callable[[int], object]) -> None:
+        self._len, self._item = length, item
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        rows = range(self._len)[index]  # normalizes the index or raises IndexError
+        return [self._item(i) for i in rows] if isinstance(index, slice) else self._item(rows)
+
+    def __iter__(self) -> Iterator:
+        return map(self._item, range(self._len))
+
+    def __repr__(self) -> str:
+        return repr(self._like(self))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _LazyRows) and other._like is self._like \
+                or isinstance(other, self._like):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class _ListRows(_LazyRows):
+    """A _LazyRows that compares and prints like a list, and is unhashable."""
+
+    __slots__ = ()
+    _like = list
+    __hash__ = None  # type: ignore[assignment]
+
+
 # ----------------------------------------------------------- rectangle sets
 
 
@@ -295,25 +487,96 @@ class RectEntry:
         return self.address.split(":", 1)[0]
 
 
+def _rect_entry(levels: Sequence[int], addresses: Sequence[str],
+                lattice: tuple[AxisLattice, ...], i: int) -> RectEntry:
+    return RectEntry(levels[i], addresses[i], _lattice_box(lattice, i))
+
+
 @dataclass
 class RectangleSet:
-    """A finite collection of labelled planar boxes, CSV/PBM serializable."""
+    """A finite collection of labelled planar boxes, CSV/PBM serializable.
 
-    entries: list[RectEntry]
+    Entries are ordered by level, then address, and stored as columns: the
+    levels, the addresses ("kind:path") and, per axis, an AxisLattice of
+    center and half-width numerators over one denominator for the whole
+    set.  The generators fill the columns directly; `entries` is a
+    read-only view that builds a RectEntry only when one is read.  A set
+    built from entries (by hand or by from_csv) keeps them as given, in
+    that order, and derives its lattice from them once.
+
+    Because an address starts with its kind, the entries of one kind at
+    one level are one run of indices; of_kind and lattice_of find it by
+    bisection.
+    """
+
+    entries: Sequence[RectEntry]
     meta: dict[str, str] = field(default_factory=dict)
+    levels: Sequence[int] = field(init=False, repr=False, compare=False)
+    addresses: Sequence[str] = field(init=False, repr=False, compare=False)
+    lattice: tuple[AxisLattice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.entries.sort(key=lambda e: (e.level, e.address))
+        rows = sorted(self.entries, key=lambda e: (e.level, e.address))
+        for e in rows:
+            if ":" not in e.address:
+                raise ValueError(f"address {e.address!r} does not read kind:path")
+        self._given: list[RectEntry] | None = rows
+        self.levels = [e.level for e in rows]
+        self.addresses = [e.address for e in rows]
+        empty = (AxisLattice(1, array("q"), array("q")),) * 2
+        self.lattice = _derived_lattice([e.box for e in rows]) or empty
+        self.entries = _ListRows(len(rows), rows.__getitem__)
+
+    @classmethod
+    def _on_lattice(cls, levels: Sequence[int], addresses: Sequence[str],
+                    lattice: tuple[AxisLattice, ...], meta: dict[str, str]) -> "RectangleSet":
+        """A set over columns already in entry order."""
+        rect = cls.__new__(cls)
+        rect.meta, rect._given = meta, None
+        rect.levels, rect.addresses, rect.lattice = levels, addresses, lattice
+        rect.entries = _ListRows(len(addresses), partial(_rect_entry, levels, addresses, lattice))
+        return rect
+
+    def _spans(self, kind: str | None, levels: Iterable[int] | None) -> list[range]:
+        """Per level (every level when `levels` is None), the index run of
+        its entries of `kind` (of any kind when `kind` is None)."""
+        if levels is None:
+            levels = dict.fromkeys(self.levels)
+        spans = []
+        for k in levels:
+            lo = bisect_left(self.levels, k)
+            hi = bisect_right(self.levels, k, lo)
+            if kind is not None:  # the addresses "kind:..." sort below "kind;"
+                lo, hi = (bisect_left(self.addresses, kind + ":", lo, hi),
+                          bisect_left(self.addresses, kind + ";", lo, hi))
+            spans.append(range(lo, hi))
+        return spans
 
     def of_kind(self, kind: str, level: int | None = None) -> list[RectEntry]:
-        return [
-            e
-            for e in self.entries
-            if e.kind == kind and (level is None or e.level == level)
-        ]
+        spans = self._spans(kind, None if level is None else [level])
+        return [self.entries[i] for span in spans for i in span]
+
+    def lattice_of(
+        self, kind: str | None = None, levels: Iterable[int] | None = None
+    ) -> tuple[AxisLattice, ...]:
+        """The lattice columns of the entries of `kind` (any kind if None)
+        at `levels` (all levels if None), in entry order, over the set's
+        denominators."""
+        spans = self._spans(kind, levels)
+
+        def gather(col: Sequence[int]) -> Sequence[int]:
+            out = col[:0]
+            for span in spans:
+                out += col[span.start:span.stop]
+            return out
+
+        return tuple(
+            AxisLattice(axis.den, gather(axis.centers), gather(axis.halves))
+            for axis in self.lattice
+        )
 
     def max_level(self) -> int:
-        return max(e.level for e in self.entries)
+        return self.levels[-1] if self.levels else 0
 
     # -- CSV ------------------------------------------------------------
 
@@ -331,18 +594,25 @@ class RectangleSet:
         return float(s)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        for key in sorted(self.meta):
-            out.write(f"# {key} = {self.meta[key]}\n")
-        out.write("level,address,cx,cy,hx,hy\n")
-        for e in self.entries:
-            cx, cy = e.box.center
-            hx, hy = e.box.half
-            out.write(
-                f"{e.level},{e.address},{self._fmt(cx)},{self._fmt(cy)},"
-                f"{self._fmt(hx)},{self._fmt(hy)}\n"
+        """Meta lines, the header, then one row per entry.  Exact coordinates
+        are written p/q in lowest terms, floats of a set built from entries
+        as %.17g."""
+        out = [f"# {key} = {self.meta[key]}\n" for key in sorted(self.meta)]
+        out.append("level,address,cx,cy,hx,hy\n")
+        if self._given is not None:
+            rows = (
+                (e.level, e.address, *map(self._fmt, e.box.center + e.box.half))
+                for e in self._given
             )
-        return out.getvalue()
+        else:
+            (x, y) = self.lattice
+            rows = zip(
+                self.levels, self.addresses,
+                _ratio_texts(x.den, x.centers), _ratio_texts(y.den, y.centers),
+                _ratio_texts(x.den, x.halves), _ratio_texts(y.den, y.halves),
+            )
+        out.extend(f"{a},{b},{c},{d},{e},{f}\n" for a, b, c, d, e, f in rows)
+        return "".join(out)
 
     @classmethod
     def from_csv(cls, text: str) -> "RectangleSet":
@@ -379,34 +649,75 @@ class RectangleSet:
         """P1 bitmap of the kept region at the deepest generated level.
 
         Cut-out sets render as the root box minus all removed boxes;
-        corner-digit sets as the union of the deepest components.  Pixels
-        are sampled at their centers over [-1,1]^2; 1 = kept (black).  A
-        pixel is in a box when |x - cx| <= hx and |y - cy| <= hy in floats;
-        x - cx is monotone along a row, so each test holds on one run of
-        columns (rows likewise) and a box paints one rectangle.
+        corner-digit sets (and empty sets) as the union of the deepest
+        components.  Pixels are sampled at their centers over [-1,1]^2;
+        1 = kept (black).  A pixel is in a box when |x - cx| <= hx and
+        |y - cy| <= hy in floats, with each coordinate the float nearest
+        its exact value; x - cx is monotone along a row, so each test holds
+        on one run of columns (rows likewise), found for all boxes at once,
+        and a box paints one rectangle.
         """
         import numpy as np
 
+        if width < 1 or height < 1:
+            raise ValueError("a raster needs at least one pixel per axis")
         xs = np.linspace(-1 + 1 / width, 1 - 1 / width, width)
         ys = np.linspace(1 - 1 / height, -1 + 1 / height, height)
-        cuts = self.of_kind("cut")
-        if cuts:
-            keep = np.ones((height, width), dtype=bool)
-            paint, boxes = False, cuts
-        else:
-            keep = np.zeros((height, width), dtype=bool)
-            paint, boxes = True, self.of_kind("comp", self.max_level())
-        for e in boxes:
-            cx, cy = (float(c) for c in e.box.center)
-            hx, hy = (float(h) for h in e.box.half)
-            cols = np.flatnonzero(np.abs(xs - cx) <= hx)
-            rows = np.flatnonzero(np.abs(ys - cy) <= hy)
-            if cols.size and rows.size:
-                keep[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1] = paint
-        lines = [f"P1\n{width} {height}"]
-        for row in keep.astype(int):
-            lines.append(" ".join(map(str, row)))
-        return "\n".join(lines) + "\n"
+        boxes = self.lattice_of("cut")
+        cuts = len(boxes[0].centers) > 0
+        if not cuts:
+            boxes = self.lattice_of("comp", [self.max_level()])
+        (cx, hx), (cy, hy) = (
+            (_to_floats(axis.den, axis.centers), _to_floats(axis.den, axis.halves))
+            for axis in boxes
+        )
+        # ys falls down the rows; negated, it rises, and the test is unchanged
+        (c0, c1), (r0, r1) = _float_runs(xs, cx, hx), _float_runs(-ys, -cy, hy)
+        some = (c0 < c1) & (r0 < r1)
+        covered = _cover_counts((height, width), (r0[some], c0[some]), (r1[some], c1[some])) > 0
+        keep = ~covered if cuts else covered
+        text = np.full((height, 2 * width), ord(" "), dtype=np.uint8)
+        text[:, ::2] = keep + ord("0")
+        text[:, -1] = ord("\n")
+        return f"P1\n{width} {height}\n" + text.tobytes().decode()
+
+
+def _ratio_texts(den: int, nums: Sequence[int]) -> Iterator[str]:
+    """The text p/q of every n/den, in lowest terms; each distinct
+    numerator is reduced once."""
+    texts = {}
+    for n in set(nums):
+        g = math.gcd(n, den)
+        texts[n] = f"{n // g}/{den // g}"
+    return map(texts.__getitem__, nums)
+
+
+def _float_runs(
+    grid: np.ndarray, centers: np.ndarray, halves: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per box, the run [start, stop) of the i with |grid[i] - c| <= h in
+    floats, for a rising grid.
+
+    grid[i] - c rises with i, so both ends are thresholds.  A binary search
+    on c -+ h finds each to within rounding; steps of one index then settle
+    it on the float test itself.
+    """
+    import numpy as np
+
+    last = len(grid) - 1
+
+    def settle(index: np.ndarray, holds: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        # the least i where holds(grid[i] - c), which is false and then true
+        while True:
+            back = (index > 0) & holds(grid[np.maximum(index - 1, 0)] - centers)
+            ahead = (index <= last) & ~holds(grid[np.minimum(index, last)] - centers)
+            if not (back.any() or ahead.any()):
+                return index
+            index = index - back + ahead
+
+    start = settle(np.searchsorted(grid, centers - halves), lambda d: d >= -halves)
+    stop = settle(np.searchsorted(grid, centers + halves, side="right"), lambda d: d > halves)
+    return start, stop
 
 
 # ----------------------------------------------------------------- generators
@@ -422,22 +733,6 @@ def _rco_slots(spec: RcoSpec, level: int, address: str, seed: int) -> list[tuple
     return sorted(picked)
 
 
-class _FractionTable(dict):
-    """Coordinates on one axis of one level: numerator -> Fraction(numerator, den).
-
-    Each distinct numerator becomes one Fraction, shared by every box that
-    uses it.
-    """
-
-    def __init__(self, den: int) -> None:
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, num: int) -> Fraction:
-        value = self[num] = Fraction(num, self.den)
-        return value
-
-
 def generate_rco(
     spec: RcoSpec,
     depth: int,
@@ -451,38 +746,41 @@ def generate_rco(
     the cell's low corner (the adversarial arrangement for touch counts);
     "hash" draws distinct slots deterministically from `seed`.  Level k
     lives on the lattice with denominators (u^(k+t), v^(k+t)), where a cut
-    has half-widths (1, 1) and a cell (u^t, v^t).
+    has half-widths (1, 1) and a cell (u^t, v^t); the set's lattice is that
+    of level `depth`.
+
+    Entries come out in address order without sorting addresses: a cell
+    path "i_j" orders by the text of i and "_", then by the text of j, and
+    a cut "i_j/o" by its cell's path, then by the text of o.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v, m, t = spec.u, spec.v, spec.m, spec.t
     ut, vt = u ** t, v ** t
     corner_slots = [(s % ut, s // ut) for s in range(m)]
-    entries: list[RectEntry] = []
-    for k in range(1, depth + 1):
-        fx, fy = _FractionTable(u ** (k + t)), _FractionTable(v ** (k + t))
-        cell_half, cut_half = (fx[ut], fy[vt]), (fx[1], fy[1])
-        for i in range(u ** k):
-            cx = (2 * i + 1) * ut - fx.den
-            for j in range(v ** k):
-                cy = (2 * j + 1) * vt - fy.den
-                path = f"{i}_{j}"
-                entries.append(
-                    RectEntry(k, f"cell:{path}", BoxRegion((fx[cx], fy[cy]), cell_half))
-                )
-                if placement == "corner":
-                    slots = corner_slots
-                else:
-                    slots = _rco_slots(spec, k, path, seed)
-                for ordinal, (a, b) in enumerate(slots):
-                    ox, oy = cx - ut + 2 * a + 1, cy - vt + 2 * b + 1
-                    entries.append(
-                        RectEntry(
-                            k,
-                            f"cut:{path}/{ordinal}",
-                            BoxRegion((fx[ox], fy[oy]), cut_half),
-                        )
-                    )
+    ordinals = sorted(range(m), key=str)
+
+    def blocks() -> Iterator[tuple]:
+        for k in range(1, depth + 1):
+            fx, fy = u ** (depth - k), v ** (depth - k)
+            cx = {i: ((2 * i + 1) * ut - u ** (k + t)) * fx for i in range(u ** k)}
+            cy = {j: ((2 * j + 1) * vt - v ** (k + t)) * fy for j in range(v ** k)}
+            cells = [(i, j) for i in sorted(cx, key=lambda i: f"{i}_") for j in sorted(cy, key=str)]
+            paths = [f"{i}_{j}" for i, j in cells]
+            yield (k, ["cell:" + path for path in paths], [cx[i] for i, _ in cells],
+                   [cy[j] for _, j in cells], ut * fx, vt * fy)
+            if placement == "corner":
+                slots = [corner_slots] * len(cells)
+            else:
+                slots = [_rco_slots(spec, k, path, seed) for path in paths]
+            cuts = [
+                (cx[i] + (2 * a + 1 - ut) * fx, cy[j] + (2 * b + 1 - vt) * fy)
+                for (i, j), slot in zip(cells, slots)
+                for a, b in map(slot.__getitem__, ordinals)
+            ]
+            yield (k, [f"cut:{path}/{o}" for path in paths for o in ordinals],
+                   [x for x, _ in cuts], [y for _, y in cuts], fx, fy)
+
     meta = {
         "family": "rco",
         "u": str(u),
@@ -493,7 +791,25 @@ def generate_rco(
         "placement": placement,
         "seed": str(seed),
     }
-    return RectangleSet(entries, meta)
+    return _rect_set(u ** (depth + t), v ** (depth + t), blocks(), meta)
+
+
+def _rect_set(dx: int, dy: int, blocks: Iterable[tuple], meta: dict[str, str]) -> RectangleSet:
+    """A generated RectangleSet over the denominators (dx, dy), from blocks
+    (level, addresses, x numerators, y numerators, half x, half y) in entry
+    order; a block's boxes share their half-widths."""
+    levels, addresses = array("q"), []
+    # int64 columns where the denominators fit, Python ints otherwise
+    xs, ys, hxs, hys = (array("q") if den < 2 ** 63 else [] for den in (dx, dy, dx, dy))
+    for k, names, bx, by, hx, hy in blocks:
+        levels.extend([k] * len(names))
+        addresses += names
+        xs.extend(bx)
+        ys.extend(by)
+        hxs.extend([hx] * len(names))
+        hys.extend([hy] * len(names))
+    lattice = (AxisLattice(dx, xs, hxs), AxisLattice(dy, ys, hys))
+    return RectangleSet._on_lattice(levels, addresses, lattice, meta)
 
 
 def _rcd_pieces(
@@ -563,18 +879,24 @@ def rcd_children(
 
 
 def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
-    """Exact geometry of one corner-digit member: components of levels 1..depth."""
+    """Exact geometry of one corner-digit member: components of levels 1..depth.
+
+    Level k lives on the lattice with denominators (u^k (u-1), v^k (v-1)),
+    where a component has half-widths (u-1, v-1); the set's lattice is that
+    of level `depth`.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v = spec.u, spec.v
-    entries: list[RectEntry] = []
-    for k, pieces in enumerate(_rcd_walk(spec, depth)):
-        fx, fy = _FractionTable(u ** (k + 1) * (u - 1)), _FractionTable(v ** (k + 1) * (v - 1))
-        half = (fx[u - 1], fy[v - 1])
-        for child, lx, ly, sx, sy in pieces:
-            entries.append(
-                RectEntry(k + 1, f"comp:{child}", BoxRegion((fx[lx + sx], fy[ly + sy]), half))
-            )
+
+    def blocks() -> Iterator[tuple]:
+        for k, pieces in enumerate(_rcd_walk(spec, depth), start=1):
+            fx, fy = u ** (depth - k), v ** (depth - k)
+            comps = sorted(pieces)  # by address
+            yield (k, ["comp:" + child for child, *_ in comps],
+                   [(lx + sx) * fx for _, lx, _, sx, _ in comps],
+                   [(ly + sy) * fy for _, _, ly, _, sy in comps], (u - 1) * fx, (v - 1) * fy)
+
     meta = {
         "family": "rcd",
         "u": str(spec.u),
@@ -583,72 +905,10 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
         "corner_seed": str(spec.corner_seed),
         "depth": str(depth),
     }
-    return RectangleSet(entries, meta)
+    return _rect_set(u ** depth * (u - 1), v ** depth * (v - 1), blocks(), meta)
 
 
 # ----------------------------------------------------- covering strategies
-
-
-class AxisLattice(NamedTuple):
-    """One axis of a strategy level's boxes on an integer lattice.
-
-    Box i has center centers[i] / den and half-width halves[i] / den, where
-    den is the least common denominator of the axis's coordinates.  The
-    numerators are an array('q') of int64 when all of them fit, else a tuple
-    of Python ints.
-    """
-
-    den: int
-    centers: Sequence[int]
-    halves: Sequence[int]
-
-
-def _int_column(den: int, values: Iterable[int] = ()) -> array | list[int]:
-    """A column for numerators of magnitude at most `den`: int64 when `den`
-    fits, Python ints otherwise."""
-    return array("q", values) if den < 2 ** 63 else list(values)
-
-
-def _axis_lattice(
-    den: int, centers: Sequence[int], halves: Sequence[int]
-) -> AxisLattice:
-    """The AxisLattice of numerators over `den`, in lowest terms.  int64
-    columns stay int64 (dividing cannot overflow them); Python ints are
-    stored as int64 when they all fit."""
-    g = math.gcd(den, *set(centers), *set(halves))
-    if g > 1:
-        den //= g
-        centers, halves = (
-            array("q", (x // g for x in col)) if isinstance(col, array) else [x // g for x in col]
-            for col in (centers, halves)
-        )
-    if isinstance(centers, array) and isinstance(halves, array):
-        return AxisLattice(den, centers, halves)
-    try:
-        return AxisLattice(den, array("q", centers), array("q", halves))
-    except OverflowError:
-        return AxisLattice(den, tuple(centers), tuple(halves))
-
-
-def _derived_lattice(boxes: Sequence[BoxRegion]) -> tuple[AxisLattice, ...]:
-    """Per axis, the boxes' coordinates over their least common denominator.
-
-    Fractions and ints give their numerator and denominator; a float counts
-    as the exact binary fraction it holds.
-    """
-    axes = []
-    for j in range(boxes[0].n if boxes else 0):
-        coords = [b.center[j] for b in boxes] + [b.half[j] for b in boxes]
-        try:
-            dens = {x.denominator for x in coords}
-        except AttributeError:
-            coords = [Fraction(x) for x in coords]
-            dens = {x.denominator for x in coords}
-        den = math.lcm(*dens)
-        scale = {d: den // d for d in dens}
-        nums = [x.numerator * scale[x.denominator] for x in coords]
-        axes.append(_axis_lattice(den, nums[:len(boxes)], nums[len(boxes):]))
-    return tuple(axes)
 
 
 @dataclass(frozen=True)
@@ -657,22 +917,31 @@ class StrategyLevel:
 
     `preamble` marks a set that precedes any numbered move (the corner-digit
     strategy's level-0 covers; see covering_strategy_for_rcd).  `lattice`
-    holds the boxes again, per axis, as integer numerators (AxisLattice); a
-    generator that has them passes them, otherwise they are derived from
-    `boxes` here.  Like DiagonalContraction's cached log_det it is left out
-    of repr and ==.
+    holds the boxes per axis as integer numerators over their least common
+    denominator (AxisLattice).  The family strategies build a level from
+    its lattice alone (on_lattice): `boxes` is then a read-only view, equal
+    to and printed as the tuple of its boxes, that builds a BoxRegion only
+    when one is read.  A level built from boxes keeps them as given and
+    derives its lattice from them here.  Like DiagonalContraction's cached
+    log_det the lattice is left out of repr and ==.
     """
 
     level: int
     exponent: int
     budget_rate_log: float       # ln(a_k)
     preamble: bool
-    boxes: tuple[BoxRegion, ...]
+    boxes: Sequence[BoxRegion]
     lattice: tuple[AxisLattice, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lattice is None:
             object.__setattr__(self, "lattice", _derived_lattice(self.boxes))
+
+    @classmethod
+    def on_lattice(cls, level: int, exponent: int, budget_rate_log: float,
+                   preamble: bool, lattice: tuple[AxisLattice, ...]) -> "StrategyLevel":
+        boxes = _LazyRows(len(lattice[0].centers), partial(_lattice_box, lattice))
+        return cls(level, exponent, budget_rate_log, preamble, boxes, lattice)
 
 
 @dataclass(frozen=True)
@@ -715,12 +984,12 @@ def covering_strategy_for_rco(
     spec = RcoSpec(u, v, m, t)
     alpha = rco_alpha(u, v, m, t, c)
     params = GameParameters(alpha, spec.contraction(), c)
-    cuts: dict[int, list[BoxRegion]] = {k: [] for k in range(1, member.max_level() + 1)}
-    for e in member.entries:
-        if e.level in cuts and e.kind == "cut":
-            cuts[e.level].append(e.box)
     levels = tuple(
-        StrategyLevel(k, k + t, alpha.log, False, tuple(boxes)) for k, boxes in cuts.items()
+        StrategyLevel.on_lattice(k, k + t, alpha.log, False, tuple(
+            _axis_lattice(axis.den, axis.centers, axis.halves)
+            for axis in member.lattice_of("cut", [k])
+        ))
+        for k in range(1, member.max_level() + 1)
     )
     return CoveringStrategy(params, "rco", levels)
 
@@ -787,8 +1056,8 @@ def covering_strategy_for_rcd(
 
     Level k lives on the lattice with denominators (u^q (u-1), v^q (v-1)).
     A piece's cover is its region's center plus one of four corner
-    templates, each built once per level.  The level keeps those numerators
-    as its lattice.
+    templates, built once.  The level keeps only those numerators, as its
+    lattice; its boxes are read off it on demand.
     """
     if not isinstance(t, int) or t < 1:
         raise ValueError("exact cover geometry requires integer t >= 1")
@@ -799,31 +1068,25 @@ def covering_strategy_for_rcd(
     count = rcd_cover_count(u, v, t)
     alpha = rcd_alpha(u, v, c, t, count)
     params = GameParameters(alpha, spec.contraction(), c)
+    # the cover of a region minus its child, per corner of the child, as
+    # offsets from the region's center: the same on every level's lattice
+    tx, ty = {}, {}
+    for signs in itertools.product((1, -1), repeat=2):
+        cover = _cover_piece((u * ut, v * vt), ((u - 1) * ut, (v - 1) * vt), signs, (u - 1, v - 1))
+        if len(cover) != count.value:
+            raise AssertionError(
+                f"cover construction produced {len(cover)} boxes, "
+                f"count formula says {count.value}"
+            )
+        tx[signs], ty[signs] = [x for x, _ in cover], [y for _, y in cover]
     levels = []
     for k, pieces in enumerate(_rcd_walk(spec, depth)):
         q = k + 1 + t
-        fx, fy = _FractionTable(u ** q * (u - 1)), _FractionTable(v ** q * (v - 1))
-        half = (fx[u - 1], fy[v - 1])
-        templates: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        xs, ys = _int_column(fx.den), _int_column(fy.den)
-        for _, lx, ly, sx, sy in pieces:
-            template = templates.get((sx, sy))
-            if template is None:
-                template = _cover_piece((u * ut, v * vt), ((u - 1) * ut, (v - 1) * vt),
-                                        (sx, sy), (u - 1, v - 1))
-                if len(template) != count.value:
-                    raise AssertionError(
-                        f"cover construction produced {len(template)} boxes, "
-                        f"count formula says {count.value}"
-                    )
-                templates[(sx, sy)] = template
-            bx, by = lx * ut, ly * vt
-            xs.extend([bx + ox for ox, _ in template])
-            ys.extend([by + oy for _, oy in template])
-        boxes = tuple(BoxRegion((fx[x], fy[y]), half) for x, y in zip(xs, ys))
+        xs = [lx * ut + ox for _, lx, _, sx, sy in pieces for ox in tx[sx, sy]]
+        ys = [ly * vt + oy for _, _, ly, sx, sy in pieces for oy in ty[sx, sy]]
         lattice = (
-            _axis_lattice(fx.den, xs, _int_column(fx.den, [u - 1]) * len(xs)),
-            _axis_lattice(fy.den, ys, _int_column(fy.den, [v - 1]) * len(ys)),
+            _axis_lattice(u ** q * (u - 1), xs, [u - 1] * len(xs)),
+            _axis_lattice(v ** q * (v - 1), ys, [v - 1] * len(ys)),
         )
-        levels.append(StrategyLevel(k, q, alpha.log, k == 0, boxes, lattice))
+        levels.append(StrategyLevel.on_lattice(k, q, alpha.log, k == 0, lattice))
     return CoveringStrategy(params, "rcd", tuple(levels))

@@ -27,15 +27,13 @@ run without loading it.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .core import BoxRegion, DiagonalContraction, LogScalar
-from .families import AxisLattice, CoveringStrategy, StrategyLevel
+from .families import CoveringStrategy, StrategyLevel, _cover_counts, _on_one_lattice
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,40 +69,9 @@ __all__ = [
 
 BUDGET_TOL = 1e-12          # log-domain slack when auditing budget legality
 
-# Numerators below this magnitude go to int64: a sum of eight of them still fits.
-_INT64_SAFE = 2 ** 60
-
 # Largest difference array, in int64 cells, that one budget audit level may
 # build: 512 MiB.  A depth-5 RCO(4,5,2,1) level at extent 1 needs 4102 x 12506.
 MAX_AUDIT_CELLS = 2 ** 26
-
-
-def _on_one_lattice(
-    axis: AxisLattice, extras: Sequence[Fraction | int | float]
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(centers, halves, extra numerators): one axis of a strategy level and
-    a few more rationals (a float counts as the exact binary fraction it
-    holds), all over their least common denominator.
-
-    The level's numerators stay int64 when the level stores them so and
-    every scaled magnitude, the extras' included, is below 2^60; that is
-    checked on the unscaled maximum before anything is multiplied.
-    Otherwise they become Python integers in object arrays.
-    """
-    import numpy as np
-
-    extras = [Fraction(x) for x in extras]
-    den = math.lcm(axis.den, *(x.denominator for x in extras))
-    scale = den // axis.den
-    nums = [x.numerator * (den // x.denominator) for x in extras]
-    columns = (axis.centers, axis.halves)
-    if isinstance(axis.centers, array) and isinstance(axis.halves, array):
-        centers, halves = (np.frombuffer(col, dtype=np.int64) for col in columns)
-        top = max(-int(centers.min()), int(centers.max()), int(halves.max()))
-        if top * scale < _INT64_SAFE and all(abs(x) < _INT64_SAFE for x in nums):
-            return centers * scale, halves * scale, nums
-    centers, halves = (np.array(col, dtype=object) * scale for col in columns)
-    return centers, halves, nums
 
 
 def _meets(box: BoxRegion, level: StrategyLevel) -> np.ndarray:
@@ -623,9 +590,6 @@ class PotentialLedger:
     rows: tuple[PotentialRow, ...]
     cumulative: tuple[tuple[int, float], ...]   # (move, mass so far) for rows[-1]
 
-    def surviving_levels(self) -> tuple[int, ...]:
-        return tuple(row.level for row in self.rows if row.surviving)
-
 
 def potential_phi(
     transcript: PlayTranscript,
@@ -941,13 +905,7 @@ def verify_covering_budget(
         # each box adds 1 on the grid cells [start, stop) of its index ranges
         starts = [(a[inside] + m).astype(np.intp) for a, m in zip(lows, max_index)]
         stops = [(a[inside] + m + 1).astype(np.intp) for a, m in zip(highs, max_index)]
-        diff = np.zeros(tuple(s + 1 for s in shape), dtype=np.int64)
-        for corner in itertools.product((0, 1), repeat=n):
-            index = tuple(stops[j] if up else starts[j] for j, up in enumerate(corner))
-            np.add.at(diff, index, -1 if sum(corner) % 2 else 1)
-        for axis in range(n):
-            diff = diff.cumsum(axis=axis)
-        hits = diff[(slice(0, -1),) * n]
+        hits = _cover_counts(shape, starts, stops)
         worst = int(hits.max())
         where = np.unravel_index(int(hits.argmax()), hits.shape)
         worst_center = tuple(

@@ -4,8 +4,10 @@ Membership at finite depth is a necessary condition only — a candidate pair
 (x, lambda) passing depth k means every pattern point lambda*b + x lies in
 the kept region of the depth-k approximation ("depth-k consistent"), nothing
 more.  Checks are exact: box coordinates, scales, and translations are
-rationals, and the grid scan works on integer index ranges per axis, so no
-candidate is lost or spuriously admitted to rounding.
+rationals, and the grid scan works on integer index ranges per axis,
+computed for all boxes at once from the member's integer numerators
+(RectangleSet.lattice_of), so no candidate is lost or spuriously admitted
+to rounding.
 
 The kept region at depth k is, for cut-out members, the root box minus the
 open interiors of all cuts at levels 1..k; for corner-digit members, the
@@ -21,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import BoxRegion
-from .families import RectangleSet
+from .families import RectangleSet, _cover_counts, _on_one_lattice
 
 __all__ = [
     "PatternQuery",
@@ -101,25 +103,26 @@ def scale_range_admissible(query: PatternQuery, scale_coefficient: float) -> boo
 # ------------------------------------------------------------- exact checks
 
 
+def _holds(point: Sequence[Fraction], rect: RectangleSet, kind: str, level: int,
+           strict: bool) -> bool:
+    """Whether a `kind` box of `level` holds the point: in its open interior
+    when strict, else in the closed box."""
+    inside = np.ones(1, dtype=bool)
+    for axis, x in zip(rect.lattice_of(kind, [level]), point):
+        centers, halves, (num,) = _on_one_lattice(axis, (x,))
+        gap = abs(centers - num)
+        inside = inside & (gap < halves if strict else gap <= halves)
+    return bool(inside.any())
+
+
 def _kept_at_level(point: tuple[Fraction, Fraction], rect: RectangleSet,
                    family: str, level: int) -> bool:
     if level == 0:
         return ROOT.contains_point(point)
     if family == "rco":
-        if not ROOT.contains_point(point):
-            return False
-        for entry in rect.of_kind("cut", level):
-            box = entry.box
-            if all(
-                abs(point[j] - box.center[j]) < box.half[j] for j in range(2)
-            ):
-                return False
-        return True
+        return ROOT.contains_point(point) and not _holds(point, rect, "cut", level, True)
     if family == "rcd":
-        return any(
-            entry.box.contains_point(point)
-            for entry in rect.of_kind("comp", level)
-        )
+        return _holds(point, rect, "comp", level, False)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -177,7 +180,7 @@ def verify_containment_depth(
 # ---------------------------------------------------------------- grid scan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternCandidate:
     lam: Fraction
     x: tuple[Fraction, Fraction]
@@ -196,13 +199,11 @@ def _floor_div(num: Fraction, den: Fraction) -> int:
 
 def _default_resolution(rect: RectangleSet, depth: int) -> Fraction:
     halves = [
-        Fraction(h)
-        for entry in rect.entries
-        if entry.level == depth
-        for h in entry.box.half
+        Fraction(min(axis.halves), axis.den)
+        for axis in rect.lattice_of(None, [depth])
+        if axis.halves
     ]
-    smallest = min(halves) if halves else Fraction(1)
-    return smallest / 2
+    return min(halves, default=Fraction(1)) / 2
 
 
 def _scan_one_scale(
@@ -228,53 +229,32 @@ def _scan_one_scale(
             return []
     shape = (hi_idx[0] - lo_idx[0] + 1, hi_idx[1] - lo_idx[1] + 1)
     acc = np.ones(shape, dtype=bool)
-
-    def clip(j: int, i_lo: int, i_hi: int) -> tuple[int, int]:
-        return max(i_lo, lo_idx[j]) - lo_idx[j], min(i_hi, hi_idx[j]) - lo_idx[j]
-
     if family == "rco":
         # clear the open interior of every cut, per pattern point
-        for level in range(1, query.depth + 1):
-            for entry in rect.of_kind("cut", level):
-                box = entry.box
-                for p in query.points:
-                    slab = []
-                    for j in range(2):
-                        lo = box.center[j] - box.half[j] - lam * p[j]
-                        hi = box.center[j] + box.half[j] - lam * p[j]
-                        # strict: i*res > lo and i*res < hi
-                        i_lo = _floor_div(lo, res) + 1
-                        i_hi = _ceil_div(hi, res) - 1
-                        a, b = clip(j, i_lo, i_hi)
-                        if a > b:
-                            slab = None
-                            break
-                        slab.append((a, b))
-                    if slab is not None:
-                        acc[slab[0][0]:slab[0][1] + 1,
-                            slab[1][0]:slab[1][1] + 1] = False
+        boxes, strict = rect.lattice_of("cut", range(1, query.depth + 1)), True
     else:
-        if query.depth >= 1:
-            # intersect per pattern point the union of level-depth components
-            for p in query.points:
-                mask = np.zeros(shape, dtype=bool)
-                for entry in rect.of_kind("comp", query.depth):
-                    box = entry.box
-                    slab = []
-                    for j in range(2):
-                        lo = box.center[j] - box.half[j] - lam * p[j]
-                        hi = box.center[j] + box.half[j] - lam * p[j]
-                        i_lo = _ceil_div(lo, res)
-                        i_hi = _floor_div(hi, res)
-                        a, b = clip(j, i_lo, i_hi)
-                        if a > b:
-                            slab = None
-                            break
-                        slab.append((a, b))
-                    if slab is not None:
-                        mask[slab[0][0]:slab[0][1] + 1,
-                             slab[1][0]:slab[1][1] + 1] = True
-                acc &= mask
+        # intersect per pattern point the union of level-depth components
+        boxes, strict = rect.lattice_of("comp", [query.depth]), False
+    if query.depth >= 1:
+        for p in query.points:
+            starts, stops = [], []
+            for j, axis in enumerate(boxes):
+                # box j-range minus lam * p_j, in steps of res, on one lattice
+                centers, halves, (shift, step) = _on_one_lattice(axis, (lam * p[j], res))
+                lo, hi = centers - halves - shift, centers + halves - shift
+                if strict:  # i * res > lo and i * res < hi
+                    first, last = lo // step + 1, -(-hi // step) - 1
+                else:
+                    first, last = -(-lo // step), hi // step
+                starts.append(np.maximum(first, lo_idx[j]) - lo_idx[j])
+                stops.append(np.minimum(last, hi_idx[j]) - lo_idx[j] + 1)
+            some = (starts[0] < stops[0]) & (starts[1] < stops[1])
+            hits = _cover_counts(
+                shape,
+                [a[some].astype(np.intp) for a in starts],
+                [b[some].astype(np.intp) for b in stops],
+            ) > 0
+            acc &= ~hits if strict else hits
 
     # one Fraction per grid translation, shared by the candidates on it
     xs = [(lo_idx[0] + i) * res for i in range(shape[0])]

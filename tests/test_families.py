@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import gamecert
 from gamecert.core import BoxRegion
 from gamecert.families import (
+    AxisLattice,
     CoverCount,
     RcdSpec,
     RcoSpec,
@@ -23,6 +25,7 @@ from gamecert.families import (
     RectEntry,
     StrategyLevel,
     _ceil_powers,
+    _to_floats,
     _iroot,
     _rco_slots,
     covering_strategy_for_rcd,
@@ -632,28 +635,34 @@ def test_hand_built_levels_derive_their_lattice():
     assert StrategyLevel(0, 1, -1.0, True, ()).lattice == ()
 
 
+def _reference_rco_entries(spec, depth, placement, seed):
+    """Fraction-by-Fraction cells and cuts of a cut-out member, in generation order."""
+    u, v, m, t = spec.u, spec.v, spec.m, spec.t
+    want = []
+    for k in range(1, depth + 1):
+        chx, chy = Fraction(1, u ** k), Fraction(1, v ** k)
+        cutx, cuty = Fraction(1, u ** (k + t)), Fraction(1, v ** (k + t))
+        for i in range(u ** k):
+            for j in range(v ** k):
+                path = f"{i}_{j}"
+                cx, cy = -1 + (2 * i + 1) * chx, -1 + (2 * j + 1) * chy
+                want.append(RectEntry(k, f"cell:{path}", BoxRegion((cx, cy), (chx, chy))))
+                if placement == "corner":
+                    slots = [(s % u ** t, s // u ** t) for s in range(m)]
+                else:
+                    slots = _rco_slots(spec, k, path, seed)
+                for ordinal, (a, b) in enumerate(slots):
+                    ox = cx - chx + (2 * a + 1) * cutx
+                    oy = cy - chy + (2 * b + 1) * cuty
+                    want.append(RectEntry(k, f"cut:{path}/{ordinal}",
+                                          BoxRegion((ox, oy), (cutx, cuty))))
+    return want
+
+
 def test_rco_lattice_generation_matches_fraction_reference():
     for spec, placement in ((RcoSpec(4, 5, 2, 1), "corner"), (RcoSpec(3, 2, 3, 2), "hash")):
         member = generate_rco(spec, 2, placement=placement, seed=9)
-        u, v, m, t = spec.u, spec.v, spec.m, spec.t
-        want = []
-        for k in (1, 2):
-            chx, chy = Fraction(1, u ** k), Fraction(1, v ** k)
-            cutx, cuty = Fraction(1, u ** (k + t)), Fraction(1, v ** (k + t))
-            for i in range(u ** k):
-                for j in range(v ** k):
-                    path = f"{i}_{j}"
-                    cx, cy = -1 + (2 * i + 1) * chx, -1 + (2 * j + 1) * chy
-                    want.append(RectEntry(k, f"cell:{path}", BoxRegion((cx, cy), (chx, chy))))
-                    if placement == "corner":
-                        slots = [(s % u ** t, s // u ** t) for s in range(m)]
-                    else:
-                        slots = _rco_slots(spec, k, path, 9)
-                    for ordinal, (a, b) in enumerate(slots):
-                        ox = cx - chx + (2 * a + 1) * cutx
-                        oy = cy - chy + (2 * b + 1) * cuty
-                        want.append(RectEntry(k, f"cut:{path}/{ordinal}",
-                                              BoxRegion((ox, oy), (cutx, cuty))))
+        want = _reference_rco_entries(spec, 2, placement, 9)
         reference = RectangleSet(want, dict(member.meta))
         assert member.entries == reference.entries
         assert member.to_csv() == reference.to_csv()
@@ -693,3 +702,136 @@ def test_pbm_runs_match_dense_reference(size):
     )
     for member in members:
         assert member.to_pbm(*size) == _reference_pbm(member, *size)
+
+
+# ------------------------------------------------------------ lazy views
+
+
+def _assert_view_matches(view, eager):
+    """`view` behaves as the eager tuple or list `eager` of the same items."""
+    other = list if isinstance(eager, tuple) else tuple
+    assert len(view) == len(eager)
+    assert list(view) == list(eager)
+    assert [view[i] for i in range(len(eager))] == list(eager)
+    assert (view[-1], view[-len(eager)]) == (eager[-1], eager[0])
+    for cut in (slice(1, 5), slice(None, None, -3), slice(-4, None)):
+        assert view[cut] == list(eager[cut]) and type(view[cut]) is list
+    with pytest.raises(IndexError):
+        view[len(eager)]
+    assert repr(view) == repr(eager)
+    assert view == eager and eager == view
+    assert view != other(eager) and other(eager) != view
+    if isinstance(eager, tuple):
+        assert hash(view) == hash(eager)
+    else:
+        with pytest.raises(TypeError):
+            hash(view)
+
+
+@given(
+    st.integers(2, 9), st.integers(2, 9), st.integers(1, 3), st.integers(1, 2),
+    st.sampled_from(["corner", "hash"]), st.integers(0, 2 ** 32),
+)
+@settings(max_examples=15, deadline=None)
+def test_rco_views_match_eager_reference(u, v, m, t, placement, seed):
+    assume((u * v) ** 2 * (m + 1) <= 1500)
+    spec = RcoSpec(u, v, m, t)
+    member = generate_rco(spec, 2, placement=placement, seed=seed)
+    eager = RectangleSet(_reference_rco_entries(spec, 2, placement, seed), dict(member.meta))
+    _assert_view_matches(member.entries, list(eager.entries))
+    assert member == eager
+    assert member.to_csv() == eager.to_csv()
+    assert member.to_pbm(33, 17) == _reference_pbm(eager, 33, 17)
+    for level in covering_strategy_for_rco(member, c=0.5).levels:
+        _assert_view_matches(level.boxes, tuple(e.box for e in eager.of_kind("cut", level.level)))
+
+
+@given(
+    st.integers(2, 9), st.integers(2, 9), st.sampled_from(["fixed", "hash"]),
+    st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.integers(1, 2),
+)
+@settings(max_examples=15, deadline=None)
+def test_rcd_views_match_eager_reference(u, v, rule, seed, t, depth):
+    assume(_cover_boxes(u, v, t, depth) <= 1500)
+    spec = RcdSpec(u, v, rule, seed)
+    member = generate_rcd(spec, depth)
+    strat = covering_strategy_for_rcd(spec, c=0.5, t=t, depth=depth)
+    comps = []
+    for k, (level_comps, covers) in enumerate(_reference_rcd_levels(spec, t, depth)):
+        comps += [RectEntry(k + 1, a, box) for a, box in sorted(level_comps.items())]
+        _assert_view_matches(strat.level(k).boxes, tuple(covers))
+    eager = RectangleSet(comps, dict(member.meta))
+    _assert_view_matches(member.entries, comps)
+    assert member == eager
+    assert member.to_csv() == eager.to_csv()
+    assert member.to_pbm(33, 17) == _reference_pbm(eager, 33, 17)
+
+
+def test_strategy_and_members_build_no_box_until_one_is_read(monkeypatch):
+    built = []
+    real = BoxRegion.__post_init__
+
+    def spy(box):
+        built.append(box)
+        real(box)
+
+    monkeypatch.setattr(BoxRegion, "__post_init__", spy)
+    strat = covering_strategy_for_rcd(RcdSpec(7, 4), 0.5, 1, 3)
+    members = (generate_rco(RcoSpec(4, 5, 2, 1), 3), generate_rcd(RcdSpec(7, 4), 2))
+    assert [len(level.boxes) for level in strat.levels] == [468, 8424, 151632]
+    assert [len(member.entries) for member in members] == [25260, 342]
+    assert built == []
+    box = strat.level(2).boxes[-1]
+    assert built == [box]
+    assert members[0].entries[7].box is built[1]
+
+
+def test_pbm_floats_round_like_fractions_past_2_53():
+    member = generate_rco(RcoSpec(2, 2, 1, 60), depth=1)
+    assert len(member.entries) == 8
+    for axis in member.lattice:
+        assert axis.den == 2 ** 61
+        for col in (axis.centers, axis.halves):
+            assert _to_floats(axis.den, col).tolist() == [float(Fraction(n, axis.den)) for n in col]
+    assert member.to_pbm(64, 48) == _reference_pbm(member, 64, 48)
+    # here a float division of the floats of n and den rounds twice
+    n, den = -738703391925352938, 3 * 2 ** 60 + 1
+    assert float(n) / float(den) != float(Fraction(n, den))
+    for col in (array("q", [n, 2 ** 53 + 1, -3]), [n, 2 ** 70 + 5, -3]):
+        assert _to_floats(den, col).tolist() == [float(Fraction(x, den)) for x in col]
+    # small numerators over a small den take the float division
+    assert _to_floats(7, array("q", [1, -3, 2 ** 53 - 1])).tolist() == \
+        [float(Fraction(x, 7)) for x in (1, -3, 2 ** 53 - 1)]
+
+
+def test_empty_rectangle_set_has_level_0_and_draws_the_empty_union():
+    empty = RectangleSet.from_csv("level,address,cx,cy,hx,hy\n")
+    assert len(empty.entries) == 0 and empty.of_kind("comp") == []
+    assert empty.max_level() == 0
+    assert empty.to_pbm(8, 4) == "P1\n8 4\n" + "0 0 0 0 0 0 0 0\n" * 4
+    assert empty.to_csv() == "level,address,cx,cy,hx,hy\n"
+
+
+def test_rectangle_set_leaves_its_argument_untouched():
+    half = (Fraction(1, 4), Fraction(1, 4))
+    b = RectEntry(2, "cut:b", BoxRegion((Fraction(1, 2), 0), half))
+    a = RectEntry(1, "cut:a", BoxRegion((Fraction(-1, 2), 0), half))
+    given = [b, a]
+    rect = RectangleSet(given)
+    assert given == [b, a]
+    assert rect.entries == [a, b] and rect.max_level() == 2
+    assert rect.entries[0] is a and rect.of_kind("cut", 2) == [b]
+    assert rect.lattice == (AxisLattice(4, array("q", [-2, 2]), array("q", [1, 1])),
+                            AxisLattice(4, array("q", [0, 0]), array("q", [1, 1])))
+    with pytest.raises(ValueError, match="kind:path"):
+        RectangleSet([RectEntry(1, "cut", a.box)])
+
+
+def test_geometry_dump_is_deterministic(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "geometry_dump.py"
+    for name in ("a", "b"):
+        subprocess.run([sys.executable, str(script), str(tmp_path / name), "--small"], check=True)
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert len(files) > 20 and files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
