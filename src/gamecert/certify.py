@@ -101,6 +101,23 @@ def _require_certifiable(contraction: DiagonalContraction, c: float, delta: floa
         raise ValueError(f"delta must lie in (0,1), got {delta!r}")
 
 
+def _require_feasibility_inputs(
+    alpha: LogScalar,
+    contraction: DiagonalContraction,
+    c: float,
+    delta: float,
+    pattern_count: int,
+) -> None:
+    """Raise ValueError on inputs no verdict exists for: c, delta or a beta
+    out of domain, M < 1, or a zero rate (whose free-step floor would
+    divide by zero)."""
+    _require_certifiable(contraction, c, delta)
+    if pattern_count < 1:
+        raise ValueError("pattern count must be >= 1")
+    if alpha.is_zero():
+        raise ValueError("budget rate must be positive")
+
+
 def _pack_constant(n: int) -> float:
     """8^n * (1 + 2^(2n+1)): the packing/translate constant in condition (2)."""
     return 8.0 ** n * (1.0 + 2.0 ** (2 * n + 1))
@@ -124,6 +141,11 @@ def condition2_parts(
         lhs *= 1.0 - 5.0 * decayed
     rhs = _pack_constant(n) * delta
     return lhs, rhs
+
+
+def _condition2_holds(lhs: float, rhs: float) -> bool:
+    """Condition (2) with relative margin: rhs <= lhs (1 - REL_MARGIN)."""
+    return rhs <= lhs * (1.0 - REL_MARGIN)
 
 
 def default_delta(contraction: DiagonalContraction) -> float:
@@ -168,6 +190,21 @@ class FeasibilityReport:
         return (self.condition2_lhs - self.condition2_rhs) / self.condition2_lhs
 
 
+def _combined_rate_log(alpha_log: float, c: float, pattern_count: int) -> float:
+    """ln(M^(1/c) alpha), the rate inside N."""
+    return math.log(pattern_count) / c + alpha_log
+
+
+def _rate_not_below_one(alpha_log: float, combined_log: float) -> bool:
+    """The certificate machinery is only stated for rates below 1."""
+    return alpha_log >= 0.0 or combined_log >= 0.0
+
+
+def _condition1_lhs_log(alpha_log: float, c: float, pattern_count: int) -> float:
+    """ln(M alpha^c), the left side of condition (1)."""
+    return math.log(pattern_count) + c * alpha_log
+
+
 def feasibility_report(
     alpha: LogScalar,
     contraction: DiagonalContraction,
@@ -179,31 +216,27 @@ def feasibility_report(
 
     Never raises for a rate the theorem merely fails to certify — that is a
     feasible=False report with a note — but rejects structurally invalid
-    inputs (c, delta, beta out of domain).
+    inputs (c, delta, beta out of domain).  Its verdict is made of the same
+    helpers, in the same order, as pattern_feasible's.
     """
-    _require_certifiable(contraction, c, delta)
-    if pattern_count < 1:
-        raise ValueError("pattern count must be >= 1")
-    if alpha.is_zero():
-        raise ValueError("budget rate must be positive")
+    _require_feasibility_inputs(alpha, contraction, c, delta, pattern_count)
     n = contraction.n
     notes: list[str] = []
-    combined = LogScalar(math.log(pattern_count) / c + alpha.log)
-    if alpha.log >= 0.0 or combined.log >= 0.0:
-        # the certificate machinery is only stated for rates below 1
+    combined_log = _combined_rate_log(alpha.log, c, pattern_count)
+    if _rate_not_below_one(alpha.log, combined_log):
         return FeasibilityReport(
-            n, c, delta, pattern_count, alpha.log, combined.log,
+            n, c, delta, pattern_count, alpha.log, combined_log,
             False, math.inf, -math.inf, FloorResult(0, "infeasible"),
             False, 0.0, 0.0, False,
             ("budget rate (or combined pattern rate) is not below 1",),
         )
-    lhs1_log = math.log(pattern_count) + c * alpha.log
+    lhs1_log = _condition1_lhs_log(alpha.log, c, pattern_count)
     rhs1_log = _condition1_rhs_log(contraction, c, delta)
     cond1 = lhs1_log <= rhs1_log
 
-    free = safe_floor_ratio(delta, combined)
+    free = safe_floor_ratio(delta, LogScalar(combined_log))
     if free.tag == "approximate":
-        if math.log(delta) - combined.log >= 53.0 * math.log(2.0):
+        if math.log(delta) - combined_log >= 53.0 * math.log(2.0):
             notes.append("free-step floor is a lower surrogate (ratio >= 2^53)")
         else:
             notes.append("free-step floor is a lower surrogate (ratio enclosure left it open)")
@@ -213,12 +246,40 @@ def feasibility_report(
         notes.append("fewer than one free step: condition (2) unsatisfiable")
     else:
         lhs2, rhs2 = condition2_parts(contraction, delta, free.value)
-        cond2 = rhs2 <= lhs2 * (1.0 - REL_MARGIN)
+        cond2 = _condition2_holds(lhs2, rhs2)
     return FeasibilityReport(
-        n, c, delta, pattern_count, alpha.log, combined.log,
+        n, c, delta, pattern_count, alpha.log, combined_log,
         cond1, lhs1_log, rhs1_log, free, cond2, lhs2, rhs2,
         cond1 and cond2, tuple(notes),
     )
+
+
+def pattern_feasible(
+    alpha: LogScalar,
+    contraction: DiagonalContraction,
+    c: float,
+    delta: float,
+    pattern_count: int,
+    rhs1_log: float,
+) -> bool:
+    """feasibility_report(alpha, contraction, c, delta, pattern_count).feasible,
+    decided without building the report.
+
+    It runs the report's helpers in the report's order and returns at the
+    first failed test, so a count that fails condition (1) computes no
+    free-step floor and no condition (2).  The caller has checked the
+    inputs once with _require_feasibility_inputs, and passes
+    rhs1_log = _condition1_rhs_log(contraction, c, delta).
+    """
+    combined_log = _combined_rate_log(alpha.log, c, pattern_count)
+    if _rate_not_below_one(alpha.log, combined_log):
+        return False
+    if not _condition1_lhs_log(alpha.log, c, pattern_count) <= rhs1_log:
+        return False
+    free = safe_floor_ratio(delta, LogScalar(combined_log))
+    if free.value < 1:
+        return False
+    return _condition2_holds(*condition2_parts(contraction, delta, free.value))
 
 
 def deficit_constant(
@@ -230,7 +291,7 @@ def deficit_constant(
     deficit is K * alpha / |log beta_max|.
     """
     lhs, rhs = condition2_parts(contraction, delta, free_steps)
-    if rhs > lhs * (1.0 - REL_MARGIN):
+    if not _condition2_holds(lhs, rhs):
         raise ValueError("condition (2) must hold with margin before K exists")
     return 2.0 / delta * abs(math.log(lhs - rhs))
 
@@ -331,7 +392,7 @@ def branching_lower_bound(
     contraction: DiagonalContraction, delta: float, free_steps: int
 ) -> BranchingBound:
     lhs, rhs = condition2_parts(contraction, delta, free_steps)
-    if rhs > lhs * (1.0 - REL_MARGIN):
+    if not _condition2_holds(lhs, rhs):
         raise ValueError("condition (2) must hold with margin")
     if free_steps > (1 << 62):
         return BranchingBound(math.inf, None, "approximate")

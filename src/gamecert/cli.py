@@ -13,6 +13,7 @@ malformed config (reported with the offending field path).
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from dataclasses import replace
@@ -43,12 +44,14 @@ from .families import (
 from .optimize import (
     DEFAULT_CONFIG,
     MAX_PATTERN_CAP,
+    MAX_SEARCH_CELLS,
     SMALLEST_U_CONFIG,
     SearchConfig,
     SearchResult,
     _family_extras,
     optimize_intersection,
     optimize_pattern_count,
+    search_cells,
     smallest_u_for_patterns,
 )
 
@@ -158,6 +161,8 @@ class Config:
                 raise ConfigError(key, f"expected a number, got {self.pairs[key]!r}") from None
         if value is None:
             return value
+        if not math.isfinite(value):
+            raise ConfigError(key, f"must be a finite number, got {value!r}")
         if lo is not None and (value <= lo if open_ends else value < lo):
             raise ConfigError(key, f"must be {'>' if open_ends else '>='} {lo}, got {value!r}")
         if hi is not None and (value >= hi if open_ends else value > hi):
@@ -314,7 +319,16 @@ def _search_config(cfg: Config, base: SearchConfig,
         raise ConfigError("optimizer.c_s_lo", "must be below optimizer.c_s_hi")
     if fields["t_lo"] > fields["t_hi"]:
         raise ConfigError("optimizer.t_lo", "must not exceed optimizer.t_hi")
-    return replace(base, **fields)
+    config = replace(base, **fields)
+    cells = search_cells(config)
+    if cells > MAX_SEARCH_CELLS:
+        raise ConfigError(
+            "optimizer",
+            f"the search grid has up to {cells:.4g} cells, over the limit of "
+            f"{MAX_SEARCH_CELLS} (raise t_step, or lower c_count, refine_points "
+            f"or refine_passes)",
+        )
+    return config
 
 
 # ------------------------------------------------------------------- commands

@@ -162,7 +162,7 @@ def rco_alpha(u: int, v: int, m: int, t: float, c: float) -> LogScalar:
     """(9m)^(1/c) * (uv)^-t as a LogScalar.  Any real t > 0 is allowed."""
     if not (0.0 < c < 1.0):
         raise ValueError(f"exponent c must lie in (0,1), got {c!r}")
-    if t <= 0:
+    if not 0 < t < math.inf:
         raise ValueError("removal depth offset must be positive")
     if m < 1 or u < 2 or v < 2:
         raise ValueError("invalid family parameters")
@@ -217,7 +217,9 @@ def _ceil_powers(
     of X = base^p num^q, ceil(base^(p/q) num) is r, plus 1 unless r^q = X,
     and the ceiling division by den follows (ceil(y/den) = ceil(ceil(y)/den)).
     Otherwise mpmath evaluates base^t once, at (magnitude + 40) digits, and
-    brackets each x = base^t num/den with x*(1 +- eps): agreement certifies
+    the rest is integer arithmetic: the power is read as man * 2^exp, and
+    both ends of the bracket x (1 +- eps), eps = 10^-(digits - 15), of each
+    x = base^t num / den are exact ceiling divisions.  Agreement certifies
     the value, disagreement returns the upper one, not exact (larger cover
     counts only weaken the certificate, so rounding up is the conservative
     direction).
@@ -238,16 +240,19 @@ def _ceil_powers(
     import mpmath  # only exponents off the q <= 64 grid need it
 
     digits = max(30, int(magnitude) + 40)
-    values, exact = [], True
     with mpmath.workdps(digits):
-        power = mpmath.power(base, t)
-        eps = mpmath.mpf(10) ** (-(digits - 15))
-        for num, den in ratios:
-            x = power * num / den
-            lo = int(mpmath.ceil(x * (1 - eps)))
-            hi = int(mpmath.ceil(x * (1 + eps)))
-            values.append(hi)
-            exact = exact and lo == hi
+        man, exp = mpmath.power(base, t).man_exp
+    # x (1 +- eps) = man num (scale +- 1) 2^exp / (den scale)
+    scale = 10 ** (digits - 15)
+    man = int(man) << max(exp, 0)
+    unit = 1 << max(-exp, 0)
+    values, exact = [], True
+    for num, den in ratios:
+        y, z = man * num, den * scale * unit
+        lo = -(-y * (scale - 1) // z)
+        hi = -(-y * (scale + 1) // z)
+        values.append(hi)
+        exact = exact and lo == hi
     return values, exact
 
 
@@ -260,16 +265,19 @@ def rcd_cover_count(u: int, v: int, t: float) -> CoverCount:
         n1 = ceil(u^t/(u-1)) * ceil(v^(t+1)/(v-1)) + ceil(u^t) * ceil(v^t/(v-1))
         n2 = ceil(u^(t+1)/(u-1)) * ceil(v^t/(v-1)) + ceil(v^t) * ceil(u^t/(u-1))
 
-    The smaller wins; ties go to option 1.  Each base is raised to t once:
-    u^(t+1) is taken as u * u^t, so the exponent t + 1 is exact even where
-    the float t + 1 is not.
+    The smaller wins; ties go to option 1.  Each base is raised to t once
+    (once in all when u == v): u^(t+1) is taken as u * u^t, so the exponent
+    t + 1 is exact even where the float t + 1 is not.
     """
     if u < 2 or v < 2:
         raise ValueError("subdivision counts must be >= 2")
-    if t <= 0:
+    if not 0 < t < math.inf:
         raise ValueError("cover depth offset must be positive")
     (a, cu, a2), exact_u = _ceil_powers(u, t, ((1, u - 1), (1, 1), (u, u - 1)))
-    (d, cv, b), exact_v = _ceil_powers(v, t, ((1, v - 1), (1, 1), (v, v - 1)))
+    if u == v:
+        (d, cv, b), exact_v = (a, cu, a2), exact_u
+    else:
+        (d, cv, b), exact_v = _ceil_powers(v, t, ((1, v - 1), (1, 1), (v, v - 1)))
     n1 = a * b + cu * d
     n2 = a2 * d + cv * a
     value, option = (n1, 1) if n1 <= n2 else (n2, 2)

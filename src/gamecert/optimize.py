@@ -41,13 +41,15 @@ from .certify import (
     Certificate,
     PatternBound,
     _condition1_gap,
+    _condition1_lhs_log,
     _condition1_rhs_log,
+    _condition2_holds,
     _pack_constant,
-    _require_certifiable,
-    feasibility_report,
+    _require_feasibility_inputs,
     intersect_certificate,
     pattern_certificate,
     pattern_dim_bound,
+    pattern_feasible,
 )
 from .core import REL_MARGIN, DiagonalContraction, LogScalar, combine_alphas
 from .families import CoverCount, RcdSpec, RcoSpec, rcd_alpha, rcd_cover_count, rco_alpha
@@ -61,11 +63,17 @@ __all__ = [
     "optimize_intersection",
     "smallest_u_for_patterns",
     "DEFAULT_CONFIG",
+    "MAX_SEARCH_CELLS",
+    "search_cells",
 ]
 
 MAX_PATTERN_CAP = 1 << 40
 # t probes just below each integer, where the slab cover count drops
 T_INTEGER_OFFSETS = (1e-5, 1e-8)
+# the refine ladder below the integer a near-integer winner sits under
+T_REFINE_OFFSETS = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8)
+# most (c, t) cells one search may probe, over its grid and refine passes
+MAX_SEARCH_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -116,11 +124,10 @@ def _tail(n: int) -> tuple[float, float]:
     tail witness is the largest float passing that test.
     """
     lhs, pack = 3.0 ** -n, _pack_constant(n)
-    limit = lhs * (1.0 - REL_MARGIN)
-    witness = limit / pack
-    while pack * witness > limit:
+    witness = lhs * (1.0 - REL_MARGIN) / pack
+    while not _condition2_holds(lhs, pack * witness):
         witness = math.nextafter(witness, 0.0)
-    while pack * math.nextafter(witness, 1.0) <= limit:
+    while _condition2_holds(lhs, pack * math.nextafter(witness, 1.0)):
         witness = math.nextafter(witness, 1.0)
     return witness, _k_minimizer(lhs, pack)
 
@@ -141,19 +148,25 @@ def max_pattern_size(
     margin.  So feasibility reduces to condition (1),
     log M + c log alpha <= rhs1, whose largest solution is
     M* = floor(exp(rhs1 - c log alpha)), clamped to [1, cap] (cap when the
-    exponential overflows).  Reports at M* and M* + 1 settle the float edge,
+    exponential overflows).  The float edge is settled at M* and M* + 1,
     stepping by one while it is off; feasibility is antitone in M.  Adjacent
     counts up to 2^40 have distinct float logs, so the steps stay few.
+
+    Each trial count is decided by certify.pattern_feasible, which returns
+    the verdict of feasibility_report, bit for bit, without building the
+    report: it stops at the first failed test, and a trial at M* + 1
+    usually fails condition (1) before any floor is taken.  The inputs are
+    checked once per call, with the report's ValueErrors.
     """
     if not 1 <= cap <= MAX_PATTERN_CAP:
         raise ValueError(f"pattern cap must lie in [1, 2^40], got {cap}")
     delta = _tail(contraction.n)[0]
-    _require_certifiable(contraction, c, delta)
+    _require_feasibility_inputs(alpha, contraction, c, delta, 1)
+    rhs1_log = _condition1_rhs_log(contraction, c, delta)
 
     def feasible(m: int) -> bool:
-        return feasibility_report(alpha, contraction, c, delta, m).feasible
+        return pattern_feasible(alpha, contraction, c, delta, m, rhs1_log)
 
-    rhs1_log = _condition1_rhs_log(contraction, c, delta)
     try:
         m = min(max(math.floor(math.exp(rhs1_log - c * alpha.log)), 1), cap)
     except OverflowError:
@@ -196,6 +209,25 @@ def _t_grid(config: SearchConfig) -> tuple[float, ...]:
     return tuple(sorted(values))
 
 
+def search_cells(config: SearchConfig) -> float:
+    """An upper bound on the (c, t) cells a search with `config` probes,
+    read from the config alone, before any grid is built.
+
+    The first pass probes at most c_count c values times the t grid's
+    (t_hi - t_lo)/t_step + 1 points plus its probes below each integer up
+    to t_hi; each refine pass at most refine_points c values times
+    max(refine_points, ladder length) t values.  Integer fields are clamped
+    just past MAX_SEARCH_CELLS, so huge ones cannot overflow a float.
+    """
+    limit = MAX_SEARCH_CELLS + 1
+    t_points = ((config.t_hi - config.t_lo) / config.t_step + 1.0
+                + len(T_INTEGER_OFFSETS) * config.t_hi)
+    c_points = min(max(config.c_count, 1), limit)
+    refine = min(config.refine_points, limit) * max(
+        min(config.refine_points, limit), len(T_REFINE_OFFSETS))
+    return c_points * t_points + min(config.refine_passes, limit) * refine
+
+
 def _geom(lo: float, hi: float, count: int) -> tuple[float, ...]:
     if count < 2 or lo >= hi:
         return (hi,)
@@ -223,8 +255,7 @@ def _refine_t(best_t: float, grid: Sequence[float], count: int) -> tuple[float, 
     """
     j = math.ceil(best_t - 1e-12)
     if 0.0 < j - best_t < 0.01:
-        ladder = [j - off for off in
-                  (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8)]
+        ladder = [j - off for off in T_REFINE_OFFSETS]
         return tuple(sorted(t for t in ladder if t > 0.0))
     ordered = sorted(set(grid))
     idx = min(range(len(ordered)), key=lambda i: abs(ordered[i] - best_t))
@@ -245,7 +276,7 @@ def _least_condition1_delta(
     """Least float delta at which condition (1) holds with relative margin
     REL_MARGIN: M alpha^c <= delta^2 (1 - (prod beta)^(1-c)) (1 - margin),
     tested in logs exactly as a report's fields state it."""
-    lhs = math.log(pattern_count) + c * alpha.log
+    lhs = _condition1_lhs_log(alpha.log, c, pattern_count)
     gap = _condition1_gap(contraction, c)
     shave = math.log1p(-REL_MARGIN)
     delta = math.exp(0.5 * (lhs - gap - shave))

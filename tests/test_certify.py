@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamecert.certify import (
+    REL_MARGIN,
     BranchingBound,
+    _condition1_rhs_log,
+    _pack_constant,
     Certificate,
     branching_lower_bound,
     check_ratio_range,
@@ -23,6 +26,7 @@ from gamecert.certify import (
     intersect_certificate,
     pattern_certificate,
     pattern_dim_bound,
+    pattern_feasible,
 )
 from gamecert.core import DiagonalContraction, LogScalar
 from gamecert.optimize import _tail, max_pattern_size
@@ -315,3 +319,80 @@ def test_report_notes_each_kind_of_approximate_floor():
     rep = feasibility_report(LogScalar(-60.0), B1, 0.5, 0.5)
     assert rep.free_steps.tag == "approximate"
     assert rep.notes == ("free-step floor is a lower surrogate (ratio >= 2^53)",)
+
+
+# ------------------------------------------- the verdict without the report
+
+
+def _nudge(x, ulps):
+    """x moved by |ulps| floats toward the sign of ulps."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def _verdict_inputs(draw):
+    """(alpha, contraction, c, delta, M) within a few ulps of the edges the
+    verdict turns on: condition (1), the condition-(2) margin at the tail
+    witness or at a small free-step count, free-step ratios across 2^44 and
+    2^53, and ratios below 1."""
+    contraction = DiagonalContraction(tuple(draw(
+        st.lists(st.floats(min_value=1e-3, max_value=0.199), min_size=1, max_size=3))))
+    n = contraction.n
+    c = draw(st.floats(min_value=0.05, max_value=0.999))
+    m = draw(st.one_of(st.integers(min_value=1, max_value=8),
+                       st.integers(min_value=1, max_value=2 ** 40)))
+    steps = draw(st.integers(min_value=1, max_value=40))
+    lhs2 = condition2_parts(contraction, 0.5, steps)[0]
+    delta = draw(st.one_of(
+        st.just(_tail(n)[0]),                                  # edge of (2) in the tail
+        st.just(lhs2 * (1.0 - REL_MARGIN) / _pack_constant(n)),  # edge of (2) at N = steps
+        st.floats(min_value=1e-12, max_value=0.99),
+    ))
+    delta = _nudge(delta, draw(st.integers(min_value=-3, max_value=3)))
+    mode = draw(st.sampled_from(["condition1", "ratio", "steps"]))
+    if mode == "condition1":
+        alpha_log = (_condition1_rhs_log(contraction, c, delta) - math.log(m)) / c
+    else:
+        if mode == "steps":
+            log2_ratio = math.log2(steps + 0.5)
+        else:
+            log2_ratio = draw(st.one_of(
+                st.floats(min_value=-3.0, max_value=60.0),
+                st.sampled_from([-1.0, 0.0, 44.0, 53.0]),
+            ))
+        alpha_log = math.log(delta) - log2_ratio * math.log(2.0) - math.log(m) / c
+    alpha_log = _nudge(alpha_log, draw(st.integers(min_value=-4, max_value=4)))
+    return LogScalar(alpha_log), contraction, c, delta, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(_verdict_inputs())
+def test_pattern_verdict_equals_the_report(inputs):
+    alpha, contraction, c, delta, m = inputs
+    rhs1_log = _condition1_rhs_log(contraction, c, delta)
+    assert pattern_feasible(alpha, contraction, c, delta, m, rhs1_log) is \
+        feasibility_report(alpha, contraction, c, delta, m).feasible
+
+
+@pytest.mark.parametrize("betas", [(0.1,), (0.1, 0.125), (0.19, 0.01, 0.05)])
+def test_pattern_verdict_turns_at_both_conditions(betas):
+    # deterministic edge points: the tail witness passes condition (2) and
+    # the next float fails it; the condition-(1) edge count passes and the
+    # next count fails condition (1)
+    contraction = DiagonalContraction(betas)
+    c, witness = 0.99, _tail(contraction.n)[0]
+    alpha = LogScalar((_condition1_rhs_log(contraction, c, witness) - math.log(1000.5)) / c)
+    for delta, expected in ((witness, True), (math.nextafter(witness, 1.0), False)):
+        rhs1_log = _condition1_rhs_log(contraction, c, delta)
+        report = feasibility_report(alpha, contraction, c, delta, 1)
+        assert report.condition1_ok and report.feasible is expected
+        assert pattern_feasible(alpha, contraction, c, delta, 1, rhs1_log) is expected
+    rhs1_log = _condition1_rhs_log(contraction, c, witness)
+    top = max_pattern_size(alpha, contraction, c)
+    assert top == 1000
+    for m, expected in ((top, True), (top + 1, False)):
+        report = feasibility_report(alpha, contraction, c, witness, m)
+        assert report.condition1_ok is expected and report.feasible is expected
+        assert pattern_feasible(alpha, contraction, c, witness, m, rhs1_log) is expected

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import gamecert
-from gamecert.cli import main
+from gamecert import optimize
+from gamecert.cli import Config, ConfigError, main
 
 
 def write_cfg(tmp_path, name, text):
@@ -336,6 +337,66 @@ def test_malformed_configs_exit_1_with_field_path(tmp_path, capsys, body, needle
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert needle in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+RCD_MAXIMIZE_CFG = """
+command = maximize
+family.kind = rcd
+family.u = 7
+family.v = 4
+"""
+
+
+@pytest.mark.parametrize("raw", ["nan", "-nan", "inf", "-inf", "1e999"])
+def test_config_floats_must_be_finite(raw):
+    cfg = Config({"game.c": raw, "game.t": raw}, "test")
+    with pytest.raises(ConfigError, match="game.c: must be a finite number"):
+        cfg.get_float("game.c", lo=0.0, hi=1.0, open_ends=True)
+    with pytest.raises(ConfigError, match="game.t: must be a finite number"):
+        cfg.get_float("game.t")
+
+
+@pytest.mark.parametrize("body,needle", [
+    (RCD_MAXIMIZE_CFG + "optimizer.t_hi = nan\n", "optimizer.t_hi"),
+    (RCD_MAXIMIZE_CFG + "optimizer.t_lo = nan\n", "optimizer.t_lo"),
+    ("command = certify\nfamily.kind = raw\nfamily.betas = 0.1\n"
+     "family.alpha_log = nan\ngame.c = 0.5\n", "family.alpha_log"),
+    ("command = certify\nfamily.kind = raw\nfamily.betas = 0.1\n"
+     "family.alpha_log = -inf\ngame.c = 0.5\n", "family.alpha_log"),
+])
+def test_non_finite_config_floats_exit_1(tmp_path, capsys, body, needle):
+    cfg = write_cfg(tmp_path, "cfg", body)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{needle}: must be a finite number" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    "optimizer.t_step = 1e-9\n",                       # about 5.75e9 t values
+    "optimizer.t_hi = 1e300\n",                        # the probes below each integer
+    "optimizer.c_count = 2000000\n",
+    "optimizer.c_count = %d\n" % 10 ** 400,
+    "optimizer.refine_points = 2000\n",
+    "optimizer.refine_passes = %d\n" % 10 ** 30,
+])
+def test_search_grid_bound_is_checked_before_any_grid(tmp_path, capsys, monkeypatch, extra):
+    def no_grid(*args):
+        raise AssertionError("a grid was built before the bound was checked")
+
+    monkeypatch.setattr(optimize, "_t_grid", no_grid)
+    monkeypatch.setattr(optimize, "_c_grid", no_grid)
+    cfg = write_cfg(tmp_path, "cfg", RCD_MAXIMIZE_CFG + extra)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"over the limit of {optimize.MAX_SEARCH_CELLS}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_search_grids_are_well_inside_the_bound():
+    for config in (optimize.DEFAULT_CONFIG, optimize.SMALLEST_U_CONFIG):
+        assert len(optimize._t_grid(config)) * len(optimize._c_grid(config)) \
+            <= optimize.search_cells(config) <= optimize.MAX_SEARCH_CELLS // 100
 
 
 def test_command_conflict_between_argv_and_config(tmp_path, capsys):

@@ -147,6 +147,81 @@ def test_cover_ceilings_match_exact_exponents_where_t_plus_1_rounds():
             assert (got.value, got.option) == _reference_cover_count(u, v, t), (u, v, t)
 
 
+def _reference_values(base, t):
+    """[base^t/(base-1), base^t, base^(t+1)/(base-1)] as mpmath numbers, at
+    120 digits past the magnitude, with the precision they were taken at."""
+    import mpmath
+
+    digits = int((t + 1) * math.log10(base)) + 120
+    with mpmath.workdps(digits):
+        power = mpmath.power(base, mpmath.mpf(t))
+        return [power / (base - 1), power, power * base / (base - 1)], digits
+
+
+_OFF_GRID_T = st.one_of(
+    st.floats(min_value=0.05, max_value=6.0),
+    st.tuples(st.integers(min_value=1, max_value=6),
+              st.sampled_from([1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8]))
+    .map(lambda jo: jo[0] - jo[1]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=4, max_value=2 ** 40), _OFF_GRID_T)
+def test_off_grid_cover_ceilings_are_settled_or_rounded_up(base, t):
+    # t off the q <= 64 grid takes the integer bracket around mpmath's power
+    assume(Fraction(t).denominator > 64)
+    got, exact = _ceil_powers(base, t, ((1, base - 1), (1, 1), (base, base - 1)))
+    want = _reference_ceilings(base, t)
+    if exact:
+        assert got == want, (base, t)
+    else:
+        assert all(g >= w for g, w in zip(got, want)), (base, t)
+        # the bracket is only left open next to an integer
+        import mpmath
+
+        values, digits = _reference_values(base, t)
+        with mpmath.workdps(digits):
+            assert any(abs(x - mpmath.nint(x)) < mpmath.mpf(10) ** -20 for x in values)
+
+
+def test_equal_bases_raise_the_base_to_t_once(monkeypatch):
+    real = _ceil_powers
+    calls = []
+
+    def spy(base, t, ratios):
+        calls.append(base)
+        return real(base, t, ratios)
+
+    monkeypatch.setattr("gamecert.families._ceil_powers", spy)
+    for u, t in ((7, 1.2345), (7, 2.5), (176924670080, 1 - 1e-8), (900019043105, 1.2345)):
+        calls.clear()
+        got = rcd_cover_count(u, u, t)
+        assert calls == [u]
+        ratios = ((1, u - 1), (1, 1), (u, u - 1))
+        (a, cu, a2), exact_u = real(u, t, ratios)
+        (d, cv, b), exact_v = real(u, t, ratios)
+        n1, n2 = a * b + cu * d, a2 * d + cv * a
+        value, option = (n1, 1) if n1 <= n2 else (n2, 2)
+        tag = "exact" if exact_u and exact_v and value < 2 ** 53 else "approximate"
+        assert got == CoverCount(value, tag, option), (u, t)
+    calls.clear()
+    rcd_cover_count(7, 4, 1.2345)
+    assert calls == [7, 4]
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_rco_alpha_rejects_non_finite_t(t):
+    with pytest.raises(ValueError, match="removal depth offset must be positive"):
+        rco_alpha(4, 5, 2, t, 0.5)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_rcd_cover_count_rejects_non_finite_t(t):
+    with pytest.raises(ValueError, match="cover depth offset must be positive"):
+        rcd_cover_count(7, 4, t)
+
+
 @pytest.mark.parametrize("q", range(1, 65))
 def test_iroot_brackets_the_root(q):
     rng = random.Random(q)

@@ -2,14 +2,17 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gamecert import optimize
+from gamecert import certify, optimize
 from gamecert.certify import feasibility_report, pattern_dim_bound
 from gamecert.core import REL_MARGIN, DiagonalContraction, LogScalar
 from gamecert.families import RcdSpec, RcoSpec
@@ -167,14 +170,14 @@ def test_closed_form_count_matches_bisection(kind, ru, rv, du, betas, where, edg
         alpha = LogScalar((rhs1 - edge) / c)
     assume(alpha.log < 0.0)
     calls = 0
-    report = optimize.feasibility_report
+    verdict = optimize.pattern_feasible
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return report(*args, **kwargs)
+        return verdict(*args, **kwargs)
 
-    with mock.patch.object(optimize, "feasibility_report", counted):
+    with mock.patch.object(optimize, "pattern_feasible", counted):
         count = max_pattern_size(alpha, contraction, c, cap)
     assert count == _bisected_count(alpha, contraction, c, cap)
     assert calls <= 3
@@ -196,19 +199,35 @@ def test_max_pattern_size_rejects_out_of_range_inputs():
             max_pattern_size(alpha, B1, c)
 
 
+def test_max_pattern_size_rejects_a_zero_rate_before_any_verdict(monkeypatch):
+    # the report's ValueError, not the ZeroDivisionError of the floor
+    monkeypatch.setattr(optimize, "pattern_feasible", None)
+    for cap in (1, 1 << 40):
+        with pytest.raises(ValueError, match="budget rate must be positive"):
+            max_pattern_size(LogScalar.zero(), B1, 0.5, cap)
+
+
 def test_count_search_makes_few_reports_per_probe(monkeypatch):
-    calls = 0
-    report = optimize.feasibility_report
+    # the count search reads verdicts; reports come from the witness search
+    calls = reports = 0
+    verdict, report = optimize.pattern_feasible, certify.feasibility_report
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
+        return verdict(*args, **kwargs)
+
+    def counted_report(*args, **kwargs):
+        nonlocal reports
+        reports += 1
         return report(*args, **kwargs)
 
-    monkeypatch.setattr(optimize, "feasibility_report", counted)
+    monkeypatch.setattr(optimize, "pattern_feasible", counted)
+    monkeypatch.setattr(certify, "feasibility_report", counted_report)
     res = optimize_pattern_count(RcoSpec(17, 24, 1, 5))
     assert res.pattern_count == 232
     assert calls <= 3 * res.probes
+    assert reports < calls
 
 
 @settings(max_examples=30, deadline=None)
@@ -482,3 +501,13 @@ def test_smallest_u_validates_inputs():
         smallest_u_for_patterns(0, 0)
     with pytest.raises(ValueError):
         smallest_u_for_patterns(2, -1)
+
+
+def test_search_dump_is_deterministic(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "search_dump.py"
+    for name in ("a", "b"):
+        subprocess.run([sys.executable, str(script), str(tmp_path / name), "--small"], check=True)
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert len(files) > 20 and files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
