@@ -4,11 +4,12 @@
     python3 scripts/geometry_dump.py <outdir> [--small]
 
 One file per output: the CSVs and rasters of generated members, the repr of
-every covering-strategy level, the repr of budget audits, game transcripts
-and pattern-search candidates.  Run it in two checkouts and compare with
-`diff -r`; an empty diff means the geometry layer is unchanged.  A level of
-more than REPR_LIMIT boxes is written as the sha256 of its repr.  --small
-writes a quick subset of small members (about a second).
+every covering-strategy level, the repr of budget audits, game transcripts,
+and pattern-search candidates (their CSV, and their count with the repr of
+the first three).  Run it in two checkouts and compare with `diff -r`; an
+empty diff means the geometry layer is unchanged.  A level of more than
+REPR_LIMIT boxes is written as the sha256 of its repr.  --small writes a
+quick subset of small members (about a second).
 """
 from __future__ import annotations
 
@@ -65,6 +66,8 @@ def _outputs(small: bool) -> Iterator[tuple[str, str]]:
         "rco-4-5-2-1": covering_strategy_for_rco(members["rco-4-5-2-1"], 0.5),
         "rco-3-2-3-2-hash": covering_strategy_for_rco(members["rco-3-2-3-2-hash"], 0.5),
         "rcd-5-3-hash-t2": covering_strategy_for_rcd(RcdSpec(5, 3, "hash", 8), 0.5, 2, 2),
+        # 64 levels whose last numerators and denominators are past int64
+        "rcd-2-2-depth64": covering_strategy_for_rcd(RcdSpec(2, 2), 0.5, 1, 64),
     }
     if not small:
         strategies.update({
@@ -117,9 +120,14 @@ def _outputs(small: bool) -> Iterator[tuple[str, str]]:
         # the README's find-pattern query
         queries.append(("rcd-7-4", patterns.PatternQuery(
             ((0, 0), (2, 0)), Fraction(1, 49), Fraction(3, 49), 2)))
+    # scale 3/4 has no candidate, between scales that have some
+    queries.append(("rcd-5-3-hash", patterns.PatternQuery(
+        ((0, 0), (1, 1)), Fraction(1, 4), Fraction(9, 4), 2, Fraction(1, 4))))
     for i, (name, query) in enumerate(queries):
         candidates = patterns.find_homothety(query, members[name])
         yield f"candidates-{i}-{name}.csv", patterns.candidates_to_csv(candidates)
+        yield f"candidates-{i}-{name}.txt", \
+            f"{len(candidates)} candidates\n{list(candidates[:3])!r}\n"
 
 
 def main() -> int:

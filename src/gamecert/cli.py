@@ -44,14 +44,13 @@ from .families import (
 from .optimize import (
     DEFAULT_CONFIG,
     MAX_PATTERN_CAP,
-    MAX_SEARCH_CELLS,
     SMALLEST_U_CONFIG,
     SearchConfig,
+    SearchConfigError,
     SearchResult,
     _family_extras,
     optimize_intersection,
     optimize_pattern_count,
-    search_cells,
     smallest_u_for_patterns,
 )
 
@@ -315,20 +314,13 @@ def _search_config(cfg: Config, base: SearchConfig,
                                 hi=MAX_PATTERN_CAP),
         trace_path=trace_path,
     )
-    if fields["c_s_lo"] >= fields["c_s_hi"]:
-        raise ConfigError("optimizer.c_s_lo", "must be below optimizer.c_s_hi")
-    if fields["t_lo"] > fields["t_hi"]:
-        raise ConfigError("optimizer.t_lo", "must not exceed optimizer.t_hi")
-    config = replace(base, **fields)
-    cells = search_cells(config)
-    if cells > MAX_SEARCH_CELLS:
-        raise ConfigError(
-            "optimizer",
-            f"the search grid has up to {cells:.4g} cells, over the limit of "
-            f"{MAX_SEARCH_CELLS} (raise t_step, or lower c_count, refine_points "
-            f"or refine_passes)",
-        )
-    return config
+    try:
+        return replace(base, **fields)
+    except SearchConfigError as exc:
+        if exc.field is None:
+            raise ConfigError("optimizer", exc.text) from None
+        text = f"{exc.text} optimizer.{exc.other}" if exc.other else exc.text
+        raise ConfigError(f"optimizer.{exc.field}", text) from None
 
 
 # ------------------------------------------------------------------- commands
@@ -768,8 +760,8 @@ def _cmd_find_pattern(cfg: Config, out: Path, trace: bool,
     if not candidates:
         print("no depth-consistent candidates on the scan grid")
         return 2
-    best = max(c.max_depth_passed for c in candidates)
-    print(f"found {len(candidates)} candidates (max depth passed = {best})")
+    # the scan admits only candidates that pass the query's full depth
+    print(f"found {len(candidates)} candidates (max depth passed = {query.depth})")
     return 0
 
 

@@ -60,7 +60,7 @@ from bisect import bisect_left, bisect_right
 from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .core import BoxRegion, DiagonalContraction, GameParameters, LogScalar
@@ -295,6 +295,8 @@ def rcd_alpha(
     """
     if not (0.0 < c < 1.0):
         raise ValueError(f"exponent c must lie in (0,1), got {c!r}")
+    if not 0 < t < math.inf:
+        raise ValueError("cover depth offset must be positive")
     nt = cover_count if cover_count is not None else rcd_cover_count(u, v, t)
     count = 9 * (u - 1) * (v - 1) * nt.value
     return LogScalar(math.log(count) / c - (1 + t) * (math.log(u) + math.log(v)))
@@ -338,6 +340,23 @@ def _axis_lattice(
         return AxisLattice(den, tuple(centers), tuple(halves))
 
 
+def _level_axis(den: int, centers: np.ndarray, half: int) -> AxisLattice:
+    """The AxisLattice of a numpy column of center numerators over `den`,
+    every box with half-width numerator `half`, in lowest terms: one
+    np.gcd.reduce finds the common factor.  The columns are array('q')
+    when every reduced numerator fits int64, else tuples of Python ints,
+    as _axis_lattice stores them."""
+    import numpy as np
+
+    g = math.gcd(den, half, int(np.gcd.reduce(centers)))
+    den, half, centers = den // g, half // g, centers // g
+    try:
+        column = array("q", centers.astype(np.int64).tobytes())
+    except OverflowError:
+        return AxisLattice(den, tuple(centers.tolist()), (half,) * centers.size)
+    return AxisLattice(den, column, array("q", [half]) * centers.size)
+
+
 def _derived_lattice(boxes: Sequence[BoxRegion]) -> tuple[AxisLattice, ...]:
     """Per axis, the boxes' coordinates over their least common denominator.
 
@@ -360,12 +379,19 @@ def _derived_lattice(boxes: Sequence[BoxRegion]) -> tuple[AxisLattice, ...]:
     return tuple(axes)
 
 
-def _lattice_box(lattice: tuple[AxisLattice, ...], i: int) -> BoxRegion:
-    """Box i of a lattice, as Fractions in lowest terms."""
-    return BoxRegion(
-        tuple(Fraction(axis.centers[i], axis.den) for axis in lattice),
-        tuple(Fraction(axis.halves[i], axis.den) for axis in lattice),
-    )
+def _box_reader(lattice: tuple[AxisLattice, ...]) -> Callable[[int], BoxRegion]:
+    """Box i of a lattice, as Fractions in lowest terms.  A run of boxes
+    has few distinct half-widths (a strategy level one per axis), so each
+    half-width Fraction is built once and shared by the boxes that have it."""
+    halves = [cache(partial(Fraction, denominator=axis.den)) for axis in lattice]
+
+    def box(i: int) -> BoxRegion:
+        return BoxRegion(
+            tuple(Fraction(axis.centers[i], axis.den) for axis in lattice),
+            tuple(half(axis.halves[i]) for axis, half in zip(lattice, halves)),
+        )
+
+    return box
 
 
 # Numerators below this magnitude go to int64: a sum of eight of them still fits.
@@ -496,8 +522,8 @@ class RectEntry:
 
 
 def _rect_entry(levels: Sequence[int], addresses: Sequence[str],
-                lattice: tuple[AxisLattice, ...], i: int) -> RectEntry:
-    return RectEntry(levels[i], addresses[i], _lattice_box(lattice, i))
+                box: Callable[[int], BoxRegion], i: int) -> RectEntry:
+    return RectEntry(levels[i], addresses[i], box(i))
 
 
 @dataclass
@@ -542,7 +568,8 @@ class RectangleSet:
         rect = cls.__new__(cls)
         rect.meta, rect._given = meta, None
         rect.levels, rect.addresses, rect.lattice = levels, addresses, lattice
-        rect.entries = _ListRows(len(addresses), partial(_rect_entry, levels, addresses, lattice))
+        rect.entries = _ListRows(
+            len(addresses), partial(_rect_entry, levels, addresses, _box_reader(lattice)))
         return rect
 
     def _spans(self, kind: str | None, levels: Iterable[int] | None) -> list[range]:
@@ -948,7 +975,7 @@ class StrategyLevel:
     @classmethod
     def on_lattice(cls, level: int, exponent: int, budget_rate_log: float,
                    preamble: bool, lattice: tuple[AxisLattice, ...]) -> "StrategyLevel":
-        boxes = _LazyRows(len(lattice[0].centers), partial(_lattice_box, lattice))
+        boxes = _LazyRows(len(lattice[0].centers), _box_reader(lattice))
         return cls(level, exponent, budget_rate_log, preamble, boxes, lattice)
 
 
@@ -1047,6 +1074,19 @@ def _cover_piece(
     return opt1 if len(opt1) <= len(opt2) else opt2
 
 
+def _template_column(
+    den: int, starts: Sequence[int], scale: int, offsets: np.ndarray, corners: np.ndarray
+) -> np.ndarray:
+    """One axis of a corner-digit level's cover numerators over `den`:
+    piece p's box b is starts[p] * scale + offsets[corners[p], b], piece
+    by piece.  Every value is at most 2 den in magnitude, so the column is
+    int64 when den is below _INT64_SAFE and Python ints otherwise."""
+    import numpy as np
+
+    dtype = np.int64 if den < _INT64_SAFE else object
+    return ((np.array(starts, dtype=dtype) * scale)[:, None] + offsets[corners]).ravel()
+
+
 def covering_strategy_for_rcd(
     spec: RcdSpec, c: float, t: int, depth: int
 ) -> CoveringStrategy:
@@ -1064,9 +1104,15 @@ def covering_strategy_for_rcd(
 
     Level k lives on the lattice with denominators (u^q (u-1), v^q (v-1)).
     A piece's cover is its region's center plus one of four corner
-    templates, built once.  The level keeps only those numerators, as its
-    lattice; its boxes are read off it on demand.
+    templates, built once.  Each level is built columnwise: per axis, one
+    numpy step adds every piece's scaled center to its corner's template
+    row, and one gcd reduction takes the column to lowest terms.  The
+    level keeps only those numerators, as its lattice (array('q') columns,
+    or tuples of Python ints past int64); its boxes are read off it on
+    demand.
     """
+    import numpy as np
+
     if not isinstance(t, int) or t < 1:
         raise ValueError("exact cover geometry requires integer t >= 1")
     if depth < 1:
@@ -1077,8 +1123,9 @@ def covering_strategy_for_rcd(
     alpha = rcd_alpha(u, v, c, t, count)
     params = GameParameters(alpha, spec.contraction(), c)
     # the cover of a region minus its child, per corner of the child, as
-    # offsets from the region's center: the same on every level's lattice
-    tx, ty = {}, {}
+    # offsets from the region's center: the same on every level's lattice.
+    # Row 2 (sx < 0) + (sy < 0) of a template table is corner (sx, sy).
+    tx, ty = [], []
     for signs in itertools.product((1, -1), repeat=2):
         cover = _cover_piece((u * ut, v * vt), ((u - 1) * ut, (v - 1) * vt), signs, (u - 1, v - 1))
         if len(cover) != count.value:
@@ -1086,15 +1133,17 @@ def covering_strategy_for_rcd(
                 f"cover construction produced {len(cover)} boxes, "
                 f"count formula says {count.value}"
             )
-        tx[signs], ty[signs] = [x for x, _ in cover], [y for _, y in cover]
+        tx.append([x for x, _ in cover])
+        ty.append([y for _, y in cover])
+    tx, ty = np.array(tx, dtype=np.int64), np.array(ty, dtype=np.int64)
     levels = []
     for k, pieces in enumerate(_rcd_walk(spec, depth)):
         q = k + 1 + t
-        xs = [lx * ut + ox for _, lx, _, sx, sy in pieces for ox in tx[sx, sy]]
-        ys = [ly * vt + oy for _, _, ly, sx, sy in pieces for oy in ty[sx, sy]]
-        lattice = (
-            _axis_lattice(u ** q * (u - 1), xs, [u - 1] * len(xs)),
-            _axis_lattice(v ** q * (v - 1), ys, [v - 1] * len(ys)),
-        )
+        dx, dy = u ** q * (u - 1), v ** q * (v - 1)
+        _, lx, ly, sx, sy = zip(*pieces)
+        corners = 2 * (np.array(sx) < 0) + (np.array(sy) < 0)
+        xs = _template_column(dx, lx, ut, tx, corners)
+        ys = _template_column(dy, ly, vt, ty, corners)
+        lattice = (_level_axis(dx, xs, u - 1), _level_axis(dy, ys, v - 1))
         levels.append(StrategyLevel.on_lattice(k, q, alpha.log, k == 0, lattice))
     return CoveringStrategy(params, "rcd", tuple(levels))

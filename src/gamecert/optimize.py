@@ -56,6 +56,7 @@ from .families import CoverCount, RcdSpec, RcoSpec, rcd_alpha, rcd_cover_count, 
 
 __all__ = [
     "SearchConfig",
+    "SearchConfigError",
     "SearchResult",
     "SmallestU",
     "max_pattern_size",
@@ -76,9 +77,50 @@ T_REFINE_OFFSETS = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8)
 MAX_SEARCH_CELLS = 1 << 20
 
 
+def search_cells(config: SearchConfig) -> float:
+    """An upper bound on the (c, t) cells a search with `config` probes,
+    read from the config alone, before any grid is built.
+
+    The first pass probes at most c_count c values times the t grid's
+    (t_hi - t_lo)/t_step + 1 points plus its probes below each integer up
+    to t_hi; each refine pass at most refine_points c values times
+    max(refine_points, ladder length) t values.  Integer fields are clamped
+    just past MAX_SEARCH_CELLS, so huge ones cannot overflow a float.
+    """
+    limit = MAX_SEARCH_CELLS + 1
+    t_points = ((config.t_hi - config.t_lo) / config.t_step + 1.0
+                + len(T_INTEGER_OFFSETS) * config.t_hi)
+    c_points = min(max(config.c_count, 1), limit)
+    refine = min(config.refine_points, limit) * max(
+        min(config.refine_points, limit), len(T_REFINE_OFFSETS))
+    return c_points * t_points + min(config.refine_passes, limit) * refine
+
+
+class SearchConfigError(ValueError):
+    """A SearchConfig that fails a check.  `field` is the field at fault,
+    or None when the grid as a whole is too large; `text` says what is
+    wrong, and `other` names the field it is compared with, if any."""
+
+    def __init__(self, field: str | None, text: str, other: str | None = None) -> None:
+        super().__init__(field, text, other)
+        self.field, self.text, self.other = field, text, other
+
+    def __str__(self) -> str:
+        text = f"{self.text} {self.other}" if self.other else self.text
+        return f"{self.field}: {text}" if self.field else text
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Deterministic search grids; every field has a reproducible default."""
+    """Deterministic search grids; every field has a reproducible default.
+
+    A config is checked when it is made: its floats must be finite, c_s_lo
+    and c_s_hi in (0, 1) with c_s_lo below c_s_hi, t_lo and t_step
+    positive with t_lo at most t_hi, c_count at least 2, refine_points at
+    least 3, refine_passes at least 0, pattern_cap in [1, MAX_PATTERN_CAP],
+    and its grids may hold at most MAX_SEARCH_CELLS cells (search_cells).
+    A failed check raises SearchConfigError, a ValueError.
+    """
 
     c_count: int = 32                     # points in the coarse 1-c grid
     c_s_lo: float = 1e-4                  # smallest 1-c
@@ -90,6 +132,40 @@ class SearchConfig:
     t_step: float = 0.25
     pattern_cap: int = MAX_PATTERN_CAP    # never search beyond this count
     trace_path: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("c_s_lo", "c_s_hi", "t_lo", "t_hi", "t_step"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise SearchConfigError(name, f"must be a finite number, got {value!r}")
+        for name in ("c_s_lo", "c_s_hi"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise SearchConfigError(name, f"must lie in (0, 1), got {value!r}")
+        for name in ("t_lo", "t_step"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise SearchConfigError(name, f"must be > 0, got {value!r}")
+        for name, least in (("c_count", 2), ("refine_points", 3), ("refine_passes", 0),
+                            ("pattern_cap", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise SearchConfigError(name, f"must be >= {least}, got {value!r}")
+        if self.pattern_cap > MAX_PATTERN_CAP:
+            raise SearchConfigError(
+                "pattern_cap", f"must be <= {MAX_PATTERN_CAP}, got {self.pattern_cap!r}")
+        if not self.c_s_lo < self.c_s_hi:
+            raise SearchConfigError("c_s_lo", "must be below", "c_s_hi")
+        if self.t_lo > self.t_hi:
+            raise SearchConfigError("t_lo", "must not exceed", "t_hi")
+        cells = search_cells(self)
+        if cells > MAX_SEARCH_CELLS:
+            raise SearchConfigError(
+                None,
+                f"the search grid has up to {cells:.4g} cells, over the limit of "
+                f"{MAX_SEARCH_CELLS} (raise t_step, or lower c_count, refine_points "
+                f"or refine_passes)",
+            )
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -207,25 +283,6 @@ def _t_grid(config: SearchConfig) -> tuple[float, ...]:
             if config.t_lo <= j - off <= config.t_hi:
                 values.add(j - off)
     return tuple(sorted(values))
-
-
-def search_cells(config: SearchConfig) -> float:
-    """An upper bound on the (c, t) cells a search with `config` probes,
-    read from the config alone, before any grid is built.
-
-    The first pass probes at most c_count c values times the t grid's
-    (t_hi - t_lo)/t_step + 1 points plus its probes below each integer up
-    to t_hi; each refine pass at most refine_points c values times
-    max(refine_points, ladder length) t values.  Integer fields are clamped
-    just past MAX_SEARCH_CELLS, so huge ones cannot overflow a float.
-    """
-    limit = MAX_SEARCH_CELLS + 1
-    t_points = ((config.t_hi - config.t_lo) / config.t_step + 1.0
-                + len(T_INTEGER_OFFSETS) * config.t_hi)
-    c_points = min(max(config.c_count, 1), limit)
-    refine = min(config.refine_points, limit) * max(
-        min(config.refine_points, limit), len(T_REFINE_OFFSETS))
-    return c_points * t_points + min(config.refine_passes, limit) * refine
 
 
 def _geom(lo: float, hi: float, count: int) -> tuple[float, ...]:

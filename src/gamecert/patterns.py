@@ -16,14 +16,17 @@ the full query depth implies passing every shallower depth.
 """
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import BoxRegion
-from .families import RectangleSet, _cover_counts, _on_one_lattice
+from .families import RectangleSet, _cover_counts, _LazyRows, _on_one_lattice
 
 __all__ = [
     "PatternQuery",
@@ -187,6 +190,46 @@ class PatternCandidate:
     max_depth_passed: int
 
 
+class _ScaleBlock(NamedTuple):
+    """The candidates of one scale: the translation (xs[ix[i]], ys[iy[i]])
+    for each i, where xs and ys are the grid's translation coordinates per
+    axis and ix, iy the grid indices that passed."""
+
+    lam: Fraction
+    xs: list[Fraction]
+    ys: list[Fraction]
+    ix: list[int]
+    iy: list[int]
+
+
+def _candidate(blocks: list[_ScaleBlock], ends: list[int], depth: int, i: int) -> PatternCandidate:
+    """Candidate i of the blocks, where ends[b] is the number of candidates
+    in blocks 0..b."""
+    b = bisect_right(ends, i)
+    lam, xs, ys, ix, iy = blocks[b]
+    i -= ends[b - 1] if b else 0
+    return PatternCandidate(lam, (xs[ix[i]], ys[iy[i]]), depth)
+
+
+class _Candidates(_LazyRows):
+    """The candidates of a scan, stored as one _ScaleBlock per scale.
+
+    A read-only sequence: a PatternCandidate is built only when one is
+    read, and it compares, hashes and prints like the tuple of them."""
+
+    __slots__ = ("blocks", "depth")
+
+    def __init__(self, blocks: list[_ScaleBlock], depth: int) -> None:
+        self.blocks, self.depth = blocks, depth
+        ends = list(itertools.accumulate(len(b.ix) for b in blocks))
+        super().__init__(ends[-1] if ends else 0, partial(_candidate, blocks, ends, depth))
+
+    def __iter__(self) -> Iterator[PatternCandidate]:
+        for lam, xs, ys, ix, iy in self.blocks:
+            for i, j in zip(ix, iy):
+                yield PatternCandidate(lam, (xs[i], ys[j]), self.depth)
+
+
 def _ceil_div(num: Fraction, den: Fraction) -> int:
     q = num / den
     return -((-q.numerator) // q.denominator)
@@ -212,7 +255,7 @@ def _scan_one_scale(
     rect: RectangleSet,
     family: str,
     res: Fraction,
-) -> list[PatternCandidate]:
+) -> _ScaleBlock | None:
     # translation grid: x = (ix, iy) * res with every pattern point in the
     # root box; per axis x_j in [-1 - lam*min_b, 1 - lam*max_b]
     lo_idx = []
@@ -222,11 +265,11 @@ def _scan_one_scale(
         lo = Fraction(-1) - lam * min(coords)
         hi = Fraction(1) - lam * max(coords)
         if lo > hi:
-            return []
+            return None
         lo_idx.append(_ceil_div(lo, res))
         hi_idx.append(_floor_div(hi, res))
         if lo_idx[j] > hi_idx[j]:
-            return []
+            return None
     shape = (hi_idx[0] - lo_idx[0] + 1, hi_idx[1] - lo_idx[1] + 1)
     acc = np.ones(shape, dtype=bool)
     if family == "rco":
@@ -259,17 +302,15 @@ def _scan_one_scale(
     # one Fraction per grid translation, shared by the candidates on it
     xs = [(lo_idx[0] + i) * res for i in range(shape[0])]
     ys = [(lo_idx[1] + i) * res for i in range(shape[1])]
-    return [
-        PatternCandidate(lam, (xs[ix], ys[iy]), query.depth)
-        for ix, iy in np.argwhere(acc).tolist()
-    ]
+    ix, iy = np.nonzero(acc)
+    return _ScaleBlock(lam, xs, ys, ix.tolist(), iy.tolist())
 
 
 def find_homothety(
     query: PatternQuery,
     rect: RectangleSet,
     cross_check: int = 8,
-) -> tuple[PatternCandidate, ...]:
+) -> Sequence[PatternCandidate]:
     """Scan scales and grid translations for depth-consistent pattern copies.
 
     Returns every (x, lambda) on the grid whose placed pattern passes the
@@ -277,6 +318,11 @@ def find_homothety(
     Scales are scanned in increasing order; the first few candidates are
     re-verified against the exact per-level checker as an internal
     consistency guard.
+
+    The result is a read-only view, stored per scale as the grid's
+    translations and the indices that passed; it builds a PatternCandidate
+    only when one is read, and compares, hashes and prints like the tuple
+    of candidates.  Its slices are lists.
     """
     family = rect.meta.get("family")
     if family not in ("rco", "rcd"):
@@ -290,21 +336,27 @@ def find_homothety(
         if query.grid_resolution is not None
         else _default_resolution(rect, query.depth)
     )
-    out: list[PatternCandidate] = []
+    blocks: list[_ScaleBlock] = []
     lam = query.lambda_lo
     while lam <= query.lambda_hi:
-        out.extend(_scan_one_scale(lam, query, rect, family, res))
+        block = _scan_one_scale(lam, query, rect, family, res)
+        if block is not None and block.ix:
+            blocks.append(block)
         lam += res
+    out = _Candidates(blocks, query.depth)
     for cand in out[:cross_check]:
         report = verify_containment_depth(cand.x, cand.lam, query.points, rect)
         if not report.consistent_to(query.depth):
             raise AssertionError(
                 f"grid scan admitted a candidate the exact checker rejects: {cand}"
             )
-    return tuple(out)
+    return out
 
 
 def candidates_to_csv(candidates: Iterable[PatternCandidate]) -> str:
+    """One row per candidate: lambda, x1, x2, max_depth_passed.  A
+    find_homothety view is read candidate by candidate, like any other
+    iterable."""
     lines = ["lambda,x1,x2,max_depth_passed"]
     for cand in candidates:
         lines.append(

@@ -1,6 +1,7 @@
 """Family geometry and budget-rate formulas against independently derived values."""
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from array import array
@@ -25,8 +26,10 @@ from gamecert.families import (
     RectEntry,
     StrategyLevel,
     _ceil_powers,
+    _cover_piece,
     _to_floats,
     _iroot,
+    _rcd_walk,
     _rco_slots,
     covering_strategy_for_rcd,
     covering_strategy_for_rco,
@@ -220,6 +223,13 @@ def test_rco_alpha_rejects_non_finite_t(t):
 def test_rcd_cover_count_rejects_non_finite_t(t):
     with pytest.raises(ValueError, match="cover depth offset must be positive"):
         rcd_cover_count(7, 4, t)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0])
+def test_rcd_alpha_rejects_bad_t_with_a_given_cover_count(t):
+    # a given count skips rcd_cover_count, whose own check used to be the only one
+    with pytest.raises(ValueError, match="cover depth offset must be positive"):
+        rcd_alpha(7, 4, 0.5, t, cover_count=CoverCount(26, "exact", 1))
 
 
 @pytest.mark.parametrize("q", range(1, 65))
@@ -644,6 +654,61 @@ def test_rcd_lattice_walk_matches_fraction_reference(u, v, rule, seed, t, depth)
         assert repr(got) == repr(dict(sorted(comps.items())))
     root = BoxRegion((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
     assert rcd_children(spec, 0, "r", root) == _reference_children(spec, 0, ("r", root))
+
+
+def _reference_level_lattices(spec, t, depth):
+    """Per level, the lattice built piece by piece as a list of numerators
+    (a region's center plus its corner's template), reduced with math.gcd."""
+    u, v = spec.u, spec.v
+    ut, vt = u ** t, v ** t
+    tx, ty = {}, {}
+    for signs in itertools.product((1, -1), repeat=2):
+        cover = _cover_piece((u * ut, v * vt), ((u - 1) * ut, (v - 1) * vt), signs, (u - 1, v - 1))
+        tx[signs], ty[signs] = [x for x, _ in cover], [y for _, y in cover]
+
+    def reduced(den, centers, half):
+        g = math.gcd(den, *set(centers), half)
+        centers, halves = [x // g for x in centers], [half // g] * len(centers)
+        try:
+            return AxisLattice(den // g, array("q", centers), array("q", halves))
+        except OverflowError:
+            return AxisLattice(den // g, tuple(centers), tuple(halves))
+
+    for k, pieces in enumerate(_rcd_walk(spec, depth)):
+        q = k + 1 + t
+        xs = [lx * ut + ox for _, lx, _, sx, sy in pieces for ox in tx[sx, sy]]
+        ys = [ly * vt + oy for _, _, ly, sx, sy in pieces for oy in ty[sx, sy]]
+        yield reduced(u ** q * (u - 1), xs, u - 1), reduced(v ** q * (v - 1), ys, v - 1)
+
+
+@given(
+    st.integers(2, 6), st.integers(2, 6), st.sampled_from(["fixed", "hash"]),
+    st.integers(0, 2 ** 32), st.sampled_from([1, 2]), st.integers(1, 3),
+)
+@settings(max_examples=30, deadline=None)
+def test_rcd_level_lattices_match_the_per_piece_reference(u, v, rule, seed, t, depth):
+    assume(_cover_boxes(u, v, t, depth) <= 40000)
+    spec = RcdSpec(u, v, rule, seed)
+    strat = covering_strategy_for_rcd(spec, c=0.5, t=t, depth=depth)
+    # AxisLattice == compares the column types too: array('q') is not a tuple
+    assert [level.lattice for level in strat.levels] == \
+        list(_reference_level_lattices(spec, t, depth))
+
+
+def test_rcd_levels_past_int64_keep_python_ints():
+    spec = RcdSpec(2, 2)
+    strat = covering_strategy_for_rcd(spec, c=0.5, t=1, depth=64)
+    assert [len(level.boxes) for level in strat.levels] == [12] * 64
+    want = list(_reference_level_lattices(spec, 1, 64))
+    assert [level.lattice for level in strat.levels] == want
+    dens = [level.lattice[0].den for level in strat.levels]
+    assert max(dens).bit_length() == 66
+    kinds = [type(level.lattice[0].centers) for level in strat.levels]
+    assert kinds[0] is array and kinds[-1] is tuple
+    assert all(type(axis.halves) is kind
+               for level, kind in zip(strat.levels, kinds) for axis in level.lattice)
+    *_, (comps, covers) = _reference_rcd_levels(spec, 1, 64)
+    assert strat.level(63).boxes == tuple(covers)
 
 
 def _derived(level):

@@ -21,6 +21,7 @@ from gamecert.optimize import (
     MAX_PATTERN_CAP,
     SMALLEST_U_CONFIG,
     SearchConfig,
+    SearchConfigError,
     _best_witness,
     _c_grid,
     _member_alpha,
@@ -320,9 +321,62 @@ def test_t_grid_stays_inside_its_range():
     assert min(grid) == 2.5 and max(grid) == 4.0
     assert 3.0 - 1e-5 in grid and 4.0 - 1e-8 in grid
     assert 1.0 - 1e-5 not in grid and 2.0 - 1e-5 not in grid
-    assert _t_grid(SearchConfig(t_lo=3.0, t_hi=2.0)) == ()
+    # an inverted range is rejected when the config is made (see below)
+    with pytest.raises(ValueError, match="^t_lo: must not exceed t_hi$"):
+        SearchConfig(t_lo=3.0, t_hi=2.0)
     # a step that does not divide the range stops short of t_hi
     assert max(_t_grid(SearchConfig(t_lo=0.25, t_hi=1.2))) == 1.0
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"t_hi": math.nan}, "t_hi: must be a finite number, got nan"),
+    ({"t_lo": -math.inf}, "t_lo: must be a finite number, got -inf"),
+    ({"c_s_lo": math.nan}, "c_s_lo: must be a finite number, got nan"),
+    ({"c_s_hi": math.inf}, "c_s_hi: must be a finite number, got inf"),
+    ({"t_step": math.nan}, "t_step: must be a finite number, got nan"),
+    ({"t_step": 0.0}, "t_step: must be > 0, got 0.0"),
+    ({"c_s_lo": 0.6, "c_s_hi": 0.6}, "c_s_lo: must be below c_s_hi"),
+    ({"t_lo": 2.0, "t_hi": 1.0}, "t_lo: must not exceed t_hi"),
+    # 0 would divide c_s_hi / c_s_lo by zero in _c_grid, a negative one
+    # would raise a negative ratio to a fractional power
+    ({"c_s_lo": 0.0}, "c_s_lo: must lie in (0, 1), got 0.0"),
+    ({"c_s_lo": -0.1}, "c_s_lo: must lie in (0, 1), got -0.1"),
+    ({"c_s_hi": 1.0}, "c_s_hi: must lie in (0, 1), got 1.0"),
+    ({"t_lo": 0.0}, "t_lo: must be > 0, got 0.0"),
+    ({"c_count": 1}, "c_count: must be >= 2, got 1"),
+    ({"refine_points": 2}, "refine_points: must be >= 3, got 2"),
+    ({"refine_passes": -1}, "refine_passes: must be >= 0, got -1"),
+    ({"pattern_cap": 0}, "pattern_cap: must be >= 1, got 0"),
+    ({"pattern_cap": MAX_PATTERN_CAP + 1},
+     f"pattern_cap: must be <= {MAX_PATTERN_CAP}, got {MAX_PATTERN_CAP + 1}"),
+])
+def test_search_config_rejects_bad_fields(fields, message):
+    with pytest.raises(SearchConfigError) as info:
+        SearchConfig(**fields)
+    assert str(info.value) == message
+    # the field at fault is data, not only text
+    assert info.value.field == message.partition(":")[0]
+    # replace() makes a config too, so it cannot slip one past the checks
+    with pytest.raises(ValueError):
+        replace(DEFAULT_CONFIG, **fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"t_step": 1e-9},                  # about 5.75e9 t values
+    {"t_hi": 1e300},                   # the probes below each integer
+    {"c_count": 2_000_000},
+    {"refine_points": 2000},
+    {"refine_passes": 10 ** 30},
+])
+def test_search_config_bound_is_checked_before_any_grid(monkeypatch, fields):
+    def no_grid(*args):
+        raise AssertionError("a grid was built before the bound was checked")
+
+    monkeypatch.setattr(optimize, "_t_grid", no_grid)
+    monkeypatch.setattr(optimize, "_c_grid", no_grid)
+    with pytest.raises(ValueError, match=f"over the limit of {optimize.MAX_SEARCH_CELLS}") as info:
+        SearchConfig(**fields)
+    assert info.value.field is None
 
 
 # --------------------------------------------------- frozen family searches

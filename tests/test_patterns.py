@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gamecert.families import RcdSpec, RcoSpec, generate_rcd, generate_rco
 from gamecert.patterns import (
     PatternQuery,
+    _default_resolution,
     candidates_to_csv,
     find_homothety,
     pattern_diameter,
@@ -199,3 +200,62 @@ def test_random_placements_agree_with_candidate_set(ix, iy, lam):
     # the scan's grid covers the root-constrained range; anything outside it
     # cannot be a candidate and must also fail the exact check (off the root)
     assert (x in cands) == ok
+
+
+# ------------------------------------------------------- the candidate view
+
+
+# scale 3/4 has no candidate between scales that have some, and scale 9/4
+# leaves no translation inside the root box
+GAPPED = PatternQuery(((0, 0), (1, 1)), Fraction(1, 4), Fraction(9, 4), 2, Fraction(1, 4))
+
+
+@pytest.fixture(scope="module")
+def hashed_rect():
+    return generate_rcd(RcdSpec(5, 3, "hash", 8), depth=2)
+
+
+def _one_scale_at_a_time(query, rect):
+    """The candidates of each scale on its own: a query per scale."""
+    res = query.grid_resolution or _default_resolution(rect, query.depth)
+    out = []
+    lam = query.lambda_lo
+    while lam <= query.lambda_hi:
+        out += find_homothety(PatternQuery(query.points, lam, lam, query.depth, res), rect)
+        lam += res
+    return out
+
+
+@pytest.mark.parametrize("which", ["gapped", "rco"])
+def test_candidate_view_behaves_like_the_tuple(rco_rect, hashed_rect, which):
+    if which == "gapped":
+        query, rect = GAPPED, hashed_rect
+    else:  # three scales of about a thousand candidates each
+        query = PatternQuery(((0, 0), (1, 0), (0, 1)), Fraction(1, 5), Fraction(3, 10), 2,
+                             Fraction(1, 20))
+        rect = rco_rect
+    view = find_homothety(query, rect)
+    eager = tuple(view)
+    assert len(view) == len(eager) > 0
+    assert eager == tuple(_one_scale_at_a_time(query, rect))
+    assert view == eager and eager == view and view == find_homothety(query, rect)
+    assert view != list(eager)
+    assert hash(view) == hash(eager) and repr(view) == repr(eager)
+    assert [view[i] for i in range(len(eager))] == list(eager)
+    assert (view[-1], view[-len(eager)]) == (eager[-1], eager[0])
+    for cut in (slice(0, 3), slice(2, 9), slice(None, None, -4), slice(-5, None)):
+        assert view[cut] == list(eager[cut])
+    with pytest.raises(IndexError):
+        view[len(eager)]
+    # the csv of the view is the csv of its candidates, one by one
+    assert candidates_to_csv(view) == candidates_to_csv(list(view))
+    assert candidates_to_csv(view[:3]) == candidates_to_csv(eager[:3])
+
+
+def test_gapped_query_skips_only_the_empty_scales(hashed_rect):
+    view = find_homothety(GAPPED, hashed_rect)
+    lams = [c.lam for c in view]
+    assert sorted(set(lams)) == [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(5, 4)]
+    assert [lams.count(lam) for lam in sorted(set(lams))] == [6, 3, 3, 2]
+    rows = candidates_to_csv(view).splitlines()
+    assert rows[1:] == [f"{c.lam},{c.x[0]},{c.x[1]},2" for c in view]
