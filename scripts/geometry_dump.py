@@ -5,11 +5,13 @@
 
 One file per output: the CSVs and rasters of generated members, the repr of
 every covering-strategy level, the repr of budget audits, game transcripts,
-and pattern-search candidates (their CSV, and their count with the repr of
-the first three).  Run it in two checkouts and compare with `diff -r`; an
-empty diff means the geometry layer is unchanged.  A level of more than
-REPR_LIMIT boxes is written as the sha256 of its repr.  --small writes a
-quick subset of small members (about a second).
+pattern-search candidates (their CSV, and their count with the repr of the
+first three), and the repr of the `verify` oracle reports (projection return,
+passing and as the negative control, half-shrink, child grid, overlap).  Run
+it in two checkouts and compare with `diff -r`; an empty diff means the
+geometry layer is unchanged.  A level of more than REPR_LIMIT boxes is
+written as the sha256 of its repr.  --small writes a quick subset of small
+members (about a second).
 """
 from __future__ import annotations
 
@@ -128,6 +130,28 @@ def _outputs(small: bool) -> Iterator[tuple[str, str]]:
         yield f"candidates-{i}-{name}.csv", patterns.candidates_to_csv(candidates)
         yield f"candidates-{i}-{name}.txt", \
             f"{len(candidates)} candidates\n{list(candidates[:3])!r}\n"
+
+    yield from _oracle_outputs()
+
+
+def _oracle_outputs() -> Iterator[tuple[str, str]]:
+    """The verify oracles' reports on one to three axes (a few ms in all)."""
+    for us, block, radius in (((7,), 3, 4), ((6, 7), 2, 3), ((6, 7, 8), 1, 3), ((6, 7, 8), 2, 2)):
+        name = "-".join(map(str, us)) + f"-b{block}"
+        for corrupt in (False, True):
+            audit = gamesim.verify_projection_return(us, block, radius=radius,
+                                                     coarse_branch=not corrupt)
+            yield f"projection-{name}{'-corrupt' if corrupt else ''}.txt", repr(audit) + "\n"
+    for us in ((6, 7), (5, 2)):
+        audit = gamesim.verify_half_shrink(us, 2, 3, radius=10)
+        yield f"half-shrink-{'-'.join(map(str, us))}.txt", repr(audit) + "\n"
+    for us, block, parent in (((6,), 2, (1,)), ((6, 7), 2, (1, -1)), ((9, 10, 11), 1, (2, 0, -1))):
+        report = gamesim.child_cover_grid(us, block, parent)
+        yield f"child-grid-{'-'.join(map(str, us))}.txt", repr(report) + "\n"
+    for us, level, exponent, center in (((5, 7), 3, 4, (Fraction(1, 7), Fraction(-2, 9))),
+                                        ((6, 6), 2, 2, (0, 0)), ((10, 12), 1, 3, (1, -1))):
+        report = gamesim.tuple_overlap_bound(us, level, exponent, center)
+        yield f"overlap-{'-'.join(map(str, us))}.txt", repr(report) + "\n"
 
 
 def main() -> int:

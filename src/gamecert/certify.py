@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .core import (
@@ -444,6 +445,18 @@ _CERT_KEYS = (
 )
 
 
+def _fmt(value: object) -> str:
+    """A value as certificates and CLI reports write it: true|false, a float
+    to 17 significant digits (it reads back exactly), a Fraction as p/q."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    return str(value)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Flat, deterministic, text-serializable record of one certified claim.
@@ -457,21 +470,13 @@ class Certificate:
     fields: dict[str, object]
     extras: dict[str, str] = field(default_factory=dict)
 
-    @staticmethod
-    def _fmt(value: object) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return "%.17g" % value
-        return str(value)
-
     def to_text(self) -> str:
         lines = []
         merged: dict[str, object] = {"schema": "gamecert.certificate.v1", "kind": self.kind}
         merged.update(self.fields)
         for key in _CERT_KEYS:
             if key in merged and merged[key] is not None:
-                lines.append(f"{key} = {self._fmt(merged[key])}")
+                lines.append(f"{key} = {_fmt(merged[key])}")
         for key in sorted(self.extras):
             lines.append(f"{key} = {self.extras[key]}")
         return "\n".join(lines) + "\n"
@@ -554,7 +559,7 @@ def dimension_certificate(
             dim_lower_bound=bound.value,
             positive_dim=bound.positive,
         )
-    return Certificate("dimension", fields, extras or {})
+    return Certificate("dimension", fields, dict(extras or {}))
 
 
 def pattern_certificate(
@@ -598,20 +603,12 @@ def intersect_certificate(
     for a in alphas:
         if a.log >= 0.0:
             raise ValueError("every member rate must be below 1")
-    combined = combine_alphas(list(alphas), c)
-    bound = dim_lower_bound(combined, contraction, c, delta)
-    fields = _base_fields(bound.report, rho2)
-    if bound.report.feasible:
-        fields.update(
-            deficit_constant=bound.constant,
-            dim_lower_bound=bound.value,
-            positive_dim=bound.positive,
-        )
-    all_extras = dict(extras or {})
-    all_extras["member_count"] = str(len(alphas))
+    cert = dimension_certificate(
+        combine_alphas(list(alphas), c), contraction, c, delta, rho2, extras)
+    cert.extras["member_count"] = str(len(alphas))
     for i, a in enumerate(alphas, start=1):
-        all_extras.setdefault(f"member.{i}.alpha_log", "%.17g" % a.log)
-    return Certificate("intersection", fields, all_extras)
+        cert.extras.setdefault(f"member.{i}.alpha_log", "%.17g" % a.log)
+    return Certificate("intersection", cert.fields, cert.extras)
 
 
 def distance_set_certificate(

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 from .certify import (
     Certificate,
+    _fmt,
     check_ratio_range,
     default_delta,
     dimension_certificate,
@@ -32,6 +33,7 @@ from .certify import (
 )
 from .core import DiagonalContraction, LogScalar
 from .families import (
+    GeometrySizeError,
     RcdSpec,
     RcoSpec,
     covering_strategy_for_rcd,
@@ -65,16 +67,6 @@ COMMANDS = (
     "smallest-u",
 )
 _REQUIRED = object()
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
 
 
 class ConfigError(Exception):
@@ -133,14 +125,21 @@ class Config:
             raise ConfigError(key, f"expected one of {'|'.join(choices)}, got {value!r}")
         return value
 
+    def _typed(self, key: str, default: object, convert: Callable[[str], object],
+               what: str) -> object:
+        """The value of `key` passed through `convert`, or the default as it
+        is when the key is absent; a value that does not convert fails."""
+        value = self.raw(key, default)
+        if not isinstance(value, str):
+            return value
+        try:
+            return convert(value)
+        except (ValueError, ZeroDivisionError, OverflowError):  # p/q past the float range
+            raise ConfigError(key, f"expected {what}, got {value!r}") from None
+
     def get_int(self, key: str, default: object = _REQUIRED, *,
                 lo: int | None = None, hi: int | None = None) -> int:
-        value = self.raw(key, default)
-        if isinstance(value, str):
-            try:
-                value = int(value, 0)
-            except ValueError:
-                raise ConfigError(key, f"expected an integer, got {self.pairs[key]!r}") from None
+        value = self._typed(key, default, lambda x: int(x, 0), "an integer")
         if value is None:
             return value
         if lo is not None and value < lo:
@@ -152,12 +151,8 @@ class Config:
     def get_float(self, key: str, default: object = _REQUIRED, *,
                   lo: float | None = None, hi: float | None = None,
                   open_ends: bool = False) -> float:
-        value = self.raw(key, default)
-        if isinstance(value, str):
-            try:
-                value = float(Fraction(value)) if "/" in value else float(value)
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(key, f"expected a number, got {self.pairs[key]!r}") from None
+        value = self._typed(key, default, lambda x: float(Fraction(x) if "/" in x else x),
+                            "a number")
         if value is None:
             return value
         if not math.isfinite(value):
@@ -180,12 +175,7 @@ class Config:
 
     def get_fraction(self, key: str, default: object = _REQUIRED, *,
                      positive: bool = False) -> Fraction:
-        value = self.raw(key, default)
-        if isinstance(value, str):
-            try:
-                value = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(key, f"expected a rational p/q, got {self.pairs[key]!r}") from None
+        value = self._typed(key, default, Fraction, "a rational p/q")
         if value is None:
             return value
         if positive and value <= 0:
@@ -193,13 +183,8 @@ class Config:
         return value
 
     def get_int_list(self, key: str, default: object = _REQUIRED) -> tuple[int, ...]:
-        value = self.raw(key, default)
-        if not isinstance(value, str):
-            return value
-        try:
-            return tuple(int(part.strip()) for part in value.split(","))
-        except ValueError:
-            raise ConfigError(key, f"expected comma-separated integers, got {value!r}") from None
+        return self._typed(key, default, lambda x: tuple(int(part) for part in x.split(",")),
+                           "comma-separated integers")
 
     def get_points(self, key: str, default: object = _REQUIRED) -> tuple[tuple[Fraction, Fraction], ...]:
         """'x,y; x,y; ...' with exact rational coordinates."""
@@ -531,6 +516,21 @@ def _build_rect(family, depth: int, placement: str, seed: int):
         raise ConfigError("generate.depth", str(exc)) from None
 
 
+def _build_strategy(params: tuple, c: float, t: int | None, depth_key: str, error_key: str):
+    """The covering strategy of the member that `params`, from
+    _read_generate, names.  Geometry over the size limit is a config error
+    naming game.t or `depth_key`; any other bad input names `error_key`."""
+    family, depth, placement, seed = params
+    try:
+        if isinstance(family, RcoSpec):
+            return covering_strategy_for_rco(generate_rco(family, depth, placement, seed), c)
+        return covering_strategy_for_rcd(family, c, t, depth)
+    except GeometrySizeError as exc:
+        raise ConfigError("game.t" if exc.arg == "t" else depth_key, str(exc)) from None
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(error_key, str(exc)) from None
+
+
 def _cmd_generate(cfg: Config, out: Path, trace: bool,
                   finish: Callable[[], None]) -> int:
     params = _read_generate(cfg)
@@ -554,8 +554,8 @@ def _cmd_simulate(cfg: Config, out: Path, trace: bool,
                   finish: Callable[[], None]) -> int:
     from .gamesim import constant_policy, play_game, steering_policy  # loads numpy
 
-    family, depth, placement, seed = _read_generate(
-        cfg, default_depth=cfg.get_int("simulate.moves", lo=1))
+    params = _read_generate(cfg, default_depth=cfg.get_int("simulate.moves", lo=1))
+    family = params[0]
     moves = cfg.get_int("simulate.moves", lo=1)
     c = cfg.get_float("game.c", lo=0.0, hi=1.0, open_ends=True)
     t = cfg.get_int("game.t", lo=1) if isinstance(family, RcdSpec) else None
@@ -571,14 +571,8 @@ def _cmd_simulate(cfg: Config, out: Path, trace: bool,
     clamp = cfg.get_bool("simulate.clamp", True)
     preamble = cfg.get_bool("simulate.preamble", True)
     finish()
-    try:
-        if isinstance(family, RcoSpec):
-            member = generate_rco(family, depth, placement, seed)
-            strategy = covering_strategy_for_rco(member, c)
-        else:
-            strategy = covering_strategy_for_rcd(family, c, t, depth)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError("family", str(exc)) from None
+    depth_key = "generate.depth" if cfg.has("generate.depth") else "simulate.moves"
+    strategy = _build_strategy(params, c, t, depth_key, "family")
     try:
         transcript = play_game(policy, strategy, moves, radius=radius,
                                grant_preamble=preamble, clamp=clamp)
@@ -642,20 +636,14 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
                   f"checked = {audit.checked}", f"failures = {audit.failures}"]
         ok = audit.passed
     elif check == "budget":
-        family, depth, placement, seed = _read_generate(cfg, default_depth=2)
+        params = _read_generate(cfg, default_depth=2)
+        family = params[0]
         c = cfg.get_float("game.c", lo=0.0, hi=1.0, open_ends=True)
         t = cfg.get_int("game.t", lo=1) if isinstance(family, RcdSpec) else None
         levels = cfg.get_int_list("verify.levels", None)
         extent = cfg.get_int("verify.extent", 1, lo=1)
         finish()
-        try:
-            if isinstance(family, RcoSpec):
-                member = generate_rco(family, depth, placement, seed)
-                strategy = covering_strategy_for_rco(member, c)
-            else:
-                strategy = covering_strategy_for_rcd(family, c, t, depth)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError("verify", str(exc)) from None
+        strategy = _build_strategy(params, c, t, "generate.depth", "verify")
         try:
             audit = verify_covering_budget(strategy, levels=levels, extent=extent)
         except ValueError as exc:

@@ -45,9 +45,11 @@ numerators, int64 where they fit):
 Their `entries` and `boxes` are read-only views that build a RectEntry or a
 Fraction BoxRegion only when an item is read; they compare, hash and print
 like the list and tuple of those items.  The budget audit, the game, the
-CSV and raster writers and the pattern scan read the numerators.  Sets and
-levels built by hand from boxes keep them as given and derive their
-lattice once.  Budget rates are LogScalars.
+CSV and raster writers and the pattern scan read the numerators.  A set
+built by hand from entries derives its lattice once and reads its entries
+back from it, so a float coordinate comes back as the equal exact
+Fraction; a level built by hand keeps its boxes as given.  No generator
+builds more than MAX_GEOMETRY_BOXES boxes.  Budget rates are LogScalars.
 """
 from __future__ import annotations
 
@@ -85,7 +87,14 @@ __all__ = [
     "rcd_children",
     "covering_strategy_for_rco",
     "covering_strategy_for_rcd",
+    "MAX_GEOMETRY_BOXES",
+    "GeometrySizeError",
 ]
+
+# Most boxes one generated member or covering strategy may hold, counted
+# before anything is allocated.  RCO(4,5,2,1) at depth 5 has 10,105,260;
+# the RCD(7,4) strategy at t = 1 and depth 4 has 2,889,900 and 4 templates.
+MAX_GEOMETRY_BOXES = 2 ** 26
 
 
 # --------------------------------------------------------------- family specs
@@ -300,6 +309,28 @@ def rcd_alpha(
     nt = cover_count if cover_count is not None else rcd_cover_count(u, v, t)
     count = 9 * (u - 1) * (v - 1) * nt.value
     return LogScalar(math.log(count) / c - (1 + t) * (math.log(u) + math.log(v)))
+
+
+class GeometrySizeError(ValueError):
+    """More than MAX_GEOMETRY_BOXES boxes; `arg` ("depth" or "t") names the cause."""
+
+    def __init__(self, arg: str, value: int) -> None:
+        super().__init__(f"{arg} = {value} needs more than {MAX_GEOMETRY_BOXES} boxes")
+        self.arg = arg
+
+
+def _check_size(arg: str, value: int, boxes: int) -> None:
+    if boxes > MAX_GEOMETRY_BOXES:
+        raise GeometrySizeError(arg, value)
+
+
+def _level_boxes(first: int, ratio: int, depth: int) -> int:
+    """The boxes of levels 1..depth, first * (ratio + ... + ratio^depth), or
+    a partial sum already past MAX_GEOMETRY_BOXES: a ratio of 1 sums in
+    closed form, and a ratio of 2 or more passes the limit within 64 levels."""
+    if ratio == 1:
+        return first * depth
+    return sum(first * ratio ** k for k in range(1, min(depth, 64) + 1))
 
 
 # ------------------------------------------------------------------ lattices
@@ -533,10 +564,10 @@ class RectangleSet:
     Entries are ordered by level, then address, and stored as columns: the
     levels, the addresses ("kind:path") and, per axis, an AxisLattice of
     center and half-width numerators over one denominator for the whole
-    set.  The generators fill the columns directly; `entries` is a
-    read-only view that builds a RectEntry only when one is read.  A set
-    built from entries (by hand or by from_csv) keeps them as given, in
-    that order, and derives its lattice from them once.
+    set.  The generators fill the columns directly; a set built from
+    entries (by hand or by from_csv) derives them once.  Either way
+    `entries` is a read-only view that builds a RectEntry, with exact
+    Fraction coordinates, only when one is read.
 
     Because an address starts with its kind, the entries of one kind at
     one level are one run of indices; of_kind and lattice_of find it by
@@ -554,22 +585,23 @@ class RectangleSet:
         for e in rows:
             if ":" not in e.address:
                 raise ValueError(f"address {e.address!r} does not read kind:path")
-        self._given: list[RectEntry] | None = rows
-        self.levels = [e.level for e in rows]
-        self.addresses = [e.address for e in rows]
         empty = (AxisLattice(1, array("q"), array("q")),) * 2
-        self.lattice = _derived_lattice([e.box for e in rows]) or empty
-        self.entries = _ListRows(len(rows), rows.__getitem__)
+        self._set_columns([e.level for e in rows], [e.address for e in rows],
+                          _derived_lattice([e.box for e in rows]) or empty)
+
+    def _set_columns(self, levels: Sequence[int], addresses: Sequence[str],
+                     lattice: tuple[AxisLattice, ...]) -> None:
+        self.levels, self.addresses, self.lattice = levels, addresses, lattice
+        self.entries = _ListRows(
+            len(addresses), partial(_rect_entry, levels, addresses, _box_reader(lattice)))
 
     @classmethod
     def _on_lattice(cls, levels: Sequence[int], addresses: Sequence[str],
                     lattice: tuple[AxisLattice, ...], meta: dict[str, str]) -> "RectangleSet":
         """A set over columns already in entry order."""
         rect = cls.__new__(cls)
-        rect.meta, rect._given = meta, None
-        rect.levels, rect.addresses, rect.lattice = levels, addresses, lattice
-        rect.entries = _ListRows(
-            len(addresses), partial(_rect_entry, levels, addresses, _box_reader(lattice)))
+        rect.meta = meta
+        rect._set_columns(levels, addresses, lattice)
         return rect
 
     def _spans(self, kind: str | None, levels: Iterable[int] | None) -> list[range]:
@@ -616,12 +648,6 @@ class RectangleSet:
     # -- CSV ------------------------------------------------------------
 
     @staticmethod
-    def _fmt(x: Fraction | float) -> str:
-        if isinstance(x, Fraction):
-            return f"{x.numerator}/{x.denominator}"
-        return "%.17g" % x
-
-    @staticmethod
     def _parse(s: str) -> Fraction | float:
         if "/" in s:
             num, den = s.split("/")
@@ -629,23 +655,16 @@ class RectangleSet:
         return float(s)
 
     def to_csv(self) -> str:
-        """Meta lines, the header, then one row per entry.  Exact coordinates
-        are written p/q in lowest terms, floats of a set built from entries
-        as %.17g."""
+        """Meta lines, the header, then one row per entry, every coordinate
+        written p/q in lowest terms."""
         out = [f"# {key} = {self.meta[key]}\n" for key in sorted(self.meta)]
         out.append("level,address,cx,cy,hx,hy\n")
-        if self._given is not None:
-            rows = (
-                (e.level, e.address, *map(self._fmt, e.box.center + e.box.half))
-                for e in self._given
-            )
-        else:
-            (x, y) = self.lattice
-            rows = zip(
-                self.levels, self.addresses,
-                _ratio_texts(x.den, x.centers), _ratio_texts(y.den, y.centers),
-                _ratio_texts(x.den, x.halves), _ratio_texts(y.den, y.halves),
-            )
+        (x, y) = self.lattice
+        rows = zip(
+            self.levels, self.addresses,
+            _ratio_texts(x.den, x.centers), _ratio_texts(y.den, y.centers),
+            _ratio_texts(x.den, x.halves), _ratio_texts(y.den, y.halves),
+        )
         out.extend(f"{a},{b},{c},{d},{e},{f}\n" for a, b, c, d, e, f in rows)
         return "".join(out)
 
@@ -786,11 +805,13 @@ def generate_rco(
 
     Entries come out in address order without sorting addresses: a cell
     path "i_j" orders by the text of i and "_", then by the text of j, and
-    a cut "i_j/o" by its cell's path, then by the text of o.
+    a cut "i_j/o" by its cell's path, then by the text of o.  A member of
+    more than MAX_GEOMETRY_BOXES boxes raises GeometrySizeError first.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v, m, t = spec.u, spec.v, spec.m, spec.t
+    _check_size("depth", depth, _level_boxes(m + 1, u * v, depth))
     ut, vt = u ** t, v ** t
     corner_slots = [(s % ut, s // ut) for s in range(m)]
     ordinals = sorted(range(m), key=str)
@@ -918,11 +939,13 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
 
     Level k lives on the lattice with denominators (u^k (u-1), v^k (v-1)),
     where a component has half-widths (u-1, v-1); the set's lattice is that
-    of level `depth`.
+    of level `depth`.  Over MAX_GEOMETRY_BOXES boxes it raises
+    GeometrySizeError first.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v = spec.u, spec.v
+    _check_size("depth", depth, _level_boxes(1, (u - 1) * (v - 1), depth))
 
     def blocks() -> Iterator[tuple]:
         for k, pieces in enumerate(_rcd_walk(spec, depth), start=1):
@@ -1109,7 +1132,8 @@ def covering_strategy_for_rcd(
     row, and one gcd reduction takes the column to lowest terms.  The
     level keeps only those numerators, as its lattice (array('q') columns,
     or tuples of Python ints past int64); its boxes are read off it on
-    demand.
+    demand.  A strategy of more than MAX_GEOMETRY_BOXES boxes, its four
+    templates included, raises GeometrySizeError before any is built.
     """
     import numpy as np
 
@@ -1118,10 +1142,16 @@ def covering_strategy_for_rcd(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v = spec.u, spec.v
-    ut, vt = u ** t, v ** t
+    # a template has more than 2^t boxes, so a huge t fails before its count;
+    # the four templates and level 0 are built at every depth
+    _check_size("t", t, 4 * 2 ** min(t, 64))
     count = rcd_cover_count(u, v, t)
+    children = (u - 1) * (v - 1)
+    _check_size("t", t, (4 + children) * count.value)
+    _check_size("depth", depth, 4 * count.value + _level_boxes(count.value, children, depth))
     alpha = rcd_alpha(u, v, c, t, count)
     params = GameParameters(alpha, spec.contraction(), c)
+    ut, vt = u ** t, v ** t
     # the cover of a region minus its child, per corner of the child, as
     # offsets from the region's center: the same on every level's lattice.
     # Row 2 (sx < 0) + (sy < 0) of a template table is corner (sx, sy).

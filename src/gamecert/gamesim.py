@@ -27,6 +27,7 @@ run without loading it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,20 +243,20 @@ class ProjectionAudit:
         return self.failures == 0
 
 
-def _first_index(mask: np.ndarray) -> tuple[int, int] | None:
+def _witness(
+    tables: Sequence[_AxisTable], probes: Iterable[Callable[[_AxisTable], np.ndarray]]
+) -> tuple | None:
+    """The first (axis, coarse index, child offset) a probe flags: probe by
+    probe, then axis by axis, then in row-major order of the table."""
     import numpy as np
 
-    hits = np.argwhere(mask)
-    if len(hits) == 0:
-        return None
-    return int(hits[0][0]), int(hits[0][1])
-
-
-def _prod(xs: Iterable[int]) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
+    for probe in probes:
+        for axis, tab in enumerate(tables):
+            hits = np.argwhere(probe(tab))
+            if len(hits):
+                return ("axis", axis, "coarse_index", int(tab.r_values[hits[0][0]]),
+                        "child_offset", int(tab.l_values[hits[0][1]]))
+    return None
 
 
 def verify_projection_return(
@@ -281,56 +282,29 @@ def verify_projection_return(
     if block < 1 or k < 0 or radius < 0:
         raise ValueError("block >= 1, k >= 0, radius >= 0 required")
     tables = [_axis_table(uj, block, k, radius) for uj in u]
-    checked = _prod(t.window.size for t in tables)
+    checked = math.prod(t.window.size for t in tables)
+    O = [int(t.nearest_ok.sum()) for t in tables]             # nearest on target
 
     if not coarse_branch:
-        good = _prod(int(t.nearest_ok.sum()) for t in tables)
-        failures = checked - good
-        witness = None
-        if failures:
-            for axis, tab in enumerate(tables):
-                pos = _first_index(~tab.nearest_ok)
-                if pos is not None:
-                    witness = (
-                        "axis", axis,
-                        "coarse_index", int(tab.r_values[pos[0]]),
-                        "child_offset", int(tab.l_values[pos[1]]),
-                    )
-                    break
-        return ProjectionAudit(tuple(u), block, k, radius, checked, failures, witness)
-
-    # Joint semantics: when the final-step window admits a coarse cell on
-    # every axis the chain lands on the per-axis coarse result; otherwise
-    # every axis falls back to nearest.  Count failing tuples exactly.
-    W = [int(t.window.sum()) for t in tables]                 # window ok
-    A = [int(t.coarse_ok.sum()) for t in tables]              # window ok, on target
-    O = [int(t.nearest_ok.sum()) for t in tables]             # nearest on target
-    E = [int((t.window & t.nearest_ok).sum()) for t in tables]
-
-    fail_coarse = _prod(W) - _prod(A)
-    not_all_window = checked - _prod(W)
-    fail_nearest = not_all_window - (_prod(O) - _prod(E))
-    failures = fail_coarse + fail_nearest
-
-    witness = None
-    if failures:
-        probes = (
+        failures = checked - math.prod(O)
+        probes = [lambda t: ~t.nearest_ok]
+    else:
+        # Joint semantics: when the final-step window admits a coarse cell on
+        # every axis the chain lands on the per-axis coarse result; otherwise
+        # every axis falls back to nearest.  Count failing tuples exactly.
+        W = [int(t.window.sum()) for t in tables]                 # window ok
+        A = [int(t.coarse_ok.sum()) for t in tables]              # window ok, on target
+        E = [int((t.window & t.nearest_ok).sum()) for t in tables]
+        fail_coarse = math.prod(W) - math.prod(A)
+        not_all_window = checked - math.prod(W)
+        fail_nearest = not_all_window - (math.prod(O) - math.prod(E))
+        failures = fail_coarse + fail_nearest
+        probes = [
             lambda t: t.window & ~t.coarse_ok,
             lambda t: ~t.window & ~t.nearest_ok,
             lambda t: t.window & ~t.nearest_ok,
-        )
-        for probe in probes:
-            for axis, tab in enumerate(tables):
-                pos = _first_index(probe(tab))
-                if pos is not None:
-                    witness = (
-                        "axis", axis,
-                        "coarse_index", int(tab.r_values[pos[0]]),
-                        "child_offset", int(tab.l_values[pos[1]]),
-                    )
-                    break
-            if witness is not None:
-                break
+        ]
+    witness = _witness(tables, probes) if failures else None
     return ProjectionAudit(tuple(u), block, k, radius, checked, failures, witness)
 
 
@@ -690,7 +664,6 @@ def child_cover_grid(
         raise ValueError("block >= 1 and k >= 0 required")
     rho = Fraction(rho)
     contraction = DiagonalContraction.from_denominators([int(uj) for uj in u])
-    n = contraction.n
     coarse_level = k * block + 1
     fine_level = (k + 1) * block + 1
     parent_lat = Lattice("coarse", contraction, coarse_level, rho)
@@ -699,41 +672,21 @@ def child_cover_grid(
 
     gammas = tuple(Fraction(uj ** block - 2, 6) for uj in u)
     floors = tuple(g.numerator // g.denominator for g in gammas)
-    formula = _prod(2 * f + 1 for f in floors)
-    floor_prod = _prod(max(f, 0) for f in floors)
+    formula = math.prod(2 * f + 1 for f in floors)
+    floor_prod = math.prod(max(f, 0) for f in floors)
 
     # constructed grid: anchor at the scaled parent index, symmetric offsets
-    anchors = tuple(
-        uj ** block * parent[j] for j, uj in enumerate(u)
-    )
-    grid: set[tuple[int, ...]] = set()
-
-    def build(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == n:
-            grid.add(prefix)
-            return
-        j = len(prefix)
-        for l in range(-floors[j], floors[j] + 1):
-            build(prefix + (anchors[j] + l,))
-
-    build(())
+    anchors = [uj ** block * parent[j] for j, uj in enumerate(u)]
+    grid = set(itertools.product(*(range(a - f, a + f + 1) for a, f in zip(anchors, floors))))
     all_inside = all(
         half_parent.contains_box(child_lat.cell_box(p)) for p in grid
     )
 
-    # exhaustive enumeration: scan one extra ring beyond the construction
-    found: set[tuple[int, ...]] = set()
-
-    def scan(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == n:
-            if half_parent.contains_box(child_lat.cell_box(prefix)):
-                found.add(prefix)
-            return
-        j = len(prefix)
-        for p in range(anchors[j] - floors[j] - 2, anchors[j] + floors[j] + 3):
-            scan(prefix + (p,))
-
-    scan(())
+    # exhaustive enumeration: scan two extra rings beyond the construction
+    found = {
+        p for p in itertools.product(*(range(a - f - 2, a + f + 3) for a, f in zip(anchors, floors)))
+        if half_parent.contains_box(child_lat.cell_box(p))
+    }
     return ChildGridReport(
         gammas, len(found), formula, floor_prod, all_inside, found == grid
     )

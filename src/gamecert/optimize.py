@@ -90,7 +90,7 @@ def search_cells(config: SearchConfig) -> float:
     limit = MAX_SEARCH_CELLS + 1
     t_points = ((config.t_hi - config.t_lo) / config.t_step + 1.0
                 + len(T_INTEGER_OFFSETS) * config.t_hi)
-    c_points = min(max(config.c_count, 1), limit)
+    c_points = min(config.c_count, limit)
     refine = min(config.refine_points, limit) * max(
         min(config.refine_points, limit), len(T_REFINE_OFFSETS))
     return c_points * t_points + min(config.refine_passes, limit) * refine
@@ -261,8 +261,6 @@ def max_pattern_size(
 
 
 def _c_grid(config: SearchConfig) -> tuple[float, ...]:
-    if config.c_count < 2:
-        return (1.0 - config.c_s_lo,)
     ratio = (config.c_s_hi / config.c_s_lo) ** (1.0 / (config.c_count - 1))
     values = []
     for i in range(config.c_count):
@@ -286,7 +284,7 @@ def _t_grid(config: SearchConfig) -> tuple[float, ...]:
 
 
 def _geom(lo: float, hi: float, count: int) -> tuple[float, ...]:
-    if count < 2 or lo >= hi:
+    if lo >= hi:
         return (hi,)
     ratio = (hi / lo) ** (1.0 / (count - 1))
     return tuple(lo * ratio ** i for i in range(count))
@@ -318,8 +316,6 @@ def _refine_t(best_t: float, grid: Sequence[float], count: int) -> tuple[float, 
     idx = min(range(len(ordered)), key=lambda i: abs(ordered[i] - best_t))
     lo = ordered[idx - 1] if idx > 0 else max(ordered[idx] * 0.5, 1e-3)
     hi = ordered[idx + 1] if idx + 1 < len(ordered) else ordered[idx] * 1.5
-    if count < 2:
-        return (best_t,)
     step = (hi - lo) / (count + 1)
     return tuple(lo + step * (i + 1) for i in range(count))
 

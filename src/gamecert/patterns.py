@@ -17,6 +17,7 @@ the full query depth implies passing every shallower depth.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,12 +45,9 @@ ROOT = BoxRegion((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
 
 def pattern_diameter(points: Sequence[Sequence[Fraction]]) -> Fraction:
     """Sup-metric diameter of the pattern (0 for a singleton)."""
-    diam = Fraction(0)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            for a, b in zip(points[i], points[j]):
-                diam = max(diam, abs(Fraction(a) - Fraction(b)))
-    return diam
+    return max((abs(Fraction(a) - Fraction(b))
+                for p, q in itertools.combinations(points, 2) for a, b in zip(p, q)),
+               default=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -230,16 +228,6 @@ class _Candidates(_LazyRows):
                 yield PatternCandidate(lam, (xs[i], ys[j]), self.depth)
 
 
-def _ceil_div(num: Fraction, den: Fraction) -> int:
-    q = num / den
-    return -((-q.numerator) // q.denominator)
-
-
-def _floor_div(num: Fraction, den: Fraction) -> int:
-    q = num / den
-    return q.numerator // q.denominator
-
-
 def _default_resolution(rect: RectangleSet, depth: int) -> Fraction:
     halves = [
         Fraction(min(axis.halves), axis.den)
@@ -266,8 +254,8 @@ def _scan_one_scale(
         hi = Fraction(1) - lam * max(coords)
         if lo > hi:
             return None
-        lo_idx.append(_ceil_div(lo, res))
-        hi_idx.append(_floor_div(hi, res))
+        lo_idx.append(math.ceil(lo / res))
+        hi_idx.append(math.floor(hi / res))
         if lo_idx[j] > hi_idx[j]:
             return None
     shape = (hi_idx[0] - lo_idx[0] + 1, hi_idx[1] - lo_idx[1] + 1)

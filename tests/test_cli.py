@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,45 @@ def test_malformed_configs_exit_1_with_field_path(tmp_path, capsys, body, needle
     cfg = write_cfg(tmp_path, "cfg", body)
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_ratio_past_the_float_range_is_a_config_error():
+    huge = "1" + "0" * 400 + "/1"
+    with pytest.raises(ConfigError, match="game.c: expected a number"):
+        Config({"game.c": huge}, "test").get_float("game.c")
+
+
+RCO_FAMILY = "family.kind = rco\nfamily.u = 4\nfamily.v = 5\nfamily.m = 2\nfamily.t = 1\n"
+RCO_GAME = RCO_FAMILY + "game.c = 0.5\n"
+RCD_GAME = "family.kind = rcd\nfamily.u = 7\nfamily.v = 4\ngame.c = 0.5\n"
+SIMULATE = "command = simulate\nsimulate.target = 7/8, 9/10\n"
+BUDGET = "command = verify\nverify.check = budget\n"
+
+
+@pytest.mark.parametrize("body,needle", [
+    ("command = generate\n" + RCO_FAMILY + "generate.depth = 12\n", "generate.depth"),
+    ("command = generate\nfamily.kind = rcd\nfamily.u = 7\nfamily.v = 4\n"
+     "generate.depth = 1000000000\n", "generate.depth"),
+    ("command = generate\nfamily.kind = rcd\nfamily.u = 2\nfamily.v = 2\n"
+     "generate.depth = 1000000000\n", "generate.depth"),
+    (BUDGET + "family.kind = rcd\nfamily.u = 2\nfamily.v = 2\ngame.c = 0.5\n"
+     "game.t = 1\ngenerate.depth = 1000000000\n", "generate.depth"),
+    (SIMULATE + RCO_GAME + "simulate.moves = 12\n", "simulate.moves"),
+    (SIMULATE + RCD_GAME + "game.t = 1\ngenerate.depth = 9\nsimulate.moves = 3\n",
+     "generate.depth"),
+    (SIMULATE + RCD_GAME + "game.t = 10\nsimulate.moves = 2\n", "game.t"),
+    (BUDGET + RCO_GAME + "generate.depth = 12\n", "generate.depth"),
+    (BUDGET + RCD_GAME + "game.t = 10\n", "game.t"),
+    (BUDGET + RCD_GAME + "game.t = 1000000000\n", "game.t"),
+])
+def test_oversized_geometry_exits_1_at_once(tmp_path, capsys, body, needle):
+    cfg = write_cfg(tmp_path, "cfg", body)
+    start = time.perf_counter()
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"error: config: {needle}: " in err and "boxes" in err
     assert not (tmp_path / "out").exists()
 
 

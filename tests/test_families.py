@@ -8,6 +8,7 @@ from array import array
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,9 +18,12 @@ from hypothesis import strategies as st
 
 import gamecert
 from gamecert.core import BoxRegion
+from gamecert import families
 from gamecert.families import (
+    MAX_GEOMETRY_BOXES,
     AxisLattice,
     CoverCount,
+    GeometrySizeError,
     RcdSpec,
     RcoSpec,
     RectangleSet,
@@ -466,6 +470,19 @@ def test_rectangle_set_csv_roundtrip_exact():
         assert a.box == b.box  # Fractions survive the p/q round-trip exactly
 
 
+def test_rectangle_set_float_csv_reads_back_exact():
+    # a hand-written row with %.17g floats: the entries equal the floats,
+    # and the set writes them back as the exact p/q they hold
+    text = "level,address,cx,cy,hx,hy\n1,cut:a,%.17g,1/3,%.17g,1/4\n" % (0.1, 0.3)
+    rect = RectangleSet.from_csv(text)
+    assert rect.entries[0].box == BoxRegion((0.1, Fraction(1, 3)), (0.3, Fraction(1, 4)))
+    written = rect.to_csv()
+    cx, hx = Fraction(0.1), Fraction(0.3)
+    assert written.splitlines()[-1] == \
+        f"1,cut:a,{cx.numerator}/{cx.denominator},1/3,{hx.numerator}/{hx.denominator},1/4"
+    assert RectangleSet.from_csv(written).to_csv() == written
+
+
 def test_rectangle_set_csv_rejects_garbage():
     with pytest.raises(ValueError):
         RectangleSet.from_csv("not,a,header\n1,2,3\n")
@@ -695,6 +712,49 @@ def test_rcd_level_lattices_match_the_per_piece_reference(u, v, rule, seed, t, d
         list(_reference_level_lattices(spec, t, depth))
 
 
+def test_geometry_size_check_counts_boxes_exactly(monkeypatch):
+    # at a limit equal to the exact box count the geometry is built, one
+    # below it refused; a strategy's count includes its four templates
+    builds = [
+        ("depth", lambda: generate_rco(RcoSpec(4, 5, 2, 1), 2),
+         lambda rect: len(rect.entries)),
+        ("depth", lambda: generate_rcd(RcdSpec(5, 3), 3), lambda rect: len(rect.entries)),
+        ("depth", lambda: generate_rcd(RcdSpec(2, 2), 5), lambda rect: len(rect.entries)),
+        ("depth", lambda: covering_strategy_for_rcd(RcdSpec(2, 2), 0.5, 1, 3),
+         lambda s: sum(len(lv.boxes) for lv in s.levels) + 4 * rcd_cover_count(2, 2, 1).value),
+        ("t", lambda: covering_strategy_for_rcd(RcdSpec(3, 4), 0.5, 2, 1),
+         lambda s: sum(len(lv.boxes) for lv in s.levels) + 4 * rcd_cover_count(3, 4, 2).value),
+        ("depth", lambda: covering_strategy_for_rcd(RcdSpec(3, 4), 0.5, 2, 3),
+         lambda s: sum(len(lv.boxes) for lv in s.levels) + 4 * rcd_cover_count(3, 4, 2).value),
+    ]
+    for arg, build, boxes in builds:
+        exact = boxes(build())
+        monkeypatch.setattr(families, "MAX_GEOMETRY_BOXES", exact)
+        build()
+        monkeypatch.setattr(families, "MAX_GEOMETRY_BOXES", exact - 1)
+        with pytest.raises(GeometrySizeError, match="boxes") as info:
+            build()
+        assert info.value.arg == arg
+        monkeypatch.undo()
+
+
+def test_geometry_size_limit_admits_the_roadmap_members():
+    # RCO(4,5,2,1) at depth 5 and the RCD(7,4) depth-4 strategy at t = 1
+    assert 3 * sum(20 ** k for k in range(1, 6)) == 10_105_260 <= MAX_GEOMETRY_BOXES
+    count = rcd_cover_count(7, 4, 1).value
+    assert count * sum(18 ** k for k in range(1, 5)) + 4 * count <= MAX_GEOMETRY_BOXES
+    for arg, build in (("depth", lambda: generate_rco(RcoSpec(4, 5, 2, 1), 6)),
+                       ("depth", lambda: generate_rcd(RcdSpec(2, 3), 10 ** 9)),
+                       ("depth", lambda: generate_rcd(RcdSpec(2, 2), 10 ** 9)),
+                       ("depth", lambda: covering_strategy_for_rcd(RcdSpec(2, 2), 0.5, 1, 10 ** 9)),
+                       ("t", lambda: covering_strategy_for_rcd(RcdSpec(7, 4), 0.5, 10 ** 9, 1)),
+                       ("depth", lambda: covering_strategy_for_rcd(RcdSpec(7, 4), 0.5, 1, 6))):
+        start = time.perf_counter()
+        with pytest.raises(GeometrySizeError) as info:
+            build()
+        assert info.value.arg == arg and time.perf_counter() - start < 1.0
+
+
 def test_rcd_levels_past_int64_keep_python_ints():
     spec = RcdSpec(2, 2)
     strat = covering_strategy_for_rcd(spec, c=0.5, t=1, depth=64)
@@ -799,13 +859,23 @@ def _reference_rco_entries(spec, depth, placement, seed):
     return want
 
 
+def _reference_csv(meta, entries):
+    """The CSV of `entries`, each Fraction coordinate written p/q."""
+    out = [f"# {key} = {meta[key]}\n" for key in sorted(meta)]
+    out.append("level,address,cx,cy,hx,hy\n")
+    for e in entries:
+        coords = (f"{x.numerator}/{x.denominator}" for x in e.box.center + e.box.half)
+        out.append(",".join([str(e.level), e.address, *coords]) + "\n")
+    return "".join(out)
+
+
 def test_rco_lattice_generation_matches_fraction_reference():
     for spec, placement in ((RcoSpec(4, 5, 2, 1), "corner"), (RcoSpec(3, 2, 3, 2), "hash")):
         member = generate_rco(spec, 2, placement=placement, seed=9)
-        want = _reference_rco_entries(spec, 2, placement, 9)
-        reference = RectangleSet(want, dict(member.meta))
-        assert member.entries == reference.entries
-        assert member.to_csv() == reference.to_csv()
+        want = sorted(_reference_rco_entries(spec, 2, placement, 9),
+                      key=lambda e: (e.level, e.address))
+        assert member.entries == want
+        assert member.to_csv() == _reference_csv(member.meta, want)
 
 
 def _reference_pbm(rect, width, height):
@@ -877,13 +947,16 @@ def test_rco_views_match_eager_reference(u, v, m, t, placement, seed):
     assume((u * v) ** 2 * (m + 1) <= 1500)
     spec = RcoSpec(u, v, m, t)
     member = generate_rco(spec, 2, placement=placement, seed=seed)
-    eager = RectangleSet(_reference_rco_entries(spec, 2, placement, seed), dict(member.meta))
-    _assert_view_matches(member.entries, list(eager.entries))
+    want = sorted(_reference_rco_entries(spec, 2, placement, seed),
+                  key=lambda e: (e.level, e.address))
+    eager = RectangleSet(want, dict(member.meta))
+    _assert_view_matches(member.entries, want)
     assert member == eager
-    assert member.to_csv() == eager.to_csv()
+    assert member.to_csv() == _reference_csv(member.meta, want)
     assert member.to_pbm(33, 17) == _reference_pbm(eager, 33, 17)
     for level in covering_strategy_for_rco(member, c=0.5).levels:
-        _assert_view_matches(level.boxes, tuple(e.box for e in eager.of_kind("cut", level.level)))
+        cuts = tuple(e.box for e in want if e.level == level.level and e.address[:4] == "cut:")
+        _assert_view_matches(level.boxes, cuts)
 
 
 @given(
@@ -903,7 +976,7 @@ def test_rcd_views_match_eager_reference(u, v, rule, seed, t, depth):
     eager = RectangleSet(comps, dict(member.meta))
     _assert_view_matches(member.entries, comps)
     assert member == eager
-    assert member.to_csv() == eager.to_csv()
+    assert member.to_csv() == _reference_csv(member.meta, comps)
     assert member.to_pbm(33, 17) == _reference_pbm(eager, 33, 17)
 
 
@@ -960,7 +1033,7 @@ def test_rectangle_set_leaves_its_argument_untouched():
     rect = RectangleSet(given)
     assert given == [b, a]
     assert rect.entries == [a, b] and rect.max_level() == 2
-    assert rect.entries[0] is a and rect.of_kind("cut", 2) == [b]
+    assert rect.entries[0] == a and rect.of_kind("cut", 2) == [b]
     assert rect.lattice == (AxisLattice(4, array("q", [-2, 2]), array("q", [1, 1])),
                             AxisLattice(4, array("q", [0, 0]), array("q", [1, 1])))
     with pytest.raises(ValueError, match="kind:path"):

@@ -1,4 +1,5 @@
 """Grid projections, game runs, potential bookkeeping, counting oracles."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -140,6 +141,43 @@ def test_projection_sweep_negative_control_fails():
     # corrupting the rule must not fool the joint variant either
     bad2 = verify_projection_return((10, 10), 1, k=0, radius=5, coarse_branch=False)
     assert bad2.failures > 0
+
+
+def _negative_control_by_chains(u, block, radius):
+    """(failures, witness) of the negative control at k = 0, from
+    project_chain on every tuple of (coarse index, child offset) pairs.
+    The nearest-only chain is per axis, so the witness is the first failing
+    pair of the first axis that has one, coarse index first."""
+    pairs = [
+        [(r, l) for r in range(-radius, radius + 1)
+         for l in range(-((uj ** block - 2) // 6), (uj ** block - 2) // 6 + 1)]
+        for uj in u
+    ]
+
+    def chain(us, rs, ls):
+        index = tuple(6 * (uj ** block * r + l) for uj, r, l in zip(us, rs, ls))
+        return project_chain(us, block + 1, index, 1, block, coarse_branch=False)
+
+    failures = 0
+    for tup in itertools.product(*pairs):
+        rs, ls = zip(*tup)
+        failures += chain(u, rs, ls) != tuple(6 * r for r in rs)
+    witness = next(
+        (("axis", j, "coarse_index", r, "child_offset", l)
+         for j, uj in enumerate(u) for r, l in pairs[j]
+         if chain((uj,), (r,), (l,)) != (6 * r,)),
+        None,
+    )
+    return failures, witness
+
+
+@pytest.mark.parametrize("u,block,radius", [
+    ((7,), 3, 4), ((6,), 2, 3), ((6, 7), 2, 3), ((7, 9), 1, 3), ((6, 7, 8), 1, 3),
+])
+def test_projection_negative_control_matches_chains(u, block, radius):
+    audit = verify_projection_return(u, block, k=0, radius=radius, coarse_branch=False)
+    assert audit.failures > 0
+    assert (audit.failures, audit.witness) == _negative_control_by_chains(u, block, radius)
 
 
 def test_projection_sweep_rejects_small_denominators():
@@ -305,6 +343,14 @@ def test_child_grid_frozen_per_axis_counts():
 def test_child_grid_gamma_values():
     assert child_cover_grid((10,), 1, (0,)).gammas == (Fraction(4, 3),)
     assert child_cover_grid((10,), 2, (0,)).gammas == (Fraction(49, 3),)
+
+
+def test_child_grid_three_dim_product():
+    rep = child_cover_grid((9, 10, 11), 1, (2, 0, -1))
+    assert rep.matches_enumeration and rep.all_inside_half_parent
+    assert rep.count == rep.formula_count == 3 * 3 * 3
+    rep2 = child_cover_grid((6, 7, 12), 1, (-1, 3, 0), k=1)
+    assert rep2.matches_enumeration and rep2.count == rep2.formula_count == 1 * 1 * 3
 
 
 def test_child_grid_two_dim_product():
