@@ -218,7 +218,7 @@ def feasibility_report(
     Never raises for a rate the theorem merely fails to certify — that is a
     feasible=False report with a note — but rejects structurally invalid
     inputs (c, delta, beta out of domain).  Its verdict is made of the same
-    helpers, in the same order, as pattern_feasible's.
+    helpers, in the same order, as _verdict's.
     """
     _require_feasibility_inputs(alpha, contraction, c, delta, pattern_count)
     n = contraction.n
@@ -255,32 +255,32 @@ def feasibility_report(
     )
 
 
-def pattern_feasible(
-    alpha: LogScalar,
-    contraction: DiagonalContraction,
-    c: float,
-    delta: float,
-    pattern_count: int,
-    rhs1_log: float,
-) -> bool:
-    """feasibility_report(alpha, contraction, c, delta, pattern_count).feasible,
-    decided without building the report.
+def _verdict(alpha: LogScalar, contraction: DiagonalContraction, c: float, delta: float,
+             pattern_count: int, rhs1_log: float) -> tuple[float, int] | None:
+    """(combined rate log, free steps) where feasibility_report(alpha,
+    contraction, c, delta, pattern_count) is feasible, else None.
 
     It runs the report's helpers in the report's order and returns at the
     first failed test, so a count that fails condition (1) computes no
     free-step floor and no condition (2).  The caller has checked the
-    inputs once with _require_feasibility_inputs, and passes
-    rhs1_log = _condition1_rhs_log(contraction, c, delta).
+    inputs once with _require_feasibility_inputs, and passes rhs1_log =
+    _condition1_rhs_log(contraction, c, delta), or less for a margin.
     """
     combined_log = _combined_rate_log(alpha.log, c, pattern_count)
     if _rate_not_below_one(alpha.log, combined_log):
-        return False
+        return None
     if not _condition1_lhs_log(alpha.log, c, pattern_count) <= rhs1_log:
-        return False
+        return None
     free = safe_floor_ratio(delta, LogScalar(combined_log))
-    if free.value < 1:
-        return False
-    return _condition2_holds(*condition2_parts(contraction, delta, free.value))
+    if free.value < 1 or not _condition2_holds(*condition2_parts(contraction, delta, free.value)):
+        return None
+    return combined_log, free.value
+
+
+def pattern_feasible(alpha: LogScalar, contraction: DiagonalContraction, c: float,
+                     delta: float, pattern_count: int, rhs1_log: float) -> bool:
+    """feasibility_report(alpha, contraction, c, delta, pattern_count).feasible."""
+    return _verdict(alpha, contraction, c, delta, pattern_count, rhs1_log) is not None
 
 
 def deficit_constant(
@@ -295,6 +295,23 @@ def deficit_constant(
     if not _condition2_holds(lhs, rhs):
         raise ValueError("condition (2) must hold with margin before K exists")
     return 2.0 / delta * abs(math.log(lhs - rhs))
+
+
+def pattern_bound_values(alpha: LogScalar, contraction: DiagonalContraction, c: float,
+                         delta: float, pattern_count: int,
+                         rhs1_log: float) -> tuple[float, float, float, int] | None:
+    """(stated, combined, delta, free_steps) of pattern_dim_bound(alpha,
+    contraction, c, delta, pattern_count) where its report is feasible
+    (rhs1_log as for _verdict), else None, without building the report:
+    n - K_M rate / |log beta_max| at the per-set and the combined rate."""
+    verdict = _verdict(alpha, contraction, c, delta, pattern_count, rhs1_log)
+    if verdict is None:
+        return None
+    combined_log, free_steps = verdict
+    k_m = deficit_constant(contraction, delta, free_steps)
+    log_bmax = abs(math.log(contraction.beta_max()))
+    return (contraction.n - k_m * math.exp(alpha.log) / log_bmax,
+            contraction.n - k_m * math.exp(combined_log) / log_bmax, delta, free_steps)
 
 
 @dataclass(frozen=True)
@@ -360,9 +377,10 @@ def pattern_dim_bound(
         )
     n = contraction.n
     k_m = deficit_constant(contraction, delta, report.free_steps.value)
+    # the report is feasible, so the bounds exist
+    stated, combined, _, _ = pattern_bound_values(
+        alpha, contraction, c, delta, pattern_count, report.condition1_rhs_log)
     log_bmax = abs(math.log(contraction.beta_max()))
-    stated = n - k_m * math.exp(alpha.log) / log_bmax
-    combined = n - k_m * math.exp(report.combined_alpha_log) / log_bmax
     cap_log = math.log(min(delta * delta, n * log_bmax / k_m))
     strengthened = report.condition1_lhs_log <= cap_log + _condition1_gap(contraction, c)
     coeff = rho2 * (1.0 - contraction.beta_max())

@@ -67,6 +67,9 @@ COMMANDS = (
     "smallest-u",
 )
 _REQUIRED = object()
+# Fraction expands a decimal exponent into an exact power of ten, so
+# "1e1000000000" would take hours; no config value needs more digits
+MAX_EXPONENT_DIGITS = 4
 
 
 class ConfigError(Exception):
@@ -75,6 +78,15 @@ class ConfigError(Exception):
     def __init__(self, field: str, message: str) -> None:
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refusing with a ValueError a decimal exponent of more
+    than MAX_EXPONENT_DIGITS digits before Fraction reads it."""
+    _, e, exponent = text.lower().partition("e")
+    if e and len(exponent.strip().lstrip("+-")) > MAX_EXPONENT_DIGITS:
+        raise ValueError(f"exponent of more than {MAX_EXPONENT_DIGITS} digits")
+    return Fraction(text)
 
 
 class Config:
@@ -151,7 +163,7 @@ class Config:
     def get_float(self, key: str, default: object = _REQUIRED, *,
                   lo: float | None = None, hi: float | None = None,
                   open_ends: bool = False) -> float:
-        value = self._typed(key, default, lambda x: float(Fraction(x) if "/" in x else x),
+        value = self._typed(key, default, lambda x: float(_fraction(x) if "/" in x else x),
                             "a number")
         if value is None:
             return value
@@ -175,7 +187,7 @@ class Config:
 
     def get_fraction(self, key: str, default: object = _REQUIRED, *,
                      positive: bool = False) -> Fraction:
-        value = self._typed(key, default, Fraction, "a rational p/q")
+        value = self._typed(key, default, _fraction, "a rational p/q")
         if value is None:
             return value
         if positive and value <= 0:
@@ -197,7 +209,7 @@ class Config:
             if len(parts) != 2:
                 raise ConfigError(key, f"expected 'x,y' pairs separated by ';', got {chunk.strip()!r}")
             try:
-                points.append((Fraction(parts[0]), Fraction(parts[1])))
+                points.append((_fraction(parts[0]), _fraction(parts[1])))
             except (ValueError, ZeroDivisionError):
                 raise ConfigError(key, f"bad rational coordinate in {chunk.strip()!r}") from None
         return tuple(points)
@@ -557,6 +569,11 @@ def _cmd_simulate(cfg: Config, out: Path, trace: bool,
     params = _read_generate(cfg, default_depth=cfg.get_int("simulate.moves", lo=1))
     family = params[0]
     moves = cfg.get_int("simulate.moves", lo=1)
+    if moves > params[1]:
+        # every move past the last strategy level records a smaller box,
+        # so the transcript would grow quadratically for nothing
+        raise ConfigError("simulate.moves", f"must not exceed the strategy's depth "
+                                            f"(generate.depth = {params[1]}), got {moves}")
     c = cfg.get_float("game.c", lo=0.0, hi=1.0, open_ends=True)
     t = cfg.get_int("game.t", lo=1) if isinstance(family, RcdSpec) else None
     policy_name = cfg.get_str("simulate.policy", "steer", choices=("steer", "center"))

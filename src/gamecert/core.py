@@ -343,6 +343,11 @@ def combine_alphas(alphas: Sequence[LogScalar | float], c: float) -> LogScalar:
         if s.is_zero():
             raise ValueError("budget rates must be positive")
         terms.append(s ** c)
+    return combine_terms(terms, c)
+
+
+def combine_terms(terms: Iterable[LogScalar], c: float) -> LogScalar:
+    """combine_alphas from the terms alpha_i^c, in any order."""
     return LogScalar.sum(terms) ** (1.0 / c)
 
 

@@ -167,6 +167,17 @@ class RcdSpec:
 # ------------------------------------------------------------- budget rates
 
 
+class RateParts(NamedTuple):
+    """A budget rate (touch count)^(1/c) * (mass ratio) as its two c-free
+    logs; `at` joins them in the one float order of every family's rate."""
+
+    touch_log: float             # ln of the touch count
+    scale_log: float             # -ln of the per-move mass ratio
+
+    def at(self, c: float) -> LogScalar:
+        return LogScalar(self.touch_log / c - self.scale_log)
+
+
 def rco_alpha(u: int, v: int, m: int, t: float, c: float) -> LogScalar:
     """(9m)^(1/c) * (uv)^-t as a LogScalar.  Any real t > 0 is allowed."""
     if not (0.0 < c < 1.0):
@@ -175,7 +186,7 @@ def rco_alpha(u: int, v: int, m: int, t: float, c: float) -> LogScalar:
         raise ValueError("removal depth offset must be positive")
     if m < 1 or u < 2 or v < 2:
         raise ValueError("invalid family parameters")
-    return LogScalar(math.log(9 * m) / c - t * (math.log(u) + math.log(v)))
+    return RateParts(math.log(9 * m), t * (math.log(u) + math.log(v))).at(c)
 
 
 @dataclass(frozen=True)
@@ -304,11 +315,17 @@ def rcd_alpha(
     """
     if not (0.0 < c < 1.0):
         raise ValueError(f"exponent c must lie in (0,1), got {c!r}")
+    return rcd_rate_parts(u, v, t, cover_count).at(c)
+
+
+def rcd_rate_parts(u: int, v: int, t: float, cover_count: CoverCount | None = None) -> RateParts:
+    """rcd_alpha's c-free parts at depth offset t:
+    (ln(9 (u-1)(v-1) rcd_cover_count(u,v,t)), (1+t)(ln u + ln v))."""
     if not 0 < t < math.inf:
         raise ValueError("cover depth offset must be positive")
     nt = cover_count if cover_count is not None else rcd_cover_count(u, v, t)
     count = 9 * (u - 1) * (v - 1) * nt.value
-    return LogScalar(math.log(count) / c - (1 + t) * (math.log(u) + math.log(v)))
+    return RateParts(math.log(count), (1 + t) * (math.log(u) + math.log(v)))
 
 
 class GeometrySizeError(ValueError):

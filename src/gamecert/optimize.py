@@ -23,12 +23,16 @@ The certificates leave four knobs open, searched as follows:
   the budget rate improves discontinuously.
 
 All searches are deterministic: fixed grids from the config, sequential
-reduction in grid order, ties broken toward smaller (c, delta, t).  The
-ranking puts the count first, so each grid pass computes every cell's count
-and then certifies witnesses only for the cells at the pass's top count,
-falling to the next count only when none of them has a witness.  A traced
-search (`trace_path` set) certifies a witness for every cell with a count,
-so its trace still lists every witnessed cell; both return the same result.
+reduction in grid order, ties broken toward smaller (c, delta, t).  Rates
+join c-free parts kept per t, and cut-out members' terms alpha^c kept per c.
+The ranking puts the count first, so only cells at a pass's top count can
+win: cells are counted highest estimate exp(rhs1 - c log alpha) first, and
+one whose verdict fails at the running top count K has a count below K
+(feasibility is antitone in M), so it is counted only if no cell at K has a
+witness, and the pass falls to the next count.  Witnesses are ranked on
+floats (certify.pattern_bound_values), not reports.  A traced search
+(`trace_path` set) counts and witnesses every cell, so its trace lists
+every witnessed cell; both return the same result.
 """
 from __future__ import annotations
 
@@ -39,7 +43,6 @@ from typing import Callable, Sequence
 
 from .certify import (
     Certificate,
-    PatternBound,
     _condition1_gap,
     _condition1_lhs_log,
     _condition1_rhs_log,
@@ -47,12 +50,12 @@ from .certify import (
     _pack_constant,
     _require_feasibility_inputs,
     intersect_certificate,
+    pattern_bound_values,
     pattern_certificate,
-    pattern_dim_bound,
     pattern_feasible,
 )
-from .core import REL_MARGIN, DiagonalContraction, LogScalar, combine_alphas
-from .families import CoverCount, RcdSpec, RcoSpec, rcd_alpha, rcd_cover_count, rco_alpha
+from .core import REL_MARGIN, DiagonalContraction, LogScalar, combine_terms
+from .families import RateParts, RcdSpec, RcoSpec, rcd_rate_parts, rco_alpha
 
 __all__ = [
     "SearchConfig",
@@ -238,7 +241,15 @@ def max_pattern_size(
         raise ValueError(f"pattern cap must lie in [1, 2^40], got {cap}")
     delta = _tail(contraction.n)[0]
     _require_feasibility_inputs(alpha, contraction, c, delta, 1)
-    rhs1_log = _condition1_rhs_log(contraction, c, delta)
+    return _tail_count(alpha, contraction, c, delta,
+                       _condition1_rhs_log(contraction, c, delta), cap)
+
+
+def _tail_count(alpha: LogScalar, contraction: DiagonalContraction, c: float, delta: float,
+                rhs1_log: float, cap: int, known: int = 0) -> int:
+    """max_pattern_size on checked inputs, at the tail witness delta with
+    rhs1_log = _condition1_rhs_log(contraction, c, delta).  `known` is a count
+    whose verdict has passed, so no count up to it needs one."""
 
     def feasible(m: int) -> bool:
         return pattern_feasible(alpha, contraction, c, delta, m, rhs1_log)
@@ -247,12 +258,13 @@ def max_pattern_size(
         m = min(max(math.floor(math.exp(rhs1_log - c * alpha.log)), 1), cap)
     except OverflowError:
         m = cap
-    if feasible(m):
+    if m <= known or feasible(m):
+        m = max(m, known)
         while m < cap and feasible(m + 1):
             m += 1
         return m
     m -= 1
-    while m >= 1 and not feasible(m):
+    while m > known and not feasible(m):
         m -= 1
     return m
 
@@ -343,15 +355,16 @@ def _best_witness(
     contraction: DiagonalContraction,
     c: float,
     pattern_count: int,
-) -> PatternBound | None:
-    """Best stated dimension bound over witnesses in [delta1, tail witness].
+) -> tuple[float, float, float, int] | None:
+    """(stated, combined, delta, free_steps) of the best stated dimension
+    bound over witnesses in [delta1, tail witness], or None.
 
     delta1 is the condition-(1) boundary.  Every certifying witness lies in
     the tail, where K is one unimodal function of delta, so the best bound
     is at delta1, at the minimizer of K, or at the tail witness.  Each of
-    them is certified; the best stated bound wins, ties going to the
-    smaller delta.  Condition (1) must also hold with relative margin
-    REL_MARGIN.
+    them is ranked on pattern_dim_bound's floats (pattern_bound_values); the
+    best stated bound wins, ties going to the smaller delta.  Condition (1)
+    must also hold with relative margin REL_MARGIN.
     """
     witness, minimizer = _tail(contraction.n)
     low = _least_condition1_delta(alpha, contraction, c, pattern_count)
@@ -359,14 +372,13 @@ def _best_witness(
         return None
     middle = min(max(minimizer, low), witness)
     shave = math.log1p(-REL_MARGIN)
-    best: PatternBound | None = None
+    best = None
     for d in sorted({low, middle, witness}):
-        bound = pattern_dim_bound(alpha, contraction, c, d, pattern_count)
-        report = bound.report
-        if (report.feasible
-                and report.condition1_lhs_log <= report.condition1_rhs_log + shave
-                and (best is None or bound.stated > best.stated)):
-            best = bound
+        # lhs1 <= rhs1 + shave is condition (1) with margin, and implies it
+        found = pattern_bound_values(alpha, contraction, c, d, pattern_count,
+                                     _condition1_rhs_log(contraction, c, d) + shave)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = found
     return best
 
 
@@ -419,67 +431,71 @@ def _search(
     want_patterns: bool,
 ) -> tuple[_Point | None, int, list[str]]:
     cap = config.pattern_cap if want_patterns else 1
+    traced = config.trace_path is not None
+    delta = _tail(contraction.n)[0]
+    rhs1_at: dict[float, float] = {}
     probes = 0
     trace: list[str] = []
 
-    def witness(t: float, c: float, alpha: LogScalar, count: int) -> _Point | None:
-        bound = _best_witness(alpha, contraction, c, count)
-        if bound is None:
-            return None
-        return _Point(
-            count, bound.stated, bound.combined, c, t,
-            bound.report.delta, bound.report.free_steps.value, alpha.log,
-        )
+    def count(cell: list, known: int = 0) -> int:
+        cell[4] = _tail_count(cell[2], contraction, cell[1], delta, cell[3], cap, known)
+        return cell[4]
+
+    def witness(level: list[list]) -> _Point | None:
+        local: _Point | None = None
+        for t, c, alpha, _, k in level:
+            found = _best_witness(alpha, contraction, c, k)
+            if found is None:
+                continue
+            point = _Point(k, found[0], found[1], c, t, found[2], found[3], alpha.log)
+            if traced:
+                trace.append("t=%.17g c=%.17g count=%d dim=%.17g delta=%.17g"
+                             % (t, c, k, point.dim, point.delta))
+            local = _better(local, point)
+        return local
 
     def run_grid(ts: Sequence[float], cs: Sequence[float]) -> _Point | None:
         nonlocal probes
-        cells = [(t, c) for t in ts for c in cs]
-        probes += len(cells)
-        counted: list[tuple[float, float, LogScalar, int]] = []
-        by_count: dict[int, list[tuple[float, float, LogScalar, int]]] = {}
-        for t, c in cells:
-            alpha = alpha_fn(c, t)
-            if alpha is None or alpha.log >= 0.0:
-                continue
-            count = max_pattern_size(alpha, contraction, c, cap)
-            if count > 0:
-                cell = (t, c, alpha, count)
-                counted.append(cell)
-                by_count.setdefault(count, []).append(cell)
-        # _better ranks the count first, so only cells at the top count can
-        # win; the next count is witnessed only if none of them has a
-        # witness.  A traced search witnesses every cell for its trace.
-        if config.trace_path is not None:
-            levels = [counted]
-        else:
-            levels = [by_count[k] for k in sorted(by_count, reverse=True)]
-        local: _Point | None = None
-        for level in levels:
-            for cell in level:
-                point = witness(*cell)
-                if point is not None and config.trace_path is not None:
-                    trace.append(
-                        "t=%.17g c=%.17g count=%d dim=%.17g delta=%.17g"
-                        % (point.t, point.c, point.pattern_count, point.dim, point.delta)
-                    )
-                local = _better(local, point)
+        probes += len(ts) * len(cs)
+        cells = []      # [t, c, alpha, rhs1, count] of the cells whose rate is below 1
+        for t in ts:
+            for c in cs:
+                alpha = alpha_fn(c, t)
+                if alpha is None or alpha.log >= 0.0:
+                    continue
+                if c not in rhs1_at or alpha.is_zero():
+                    _require_feasibility_inputs(alpha, contraction, c, delta, 1)
+                    rhs1_at[c] = _condition1_rhs_log(contraction, c, delta)
+                cells.append([t, c, alpha, rhs1_at[c], None])
+        # highest estimate first; a cell whose verdict fails at the running top
+        # count waits, uncounted, until no cell at the top count has a witness
+        top = 0
+        for cell in sorted(cells, key=lambda x: x[3] - x[1] * x[2].log, reverse=True):
+            if not top or pattern_feasible(cell[2], contraction, cell[1], delta, top, cell[3]):
+                top = max(top, count(cell, top))
+        if top and not traced:
+            local = witness([cell for cell in cells if cell[4] == top])
             if local is not None:
-                break
-        return local
+                return local
+        for cell in cells:
+            if cell[4] is None:
+                count(cell)
+        if traced:
+            return witness([cell for cell in cells if cell[4] > 0])
+        for k in sorted({cell[4] for cell in cells if 0 < cell[4] < top}, reverse=True):
+            local = witness([cell for cell in cells if cell[4] == k])
+            if local is not None:
+                return local
+        return None
 
     best = run_grid(t_values, _c_grid(config))
     if best is None:
         return None, probes, trace
-    c_grid = list(_c_grid(config))
-    t_grid = list(t_values)
+    c_grid, t_grid = list(_c_grid(config)), list(t_values)
     for _ in range(config.refine_passes):
         cs = _refine_c(best.c, c_grid, config.refine_points)
-        if len(t_grid) > 1:
-            ts = _refine_t(best.t, t_grid, config.refine_points)
-        else:
-            ts = tuple(t_grid)
-        candidate = run_grid(ts, cs)
-        best = _better(best, candidate)
+        ts = _refine_t(best.t, t_grid, config.refine_points) if len(t_grid) > 1 else tuple(t_grid)
+        best = _better(best, run_grid(ts, cs))
         c_grid = sorted(set(c_grid) | set(cs))
         t_grid = sorted(set(t_grid) | set(ts))
     return best, probes, trace
@@ -543,19 +559,18 @@ def _result_from_point(
 
 
 def _member_alpha(
-    spec: RcoSpec | RcdSpec, c: float, t: float, covers: dict[float, CoverCount]
+    spec: RcoSpec | RcdSpec, c: float, t: float, parts: dict[float, RateParts]
 ) -> LogScalar:
     """Budget rate of one family at (c, t).
 
     Cut-out families keep their own depth offset; corner families take the
-    grid's t, with the slab cover count cached per t in `covers`.
+    grid's t, with their c-free rate parts cached per t in `parts`.
     """
     if isinstance(spec, RcoSpec):
         return rco_alpha(spec.u, spec.v, spec.m, spec.t, c)
-    cover = covers.get(t)
-    if cover is None:
-        cover = covers[t] = rcd_cover_count(spec.u, spec.v, t)
-    return rcd_alpha(spec.u, spec.v, c, t, cover_count=cover)
+    if t not in parts:
+        parts[t] = rcd_rate_parts(spec.u, spec.v, t)
+    return parts[t].at(c)
 
 
 def optimize_pattern_count(
@@ -567,10 +582,10 @@ def optimize_pattern_count(
     """Largest certifiable pattern count for one family, with best dimension
     among the parameter choices attaining it.  With want_patterns=False the
     count is pinned to 1 and only the dimension bound is optimized."""
-    covers: dict[float, CoverCount] = {}
+    parts: dict[float, RateParts] = {}
 
     def alpha_fn(c: float, t: float) -> LogScalar | None:
-        alpha = _member_alpha(family, c, t, covers)
+        alpha = _member_alpha(family, c, t, parts)
         return alpha if alpha.log < 0.0 else None
 
     if isinstance(family, RcoSpec):
@@ -606,18 +621,25 @@ def optimize_intersection(
     for m in members[1:]:
         if m.contraction().betas != contraction.betas:
             raise ValueError("intersection members must share cell ratios")
-    covers: dict[float, CoverCount] = {}
-    has_corner = any(isinstance(m, RcdSpec) for m in members)
-    t_values = _t_grid(config) if has_corner else (0.0,)
+    parts: dict[float, RateParts] = {}
+    corners = [sp for sp in members if isinstance(sp, RcdSpec)]
+    cut_outs = [sp for sp in members if isinstance(sp, RcoSpec)]
+    t_values = _t_grid(config) if corners else (0.0,)
+    cut_terms: dict[float, list[LogScalar] | None] = {}
 
     def member_alphas(c: float, t: float) -> list[LogScalar]:
-        return [_member_alpha(sp, c, t, covers) for sp in members]
+        return [_member_alpha(sp, c, t, parts) for sp in members]
 
     def alpha_fn(c: float, t: float) -> LogScalar | None:
-        alphas = member_alphas(c, t)
-        if any(a.log >= 0.0 for a in alphas):
+        # combine_alphas sums the terms alpha^c in sorted order, so the cut-out
+        # members' terms, which depend on c alone, are kept per c
+        if c not in cut_terms:
+            alphas = [_member_alpha(sp, c, t, parts) for sp in cut_outs]
+            cut_terms[c] = [a ** c for a in alphas] if all(a.log < 0.0 for a in alphas) else None
+        alphas = [_member_alpha(sp, c, t, parts) for sp in corners]
+        if cut_terms[c] is None or any(a.log >= 0.0 for a in alphas):
             return None
-        combined = combine_alphas(alphas, c)
+        combined = combine_terms(cut_terms[c] + [a ** c for a in alphas], c)
         return combined if combined.log < 0.0 else None
 
     point, probes, trace = _search(

@@ -204,6 +204,20 @@ def test_simulate_transcript(tmp_path, capsys):
     assert b"move m=3" in a
 
 
+def test_simulate_moves_are_bounded_by_the_strategy_depth(tmp_path, capsys):
+    body = SIMULATE + RCO_GAME + "generate.depth = 2\n"
+    cfg = write_cfg(tmp_path, "far.cfg", body + "simulate.moves = 3000\n")
+    start = time.perf_counter()
+    assert main(["--config", cfg, "--out", str(tmp_path / "far")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "simulate.moves: must not exceed the strategy's depth (generate.depth = 2)" in err
+    assert not (tmp_path / "far").exists()
+    cfg = write_cfg(tmp_path, "deep.cfg", body + "simulate.moves = 2\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "deep")]) == 0
+    assert b"move m=2" in (tmp_path / "deep" / "transcript.txt").read_bytes()
+
+
 def test_verify_projection_pass_and_corrupt_fail(tmp_path):
     good = write_cfg(tmp_path, "good.cfg", """
         command = verify
@@ -332,6 +346,12 @@ def test_smallest_u_quick(tmp_path, capsys):
     ("command = verify\nverify.check = budget\nfamily.kind = rco\nfamily.u = 4\n"
      "family.v = 5\nfamily.m = 2\nfamily.t = 1\ngame.c = 0.5\ngenerate.depth = 2\n"
      "verify.extent = 100000\n", "verify.extent"),
+    # Fraction would expand each exponent into an exact power of ten
+    ("command = find-pattern\nfamily.kind = rcd\nfamily.u = 7\nfamily.v = 4\n"
+     "generate.depth = 1\npattern.points = 0,0; 60,0\npattern.lambda_lo = 1e1000000000\n",
+     "pattern.lambda_lo"),
+    ("command = verify\nverify.check = overlap\nverify.u = 10,10\nverify.level = 1\n"
+     "verify.exponent = 1\nverify.center = 1e1000000000, 0\n", "verify.center"),
 ])
 def test_malformed_configs_exit_1_with_field_path(tmp_path, capsys, body, needle):
     cfg = write_cfg(tmp_path, "cfg", body)

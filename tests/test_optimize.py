@@ -1,7 +1,9 @@
 """Optimizer tests: frozen search outcomes and search-engine invariants."""
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 
 from gamecert import certify, optimize
 from gamecert.certify import feasibility_report, pattern_dim_bound
-from gamecert.core import REL_MARGIN, DiagonalContraction, LogScalar
-from gamecert.families import RcdSpec, RcoSpec
+from gamecert.core import REL_MARGIN, DiagonalContraction, LogScalar, combine_alphas
+from gamecert.families import RcdSpec, RcoSpec, rcd_alpha, rcd_cover_count, rco_alpha
 from gamecert.optimize import (
     DEFAULT_CONFIG,
     MAX_PATTERN_CAP,
@@ -24,7 +26,10 @@ from gamecert.optimize import (
     SearchConfigError,
     _best_witness,
     _c_grid,
+    _least_condition1_delta,
     _member_alpha,
+    _refine_c,
+    _refine_t,
     _t_grid,
     _tail,
     max_pattern_size,
@@ -231,8 +236,10 @@ def test_count_search_makes_few_reports_per_probe(monkeypatch):
     assert reports < calls
 
 
-@settings(max_examples=30, deadline=None)
-@given(
+# A search cell as test_best_witness_beats_a_dense_scan draws it: ranges where
+# most cells certify, log10(1 - c) in [-4, -1] for cut-out cells and in
+# [-3, -2] for corner cells.
+CELLS = (
     st.sampled_from(["rco", "rcd"]),
     st.integers(min_value=12, max_value=60),
     st.integers(min_value=12, max_value=60),
@@ -243,16 +250,23 @@ def test_count_search_makes_few_reports_per_probe(monkeypatch):
     st.sampled_from([1.0 - 1e-5, 1.0, 1.25, 1.5, 2.0 - 1e-5, 2.0]),
     st.floats(min_value=0.0, max_value=1.0),
 )
-def test_best_witness_beats_a_dense_scan(kind, ru, rv, m, rt, du, dv, dt, where):
-    # ranges where most cells certify: log10(1 - c) in [-4, -1] for cut-out
-    # cells and in [-3, -2] for corner cells
+
+
+def _cell(kind, ru, rv, m, rt, du, dv, dt, where):
+    """(alpha, contraction, c) of a drawn cell; assumes a rate below 1."""
     if kind == "rco":
         spec, t, c = RcoSpec(ru, rv, m, rt), float(rt), 1.0 - 10.0 ** (-4.0 + 3.0 * where)
     else:
         spec, t, c = RcdSpec(du, dv), dt, 1.0 - 10.0 ** (-3.0 + where)
     alpha = _member_alpha(spec, c, t, {})
     assume(alpha.log < 0.0)
-    contraction = spec.contraction()
+    return alpha, spec.contraction(), c
+
+
+@settings(max_examples=30, deadline=None)
+@given(*CELLS)
+def test_best_witness_beats_a_dense_scan(kind, ru, rv, m, rt, du, dv, dt, where):
+    alpha, contraction, c = _cell(kind, ru, rv, m, rt, du, dv, dt, where)
     count = max_pattern_size(alpha, contraction, c)
     assume(count > 0)
     witness = _tail(contraction.n)[0]
@@ -274,25 +288,72 @@ def test_best_witness_beats_a_dense_scan(kind, ru, rv, m, rt, du, dv, dt, where)
     if scan_best is None:
         return
     assert chosen is not None
-    assert clears(chosen.report)
-    assert chosen.stated >= scan_best
+    # the ranked floats are those of the report-built bound at the chosen delta
+    bound = pattern_dim_bound(alpha, contraction, c, chosen[2], count)
+    assert chosen == (bound.stated, bound.combined, bound.report.delta,
+                      bound.report.free_steps.value)
+    assert clears(bound.report)
+    assert bound.stated >= scan_best
     # every certifying witness lies in the tail, where lhs2 is exactly 3^-n
-    assert chosen.report.condition2_lhs == 3.0 ** -contraction.n
+    assert bound.report.condition2_lhs == 3.0 ** -contraction.n
+
+
+@settings(max_examples=60, deadline=None)
+@given(*CELLS, st.integers(min_value=-1, max_value=1))
+def test_ranked_floats_are_the_bound_of_the_report(kind, ru, rv, m, rt, du, dv, dt, where,
+                                                   shift):
+    # at each candidate delta of _best_witness, with and without the margin
+    # on condition (1), the ranking reads pattern_dim_bound's floats bit for
+    # bit, or both reject; shift = 1 draws a count that no witness certifies
+    alpha, contraction, c = _cell(kind, ru, rv, m, rt, du, dv, dt, where)
+    count = max_pattern_size(alpha, contraction, c) + shift
+    assume(count > 0)
+    witness, minimizer = _tail(contraction.n)
+    low = min(_least_condition1_delta(alpha, contraction, c, count), witness)
+    for d in {low, min(max(minimizer, low), witness), witness}:
+        bound = pattern_dim_bound(alpha, contraction, c, d, count)
+        report = bound.report
+        rhs1 = certify._condition1_rhs_log(contraction, c, d)
+        for slack in (0.0, math.log1p(-REL_MARGIN)):
+            ranked = certify.pattern_bound_values(alpha, contraction, c, d, count, rhs1 + slack)
+            if report.feasible and report.condition1_lhs_log <= report.condition1_rhs_log + slack:
+                assert ranked == (bound.stated, bound.combined, d, report.free_steps.value)
+            else:
+                assert ranked is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(*CELLS, st.sampled_from([1, 3, 100, MAX_PATTERN_CAP]),
+       st.integers(min_value=1, max_value=MAX_PATTERN_CAP))
+def test_a_failed_verdict_at_k_bounds_the_count_below_k(kind, ru, rv, m, rt, du, dv, dt,
+                                                        where, cap, drawn):
+    # the pruned search defers a cell whose verdict at the running top count
+    # K fails; that is exact only if the cell's count is then below K
+    alpha, contraction, c = _cell(kind, ru, rv, m, rt, du, dv, dt, where)
+    count = max_pattern_size(alpha, contraction, c, cap)
+    delta = _tail(contraction.n)[0]
+    rhs1 = certify._condition1_rhs_log(contraction, c, delta)
+    near = range(max(count - 3, 1), min(count + 3, cap) + 1)
+    for k in {*near, 1 + (drawn - 1) % cap}:
+        if not optimize.pattern_feasible(alpha, contraction, c, delta, k, rhs1):
+            assert count < k
+        else:
+            assert count >= k
 
 
 def test_witness_choice_certifies_few_candidates_per_probe(monkeypatch):
     calls = 0
-    certify = optimize.pattern_dim_bound
+    rank = optimize.pattern_bound_values
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return certify(*args, **kwargs)
+        return rank(*args, **kwargs)
 
-    monkeypatch.setattr(optimize, "pattern_dim_bound", counted)
+    monkeypatch.setattr(optimize, "pattern_bound_values", counted)
     res = optimize_pattern_count(RcoSpec(17, 24, 1, 5))
     assert res.pattern_count == 232
-    assert calls <= 4 * res.probes
+    assert 0 < calls <= 4 * res.probes
 
 
 # ------------------------------------------------------------------- grids
@@ -498,6 +559,106 @@ def test_pruned_search_falls_to_the_next_count(monkeypatch, tmp_path, spec, bloc
     assert len(pruned_counts) < len(counts)
 
 
+def _reference_search(members, config, want_patterns):
+    """(SearchResult fields the search decides, probes) of a brute-force
+    search that shares no code with _search's pruning: every cell is counted
+    with max_pattern_size on rates from rco_alpha, rcd_alpha and
+    combine_alphas, every counted cell is witnessed with pattern_dim_bound
+    at the three candidate deltas, and the winner is the largest by
+    _better's key, the first on ties."""
+    contraction = members[0].contraction()
+    if len(members) == 1 and isinstance(members[0], RcoSpec):
+        t_values = (float(members[0].t),)
+    elif any(isinstance(sp, RcdSpec) for sp in members):
+        t_values = _t_grid(config)
+    else:
+        t_values = (0.0,)
+    cap = config.pattern_cap if want_patterns else 1
+    witness, minimizer = _tail(contraction.n)
+    shave = math.log1p(-REL_MARGIN)
+    covers = {}
+
+    def cover(t):
+        if t not in covers:
+            covers[t] = rcd_cover_count(*contraction.denominators, t)
+        return covers[t]
+
+    def rate(c, t):
+        alphas = [rco_alpha(sp.u, sp.v, sp.m, sp.t, c) if isinstance(sp, RcoSpec)
+                  else rcd_alpha(sp.u, sp.v, c, t, cover(t)) for sp in members]
+        if len(alphas) == 1:
+            return alphas[0]
+        if any(a.log >= 0.0 for a in alphas):
+            return None
+        return combine_alphas(alphas, c)
+
+    def best_of(ts, cs):
+        points = []
+        for t in ts:
+            for c in cs:
+                alpha = rate(c, t)
+                if alpha is None or alpha.log >= 0.0:
+                    continue
+                count = max_pattern_size(alpha, contraction, c, cap)
+                if count == 0:
+                    continue
+                low = _least_condition1_delta(alpha, contraction, c, count)
+                if low > witness:
+                    continue
+                for d in (low, min(max(minimizer, low), witness), witness):
+                    bound = pattern_dim_bound(alpha, contraction, c, d, count)
+                    report = bound.report
+                    if report.feasible and \
+                            report.condition1_lhs_log <= report.condition1_rhs_log + shave:
+                        points.append((
+                            (count, bound.stated, -c, -d, -t),
+                            (count, c, t, d, report.free_steps.value, alpha.log,
+                             bound.stated, bound.combined)))
+        return max(points, key=lambda p: p[0], default=None)
+
+    probes = len(t_values) * len(_c_grid(config))
+    best = best_of(t_values, _c_grid(config))
+    if best is None:
+        return None, probes
+    c_grid, t_grid = list(_c_grid(config)), list(t_values)
+    for _ in range(config.refine_passes):
+        cs = _refine_c(best[1][1], c_grid, config.refine_points)
+        ts = _refine_t(best[1][2], t_grid, config.refine_points) if len(t_grid) > 1 else t_grid
+        probes += len(ts) * len(cs)
+        candidate = best_of(ts, cs)
+        if candidate is not None and candidate[0] > best[0]:
+            best = candidate
+        c_grid, t_grid = sorted(set(c_grid) | set(cs)), sorted(set(t_grid) | set(ts))
+    return best[1], probes
+
+
+def _seeded_corner_members():
+    rnd = random.Random(20261018)
+    return [RcdSpec(2 ** 39 + rnd.randrange(2 ** 33), 2 ** 40 - rnd.randrange(2 ** 33))
+            for _ in range(2)]
+
+
+REFERENCE_CASES = [(name, members, len(members) == 1 or name == "RCD+5xRCO(m=4)")
+                   for name, members in HEADLINE.items()]
+REFERENCE_CASES += [(f"seeded RCD {i}", [spec], True)
+                    for i, spec in enumerate(_seeded_corner_members(), start=1)]
+
+
+@pytest.mark.parametrize("name, members, want_patterns", REFERENCE_CASES,
+                         ids=[case[0] for case in REFERENCE_CASES])
+def test_search_equals_a_brute_force_reference(name, members, want_patterns, tmp_path):
+    for cap in (MAX_PATTERN_CAP, 100):
+        plain = SearchConfig(pattern_cap=cap)
+        point, probes = _reference_search(members, plain, want_patterns)
+        for config in (plain, replace(plain, trace_path=str(tmp_path / "t.txt"))):
+            res = _headline_search(members, config, want_patterns)
+            assert res.probes == probes
+            assert res.feasible == (point is not None)
+            if point is not None:
+                assert (res.pattern_count, res.c, res.t, res.delta, res.free_steps,
+                        res.alpha_log, res.dim_bound, res.dim_bound_combined) == point
+
+
 # ------------------------------------------------------------ intersections
 
 
@@ -558,10 +719,14 @@ def test_smallest_u_validates_inputs():
 
 
 def test_search_dump_is_deterministic(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "search_dump.py"
-    for name in ("a", "b"):
-        subprocess.run([sys.executable, str(script), str(tmp_path / name), "--small"], check=True)
-    files = sorted(p.name for p in (tmp_path / "a").iterdir())
-    assert len(files) > 20 and files == sorted(p.name for p in (tmp_path / "b").iterdir())
-    for name in files:
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    # the manifest holds the sha256 of every file the small dump wrote before
+    # the search was pruned; any byte change of a search output fails here
+    here = Path(__file__).resolve().parent
+    subprocess.run([sys.executable, str(here.parent / "scripts" / "search_dump.py"),
+                    str(tmp_path), "--small"], check=True)
+    lines = (here / "data" / "search_dump_small.sha256").read_text().splitlines()
+    manifest = {name: digest for digest, name in (line.split("  ") for line in lines)}
+    assert len(manifest) > 20
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(manifest)
+    for name, digest in manifest.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
