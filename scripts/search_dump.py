@@ -3,10 +3,10 @@
 
     python3 scripts/search_dump.py <outdir> [--small]
 
-One file per output: every field of each headline search's SearchResult and
-its certificate text, untraced and with a trace file (the trace is written
-too); u, probes and both certificates of smallest_u_for_patterns(M, 0) for
-M = 2..6; and a table of rcd_cover_count(u, v, t) (value, tag, option) over
+One file per output: every field of each headline search's SearchResult,
+each float by its repr (so its trace, the cells the search witnessed, is
+exact), and its certificate text; u, probes and both certificates of
+smallest_u_for_patterns(M, 0) for M = 2..6; and a table of rcd_cover_count(u, v, t) (value, tag, option) over
 the headline bases and some u == v pairs, with t on the q <= 64 grid, just
 below each integer, on the refine ladder, at 1.2345 and at 20 seeded random
 values.  Run it in two checkouts and compare with `diff -r`; an empty diff
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterator
 
@@ -44,21 +44,17 @@ def _certificate_text(result: optimize.SearchResult) -> str:
     return result.certificate.to_text() if result.certificate is not None else "none\n"
 
 
-def _searches(small: bool, outdir: Path) -> Iterator[tuple[str, str]]:
+def _searches(small: bool) -> Iterator[tuple[str, str]]:
     runs = [(name, family, None) for name, family in SINGLE]
     if not small:
         runs += [(name, members, want) for name, members, want in MIXED]
     for i, (name, target, want) in enumerate(runs):
-        stem = f"search-{i}"
-        trace = outdir / f"{stem}-trace.txt"
-        for suffix, config in (("", optimize.DEFAULT_CONFIG),
-                               ("-traced", replace(optimize.DEFAULT_CONFIG, trace_path=str(trace)))):
-            if want is None:
-                result = optimize.optimize_pattern_count(target, config)
-            else:
-                result = optimize.optimize_intersection(target, config, want_patterns=want)
-            yield f"{stem}{suffix}.txt", f"instance = {name}\n" + _result_text(result)
-            yield f"{stem}{suffix}-certificate.txt", _certificate_text(result)
+        if want is None:
+            result = optimize.optimize_pattern_count(target)
+        else:
+            result = optimize.optimize_intersection(target, want_patterns=want)
+        yield f"search-{i}.txt", f"instance = {name}\n" + _result_text(result)
+        yield f"search-{i}-certificate.txt", _certificate_text(result)
 
 
 def _smallest_u(small: bool) -> Iterator[tuple[str, str]]:
@@ -105,7 +101,7 @@ def main() -> int:
     ap.add_argument("--small", action="store_true", help="a quick subset")
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for part in (_searches(args.small, args.outdir), _smallest_u(args.small),
+    for part in (_searches(args.small), _smallest_u(args.small),
                  _cover_table(args.small)):
         for name, text in part:
             (args.outdir / name).write_text(text)

@@ -296,8 +296,18 @@ def _search_text(result: SearchResult) -> str:
     return "\n".join(f"{k} = {_fmt(v)}" for k, v in rows if v is not None) + "\n"
 
 
-def _search_config(cfg: Config, base: SearchConfig,
-                   trace_path: str | None) -> SearchConfig:
+def _write_search(out: Path, result: SearchResult, trace: bool) -> None:
+    """search.txt, the certificate if there is one, and with --trace
+    trace.txt: a line per cell the search witnessed, in the order it did."""
+    _write(out, "search.txt", _search_text(result))
+    if result.certificate is not None:
+        _write(out, "certificate.txt", result.certificate.to_text())
+    if trace:
+        _write(out, "trace.txt", "".join(
+            "t=%.17g c=%.17g count=%d dim=%.17g delta=%.17g\n" % row for row in result.trace))
+
+
+def _search_config(cfg: Config, base: SearchConfig) -> SearchConfig:
     fields = dict(
         c_count=cfg.get_int("optimizer.c_count", base.c_count, lo=2),
         c_s_lo=cfg.get_float("optimizer.c_s_lo", base.c_s_lo, lo=0.0, hi=1.0, open_ends=True),
@@ -309,7 +319,6 @@ def _search_config(cfg: Config, base: SearchConfig,
         t_step=cfg.get_float("optimizer.t_step", base.t_step, lo=0.0, open_ends=True),
         pattern_cap=cfg.get_int("optimizer.pattern_cap", base.pattern_cap, lo=1,
                                 hi=MAX_PATTERN_CAP),
-        trace_path=trace_path,
     )
     try:
         return replace(base, **fields)
@@ -447,21 +456,14 @@ def _cmd_maximize(cfg: Config, out: Path, trace: bool,
     family = _family_from(cfg)
     objective = cfg.get_str("maximize.objective", "pattern-count",
                             choices=("pattern-count", "dimension"))
-    trace_path = str(out / "trace.txt") if trace else None
-    search = _search_config(cfg, DEFAULT_CONFIG, trace_path)
+    search = _search_config(cfg, DEFAULT_CONFIG)
     rho2 = cfg.get_float("game.rho2", 1.0, lo=0.0, open_ends=True)
     finish()
     if _ineligible(family.contraction()):
         return 2
-    if trace:
-        out.mkdir(parents=True, exist_ok=True)
     result = optimize_pattern_count(family, search, rho2,
                                     want_patterns=objective == "pattern-count")
-    _write(out, "search.txt", _search_text(result))
-    if result.certificate is not None:
-        _write(out, "certificate.txt", result.certificate.to_text())
-    if trace_path:
-        print(f"wrote {trace_path}")
+    _write_search(out, result, trace)
     if not result.feasible:
         print("not certified: no feasible parameters found in the search region")
         return 2
@@ -480,8 +482,7 @@ def _cmd_intersect(cfg: Config, out: Path, trace: bool,
     if not members:
         raise ConfigError("member.1.kind", "required key is missing")
     want_patterns = cfg.get_bool("intersect.want_patterns", False)
-    trace_path = str(out / "trace.txt") if trace else None
-    search = _search_config(cfg, DEFAULT_CONFIG, trace_path)
+    search = _search_config(cfg, DEFAULT_CONFIG)
     rho2 = cfg.get_float("game.rho2", 1.0, lo=0.0, open_ends=True)
     finish()
     # mismatched ratios stay a config error, reported by the search below
@@ -489,15 +490,11 @@ def _cmd_intersect(cfg: Config, out: Path, trace: bool,
     if (all(m.contraction().betas == shared.betas for m in members)
             and _ineligible(shared)):
         return 2
-    if trace:
-        out.mkdir(parents=True, exist_ok=True)
     try:
         result = optimize_intersection(members, search, want_patterns, rho2)
     except ValueError as exc:
         raise ConfigError("member", str(exc)) from None
-    _write(out, "search.txt", _search_text(result))
-    if result.certificate is not None:
-        _write(out, "certificate.txt", result.certificate.to_text())
+    _write_search(out, result, trace)
     if not result.feasible:
         print("not certified: combined deletion rate stays above the threshold")
         return 2
@@ -774,11 +771,8 @@ def _cmd_smallest_u(cfg: Config, out: Path, trace: bool,
                     finish: Callable[[], None]) -> int:
     count = cfg.get_int("smallest.pattern_count", lo=1)
     gap = cfg.get_int("smallest.gap", 0, lo=0)
-    trace_path = str(out / "trace.txt") if trace else None
-    search = _search_config(cfg, SMALLEST_U_CONFIG, trace_path)
+    search = _search_config(cfg, SMALLEST_U_CONFIG)
     finish()
-    if trace:
-        out.mkdir(parents=True, exist_ok=True)
     try:
         answer = smallest_u_for_patterns(count, gap, search)
     except (ValueError, RuntimeError) as exc:
@@ -794,9 +788,7 @@ def _cmd_smallest_u(cfg: Config, out: Path, trace: bool,
     ]
     _write(out, "smallest.txt",
            "\n".join(f"{k} = {_fmt(v)}" for k, v in rows) + "\n")
-    _write(out, "search.txt", _search_text(answer.result))
-    if answer.result.certificate is not None:
-        _write(out, "certificate.txt", answer.result.certificate.to_text())
+    _write_search(out, answer.result, trace)
     print(f"smallest u = {answer.u} (the value below, {answer.u - 1}, "
           f"certifies only {answer.below.pattern_count})")
     return 0
@@ -826,7 +818,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--out", default=".", metavar="DIR",
                         help="directory for output artifacts (default: current)")
     parser.add_argument("--trace", action="store_true",
-                        help="write the optimizer probe trace next to the artifacts")
+                        help="write the search's witnessed cells (maximize, intersect, smallest-u)")
     args = parser.parse_args(argv)
     try:
         cfg = Config.load(args.config)

@@ -49,7 +49,8 @@ CSV and raster writers and the pattern scan read the numerators.  A set
 built by hand from entries derives its lattice once and reads its entries
 back from it, so a float coordinate comes back as the equal exact
 Fraction; a level built by hand keeps its boxes as given.  No generator
-builds more than MAX_GEOMETRY_BOXES boxes.  Budget rates are LogScalars.
+builds more than MAX_GEOMETRY_BOXES boxes, or more than MAX_GEOMETRY_BITS
+numerator bits.  Budget rates are LogScalars.
 """
 from __future__ import annotations
 
@@ -88,6 +89,7 @@ __all__ = [
     "covering_strategy_for_rco",
     "covering_strategy_for_rcd",
     "MAX_GEOMETRY_BOXES",
+    "MAX_GEOMETRY_BITS",
     "GeometrySizeError",
 ]
 
@@ -95,6 +97,12 @@ __all__ = [
 # before anything is allocated.  RCO(4,5,2,1) at depth 5 has 10,105,260;
 # the RCD(7,4) strategy at t = 1 and depth 4 has 2,889,900 and 4 templates.
 MAX_GEOMETRY_BOXES = 2 ** 26
+# Most numerator bits one of them may hold, counted as its boxes times a
+# bound on the bits of its deepest level's two denominators, since the
+# numerators grow with the depth.  RCO(4,5,2,1) at depth 5 counts
+# 10,105,260 * 32 and the RCD(7,4) strategy above 2,890,004 * 30; RCD(2,2)
+# at depth d counts d * 2 (d + 1), so its depth stops at 16,383.
+MAX_GEOMETRY_BITS = 2 ** 29
 
 
 # --------------------------------------------------------------- family specs
@@ -329,16 +337,28 @@ def rcd_rate_parts(u: int, v: int, t: float, cover_count: CoverCount | None = No
 
 
 class GeometrySizeError(ValueError):
-    """More than MAX_GEOMETRY_BOXES boxes; `arg` ("depth" or "t") names the cause."""
+    """More than MAX_GEOMETRY_BOXES boxes or MAX_GEOMETRY_BITS numerator
+    bits; `arg` ("depth" or "t") names the cause."""
 
-    def __init__(self, arg: str, value: int) -> None:
-        super().__init__(f"{arg} = {value} needs more than {MAX_GEOMETRY_BOXES} boxes")
+    def __init__(self, arg: str, value: int, limit: str) -> None:
+        super().__init__(f"{arg} = {value} needs more than {limit}")
         self.arg = arg
 
 
-def _check_size(arg: str, value: int, boxes: int) -> None:
+def _check_size(arg: str, value: int, boxes: int, bits: int = 0) -> None:
+    """Refuse more than MAX_GEOMETRY_BOXES boxes, or `boxes` boxes of `bits`
+    numerator bits each past MAX_GEOMETRY_BITS."""
     if boxes > MAX_GEOMETRY_BOXES:
-        raise GeometrySizeError(arg, value)
+        raise GeometrySizeError(arg, value, f"{MAX_GEOMETRY_BOXES} boxes")
+    if boxes * bits > MAX_GEOMETRY_BITS:
+        raise GeometrySizeError(arg, value, f"{MAX_GEOMETRY_BITS} numerator bits")
+
+
+def _lattice_bits(u: int, v: int, q: int, fx: int = 1, fy: int = 1) -> int:
+    """A bound on the bits of the denominators (u^q fx, v^q fy), read without
+    computing them: u <= 2^b for b = (u - 1).bit_length(), so u^q fx has at
+    most q b + fx.bit_length() bits."""
+    return q * ((u - 1).bit_length() + (v - 1).bit_length()) + fx.bit_length() + fy.bit_length()
 
 
 def _level_boxes(first: int, ratio: int, depth: int) -> int:
@@ -822,13 +842,13 @@ def generate_rco(
 
     Entries come out in address order without sorting addresses: a cell
     path "i_j" orders by the text of i and "_", then by the text of j, and
-    a cut "i_j/o" by its cell's path, then by the text of o.  A member of
-    more than MAX_GEOMETRY_BOXES boxes raises GeometrySizeError first.
+    a cut "i_j/o" by its cell's path, then by the text of o.  A member over
+    the size limits (_check_size) raises GeometrySizeError first.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v, m, t = spec.u, spec.v, spec.m, spec.t
-    _check_size("depth", depth, _level_boxes(m + 1, u * v, depth))
+    _check_size("depth", depth, _level_boxes(m + 1, u * v, depth), _lattice_bits(u, v, depth + t))
     ut, vt = u ** t, v ** t
     corner_slots = [(s % ut, s // ut) for s in range(m)]
     ordinals = sorted(range(m), key=str)
@@ -956,13 +976,14 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
 
     Level k lives on the lattice with denominators (u^k (u-1), v^k (v-1)),
     where a component has half-widths (u-1, v-1); the set's lattice is that
-    of level `depth`.  Over MAX_GEOMETRY_BOXES boxes it raises
+    of level `depth`.  Over the size limits (_check_size) it raises
     GeometrySizeError first.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v = spec.u, spec.v
-    _check_size("depth", depth, _level_boxes(1, (u - 1) * (v - 1), depth))
+    _check_size("depth", depth, _level_boxes(1, (u - 1) * (v - 1), depth),
+                _lattice_bits(u, v, depth, u - 1, v - 1))
 
     def blocks() -> Iterator[tuple]:
         for k, pieces in enumerate(_rcd_walk(spec, depth), start=1):
@@ -1149,8 +1170,8 @@ def covering_strategy_for_rcd(
     row, and one gcd reduction takes the column to lowest terms.  The
     level keeps only those numerators, as its lattice (array('q') columns,
     or tuples of Python ints past int64); its boxes are read off it on
-    demand.  A strategy of more than MAX_GEOMETRY_BOXES boxes, its four
-    templates included, raises GeometrySizeError before any is built.
+    demand.  A strategy over the size limits (_check_size), its four
+    templates counted, raises GeometrySizeError before any box is built.
     """
     import numpy as np
 
@@ -1165,7 +1186,8 @@ def covering_strategy_for_rcd(
     count = rcd_cover_count(u, v, t)
     children = (u - 1) * (v - 1)
     _check_size("t", t, (4 + children) * count.value)
-    _check_size("depth", depth, 4 * count.value + _level_boxes(count.value, children, depth))
+    _check_size("depth", depth, 4 * count.value + _level_boxes(count.value, children, depth),
+                _lattice_bits(u, v, depth + t, u - 1, v - 1))
     alpha = rcd_alpha(u, v, c, t, count)
     params = GameParameters(alpha, spec.contraction(), c)
     ut, vt = u ** t, v ** t

@@ -30,9 +30,9 @@ win: cells are counted highest estimate exp(rhs1 - c log alpha) first, and
 one whose verdict fails at the running top count K has a count below K
 (feasibility is antitone in M), so it is counted only if no cell at K has a
 witness, and the pass falls to the next count.  Witnesses are ranked on
-floats (certify.pattern_bound_values), not reports.  A traced search
-(`trace_path` set) counts and witnesses every cell, so its trace lists
-every witnessed cell; both return the same result.
+floats (certify.pattern_bound_values), not reports.  A search's trace
+records the cells it witnessed, as (t, c, count, dim, delta) in the order
+it witnessed them; the optimizer opens no files.
 """
 from __future__ import annotations
 
@@ -134,7 +134,6 @@ class SearchConfig:
     t_hi: float = 6.0
     t_step: float = 0.25
     pattern_cap: int = MAX_PATTERN_CAP    # never search beyond this count
-    trace_path: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("c_s_lo", "c_s_hi", "t_lo", "t_hi", "t_step"):
@@ -410,7 +409,8 @@ class SearchResult:
     dim_bound_combined: float
     probes: int
     certificate: Certificate | None
-    trace: tuple[str, ...] = ()
+    # (t, c, count, dim, delta) of each cell the search witnessed, in order
+    trace: tuple[tuple[float, float, int, float, float], ...] = ()
 
 
 def _better(a: _Point | None, b: _Point | None) -> _Point | None:
@@ -429,13 +429,12 @@ def _search(
     t_values: Sequence[float],
     config: SearchConfig,
     want_patterns: bool,
-) -> tuple[_Point | None, int, list[str]]:
+) -> tuple[_Point | None, int, list[tuple]]:
     cap = config.pattern_cap if want_patterns else 1
-    traced = config.trace_path is not None
     delta = _tail(contraction.n)[0]
     rhs1_at: dict[float, float] = {}
     probes = 0
-    trace: list[str] = []
+    trace: list[tuple] = []
 
     def count(cell: list, known: int = 0) -> int:
         cell[4] = _tail_count(cell[2], contraction, cell[1], delta, cell[3], cap, known)
@@ -448,9 +447,7 @@ def _search(
             if found is None:
                 continue
             point = _Point(k, found[0], found[1], c, t, found[2], found[3], alpha.log)
-            if traced:
-                trace.append("t=%.17g c=%.17g count=%d dim=%.17g delta=%.17g"
-                             % (t, c, k, point.dim, point.delta))
+            trace.append((t, c, k, point.dim, point.delta))
             local = _better(local, point)
         return local
 
@@ -473,15 +470,13 @@ def _search(
         for cell in sorted(cells, key=lambda x: x[3] - x[1] * x[2].log, reverse=True):
             if not top or pattern_feasible(cell[2], contraction, cell[1], delta, top, cell[3]):
                 top = max(top, count(cell, top))
-        if top and not traced:
+        if top:
             local = witness([cell for cell in cells if cell[4] == top])
             if local is not None:
                 return local
         for cell in cells:
             if cell[4] is None:
                 count(cell)
-        if traced:
-            return witness([cell for cell in cells if cell[4] > 0])
         for k in sorted({cell[4] for cell in cells if 0 < cell[4] < top}, reverse=True):
             local = witness([cell for cell in cells if cell[4] == k])
             if local is not None:
@@ -499,12 +494,6 @@ def _search(
         c_grid = sorted(set(c_grid) | set(cs))
         t_grid = sorted(set(t_grid) | set(ts))
     return best, probes, trace
-
-
-def _write_trace(config: SearchConfig, lines: Sequence[str]) -> None:
-    if config.trace_path is not None:
-        with open(config.trace_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
 
 
 def _family_extras(family: RcoSpec | RcdSpec) -> dict[str, str]:
@@ -527,7 +516,7 @@ def _result_from_point(
     kind: str,
     point: _Point | None,
     probes: int,
-    trace: list[str],
+    trace: list[tuple],
     contraction: DiagonalContraction,
     alpha_fn: Callable[[float, float], LogScalar | None],
     rho2: float,
@@ -596,7 +585,6 @@ def optimize_pattern_count(
         kind = "corner"
     contraction = family.contraction()
     point, probes, trace = _search(contraction, alpha_fn, t_values, config, want_patterns)
-    _write_trace(config, trace)
     return _result_from_point(
         kind, point, probes, trace, contraction, alpha_fn, rho2,
         _family_extras(family),
@@ -642,10 +630,7 @@ def optimize_intersection(
         combined = combine_terms(cut_terms[c] + [a ** c for a in alphas], c)
         return combined if combined.log < 0.0 else None
 
-    point, probes, trace = _search(
-        contraction, alpha_fn, t_values, config, want_patterns
-    )
-    _write_trace(config, trace)
+    point, probes, trace = _search(contraction, alpha_fn, t_values, config, want_patterns)
     extras = {"member_count": str(len(members))}
     for i, sp in enumerate(members, start=1):
         for key, value in _family_extras(sp).items():

@@ -10,6 +10,7 @@ import pytest
 import gamecert
 from gamecert import optimize
 from gamecert.cli import Config, ConfigError, main
+from gamecert.families import RcdSpec, RcoSpec
 
 
 def write_cfg(tmp_path, name, text):
@@ -328,6 +329,55 @@ def test_smallest_u_quick(tmp_path, capsys):
     assert "u_pattern_count = 2" in text and "below_pattern_count = 1" in text
 
 
+TRACE_LINE = "t=%.17g c=%.17g count=%d dim=%.17g delta=%.17g\n"
+SMALLEST_CFG = "command = smallest-u\nsmallest.pattern_count = 2\n"
+# each command that writes a trace: its config and the search it runs
+TRACED_RUNS = {
+    "maximize": (MAXIMIZE_CFG, lambda: optimize.optimize_pattern_count(RcoSpec(17, 24, 1, 5))),
+    "intersect": (
+        "command = intersect\n"
+        "member.1.kind = rcd\nmember.1.u = 68719476736\nmember.1.v = 1099511627776\n"
+        "member.2.kind = rco\nmember.2.u = 68719476736\nmember.2.v = 1099511627776\n"
+        "member.2.m = 1\nmember.2.t = 1\n",
+        lambda: optimize.optimize_intersection(
+            [RcdSpec(2 ** 36, 2 ** 40), RcoSpec(2 ** 36, 2 ** 40, 1, 1)])),
+    "smallest-u": (SMALLEST_CFG, lambda: optimize.smallest_u_for_patterns(2, 0).result),
+}
+
+
+@pytest.mark.parametrize("command", list(TRACED_RUNS))
+def test_trace_is_the_search_that_ran(tmp_path, capsys, command):
+    # --trace adds trace.txt, the in-process search's trace, and its "wrote"
+    # line; every other artifact and stdout line stays as without it
+    body, search = TRACED_RUNS[command]
+    cfg = write_cfg(tmp_path, "run.cfg", body)
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert main(["--config", cfg, "--out", str(plain)]) == 0
+    plain_out = capsys.readouterr().out.replace(str(plain), str(traced)).splitlines()
+    assert main(["--config", cfg, "--out", str(traced), "--trace"]) == 0
+    traced_out = capsys.readouterr().out.splitlines()
+    wrote = f"wrote {traced / 'trace.txt'}"
+    assert wrote in traced_out
+    assert [line for line in traced_out if line != wrote] == plain_out
+    names = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in traced.iterdir()) == sorted(names + ["trace.txt"])
+    for name in names:
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+    result = search()
+    assert result.trace
+    assert (traced / "trace.txt").read_text() == "".join(TRACE_LINE % row for row in result.trace)
+
+
+def test_smallest_u_trace_is_the_answers_search(tmp_path, capsys):
+    # the trace is of the search at u, so it holds u's winner; the last
+    # search run is at u - 1, which does not certify the count
+    cfg = write_cfg(tmp_path, "su.cfg", SMALLEST_CFG)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--trace"]) == 0
+    res = optimize.smallest_u_for_patterns(2, 0).result
+    winner = TRACE_LINE % (res.t, res.c, res.pattern_count, res.dim_bound, res.delta)
+    assert winner in (tmp_path / "trace.txt").read_text().splitlines(keepends=True)
+
+
 @pytest.mark.parametrize("body,needle", [
     ("command = maximize\nfamily.kind = rco\nfamily.u = 17\nfamily.v = 24\nfamily.mm = 1\n",
      "family.mm"),
@@ -396,6 +446,28 @@ def test_oversized_geometry_exits_1_at_once(tmp_path, capsys, body, needle):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert f"error: config: {needle}: " in err and "boxes" in err
+    assert not (tmp_path / "out").exists()
+
+
+RCD22 = "family.kind = rcd\nfamily.u = 2\nfamily.v = 2\n"
+
+
+@pytest.mark.parametrize("body", [
+    "command = generate\n" + RCD22 + "generate.depth = 100000\n",
+    SIMULATE + RCD22 + "game.c = 0.5\ngame.t = 1\ngenerate.depth = 100000\nsimulate.moves = 2\n",
+    BUDGET + RCD22 + "game.c = 0.5\ngame.t = 1\ngenerate.depth = 100000\n",
+    "command = find-pattern\n" + RCD22 + "generate.depth = 100000\npattern.points = 0,0; 2,0\n"
+    "pattern.lambda_lo = 1/49\n",
+])
+def test_numerator_heavy_geometry_exits_1_at_once(tmp_path, capsys, body):
+    # RCD(2,2) has one box a level, so the box limit admits depth 100000, but
+    # its numerators grow a bit a level: the numerator-bit limit refuses it
+    cfg = write_cfg(tmp_path, "cfg", body)
+    start = time.perf_counter()
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "error: config: generate.depth: " in err and "numerator bits" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -20,6 +20,7 @@ import gamecert
 from gamecert.core import BoxRegion
 from gamecert import families
 from gamecert.families import (
+    MAX_GEOMETRY_BITS,
     MAX_GEOMETRY_BOXES,
     AxisLattice,
     CoverCount,
@@ -736,6 +737,37 @@ def test_geometry_size_check_counts_boxes_exactly(monkeypatch):
             build()
         assert info.value.arg == arg
         monkeypatch.undo()
+
+
+def test_geometry_size_check_counts_numerator_bits(monkeypatch):
+    # boxes times the bits of the deepest level's two denominators, exact for
+    # RCD(2,2) (denominators 2^q); at that limit the geometry is built, one
+    # below it refused
+    builds = [
+        (lambda: generate_rcd(RcdSpec(2, 2), 40), 40, 2 * 41),
+        (lambda: covering_strategy_for_rcd(RcdSpec(2, 2), 0.5, 1, 30),
+         30 * 12 + 4 * rcd_cover_count(2, 2, 1).value, 2 * 32),
+    ]
+    for build, boxes, bits in builds:
+        monkeypatch.setattr(families, "MAX_GEOMETRY_BITS", boxes * bits)
+        built = build()
+        monkeypatch.setattr(families, "MAX_GEOMETRY_BITS", boxes * bits - 1)
+        with pytest.raises(GeometrySizeError, match="numerator bits") as info:
+            build()
+        assert info.value.arg == "depth"
+        monkeypatch.undo()
+    rect_bits = sum(axis.den.bit_length() for axis in generate_rcd(RcdSpec(2, 2), 40).lattice)
+    deepest = built.levels[-1].lattice
+    assert rect_bits == 2 * 41 and sum(axis.den.bit_length() for axis in deepest) <= 2 * 32
+    # the limit stops RCD(2,2) at depth 16383, and refuses depth 100000 at once
+    assert 16383 * 2 * 16384 <= MAX_GEOMETRY_BITS < 16384 * 2 * 16385
+    start = time.perf_counter()
+    for build in (lambda: generate_rcd(RcdSpec(2, 2), 16384),
+                  lambda: generate_rcd(RcdSpec(2, 2), 100000),
+                  lambda: covering_strategy_for_rcd(RcdSpec(2, 2), 0.5, 1, 100000)):
+        with pytest.raises(GeometrySizeError, match="numerator bits"):
+            build()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_geometry_size_limit_admits_the_roadmap_members():

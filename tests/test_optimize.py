@@ -489,17 +489,6 @@ def test_pattern_cap_is_honoured():
     assert res.certificate.fields["pattern_count"] == 100
 
 
-def test_trace_file_is_written(tmp_path):
-    path = str(tmp_path / "trace.txt")
-    res = optimize_pattern_count(
-        RcoSpec(12, 15, 1, 5), SearchConfig(trace_path=path)
-    )
-    assert res.feasible
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    assert lines and all(line.startswith("t=") for line in lines)
-
-
 U5, V5 = 900019043105, 999921083009
 # the nine headline instances; one member is a single-family search
 HEADLINE = {
@@ -523,23 +512,39 @@ def _headline_search(members, config, want_patterns):
     return optimize_intersection(members, config, want_patterns=want_patterns)
 
 
-@pytest.mark.parametrize("name", list(HEADLINE))
-def test_pruned_search_equals_the_fully_witnessed_one(name, tmp_path):
-    # a traced search witnesses every cell, an untraced one only the cells
-    # at the top count; with want_patterns=False the cap is unused
-    for cap, want_patterns in ((MAX_PATTERN_CAP, True), (100, True), (MAX_PATTERN_CAP, False)):
-        plain = SearchConfig(pattern_cap=cap)
-        pruned = _headline_search(HEADLINE[name], plain, want_patterns)
-        full = _headline_search(
-            HEADLINE[name], replace(plain, trace_path=str(tmp_path / "t.txt")), want_patterns)
-        assert full.trace and not pruned.trace
-        assert pruned == replace(full, trace=())
-        assert pruned.certificate.to_text() == full.certificate.to_text()
+@pytest.mark.parametrize("name, want_patterns, cap", [
+    ("RCO(12,15,1,5)", True, MAX_PATTERN_CAP),
+    ("RCO(17,24,1,5)", True, 100),
+    ("RCD(U5,V5)", True, MAX_PATTERN_CAP),
+    ("RCD+5xRCO(m=4)", True, MAX_PATTERN_CAP),
+    ("RCD(2^36,2^40)+RCO(1,1)", False, MAX_PATTERN_CAP),
+])
+def test_trace_rows_are_the_witnessed_cells(monkeypatch, name, want_patterns, cap):
+    # the trace is the _best_witness calls that found a witness, in call
+    # order, each row at the (c, t) of its cell's rate; the winner is a row
+    calls = []
+    best_witness = optimize._best_witness
+
+    def recorded(alpha, contraction, c, count):
+        found = best_witness(alpha, contraction, c, count)
+        if found is not None:
+            calls.append((alpha.log, c, count, found[0], found[2]))
+        return found
+
+    monkeypatch.setattr(optimize, "_best_witness", recorded)
+    members = HEADLINE[name]
+    res = _headline_search(members, SearchConfig(pattern_cap=cap), want_patterns)
+    assert res.feasible and len(res.trace) == len(calls) > 0
+    assert [row[1:] for row in res.trace] == [call[1:] for call in calls]
+    covers = {}
+    assert [_reference_rate(members, c, t, covers).log for t, c, *_ in res.trace] == \
+        [call[0] for call in calls]
+    assert (res.t, res.c, res.pattern_count, res.dim_bound, res.delta) in res.trace
 
 
 @pytest.mark.parametrize("spec, blocked", [(RcoSpec(17, 24, 1, 5), 231),
                                            (RcdSpec(U5, V5), 20)])
-def test_pruned_search_falls_to_the_next_count(monkeypatch, tmp_path, spec, blocked):
+def test_pruned_search_falls_to_the_next_count(monkeypatch, spec, blocked):
     # no cell with a count >= blocked gets a witness, so the pruned search
     # must fall through the top counts to the best witnessed one below
     counts: list[int] = []
@@ -550,22 +555,38 @@ def test_pruned_search_falls_to_the_next_count(monkeypatch, tmp_path, spec, bloc
         return None if count >= blocked else best_witness(alpha, contraction, c, count)
 
     monkeypatch.setattr(optimize, "_best_witness", no_top_witness)
-    pruned = optimize_pattern_count(spec)
-    pruned_counts, counts[:] = counts[:], []
-    full = optimize_pattern_count(spec, SearchConfig(trace_path=str(tmp_path / "t.txt")))
-    assert pruned == replace(full, trace=())
-    assert pruned.feasible and pruned.pattern_count < blocked
-    assert max(pruned_counts) >= blocked
-    assert len(pruned_counts) < len(counts)
+    res = optimize_pattern_count(spec)
+    point, probes = _reference_search([spec], DEFAULT_CONFIG, True, blocked)
+    assert res.probes == probes
+    assert (res.pattern_count, res.c, res.t, res.delta, res.free_steps,
+            res.alpha_log, res.dim_bound, res.dim_bound_combined) == point
+    assert res.feasible and res.pattern_count < blocked
+    assert max(counts) >= blocked
+    assert len(counts) < probes
 
 
-def _reference_search(members, config, want_patterns):
+def _reference_rate(members, c, t, covers):
+    """The rate of the members' intersection at (c, t) from rco_alpha,
+    rcd_alpha and combine_alphas, or None if a member's is not below 1;
+    `covers` caches the cover count per t."""
+    if t not in covers and any(isinstance(sp, RcdSpec) for sp in members):
+        covers[t] = rcd_cover_count(*members[0].contraction().denominators, t)
+    alphas = [rco_alpha(sp.u, sp.v, sp.m, sp.t, c) if isinstance(sp, RcoSpec)
+              else rcd_alpha(sp.u, sp.v, c, t, covers[t]) for sp in members]
+    if len(alphas) == 1:
+        return alphas[0]
+    if any(a.log >= 0.0 for a in alphas):
+        return None
+    return combine_alphas(alphas, c)
+
+
+def _reference_search(members, config, want_patterns, blocked=None):
     """(SearchResult fields the search decides, probes) of a brute-force
     search that shares no code with _search's pruning: every cell is counted
-    with max_pattern_size on rates from rco_alpha, rcd_alpha and
-    combine_alphas, every counted cell is witnessed with pattern_dim_bound
-    at the three candidate deltas, and the winner is the largest by
-    _better's key, the first on ties."""
+    with max_pattern_size on rates from _reference_rate, every counted cell
+    is witnessed with pattern_dim_bound at the three candidate deltas, and
+    the winner is the largest by _better's key, the first on ties.  Cells
+    whose count is `blocked` or more get no witness."""
     contraction = members[0].contraction()
     if len(members) == 1 and isinstance(members[0], RcoSpec):
         t_values = (float(members[0].t),)
@@ -578,29 +599,15 @@ def _reference_search(members, config, want_patterns):
     shave = math.log1p(-REL_MARGIN)
     covers = {}
 
-    def cover(t):
-        if t not in covers:
-            covers[t] = rcd_cover_count(*contraction.denominators, t)
-        return covers[t]
-
-    def rate(c, t):
-        alphas = [rco_alpha(sp.u, sp.v, sp.m, sp.t, c) if isinstance(sp, RcoSpec)
-                  else rcd_alpha(sp.u, sp.v, c, t, cover(t)) for sp in members]
-        if len(alphas) == 1:
-            return alphas[0]
-        if any(a.log >= 0.0 for a in alphas):
-            return None
-        return combine_alphas(alphas, c)
-
     def best_of(ts, cs):
         points = []
         for t in ts:
             for c in cs:
-                alpha = rate(c, t)
+                alpha = _reference_rate(members, c, t, covers)
                 if alpha is None or alpha.log >= 0.0:
                     continue
                 count = max_pattern_size(alpha, contraction, c, cap)
-                if count == 0:
+                if count == 0 or (blocked is not None and count >= blocked):
                     continue
                 low = _least_condition1_delta(alpha, contraction, c, count)
                 if low > witness:
@@ -642,21 +649,24 @@ REFERENCE_CASES = [(name, members, len(members) == 1 or name == "RCD+5xRCO(m=4)"
                    for name, members in HEADLINE.items()]
 REFERENCE_CASES += [(f"seeded RCD {i}", [spec], True)
                     for i, spec in enumerate(_seeded_corner_members(), start=1)]
+# the dimension-only objective on the headline instances that certify counts
+REFERENCE_CASES += [(f"{name} dimension-only", members, False)
+                    for name, members, want in REFERENCE_CASES[:len(HEADLINE)] if want]
 
 
 @pytest.mark.parametrize("name, members, want_patterns", REFERENCE_CASES,
                          ids=[case[0] for case in REFERENCE_CASES])
-def test_search_equals_a_brute_force_reference(name, members, want_patterns, tmp_path):
-    for cap in (MAX_PATTERN_CAP, 100):
-        plain = SearchConfig(pattern_cap=cap)
-        point, probes = _reference_search(members, plain, want_patterns)
-        for config in (plain, replace(plain, trace_path=str(tmp_path / "t.txt"))):
-            res = _headline_search(members, config, want_patterns)
-            assert res.probes == probes
-            assert res.feasible == (point is not None)
-            if point is not None:
-                assert (res.pattern_count, res.c, res.t, res.delta, res.free_steps,
-                        res.alpha_log, res.dim_bound, res.dim_bound_combined) == point
+def test_search_equals_a_brute_force_reference(name, members, want_patterns):
+    # with want_patterns=False the cap is unused, so one cap suffices
+    for cap in (MAX_PATTERN_CAP, 100) if want_patterns else (MAX_PATTERN_CAP,):
+        config = SearchConfig(pattern_cap=cap)
+        point, probes = _reference_search(members, config, want_patterns)
+        res = _headline_search(members, config, want_patterns)
+        assert res.probes == probes
+        assert res.feasible == (point is not None)
+        if point is not None:
+            assert (res.pattern_count, res.c, res.t, res.delta, res.free_steps,
+                    res.alpha_log, res.dim_bound, res.dim_bound_combined) == point
 
 
 # ------------------------------------------------------------ intersections
@@ -719,14 +729,15 @@ def test_smallest_u_validates_inputs():
 
 
 def test_search_dump_is_deterministic(tmp_path):
-    # the manifest holds the sha256 of every file the small dump wrote before
-    # the search was pruned; any byte change of a search output fails here
+    # the manifest holds the sha256 of every file the small dump writes: 5
+    # searches and their certificates, smallest-u for M = 2 and the cover
+    # counts; any byte change of a search output fails here
     here = Path(__file__).resolve().parent
     subprocess.run([sys.executable, str(here.parent / "scripts" / "search_dump.py"),
                     str(tmp_path), "--small"], check=True)
     lines = (here / "data" / "search_dump_small.sha256").read_text().splitlines()
     manifest = {name: digest for digest, name in (line.split("  ") for line in lines)}
-    assert len(manifest) > 20
+    assert len(manifest) == 14
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(manifest)
     for name, digest in manifest.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
