@@ -22,17 +22,17 @@ The certificates leave four knobs open, searched as follows:
   below each integer, where the ceiling counts in the slab cover drop and
   the budget rate improves discontinuously.
 
-All searches are deterministic: fixed grids from the config, sequential
-reduction in grid order, ties broken toward smaller (c, delta, t).  Rates
-join c-free parts kept per t, and cut-out members' terms alpha^c kept per c.
-The ranking puts the count first, so only cells at a pass's top count can
-win: cells are counted highest estimate exp(rhs1 - c log alpha) first, and
-one whose verdict fails at the running top count K has a count below K
-(feasibility is antitone in M), so it is counted only if no cell at K has a
-witness, and the pass falls to the next count.  Witnesses are ranked on
-floats (certify.pattern_bound_values), not reports.  A search's trace
-records the cells it witnessed, as (t, c, count, dim, delta) in the order
-it witnessed them; the optimizer opens no files.
+All searches are deterministic: fixed grids from the config, ties broken
+toward smaller (c, delta, t).  Rates join c-free parts kept per t, and
+cut-out members' terms alpha^c kept per c.  The ranking puts the count
+first, so only cells at a pass's top count K can win: cells are counted
+highest estimate exp(rhs1 - c log alpha) first; one whose verdict fails at
+K, and from the first estimate below K every cell, has a count below K
+(feasibility is antitone in M) and is counted only if no cell at K has a
+witness.  A count's cells are witnessed highest _dim_ceiling first, up to the
+first that cannot reach the best bound found, ranked on the floats of
+certify.pattern_bound_values.  A search's trace records the cells it
+witnessed, (t, c, count, dim, delta) in that order; it opens no files.
 """
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ from .certify import (
     _condition2_holds,
     _pack_constant,
     _require_feasibility_inputs,
+    deficit_constant,
     intersect_certificate,
     pattern_bound_values,
     pattern_certificate,
@@ -341,12 +342,16 @@ def _least_condition1_delta(
     REL_MARGIN: M alpha^c <= delta^2 (1 - (prod beta)^(1-c)) (1 - margin),
     tested in logs exactly as a report's fields state it."""
     lhs = _condition1_lhs_log(alpha.log, c, pattern_count)
-    gap = _condition1_gap(contraction, c)
     shave = math.log1p(-REL_MARGIN)
-    delta = math.exp(0.5 * (lhs - gap - shave))
+    delta = _condition1_delta_start(lhs, _condition1_gap(contraction, c))
     while delta < 1.0 and lhs > _condition1_rhs_log(contraction, c, delta) + shave:
         delta = math.nextafter(delta, 1.0)
     return delta
+
+
+def _condition1_delta_start(lhs: float, gap: float) -> float:
+    """Where _least_condition1_delta starts its walk up: no delta below it is returned."""
+    return math.exp(0.5 * (lhs - gap - math.log1p(-REL_MARGIN)))
 
 
 def _best_witness(
@@ -379,6 +384,25 @@ def _best_witness(
         if found is not None and (best is None or found[0] > best[0]):
             best = found
     return best
+
+
+def _dim_ceiling(alpha: LogScalar, contraction: DiagonalContraction, c: float,
+                 pattern_count: int) -> float:
+    """A float at least _best_witness(...)[0], or -inf where that is None.
+
+    Every candidate delta lies in [d0, tail witness], d0 = _condition1_delta_start.
+    At any free-step count the left side of (2) is at most 3.0**-n, its value
+    past 2^62 steps, so K is at least the tail K, which falls to its minimizer
+    and rises past it: on that range it is least at max(d0, minimizer).  Float
+    rounding is monotone; 2^-30 covers K's few-ulp wobble near its minimum.
+    """
+    witness, minimizer = _tail(contraction.n)
+    low = _condition1_delta_start(_condition1_lhs_log(alpha.log, c, pattern_count),
+                                  _condition1_gap(contraction, c))
+    if low > witness:
+        return -math.inf
+    k_lo = deficit_constant(contraction, max(low, minimizer), 1 << 63) * (1.0 - 2.0 ** -30)
+    return contraction.n - k_lo * math.exp(alpha.log) / abs(math.log(contraction.beta_max()))
 
 
 @dataclass(frozen=True)
@@ -442,7 +466,11 @@ def _search(
 
     def witness(level: list[list]) -> _Point | None:
         local: _Point | None = None
-        for t, c, alpha, _, k in level:
+        ranked = sorted(((_dim_ceiling(cell[2], contraction, cell[1], cell[4]), cell)
+                         for cell in level), key=lambda x: x[0], reverse=True)
+        for ceiling, (t, c, alpha, _, k) in ranked:
+            if ceiling == -math.inf or (local is not None and ceiling < local.dim):
+                break
             found = _best_witness(alpha, contraction, c, k)
             if found is None:
                 continue
@@ -468,6 +496,8 @@ def _search(
         # count waits, uncounted, until no cell at the top count has a witness
         top = 0
         for cell in sorted(cells, key=lambda x: x[3] - x[1] * x[2].log, reverse=True):
+            if top and cell[3] - cell[1] * cell[2].log < math.log(top) - 1e-9:
+                break       # this cell and all after it fail condition (1) at top
             if not top or pattern_feasible(cell[2], contraction, cell[1], delta, top, cell[3]):
                 top = max(top, count(cell, top))
         if top:

@@ -26,6 +26,7 @@ from gamecert.optimize import (
     SearchConfigError,
     _best_witness,
     _c_grid,
+    _dim_ceiling,
     _least_condition1_delta,
     _member_alpha,
     _refine_c,
@@ -341,6 +342,23 @@ def test_a_failed_verdict_at_k_bounds_the_count_below_k(kind, ru, rv, m, rt, du,
             assert count >= k
 
 
+@settings(max_examples=60, deadline=None)
+@given(*CELLS, st.floats(min_value=0.0, max_value=1.0))
+def test_dim_ceiling_bounds_the_best_witness(kind, ru, rv, m, rt, du, dv, dt, where, below):
+    # the search stops witnessing at the first cell whose ceiling is below
+    # the best bound found, so the ceiling must bound every witness's bound:
+    # at the cell's count, at one above it that no witness certifies, and
+    # at a drawn count below it, whose condition-(1) boundary can lie below
+    # the minimizer of K
+    alpha, contraction, c = _cell(kind, ru, rv, m, rt, du, dv, dt, where)
+    top = max_pattern_size(alpha, contraction, c)
+    for count in {max(round(top * below), 1), max(top, 1), top + 1}:
+        ceiling = _dim_ceiling(alpha, contraction, c, count)
+        found = _best_witness(alpha, contraction, c, count)
+        if found is not None:       # so a ceiling of -inf means no witness
+            assert ceiling >= found[0]
+
+
 def test_witness_choice_certifies_few_candidates_per_probe(monkeypatch):
     calls = 0
     rank = optimize.pattern_bound_values
@@ -580,13 +598,15 @@ def _reference_rate(members, c, t, covers):
     return combine_alphas(alphas, c)
 
 
-def _reference_search(members, config, want_patterns, blocked=None):
+def _reference_search(members, config, want_patterns, blocked=None, counted=None):
     """(SearchResult fields the search decides, probes) of a brute-force
     search that shares no code with _search's pruning: every cell is counted
     with max_pattern_size on rates from _reference_rate, every counted cell
     is witnessed with pattern_dim_bound at the three candidate deltas, and
     the winner is the largest by _better's key, the first on ties.  Cells
-    whose count is `blocked` or more get no witness."""
+    whose count is `blocked` or more get no witness.  `counted`, if given,
+    receives (alpha, c, count, stated bounds of the clearing candidates) of
+    every other cell with a count."""
     contraction = members[0].contraction()
     if len(members) == 1 and isinstance(members[0], RcoSpec):
         t_values = (float(members[0].t),)
@@ -609,6 +629,9 @@ def _reference_search(members, config, want_patterns, blocked=None):
                 count = max_pattern_size(alpha, contraction, c, cap)
                 if count == 0 or (blocked is not None and count >= blocked):
                     continue
+                stated = []
+                if counted is not None:
+                    counted.append((alpha, c, count, stated))
                 low = _least_condition1_delta(alpha, contraction, c, count)
                 if low > witness:
                     continue
@@ -617,6 +640,7 @@ def _reference_search(members, config, want_patterns, blocked=None):
                     report = bound.report
                     if report.feasible and \
                             report.condition1_lhs_log <= report.condition1_rhs_log + shave:
+                        stated.append(bound.stated)
                         points.append((
                             (count, bound.stated, -c, -d, -t),
                             (count, c, t, d, report.free_steps.value, alpha.log,
@@ -667,6 +691,40 @@ def test_search_equals_a_brute_force_reference(name, members, want_patterns):
         if point is not None:
             assert (res.pattern_count, res.c, res.t, res.delta, res.free_steps,
                     res.alpha_log, res.dim_bound, res.dim_bound_combined) == point
+
+
+@pytest.mark.parametrize("name, members, want_patterns", REFERENCE_CASES,
+                         ids=[case[0] for case in REFERENCE_CASES])
+def test_dim_ceiling_bounds_every_reference_cell(name, members, want_patterns):
+    # every cell the brute-force reference counts, at its count: the ceiling
+    # is at least each clearing candidate's bound, so -inf only where none clears
+    counted = []
+    _reference_search(members, DEFAULT_CONFIG, want_patterns, counted=counted)
+    contraction = members[0].contraction()
+    assert counted
+    for alpha, c, count, stated in counted:
+        ceiling = _dim_ceiling(alpha, contraction, c, count)
+        assert ceiling >= max(stated, default=-math.inf)
+
+
+@pytest.mark.parametrize("name, members, want_patterns", REFERENCE_CASES,
+                         ids=[case[0] for case in REFERENCE_CASES])
+def test_each_pass_witnesses_few_cells(monkeypatch, name, members, want_patterns):
+    # ranked by their ceilings, a pass's cells are witnessed until one's
+    # ceiling falls below the best bound found; on these instances each pass
+    # makes one _best_witness call, and the bound allows two
+    calls = 0
+    best_witness = optimize._best_witness
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return best_witness(*args)
+
+    monkeypatch.setattr(optimize, "_best_witness", counted)
+    res = _headline_search(members, DEFAULT_CONFIG, want_patterns)
+    assert res.feasible
+    assert 0 < calls <= 2 * (1 + DEFAULT_CONFIG.refine_passes)
 
 
 # ------------------------------------------------------------ intersections
