@@ -38,7 +38,6 @@ from .core import (
     combine_alphas,
     log_rounding_error,
     safe_floor_ratio,
-    snap_round,
 )
 
 __all__ = [
@@ -395,11 +394,11 @@ class BranchingBound:
 
     value = (prod_j beta_j^-N) * (lhs2 - rhs2), with lhs2 and rhs2 as
     condition2_parts states them; count = ceil(value) is the splitting
-    number used by the dimension argument.  A value below 2^44 within
-    relative 2^-45 above an integer snaps down to it.  Tag "exact": an
-    enclosure of value settles the snapped ceiling.  Tag "approximate":
-    count is the snapped ceiling of the enclosure's lower end, a lower
-    bound, or None when the value exceeds exact integer range.
+    number used by the dimension argument.  Tag "exact": count is the true
+    ceiling of value, settled by an enclosure of it.  Tag "approximate":
+    the enclosure straddles a step of the ceiling and count is the ceiling
+    of its lower end, a lower bound, or None when the value exceeds exact
+    integer range.
     """
 
     value_log: float
@@ -423,8 +422,8 @@ def branching_lower_bound(
     value = math.exp(value_log)
     # log_det sums n logs, so its error grows with n.
     err = value * log_rounding_error(contraction.n * steps_log, gap_log)
-    lower = snap_round(value - err, math.ceil)
-    if lower == snap_round(value + err, math.ceil):
+    lower = math.ceil(value - err)
+    if lower == math.ceil(value + err):
         return BranchingBound(value_log, lower, "exact")
     return BranchingBound(value_log, lower, "approximate")
 

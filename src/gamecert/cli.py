@@ -342,6 +342,22 @@ def _ineligible(contraction: DiagonalContraction) -> bool:
     return False
 
 
+def _certificate(kind: str, alpha: LogScalar, contraction: DiagonalContraction,
+                 c: float, delta: float, count: int | None, rho2: float,
+                 extras: dict[str, str] | None = None) -> Certificate:
+    """The dimension, pattern or distance certificate of one rate; only a
+    pattern certificate reads `count`."""
+    if kind == "dimension":
+        return dimension_certificate(alpha, contraction, c, delta, rho2, extras)
+    if kind == "distance":
+        return distance_set_certificate(alpha, contraction, c, delta, rho2, extras)
+    if kind != "pattern":
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    if count is None:
+        raise ValueError("pattern certificate states no pattern_count")
+    return pattern_certificate(alpha, contraction, c, delta, count, rho2, extras)
+
+
 def _cmd_certify(cfg: Config, out: Path, trace: bool,
                  finish: Callable[[], None]) -> int:
     if cfg.has("certify.certificate"):
@@ -366,12 +382,7 @@ def _cmd_certify(cfg: Config, out: Path, trace: bool,
             delta = default_delta(contraction)
         extras = _family_extras(family) if family else {
             "betas": ",".join("%.17g" % b for b in contraction.betas)}
-        if kind == "dimension":
-            cert = dimension_certificate(alpha, contraction, c, delta, rho2, extras)
-        elif kind == "pattern":
-            cert = pattern_certificate(alpha, contraction, c, delta, count, rho2, extras)
-        else:
-            cert = distance_set_certificate(alpha, contraction, c, delta, rho2, extras)
+        cert = _certificate(kind, alpha, contraction, c, delta, count, rho2, extras)
     except ValueError as exc:
         print(f"not certified: theorem-ineligible ({exc})")
         return 2
@@ -407,16 +418,8 @@ def _recertify(cert: Certificate) -> Certificate:
                   for i in range(1, count + 1)]
         fresh = intersect_certificate(alphas, contraction, c, delta, rho2)
     else:
-        alpha = LogScalar(cert.fields["alpha_log"])
-        if cert.kind == "dimension":
-            fresh = dimension_certificate(alpha, contraction, c, delta, rho2)
-        elif cert.kind == "pattern":
-            fresh = pattern_certificate(alpha, contraction, c, delta,
-                                        cert.fields["pattern_count"], rho2)
-        elif cert.kind == "distance":
-            fresh = distance_set_certificate(alpha, contraction, c, delta, rho2)
-        else:
-            raise ValueError(f"unknown certificate kind {cert.kind!r}")
+        fresh = _certificate(cert.kind, LogScalar(cert.fields["alpha_log"]), contraction,
+                             c, delta, cert.fields.get("pattern_count"), rho2)
     if "t" in cert.fields:
         fresh.fields.setdefault("t", cert.fields["t"])
     return Certificate(fresh.kind, fresh.fields, dict(cert.extras))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "REL_MARGIN",
@@ -34,7 +34,6 @@ __all__ = [
     "dominates",
     "combine_alphas",
     "safe_floor_ratio",
-    "snap_round",
     "log_rounding_error",
 ]
 
@@ -43,11 +42,6 @@ Coord = Fraction | float | int
 # Relative margin demanded of every strict inequality that a certificate
 # relies on: "lhs > rhs" is only accepted when rhs <= lhs * (1 - REL_MARGIN).
 REL_MARGIN = 2.0 ** -40
-
-# Snap window for safe_floor_ratio: a ratio below 2^44 within relative 2^-45
-# of an integer is treated as that integer before flooring.
-_SNAP_INV = 2 ** 45
-_SNAP_LIMIT = 2 ** 44
 
 _EXACT_FLOOR_LIMIT = 2.0 ** 53
 
@@ -355,20 +349,19 @@ def combine_terms(terms: Iterable[LogScalar], c: float) -> LogScalar:
 class FloorResult:
     """floor(delta/alpha) with an honesty tag.
 
-    The snapped floor of a quotient q is floor(q), except that a q < 2^44
-    within relative 2^-45 below a positive integer is lifted to that
-    integer.  Below 2^44 the window stays under half a unit; from 2^44 on
-    nothing snaps, so an exact value there is the true floor.
+    The quotient is that of the values the arguments state: a float stands
+    for itself, not for the decimal it was parsed from, so 0.5 / 0.1 floors
+    to 4 because the float 0.1 lies above 1/10.
 
-    tag == "exact":        value >= 1 is the snapped floor of the true
-                           quotient, which lies below 2^53; an enclosure of
-                           the quotient has settled it.
+    tag == "exact":        value >= 1 is the true floor of the quotient,
+                           which lies below 2^53; an enclosure of the
+                           quotient has settled it.
     tag == "approximate":  the quotient is at or above 2^53, or its enclosure
-                           straddles a step of the snapped floor; value is a
-                           safe lower surrogate (true floor >= value).
-    tag == "infeasible":   value = 0: the quotient is below 1 (snapping
-                           included), or not shown to reach 1; downstream
-                           conditions that need one whole step must fail.
+                           straddles a step of the floor; value is a safe
+                           lower surrogate (true floor >= value).
+    tag == "infeasible":   value = 0: the quotient is below 1, or not shown
+                           to reach 1; downstream conditions that need one
+                           whole step must fail.
     """
 
     value: int
@@ -379,21 +372,6 @@ class FloorResult:
             raise ValueError(f"unknown floor tag {self.tag!r}")
         if self.value < 0:
             raise ValueError("floor surrogate must be nonnegative")
-
-
-def snap_round(q: float | Fraction, rounding: Callable[[float | Fraction], int]) -> int:
-    """rounding(q) (math.floor or math.ceil), but a q in [1/2, 2^44) within
-    relative 2^-45 of an integer snaps to that integer.
-
-    Exact for floats and Fractions alike: q - round(q) is exact for a float
-    q >= 1/2, and the window test scales by a power of two.  The window stays
-    under half a unit, so snapping is nondecreasing in q, also across 2^44;
-    hence it is constant on an interval iff it agrees at both ends.
-    """
-    nearest = round(q)
-    if nearest >= 1 and q < _SNAP_LIMIT and abs(q - nearest) * _SNAP_INV <= q:
-        return int(nearest)
-    return rounding(q)
 
 
 def log_rounding_error(x: float, y: float) -> float:
@@ -418,15 +396,10 @@ def _exp_enclosure(log: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def _enclosed_floor(lo: float | Fraction, hi: float | Fraction) -> FloorResult | None:
-    """The snapped floor shared by every quotient in [lo, hi], if hi < 2^53."""
-    if hi >= _EXACT_FLOOR_LIMIT:
-        return None
+    """The floor shared by every quotient in [lo, hi], if hi < 2^53."""
     value = math.floor(lo)
-    if value != math.floor(hi) or (value + 1 - hi) * _SNAP_INV <= hi:
-        # [lo, hi] holds an integer or reaches the snap window below value + 1
-        value = snap_round(lo, math.floor)
-        if value != snap_round(hi, math.floor):
-            return None
+    if hi >= _EXACT_FLOOR_LIMIT or value != math.floor(hi):
+        return None
     return FloorResult(value, "exact") if value else FloorResult(0, "infeasible")
 
 
@@ -450,18 +423,17 @@ def _settled_floor(delta: float | LogScalar, alpha: float | LogScalar) -> FloorR
 
 
 def safe_floor_ratio(delta: float | LogScalar, alpha: float | LogScalar) -> FloorResult:
-    """Snapped floor(delta / alpha), tagged as FloorResult describes.
+    """floor(delta / alpha), tagged as FloorResult describes.
 
     A float argument stands for its own value and a LogScalar for exp(log).
     The quotient is estimated in log domain, with the error bound of
     log_rounding_error.  When every quotient in that enclosure has the same
-    snapped floor it is the answer (so e.g. delta=0.5, alpha=0.1 floors to
-    5, not 4; from 2^44 on nothing snaps); otherwise the floor is settled
-    on the exact quotient of two floats, or on a 128-bit mpmath enclosure
-    when a LogScalar is involved, and an enclosure that still straddles a
-    step gives its floored lower end, tagged approximate.  Estimates
-    >= 2^53 cannot be floored exactly in float64; the result is tagged and
-    lowered by one as a conservative surrogate.
+    floor it is the answer; otherwise the floor is settled on the exact
+    quotient of two floats, or on a 128-bit mpmath enclosure when a
+    LogScalar is involved, and an enclosure that still straddles a step
+    gives its floored lower end, tagged approximate.  Estimates >= 2^53
+    cannot be floored exactly in float64; the result is tagged and lowered
+    by one as a conservative surrogate.
     """
     d = delta if isinstance(delta, LogScalar) else LogScalar.from_value(delta)
     a = alpha if isinstance(alpha, LogScalar) else LogScalar.from_value(alpha)

@@ -138,6 +138,34 @@ def test_tampered_certificate_rejected(tmp_path, capsys):
     assert "does not re-validate" in capsys.readouterr().out
 
 
+def test_certificate_missing_its_kind_fields_rejected(tmp_path, capsys):
+    # a pattern certificate stripped of its pattern_count, or one of no
+    # known kind, is a clean "no", not a traceback
+    cfg = write_cfg(tmp_path, "raw.cfg", """
+        command = certify
+        certify.kind = pattern
+        family.kind = raw
+        family.betas = 1/10,1/12
+        family.alpha = 1e-13
+        game.c = 0.9
+        game.pattern_count = 3
+    """)
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    cert = tmp_path / "certificate.txt"
+    text = cert.read_text()
+    recheck = write_cfg(tmp_path, "recheck.cfg", f"""
+        command = certify
+        certify.certificate = {cert}
+    """)
+    assert main(["--config", recheck]) == 0
+    capsys.readouterr()
+    for edited in (text.replace("pattern_count = 3\n", ""),
+                   text.replace("kind = pattern", "kind = triangle")):
+        cert.write_text(edited)
+        assert main(["--config", recheck]) == 2
+        assert "does not re-validate" in capsys.readouterr().out
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = write_cfg(tmp_path, "max.cfg", MAXIMIZE_CFG)
     assert main(["--config", cfg, "--out", str(tmp_path / "a")]) == 0

@@ -18,7 +18,6 @@ from gamecert.core import (
     combine_alphas,
     dominates,
     safe_floor_ratio,
-    snap_round,
 )
 
 positive_floats = st.floats(min_value=1e-300, max_value=1e300)
@@ -179,8 +178,9 @@ def test_combine_alphas_rejects_c_zero():
 
 
 def test_safe_floor_ratio_snaps_float_noise():
-    # 0.5/0.1 = 5.000000000000001 in float64; must still floor to 5.
-    assert safe_floor_ratio(0.5, 0.1) == FloorResult(5, "exact")
+    # 0.5/0.1 rounds to 5.000000000000001 in float64, but the float 0.1 lies
+    # above 1/10, so the true quotient is just under 5 and floors to 4.
+    assert safe_floor_ratio(0.5, 0.1) == FloorResult(4, "exact")
 
 
 def test_safe_floor_ratio_small_and_infeasible():
@@ -201,7 +201,28 @@ def test_safe_floor_ratio_huge_is_tagged():
 def test_safe_floor_ratio_accepts_logscalars():
     d = LogScalar.from_value(0.5)
     a = LogScalar.from_value(0.1)
-    assert safe_floor_ratio(d, a).value == 5
+    assert safe_floor_ratio(d, a) == FloorResult(4, "exact")
+
+
+def test_safe_floor_ratio_floors_down_just_under_an_integer():
+    # delta one ulp under k * alpha puts the quotient within relative 2^-52
+    # under k, at every scale: the floor is k - 1, settled exactly
+    alpha = 2.0**-20
+    for k in (5, 12, 1000, 499325958263, 2**40 + 3, 2**44 - 1, 2**44, 2**44 + 1, 2**50 + 7):
+        delta = math.nextafter(k * alpha, 0.0)
+        assert Fraction(delta) / Fraction(alpha) < k
+        assert safe_floor_ratio(delta, alpha) == FloorResult(k - 1, "exact")
+        assert safe_floor_ratio(k * alpha, alpha) == FloorResult(k, "exact")
+
+
+def test_safe_floor_ratio_is_monotone_across_2_44():
+    # quotients 2^44 + j/8 are exact; their floors climb one step per unit,
+    # with no jump on either side of 2^44
+    alpha = 2.0**-20
+    ratios = [2.0**44 + j / 8.0 for j in range(-16, 17)]
+    results = [safe_floor_ratio(q * alpha, alpha) for q in ratios]
+    assert [r.value for r in results] == [math.floor(q) for q in ratios]
+    assert all(r.tag == "exact" for r in results)
 
 
 @given(
@@ -210,27 +231,26 @@ def test_safe_floor_ratio_accepts_logscalars():
 )
 @example(15348555623.0, 6.103515625e-05)
 @example(26804783444.0, 6.103515625e-05)
-@example(68719476735.999985, 3.0517578125e-05)    # 2^51 - 1/2: no snap up
+@example(68719476735.999985, 3.0517578125e-05)    # 2^51 - 1/2
+# a raw cli-roundtrip draw (seed 9, draw 3) scaled by 2^20: the quotient
+# lies 0.013 under 499325958263, within relative 2^-45 of it
+@example(6.528696032511865, 1.3075018281091062e-11)
 def test_safe_floor_ratio_matches_true_floor_off_lattice(delta, alpha):
     ratio = Fraction(delta) / Fraction(alpha)
     if ratio >= 2**53:
         return
     res = safe_floor_ratio(delta, alpha)
-    true_floor = math.floor(ratio)
-    if ratio >= 2**44:
-        assert res.value == true_floor      # nothing snaps from 2^44 on
-    else:
-        # the snap may lift a just-below-integer ratio by one
-        assert res.value in (true_floor, true_floor + 1)
-        if res.value == true_floor + 1:
-            assert res.value - ratio <= Fraction(1, 2**45) * ratio
-    assert (res.tag == "infeasible") == (res.value == 0)
+    assert res.value == math.floor(ratio)
+    assert res.tag == ("exact" if res.value else "infeasible")
 
 
 @given(
     st.floats(min_value=1e-9, max_value=0.5),
     st.floats(min_value=30.0, max_value=53.0, exclude_max=True),
 )
+# a raw cli-roundtrip draw (seed 9, draw 3): the quotient lies 0.013 under
+# 499325958263, within relative 2^-45 of it
+@example(6.22624972582995e-06, 38.861190953200506)
 def test_safe_floor_ratio_float_delta_logscalar_rate(delta, log2_ratio):
     # The certifier's path: a float witness over a LogScalar combined rate.
     alpha = LogScalar(math.log(delta) - log2_ratio * math.log(2.0))
@@ -238,40 +258,11 @@ def test_safe_floor_ratio_float_delta_logscalar_rate(delta, log2_ratio):
     with mpmath.workdps(60):
         ratio = mpmath.mpf(delta) / mpmath.exp(mpmath.mpf(alpha.log))
         true_floor = int(mpmath.floor(ratio))
-        if res.tag == "exact" and ratio >= 2**44:
-            assert res.value == true_floor      # nothing snaps from 2^44 on
-        elif res.tag == "exact":
-            # only the documented snap may lift the floor, by one
-            assert res.value in (true_floor, true_floor + 1)
-            if res.value == true_floor + 1:
-                assert res.value - ratio <= mpmath.mpf(2) ** -45 * ratio
-        else:
-            assert res.tag == "approximate"
-            assert 1 <= res.value <= true_floor
-
-
-def test_snap_round_floats_and_fractions_agree():
-    for q in (4.999999999, 4.99999999999999, 5.000000000000001, 0.5, 2.0**44 + 0.75, 7.25):
-        for rounding in (math.floor, math.ceil):
-            assert snap_round(q, rounding) == snap_round(Fraction(q), rounding)
-    assert snap_round(5.000000000000001, math.ceil) == 5
-    assert snap_round(4.999999999, math.floor) == 4
-    assert snap_round(4.99999999999999, math.floor) == 5
-    assert snap_round(Fraction(5) - Fraction(1, 2**50), math.floor) == 5
-
-
-def test_snap_round_stops_snapping_at_2_44():
-    # below 2^44 a quarter-unit gap is inside the window and snaps up; from
-    # 2^44 on plain rounding holds, and the step across the limit is monotone
-    top = 2.0**44
-    assert snap_round(top - 0.25, math.floor) == 2**44
-    assert snap_round(top + 0.25, math.ceil) == 2**44 + 1
-    assert snap_round(2.0**51 - 0.5, math.floor) == 2**51 - 1
-    assert snap_round(Fraction(2**51) - Fraction(1, 2), math.floor) == 2**51 - 1
-    qs = [top + k / 8.0 for k in range(-16, 17)]
-    for rounding in (math.floor, math.ceil):
-        values = [snap_round(q, rounding) for q in qs]
-        assert values == sorted(values)
+    if res.tag == "exact":
+        assert res.value == true_floor
+    else:
+        assert res.tag == "approximate"
+        assert 1 <= res.value <= true_floor
 
 
 # -------------------------------------------------------------- BoxRegion
