@@ -26,15 +26,15 @@ the achieved margin is recorded.  All mass arithmetic is log-domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     REL_MARGIN,
     DiagonalContraction,
     FloorResult,
     LogScalar,
+    Record,
     combine_alphas,
     log_rounding_error,
     safe_floor_ratio,
@@ -162,8 +162,7 @@ def default_delta(contraction: DiagonalContraction) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """Outcome of testing conditions (1) and (2) for one (alpha, c, delta, M)."""
 
     n: int
@@ -313,8 +312,7 @@ def pattern_bound_values(alpha: LogScalar, contraction: DiagonalContraction, c: 
             contraction.n - k_m * math.exp(combined_log) / log_bmax, delta, free_steps)
 
 
-@dataclass(frozen=True)
-class DimensionBound:
+class DimensionBound(NamedTuple):
     """max(n - K alpha / |log beta_max|, 0) together with its ingredients."""
 
     value: float
@@ -340,8 +338,7 @@ def dim_lower_bound(
     return DimensionBound(value, deficit, k, value > 0.0, report)
 
 
-@dataclass(frozen=True)
-class PatternBound:
+class PatternBound(NamedTuple):
     """Pattern certificate: containment plus witness-set dimension bounds.
 
     `stated` is n - K_M alpha / |log beta_max| with the bare per-set rate
@@ -388,8 +385,7 @@ def pattern_dim_bound(
     )
 
 
-@dataclass(frozen=True)
-class BranchingBound:
+class BranchingBound(NamedTuple):
     """Lower bound on surviving sub-cells per good cell between free blocks.
 
     value = (prod_j beta_j^-N) * (lhs2 - rhs2), with lhs2 and rhs2 as
@@ -474,18 +470,20 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Flat, deterministic, text-serializable record of one certified claim.
 
     kind: "dimension" | "pattern" | "intersection" | "distance".
     `extras` carries family/member echoes (family.u = ..., member.1.kind =
-    ...); they are emitted after the fixed keys, sorted.
+    ...); they are emitted after the fixed keys, sorted.  Its dicts make a
+    certificate unhashable.
     """
 
-    kind: str
-    fields: dict[str, object]
-    extras: dict[str, str] = field(default_factory=dict)
+    __slots__ = _fields = ("kind", "fields", "extras")
+
+    def __init__(self, kind: str, fields: dict[str, object],
+                 extras: dict[str, str] | None = None) -> None:
+        super().__init__(kind, fields, {} if extras is None else extras)
 
     def to_text(self) -> str:
         lines = []

@@ -16,10 +16,9 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .certify import (
     Certificate,
@@ -32,29 +31,10 @@ from .certify import (
     pattern_certificate,
 )
 from .core import DiagonalContraction, LogScalar
-from .families import (
-    GeometrySizeError,
-    RcdSpec,
-    RcoSpec,
-    covering_strategy_for_rcd,
-    covering_strategy_for_rco,
-    generate_rcd,
-    generate_rco,
-    rcd_alpha,
-    rco_alpha,
-)
-from .optimize import (
-    DEFAULT_CONFIG,
-    MAX_PATTERN_CAP,
-    SMALLEST_U_CONFIG,
-    SearchConfig,
-    SearchConfigError,
-    SearchResult,
-    _family_extras,
-    optimize_intersection,
-    optimize_pattern_count,
-    smallest_u_for_patterns,
-)
+
+if TYPE_CHECKING:  # the commands import families and optimize where they use them
+    from .families import RcdSpec, RcoSpec
+    from .optimize import SearchConfig, SearchResult
 
 COMMANDS = (
     "certify",
@@ -227,6 +207,8 @@ class Config:
 
 
 def _family_from(cfg: Config, prefix: str = "family") -> RcoSpec | RcdSpec:
+    from .families import RcdSpec, RcoSpec
+
     kind = cfg.get_str(f"{prefix}.kind", choices=("rco", "rcd"))
     u = cfg.get_int(f"{prefix}.u", lo=2)
     v = cfg.get_int(f"{prefix}.v", lo=2)
@@ -261,6 +243,8 @@ def _alpha_for(cfg: Config, family: RcoSpec | RcdSpec | None, c: float) -> LogSc
             return LogScalar(cfg.get_float("family.alpha_log", hi=0.0, open_ends=True))
         return LogScalar.from_value(
             cfg.get_float("family.alpha", lo=0.0, hi=1.0, open_ends=True))
+    from .families import RcoSpec, rcd_alpha, rco_alpha
+
     if isinstance(family, RcoSpec):
         return rco_alpha(family.u, family.v, family.m, family.t, c)
     t = cfg.get_float("game.t", lo=0.0, open_ends=True)
@@ -308,6 +292,10 @@ def _write_search(out: Path, result: SearchResult, trace: bool) -> None:
 
 
 def _search_config(cfg: Config, base: SearchConfig) -> SearchConfig:
+    from dataclasses import replace
+
+    from .optimize import MAX_PATTERN_CAP, SearchConfigError
+
     fields = dict(
         c_count=cfg.get_int("optimizer.c_count", base.c_count, lo=2),
         c_s_lo=cfg.get_float("optimizer.c_s_lo", base.c_s_lo, lo=0.0, hi=1.0, open_ends=True),
@@ -380,7 +368,7 @@ def _cmd_certify(cfg: Config, out: Path, trace: bool,
     try:
         if delta is None:
             delta = default_delta(contraction)
-        extras = _family_extras(family) if family else {
+        extras = family.extras() if family else {
             "betas": ",".join("%.17g" % b for b in contraction.betas)}
         cert = _certificate(kind, alpha, contraction, c, delta, count, rho2, extras)
     except ValueError as exc:
@@ -456,6 +444,8 @@ def _revalidate(cfg: Config, out: Path, finish: Callable[[], None]) -> int:
 
 def _cmd_maximize(cfg: Config, out: Path, trace: bool,
                   finish: Callable[[], None]) -> int:
+    from .optimize import DEFAULT_CONFIG, optimize_pattern_count
+
     family = _family_from(cfg)
     objective = cfg.get_str("maximize.objective", "pattern-count",
                             choices=("pattern-count", "dimension"))
@@ -477,6 +467,8 @@ def _cmd_maximize(cfg: Config, out: Path, trace: bool,
 
 def _cmd_intersect(cfg: Config, out: Path, trace: bool,
                    finish: Callable[[], None]) -> int:
+    from .optimize import DEFAULT_CONFIG, optimize_intersection
+
     members: list[RcoSpec | RcdSpec] = []
     i = 1
     while cfg.has(f"member.{i}.kind"):
@@ -506,6 +498,8 @@ def _cmd_intersect(cfg: Config, out: Path, trace: bool,
 
 
 def _read_generate(cfg: Config, default_depth: int | None = None) -> tuple:
+    from .families import RcoSpec
+
     family = _family_from(cfg)
     if default_depth is None:
         depth = cfg.get_int("generate.depth", lo=1)
@@ -520,6 +514,8 @@ def _read_generate(cfg: Config, default_depth: int | None = None) -> tuple:
 
 
 def _build_rect(family, depth: int, placement: str, seed: int):
+    from .families import RcoSpec, generate_rcd, generate_rco
+
     try:
         if isinstance(family, RcoSpec):
             return generate_rco(family, depth, placement, seed)
@@ -532,6 +528,14 @@ def _build_strategy(params: tuple, c: float, t: int | None, depth_key: str, erro
     """The covering strategy of the member that `params`, from
     _read_generate, names.  Geometry over the size limit is a config error
     naming game.t or `depth_key`; any other bad input names `error_key`."""
+    from .families import (
+        GeometrySizeError,
+        RcoSpec,
+        covering_strategy_for_rcd,
+        covering_strategy_for_rco,
+        generate_rco,
+    )
+
     family, depth, placement, seed = params
     try:
         if isinstance(family, RcoSpec):
@@ -564,6 +568,7 @@ def _cmd_generate(cfg: Config, out: Path, trace: bool,
 
 def _cmd_simulate(cfg: Config, out: Path, trace: bool,
                   finish: Callable[[], None]) -> int:
+    from .families import RcdSpec
     from .gamesim import constant_policy, play_game, steering_policy  # loads numpy
 
     params = _read_generate(cfg, default_depth=cfg.get_int("simulate.moves", lo=1))
@@ -607,6 +612,7 @@ def _cmd_simulate(cfg: Config, out: Path, trace: bool,
 
 
 def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
+    from .families import RcdSpec
     from .gamesim import (  # the projection, half-shrink and budget checks load numpy
         child_cover_grid,
         potential_transfer_bound,
@@ -772,6 +778,8 @@ def _cmd_find_pattern(cfg: Config, out: Path, trace: bool,
 
 def _cmd_smallest_u(cfg: Config, out: Path, trace: bool,
                     finish: Callable[[], None]) -> int:
+    from .optimize import SMALLEST_U_CONFIG, smallest_u_for_patterns
+
     count = cfg.get_int("smallest.pattern_count", lo=1)
     gap = cfg.get_int("smallest.gap", 0, lo=0)
     search = _search_config(cfg, SMALLEST_U_CONFIG)

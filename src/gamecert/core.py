@@ -19,7 +19,6 @@ live here.  Masses like alpha * prod beta^m underflow float64 quickly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -143,8 +142,56 @@ class LogScalar:
         return f"LogScalar(log={self.log!r})"
 
 
-@dataclass(frozen=True)
-class DiagonalContraction:
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the frozen records whose constructor checks its input or fills
+    in a default; a record that does neither is a typing.NamedTuple.
+
+    A subclass names its fields in `_fields`, in constructor order, and its
+    slots in `__slots__`: the fields, then any value cached from them.
+    Record.__init__ stores the slots in that order (where construction is
+    hot, object.__setattr__ does).  Repr, == and hash are a frozen
+    dataclass's and leave a cached value out: the class name with each
+    field, equality field by field with an instance of the same class, and
+    the hash of the tuple of fields.  Assigning or deleting an attribute
+    raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._astuple()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DiagonalContraction(Record):
     """Diagonal matrix diag(beta_1, ..., beta_n) with 0 < beta_j < 1.
 
     When every beta_j is a unit fraction 1/U_j the contraction supports an
@@ -152,28 +199,28 @@ class DiagonalContraction:
     holds the integers U_j.
     """
 
-    betas: tuple[float, ...]                 # diagonal entries, in (0, 1)
-    denominators: tuple[int, ...] | None = None  # U_j when beta_j == 1/U_j exactly
-    _log_det: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("betas", "denominators", "_log_det")
+    _fields = ("betas", "denominators")
 
-    def __post_init__(self) -> None:
-        if not self.betas:
+    def __init__(self, betas: tuple[float, ...],
+                 denominators: tuple[int, ...] | None = None) -> None:
+        if not betas:
             raise ValueError("contraction needs at least one axis")
-        for b in self.betas:
+        for b in betas:
             if not (0.0 < b < 1.0):
                 raise ValueError(f"diagonal entries must lie in (0,1), got {b!r}")
-        # summed once: every certificate report reads it
-        object.__setattr__(self, "_log_det", sum(math.log(b) for b in self.betas))
-        if self.denominators is not None:
-            if len(self.denominators) != len(self.betas):
+        if denominators is not None:
+            if len(denominators) != len(betas):
                 raise ValueError("denominators length mismatch")
-            for u, b in zip(self.denominators, self.betas):
+            for u, b in zip(denominators, betas):
                 if u < 2:
                     raise ValueError(f"unit-fraction denominator must be >= 2, got {u}")
                 if b != 1.0 / u:
                     raise ValueError(
                         f"beta {b!r} is not the unit fraction 1/{u} it claims to be"
                     )
+        # log_det is summed once: every certificate report reads it
+        super().__init__(betas, denominators, sum(math.log(b) for b in betas))
 
     @classmethod
     def from_denominators(cls, denominators: Sequence[int]) -> "DiagonalContraction":
@@ -201,8 +248,7 @@ class DiagonalContraction:
         return max(self.betas)
 
 
-@dataclass(frozen=True)
-class GameParameters:
+class GameParameters(Record):
     """Winning tuple (alpha, A, c, rho2, rho1) for the box-deletion game.
 
     Winning for a set means: the nesting player can force the limit point
@@ -210,13 +256,11 @@ class GameParameters:
     budget at exponent c, for any first-move radius in [rho2, rho1].
     """
 
-    alpha: LogScalar
-    contraction: DiagonalContraction
-    c: float
-    rho2: float = 1.0
-    rho1: float = 1.0
+    __slots__ = _fields = ("alpha", "contraction", "c", "rho2", "rho1")
 
-    def __post_init__(self) -> None:
+    def __init__(self, alpha: LogScalar, contraction: DiagonalContraction, c: float,
+                 rho2: float = 1.0, rho1: float = 1.0) -> None:
+        super().__init__(alpha, contraction, c, rho2, rho1)
         validate_params(self)
 
     @property
@@ -224,8 +268,7 @@ class GameParameters:
         return self.contraction.n
 
 
-@dataclass(frozen=True, slots=True)
-class BoxRegion:
+class BoxRegion(Record):
     """Closed axis-aligned box: {x : |x_j - center_j| <= half_j for all j}.
 
     Coordinates may be exact Fractions (the oracles insist on it) or floats;
@@ -233,19 +276,20 @@ class BoxRegion:
     half-width must be positive; NaN is not.
     """
 
-    center: tuple[Coord, ...]
-    half: tuple[Coord, ...]      # per-axis half-widths, all > 0
+    __slots__ = _fields = ("center", "half")
 
-    def __post_init__(self) -> None:
-        if len(self.center) != len(self.half):
+    def __init__(self, center: tuple[Coord, ...], half: tuple[Coord, ...]) -> None:
+        if len(center) != len(half):
             raise ValueError("center/half dimension mismatch")
-        if not self.center:
+        if not center:
             raise ValueError("box needs at least one axis")
-        for h in self.half:
+        for h in half:
             # A Fraction's numerator has its sign, and comparing that int
             # skips the numeric tower; "not > 0" also rejects NaN.
             if not (getattr(h, "numerator", h) > 0):
                 raise ValueError(f"half-widths must be positive, got {h!r}")
+        _set(self, "center", center)
+        _set(self, "half", half)
 
     @property
     def n(self) -> int:
@@ -345,8 +389,7 @@ def combine_terms(terms: Iterable[LogScalar], c: float) -> LogScalar:
     return LogScalar.sum(terms) ** (1.0 / c)
 
 
-@dataclass(frozen=True)
-class FloorResult:
+class FloorResult(Record):
     """floor(delta/alpha) with an honesty tag.
 
     The quotient is that of the values the arguments state: a float stands
@@ -364,14 +407,15 @@ class FloorResult:
                            whole step must fail.
     """
 
-    value: int
-    tag: str
+    __slots__ = _fields = ("value", "tag")
 
-    def __post_init__(self) -> None:
-        if self.tag not in ("exact", "approximate", "infeasible"):
-            raise ValueError(f"unknown floor tag {self.tag!r}")
-        if self.value < 0:
+    def __init__(self, value: int, tag: str) -> None:
+        if tag not in ("exact", "approximate", "infeasible"):
+            raise ValueError(f"unknown floor tag {tag!r}")
+        if value < 0:
             raise ValueError("floor surrogate must be nonnegative")
+        _set(self, "value", value)
+        _set(self, "tag", tag)
 
 
 def log_rounding_error(x: float, y: float) -> float:

@@ -61,12 +61,11 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import abc
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
-from .core import BoxRegion, DiagonalContraction, GameParameters, LogScalar
+from .core import BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -108,8 +107,7 @@ MAX_GEOMETRY_BITS = 2 ** 29
 # --------------------------------------------------------------- family specs
 
 
-@dataclass(frozen=True)
-class RcoSpec:
+class RcoSpec(Record):
     """Cut-out family descriptor.
 
     u, v: axis subdivision counts (cell half-widths shrink by 1/u, 1/v);
@@ -118,30 +116,32 @@ class RcoSpec:
     the rate formula accepts real t >= 1 via rco_alpha directly.
     """
 
-    u: int
-    v: int
-    m: int = 1
-    t: int = 1
+    __slots__ = _fields = ("u", "v", "m", "t")
 
-    def __post_init__(self) -> None:
-        if self.u < 2 or self.v < 2:
+    def __init__(self, u: int, v: int, m: int = 1, t: int = 1) -> None:
+        if u < 2 or v < 2:
             raise ValueError("subdivision counts must be >= 2")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("need at least one removed box per cell")
-        if self.t < 1:
+        if t < 1:
             raise ValueError("removal depth offset must be >= 1")
-        if self.m > (self.u ** self.t) * (self.v ** self.t):
+        if m > (u ** t) * (v ** t):
             raise ValueError(
-                f"{self.m} disjoint removals cannot fit in a cell "
-                f"({self.u ** self.t * self.v ** self.t} slots)"
+                f"{m} disjoint removals cannot fit in a cell "
+                f"({u ** t * v ** t} slots)"
             )
+        super().__init__(u, v, m, t)
 
     def contraction(self) -> DiagonalContraction:
         return DiagonalContraction.from_denominators((self.u, self.v))
 
+    def extras(self) -> dict[str, str]:
+        """The keys that echo this family in a certificate's extras."""
+        return {"family.kind": "cutout", **{f"family.{k}": str(getattr(self, k))
+                                            for k in self._fields}}
 
-@dataclass(frozen=True)
-class RcdSpec:
+
+class RcdSpec(Record):
     """Corner-digit family descriptor.
 
     corner_rule decides, per child address, which of the four corners the
@@ -149,19 +149,22 @@ class RcdSpec:
     derives it deterministically from (corner_seed, address).
     """
 
-    u: int
-    v: int
-    corner_rule: Literal["fixed", "hash"] = "fixed"
-    corner_seed: int = 0
+    __slots__ = _fields = ("u", "v", "corner_rule", "corner_seed")
 
-    def __post_init__(self) -> None:
-        if self.u < 2 or self.v < 2:
+    def __init__(self, u: int, v: int, corner_rule: Literal["fixed", "hash"] = "fixed",
+                 corner_seed: int = 0) -> None:
+        if u < 2 or v < 2:
             raise ValueError("subdivision counts must be >= 2")
-        if self.corner_rule not in ("fixed", "hash"):
-            raise ValueError(f"unknown corner rule {self.corner_rule!r}")
+        if corner_rule not in ("fixed", "hash"):
+            raise ValueError(f"unknown corner rule {corner_rule!r}")
+        super().__init__(u, v, corner_rule, corner_seed)
 
     def contraction(self) -> DiagonalContraction:
         return DiagonalContraction.from_denominators((self.u, self.v))
+
+    def extras(self) -> dict[str, str]:
+        """The keys that echo this family in a certificate's extras."""
+        return {"family.kind": "corner", "family.u": str(self.u), "family.v": str(self.v)}
 
     def corner_signs(self, address: str) -> tuple[int, int]:
         """(+-1, +-1): which corner of its region the child at `address` takes."""
@@ -197,21 +200,23 @@ def rco_alpha(u: int, v: int, m: int, t: float, c: float) -> LogScalar:
     return RateParts(math.log(9 * m), t * (math.log(u) + math.log(v))).at(c)
 
 
-@dataclass(frozen=True)
-class CoverCount:
-    """Number of equal boxes covering one region-minus-child slab pair."""
+class CoverCount(Record):
+    """Number of equal boxes covering one region-minus-child slab pair.
 
-    value: int
-    tag: str              # "exact" | "approximate" (ceiling args >= 2^53)
-    option: int           # 1 = x-strip full height first, 2 = transposed
+    tag: "exact" | "approximate" (ceiling args >= 2^53); option: 1 = x-strip
+    full height first, 2 = transposed.
+    """
 
-    def __post_init__(self) -> None:
-        if self.tag not in ("exact", "approximate"):
-            raise ValueError(f"unknown tag {self.tag!r}")
-        if self.option not in (1, 2):
+    __slots__ = _fields = ("value", "tag", "option")
+
+    def __init__(self, value: int, tag: str, option: int) -> None:
+        if tag not in ("exact", "approximate"):
+            raise ValueError(f"unknown tag {tag!r}")
+        if option not in (1, 2):
             raise ValueError("option must be 1 or 2")
-        if self.value < 2:
+        if value < 2:
             raise ValueError("a slab pair always needs at least two boxes")
+        super().__init__(value, tag, option)
 
 
 def _iroot(x: int, q: int) -> int:
@@ -578,8 +583,7 @@ class _ListRows(_LazyRows):
 # ----------------------------------------------------------- rectangle sets
 
 
-@dataclass(frozen=True)
-class RectEntry:
+class RectEntry(NamedTuple):
     level: int
     address: str        # "kind:path", kind in {cell, cut, comp, cover}
     box: BoxRegion
@@ -594,7 +598,6 @@ def _rect_entry(levels: Sequence[int], addresses: Sequence[str],
     return RectEntry(levels[i], addresses[i], box(i))
 
 
-@dataclass
 class RectangleSet:
     """A finite collection of labelled planar boxes, CSV/PBM serializable.
 
@@ -608,23 +611,35 @@ class RectangleSet:
 
     Because an address starts with its kind, the entries of one kind at
     one level are one run of indices; of_kind and lattice_of find it by
-    bisection.
+    bisection.  Its repr and == are those of the pair (entries, meta), and
+    it is unhashable.
     """
 
     entries: Sequence[RectEntry]
-    meta: dict[str, str] = field(default_factory=dict)
-    levels: Sequence[int] = field(init=False, repr=False, compare=False)
-    addresses: Sequence[str] = field(init=False, repr=False, compare=False)
-    lattice: tuple[AxisLattice, ...] = field(init=False, repr=False, compare=False)
+    meta: dict[str, str]
+    levels: Sequence[int]
+    addresses: Sequence[str]
+    lattice: tuple[AxisLattice, ...]
 
-    def __post_init__(self) -> None:
-        rows = sorted(self.entries, key=lambda e: (e.level, e.address))
+    def __init__(self, entries: Sequence[RectEntry], meta: dict[str, str] | None = None) -> None:
+        self.meta = {} if meta is None else meta
+        rows = sorted(entries, key=lambda e: (e.level, e.address))
         for e in rows:
             if ":" not in e.address:
                 raise ValueError(f"address {e.address!r} does not read kind:path")
         empty = (AxisLattice(1, array("q"), array("q")),) * 2
         self._set_columns([e.level for e in rows], [e.address for e in rows],
                           _derived_lattice([e.box for e in rows]) or empty)
+
+    def __repr__(self) -> str:
+        return f"RectangleSet(entries={self.entries!r}, meta={self.meta!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.entries, self.meta) == (other.entries, other.meta)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
 
     def _set_columns(self, levels: Sequence[int], addresses: Sequence[str],
                      lattice: tuple[AxisLattice, ...]) -> None:
@@ -1007,8 +1022,7 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
 # ----------------------------------------------------- covering strategies
 
 
-@dataclass(frozen=True)
-class StrategyLevel:
+class StrategyLevel(Record):
     """One response set: boxes of exponent `exponent`, budgeted at rate a_k.
 
     `preamble` marks a set that precedes any numbered move (the corner-digit
@@ -1022,16 +1036,14 @@ class StrategyLevel:
     log_det the lattice is left out of repr and ==.
     """
 
-    level: int
-    exponent: int
-    budget_rate_log: float       # ln(a_k)
-    preamble: bool
-    boxes: Sequence[BoxRegion]
-    lattice: tuple[AxisLattice, ...] | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("level", "exponent", "budget_rate_log", "preamble", "boxes", "lattice")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self) -> None:
-        if self.lattice is None:
-            object.__setattr__(self, "lattice", _derived_lattice(self.boxes))
+    def __init__(self, level: int, exponent: int, budget_rate_log: float,  # ln(a_k)
+                 preamble: bool, boxes: Sequence[BoxRegion],
+                 lattice: tuple[AxisLattice, ...] | None = None) -> None:
+        super().__init__(level, exponent, budget_rate_log, preamble, boxes,
+                         _derived_lattice(boxes) if lattice is None else lattice)
 
     @classmethod
     def on_lattice(cls, level: int, exponent: int, budget_rate_log: float,
@@ -1040,8 +1052,7 @@ class StrategyLevel:
         return cls(level, exponent, budget_rate_log, preamble, boxes, lattice)
 
 
-@dataclass(frozen=True)
-class CoveringStrategy:
+class CoveringStrategy(NamedTuple):
     """A deletion plan certifying a winning tuple for one family member.
 
     Soundness contract (checked by the gamesim oracles):

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .certify import (
     Certificate,
@@ -405,8 +405,7 @@ def _dim_ceiling(alpha: LogScalar, contraction: DiagonalContraction, c: float,
     return contraction.n - k_lo * math.exp(alpha.log) / abs(math.log(contraction.beta_max()))
 
 
-@dataclass(frozen=True)
-class _Point:
+class _Point(NamedTuple):
     pattern_count: int
     dim: float
     dim_combined: float
@@ -526,22 +525,6 @@ def _search(
     return best, probes, trace
 
 
-def _family_extras(family: RcoSpec | RcdSpec) -> dict[str, str]:
-    if isinstance(family, RcoSpec):
-        return {
-            "family.kind": "cutout",
-            "family.u": str(family.u),
-            "family.v": str(family.v),
-            "family.m": str(family.m),
-            "family.t": str(family.t),
-        }
-    return {
-        "family.kind": "corner",
-        "family.u": str(family.u),
-        "family.v": str(family.v),
-    }
-
-
 def _result_from_point(
     kind: str,
     point: _Point | None,
@@ -617,7 +600,7 @@ def optimize_pattern_count(
     point, probes, trace = _search(contraction, alpha_fn, t_values, config, want_patterns)
     return _result_from_point(
         kind, point, probes, trace, contraction, alpha_fn, rho2,
-        _family_extras(family),
+        family.extras(),
     )
 
 
@@ -663,7 +646,7 @@ def optimize_intersection(
     point, probes, trace = _search(contraction, alpha_fn, t_values, config, want_patterns)
     extras = {"member_count": str(len(members))}
     for i, sp in enumerate(members, start=1):
-        for key, value in _family_extras(sp).items():
+        for key, value in sp.extras().items():
             extras[f"member.{i}.{key.removeprefix('family.')}"] = value
     return _result_from_point(
         "intersection", point, probes, trace, contraction, alpha_fn, rho2,
@@ -681,8 +664,7 @@ SMALLEST_U_CONFIG = SearchConfig(
 )
 
 
-@dataclass(frozen=True)
-class SmallestU:
+class SmallestU(NamedTuple):
     """Bracketed answer: `u` certifies, `u - 1` was checked and does not."""
 
     u: int

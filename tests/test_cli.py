@@ -611,14 +611,23 @@ def test_module_entrypoint_runs(tmp_path):
     assert proc.returncode == 0 and "rectangles.csv" in proc.stdout
 
 
+def _imported_modules(tmp_path, name, body):
+    """Modules, by full name, a fresh `python -m gamecert` run of `body`
+    imports; with body None, those a bare `python -c pass` imports."""
+    if body is None:
+        proc = _run_module("-X", "importtime", "-c", "pass")
+    else:
+        cfg = write_cfg(tmp_path, f"{name}.cfg", body)
+        proc = _run_module("-X", "importtime", "-m", "gamecert",
+                           "--config", cfg, "--out", str(tmp_path / name))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
 def _imported_packages(tmp_path, name, body):
     """Top-level packages a fresh `python -m gamecert` run of `body` imports."""
-    cfg = write_cfg(tmp_path, f"{name}.cfg", body)
-    proc = _run_module("-X", "importtime", "-m", "gamecert",
-                       "--config", cfg, "--out", str(tmp_path / name))
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return {line.rsplit("|", 1)[-1].strip().split(".")[0]
-            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return {module.split(".")[0] for module in _imported_modules(tmp_path, name, body)}
 
 
 def test_certificate_commands_import_neither_numpy_nor_mpmath(tmp_path):
@@ -642,6 +651,32 @@ def test_certificate_commands_import_neither_numpy_nor_mpmath(tmp_path):
     # an RCD cover count imports mpmath where it needs it
     rcd = "command = maximize\nfamily.kind = rcd\nfamily.u = 68719476736\nfamily.v = 1099511627776\n"
     assert "mpmath" in run("rcd", rcd)
+
+
+def test_certificate_commands_load_only_what_they_use(tmp_path):
+    # a certify process should cost little more than starting the interpreter
+    def run(name, body):
+        return _imported_modules(tmp_path, name, body)
+
+    raw = ("command = certify\nfamily.kind = raw\nfamily.betas = 1/10,1/12\n"
+           "family.alpha = 1e-12\ngame.c = 0.9\n")
+    rco = ("command = certify\ncertify.kind = pattern\nfamily.kind = rco\nfamily.u = 17\n"
+           "family.v = 24\nfamily.m = 1\nfamily.t = 5\ngame.c = 0.99\n"
+           "game.pattern_count = 3\n")
+    assert "gamecert.optimize" in run("max", MAXIMIZE_CFG)
+    recheck = "command = certify\ncertify.certificate = {}\n"
+    loaded = {
+        "raw": run("raw", raw),
+        "raw recheck": run("raw-recheck", recheck.format(tmp_path / "raw" / "certificate.txt")),
+        "max recheck": run("max-recheck", recheck.format(tmp_path / "max" / "certificate.txt")),
+    }
+    family = run("rco", rco)
+    assert "gamecert.families" in family and "gamecert.optimize" not in family
+    bare = run("bare", None)
+    for name, modules in loaded.items():
+        assert "gamecert.certify" in modules and "gamecert.optimize" not in modules, name
+        assert "gamecert.families" not in modules, name
+        assert not {"dataclasses", "inspect"} & (modules - bare), name
 
 
 def test_verify_imports_numpy_only_for_the_checks_that_use_it(tmp_path):

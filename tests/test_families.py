@@ -1014,13 +1014,13 @@ def test_rcd_views_match_eager_reference(u, v, rule, seed, t, depth):
 
 def test_strategy_and_members_build_no_box_until_one_is_read(monkeypatch):
     built = []
-    real = BoxRegion.__post_init__
+    real = BoxRegion.__init__
 
-    def spy(box):
+    def spy(box, *args):
+        real(box, *args)
         built.append(box)
-        real(box)
 
-    monkeypatch.setattr(BoxRegion, "__post_init__", spy)
+    monkeypatch.setattr(BoxRegion, "__init__", spy)
     strat = covering_strategy_for_rcd(RcdSpec(7, 4), 0.5, 1, 3)
     members = (generate_rco(RcoSpec(4, 5, 2, 1), 3), generate_rcd(RcdSpec(7, 4), 2))
     assert [len(level.boxes) for level in strat.levels] == [468, 8424, 151632]
