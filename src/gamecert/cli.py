@@ -480,9 +480,9 @@ def _cmd_intersect(cfg: Config, out: Path, trace: bool,
     search = _search_config(cfg, DEFAULT_CONFIG)
     rho2 = cfg.get_float("game.rho2", 1.0, lo=0.0, open_ends=True)
     finish()
-    # mismatched ratios stay a config error, reported by the search below
+    # mismatched denominators stay a config error, reported by the search below
     shared = members[0].contraction()
-    if (all(m.contraction().betas == shared.betas for m in members)
+    if (all(m.contraction().denominators == shared.denominators for m in members)
             and _ineligible(shared)):
         return 2
     try:

@@ -32,6 +32,7 @@ __all__ = [
     "validate_params",
     "dominates",
     "combine_alphas",
+    "combine_logs",
     "safe_floor_ratio",
     "log_rounding_error",
 ]
@@ -115,14 +116,7 @@ class LogScalar:
     @staticmethod
     def sum(terms: Iterable["LogScalar"]) -> "LogScalar":
         """Order-independent log-sum-exp: sort descending, then accumulate."""
-        logs = sorted((t.log for t in terms), reverse=True)
-        if not logs or logs[0] == float("-inf"):
-            return LogScalar.zero()
-        top = logs[0]
-        acc = 0.0
-        for lg in logs:
-            acc += math.exp(lg - top)
-        return LogScalar(top + math.log(acc))
+        return LogScalar(log_sum_exp(t.log for t in terms))
 
     # -- comparisons (total order via logs) -----------------------------
 
@@ -140,6 +134,19 @@ class LogScalar:
 
     def __repr__(self) -> str:
         return f"LogScalar(log={self.log!r})"
+
+
+def log_sum_exp(logs: Iterable[float]) -> float:
+    """ln(sum_i exp(logs_i)) as LogScalar.sum takes it: the logs sorted
+    descending, then accumulated, so the sum is independent of their order."""
+    logs = sorted(logs, reverse=True)
+    if not logs or logs[0] == float("-inf"):
+        return float("-inf")
+    top = logs[0]
+    acc = 0.0
+    for lg in logs:
+        acc += math.exp(lg - top)
+    return top + math.log(acc)
 
 
 _set = object.__setattr__
@@ -380,13 +387,14 @@ def combine_alphas(alphas: Sequence[LogScalar | float], c: float) -> LogScalar:
         s = a if isinstance(a, LogScalar) else LogScalar.from_value(a)
         if s.is_zero():
             raise ValueError("budget rates must be positive")
-        terms.append(s ** c)
-    return combine_terms(terms, c)
+        terms.append((s ** c).log)
+    return LogScalar(combine_logs(terms, c))
 
 
-def combine_terms(terms: Iterable[LogScalar], c: float) -> LogScalar:
-    """combine_alphas from the terms alpha_i^c, in any order."""
-    return LogScalar.sum(terms) ** (1.0 / c)
+def combine_logs(term_logs: Iterable[float], c: float) -> float:
+    """ln (sum_i exp(term_logs_i))^(1/c): combine_alphas's join, from the
+    logs of its terms alpha_i^c, in any order."""
+    return log_sum_exp(term_logs) * (1.0 / c)
 
 
 class FloorResult(Record):

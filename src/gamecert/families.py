@@ -65,7 +65,9 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
-from .core import BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record
+from .core import (
+    BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record, log_rounding_error,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -180,24 +182,33 @@ class RcdSpec(Record):
 
 class RateParts(NamedTuple):
     """A budget rate (touch count)^(1/c) * (mass ratio) as its two c-free
-    logs; `at` joins them in the one float order of every family's rate."""
+    logs; `log_at` joins them in the one float order of every family's rate,
+    and `at` wraps that log in a LogScalar."""
 
     touch_log: float             # ln of the touch count
     scale_log: float             # -ln of the per-move mass ratio
 
+    def log_at(self, c: float) -> float:
+        return self.touch_log / c - self.scale_log
+
     def at(self, c: float) -> LogScalar:
-        return LogScalar(self.touch_log / c - self.scale_log)
+        return LogScalar(self.log_at(c))
 
 
 def rco_alpha(u: int, v: int, m: int, t: float, c: float) -> LogScalar:
     """(9m)^(1/c) * (uv)^-t as a LogScalar.  Any real t > 0 is allowed."""
     if not (0.0 < c < 1.0):
         raise ValueError(f"exponent c must lie in (0,1), got {c!r}")
+    return rco_rate_parts(u, v, m, t).at(c)
+
+
+def rco_rate_parts(u: int, v: int, m: int, t: float) -> RateParts:
+    """rco_alpha's c-free parts: (ln(9m), t (ln u + ln v))."""
     if not 0 < t < math.inf:
         raise ValueError("removal depth offset must be positive")
     if m < 1 or u < 2 or v < 2:
         raise ValueError("invalid family parameters")
-    return RateParts(math.log(9 * m), t * (math.log(u) + math.log(v))).at(c)
+    return RateParts(math.log(9 * m), t * (math.log(u) + math.log(v)))
 
 
 class CoverCount(Record):
@@ -239,26 +250,89 @@ def _iroot(x: int, q: int) -> int:
         r = s
 
 
+# The float step of _ceil_powers takes bases below _FLOAT_BASE_LIMIT, which
+# are floats exactly, and settles ceilings below _FLOAT_CEIL_LIMIT, where its
+# enclosure is far narrower than one.  It takes no exp of a log at or past
+# _FLOAT_LOG_LIMIT: every ceiling there is at least _FLOAT_CEIL_LIMIT, and
+# exp overflows past 709.78.
+_FLOAT_BASE_LIMIT = 2 ** 53
+_FLOAT_CEIL_LIMIT = 2.0 ** 50
+_FLOAT_LOG_LIMIT = math.log(_FLOAT_CEIL_LIMIT)
+
+
+def _float_ceilings(
+    base: int, t: float, ratios: tuple[tuple[int, int], ...]
+) -> list[int] | None:
+    """[ceil(base^t * num / den) for (num, den) in ratios] from a float
+    enclosure, or None where one ceiling is not settled by it.
+
+    Needs base, num and den below 2^53, so that each is a float exactly.
+    With u = 2^-52 and libm's log and exp within one ulp (Muller, Elementary
+    Functions, 3rd ed., 2016, the model core.log_rounding_error states),
+    x = fl(t fl(ln base)) is within 1.5u|x| of t ln base (one ulp of the log,
+    half of the product), y = fl(ln fl(num/den)) within u|y| + u of
+    ln(num/den) (one ulp, and the quotient's half ulp moves the log by at
+    most 1.0001 u/2), and fl(x + y) within u(|x| + |y|)/2 of x + y: the
+    log L = ln(base^t num/den) is within e = (|x| + |y|) 2^-51 + u of the
+    sum, up to O(u^2).  v = fl(exp(fl(x + y))) then lies within a relative
+    e + u + O(e^2) of exp(L).  E = log_rounding_error(x, y) =
+    (|x| + |y| + 8) 2^-50 covers that, plus the relative half-width of step
+    4's bracket (at most 10^-15, around a power good to 2^-100) and the half
+    ulp by which each end of v (1 +- E) rounds: the constant parts sum to
+    under 2 2^-50 (u, u, 10^-15 < 1.13 2^-50, and u/2).  So every
+    value step 4 could bracket lies in [v (1 - E), v (1 + E)], and when that
+    range has one ceiling, below 2^50, it is the value and step 4 would have
+    settled the same one.
+    """
+    x = t * math.log(base)
+    values = []
+    for num, den in ratios:
+        y = math.log(num / den)
+        if x + y >= _FLOAT_LOG_LIMIT:
+            return None
+        v = math.exp(x + y)
+        err = v * log_rounding_error(x, y)
+        hi = v + err
+        value = math.ceil(v - err)
+        if hi >= _FLOAT_CEIL_LIMIT or value != math.ceil(hi):
+            return None
+        values.append(value)
+    return values
+
+
 def _ceil_powers(
     base: int, t: float, ratios: tuple[tuple[int, int], ...]
 ) -> tuple[list[int], bool]:
     """[ceil(base^t * num / den) for (num, den) in ratios], and whether all
     of them are certified exact.
 
-    Every float t is exactly a rational p/q.  When q and the magnitude are
-    modest each ceiling is settled in integers: with r the floor q-th root
-    of X = base^p num^q, ceil(base^(p/q) num) is r, plus 1 unless r^q = X,
-    and the ceiling division by den follows (ceil(y/den) = ceil(ceil(y)/den)).
-    Otherwise mpmath evaluates base^t once, at (magnitude + 40) digits, and
-    the rest is integer arithmetic: the power is read as man * 2^exp, and
-    both ends of the bracket x (1 +- eps), eps = 10^-(digits - 15), of each
-    x = base^t num / den are exact ceiling divisions.  Agreement certifies
-    the value, disagreement returns the upper one, not exact (larger cover
-    counts only weaken the certificate, so rounding up is the conservative
-    direction).
+    Every float t is exactly a rational p/q.  The steps, first to settle wins:
+
+    1. integer t (q = 1): integer roots, as in step 3;
+    2. base below 2^53: the float enclosure of _float_ceilings, which
+       settles only where every ceiling is below 2^50 and the enclosure of
+       each has one ceiling;
+    3. q <= 64 and a modest magnitude: each ceiling is settled in integers:
+       with r the floor q-th root of X = base^p num^q, ceil(base^(p/q) num)
+       is r, plus 1 unless r^q = X, and the ceiling division by den follows
+       (ceil(y/den) = ceil(ceil(y)/den));
+    4. mpmath's libmp evaluates base^t once, at (magnitude + 40) digits
+       rounded to nearest, and the rest is integer arithmetic: the power is
+       read as man * 2^exp, and both ends of the bracket x (1 +- eps),
+       eps = 10^-(digits - 15), of each x = base^t num / den are exact
+       ceiling divisions.  Agreement certifies the value, disagreement
+       returns the upper one, not exact (larger cover counts only weaken the
+       certificate, so rounding up is the conservative direction).
+
+    Steps 1-3 only settle exact values, and step 2 only where step 4 would
+    have settled the same ones, so every value and flag is step 4's wherever
+    step 4 would run.
     """
-    frac = Fraction(t)
-    p, q = frac.numerator, frac.denominator
+    p, q = t.as_integer_ratio()
+    if q != 1 and base < _FLOAT_BASE_LIMIT:
+        values = _float_ceilings(base, t, ratios)
+        if values is not None:
+            return values, True
     top = max(num for num, _ in ratios)
     magnitude = p / q * math.log10(base) + math.log10(top)
     if q == 1 or (q <= 64 and magnitude * q <= 20000):
@@ -270,11 +344,11 @@ def _ceil_powers(
                 r = _iroot(x, q)
                 roots[num] = r if r ** q == x else r + 1
         return [-(-roots[num] // den) for num, den in ratios], True
-    import mpmath  # only exponents off the q <= 64 grid need it
+    from mpmath import libmp  # only exponents the steps above leave need it
 
     digits = max(30, int(magnitude) + 40)
-    with mpmath.workdps(digits):
-        man, exp = mpmath.power(base, t).man_exp
+    _, man, exp, _ = libmp.mpf_pow(libmp.from_int(base), libmp.from_float(t),
+                                   libmp.dps_to_prec(digits), libmp.round_nearest)
     # x (1 +- eps) = man num (scale +- 1) 2^exp / (den scale)
     scale = 10 ** (digits - 15)
     man = int(man) << max(exp, 0)

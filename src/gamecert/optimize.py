@@ -23,14 +23,18 @@ The certificates leave four knobs open, searched as follows:
   the budget rate improves discontinuously.
 
 All searches are deterministic: fixed grids from the config, ties broken
-toward smaller (c, delta, t).  Rates join c-free parts kept per t, and
-cut-out members' terms alpha^c kept per c.  The ranking puts the count
-first, so only cells at a pass's top count K can win: cells are counted
-highest estimate exp(rhs1 - c log alpha) first; one whose verdict fails at
-K, and from the first estimate below K every cell, has a count below K
-(feasibility is antitone in M) and is counted only if no cell at K has a
-witness.  A count's cells are witnessed highest _dim_ceiling first, up to the
-first that cannot reach the best bound found, ranked on the floats of
+toward smaller (c, delta, t).  Rates are taken per row of the grid: a row
+fetches each family's c-free parts (RateParts, cached per t) once, and each
+probe in it costs a few float operations.  Members of an intersection with
+equal parts, as its corner members are, share one rate per probe.  The
+ranking puts the count first, so only cells at a pass's top
+count K can win: cells are counted highest estimate exp(rhs1 - c log alpha)
+first; one whose verdict fails at K, and from the first estimate below K
+every cell, has a count below K (feasibility is antitone in M) and is
+counted only if no cell at K has a witness.  With the count pinned to 1 no
+verdict is taken: a cell whose verdict fails has no witness.  A count's
+cells are witnessed highest _dim_ceiling first, up to the first that cannot
+reach the best bound found, ranked on the floats of
 certify.pattern_bound_values.  A search's trace records the cells it
 witnessed, (t, c, count, dim, delta) in that order; it opens no files.
 """
@@ -55,8 +59,8 @@ from .certify import (
     pattern_certificate,
     pattern_feasible,
 )
-from .core import REL_MARGIN, DiagonalContraction, LogScalar, combine_terms
-from .families import RateParts, RcdSpec, RcoSpec, rcd_rate_parts, rco_alpha
+from .core import REL_MARGIN, DiagonalContraction, LogScalar, combine_logs
+from .families import RateParts, RcdSpec, RcoSpec, rcd_rate_parts, rco_rate_parts
 
 __all__ = [
     "SearchConfig",
@@ -446,9 +450,13 @@ def _better(a: _Point | None, b: _Point | None) -> _Point | None:
     return a if ka >= kb else b
 
 
+# rate_row(t)(c) is ln of the budget rate at (c, t); none at or above 0 certifies
+RateRow = Callable[[float], Callable[[float], float]]
+
+
 def _search(
     contraction: DiagonalContraction,
-    alpha_fn: Callable[[float, float], LogScalar | None],
+    rate_row: RateRow,
     t_values: Sequence[float],
     config: SearchConfig,
     want_patterns: bool,
@@ -467,7 +475,7 @@ def _search(
         local: _Point | None = None
         ranked = sorted(((_dim_ceiling(cell[2], contraction, cell[1], cell[4]), cell)
                          for cell in level), key=lambda x: x[0], reverse=True)
-        for ceiling, (t, c, alpha, _, k) in ranked:
+        for ceiling, (t, c, alpha, _, k, _) in ranked:
             if ceiling == -math.inf or (local is not None and ceiling < local.dim):
                 break
             found = _best_witness(alpha, contraction, c, k)
@@ -481,21 +489,33 @@ def _search(
     def run_grid(ts: Sequence[float], cs: Sequence[float]) -> _Point | None:
         nonlocal probes
         probes += len(ts) * len(cs)
-        cells = []      # [t, c, alpha, rhs1, count] of the cells whose rate is below 1
+        # [t, c, alpha, rhs1, count, estimate log] of the cells whose rate is below 1
+        cells = []
         for t in ts:
+            rate = rate_row(t)
             for c in cs:
-                alpha = alpha_fn(c, t)
-                if alpha is None or alpha.log >= 0.0:
+                log = rate(c)
+                if log >= 0.0:
                     continue
+                alpha = LogScalar(log)
                 if c not in rhs1_at or alpha.is_zero():
                     _require_feasibility_inputs(alpha, contraction, c, delta, 1)
                     rhs1_at[c] = _condition1_rhs_log(contraction, c, delta)
-                cells.append([t, c, alpha, rhs1_at[c], None])
+                rhs1 = rhs1_at[c]
+                cells.append([t, c, alpha, rhs1, None, rhs1 - c * log])
+        if cap == 1:
+            # a cell whose estimate is below log 1 fails condition (1) at count
+            # 1, and one whose verdict fails has no witness: the rest are
+            # witnessed without verdicts, in the order they would be
+            level = [cell for cell in cells if cell[5] >= -1e-9]
+            for cell in level:
+                cell[4] = 1
+            return witness(level)
         # highest estimate first; a cell whose verdict fails at the running top
         # count waits, uncounted, until no cell at the top count has a witness
         top = 0
-        for cell in sorted(cells, key=lambda x: x[3] - x[1] * x[2].log, reverse=True):
-            if top and cell[3] - cell[1] * cell[2].log < math.log(top) - 1e-9:
+        for cell in sorted(cells, key=lambda x: x[5], reverse=True):
+            if top and cell[5] < math.log(top) - 1e-9:
                 break       # this cell and all after it fail condition (1) at top
             if not top or pattern_feasible(cell[2], contraction, cell[1], delta, top, cell[3]):
                 top = max(top, count(cell, top))
@@ -531,7 +551,6 @@ def _result_from_point(
     probes: int,
     trace: list[tuple],
     contraction: DiagonalContraction,
-    alpha_fn: Callable[[float, float], LogScalar | None],
     rho2: float,
     extras: dict[str, str],
     member_alphas: Callable[[float, float], list[LogScalar]] | None = None,
@@ -541,8 +560,7 @@ def _result_from_point(
             kind, False, 0, 0.0, None, 0.0, 0, -math.inf,
             0.0, 0.0, probes, None, tuple(trace),
         )
-    alpha = alpha_fn(point.c, point.t)
-    assert alpha is not None
+    alpha = LogScalar(point.alpha_log)
     if member_alphas is not None and point.pattern_count == 1:
         cert = intersect_certificate(
             member_alphas(point.c, point.t), contraction, point.c,
@@ -560,19 +578,21 @@ def _result_from_point(
     )
 
 
-def _member_alpha(
-    spec: RcoSpec | RcdSpec, c: float, t: float, parts: dict[float, RateParts]
-) -> LogScalar:
-    """Budget rate of one family at (c, t).
+def _family_parts(
+    family: RcoSpec | RcdSpec, corner_parts: Callable[[int, int, float], RateParts]
+) -> Callable[[float], RateParts]:
+    """t -> the c-free rate parts of one family.  A cut-out family keeps its
+    own depth offset; a corner family takes t, its parts from corner_parts."""
+    if isinstance(family, RcoSpec):
+        parts = rco_rate_parts(family.u, family.v, family.m, family.t)
+        return lambda t: parts
+    return functools.partial(corner_parts, family.u, family.v)
 
-    Cut-out families keep their own depth offset; corner families take the
-    grid's t, with their c-free rate parts cached per t in `parts`.
-    """
-    if isinstance(spec, RcoSpec):
-        return rco_alpha(spec.u, spec.v, spec.m, spec.t, c)
-    if t not in parts:
-        parts[t] = rcd_rate_parts(spec.u, spec.v, t)
-    return parts[t].at(c)
+
+def _family_rates(family: RcoSpec | RcdSpec) -> RateRow:
+    """The rate rows of one family, its corner parts cached per t."""
+    parts = _family_parts(family, functools.cache(rcd_rate_parts))
+    return lambda t: parts(t).log_at
 
 
 def optimize_pattern_count(
@@ -584,12 +604,6 @@ def optimize_pattern_count(
     """Largest certifiable pattern count for one family, with best dimension
     among the parameter choices attaining it.  With want_patterns=False the
     count is pinned to 1 and only the dimension bound is optimized."""
-    parts: dict[float, RateParts] = {}
-
-    def alpha_fn(c: float, t: float) -> LogScalar | None:
-        alpha = _member_alpha(family, c, t, parts)
-        return alpha if alpha.log < 0.0 else None
-
     if isinstance(family, RcoSpec):
         t_values: tuple[float, ...] = (float(family.t),)
         kind = "cutout"
@@ -597,11 +611,48 @@ def optimize_pattern_count(
         t_values = _t_grid(config)
         kind = "corner"
     contraction = family.contraction()
-    point, probes, trace = _search(contraction, alpha_fn, t_values, config, want_patterns)
+    point, probes, trace = _search(contraction, _family_rates(family), t_values, config,
+                                   want_patterns)
     return _result_from_point(
-        kind, point, probes, trace, contraction, alpha_fn, rho2,
-        family.extras(),
+        kind, point, probes, trace, contraction, rho2, family.extras(),
     )
+
+
+def _intersection_rates(
+    members: Sequence[RcoSpec | RcdSpec],
+) -> tuple[RateRow, Callable[[float, float], list[LogScalar]]]:
+    """(rate rows of the combined rate (sum_i alpha_i^c)^(1/c), the members'
+    rates at (c, t)) for members that share their denominators.
+
+    Members with equal parts, as the corner members are, share one rate per
+    probe; the corner parts are cached per t.  The terms' logs are joined by
+    core.combine_logs, so each combined log is combine_alphas's float; a row
+    gives +inf where a member's rate is not below 1.
+    """
+    corner_parts = functools.cache(rcd_rate_parts)
+    member_parts = [_family_parts(sp, corner_parts) for sp in members]
+
+    def rate_row(t: float) -> Callable[[float], float]:
+        shares: dict[RateParts, int] = {}
+        for parts in member_parts:
+            key = parts(t)
+            shares[key] = shares.get(key, 0) + 1
+        rows = [(parts.log_at, n) for parts, n in shares.items()]
+
+        def rate(c: float) -> float:
+            terms: list[float] = []
+            for log_at, n in rows:
+                log = log_at(c)
+                if log >= 0.0:
+                    return math.inf
+                terms += [log * c] * n
+            return combine_logs(terms, c)
+        return rate
+
+    def member_alphas(c: float, t: float) -> list[LogScalar]:
+        return [parts(t).at(c) for parts in member_parts]
+
+    return rate_row, member_alphas
 
 
 def optimize_intersection(
@@ -612,7 +663,7 @@ def optimize_intersection(
 ) -> SearchResult:
     """Search shared (c, t) for the intersection of the members' sets.
 
-    All members must share the same cell ratios (the same diagonal part);
+    All members must share the same denominators (the same diagonal part);
     corner members share one depth offset t.  The combined budget rate
     (sum_i alpha_i^c)^(1/c) must come out below 1 to certify anything.
     """
@@ -620,36 +671,18 @@ def optimize_intersection(
         raise ValueError("need at least one member")
     contraction = members[0].contraction()
     for m in members[1:]:
-        if m.contraction().betas != contraction.betas:
-            raise ValueError("intersection members must share cell ratios")
-    parts: dict[float, RateParts] = {}
-    corners = [sp for sp in members if isinstance(sp, RcdSpec)]
-    cut_outs = [sp for sp in members if isinstance(sp, RcoSpec)]
-    t_values = _t_grid(config) if corners else (0.0,)
-    cut_terms: dict[float, list[LogScalar] | None] = {}
-
-    def member_alphas(c: float, t: float) -> list[LogScalar]:
-        return [_member_alpha(sp, c, t, parts) for sp in members]
-
-    def alpha_fn(c: float, t: float) -> LogScalar | None:
-        # combine_alphas sums the terms alpha^c in sorted order, so the cut-out
-        # members' terms, which depend on c alone, are kept per c
-        if c not in cut_terms:
-            alphas = [_member_alpha(sp, c, t, parts) for sp in cut_outs]
-            cut_terms[c] = [a ** c for a in alphas] if all(a.log < 0.0 for a in alphas) else None
-        alphas = [_member_alpha(sp, c, t, parts) for sp in corners]
-        if cut_terms[c] is None or any(a.log >= 0.0 for a in alphas):
-            return None
-        combined = combine_terms(cut_terms[c] + [a ** c for a in alphas], c)
-        return combined if combined.log < 0.0 else None
-
-    point, probes, trace = _search(contraction, alpha_fn, t_values, config, want_patterns)
+        if m.contraction().denominators != contraction.denominators:
+            raise ValueError("intersection members must share their denominators u, v")
+    rate_row, member_alphas = _intersection_rates(members)
+    has_corner = any(isinstance(sp, RcdSpec) for sp in members)
+    t_values = _t_grid(config) if has_corner else (0.0,)
+    point, probes, trace = _search(contraction, rate_row, t_values, config, want_patterns)
     extras = {"member_count": str(len(members))}
     for i, sp in enumerate(members, start=1):
         for key, value in sp.extras().items():
             extras[f"member.{i}.{key.removeprefix('family.')}"] = value
     return _result_from_point(
-        "intersection", point, probes, trace, contraction, alpha_fn, rho2,
+        "intersection", point, probes, trace, contraction, rho2,
         extras, member_alphas=member_alphas if not want_patterns else None,
     )
 

@@ -31,7 +31,7 @@ from gamecert.gamesim import (
     verify_projection_return,
 )
 from gamecert.optimize import (
-    _member_alpha,
+    _family_rates,
     _tail,
     max_pattern_size,
     optimize_intersection,
@@ -197,11 +197,11 @@ def test_c08_grid_count_is_the_best_over_a_dense_c_scan(headline):
         res = headline[key]
         assert res.pattern_count == count, key
         con = spec.contraction()
-        covers = {}
+        rate = _family_rates(spec)(res.t)
         best = 0
         for i in range(4000):
             c = 1.0 - 1e-5 * (0.6 / 1e-5) ** (i / 3999)
-            alpha = _member_alpha(spec, c, res.t, covers)
+            alpha = LogScalar(rate(c))
             if alpha.log < 0.0:
                 best = max(best, max_pattern_size(alpha, con, c))
         assert best == count, key

@@ -214,6 +214,38 @@ def test_intersect_mismatched_ratios_is_config_error(tmp_path, capsys):
     assert "member" in capsys.readouterr().err
 
 
+def test_intersect_members_with_float_equal_ratios_is_config_error(tmp_path, capsys):
+    # 1/2^60 and 1/(2^60 + 1) are one float: only the denominators differ
+    cfg = write_cfg(tmp_path, "int.cfg", f"""
+        command = intersect
+        member.1.kind = rcd
+        member.1.u = {2 ** 60}
+        member.1.v = {2 ** 60}
+        member.2.kind = rcd
+        member.2.u = {2 ** 60 + 1}
+        member.2.v = {2 ** 60}
+    """)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "member" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "certificate.txt").exists()
+
+
+def test_certify_corner_family_at_a_large_depth_offset(tmp_path, capsys):
+    # 7^400.5 is past the float range: the cover count comes from integer
+    # roots, and the rate is far above 1, so nothing certifies
+    cfg = write_cfg(tmp_path, "cert.cfg", """
+        command = certify
+        family.kind = rcd
+        family.u = 7
+        family.v = 6
+        game.c = 0.99
+        game.t = 400.5
+    """)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "not certified" in capsys.readouterr().out
+    assert "feasible = false" in (tmp_path / "out" / "certificate.txt").read_text()
+
+
 def test_simulate_transcript(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sim.cfg", """
         command = simulate

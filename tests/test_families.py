@@ -193,6 +193,101 @@ def test_off_grid_cover_ceilings_are_settled_or_rounded_up(base, t):
             assert any(abs(x - mpmath.nint(x)) < mpmath.mpf(10) ** -20 for x in values)
 
 
+_FLOAT_STEP_T = st.one_of(
+    st.floats(min_value=0.05, max_value=6.0),
+    st.tuples(st.integers(min_value=1, max_value=6),
+              st.sampled_from([1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8]))
+    .map(lambda jo: jo[0] - jo[1]),
+    st.integers(min_value=1, max_value=6 * 64).map(lambda k: k / 64),
+)
+
+
+@st.composite
+def _near_integer_powers(draw):
+    """(base, t) with base^t within a few ulps of an integer n: t = ln n / ln base."""
+    base = draw(st.integers(min_value=3, max_value=2 ** 40))
+    n = draw(st.integers(min_value=2, max_value=2 ** 48))
+    t = math.log(n) / math.log(base)
+    assume(0.05 <= t <= 6.0)
+    return base, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(st.one_of(st.integers(min_value=2, max_value=2 ** 40),
+                                     st.integers(min_value=2 ** 53, max_value=2 ** 62)),
+                           _FLOAT_STEP_T),
+                 _near_integer_powers()))
+def test_float_step_settles_only_true_ceilings(case):
+    # wherever the float enclosure settles, its ceilings are the exact ones
+    # and _ceil_powers returns them; a base from 2^53 up never takes it
+    base, t = case
+    ratios = ((1, base - 1), (1, 1), (base, base - 1))
+    want = _reference_ceilings(base, t)
+    settled = (families._float_ceilings(base, t, ratios)
+               if base < families._FLOAT_BASE_LIMIT else None)
+    got, exact = _ceil_powers(base, t, ratios)
+    if settled is not None:
+        assert settled == want, (base, t)
+        assert (got, exact) == (settled, True), (base, t)
+    elif exact:
+        assert got == want, (base, t)
+
+
+def _spy_on_steps(monkeypatch):
+    """Record the float step's answers and the mpmath step's calls."""
+    from mpmath import libmp
+
+    calls = {"float": [], "mpmath": 0}
+    float_step, mpf_pow = families._float_ceilings, libmp.mpf_pow
+
+    def float_spy(*args):
+        calls["float"].append(float_step(*args))
+        return calls["float"][-1]
+
+    def mpmath_spy(*args):
+        calls["mpmath"] += 1
+        return mpf_pow(*args)
+
+    monkeypatch.setattr(families, "_float_ceilings", float_spy)
+    monkeypatch.setattr(libmp, "mpf_pow", mpmath_spy)
+    return calls
+
+
+@pytest.mark.parametrize("base, t", [
+    (7, math.log(50) / math.log(7)),      # 7^t lies within an ulp or so of 50
+    (2 ** 40, 1.3),                       # 2^52 = ceil(2^(40 t)) >= 2^50
+])
+def test_float_step_leaves_straddles_and_large_ceilings_to_mpmath(monkeypatch, base, t):
+    assert Fraction(t).denominator > 64
+    calls = _spy_on_steps(monkeypatch)
+    ratios = ((1, base - 1), (1, 1), (base, base - 1))
+    got, exact = _ceil_powers(base, t, ratios)
+    assert calls == {"float": [None], "mpmath": 1}
+    assert exact and got == _reference_ceilings(base, t)
+
+
+@pytest.mark.parametrize("u, v, t", [
+    (2, 2, 1024.5),              # 2^t past the float range; integer roots settle it
+    (2 ** 40, 2 ** 40, 25.7),    # 2^(40 t) past the float range; mpmath settles it
+    (7, 4, 400.123),             # 7^t past the float range, t off the grid
+])
+def test_float_step_leaves_powers_past_the_float_range_to_later_steps(monkeypatch, u, v, t):
+    # exp of t ln base would overflow; the float step declines before it,
+    # and the cover count is the one the later steps alone give
+    for base in (u, v):
+        assert families._float_ceilings(base, t, ((1, base - 1), (1, 1), (base, base - 1))) is None
+    got = rcd_cover_count(u, v, t)
+    monkeypatch.setattr(families, "_float_ceilings", lambda *args: None)
+    assert got == rcd_cover_count(u, v, t)
+
+
+def test_float_step_settles_an_off_grid_cover_count(monkeypatch):
+    calls = _spy_on_steps(monkeypatch)
+    got = rcd_cover_count(7, 4, 1.2345)
+    assert calls["mpmath"] == 0 and None not in calls["float"]
+    assert (got.value, got.option) == _reference_cover_count(7, 4, 1.2345)
+
+
 def test_equal_bases_raise_the_base_to_t_once(monkeypatch):
     real = _ceil_powers
     calls = []
@@ -325,16 +420,28 @@ def test_rcd_cover_count_dyadic_t_matches_pinned_table(uv):
         assert rcd_cover_count(*uv, t) == CoverCount(value, tag, option), (uv, t)
 
 
-def test_dyadic_cover_count_imports_no_mpmath():
+def _cover_count_in_a_fresh_process(t):
+    """(rcd_cover_count(7, 4, t).value, whether mpmath got loaded) in a new interpreter."""
     src = str(Path(gamecert.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys\n"
             "from gamecert.families import rcd_cover_count\n"
-            "print(rcd_cover_count(7, 4, 0.5).value, 'mpmath' in sys.modules)\n")
+            f"print(rcd_cover_count(7, 4, {t!r}).value, 'mpmath' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["6", "False"]
+    value, loaded = proc.stdout.split()
+    return int(value), loaded == "True"
+
+
+def test_dyadic_cover_count_imports_no_mpmath():
+    assert _cover_count_in_a_fresh_process(0.5) == (6, False)
+
+
+def test_off_grid_cover_count_imports_no_mpmath():
+    # the float step settles this t, off the q <= 64 grid
+    want = _reference_cover_count(7, 4, 1.2345)[0]
+    assert _cover_count_in_a_fresh_process(1.2345) == (want, False)
 
 
 def test_rcd_alpha_frozen_value():

@@ -28,7 +28,8 @@ from gamecert.optimize import (
     _c_grid,
     _dim_ceiling,
     _least_condition1_delta,
-    _member_alpha,
+    _family_rates,
+    _intersection_rates,
     _refine_c,
     _refine_t,
     _t_grid,
@@ -40,6 +41,11 @@ from gamecert.optimize import (
 )
 
 B1 = DiagonalContraction((0.1,))
+
+
+def _rate(spec, c, t):
+    """The budget rate of one family at (c, t), from its search's rate rows."""
+    return LogScalar(_family_rates(spec)(t)(c))
 
 
 # ------------------------------------------------------------- tail witness
@@ -163,11 +169,11 @@ def test_closed_form_count_matches_bisection(kind, ru, rv, du, betas, where, edg
     if kind == "rco":
         spec = RcoSpec(ru, rv, 1 + ru % 3, 4 + rv % 2)
         c = 1.0 - 10.0 ** (-4.0 + 3.0 * where)
-        alpha, contraction = _member_alpha(spec, c, float(spec.t), {}), spec.contraction()
+        alpha, contraction = _rate(spec, c, float(spec.t)), spec.contraction()
     elif kind == "rcd":
         spec = RcdSpec(du, du + ru)
         c = 1.0 - 10.0 ** (-3.0 + where)
-        alpha, contraction = _member_alpha(spec, c, 1.0 + where, {}), spec.contraction()
+        alpha, contraction = _rate(spec, c, 1.0 + where), spec.contraction()
     else:
         contraction = DiagonalContraction(tuple(betas))
         c = 0.05 + 0.949 * where
@@ -259,7 +265,7 @@ def _cell(kind, ru, rv, m, rt, du, dv, dt, where):
         spec, t, c = RcoSpec(ru, rv, m, rt), float(rt), 1.0 - 10.0 ** (-4.0 + 3.0 * where)
     else:
         spec, t, c = RcdSpec(du, dv), dt, 1.0 - 10.0 ** (-3.0 + where)
-    alpha = _member_alpha(spec, c, t, {})
+    alpha = _rate(spec, c, t)
     assume(alpha.log < 0.0)
     return alpha, spec.contraction(), c
 
@@ -727,12 +733,39 @@ def test_each_pass_witnesses_few_cells(monkeypatch, name, members, want_patterns
     assert 0 < calls <= 2 * (1 + DEFAULT_CONFIG.refine_passes)
 
 
+@pytest.mark.parametrize("name", ["RCD(2^37,2^38)", "2xRCD(2^37,2^36)+RCO(1,2)+RCO(1,6)",
+                                  "RCD(2^36,2^40)+RCO(1,1)", "RCO(425,365,10,3)+RCO(1,2)"])
+def test_dimension_only_search_takes_no_verdict(monkeypatch, name):
+    # a cell whose verdict at count 1 fails has no witness, so a search with
+    # the count pinned to 1 witnesses its cells without taking verdicts
+    calls = 0
+    feasible = optimize.pattern_feasible
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return feasible(*args)
+
+    monkeypatch.setattr(optimize, "pattern_feasible", counted)
+    res = _headline_search(HEADLINE[name], DEFAULT_CONFIG, want_patterns=False)
+    assert res.feasible and res.pattern_count == 1
+    assert calls == 0
+
+
 # ------------------------------------------------------------ intersections
 
 
 def test_intersection_rejects_mismatched_ratios():
     with pytest.raises(ValueError):
         optimize_intersection([RcoSpec(12, 15, 1, 5), RcoSpec(12, 16, 1, 5)])
+
+
+def test_intersection_rejects_float_equal_ratios_with_other_denominators():
+    # the betas 1/2^60 and 1/(2^60 + 1) are one float; the corners' rates are not
+    members = [RcdSpec(2**60, 2**60), RcdSpec(2**60 + 1, 2**60)]
+    assert members[0].contraction().betas == members[1].contraction().betas
+    with pytest.raises(ValueError, match="share their denominators"):
+        optimize_intersection(members)
 
 
 def test_intersection_of_two_cutouts_frozen():
@@ -799,3 +832,35 @@ def test_search_dump_is_deterministic(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(manifest)
     for name, digest in manifest.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# ------------------------------------------------------------ rate rows
+
+
+@pytest.mark.parametrize("name", [name for name, members in HEADLINE.items() if len(members) > 1])
+def test_intersection_rows_are_the_combined_rate_bit_for_bit(name):
+    members = HEADLINE[name]
+    rate_row, member_alphas = _intersection_rates(members)
+    has_corner = any(isinstance(sp, RcdSpec) for sp in members)
+    for t in _t_grid(DEFAULT_CONFIG) if has_corner else (0.0,):
+        rate = rate_row(t)
+        for c in _c_grid(DEFAULT_CONFIG):
+            alphas = member_alphas(c, t)
+            assert alphas == [rcd_alpha(sp.u, sp.v, c, t) if isinstance(sp, RcdSpec)
+                              else rco_alpha(sp.u, sp.v, sp.m, sp.t, c) for sp in members]
+            want = (combine_alphas(alphas, c).log if all(a.log < 0.0 for a in alphas)
+                    else math.inf)
+            assert rate(c) == want, (name, t, c)
+
+
+@pytest.mark.parametrize("family", [RcdSpec(2**37, 2**38), RcdSpec(7, 4), RcdSpec(U5, V5),
+                                    RcoSpec(17, 24, 1, 5), RcoSpec(271828, 314159, 2, 1)])
+def test_family_rows_are_the_rate_bit_for_bit(family):
+    rate_row = _family_rates(family)
+    ts = _t_grid(DEFAULT_CONFIG) if isinstance(family, RcdSpec) else (float(family.t),)
+    for t in ts:
+        rate = rate_row(t)
+        for c in _c_grid(DEFAULT_CONFIG):
+            want = (rcd_alpha(family.u, family.v, c, t) if isinstance(family, RcdSpec)
+                    else rco_alpha(family.u, family.v, family.m, family.t, c))
+            assert rate(c) == want.log, (family, t, c)
