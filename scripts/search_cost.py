@@ -17,9 +17,10 @@ the ratio of each checkout to the first.
 The last child of each checkout then runs every search once more with
 counters, and this prints what that pass did:
 
-- cover counts (families._ceil_powers calls) by their t, integer, on the
-  q <= 64 grid (t = p/q) or off it, and by the step that settled them: the
-  float enclosure (families._float_ceilings, where the checkout has it),
+- cover counts (the _ceil_powers calls of families.rcd_cover_count) by
+  their t, integer, on the q <= 64 grid (t = p/q) or off it, and by the step
+  that settled them: the float enclosure (core._float_step, or
+  families._float_ceilings in a checkout from before it moved to core),
   mpmath's power, or else integer roots;
 - certify.pattern_feasible calls per search.
 """
@@ -62,12 +63,12 @@ def _searches(seed: int) -> dict:
 
 
 def _counted_pass(runs: dict) -> dict:
-    """Run each search once with families._ceil_powers and the optimizer's
+    """Run each search once with the cover counts' steps and the optimizer's
     pattern_feasible wrapped; return what the wrappers counted."""
     import mpmath
     from mpmath import libmp
 
-    from gamecert import families, optimize
+    from gamecert import core, families, optimize
 
     steps: Counter = Counter()
     feasible: Counter = Counter()
@@ -98,10 +99,16 @@ def _counted_pass(runs: dict) -> dict:
                 else "integer root")
         steps[f"{where}: {step}"] += 1
 
+    def saw_float(args, out):
+        # the float step settled if its last call answered: core._float_step
+        # runs per ceiling until one gives None, _float_ceilings once for all
+        seen["float"] = out is not None
+
     wrap(families, "_ceil_powers", reset, classify)
-    if hasattr(families, "_float_ceilings"):
-        wrap(families, "_float_ceilings", lambda args: None,
-             lambda args, out: seen.__setitem__("float", out is not None))
+    if hasattr(core, "_float_step"):
+        wrap(core, "_float_step", lambda args: None, saw_float)
+    elif hasattr(families, "_float_ceilings"):
+        wrap(families, "_float_ceilings", lambda args: None, saw_float)
     wrap(libmp, "mpf_pow", saw_mpmath)     # the mpmath step of this checkout,
     wrap(mpmath, "power", saw_mpmath)      # or of one that calls mpmath.power
     for name, run in runs.items():

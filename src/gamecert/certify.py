@@ -30,11 +30,13 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .core import (
+    EXACT_LOG_LIMIT,
     REL_MARGIN,
     DiagonalContraction,
     FloorResult,
     LogScalar,
     Record,
+    _shared_step,
     combine_alphas,
     log_rounding_error,
     safe_floor_ratio,
@@ -235,7 +237,7 @@ def feasibility_report(
 
     free = safe_floor_ratio(delta, LogScalar(combined_log))
     if free.tag == "approximate":
-        if math.log(delta) - combined_log >= 53.0 * math.log(2.0):
+        if math.log(delta) - combined_log >= EXACT_LOG_LIMIT:
             notes.append("free-step floor is a lower surrogate (ratio >= 2^53)")
         else:
             notes.append("free-step floor is a lower surrogate (ratio enclosure left it open)")
@@ -413,15 +415,15 @@ def branching_lower_bound(
     steps_log = -free_steps * contraction.log_det()
     gap_log = math.log(lhs - rhs)
     value_log = steps_log + gap_log
-    if value_log >= 53.0 * math.log(2.0):
+    if value_log >= EXACT_LOG_LIMIT:
         return BranchingBound(value_log, None, "approximate")
     value = math.exp(value_log)
     # log_det sums n logs, so its error grows with n.
     err = value * log_rounding_error(contraction.n * steps_log, gap_log)
-    lower = math.ceil(value - err)
-    if lower == math.ceil(value + err):
-        return BranchingBound(value_log, lower, "exact")
-    return BranchingBound(value_log, lower, "approximate")
+    count = _shared_step(math.ceil, value - err, value + err)
+    if count is not None:
+        return BranchingBound(value_log, count, "exact")
+    return BranchingBound(value_log, math.ceil(value - err), "approximate")
 
 
 # ------------------------------------------------------------- certificates
@@ -542,9 +544,9 @@ def _base_fields(report: FeasibilityReport, rho2: float) -> dict[str, object]:
         "rho2": rho2,
         "delta": report.delta,
         "pattern_count": report.pattern_count,
-        "alpha": math.exp(report.alpha_log),
+        "alpha": LogScalar(report.alpha_log).value,
         "alpha_log": report.alpha_log,
-        "combined_alpha": math.exp(report.combined_alpha_log),
+        "combined_alpha": LogScalar(report.combined_alpha_log).value,
         "combined_alpha_log": report.combined_alpha_log,
         "free_steps": report.free_steps.value,
         "free_steps_tag": report.free_steps.tag,

@@ -294,19 +294,19 @@ def _write_search(out: Path, result: SearchResult, trace: bool) -> None:
 def _search_config(cfg: Config, base: SearchConfig) -> SearchConfig:
     from dataclasses import replace
 
-    from .optimize import MAX_PATTERN_CAP, SearchConfigError
+    from .optimize import SearchConfigError
 
+    # SearchConfig checks every value; its errors name the optimizer key
     fields = dict(
-        c_count=cfg.get_int("optimizer.c_count", base.c_count, lo=2),
-        c_s_lo=cfg.get_float("optimizer.c_s_lo", base.c_s_lo, lo=0.0, hi=1.0, open_ends=True),
-        c_s_hi=cfg.get_float("optimizer.c_s_hi", base.c_s_hi, lo=0.0, hi=1.0, open_ends=True),
-        refine_passes=cfg.get_int("optimizer.refine_passes", base.refine_passes, lo=0),
-        refine_points=cfg.get_int("optimizer.refine_points", base.refine_points, lo=3),
-        t_lo=cfg.get_float("optimizer.t_lo", base.t_lo, lo=0.0, open_ends=True),
-        t_hi=cfg.get_float("optimizer.t_hi", base.t_hi, lo=0.0, open_ends=True),
-        t_step=cfg.get_float("optimizer.t_step", base.t_step, lo=0.0, open_ends=True),
-        pattern_cap=cfg.get_int("optimizer.pattern_cap", base.pattern_cap, lo=1,
-                                hi=MAX_PATTERN_CAP),
+        c_count=cfg.get_int("optimizer.c_count", base.c_count),
+        c_s_lo=cfg.get_float("optimizer.c_s_lo", base.c_s_lo),
+        c_s_hi=cfg.get_float("optimizer.c_s_hi", base.c_s_hi),
+        refine_passes=cfg.get_int("optimizer.refine_passes", base.refine_passes),
+        refine_points=cfg.get_int("optimizer.refine_points", base.refine_points),
+        t_lo=cfg.get_float("optimizer.t_lo", base.t_lo),
+        t_hi=cfg.get_float("optimizer.t_hi", base.t_hi),
+        t_step=cfg.get_float("optimizer.t_step", base.t_step),
+        pattern_cap=cfg.get_int("optimizer.pattern_cap", base.pattern_cap),
     )
     try:
         return replace(base, **fields)

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "REL_MARGIN",
+    "EXACT_LIMIT",
+    "EXACT_LOG_LIMIT",
     "LogScalar",
     "DiagonalContraction",
     "GameParameters",
@@ -43,10 +45,15 @@ Coord = Fraction | float | int
 # relies on: "lhs > rhs" is only accepted when rhs <= lhs * (1 - REL_MARGIN).
 REL_MARGIN = 2.0 ** -40
 
-_EXACT_FLOOR_LIMIT = 2.0 ** 53
+# Integers below 2^53 are floats exactly; a floor or ceiling stated at or
+# above it is approximate.  A cover count's float step settles below 2^50.
+EXACT_LIMIT = 2.0 ** 53
+EXACT_LOG_LIMIT = math.log(EXACT_LIMIT)       # 53 ln 2, bit for bit
+_CEIL_LIMIT = 2.0 ** 50
+_CEIL_LOG_LIMIT = math.log(_CEIL_LIMIT)
 
 # Working precision, in bits, of the mpmath enclosure that settles a floor
-# the float estimate leaves open.
+# the float step leaves open.
 _SETTLE_PREC = 128
 
 
@@ -436,6 +443,49 @@ def log_rounding_error(x: float, y: float) -> float:
     return (abs(x) + abs(y) + 8.0) * 2.0 ** -50
 
 
+def _shared_step(step: Callable[[float | Fraction], int], lo: float | Fraction,
+                 hi: float | Fraction, limit: float = math.inf) -> int | None:
+    """step(lo), step being math.floor or math.ceil, where step(hi) is the
+    same and hi is below limit, else None."""
+    value = step(lo)
+    if hi >= limit or value != step(hi):
+        return None
+    return value
+
+
+def _float_step(step: Callable[[float], int], x: float, y: float, limit: float,
+                log_limit: float) -> int | None:
+    """step(exp(x + y)), step being math.floor or math.ceil, where every
+    value in the enclosure exp(x + y) (1 +- log_rounding_error(x, y)) shares
+    it below limit, else None.  No exp is taken at or past log_limit =
+    ln(limit), where every value is at least limit.
+
+    A free-step floor floor(delta / alpha) passes x = ln delta, y = -ln alpha
+    (a LogScalar's log is exact).  A cover count's ceiling ceil(base^t num /
+    den), with base, num and den below 2^53 and so floats exactly, passes
+    x = fl(t fl(ln base)), y = fl(ln fl(num / den)).  With u = 2^-52 and
+    libm's log and exp within one ulp (Muller, Elementary Functions, 3rd ed.,
+    2016), x is within 1.5u|x| of its true log (one ulp of the log, half of
+    the product), y within u|y| + u (one ulp, and the quotient's half ulp
+    moves the log by at most 1.0001 u/2), and fl(x + y) within u(|x| + |y|)/2
+    of x + y: the true log L is within e = (|x| + |y|) 2^-51 + u of the sum,
+    up to O(u^2), and v = fl(exp(fl(x + y))) within a relative e + u + O(e^2)
+    of exp(L).  E = (|x| + |y| + 8) 2^-50 covers that, plus the relative
+    half-width of _ceil_powers' step-4 bracket (at most 10^-15, around a
+    power good to 2^-100) and the half ulp by which each end of v (1 +- E)
+    rounds: the constant parts sum to under 2 2^-50 (u, u, 10^-15 < 1.13
+    2^-50, u/2).  So the true value, and every value that bracket could
+    hold, lies in [v (1 - E), v (1 + E)], and a step that range shares is
+    the one the exact steps would settle.
+    """
+    log = x + y
+    if log >= log_limit:
+        return None
+    v = math.exp(log)
+    err = v * log_rounding_error(x, y)
+    return _shared_step(step, v - err, v + err, limit)
+
+
 def _exp_enclosure(log: Fraction) -> tuple[Fraction, Fraction]:
     """Rational lower and upper bounds on exp(log), correctly directed."""
     from mpmath import libmp  # only the rare undecided floor needs mpmath
@@ -447,45 +497,27 @@ def _exp_enclosure(log: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(*libmp.to_rational(lo)), Fraction(*libmp.to_rational(hi))
 
 
-def _enclosed_floor(lo: float | Fraction, hi: float | Fraction) -> FloorResult | None:
-    """The floor shared by every quotient in [lo, hi], if hi < 2^53."""
-    value = math.floor(lo)
-    if hi >= _EXACT_FLOOR_LIMIT or value != math.floor(hi):
-        return None
-    return FloorResult(value, "exact") if value else FloorResult(0, "infeasible")
+def _nearest_power(base: int, t: float, digits: int) -> tuple[int, int]:
+    """(man, exp) with man 2^exp = base^t at `digits` digits, rounded to nearest."""
+    from mpmath import libmp  # only exponents the exact steps leave need it
 
-
-def _settled_floor(delta: float | LogScalar, alpha: float | LogScalar) -> FloorResult:
-    """safe_floor_ratio decided on an exact or rigorously enclosed quotient.
-
-    A float stands for itself and a LogScalar for exp(log); the quotient is
-    enclosed as (float part) * exp(log part), the float part exact.
-    """
-    part, log = Fraction(1), Fraction(0)
-    for x, sign in ((delta, 1), (alpha, -1)):
-        if isinstance(x, LogScalar):
-            log += sign * Fraction(x.log)
-        else:
-            part *= Fraction(x) ** sign
-    lo, hi = (part, part) if log == 0 else tuple(part * e for e in _exp_enclosure(log))
-    settled = _enclosed_floor(lo, hi)
-    if settled is not None:
-        return settled
-    return FloorResult(math.floor(lo), "approximate") if lo >= 1 else FloorResult(0, "infeasible")
+    _, man, exp, _ = libmp.mpf_pow(libmp.from_int(base), libmp.from_float(t),
+                                   libmp.dps_to_prec(digits), libmp.round_nearest)
+    return int(man), exp
 
 
 def safe_floor_ratio(delta: float | LogScalar, alpha: float | LogScalar) -> FloorResult:
     """floor(delta / alpha), tagged as FloorResult describes.
 
     A float argument stands for its own value and a LogScalar for exp(log).
-    The quotient is estimated in log domain, with the error bound of
-    log_rounding_error.  When every quotient in that enclosure has the same
-    floor it is the answer; otherwise the floor is settled on the exact
-    quotient of two floats, or on a 128-bit mpmath enclosure when a
-    LogScalar is involved, and an enclosure that still straddles a step
-    gives its floored lower end, tagged approximate.  Estimates >= 2^53
-    cannot be floored exactly in float64; the result is tagged and lowered
-    by one as a conservative surrogate.
+    The quotient is estimated in log domain by _float_step.  When every
+    quotient in that enclosure has the same floor it is the answer;
+    otherwise the floor is settled on the exact quotient of two floats, or
+    on a 128-bit mpmath enclosure when a LogScalar is involved, and an
+    enclosure that still straddles a step gives its floored lower end,
+    tagged approximate.  Estimates >= 2^53 cannot be floored exactly in
+    float64; the result is tagged and lowered by one as a conservative
+    surrogate.
     """
     d = delta if isinstance(delta, LogScalar) else LogScalar.from_value(delta)
     a = alpha if isinstance(alpha, LogScalar) else LogScalar.from_value(alpha)
@@ -494,7 +526,7 @@ def safe_floor_ratio(delta: float | LogScalar, alpha: float | LogScalar) -> Floo
     if d.is_zero():
         return FloorResult(0, "infeasible")
     ratio_log = d.log - a.log
-    if ratio_log >= 53.0 * math.log(2.0):
+    if ratio_log >= EXACT_LOG_LIMIT:
         # exp(log(d)-log(a)) carries round-trip noise proportional to the
         # magnitude of the logs involved; shave a matching relative margin so
         # the surrogate is a lower bound with room to spare.
@@ -508,7 +540,103 @@ def safe_floor_ratio(delta: float | LogScalar, alpha: float | LogScalar) -> Floo
         return FloorResult(
             (int(mantissa * shave) << shift) - 1, "approximate"
         )
-    ratio = math.exp(ratio_log)
-    err = ratio * log_rounding_error(d.log, a.log)
-    settled = _enclosed_floor(ratio - err, ratio + err)
-    return settled if settled is not None else _settled_floor(delta, alpha)
+    value = _float_step(math.floor, d.log, -a.log, EXACT_LIMIT, EXACT_LOG_LIMIT)
+    if value is None:
+        # the quotient is (float part) * exp(log part), the float part exact
+        part, log = Fraction(1), Fraction(0)
+        for x, sign in ((delta, 1), (alpha, -1)):
+            if isinstance(x, LogScalar):
+                log += sign * Fraction(x.log)
+            else:
+                part *= Fraction(x) ** sign
+        lo, hi = (part, part) if log == 0 else tuple(part * e for e in _exp_enclosure(log))
+        value = _shared_step(math.floor, lo, hi, EXACT_LIMIT)
+        if value is None:
+            return FloorResult(math.floor(lo), "approximate") if lo >= 1 else FloorResult(0, "infeasible")
+    return FloorResult(value, "exact") if value else FloorResult(0, "infeasible")
+
+
+def _iroot(x: int, q: int) -> int:
+    """floor(x^(1/q)) for integers x >= 0, q >= 1.
+
+    Integer Newton steps: from any positive start one step lands at or above
+    the floor root (AM-GM), and from there the steps fall strictly until the
+    floor root, where the next step no longer falls.  The start is a float
+    estimate of the root of x's leading bits, so a few steps suffice.
+    """
+    if x < 2 or q == 1:
+        return x
+    shift = -(-max(x.bit_length() - 1000, 0) // q)
+    r = (int((x >> (shift * q)) ** (1.0 / q)) + 1) << shift
+    r = ((q - 1) * r + x // r ** (q - 1)) // q
+    while True:
+        s = ((q - 1) * r + x // r ** (q - 1)) // q
+        if s >= r:
+            return r
+        r = s
+
+
+def _ceil_powers(
+    base: int, t: float, ratios: tuple[tuple[int, int], ...]
+) -> tuple[list[int], bool]:
+    """[ceil(base^t * num / den) for (num, den) in ratios], and whether all
+    of them are certified exact.
+
+    Every float t is exactly a rational p/q.  The steps, first to settle wins:
+
+    1. integer t (q = 1): integer roots, as in step 3;
+    2. base below 2^53: _float_step on each ratio in turn, which settles
+       only where every ceiling is below 2^50 and the enclosure of each has
+       one ceiling;
+    3. q <= 64 and a modest magnitude: each ceiling is settled in integers:
+       with r the floor q-th root of X = base^p num^q, ceil(base^(p/q) num)
+       is r, plus 1 unless r^q = X, and the ceiling division by den follows
+       (ceil(y/den) = ceil(ceil(y)/den));
+    4. mpmath evaluates base^t once (_nearest_power), at (magnitude + 40)
+       digits rounded to nearest, and the rest is integer arithmetic: the
+       power is read as man * 2^exp, and both ends of the bracket x (1 +-
+       eps), eps = 10^-(digits - 15), of each x = base^t num / den are
+       exact ceiling divisions.  Agreement certifies the value, disagreement
+       returns the upper one, not exact (larger cover counts only weaken the
+       certificate, so rounding up is the conservative direction).
+
+    Steps 1-3 only settle exact values, and step 2 only where step 4 would
+    have settled the same ones, so every value and flag is step 4's wherever
+    step 4 would run.
+    """
+    p, q = t.as_integer_ratio()
+    if q != 1 and base < EXACT_LIMIT:
+        x = t * math.log(base)
+        values = []
+        for num, den in ratios:
+            value = _float_step(math.ceil, x, math.log(num / den), _CEIL_LIMIT, _CEIL_LOG_LIMIT)
+            if value is None:
+                break
+            values.append(value)
+        else:
+            return values, True
+    top = max(num for num, _ in ratios)
+    magnitude = p / q * math.log10(base) + math.log10(top)
+    if q == 1 or (q <= 64 and magnitude * q <= 20000):
+        power = base ** p
+        roots: dict[int, int] = {}
+        for num, _ in ratios:
+            if num not in roots:
+                x = power * num ** q
+                r = _iroot(x, q)
+                roots[num] = r if r ** q == x else r + 1
+        return [-(-roots[num] // den) for num, den in ratios], True
+    digits = max(30, int(magnitude) + 40)
+    man, exp = _nearest_power(base, t, digits)
+    # x (1 +- eps) = man num (scale +- 1) 2^exp / (den scale); the ceiling
+    # is monotone, so the bracket shares one where its ends' ceilings do
+    scale = 10 ** (digits - 15)
+    man <<= max(exp, 0)
+    unit = 1 << max(-exp, 0)
+    values, exact = [], True
+    for num, den in ratios:
+        y, z = man * num, den * scale * unit
+        hi = -(-y * (scale + 1) // z)
+        values.append(hi)
+        exact = exact and _shared_step(math.ceil, -(-y * (scale - 1) // z), hi) is not None
+    return values, exact

@@ -66,7 +66,7 @@ from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .core import (
-    BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record, log_rounding_error,
+    EXACT_LIMIT, BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record, _ceil_powers,
 )
 
 if TYPE_CHECKING:
@@ -214,8 +214,9 @@ def rco_rate_parts(u: int, v: int, m: int, t: float) -> RateParts:
 class CoverCount(Record):
     """Number of equal boxes covering one region-minus-child slab pair.
 
-    tag: "exact" | "approximate" (ceiling args >= 2^53); option: 1 = x-strip
-    full height first, 2 = transposed.
+    tag: "exact" | "approximate" (value >= 2^53, or a ceiling whose step-4
+    bracket in core._ceil_powers straddles an integer, rounded up); option:
+    1 = x-strip full height first, 2 = transposed.
     """
 
     __slots__ = _fields = ("value", "tag", "option")
@@ -228,139 +229,6 @@ class CoverCount(Record):
         if value < 2:
             raise ValueError("a slab pair always needs at least two boxes")
         super().__init__(value, tag, option)
-
-
-def _iroot(x: int, q: int) -> int:
-    """floor(x^(1/q)) for integers x >= 0, q >= 1.
-
-    Integer Newton steps: from any positive start one step lands at or above
-    the floor root (AM-GM), and from there the steps fall strictly until the
-    floor root, where the next step no longer falls.  The start is a float
-    estimate of the root of x's leading bits, so a few steps suffice.
-    """
-    if x < 2 or q == 1:
-        return x
-    shift = -(-max(x.bit_length() - 1000, 0) // q)
-    r = (int((x >> (shift * q)) ** (1.0 / q)) + 1) << shift
-    r = ((q - 1) * r + x // r ** (q - 1)) // q
-    while True:
-        s = ((q - 1) * r + x // r ** (q - 1)) // q
-        if s >= r:
-            return r
-        r = s
-
-
-# The float step of _ceil_powers takes bases below _FLOAT_BASE_LIMIT, which
-# are floats exactly, and settles ceilings below _FLOAT_CEIL_LIMIT, where its
-# enclosure is far narrower than one.  It takes no exp of a log at or past
-# _FLOAT_LOG_LIMIT: every ceiling there is at least _FLOAT_CEIL_LIMIT, and
-# exp overflows past 709.78.
-_FLOAT_BASE_LIMIT = 2 ** 53
-_FLOAT_CEIL_LIMIT = 2.0 ** 50
-_FLOAT_LOG_LIMIT = math.log(_FLOAT_CEIL_LIMIT)
-
-
-def _float_ceilings(
-    base: int, t: float, ratios: tuple[tuple[int, int], ...]
-) -> list[int] | None:
-    """[ceil(base^t * num / den) for (num, den) in ratios] from a float
-    enclosure, or None where one ceiling is not settled by it.
-
-    Needs base, num and den below 2^53, so that each is a float exactly.
-    With u = 2^-52 and libm's log and exp within one ulp (Muller, Elementary
-    Functions, 3rd ed., 2016, the model core.log_rounding_error states),
-    x = fl(t fl(ln base)) is within 1.5u|x| of t ln base (one ulp of the log,
-    half of the product), y = fl(ln fl(num/den)) within u|y| + u of
-    ln(num/den) (one ulp, and the quotient's half ulp moves the log by at
-    most 1.0001 u/2), and fl(x + y) within u(|x| + |y|)/2 of x + y: the
-    log L = ln(base^t num/den) is within e = (|x| + |y|) 2^-51 + u of the
-    sum, up to O(u^2).  v = fl(exp(fl(x + y))) then lies within a relative
-    e + u + O(e^2) of exp(L).  E = log_rounding_error(x, y) =
-    (|x| + |y| + 8) 2^-50 covers that, plus the relative half-width of step
-    4's bracket (at most 10^-15, around a power good to 2^-100) and the half
-    ulp by which each end of v (1 +- E) rounds: the constant parts sum to
-    under 2 2^-50 (u, u, 10^-15 < 1.13 2^-50, and u/2).  So every
-    value step 4 could bracket lies in [v (1 - E), v (1 + E)], and when that
-    range has one ceiling, below 2^50, it is the value and step 4 would have
-    settled the same one.
-    """
-    x = t * math.log(base)
-    values = []
-    for num, den in ratios:
-        y = math.log(num / den)
-        if x + y >= _FLOAT_LOG_LIMIT:
-            return None
-        v = math.exp(x + y)
-        err = v * log_rounding_error(x, y)
-        hi = v + err
-        value = math.ceil(v - err)
-        if hi >= _FLOAT_CEIL_LIMIT or value != math.ceil(hi):
-            return None
-        values.append(value)
-    return values
-
-
-def _ceil_powers(
-    base: int, t: float, ratios: tuple[tuple[int, int], ...]
-) -> tuple[list[int], bool]:
-    """[ceil(base^t * num / den) for (num, den) in ratios], and whether all
-    of them are certified exact.
-
-    Every float t is exactly a rational p/q.  The steps, first to settle wins:
-
-    1. integer t (q = 1): integer roots, as in step 3;
-    2. base below 2^53: the float enclosure of _float_ceilings, which
-       settles only where every ceiling is below 2^50 and the enclosure of
-       each has one ceiling;
-    3. q <= 64 and a modest magnitude: each ceiling is settled in integers:
-       with r the floor q-th root of X = base^p num^q, ceil(base^(p/q) num)
-       is r, plus 1 unless r^q = X, and the ceiling division by den follows
-       (ceil(y/den) = ceil(ceil(y)/den));
-    4. mpmath's libmp evaluates base^t once, at (magnitude + 40) digits
-       rounded to nearest, and the rest is integer arithmetic: the power is
-       read as man * 2^exp, and both ends of the bracket x (1 +- eps),
-       eps = 10^-(digits - 15), of each x = base^t num / den are exact
-       ceiling divisions.  Agreement certifies the value, disagreement
-       returns the upper one, not exact (larger cover counts only weaken the
-       certificate, so rounding up is the conservative direction).
-
-    Steps 1-3 only settle exact values, and step 2 only where step 4 would
-    have settled the same ones, so every value and flag is step 4's wherever
-    step 4 would run.
-    """
-    p, q = t.as_integer_ratio()
-    if q != 1 and base < _FLOAT_BASE_LIMIT:
-        values = _float_ceilings(base, t, ratios)
-        if values is not None:
-            return values, True
-    top = max(num for num, _ in ratios)
-    magnitude = p / q * math.log10(base) + math.log10(top)
-    if q == 1 or (q <= 64 and magnitude * q <= 20000):
-        power = base ** p
-        roots: dict[int, int] = {}
-        for num, _ in ratios:
-            if num not in roots:
-                x = power * num ** q
-                r = _iroot(x, q)
-                roots[num] = r if r ** q == x else r + 1
-        return [-(-roots[num] // den) for num, den in ratios], True
-    from mpmath import libmp  # only exponents the steps above leave need it
-
-    digits = max(30, int(magnitude) + 40)
-    _, man, exp, _ = libmp.mpf_pow(libmp.from_int(base), libmp.from_float(t),
-                                   libmp.dps_to_prec(digits), libmp.round_nearest)
-    # x (1 +- eps) = man num (scale +- 1) 2^exp / (den scale)
-    scale = 10 ** (digits - 15)
-    man = int(man) << max(exp, 0)
-    unit = 1 << max(-exp, 0)
-    values, exact = [], True
-    for num, den in ratios:
-        y, z = man * num, den * scale * unit
-        lo = -(-y * (scale - 1) // z)
-        hi = -(-y * (scale + 1) // z)
-        values.append(hi)
-        exact = exact and lo == hi
-    return values, exact
 
 
 def rcd_cover_count(u: int, v: int, t: float) -> CoverCount:
@@ -388,7 +256,7 @@ def rcd_cover_count(u: int, v: int, t: float) -> CoverCount:
     n1 = a * b + cu * d
     n2 = a2 * d + cv * a
     value, option = (n1, 1) if n1 <= n2 else (n2, 2)
-    tag = "exact" if exact_u and exact_v and value < 2 ** 53 else "approximate"
+    tag = "exact" if exact_u and exact_v and value < EXACT_LIMIT else "approximate"
     return CoverCount(value, tag, option)
 
 
@@ -603,9 +471,10 @@ def _to_floats(den: int, nums: Sequence[int]) -> np.ndarray:
     """
     import numpy as np
 
-    if isinstance(nums, array) and den < 2 ** 53:
+    limit = int(EXACT_LIMIT)      # numpy compares int64 with an int faster
+    if isinstance(nums, array) and den < limit:
         ints = np.frombuffer(nums, dtype=np.int64)
-        if not ints.size or -(2 ** 53) < ints.min() and ints.max() < 2 ** 53:
+        if not ints.size or -limit < ints.min() and ints.max() < limit:
             return ints.astype(np.float64) / den
     return np.array([n / den for n in nums], dtype=np.float64)
 

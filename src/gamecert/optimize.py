@@ -123,7 +123,7 @@ class SearchConfig:
     """Deterministic search grids; every field has a reproducible default.
 
     A config is checked when it is made: its floats must be finite, c_s_lo
-    and c_s_hi in (0, 1) with c_s_lo below c_s_hi, t_lo and t_step
+    and c_s_hi in (0, 1) with c_s_lo below c_s_hi, t_lo, t_hi and t_step
     positive with t_lo at most t_hi, c_count at least 2, refine_points at
     least 3, refine_passes at least 0, pattern_cap in [1, MAX_PATTERN_CAP],
     and its grids may hold at most MAX_SEARCH_CELLS cells (search_cells).
@@ -149,7 +149,7 @@ class SearchConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise SearchConfigError(name, f"must lie in (0, 1), got {value!r}")
-        for name in ("t_lo", "t_step"):
+        for name in ("t_lo", "t_hi", "t_step"):
             value = getattr(self, name)
             if not value > 0:
                 raise SearchConfigError(name, f"must be > 0, got {value!r}")

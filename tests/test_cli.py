@@ -246,6 +246,24 @@ def test_certify_corner_family_at_a_large_depth_offset(tmp_path, capsys):
     assert "feasible = false" in (tmp_path / "out" / "certificate.txt").read_text()
 
 
+@pytest.mark.parametrize("family", [
+    "family.kind = rcd\nfamily.u = 7\nfamily.v = 6\ngame.t = 400.5\ngame.c = 0.5\n",
+    "family.kind = rco\nfamily.u = 17\nfamily.v = 24\nfamily.m = 1\nfamily.t = 5\n"
+    "game.c = 0.001\n",
+], ids=["rcd-large-t", "rco-small-c"])
+def test_certify_writes_a_rate_past_the_float_range(tmp_path, capsys, family):
+    # the rate's log is past 709.78, so its value is written as inf
+    cfg = write_cfg(tmp_path, "cert.cfg", "command = certify\n" + family)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    cert = tmp_path / "out" / "certificate.txt"
+    assert "alpha = inf\n" in cert.read_text() and "feasible = false\n" in cert.read_text()
+    recheck = write_cfg(tmp_path, "recheck.cfg",
+                        f"command = certify\ncertify.certificate = {cert}\n")
+    assert main(["--config", recheck, "--out", str(tmp_path / "re")]) == 2
+    out, err = capsys.readouterr()
+    assert "records an infeasible run" in out and "Traceback" not in out + err
+
+
 def test_simulate_transcript(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sim.cfg", """
         command = simulate
@@ -453,6 +471,14 @@ def test_smallest_u_trace_is_the_answers_search(tmp_path, capsys):
      "no command given"),
     (MAXIMIZE_CFG + "optimizer.pattern_cap = 1099511627777\n", "optimizer.pattern_cap"),
     (MAXIMIZE_CFG + "optimizer.t_lo = 3.0\noptimizer.t_hi = 2.0\n", "optimizer.t_lo"),
+    # SearchConfig alone checks each optimizer value
+    (MAXIMIZE_CFG + "optimizer.t_hi = 0\n", "optimizer.t_hi"),
+    (MAXIMIZE_CFG + "optimizer.t_step = 0\n", "optimizer.t_step"),
+    (MAXIMIZE_CFG + "optimizer.c_s_lo = 0\n", "optimizer.c_s_lo"),
+    (MAXIMIZE_CFG + "optimizer.c_s_hi = 1\n", "optimizer.c_s_hi"),
+    (MAXIMIZE_CFG + "optimizer.c_count = 1\n", "optimizer.c_count"),
+    (MAXIMIZE_CFG + "optimizer.refine_points = 2\n", "optimizer.refine_points"),
+    (MAXIMIZE_CFG + "optimizer.refine_passes = -1\n", "optimizer.refine_passes"),
     ("command = verify\nverify.check = budget\nfamily.kind = rco\nfamily.u = 4\n"
      "family.v = 5\nfamily.m = 2\nfamily.t = 1\ngame.c = 0.5\ngenerate.depth = 2\n"
      "verify.extent = 100000\n", "verify.extent"),

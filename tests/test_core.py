@@ -1,15 +1,20 @@
 """Core type behaviour: log scalars, parameter records, floors, combining."""
 from __future__ import annotations
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gamecert import core
 from gamecert.core import (
+    EXACT_LIMIT,
+    EXACT_LOG_LIMIT,
     BoxRegion,
     DiagonalContraction,
     FloorResult,
@@ -263,6 +268,86 @@ def test_safe_floor_ratio_float_delta_logscalar_rate(delta, log2_ratio):
     else:
         assert res.tag == "approximate"
         assert 1 <= res.value <= true_floor
+
+
+# ------------------------------------------------------------ the float step
+
+# Targets of the float step's enclosure, as logs: next to an integer n at
+# relative offsets from 1e-9 down to 1e-15, around its width; just under
+# 2^50 (the cover counts' limit) and 2^53 (the floors'); within a few ulps
+# under either limit's log, where the guard acts; and anywhere below 2^53.
+_CEIL_LIMIT, _CEIL_LOG_LIMIT = core._CEIL_LIMIT, core._CEIL_LOG_LIMIT
+_OFFSETS = st.sampled_from([0.0, 1e-9, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15, -1e-9, -1e-11,
+                            -1e-12, -1e-13, -1e-14, -1e-15])
+_TARGET_LOGS = st.one_of(
+    st.tuples(st.integers(min_value=1, max_value=2 ** 52), _OFFSETS)
+    .map(lambda nf: math.log(nf[0]) + math.log1p(nf[1])),
+    st.tuples(st.sampled_from([_CEIL_LIMIT, EXACT_LIMIT]), st.integers(min_value=1, max_value=2 ** 12))
+    .map(lambda lk: math.log(lk[0] - lk[1])),
+    st.tuples(st.sampled_from([_CEIL_LOG_LIMIT, EXACT_LOG_LIMIT]), st.integers(min_value=0, max_value=8))
+    .map(lambda lk: lk[0] - lk[1] * 2.0 ** -47),
+    st.floats(min_value=0.0, max_value=EXACT_LOG_LIMIT),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TARGET_LOGS, st.one_of(st.floats(min_value=-700.0, max_value=-1e-3),
+                              st.floats(min_value=-700.0, max_value=-600.0)), st.booleans())
+def test_float_step_floors_the_true_quotient(log, alpha_log, floats):
+    # safe_floor_ratio's form: x = ln delta, y = -ln alpha, for float
+    # arguments (their logs rounded) or LogScalar ones (their logs exact)
+    if floats:
+        alpha = math.exp(alpha_log)
+        delta = alpha * math.exp(log)
+        if not (alpha > 0.0 and 0.0 < delta < math.inf):
+            return
+        x, y = math.log(delta), -math.log(alpha)
+        with mpmath.workdps(120):
+            truth = mpmath.mpf(delta) / mpmath.mpf(alpha)
+    else:
+        x, y = alpha_log + log, -alpha_log
+        with mpmath.workdps(120):
+            truth = mpmath.exp(mpmath.mpf(x) + mpmath.mpf(y))
+    got = core._float_step(math.floor, x, y, EXACT_LIMIT, EXACT_LOG_LIMIT)
+    if got is not None:
+        assert got == int(mpmath.floor(truth)) and got < EXACT_LIMIT
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TARGET_LOGS, st.one_of(st.integers(min_value=2, max_value=2 ** 53 - 1),
+                              st.integers(min_value=2 ** 45, max_value=2 ** 53 - 1)),
+       st.integers(0, 2))
+def test_float_step_ceils_the_true_power(log, base, which):
+    # the cover counts' form: x = t ln base, y = ln(num / den), with t a
+    # float exactly, aimed so that base^t num / den lands on the target
+    num, den = ((1, base - 1), (1, 1), (base, base - 1))[which]
+    if den == 0:
+        return
+    t = (log - math.log(num / den)) / math.log(base)
+    if not t > 0.0:
+        return
+    x, y = t * math.log(base), math.log(num / den)
+    got = core._float_step(math.ceil, x, y, _CEIL_LIMIT, _CEIL_LOG_LIMIT)
+    if got is not None:
+        with mpmath.workdps(120):
+            truth = mpmath.power(base, mpmath.mpf(t)) * num / den
+        assert got == int(mpmath.ceil(truth)) and got < _CEIL_LIMIT
+
+
+def test_only_core_imports_mpmath():
+    # every integer settled on an mpmath enclosure is settled in core
+    importers = set()
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                importers.add(path.name)
+    assert importers == {"core.py"}
 
 
 # -------------------------------------------------------------- BoxRegion

@@ -17,8 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gamecert
-from gamecert.core import BoxRegion
-from gamecert import families
+from gamecert import core, families
+from gamecert.core import BoxRegion, _ceil_powers, _iroot
 from gamecert.families import (
     MAX_GEOMETRY_BITS,
     MAX_GEOMETRY_BOXES,
@@ -30,10 +30,8 @@ from gamecert.families import (
     RectangleSet,
     RectEntry,
     StrategyLevel,
-    _ceil_powers,
     _cover_piece,
     _to_floats,
-    _iroot,
     _rcd_walk,
     _rco_slots,
     covering_strategy_for_rcd,
@@ -223,22 +221,22 @@ def test_float_step_settles_only_true_ceilings(case):
     base, t = case
     ratios = ((1, base - 1), (1, 1), (base, base - 1))
     want = _reference_ceilings(base, t)
-    settled = (families._float_ceilings(base, t, ratios)
-               if base < families._FLOAT_BASE_LIMIT else None)
-    got, exact = _ceil_powers(base, t, ratios)
-    if settled is not None:
-        assert settled == want, (base, t)
-        assert (got, exact) == (settled, True), (base, t)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _spy_on_steps(patch)
+        got, exact = _ceil_powers(base, t, ratios)
+    if base >= 2 ** 53:
+        assert calls["float"] == []
+    if calls["float"] and None not in calls["float"]:
+        assert calls["float"] == want, (base, t)
+        assert (got, exact) == (want, True), (base, t)
     elif exact:
         assert got == want, (base, t)
 
 
 def _spy_on_steps(monkeypatch):
     """Record the float step's answers and the mpmath step's calls."""
-    from mpmath import libmp
-
     calls = {"float": [], "mpmath": 0}
-    float_step, mpf_pow = families._float_ceilings, libmp.mpf_pow
+    float_step, nearest_power = core._float_step, core._nearest_power
 
     def float_spy(*args):
         calls["float"].append(float_step(*args))
@@ -246,10 +244,10 @@ def _spy_on_steps(monkeypatch):
 
     def mpmath_spy(*args):
         calls["mpmath"] += 1
-        return mpf_pow(*args)
+        return nearest_power(*args)
 
-    monkeypatch.setattr(families, "_float_ceilings", float_spy)
-    monkeypatch.setattr(libmp, "mpf_pow", mpmath_spy)
+    monkeypatch.setattr(core, "_float_step", float_spy)
+    monkeypatch.setattr(core, "_nearest_power", mpmath_spy)
     return calls
 
 
@@ -262,7 +260,7 @@ def test_float_step_leaves_straddles_and_large_ceilings_to_mpmath(monkeypatch, b
     calls = _spy_on_steps(monkeypatch)
     ratios = ((1, base - 1), (1, 1), (base, base - 1))
     got, exact = _ceil_powers(base, t, ratios)
-    assert calls == {"float": [None], "mpmath": 1}
+    assert calls["float"][-1] is None and calls["mpmath"] == 1
     assert exact and got == _reference_ceilings(base, t)
 
 
@@ -274,17 +272,17 @@ def test_float_step_leaves_straddles_and_large_ceilings_to_mpmath(monkeypatch, b
 def test_float_step_leaves_powers_past_the_float_range_to_later_steps(monkeypatch, u, v, t):
     # exp of t ln base would overflow; the float step declines before it,
     # and the cover count is the one the later steps alone give
-    for base in (u, v):
-        assert families._float_ceilings(base, t, ((1, base - 1), (1, 1), (base, base - 1))) is None
+    calls = _spy_on_steps(monkeypatch)
     got = rcd_cover_count(u, v, t)
-    monkeypatch.setattr(families, "_float_ceilings", lambda *args: None)
+    assert calls["float"] == [None] * len({u, v})
+    monkeypatch.setattr(core, "_float_step", lambda *args: None)
     assert got == rcd_cover_count(u, v, t)
 
 
 def test_float_step_settles_an_off_grid_cover_count(monkeypatch):
     calls = _spy_on_steps(monkeypatch)
     got = rcd_cover_count(7, 4, 1.2345)
-    assert calls["mpmath"] == 0 and None not in calls["float"]
+    assert calls["mpmath"] == 0 and calls["float"] and None not in calls["float"]
     assert (got.value, got.option) == _reference_cover_count(7, 4, 1.2345)
 
 
