@@ -256,9 +256,9 @@ def feasibility_report(
 
 
 def _verdict(alpha: LogScalar, contraction: DiagonalContraction, c: float, delta: float,
-             pattern_count: int, rhs1_log: float) -> tuple[float, int] | None:
-    """(combined rate log, free steps) where feasibility_report(alpha,
-    contraction, c, delta, pattern_count) is feasible, else None.
+             pattern_count: int, rhs1_log: float) -> tuple[float, int, float, float] | None:
+    """(combined rate log, free steps, lhs2, rhs2) where feasibility_report(
+    alpha, contraction, c, delta, pattern_count) is feasible, else None.
 
     It runs the report's helpers in the report's order and returns at the
     first failed test, so a count that fails condition (1) computes no
@@ -272,9 +272,12 @@ def _verdict(alpha: LogScalar, contraction: DiagonalContraction, c: float, delta
     if not _condition1_lhs_log(alpha.log, c, pattern_count) <= rhs1_log:
         return None
     free = safe_floor_ratio(delta, LogScalar(combined_log))
-    if free.value < 1 or not _condition2_holds(*condition2_parts(contraction, delta, free.value)):
+    if free.value < 1:
         return None
-    return combined_log, free.value
+    lhs2, rhs2 = condition2_parts(contraction, delta, free.value)
+    if not _condition2_holds(lhs2, rhs2):
+        return None
+    return combined_log, free.value, lhs2, rhs2
 
 
 def pattern_feasible(alpha: LogScalar, contraction: DiagonalContraction, c: float,
@@ -291,10 +294,22 @@ def deficit_constant(
     Defined only when condition (2) holds strictly; the certified dimension
     deficit is K * alpha / |log beta_max|.
     """
-    lhs, rhs = condition2_parts(contraction, delta, free_steps)
-    if not _condition2_holds(lhs, rhs):
+    return _deficit(*condition2_parts(contraction, delta, free_steps), delta)
+
+
+def _deficit(lhs2: float, rhs2: float, delta: float) -> float:
+    """K from the two sides of condition (2), as condition2_parts states them."""
+    if not _condition2_holds(lhs2, rhs2):
         raise ValueError("condition (2) must hold with margin before K exists")
-    return 2.0 / delta * abs(math.log(lhs - rhs))
+    return 2.0 / delta * abs(math.log(lhs2 - rhs2))
+
+
+def _bounds(alpha_log: float, combined_log: float, contraction: DiagonalContraction,
+            k_m: float) -> tuple[float, float]:
+    """n - K_M rate / |log beta_max| at the per-set and the combined rate."""
+    log_bmax = abs(math.log(contraction.beta_max()))
+    return (contraction.n - k_m * math.exp(alpha_log) / log_bmax,
+            contraction.n - k_m * math.exp(combined_log) / log_bmax)
 
 
 def pattern_bound_values(alpha: LogScalar, contraction: DiagonalContraction, c: float,
@@ -302,16 +317,13 @@ def pattern_bound_values(alpha: LogScalar, contraction: DiagonalContraction, c: 
                          rhs1_log: float) -> tuple[float, float, float, int] | None:
     """(stated, combined, delta, free_steps) of pattern_dim_bound(alpha,
     contraction, c, delta, pattern_count) where its report is feasible
-    (rhs1_log as for _verdict), else None, without building the report:
-    n - K_M rate / |log beta_max| at the per-set and the combined rate."""
+    (rhs1_log as for _verdict), else None, without building the report."""
     verdict = _verdict(alpha, contraction, c, delta, pattern_count, rhs1_log)
     if verdict is None:
         return None
-    combined_log, free_steps = verdict
-    k_m = deficit_constant(contraction, delta, free_steps)
-    log_bmax = abs(math.log(contraction.beta_max()))
-    return (contraction.n - k_m * math.exp(alpha.log) / log_bmax,
-            contraction.n - k_m * math.exp(combined_log) / log_bmax, delta, free_steps)
+    combined_log, free_steps, lhs2, rhs2 = verdict
+    k_m = _deficit(lhs2, rhs2, delta)
+    return (*_bounds(alpha.log, combined_log, contraction, k_m), delta, free_steps)
 
 
 class DimensionBound(NamedTuple):
@@ -334,7 +346,7 @@ def dim_lower_bound(
     report = feasibility_report(alpha, contraction, c, delta)
     if not report.feasible:
         return DimensionBound(0.0, math.inf, math.inf, False, report)
-    k = deficit_constant(contraction, delta, report.free_steps.value)
+    k = _deficit(report.condition2_lhs, report.condition2_rhs, delta)
     deficit = k * math.exp(alpha.log) / abs(math.log(contraction.beta_max()))
     value = max(contraction.n - deficit, 0.0)
     return DimensionBound(value, deficit, k, value > 0.0, report)
@@ -373,13 +385,10 @@ def pattern_dim_bound(
         return PatternBound(
             pattern_count, 0.0, 0.0, math.inf, False, 0.0, report
         )
-    n = contraction.n
-    k_m = deficit_constant(contraction, delta, report.free_steps.value)
-    # the report is feasible, so the bounds exist
-    stated, combined, _, _ = pattern_bound_values(
-        alpha, contraction, c, delta, pattern_count, report.condition1_rhs_log)
+    k_m = _deficit(report.condition2_lhs, report.condition2_rhs, delta)
+    stated, combined = _bounds(alpha.log, report.combined_alpha_log, contraction, k_m)
     log_bmax = abs(math.log(contraction.beta_max()))
-    cap_log = math.log(min(delta * delta, n * log_bmax / k_m))
+    cap_log = math.log(min(delta * delta, contraction.n * log_bmax / k_m))
     strengthened = report.condition1_lhs_log <= cap_log + _condition1_gap(contraction, c)
     coeff = rho2 * (1.0 - contraction.beta_max())
     return PatternBound(
@@ -538,6 +547,8 @@ def _parse_cert_value(key: str, raw: str) -> object:
 
 
 def _base_fields(report: FeasibilityReport, rho2: float) -> dict[str, object]:
+    if not 0.0 < rho2 < math.inf:
+        raise ValueError(f"rho2 must be positive and finite, got {rho2!r}")
     return {
         "n": report.n,
         "c": report.c,

@@ -292,11 +292,9 @@ def _write_search(out: Path, result: SearchResult, trace: bool) -> None:
 
 
 def _search_config(cfg: Config, base: SearchConfig) -> SearchConfig:
-    from dataclasses import replace
+    from .optimize import SearchConfig, SearchConfigError
 
-    from .optimize import SearchConfigError
-
-    # SearchConfig checks every value; its errors name the optimizer key
+    # every SearchConfig field, base's by default; its checks name the key
     fields = dict(
         c_count=cfg.get_int("optimizer.c_count", base.c_count),
         c_s_lo=cfg.get_float("optimizer.c_s_lo", base.c_s_lo),
@@ -309,7 +307,7 @@ def _search_config(cfg: Config, base: SearchConfig) -> SearchConfig:
         pattern_cap=cfg.get_int("optimizer.pattern_cap", base.pattern_cap),
     )
     try:
-        return replace(base, **fields)
+        return SearchConfig(**fields)
     except SearchConfigError as exc:
         if exc.field is None:
             raise ConfigError("optimizer", exc.text) from None

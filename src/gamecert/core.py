@@ -62,7 +62,8 @@ class LogScalar:
 
     Multiplication, division and powers are exact log-domain operations;
     addition uses log-sum-exp with the inputs sorted descending, which makes
-    sums independent of argument order.  Comparisons compare logs.
+    sums independent of argument order.  Comparisons compare logs.  Not a
+    Record: the search builds one per probe, so it keeps this plain __init__.
     """
 
     __slots__ = ("log",)
@@ -161,7 +162,8 @@ _set = object.__setattr__
 
 class Record:
     """Base of the frozen records whose constructor checks its input or fills
-    in a default; a record that does neither is a typing.NamedTuple.
+    in a default; a record that does neither is a typing.NamedTuple.  All
+    records are one of the two, except LogScalar and optimize's dataclasses.
 
     A subclass names its fields in `_fields`, in constructor order, and its
     slots in `__slots__`: the fields, then any value cached from them.

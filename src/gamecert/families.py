@@ -541,7 +541,7 @@ def _rect_entry(levels: Sequence[int], addresses: Sequence[str],
     return RectEntry(levels[i], addresses[i], box(i))
 
 
-class RectangleSet:
+class RectangleSet(Record):
     """A finite collection of labelled planar boxes, CSV/PBM serializable.
 
     Entries are ordered by level, then address, and stored as columns: the
@@ -554,49 +554,35 @@ class RectangleSet:
 
     Because an address starts with its kind, the entries of one kind at
     one level are one run of indices; of_kind and lattice_of find it by
-    bisection.  Its repr and == are those of the pair (entries, meta), and
-    it is unhashable.
+    bisection.  Its fields are (entries, meta); the entries view and the
+    meta dict make it unhashable.
     """
 
-    entries: Sequence[RectEntry]
-    meta: dict[str, str]
-    levels: Sequence[int]
-    addresses: Sequence[str]
-    lattice: tuple[AxisLattice, ...]
+    __slots__ = ("entries", "meta", "levels", "addresses", "lattice")
+    _fields = __slots__[:2]
 
     def __init__(self, entries: Sequence[RectEntry], meta: dict[str, str] | None = None) -> None:
-        self.meta = {} if meta is None else meta
         rows = sorted(entries, key=lambda e: (e.level, e.address))
         for e in rows:
             if ":" not in e.address:
                 raise ValueError(f"address {e.address!r} does not read kind:path")
         empty = (AxisLattice(1, array("q"), array("q")),) * 2
         self._set_columns([e.level for e in rows], [e.address for e in rows],
-                          _derived_lattice([e.box for e in rows]) or empty)
-
-    def __repr__(self) -> str:
-        return f"RectangleSet(entries={self.entries!r}, meta={self.meta!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.entries, self.meta) == (other.entries, other.meta)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
+                          _derived_lattice([e.box for e in rows]) or empty,
+                          {} if meta is None else meta)
 
     def _set_columns(self, levels: Sequence[int], addresses: Sequence[str],
-                     lattice: tuple[AxisLattice, ...]) -> None:
-        self.levels, self.addresses, self.lattice = levels, addresses, lattice
-        self.entries = _ListRows(
+                     lattice: tuple[AxisLattice, ...], meta: dict[str, str]) -> None:
+        entries = _ListRows(
             len(addresses), partial(_rect_entry, levels, addresses, _box_reader(lattice)))
+        super().__init__(entries, meta, levels, addresses, lattice)
 
     @classmethod
     def _on_lattice(cls, levels: Sequence[int], addresses: Sequence[str],
                     lattice: tuple[AxisLattice, ...], meta: dict[str, str]) -> "RectangleSet":
         """A set over columns already in entry order."""
         rect = cls.__new__(cls)
-        rect.meta = meta
-        rect._set_columns(levels, addresses, lattice)
+        rect._set_columns(levels, addresses, lattice, meta)
         return rect
 
     def _spans(self, kind: str | None, levels: Iterable[int] | None) -> list[range]:

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .core import BoxRegion, DiagonalContraction, LogScalar
+from .core import BoxRegion, DiagonalContraction, LogScalar, Record
 from .families import CoveringStrategy, StrategyLevel, _cover_counts, _on_one_lattice
 
 if TYPE_CHECKING:
@@ -88,8 +87,7 @@ def _meets(box: BoxRegion, level: StrategyLevel) -> np.ndarray:
 # ------------------------------------------------------------------ lattices
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """One level of the fine or coarse grid, exact when ratios are 1/U.
 
     kind "fine": centers (rho/2) A^k(Z^n) + origin; kind "coarse": centers
@@ -97,21 +95,18 @@ class Lattice:
     Cells are boxes A^k(B[0, rho]) + center either way.
     """
 
-    kind: str
-    contraction: DiagonalContraction
-    level: int
-    rho: Fraction = Fraction(1)
-    origin: tuple[Fraction, ...] | None = None
+    __slots__ = _fields = ("kind", "contraction", "level", "rho", "origin")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("fine", "coarse"):
-            raise ValueError(f"kind must be 'fine' or 'coarse', got {self.kind!r}")
-        if self.level < 0:
+    def __init__(self, kind: str, contraction: DiagonalContraction, level: int,
+                 rho: Fraction = Fraction(1),
+                 origin: tuple[Fraction, ...] | None = None) -> None:
+        if kind not in ("fine", "coarse"):
+            raise ValueError(f"kind must be 'fine' or 'coarse', got {kind!r}")
+        if level < 0:
             raise ValueError("level must be >= 0")
-        if self.origin is None:
-            object.__setattr__(
-                self, "origin", tuple(Fraction(0) for _ in self.contraction.betas)
-            )
+        if origin is None:
+            origin = tuple(Fraction(0) for _ in contraction.betas)
+        super().__init__(kind, contraction, level, rho, origin)
 
     def _ratio_pow(self, j: int) -> Fraction | float:
         if self.contraction.is_exact:
@@ -126,7 +121,6 @@ class Lattice:
         return 3 * self.rho * step
 
     def cell_center(self, z: Sequence[int]) -> tuple[Fraction | float, ...]:
-        assert self.origin is not None
         return tuple(
             self.origin[j] + self.spacing(j) * z[j] for j in range(self.contraction.n)
         )
@@ -196,8 +190,7 @@ def _rhd_array(num: np.ndarray, den: int) -> np.ndarray:
     return -((den - 2 * num) // (2 * den))
 
 
-@dataclass(frozen=True)
-class _AxisTable:
+class _AxisTable(NamedTuple):
     """Per-axis chain outcomes over the (coarse index, child offset) grid."""
 
     window: np.ndarray        # final-step coarse window admits a cell
@@ -226,8 +219,7 @@ def _axis_table(u: int, block: int, k: int, radius: int) -> _AxisTable:
     return _AxisTable(window, coarse_ok, nearest_ok, r, l)
 
 
-@dataclass(frozen=True)
-class ProjectionAudit:
+class ProjectionAudit(NamedTuple):
     """Exhaustive check that chains return to the coarse cell they started in."""
 
     u: tuple[int, ...]
@@ -308,8 +300,7 @@ def verify_projection_return(
     return ProjectionAudit(tuple(u), block, k, radius, checked, failures, witness)
 
 
-@dataclass(frozen=True)
-class HalfShrinkAudit:
+class HalfShrinkAudit(NamedTuple):
     """Exhaustive check that cells sit inside the half-shrunk nearest parent."""
 
     u: tuple[int, ...]
@@ -356,8 +347,7 @@ def verify_half_shrink(
 # ------------------------------------------------------------------ the game
 
 
-@dataclass(frozen=True)
-class DeletionRecord:
+class DeletionRecord(NamedTuple):
     """One deleted box A^q(B[0,r]) + y with its charged mass (prod beta^q)^c."""
 
     move: int                 # move the deletion was charged to; 0 = preamble
@@ -366,8 +356,7 @@ class DeletionRecord:
     mass_log: float
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     move: int
     box: BoxRegion            # the nested box played this move
     deletions: tuple[DeletionRecord, ...]
@@ -376,8 +365,7 @@ class MoveRecord:
     skipped: bool             # empty response (nothing intersected, or illegal)
 
 
-@dataclass(frozen=True)
-class PlayTranscript:
+class PlayTranscript(NamedTuple):
     """Full record of one finite play: boxes, deletions, budgets, outcome."""
 
     radius: Fraction
@@ -547,8 +535,7 @@ def play_game(
 # ---------------------------------------------------------------- potential
 
 
-@dataclass(frozen=True)
-class PotentialRow:
+class PotentialRow(NamedTuple):
     level: int
     cell: BoxRegion
     phi_log: float
@@ -559,8 +546,7 @@ class PotentialRow:
         return self.phi_log <= self.threshold_log
 
 
-@dataclass(frozen=True)
-class PotentialLedger:
+class PotentialLedger(NamedTuple):
     rows: tuple[PotentialRow, ...]
     cumulative: tuple[tuple[int, float], ...]   # (move, mass so far) for rows[-1]
 
@@ -626,8 +612,7 @@ def potential_chain(
 # ----------------------------------------------------------- counting oracles
 
 
-@dataclass(frozen=True)
-class ChildGridReport:
+class ChildGridReport(NamedTuple):
     """Grid of coarse children inside a half-shrunk coarse cell.
 
     The construction places, per axis, offsets l with |l| <= gamma_j around
@@ -692,8 +677,7 @@ def child_cover_grid(
     )
 
 
-@dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(NamedTuple):
     """Exact number of level-L coarse-grid cells one deleted box touches,
     against the volume bound 4^n prod_j (beta_j^q + beta_j^L) / beta_j^L."""
 
@@ -744,8 +728,7 @@ def potential_transfer_bound(
 # ------------------------------------------------------------- budget audits
 
 
-@dataclass(frozen=True)
-class BudgetLevelReport:
+class BudgetLevelReport(NamedTuple):
     level: int
     exponent: int
     preamble: bool
@@ -758,8 +741,7 @@ class BudgetLevelReport:
     legal: bool
 
 
-@dataclass(frozen=True)
-class BudgetAudit:
+class BudgetAudit(NamedTuple):
     levels: tuple[BudgetLevelReport, ...]
 
     @property

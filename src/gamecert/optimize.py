@@ -118,6 +118,9 @@ class SearchConfigError(ValueError):
         return f"{self.field}: {text}" if self.field else text
 
 
+# Both stay dataclasses: perfbench calls dataclasses.replace on a SearchResult
+# and scripts/search_dump.py reads its dataclasses.fields; the tests call
+# replace on a SearchConfig to show that a copy is checked too.
 @dataclass(frozen=True)
 class SearchConfig:
     """Deterministic search grids; every field has a reproducible default.

@@ -19,14 +19,13 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BoxRegion
+from .core import BoxRegion, Record
 from .families import RectangleSet, _cover_counts, _LazyRows, _on_one_lattice
 
 __all__ = [
@@ -50,8 +49,7 @@ def pattern_diameter(points: Sequence[Sequence[Fraction]]) -> Fraction:
                default=Fraction(0))
 
 
-@dataclass(frozen=True)
-class PatternQuery:
+class PatternQuery(Record):
     """A finite pattern, a scale interval, a depth, and a sampling step.
 
     `grid_resolution` is the translation step; None defers to half the
@@ -61,34 +59,26 @@ class PatternQuery:
     thinner than one step still yields exactly one sample.
     """
 
-    points: tuple[tuple[Fraction, ...], ...]
-    lambda_lo: Fraction
-    lambda_hi: Fraction
-    depth: int
-    grid_resolution: Fraction | None = None
+    __slots__ = _fields = ("points", "lambda_lo", "lambda_hi", "depth", "grid_resolution")
 
-    def __post_init__(self) -> None:
-        if len(self.points) < 1:
+    def __init__(self, points: Sequence[Sequence[Fraction]], lambda_lo: Fraction,
+                 lambda_hi: Fraction, depth: int,
+                 grid_resolution: Fraction | None = None) -> None:
+        if len(points) < 1:
             raise ValueError("pattern needs at least one point")
-        object.__setattr__(
-            self,
-            "points",
-            tuple(tuple(Fraction(x) for x in p) for p in self.points),
-        )
-        dims = {len(p) for p in self.points}
-        if dims != {2}:
+        points = tuple(tuple(Fraction(x) for x in p) for p in points)
+        if {len(p) for p in points} != {2}:
             raise ValueError("pattern points must be 2-vectors")
-        object.__setattr__(self, "lambda_lo", Fraction(self.lambda_lo))
-        object.__setattr__(self, "lambda_hi", Fraction(self.lambda_hi))
-        if not 0 < self.lambda_lo <= self.lambda_hi:
+        lambda_lo, lambda_hi = Fraction(lambda_lo), Fraction(lambda_hi)
+        if not 0 < lambda_lo <= lambda_hi:
             raise ValueError("scale range must satisfy 0 < lo <= hi")
-        if self.depth < 0:
+        if depth < 0:
             raise ValueError("depth must be >= 0")
-        if self.grid_resolution is not None:
-            res = Fraction(self.grid_resolution)
-            if res <= 0:
+        if grid_resolution is not None:
+            grid_resolution = Fraction(grid_resolution)
+            if grid_resolution <= 0:
                 raise ValueError("grid resolution must be positive")
-            object.__setattr__(self, "grid_resolution", res)
+        super().__init__(points, lambda_lo, lambda_hi, depth, grid_resolution)
 
 
 def scale_range_admissible(query: PatternQuery, scale_coefficient: float) -> bool:
@@ -127,8 +117,7 @@ def _kept_at_level(point: tuple[Fraction, Fraction], rect: RectangleSet,
     raise ValueError(f"unknown family {family!r}")
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
+class ContainmentReport(NamedTuple):
     """Per-level membership of one placed pattern copy."""
 
     levels: tuple[bool, ...]     # index k: all pattern points kept at level k
@@ -181,8 +170,7 @@ def verify_containment_depth(
 # ---------------------------------------------------------------- grid scan
 
 
-@dataclass(frozen=True, slots=True)
-class PatternCandidate:
+class PatternCandidate(NamedTuple):
     lam: Fraction
     x: tuple[Fraction, Fraction]
     max_depth_passed: int

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gamecert import certify
 from gamecert.certify import (
     REL_MARGIN,
     BranchingBound,
@@ -404,3 +405,41 @@ def test_pattern_verdict_turns_at_both_conditions(betas):
         report = feasibility_report(alpha, contraction, c, witness, m)
         assert report.condition1_ok is expected and report.feasible is expected
         assert pattern_feasible(alpha, contraction, c, witness, m, rhs1_log) is expected
+
+
+# the four certificate builders, each at feasible inputs on B2 but for rho2
+BUILDERS = {
+    "dimension": lambda rho2: dimension_certificate(
+        LogScalar.from_value(1e-24), B2, 0.5, default_delta(B2), rho2),
+    "pattern": lambda rho2: pattern_certificate(
+        LogScalar.from_value(1e-24), B2, 0.5, default_delta(B2), 4, rho2),
+    "distance": lambda rho2: distance_set_certificate(
+        LogScalar.from_value(1e-24), B2, 0.5, default_delta(B2), rho2),
+    "intersection": lambda rho2: intersect_certificate(
+        [LogScalar.from_value(1e-24)] * 2, B2, 0.5, default_delta(B2), rho2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@pytest.mark.parametrize("rho2", [0.0, -2.0, math.nan, math.inf])
+def test_certificates_refuse_a_radius_that_is_not_positive_and_finite(kind, rho2):
+    # a feasible certificate at rho2 = inf would claim copies at every scale
+    assert BUILDERS[kind](1.0).fields["feasible"] is True
+    with pytest.raises(ValueError, match="rho2 must be positive and finite"):
+        BUILDERS[kind](rho2)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_a_certificate_takes_one_floor_and_one_condition_2(kind, monkeypatch):
+    # the bounds read condition (2) from the report, so no step is redone
+    calls = {"safe_floor_ratio": 0, "condition2_parts": 0}
+    for name in calls:
+        real = getattr(certify, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(certify, name, counted)
+    assert BUILDERS[kind](1.0).fields["feasible"] is True
+    assert calls == {"safe_floor_ratio": 1, "condition2_parts": 1}

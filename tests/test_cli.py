@@ -166,6 +166,35 @@ def test_certificate_missing_its_kind_fields_rejected(tmp_path, capsys):
         assert "does not re-validate" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rho2", [-2.0, float("nan")])
+def test_certificate_edited_to_a_bad_radius_does_not_revalidate(tmp_path, capsys, rho2):
+    # the edit restates scale_coefficient = rho2 (1 - beta_max) to match, so
+    # only a check of rho2 itself can refuse it
+    cfg = write_cfg(tmp_path, "raw.cfg", """
+        command = certify
+        certify.kind = pattern
+        family.kind = raw
+        family.betas = 1/10,1/12
+        family.alpha = 1e-13
+        game.c = 0.9
+        game.pattern_count = 3
+    """)
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    cert = tmp_path / "certificate.txt"
+    text = cert.read_text()
+    coeff = "scale_coefficient = %.17g\n"
+    assert "rho2 = 1\n" in text and coeff % 0.9 in text
+    cert.write_text(text.replace("rho2 = 1\n", "rho2 = %.17g\n" % rho2)
+                    .replace(coeff % 0.9, coeff % (rho2 * (1.0 - 0.1))))
+    recheck = write_cfg(tmp_path, "recheck.cfg",
+                        f"command = certify\ncertify.certificate = {cert}\n")
+    capsys.readouterr()
+    assert main(["--config", recheck]) == 2
+    out, err = capsys.readouterr()
+    assert "does not re-validate: rho2 must be positive and finite" in out
+    assert "Traceback" not in out + err
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = write_cfg(tmp_path, "max.cfg", MAXIMIZE_CFG)
     assert main(["--config", cfg, "--out", str(tmp_path / "a")]) == 0
@@ -738,12 +767,28 @@ def test_certificate_commands_load_only_what_they_use(tmp_path):
 
 
 def test_verify_imports_numpy_only_for_the_checks_that_use_it(tmp_path):
+    bare = _imported_modules(tmp_path, "bare", None)
     transfer = "command = verify\nverify.check = transfer\nverify.samples = 200\nverify.seed = 7\n"
-    loaded = _imported_packages(tmp_path, "transfer", transfer)
-    assert "gamecert" in loaded and "numpy" not in loaded
     overlap = "command = verify\nverify.check = overlap\nverify.u = 4,5\nverify.level = 2\n" \
               "verify.exponent = 3\n"
-    assert "numpy" not in _imported_packages(tmp_path, "overlap", overlap)
+    for name, body in (("transfer", transfer), ("overlap", overlap)):
+        loaded = _imported_modules(tmp_path, name, body)
+        assert "gamecert" in loaded and "numpy" not in loaded, name
+        # the records are NamedTuples and core.Records, built without dataclasses
+        assert not {"dataclasses", "inspect"} & (loaded - bare), name
+    game = ("family.kind = rco\nfamily.u = 4\nfamily.v = 5\nfamily.m = 2\nfamily.t = 1\n"
+            "game.c = 0.5\n")
+    for name, body in (
+        ("simulate", "command = simulate\n" + game + "simulate.moves = 3\n"
+                     "simulate.target = 7/8, 9/10\n"),
+        ("projection", "command = verify\nverify.check = projection\nverify.u = 10\n"
+                       "verify.block = 1\nverify.radius = 15\n"),
+        ("find-pattern", "command = find-pattern\nfamily.kind = rcd\nfamily.u = 7\n"
+                         "family.v = 4\ngenerate.depth = 2\npattern.points = 0,0; 2,0\n"
+                         "pattern.lambda_lo = 1/49\n"),
+    ):
+        # numpy loads inspect itself, but nothing here needs dataclasses
+        assert "dataclasses" not in _imported_modules(tmp_path, name, body), name
     budget = ("command = verify\nverify.check = budget\nfamily.kind = rco\nfamily.u = 4\n"
               "family.v = 5\nfamily.m = 2\nfamily.t = 1\ngame.c = 0.5\ngenerate.depth = 1\n")
     assert "numpy" in _imported_packages(tmp_path, "budget", budget)

@@ -334,8 +334,8 @@ def test_float_step_ceils_the_true_power(log, base, which):
         assert got == int(mpmath.ceil(truth)) and got < _CEIL_LIMIT
 
 
-def test_only_core_imports_mpmath():
-    # every integer settled on an mpmath enclosure is settled in core
+def _importers(package: str) -> set[str]:
+    """The modules of gamecert that import `package`, anywhere in them."""
     importers = set()
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -345,9 +345,19 @@ def test_only_core_imports_mpmath():
                 names = [node.module]
             else:
                 continue
-            if any(name.split(".")[0] == "mpmath" for name in names):
+            if any(name.split(".")[0] == package for name in names):
                 importers.add(path.name)
-    assert importers == {"core.py"}
+    return importers
+
+
+def test_only_core_imports_mpmath():
+    # every integer settled on an mpmath enclosure is settled in core
+    assert _importers("mpmath") == {"core.py"}
+
+
+def test_only_optimize_imports_dataclasses():
+    # every other record is a typing.NamedTuple or a core.Record
+    assert _importers("dataclasses") == {"optimize.py"}
 
 
 # -------------------------------------------------------------- BoxRegion

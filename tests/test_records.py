@@ -1,7 +1,7 @@
 """Record semantics of the value classes: repr, ==, hash and immutability.
 
-The certificate and geometry records are typing.NamedTuples or
-core.Record subclasses.  They keep the repr, == and hash they had as
+The certificate, geometry, game and pattern records are typing.NamedTuples
+or core.Record subclasses.  They keep the repr, == and hash they had as
 frozen dataclasses: the repr strings below were recorded from the
 dataclass versions, and a record hashes as the tuple of its fields.
 """
@@ -29,7 +29,22 @@ from gamecert.families import (
     RectEntry,
     StrategyLevel,
 )
+from gamecert.gamesim import (
+    BudgetAudit,
+    BudgetLevelReport,
+    ChildGridReport,
+    DeletionRecord,
+    HalfShrinkAudit,
+    Lattice,
+    MoveRecord,
+    OverlapReport,
+    PlayTranscript,
+    PotentialLedger,
+    PotentialRow,
+    ProjectionAudit,
+)
 from gamecert.optimize import SearchResult, SmallestU, _Point
+from gamecert.patterns import ContainmentReport, PatternCandidate, PatternQuery
 
 BOX = BoxRegion((Fraction(1, 3), Fraction(0)), (Fraction(1, 9), Fraction(1, 4)))
 CONTRACTION = DiagonalContraction.from_denominators((10, 12))
@@ -44,6 +59,12 @@ def _report(notes: tuple[str, ...] = ("a note",)) -> FeasibilityReport:
 REPORT = _report()
 LEVEL = StrategyLevel(1, 2, -3.5, False, (BOX,))
 RESULT = SearchResult("corner", False, 0, 0.0, None, 0.0, 0, -math.inf, 0.0, 0.0, 0, None)
+DELETION = DeletionRecord(1, 2, BOX, -3.5)
+MOVE = MoveRecord(1, BOX, (DELETION,), -3.5, -2.0, False)
+ROW = PotentialRow(2, BOX, -4.0, -3.0)
+AUDIT_LEVEL = BudgetLevelReport(1, 2, False, 9, 4, 2, (Fraction(1, 20), Fraction(0)), -3.0, -2.5,
+                                True)
+BETAS = (Fraction(1, 10), Fraction(1, 12))
 
 # (record, an equal copy made apart, a copy with one field changed, the
 # field names in order, the repr recorded from the frozen dataclass)
@@ -112,6 +133,77 @@ CASES = [
     (SmallestU(5, RESULT, RESULT, 7), SmallestU(5, RESULT, RESULT, 7),
      SmallestU(6, RESULT, RESULT, 7), ("u", "result", "below", "probes"),
      "SmallestU(u=5, result=" + repr(RESULT) + ", below=" + repr(RESULT) + ", probes=7)"),
+    (Lattice("fine", CONTRACTION, 2),
+     Lattice("fine", DiagonalContraction((0.1, 1 / 12), (10, 12)), 2, Fraction(1),
+             (Fraction(0), Fraction(0))),
+     Lattice("coarse", CONTRACTION, 2), ("kind", "contraction", "level", "rho", "origin"),
+     "Lattice(kind='fine', contraction=" + repr(CONTRACTION) + ", level=2, rho=Fraction(1, 1), "
+     "origin=(Fraction(0, 1), Fraction(0, 1)))"),
+    (ProjectionAudit((6, 7), 2, 0, 3, 49, 0, None), ProjectionAudit((6, 7), 2, 0, 3, 49, 0, None),
+     ProjectionAudit((6, 7), 2, 0, 3, 49, 1, None),
+     ("u", "block", "k", "radius", "checked", "failures", "witness"),
+     "ProjectionAudit(u=(6, 7), block=2, k=0, radius=3, checked=49, failures=0, witness=None)"),
+    (HalfShrinkAudit((6, 7), 1, 2, 49, 1, ("axis", 0, "child_index", -3)),
+     HalfShrinkAudit((6, 7), 1, 2, 49, 1, ("axis", 0, "child_index", -3)),
+     HalfShrinkAudit((6, 7), 1, 2, 49, 1, ("axis", 1, "child_index", -3)),
+     ("u", "level", "block", "checked", "failures", "witness"),
+     "HalfShrinkAudit(u=(6, 7), level=1, block=2, checked=49, failures=1, "
+     "witness=('axis', 0, 'child_index', -3))"),
+    (DELETION, DeletionRecord(1, 2, BOX, -3.5), DeletionRecord(0, 2, BOX, -3.5),
+     ("move", "exponent", "box", "mass_log"),
+     "DeletionRecord(move=1, exponent=2, box=" + repr(BOX) + ", mass_log=-3.5)"),
+    (MOVE, MoveRecord(1, BOX, (DELETION,), -3.5, -2.0, False),
+     MoveRecord(1, BOX, (DELETION,), -3.5, -2.0, True),
+     ("move", "box", "deletions", "budget_spent_log", "budget_cap_log", "skipped"),
+     "MoveRecord(move=1, box=" + repr(BOX) + ", deletions=(" + repr(DELETION) + ",), "
+     "budget_spent_log=-3.5, budget_cap_log=-2.0, skipped=False)"),
+    (PlayTranscript(Fraction(1), 0.5, -3.0, BETAS, (DELETION,), (MOVE,)),
+     PlayTranscript(Fraction(1), 0.5, -3.0, BETAS, (DELETION,), (MOVE,)),
+     PlayTranscript(Fraction(1), 0.5, -3.0, BETAS, (), (MOVE,)),
+     ("radius", "c", "alpha_log", "betas", "preamble", "moves"),
+     "PlayTranscript(radius=Fraction(1, 1), c=0.5, alpha_log=-3.0, betas=(Fraction(1, 10), "
+     "Fraction(1, 12)), preamble=(" + repr(DELETION) + ",), moves=(" + repr(MOVE) + ",))"),
+    (ROW, PotentialRow(2, BOX, -4.0, -3.0), PotentialRow(2, BOX, -4.0, -5.0),
+     ("level", "cell", "phi_log", "threshold_log"),
+     "PotentialRow(level=2, cell=" + repr(BOX) + ", phi_log=-4.0, threshold_log=-3.0)"),
+    (PotentialLedger((ROW,), ((1, -4.0),)), PotentialLedger((ROW,), ((1, -4.0),)),
+     PotentialLedger((ROW,), ((1, -3.0),)), ("rows", "cumulative"),
+     "PotentialLedger(rows=(" + repr(ROW) + ",), cumulative=((1, -4.0),))"),
+    (ChildGridReport((Fraction(17, 3), Fraction(2)), 55, 55, 10, True, True),
+     ChildGridReport((Fraction(17, 3), Fraction(2)), 55, 55, 10, True, True),
+     ChildGridReport((Fraction(17, 3), Fraction(2)), 55, 55, 10, True, False),
+     ("gammas", "count", "formula_count", "floor_product", "all_inside_half_parent",
+      "matches_enumeration"),
+     "ChildGridReport(gammas=(Fraction(17, 3), Fraction(2, 1)), count=55, formula_count=55, "
+     "floor_product=10, all_inside_half_parent=True, matches_enumeration=True)"),
+    (OverlapReport(4, Fraction(64), True), OverlapReport(4, Fraction(64), True),
+     OverlapReport(5, Fraction(64), True), ("exact_count", "bound", "ok"),
+     "OverlapReport(exact_count=4, bound=Fraction(64, 1), ok=True)"),
+    (AUDIT_LEVEL,
+     BudgetLevelReport(1, 2, False, 9, 4, 2, (Fraction(1, 20), Fraction(0)), -3.0, -2.5, True),
+     BudgetLevelReport(1, 2, False, 9, 4, 3, (Fraction(1, 20), Fraction(0)), -3.0, -2.5, True),
+     ("level", "exponent", "preamble", "test_boxes", "strategy_boxes", "worst_hits",
+      "worst_center", "spent_log", "cap_log", "legal"),
+     "BudgetLevelReport(level=1, exponent=2, preamble=False, test_boxes=9, strategy_boxes=4, "
+     "worst_hits=2, worst_center=(Fraction(1, 20), Fraction(0, 1)), spent_log=-3.0, "
+     "cap_log=-2.5, legal=True)"),
+    (BudgetAudit((AUDIT_LEVEL,)), BudgetAudit((AUDIT_LEVEL,)), BudgetAudit(()), ("levels",),
+     "BudgetAudit(levels=(" + repr(AUDIT_LEVEL) + ",))"),
+    (PatternQuery(((0, 0), (2, 0)), Fraction(1, 49), Fraction(3, 49), 2),
+     PatternQuery([[Fraction(0), 0], [2, Fraction(0)]], Fraction(2, 98), Fraction(3, 49), 2, None),
+     PatternQuery(((0, 0), (2, 0)), Fraction(1, 49), Fraction(3, 49), 1),
+     ("points", "lambda_lo", "lambda_hi", "depth", "grid_resolution"),
+     "PatternQuery(points=((Fraction(0, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(0, 1))), "
+     "lambda_lo=Fraction(1, 49), lambda_hi=Fraction(3, 49), depth=2, grid_resolution=None)"),
+    (ContainmentReport((True, True, False)), ContainmentReport((True, True, False)),
+     ContainmentReport((True, True, True)), ("levels",),
+     "ContainmentReport(levels=(True, True, False))"),
+    (PatternCandidate(Fraction(1, 49), (Fraction(-1, 2), Fraction(0)), 2),
+     PatternCandidate(Fraction(1, 49), (Fraction(-1, 2), Fraction(0)), 2),
+     PatternCandidate(Fraction(2, 49), (Fraction(-1, 2), Fraction(0)), 2),
+     ("lam", "x", "max_depth_passed"),
+     "PatternCandidate(lam=Fraction(1, 49), x=(Fraction(-1, 2), Fraction(0, 1)), "
+     "max_depth_passed=2)"),
 ]
 
 
