@@ -304,12 +304,12 @@ def _deficit(lhs2: float, rhs2: float, delta: float) -> float:
     return 2.0 / delta * abs(math.log(lhs2 - rhs2))
 
 
-def _bounds(alpha_log: float, combined_log: float, contraction: DiagonalContraction,
-            k_m: float) -> tuple[float, float]:
-    """n - K_M rate / |log beta_max| at the per-set and the combined rate."""
+def _deficits(k: float, contraction: DiagonalContraction, alpha_log: float,
+              combined_log: float = -math.inf) -> tuple[float, float]:
+    """The dimension deficit K rate / |log beta_max| at the per-set rate,
+    and at the combined rate where one is given."""
     log_bmax = abs(math.log(contraction.beta_max()))
-    return (contraction.n - k_m * math.exp(alpha_log) / log_bmax,
-            contraction.n - k_m * math.exp(combined_log) / log_bmax)
+    return k * math.exp(alpha_log) / log_bmax, k * math.exp(combined_log) / log_bmax
 
 
 def pattern_bound_values(alpha: LogScalar, contraction: DiagonalContraction, c: float,
@@ -323,7 +323,8 @@ def pattern_bound_values(alpha: LogScalar, contraction: DiagonalContraction, c: 
         return None
     combined_log, free_steps, lhs2, rhs2 = verdict
     k_m = _deficit(lhs2, rhs2, delta)
-    return (*_bounds(alpha.log, combined_log, contraction, k_m), delta, free_steps)
+    stated, combined = _deficits(k_m, contraction, alpha.log, combined_log)
+    return contraction.n - stated, contraction.n - combined, delta, free_steps
 
 
 class DimensionBound(NamedTuple):
@@ -347,7 +348,7 @@ def dim_lower_bound(
     if not report.feasible:
         return DimensionBound(0.0, math.inf, math.inf, False, report)
     k = _deficit(report.condition2_lhs, report.condition2_rhs, delta)
-    deficit = k * math.exp(alpha.log) / abs(math.log(contraction.beta_max()))
+    deficit = _deficits(k, contraction, alpha.log)[0]
     value = max(contraction.n - deficit, 0.0)
     return DimensionBound(value, deficit, k, value > 0.0, report)
 
@@ -386,7 +387,8 @@ def pattern_dim_bound(
             pattern_count, 0.0, 0.0, math.inf, False, 0.0, report
         )
     k_m = _deficit(report.condition2_lhs, report.condition2_rhs, delta)
-    stated, combined = _bounds(alpha.log, report.combined_alpha_log, contraction, k_m)
+    stated, combined = (contraction.n - d for d in
+                        _deficits(k_m, contraction, alpha.log, report.combined_alpha_log))
     log_bmax = abs(math.log(contraction.beta_max()))
     cap_log = math.log(min(delta * delta, contraction.n * log_bmax / k_m))
     strengthened = report.condition1_lhs_log <= cap_log + _condition1_gap(contraction, c)

@@ -174,9 +174,13 @@ class Config:
             raise ConfigError(key, f"must be positive, got {value}")
         return value
 
-    def get_int_list(self, key: str, default: object = _REQUIRED) -> tuple[int, ...]:
-        return self._typed(key, default, lambda x: tuple(int(part) for part in x.split(",")),
-                           "comma-separated integers")
+    def get_int_list(self, key: str, default: object = _REQUIRED, *,
+                     lo: int | None = None) -> tuple[int, ...]:
+        value = self._typed(key, default, lambda x: tuple(int(part) for part in x.split(",")),
+                            "comma-separated integers")
+        if value is not None and lo is not None and min(value) < lo:
+            raise ConfigError(key, f"every entry must be >= {lo}, got {min(value)}")
+        return value
 
     def get_points(self, key: str, default: object = _REQUIRED) -> tuple[tuple[Fraction, Fraction], ...]:
         """'x,y; x,y; ...' with exact rational coordinates."""
@@ -610,8 +614,8 @@ def _cmd_simulate(cfg: Config, out: Path, trace: bool,
 
 
 def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
-    from .families import RcdSpec
     from .gamesim import (  # the projection, half-shrink and budget checks load numpy
+        MAX_TRANSFER_SAMPLES,
         child_cover_grid,
         potential_transfer_bound,
         tuple_overlap_bound,
@@ -625,7 +629,7 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
     lines = [f"schema = gamecert.verify.v1", f"check = {check}"]
     ok = True
     if check == "projection":
-        us = cfg.get_int_list("verify.u")
+        us = cfg.get_int_list("verify.u", lo=2)
         block = cfg.get_int("verify.block", lo=1)
         k = cfg.get_int("verify.k", 0, lo=0)
         radius = cfg.get_int("verify.radius", 50, lo=1)
@@ -643,7 +647,7 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
             lines.append(f"witness = {audit.witness}")
         ok = audit.passed
     elif check == "half-shrink":
-        us = cfg.get_int_list("verify.u")
+        us = cfg.get_int_list("verify.u", lo=2)
         block = cfg.get_int("verify.block", lo=1)
         level = cfg.get_int("verify.level", lo=2)
         radius = cfg.get_int("verify.radius", 50, lo=1)
@@ -657,6 +661,8 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
                   f"checked = {audit.checked}", f"failures = {audit.failures}"]
         ok = audit.passed
     elif check == "budget":
+        from .families import RcdSpec
+
         params = _read_generate(cfg, default_depth=2)
         family = params[0]
         c = cfg.get_float("game.c", lo=0.0, hi=1.0, open_ends=True)
@@ -679,7 +685,7 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
         lines.append(f"worst_hits = {audit.worst_hits}")
         ok = audit.all_legal
     elif check == "child-grid":
-        us = cfg.get_int_list("verify.u")
+        us = cfg.get_int_list("verify.u", lo=2)
         block = cfg.get_int("verify.block", lo=1)
         parent = cfg.get_int_list("verify.parent", tuple(0 for _ in us))
         k = cfg.get_int("verify.k", 0, lo=0)
@@ -696,7 +702,7 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
         ok = (report.matches_enumeration and report.all_inside_half_parent
               and report.count >= report.floor_product)
     elif check == "overlap":
-        us = cfg.get_int_list("verify.u")
+        us = cfg.get_int_list("verify.u", lo=2)
         level = cfg.get_int("verify.level", lo=1)
         exponent = cfg.get_int("verify.exponent", lo=1)
         center = cfg.get_points("verify.center", ((Fraction(0), Fraction(0)),))[0]
@@ -710,7 +716,7 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
                   f"dominated = {_fmt(report.ok)}"]
         ok = report.ok
     else:  # transfer
-        samples = cfg.get_int("verify.samples", 1000, lo=1)
+        samples = cfg.get_int("verify.samples", 1000, lo=1, hi=MAX_TRANSFER_SAMPLES)
         seed = cfg.get_int("verify.seed", 0)
         finish()
         rnd = random.Random(seed)
@@ -742,7 +748,12 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
 
 def _cmd_verify(cfg: Config, out: Path, trace: bool,
                 finish: Callable[[], None]) -> int:
-    text, ok = _verify_report(cfg, finish)
+    from .gamesim import OracleSizeError
+
+    try:
+        text, ok = _verify_report(cfg, finish)
+    except OracleSizeError as exc:
+        raise ConfigError(f"verify.{exc.arg}", str(exc)) from None
     _write(out, "report.txt", text)
     print("all checks passed" if ok else "counterexample found (see report)")
     return 0 if ok else 2

@@ -44,8 +44,8 @@ numerators, int64 where they fit):
 
 Their `entries` and `boxes` are read-only views that build a RectEntry or a
 Fraction BoxRegion only when an item is read; they compare, hash and print
-like the list and tuple of those items.  The budget audit, the game, the
-CSV and raster writers and the pattern scan read the numerators.  A set
+like the list and tuple of those items.  The CSV and raster writers and
+two kernels, _reach and _grid_hits, read the numerators.  A set
 built by hand from entries derives its lattice once and reads its entries
 back from it, so a float coordinate comes back as the equal exact
 Fraction; a level built by hand keeps its boxes as given.  No generator
@@ -437,6 +437,8 @@ def _on_one_lattice(
         top = max(-int(centers.min(initial=0)), int(centers.max(initial=0)),
                   int(halves.max(initial=0)))
         if top * scale < _INT64_SAFE and all(abs(x) < _INT64_SAFE for x in nums):
+            if scale == 1:  # read-only views of the stored columns
+                return centers, halves, nums
             return centers * scale, halves * scale, nums
     centers, halves = (np.array(col, dtype=object) * scale for col in columns)
     return centers, halves, nums
@@ -461,6 +463,44 @@ def _cover_counts(
     for axis in range(len(shape)):
         np.cumsum(diff, axis=axis, out=diff)
     return diff[(slice(0, -1),) * len(shape)]
+
+
+def _reach(lattice: Sequence[AxisLattice], point: Sequence[Fraction | int],
+           reach: Sequence[Fraction | int], strict: bool = False) -> np.ndarray:
+    """Mask of the boxes within reach[j] of `point` on every axis j:
+    |center_j - point_j| <= half_j + reach[j], or < when strict, compared
+    exactly over one denominator per axis."""
+    mask = True
+    for axis, x, r in zip(lattice, point, reach):
+        centers, halves, (x, r) = _on_one_lattice(axis, (x, r))
+        gap, bound = abs(centers - x), halves + r if r else halves
+        mask = mask & (gap < bound if strict else gap <= bound)
+    return mask
+
+
+def _grid_hits(lattice: Sequence[AxisLattice], origin: Sequence[Fraction | int],
+               step: Sequence[Fraction | int], reach: Sequence[Fraction | int],
+               lo: Sequence[int], hi: Sequence[int], strict: bool = False) -> np.ndarray:
+    """For each point origin + i step (step > 0) of the grid lo <= i <= hi,
+    how many boxes reach it as _reach tells: an int64 array of shape
+    hi - lo + 1.  Per axis, all over one denominator, the indices each box
+    reaches run from one floor division to another (on integers a strict
+    bound is the closed one less 1), and _cover_counts adds up the ranges."""
+    import numpy as np
+
+    inside, firsts, lasts = True, [], []
+    for axis, o, s, r, a, b in zip(lattice, origin, step, reach, lo, hi):
+        centers, halves, (o, s, r) = _on_one_lattice(axis, (o, s, r))
+        width = halves + (r - strict) if r != strict else halves
+        near = centers - o if o else centers
+        first = np.maximum(-((width - near) // s), a)   # |i s - near| <= width
+        last = np.minimum((near + width) // s, b)
+        inside = inside & (first <= last)
+        firsts.append(first)
+        lasts.append(last)
+    return _cover_counts(tuple(b - a + 1 for a, b in zip(lo, hi)),
+                         [(f[inside] - a).astype(np.intp) for f, a in zip(firsts, lo)],
+                         [(f[inside] - (a - 1)).astype(np.intp) for f, a in zip(lasts, lo)])
 
 
 def _to_floats(den: int, nums: Sequence[int]) -> np.ndarray:

@@ -19,11 +19,14 @@ The remaining oracles realize the counting facts the dimension argument
 rests on: the symmetric grid of coarse children inside a half-shrunk cell,
 the volume bound on how many fine coarse-grid cells one deleted box can
 touch, the min-term transfer inequality, and the per-level deletion-budget
-audit for materialized covering strategies.
+audit for materialized covering strategies.  Each oracle works out the
+size of its largest table, enumeration or exact power from its inputs and,
+past the limit stated next to MAX_AUDIT_CELLS, raises OverflowError before
+it builds anything.
 
 numpy is imported by the functions that use it (the projection and
-half-shrink sweeps, the game and the budget audit), so the scalar oracles
-run without loading it.
+half-shrink sweeps), and families' kernels _reach and _grid_hits by the
+game and the budget audit; so the scalar oracles load neither.
 """
 from __future__ import annotations
 
@@ -33,10 +36,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .core import BoxRegion, DiagonalContraction, LogScalar, Record
-from .families import CoveringStrategy, StrategyLevel, _cover_counts, _on_one_lattice
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .families import CoveringStrategy
 
 __all__ = [
     "Lattice",
@@ -65,6 +69,7 @@ __all__ = [
     "BudgetLevelReport",
     "BudgetAudit",
     "verify_covering_budget",
+    "OracleSizeError",
 ]
 
 BUDGET_TOL = 1e-12          # log-domain slack when auditing budget legality
@@ -72,16 +77,41 @@ BUDGET_TOL = 1e-12          # log-domain slack when auditing budget legality
 # Largest difference array, in int64 cells, that one budget audit level may
 # build: 512 MiB.  A depth-5 RCO(4,5,2,1) level at extent 1 needs 4102 x 12506.
 MAX_AUDIT_CELLS = 2 ** 26
+# Most int64 cells the projection and half-shrink sweeps may build, summed
+# over the axes: 32 MiB, of which a projection table holds a few copies at
+# once.  The widest Tier-1 sweep, u = 12 at N = 3 and radius 50, has
+# 101 x 575 cells.
+MAX_SWEEP_CELLS = 2 ** 22
+# Most candidate cells child_cover_grid enumerates, each tested in exact
+# Fractions at about 0.1 ms: u = 10,12 at N = 2 has 37 x 51.
+MAX_GRID_CELLS = 2 ** 14
+# Most bits of the powers u_j^e that one exponent of an oracle makes,
+# summed over the axes: the overlap bound then prints in under 2,500
+# digits, below Python's 4,300-digit int-to-str limit.
+MAX_POWER_BITS = 2 ** 13
+# Most draws of the transfer check, at about 2 us each.
+MAX_TRANSFER_SAMPLES = 2 ** 18
 
 
-def _meets(box: BoxRegion, level: StrategyLevel) -> np.ndarray:
-    """Mask of the level's boxes that meet `box` (closed: touching counts),
-    exact, read from the level's lattice."""
-    mask = True
-    for j, axis in enumerate(level.lattice):
-        centers, halves, (center, half) = _on_one_lattice(axis, (box.center[j], box.half[j]))
-        mask = mask & (abs(centers - center) <= halves + half)
-    return mask
+class OracleSizeError(OverflowError):
+    """An oracle input whose table, enumeration or powers would pass their
+    limit, raised before any is built; `arg` names the input."""
+
+    def __init__(self, arg: str, value: int, size: int, what: str, limit: int) -> None:
+        super().__init__(f"{arg} = {value} needs {size} {what}, over the limit of {limit}")
+        self.arg = arg
+
+
+def _check_size(arg: str, value: int, size: int, what: str, limit: int) -> None:
+    if size > limit:
+        raise OracleSizeError(arg, value, size, what, limit)
+
+
+def _check_power_bits(arg: str, value: int, u: Sequence[int], exponent: int) -> None:
+    """Refuse powers u_j^exponent of more than MAX_POWER_BITS bits in all
+    (u_j^e has at most e bit_length(u_j) bits) before any is computed."""
+    bits = exponent * sum(uj.bit_length() for uj in u)
+    _check_size(arg, value, bits, "bits of powers", MAX_POWER_BITS)
 
 
 # ------------------------------------------------------------------ lattices
@@ -273,6 +303,11 @@ def verify_projection_return(
             raise ValueError("exhaustive sweep needs all ratio denominators >= 6")
     if block < 1 or k < 0 or radius < 0:
         raise ValueError("block >= 1, k >= 0, radius >= 0 required")
+    _check_power_bits("block", block, u, block)
+    offsets = sum(2 * ((uj ** block - 2) // 6) + 1 for uj in u)
+    # the radius is at fault where the table fits at the default radius, 50
+    arg, value = ("radius", radius) if 101 * offsets <= MAX_SWEEP_CELLS else ("block", block)
+    _check_size(arg, value, offsets * (2 * radius + 1), "table cells", MAX_SWEEP_CELLS)
     tables = [_axis_table(uj, block, k, radius) for uj in u]
     checked = math.prod(t.window.size for t in tables)
     O = [int(t.nearest_ok.sum()) for t in tables]             # nearest on target
@@ -329,6 +364,7 @@ def verify_half_shrink(
         raise ValueError(
             "half-shrink containment is only claimed off the coarse levels"
         )
+    _check_size("radius", radius, len(u) * (2 * radius + 1), "sweep cells", MAX_SWEEP_CELLS)
     checked = 1
     failures = 0
     witness = None
@@ -480,6 +516,8 @@ def play_game(
     degrades to a recorded skip.  Strategy levels flagged as preamble are
     granted before move 1 (recorded without a budget charge).
     """
+    from .families import _reach
+
     if depth < 1:
         raise ValueError("depth must be >= 1")
     params = strategy.params
@@ -516,13 +554,14 @@ def play_game(
             mass_log = c * level.exponent * log_det
             deletions = [
                 DeletionRecord(m, level.exponent, level.boxes[i], mass_log)
-                for i in _meets(box, level).nonzero()[0]
+                for i in _reach(level.lattice, box.center, box.half).nonzero()[0]
             ]
         if deletions:
-            spent = LogScalar.sum(LogScalar(d.mass_log) for d in deletions)
-            if spent.log <= cap_log + BUDGET_TOL:
+            # k equal masses: LogScalar.sum's accumulator is exactly k
+            spent_log = mass_log + math.log(len(deletions))
+            if spent_log <= cap_log + BUDGET_TOL:
                 moves.append(
-                    MoveRecord(m, box, tuple(deletions), spent.log, cap_log, False)
+                    MoveRecord(m, box, tuple(deletions), spent_log, cap_log, False)
                 )
             else:
                 moves.append(MoveRecord(m, box, (), -math.inf, cap_log, True))
@@ -647,6 +686,10 @@ def child_cover_grid(
     """
     if block < 1 or k < 0:
         raise ValueError("block >= 1 and k >= 0 required")
+    _check_power_bits("block", block, u, block)
+    cells = math.prod(2 * ((uj ** block - 2) // 6) + 5 for uj in u)
+    _check_size("block", block, cells, "candidate cells", MAX_GRID_CELLS)
+    _check_power_bits("k", k, u, (k + 1) * block + 1)
     rho = Fraction(rho)
     contraction = DiagonalContraction.from_denominators([int(uj) for uj in u])
     coarse_level = k * block + 1
@@ -695,6 +738,8 @@ def tuple_overlap_bound(
 ) -> OverlapReport:
     if exponent < 1 or fine_level < 1:
         raise ValueError("exponent and fine level must be >= 1")
+    _check_power_bits("level", fine_level, u, fine_level)
+    _check_power_bits("exponent", exponent, u, exponent)
     rho = Fraction(rho)
     count = 1
     bound = Fraction(4) ** len(u)
@@ -768,17 +813,15 @@ def verify_covering_budget(
     box intersects, and compares the worst summed mass against
     (a_k prod beta^k)^c.
 
-    Counting is exact and linear.  Each level carries its boxes as integer
-    numerators (StrategyLevel.lattice); per axis they, the spacing and the
-    test half-width are put over one denominator, so the test-center index
-    range each box meets is one floor division per bound, for all boxes at
-    once.
-    The ranges' corners are scattered into a difference array, whose
-    prefix sums are the hit counts.  Before any level is counted, a level
-    whose difference array would exceed MAX_AUDIT_CELLS cells raises
-    OverflowError.
+    Counting is exact and linear: families._grid_hits counts, from the
+    level's integer numerators (StrategyLevel.lattice), the boxes within
+    the test half-width of every test center at once.  Before any level is
+    counted, a level whose difference array would exceed MAX_AUDIT_CELLS
+    cells raises OverflowError.
     """
     import numpy as np
+
+    from .families import _grid_hits
 
     params = strategy.params
     contraction = params.contraction
@@ -824,23 +867,9 @@ def verify_covering_budget(
                 -math.inf, cap_log, True,
             ))
             continue
-        count = len(lvl.boxes)
-        shape = tuple(2 * m + 1 for m in max_index)
-        inside = np.ones(count, dtype=bool)
-        lows, highs = [], []
-        for j in range(n):
-            bc, halves, (sp, th) = _on_one_lattice(lvl.lattice[j], (spacing[j], test_half[j]))
-            reach = th + halves
-            # test centers i * sp with |i * sp - bc| <= reach
-            i_lo = np.maximum(-((reach - bc) // sp), -max_index[j])
-            i_hi = np.minimum((bc + reach) // sp, max_index[j])
-            inside &= i_lo <= i_hi
-            lows.append(i_lo)
-            highs.append(i_hi)
-        # each box adds 1 on the grid cells [start, stop) of its index ranges
-        starts = [(a[inside] + m).astype(np.intp) for a, m in zip(lows, max_index)]
-        stops = [(a[inside] + m + 1).astype(np.intp) for a, m in zip(highs, max_index)]
-        hits = _cover_counts(shape, starts, stops)
+        # test centers i * spacing, |i_j| <= max_index[j]
+        hits = _grid_hits(lvl.lattice, (0,) * n, spacing, test_half,
+                          [-m for m in max_index], max_index)
         worst = int(hits.max())
         where = np.unravel_index(int(hits.argmax()), hits.shape)
         worst_center = tuple(
@@ -851,7 +880,7 @@ def verify_covering_budget(
         legal = spent_log <= cap_log + BUDGET_TOL
         reports.append(BudgetLevelReport(
             k, lvl.exponent, lvl.preamble,
-            int(np.prod(shape)), count,
+            hits.size, len(lvl.boxes),
             worst, worst_center, spent_log, cap_log, legal,
         ))
     return BudgetAudit(tuple(reports))

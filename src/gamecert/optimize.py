@@ -51,6 +51,7 @@ from .certify import (
     _condition1_lhs_log,
     _condition1_rhs_log,
     _condition2_holds,
+    _deficits,
     _pack_constant,
     _require_feasibility_inputs,
     deficit_constant,
@@ -280,14 +281,8 @@ def _tail_count(alpha: LogScalar, contraction: DiagonalContraction, c: float, de
 
 
 def _c_grid(config: SearchConfig) -> tuple[float, ...]:
-    ratio = (config.c_s_hi / config.c_s_lo) ** (1.0 / (config.c_count - 1))
-    values = []
-    for i in range(config.c_count):
-        s = config.c_s_lo * ratio ** i
-        c = 1.0 - s
-        if 0.0 < c < 1.0:
-            values.append(c)
-    return tuple(sorted(set(values)))
+    s_values = _geom(config.c_s_lo, config.c_s_hi, config.c_count)
+    return tuple(sorted({1.0 - s for s in s_values if 0.0 < 1.0 - s < 1.0}))
 
 
 def _t_grid(config: SearchConfig) -> tuple[float, ...]:
@@ -409,7 +404,7 @@ def _dim_ceiling(alpha: LogScalar, contraction: DiagonalContraction, c: float,
     if low > witness:
         return -math.inf
     k_lo = deficit_constant(contraction, max(low, minimizer), 1 << 63) * (1.0 - 2.0 ** -30)
-    return contraction.n - k_lo * math.exp(alpha.log) / abs(math.log(contraction.beta_max()))
+    return contraction.n - _deficits(k_lo, contraction, alpha.log)[0]
 
 
 class _Point(NamedTuple):

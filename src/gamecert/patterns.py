@@ -4,10 +4,10 @@ Membership at finite depth is a necessary condition only — a candidate pair
 (x, lambda) passing depth k means every pattern point lambda*b + x lies in
 the kept region of the depth-k approximation ("depth-k consistent"), nothing
 more.  Checks are exact: box coordinates, scales, and translations are
-rationals, and the grid scan works on integer index ranges per axis,
-computed for all boxes at once from the member's integer numerators
-(RectangleSet.lattice_of), so no candidate is lost or spuriously admitted
-to rounding.
+rationals, and the member's integer numerators (RectangleSet.lattice_of)
+are read by the kernels of families, so no candidate is lost or spuriously
+admitted to rounding: the grid scan counts by _grid_hits' floor divisions,
+and the per-level checker that re-verifies it compares by _reach directly.
 
 The kept region at depth k is, for cut-out members, the root box minus the
 open interiors of all cuts at levels 1..k; for corner-digit members, the
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .core import BoxRegion, Record
-from .families import RectangleSet, _cover_counts, _LazyRows, _on_one_lattice
+from .families import RectangleSet, _grid_hits, _LazyRows, _reach
 
 __all__ = [
     "PatternQuery",
@@ -98,12 +98,7 @@ def _holds(point: Sequence[Fraction], rect: RectangleSet, kind: str, level: int,
            strict: bool) -> bool:
     """Whether a `kind` box of `level` holds the point: in its open interior
     when strict, else in the closed box."""
-    inside = np.ones(1, dtype=bool)
-    for axis, x in zip(rect.lattice_of(kind, [level]), point):
-        centers, halves, (num,) = _on_one_lattice(axis, (x,))
-        gap = abs(centers - num)
-        inside = inside & (gap < halves if strict else gap <= halves)
-    return bool(inside.any())
+    return bool(_reach(rect.lattice_of(kind, [level]), point, (0, 0), strict).any())
 
 
 def _kept_at_level(point: tuple[Fraction, Fraction], rect: RectangleSet,
@@ -256,23 +251,9 @@ def _scan_one_scale(
         boxes, strict = rect.lattice_of("comp", [query.depth]), False
     if query.depth >= 1:
         for p in query.points:
-            starts, stops = [], []
-            for j, axis in enumerate(boxes):
-                # box j-range minus lam * p_j, in steps of res, on one lattice
-                centers, halves, (shift, step) = _on_one_lattice(axis, (lam * p[j], res))
-                lo, hi = centers - halves - shift, centers + halves - shift
-                if strict:  # i * res > lo and i * res < hi
-                    first, last = lo // step + 1, -(-hi // step) - 1
-                else:
-                    first, last = -(-lo // step), hi // step
-                starts.append(np.maximum(first, lo_idx[j]) - lo_idx[j])
-                stops.append(np.minimum(last, hi_idx[j]) - lo_idx[j] + 1)
-            some = (starts[0] < stops[0]) & (starts[1] < stops[1])
-            hits = _cover_counts(
-                shape,
-                [a[some].astype(np.intp) for a in starts],
-                [b[some].astype(np.intp) for b in stops],
-            ) > 0
+            # the boxes holding the placed point lam * p + i * res
+            hits = _grid_hits(boxes, [lam * x for x in p], (res, res), (0, 0),
+                              lo_idx, hi_idx, strict) > 0
             acc &= ~hits if strict else hits
 
     # one Fraction per grid translation, shared by the candidates on it

@@ -1,7 +1,11 @@
 """Certifier oracle tests: frozen hand-derived values plus invariants."""
 from __future__ import annotations
 
+import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -443,3 +447,18 @@ def test_a_certificate_takes_one_floor_and_one_condition_2(kind, monkeypatch):
         monkeypatch.setattr(certify, name, counted)
     assert BUILDERS[kind](1.0).fields["feasible"] is True
     assert calls == {"safe_floor_ratio": 1, "condition2_parts": 1}
+
+
+def test_certify_dump_is_deterministic(tmp_path):
+    # the manifest holds the sha256 of every file the small dump writes: the
+    # raw certify draws of 10 benchmark seeds, each with its certificate,
+    # verdicts and exit codes; any byte change of a certificate fails here
+    here = Path(__file__).resolve().parent
+    subprocess.run([sys.executable, str(here.parent / "scripts" / "certify_dump.py"),
+                    str(tmp_path), "--small"], check=True, capture_output=True)
+    lines = (here / "data" / "certify_dump_small.sha256").read_text().splitlines()
+    manifest = {name: digest for digest, name in (line.split("  ") for line in lines)}
+    assert len(manifest) == 10
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(manifest)
+    for name, digest in manifest.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

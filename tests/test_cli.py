@@ -525,6 +525,49 @@ def test_malformed_configs_exit_1_with_field_path(tmp_path, capsys, body, needle
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("body", [
+    "verify.check = child-grid\nverify.u = 0\nverify.block = 1\n",
+    "verify.check = child-grid\nverify.u = 1\nverify.block = 1\n",
+    "verify.check = overlap\nverify.u = 0,1\nverify.level = 1\nverify.exponent = 1\n",
+    # u = 1 is no contraction, so a failed containment is no counterexample
+    "verify.check = half-shrink\nverify.u = 1\nverify.block = 3\nverify.level = 2\n",
+])
+def test_verify_refuses_ratios_below_2(tmp_path, capsys, body):
+    cfg = write_cfg(tmp_path, "cfg", "command = verify\n" + body)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "verify.u: every entry must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body,key", [
+    ("projection\nverify.u = 10\nverify.block = 3\nverify.radius = 10000000", "verify.radius"),
+    ("projection\nverify.u = 10\nverify.block = 3\nverify.radius = 100000", "verify.radius"),
+    ("projection\nverify.u = 10\nverify.block = 7", "verify.block"),
+    ("half-shrink\nverify.u = 10\nverify.block = 3\nverify.level = 2\n"
+     "verify.radius = 100000000000", "verify.radius"),
+    ("child-grid\nverify.u = 10,10\nverify.block = 3", "verify.block"),
+    ("child-grid\nverify.u = 10\nverify.block = 7", "verify.block"),
+    ("child-grid\nverify.u = 10\nverify.block = 30", "verify.block"),
+    ("child-grid\nverify.u = 10\nverify.block = 1\nverify.k = 100000000", "verify.k"),
+    ("overlap\nverify.u = 10,10\nverify.level = 4000\nverify.exponent = 1", "verify.level"),
+    ("overlap\nverify.u = 10,10\nverify.level = 100000000\nverify.exponent = 1",
+     "verify.level"),
+    ("overlap\nverify.u = 10,10\nverify.level = 1\nverify.exponent = 100000000",
+     "verify.exponent"),
+    ("transfer\nverify.samples = 10000000", "verify.samples"),
+])
+def test_verify_refuses_oversized_inputs_before_work(tmp_path, capsys, body, key):
+    # each would crash, exhaust memory or run for seconds to minutes
+    cfg = write_cfg(tmp_path, "cfg", f"command = verify\nverify.check = {body}\n")
+    start = time.perf_counter()
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {key}: "), err
+    assert "over the limit of" in err or "must be <= 262144" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_ratio_past_the_float_range_is_a_config_error():
     huge = "1" + "0" * 400 + "/1"
     with pytest.raises(ConfigError, match="game.c: expected a number"):
@@ -771,18 +814,28 @@ def test_verify_imports_numpy_only_for_the_checks_that_use_it(tmp_path):
     transfer = "command = verify\nverify.check = transfer\nverify.samples = 200\nverify.seed = 7\n"
     overlap = "command = verify\nverify.check = overlap\nverify.u = 4,5\nverify.level = 2\n" \
               "verify.exponent = 3\n"
-    for name, body in (("transfer", transfer), ("overlap", overlap)):
+    child_grid = "command = verify\nverify.check = child-grid\nverify.u = 10,12\nverify.block = 2\n"
+    for name, body in (("transfer", transfer), ("overlap", overlap), ("child-grid", child_grid)):
         loaded = _imported_modules(tmp_path, name, body)
-        assert "gamecert" in loaded and "numpy" not in loaded, name
+        assert "gamecert.gamesim" in loaded and "numpy" not in loaded, name
         # the records are NamedTuples and core.Records, built without dataclasses
         assert not {"dataclasses", "inspect"} & (loaded - bare), name
+        # only the budget audit and the game read strategy geometry
+        assert "gamecert.families" not in loaded, name
+    for name, body in (
+        ("projection", "command = verify\nverify.check = projection\nverify.u = 10\n"
+                       "verify.block = 1\nverify.radius = 15\n"),
+        ("half-shrink", "command = verify\nverify.check = half-shrink\nverify.u = 10\n"
+                        "verify.block = 3\nverify.level = 2\n"),
+    ):
+        loaded = _imported_modules(tmp_path, name, body)
+        assert {"numpy", "gamecert.gamesim"} <= loaded, name
+        assert not {"gamecert.families", "dataclasses"} & loaded, name
     game = ("family.kind = rco\nfamily.u = 4\nfamily.v = 5\nfamily.m = 2\nfamily.t = 1\n"
             "game.c = 0.5\n")
     for name, body in (
         ("simulate", "command = simulate\n" + game + "simulate.moves = 3\n"
                      "simulate.target = 7/8, 9/10\n"),
-        ("projection", "command = verify\nverify.check = projection\nverify.u = 10\n"
-                       "verify.block = 1\nverify.radius = 15\n"),
         ("find-pattern", "command = find-pattern\nfamily.kind = rcd\nfamily.u = 7\n"
                          "family.v = 4\ngenerate.depth = 2\npattern.points = 0,0; 2,0\n"
                          "pattern.lambda_lo = 1/49\n"),

@@ -1,6 +1,7 @@
 """Family geometry and budget-rate formulas against independently derived values."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
@@ -1178,10 +1179,50 @@ def test_rectangle_set_leaves_its_argument_untouched():
 
 
 def test_geometry_dump_is_deterministic(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "geometry_dump.py"
-    for name in ("a", "b"):
-        subprocess.run([sys.executable, str(script), str(tmp_path / name), "--small"], check=True)
-    files = sorted(p.name for p in (tmp_path / "a").iterdir())
-    assert len(files) > 20 and files == sorted(p.name for p in (tmp_path / "b").iterdir())
-    for name in files:
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    # the manifest holds the sha256 of every file the small dump writes:
+    # CSVs, rasters, strategies, audits, transcripts, candidates and oracle
+    # reports; any byte change of a geometry output fails here
+    here = Path(__file__).resolve().parent
+    subprocess.run([sys.executable, str(here.parent / "scripts" / "geometry_dump.py"),
+                    str(tmp_path), "--small"], check=True)
+    lines = (here / "data" / "geometry_dump_small.sha256").read_text().splitlines()
+    manifest = {name: digest for digest, name in (line.split("  ") for line in lines)}
+    assert len(manifest) == 42
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(manifest)
+    for name, digest in manifest.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_grid_hits_count_the_boxes_reach_finds(data):
+    # two algorithms on one question: floor divisions over a grid, and
+    # direct comparisons at each of its points, both against Fractions
+    n = data.draw(st.integers(1, 2))
+    den = data.draw(st.sampled_from([1, 7, 2 ** 70 + 1]))  # 2^70 + 1: the object path
+
+    def rationals(lo, hi, base, off=-3):
+        return st.builds(lambda a, b: Fraction(a, base) + Fraction(b, den),
+                         st.integers(lo, hi), st.integers(off, 3))
+
+    box = st.builds(BoxRegion, st.tuples(*[rationals(-16, 16, 8)] * n),
+                    st.tuples(*[rationals(1, 8, 8, 0)] * n))
+    boxes = data.draw(st.lists(box, min_size=1, max_size=6))
+    origin = data.draw(st.tuples(*[st.integers(-16, 16).map(lambda a: Fraction(a, 16))] * n))
+    step = data.draw(st.tuples(*[st.integers(1, 8).map(lambda a: Fraction(a, 8))] * n))
+    reach = data.draw(st.tuples(*[st.integers(0, 4).map(lambda a: Fraction(a, 16))] * n))
+    lo = data.draw(st.lists(st.integers(-8, 0), min_size=n, max_size=n))
+    hi = [a + data.draw(st.integers(0, 8)) for a in lo]
+    strict = data.draw(st.booleans())
+
+    lattice = families._derived_lattice(boxes)
+    hits = families._grid_hits(lattice, origin, step, reach, lo, hi, strict)
+    assert hits.shape == tuple(b - a + 1 for a, b in zip(lo, hi))
+    for index in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        point = tuple(o + i * s for o, i, s in zip(origin, index, step))
+        mask = families._reach(lattice, point, reach, strict)
+        want = [all(abs(b.center[j] - point[j]) < b.half[j] + reach[j] if strict
+                    else abs(b.center[j] - point[j]) <= b.half[j] + reach[j]
+                    for j in range(n)) for b in boxes]
+        assert mask.tolist() == want, point
+        assert hits[tuple(i - a for i, a in zip(index, lo))] == sum(want), point

@@ -19,7 +19,7 @@ from gamecert.families import (
     rco_alpha,
 )
 from gamecert.core import GameParameters
-from gamecert import gamesim
+from gamecert import families, gamesim
 from gamecert.gamesim import (
     BUDGET_TOL,
     MAX_AUDIT_CELLS,
@@ -519,7 +519,7 @@ def test_budget_audit_bounds_its_grid_before_allocating(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("allocated before checking the grid size")
 
-    monkeypatch.setattr(gamesim, "_on_one_lattice", no_allocation)
+    monkeypatch.setattr(families, "_on_one_lattice", no_allocation)
     monkeypatch.setattr(np, "zeros", no_allocation)
     monkeypatch.setattr(gamesim, "MAX_AUDIT_CELLS", cells - 1)
     with pytest.raises(OverflowError, match=f"level 1 at extent 2 needs a {cells}-cell"):
@@ -542,12 +542,17 @@ def test_play_game_deletions_match_brute_force(target):
     _assert_deletions_match(tr, strat)
 
 
-def _recording_lattice(monkeypatch):
-    """Patch gamesim's lattice helper to record the dtype of every result."""
-    import gamecert.gamesim as gamesim
+@pytest.mark.parametrize("mass_log", [-0.7, -13.862943611198906, -1e-300, -700.0])
+def test_a_move_charges_k_equal_masses_as_their_log_sum(mass_log):
+    # play_game charges a move's k deletions, all of one level, as mass + ln k
+    for k in (1, 2, 3, 7, 10, 1000, 4097):
+        assert mass_log + math.log(k) == LogScalar.sum([LogScalar(mass_log)] * k).log
 
+
+def _recording_lattice(monkeypatch):
+    """Patch the lattice helper to record the dtype of every result."""
     seen = []
-    real = gamesim._on_one_lattice
+    real = families._on_one_lattice
 
     def spy(axis, extras):
         centers, halves, nums = real(axis, extras)
@@ -555,7 +560,7 @@ def _recording_lattice(monkeypatch):
         seen.append(centers.dtype)
         return centers, halves, nums
 
-    monkeypatch.setattr(gamesim, "_on_one_lattice", spy)
+    monkeypatch.setattr(families, "_on_one_lattice", spy)
     return seen
 
 
