@@ -675,8 +675,6 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
             audit = verify_covering_budget(strategy, levels=levels, extent=extent)
         except ValueError as exc:
             raise ConfigError("verify.levels", str(exc)) from None
-        except OverflowError as exc:
-            raise ConfigError("verify.extent", str(exc)) from None
         for rep in audit.levels:
             lines.append(f"level.{rep.level}.boxes = {rep.strategy_boxes}")
             lines.append(f"level.{rep.level}.test_boxes = {rep.test_boxes}")

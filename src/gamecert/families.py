@@ -433,7 +433,7 @@ def _on_one_lattice(
     nums = [x.numerator * (den // x.denominator) for x in extras]
     columns = (axis.centers, axis.halves)
     if isinstance(axis.centers, array) and isinstance(axis.halves, array):
-        centers, halves = (np.frombuffer(col, dtype=np.int64) for col in columns)
+        centers, halves = (np.frombuffer(memoryview(c).toreadonly(), dtype=np.int64) for c in columns)
         top = max(-int(centers.min(initial=0)), int(centers.max(initial=0)),
                   int(halves.max(initial=0)))
         if top * scale < _INT64_SAFE and all(abs(x) < _INT64_SAFE for x in nums):

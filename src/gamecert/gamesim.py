@@ -21,8 +21,8 @@ the volume bound on how many fine coarse-grid cells one deleted box can
 touch, the min-term transfer inequality, and the per-level deletion-budget
 audit for materialized covering strategies.  Each oracle works out the
 size of its largest table, enumeration or exact power from its inputs and,
-past the limit stated next to MAX_AUDIT_CELLS, raises OverflowError before
-it builds anything.
+past the limit stated next to MAX_AUDIT_CELLS, raises OracleSizeError (an
+OverflowError naming the input at fault) before it builds anything.
 
 numpy is imported by the functions that use it (the projection and
 half-shrink sweeps), and families' kernels _reach and _grid_hits by the
@@ -94,17 +94,17 @@ MAX_TRANSFER_SAMPLES = 2 ** 18
 
 
 class OracleSizeError(OverflowError):
-    """An oracle input whose table, enumeration or powers would pass their
-    limit, raised before any is built; `arg` names the input."""
+    """An oracle input whose table, enumeration, powers or audit grid would
+    pass their limit, raised before any is built; `arg` names the input."""
 
-    def __init__(self, arg: str, value: int, size: int, what: str, limit: int) -> None:
-        super().__init__(f"{arg} = {value} needs {size} {what}, over the limit of {limit}")
+    def __init__(self, arg: str, message: str) -> None:
+        super().__init__(message)
         self.arg = arg
 
 
 def _check_size(arg: str, value: int, size: int, what: str, limit: int) -> None:
     if size > limit:
-        raise OracleSizeError(arg, value, size, what, limit)
+        raise OracleSizeError(arg, f"{arg} = {value} needs {size} {what}, over the limit of {limit}")
 
 
 def _check_power_bits(arg: str, value: int, u: Sequence[int], exponent: int) -> None:
@@ -305,8 +305,8 @@ def verify_projection_return(
         raise ValueError("block >= 1, k >= 0, radius >= 0 required")
     _check_power_bits("block", block, u, block)
     offsets = sum(2 * ((uj ** block - 2) // 6) + 1 for uj in u)
-    # the radius is at fault where the table fits at the default radius, 50
-    arg, value = ("radius", radius) if 101 * offsets <= MAX_SWEEP_CELLS else ("block", block)
+    # the block is at fault where the table would not fit even at radius 1
+    arg, value = ("block", block) if 3 * offsets > MAX_SWEEP_CELLS else ("radius", radius)
     _check_size(arg, value, offsets * (2 * radius + 1), "table cells", MAX_SWEEP_CELLS)
     tables = [_axis_table(uj, block, k, radius) for uj in u]
     checked = math.prod(t.window.size for t in tables)
@@ -817,7 +817,7 @@ def verify_covering_budget(
     level's integer numerators (StrategyLevel.lattice), the boxes within
     the test half-width of every test center at once.  Before any level is
     counted, a level whose difference array would exceed MAX_AUDIT_CELLS
-    cells raises OverflowError.
+    cells raises OracleSizeError naming `extent`.
     """
     import numpy as np
 
@@ -853,8 +853,8 @@ def verify_covering_budget(
         max_index = [int((extent + test_half[j]) / spacing[j]) for j in range(n)]
         cells = math.prod(2 * m + 2 for m in max_index)
         if lvl.boxes and cells > MAX_AUDIT_CELLS:
-            raise OverflowError(
-                f"level {lvl.level} at extent {extent} needs a {cells}-cell "
+            raise OracleSizeError(
+                "extent", f"level {lvl.level} at extent {extent} needs a {cells}-cell "
                 f"audit grid, over the limit of {MAX_AUDIT_CELLS}"
             )
         grids.append((lvl, test_half, spacing, max_index))

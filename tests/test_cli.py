@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gamecert
-from gamecert import optimize
+from gamecert import gamesim, optimize
 from gamecert.cli import Config, ConfigError, main
 from gamecert.families import RcdSpec, RcoSpec
 
@@ -556,12 +556,16 @@ def test_verify_refuses_ratios_below_2(tmp_path, capsys, body):
      "verify.exponent"),
     ("transfer\nverify.samples = 10000000", "verify.samples"),
 ])
-def test_verify_refuses_oversized_inputs_before_work(tmp_path, capsys, body, key):
-    # each would crash, exhaust memory or run for seconds to minutes
+def test_verify_refuses_oversized_inputs_before_work(tmp_path, capsys, monkeypatch, body, key):
+    # each would crash, exhaust memory or run for seconds to minutes; the
+    # first step of each check's work raises, so a refusal comes before it
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work before checking the input size")
+
+    for name in ("_axis_table", "_rhd_array", "Lattice", "Fraction", "potential_transfer_bound"):
+        monkeypatch.setattr(gamesim, name, no_work)
     cfg = write_cfg(tmp_path, "cfg", f"command = verify\nverify.check = {body}\n")
-    start = time.perf_counter()
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith(f"error: config: {key}: "), err
     assert "over the limit of" in err or "must be <= 262144" in err, err
