@@ -30,7 +30,7 @@ from .certify import (
     intersect_certificate,
     pattern_certificate,
 )
-from .core import DiagonalContraction, LogScalar
+from .core import DiagonalContraction, LogScalar, SizeError
 
 if TYPE_CHECKING:  # the commands import families and optimize where they use them
     from .families import RcdSpec, RcoSpec
@@ -522,30 +522,21 @@ def _build_rect(family, depth: int, placement: str, seed: int):
         if isinstance(family, RcoSpec):
             return generate_rco(family, depth, placement, seed)
         return generate_rcd(family, depth)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError("generate.depth", str(exc)) from None
 
 
-def _build_strategy(params: tuple, c: float, t: int | None, depth_key: str, error_key: str):
+def _build_strategy(params: tuple, c: float, t: int | None, error_key: str):
     """The covering strategy of the member that `params`, from
-    _read_generate, names.  Geometry over the size limit is a config error
-    naming game.t or `depth_key`; any other bad input names `error_key`."""
-    from .families import (
-        GeometrySizeError,
-        RcoSpec,
-        covering_strategy_for_rcd,
-        covering_strategy_for_rco,
-        generate_rco,
-    )
+    _read_generate, names; a bad input names `error_key`."""
+    from .families import RcoSpec, covering_strategy_for_rcd, covering_strategy_for_rco
 
-    family, depth, placement, seed = params
+    family, depth = params[:2]
     try:
         if isinstance(family, RcoSpec):
-            return covering_strategy_for_rco(generate_rco(family, depth, placement, seed), c)
+            return covering_strategy_for_rco(_build_rect(*params), c)
         return covering_strategy_for_rcd(family, c, t, depth)
-    except GeometrySizeError as exc:
-        raise ConfigError("game.t" if exc.arg == "t" else depth_key, str(exc)) from None
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(error_key, str(exc)) from None
 
 
@@ -560,10 +551,11 @@ def _cmd_generate(cfg: Config, out: Path, trace: bool,
     height = cfg.get_int("generate.height", 256, lo=8)
     finish()
     rect = _build_rect(*params)
+    raster = rect.to_pbm(width, height) if "pbm" in formats else None   # refused before any file
     if "csv" in formats:
         _write(out, "rectangles.csv", rect.to_csv())
-    if "pbm" in formats:
-        _write(out, "raster.pbm", rect.to_pbm(width, height))
+    if raster is not None:
+        _write(out, "raster.pbm", raster)
     print(f"generated {len(rect.entries)} boxes to level {rect.max_level()}")
     return 0
 
@@ -595,8 +587,7 @@ def _cmd_simulate(cfg: Config, out: Path, trace: bool,
     clamp = cfg.get_bool("simulate.clamp", True)
     preamble = cfg.get_bool("simulate.preamble", True)
     finish()
-    depth_key = "generate.depth" if cfg.has("generate.depth") else "simulate.moves"
-    strategy = _build_strategy(params, c, t, depth_key, "family")
+    strategy = _build_strategy(params, c, t, "family")
     try:
         transcript = play_game(policy, strategy, moves, radius=radius,
                                grant_preamble=preamble, clamp=clamp)
@@ -613,7 +604,8 @@ def _cmd_simulate(cfg: Config, out: Path, trace: bool,
     return 0
 
 
-def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
+def _cmd_verify(cfg: Config, out: Path, trace: bool,
+                finish: Callable[[], None]) -> int:
     from .gamesim import (  # the projection, half-shrink and budget checks load numpy
         MAX_TRANSFER_SAMPLES,
         child_cover_grid,
@@ -670,7 +662,7 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
         levels = cfg.get_int_list("verify.levels", None)
         extent = cfg.get_int("verify.extent", 1, lo=1)
         finish()
-        strategy = _build_strategy(params, c, t, "generate.depth", "verify")
+        strategy = _build_strategy(params, c, t, "verify")
         try:
             audit = verify_covering_budget(strategy, levels=levels, extent=extent)
         except ValueError as exc:
@@ -741,18 +733,7 @@ def _verify_report(cfg: Config, finish: Callable[[], None]) -> tuple[str, bool]:
             lines.append("witness = " + ",".join(_fmt(w) for w in witness))
         ok = failures == 0
     lines.append(f"status = {'pass' if ok else 'fail'}")
-    return "\n".join(lines) + "\n", ok
-
-
-def _cmd_verify(cfg: Config, out: Path, trace: bool,
-                finish: Callable[[], None]) -> int:
-    from .gamesim import OracleSizeError
-
-    try:
-        text, ok = _verify_report(cfg, finish)
-    except OracleSizeError as exc:
-        raise ConfigError(f"verify.{exc.arg}", str(exc)) from None
-    _write(out, "report.txt", text)
+    _write(out, "report.txt", "\n".join(lines) + "\n")
     print("all checks passed" if ok else "counterexample found (see report)")
     return 0 if ok else 2
 
@@ -855,6 +836,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                        lambda: cfg.reject_unknown(prefixes))
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
+        return 1
+    except SizeError as exc:  # its arg is the last part of the key that sets the input
+        moves = command == "simulate" and not cfg.has("generate.depth")  # the default depth
+        key = {"t": "game.t", "depth": "simulate.moves" if moves else "generate.depth"}.get(
+            exc.arg, f"{prefixes[0]}.{exc.arg}")
+        print(f"error: config: {key}: {exc}", file=sys.stderr)
         return 1
 
 

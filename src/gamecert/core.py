@@ -26,6 +26,8 @@ __all__ = [
     "REL_MARGIN",
     "EXACT_LIMIT",
     "EXACT_LOG_LIMIT",
+    "SizeError",
+    "check_size",
     "LogScalar",
     "DiagonalContraction",
     "GameParameters",
@@ -55,6 +57,24 @@ _CEIL_LOG_LIMIT = math.log(_CEIL_LIMIT)
 # Working precision, in bits, of the mpmath enclosure that settles a floor
 # the float step leaves open.
 _SETTLE_PREC = 128
+
+
+class SizeError(OverflowError):
+    """An input over a size limit; `arg` is the last part of its config key."""
+
+    def __init__(self, arg: str, message: str) -> None:
+        super().__init__(message)
+        self.arg = arg
+
+
+def check_size(arg: str, value: object, need: int, what: str, limit: int) -> None:
+    """Refuse input `arg` = `value` where it needs more than `limit` of `what`."""
+    if need > limit:
+        try:
+            message = f"{arg} = {value} needs {need} {what}, over the limit of {limit}"
+        except ValueError:  # a number past Python's int-to-str digit limit
+            message = f"{arg} needs more {what} than the limit of {limit}"
+        raise SizeError(arg, message)
 
 
 class LogScalar:

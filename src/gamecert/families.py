@@ -50,7 +50,7 @@ built by hand from entries derives its lattice once and reads its entries
 back from it, so a float coordinate comes back as the equal exact
 Fraction; a level built by hand keeps its boxes as given.  No generator
 builds more than MAX_GEOMETRY_BOXES boxes, or more than MAX_GEOMETRY_BITS
-numerator bits.  Budget rates are LogScalars.
+numerator bits (it raises core.SizeError first).  Budget rates are LogScalars.
 """
 from __future__ import annotations
 
@@ -67,6 +67,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTu
 
 from .core import (
     EXACT_LIMIT, BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record, _ceil_powers,
+    check_size,
 )
 
 if TYPE_CHECKING:
@@ -91,7 +92,6 @@ __all__ = [
     "covering_strategy_for_rcd",
     "MAX_GEOMETRY_BOXES",
     "MAX_GEOMETRY_BITS",
-    "GeometrySizeError",
 ]
 
 # Most boxes one generated member or covering strategy may hold, counted
@@ -283,22 +283,10 @@ def rcd_rate_parts(u: int, v: int, t: float, cover_count: CoverCount | None = No
     return RateParts(math.log(count), (1 + t) * (math.log(u) + math.log(v)))
 
 
-class GeometrySizeError(ValueError):
-    """More than MAX_GEOMETRY_BOXES boxes or MAX_GEOMETRY_BITS numerator
-    bits; `arg` ("depth" or "t") names the cause."""
-
-    def __init__(self, arg: str, value: int, limit: str) -> None:
-        super().__init__(f"{arg} = {value} needs more than {limit}")
-        self.arg = arg
-
-
-def _check_size(arg: str, value: int, boxes: int, bits: int = 0) -> None:
-    """Refuse more than MAX_GEOMETRY_BOXES boxes, or `boxes` boxes of `bits`
-    numerator bits each past MAX_GEOMETRY_BITS."""
-    if boxes > MAX_GEOMETRY_BOXES:
-        raise GeometrySizeError(arg, value, f"{MAX_GEOMETRY_BOXES} boxes")
-    if boxes * bits > MAX_GEOMETRY_BITS:
-        raise GeometrySizeError(arg, value, f"{MAX_GEOMETRY_BITS} numerator bits")
+def _check_boxes(arg: str, value: int, boxes: int, bits: int = 0) -> None:
+    """Refuse more than MAX_GEOMETRY_BOXES boxes, or boxes * bits past MAX_GEOMETRY_BITS."""
+    check_size(arg, value, boxes, "boxes", MAX_GEOMETRY_BOXES)
+    check_size(arg, value, boxes * bits, "numerator bits", MAX_GEOMETRY_BITS)
 
 
 def _lattice_bits(u: int, v: int, q: int, fx: int = 1, fy: int = 1) -> int:
@@ -730,12 +718,17 @@ class RectangleSet(Record):
         |y - cy| <= hy in floats, with each coordinate the float nearest
         its exact value; x - cx is monotone along a row, so each test holds
         on one run of columns (rows likewise), found for all boxes at once,
-        and a box paints one rectangle.
+        and a box paints one rectangle.  A raster over gamesim.MAX_AUDIT_CELLS
+        cells raises core.SizeError first, naming the longer side.
         """
         import numpy as np
 
+        from .gamesim import MAX_AUDIT_CELLS
+
         if width < 1 or height < 1:
             raise ValueError("a raster needs at least one pixel per axis")
+        side, value = ("width", width) if width >= height else ("height", height)
+        check_size(side, value, (height + 1) * (width + 1), "raster cells", MAX_AUDIT_CELLS)
         xs = np.linspace(-1 + 1 / width, 1 - 1 / width, width)
         ys = np.linspace(1 - 1 / height, -1 + 1 / height, height)
         boxes = self.lattice_of("cut")
@@ -827,12 +820,12 @@ def generate_rco(
     Entries come out in address order without sorting addresses: a cell
     path "i_j" orders by the text of i and "_", then by the text of j, and
     a cut "i_j/o" by its cell's path, then by the text of o.  A member over
-    the size limits (_check_size) raises GeometrySizeError first.
+    the size limits (_check_boxes) raises core.SizeError first.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v, m, t = spec.u, spec.v, spec.m, spec.t
-    _check_size("depth", depth, _level_boxes(m + 1, u * v, depth), _lattice_bits(u, v, depth + t))
+    _check_boxes("depth", depth, _level_boxes(m + 1, u * v, depth), _lattice_bits(u, v, depth + t))
     ut, vt = u ** t, v ** t
     corner_slots = [(s % ut, s // ut) for s in range(m)]
     ordinals = sorted(range(m), key=str)
@@ -960,14 +953,14 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
 
     Level k lives on the lattice with denominators (u^k (u-1), v^k (v-1)),
     where a component has half-widths (u-1, v-1); the set's lattice is that
-    of level `depth`.  Over the size limits (_check_size) it raises
-    GeometrySizeError first.
+    of level `depth`.  Over the size limits (_check_boxes) it raises
+    core.SizeError first.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v = spec.u, spec.v
-    _check_size("depth", depth, _level_boxes(1, (u - 1) * (v - 1), depth),
-                _lattice_bits(u, v, depth, u - 1, v - 1))
+    _check_boxes("depth", depth, _level_boxes(1, (u - 1) * (v - 1), depth),
+                 _lattice_bits(u, v, depth, u - 1, v - 1))
 
     def blocks() -> Iterator[tuple]:
         for k, pieces in enumerate(_rcd_walk(spec, depth), start=1):
@@ -1150,8 +1143,8 @@ def covering_strategy_for_rcd(
     row, and one gcd reduction takes the column to lowest terms.  The
     level keeps only those numerators, as its lattice (array('q') columns,
     or tuples of Python ints past int64); its boxes are read off it on
-    demand.  A strategy over the size limits (_check_size), its four
-    templates counted, raises GeometrySizeError before any box is built.
+    demand.  A strategy over the size limits (_check_boxes), its four
+    templates counted, raises core.SizeError before any box is built.
     """
     import numpy as np
 
@@ -1162,12 +1155,12 @@ def covering_strategy_for_rcd(
     u, v = spec.u, spec.v
     # a template has more than 2^t boxes, so a huge t fails before its count;
     # the four templates and level 0 are built at every depth
-    _check_size("t", t, 4 * 2 ** min(t, 64))
+    _check_boxes("t", t, 4 * 2 ** min(t, 64))
     count = rcd_cover_count(u, v, t)
     children = (u - 1) * (v - 1)
-    _check_size("t", t, (4 + children) * count.value)
-    _check_size("depth", depth, 4 * count.value + _level_boxes(count.value, children, depth),
-                _lattice_bits(u, v, depth + t, u - 1, v - 1))
+    _check_boxes("t", t, (4 + children) * count.value)
+    _check_boxes("depth", depth, 4 * count.value + _level_boxes(count.value, children, depth),
+                 _lattice_bits(u, v, depth + t, u - 1, v - 1))
     alpha = rcd_alpha(u, v, c, t, count)
     params = GameParameters(alpha, spec.contraction(), c)
     ut, vt = u ** t, v ** t

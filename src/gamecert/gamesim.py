@@ -21,7 +21,7 @@ the volume bound on how many fine coarse-grid cells one deleted box can
 touch, the min-term transfer inequality, and the per-level deletion-budget
 audit for materialized covering strategies.  Each oracle works out the
 size of its largest table, enumeration or exact power from its inputs and,
-past the limit stated next to MAX_AUDIT_CELLS, raises OracleSizeError (an
+past the limit stated next to MAX_AUDIT_CELLS, raises core.SizeError (an
 OverflowError naming the input at fault) before it builds anything.
 
 numpy is imported by the functions that use it (the projection and
@@ -35,7 +35,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .core import BoxRegion, DiagonalContraction, LogScalar, Record
+from .core import BoxRegion, DiagonalContraction, LogScalar, Record, check_size
 
 if TYPE_CHECKING:
     import numpy as np
@@ -69,7 +69,6 @@ __all__ = [
     "BudgetLevelReport",
     "BudgetAudit",
     "verify_covering_budget",
-    "OracleSizeError",
 ]
 
 BUDGET_TOL = 1e-12          # log-domain slack when auditing budget legality
@@ -82,6 +81,8 @@ MAX_AUDIT_CELLS = 2 ** 26
 # once.  The widest Tier-1 sweep, u = 12 at N = 3 and radius 50, has
 # 101 x 575 cells.
 MAX_SWEEP_CELLS = 2 ** 22
+# Most bits of a half-shrink ratio u: the sweep computes 2 u in int64.
+MAX_SWEEP_RATIO_BITS = 62
 # Most candidate cells child_cover_grid enumerates, each tested in exact
 # Fractions at about 0.1 ms: u = 10,12 at N = 2 has 37 x 51.
 MAX_GRID_CELLS = 2 ** 14
@@ -93,25 +94,11 @@ MAX_POWER_BITS = 2 ** 13
 MAX_TRANSFER_SAMPLES = 2 ** 18
 
 
-class OracleSizeError(OverflowError):
-    """An oracle input whose table, enumeration, powers or audit grid would
-    pass their limit, raised before any is built; `arg` names the input."""
-
-    def __init__(self, arg: str, message: str) -> None:
-        super().__init__(message)
-        self.arg = arg
-
-
-def _check_size(arg: str, value: int, size: int, what: str, limit: int) -> None:
-    if size > limit:
-        raise OracleSizeError(arg, f"{arg} = {value} needs {size} {what}, over the limit of {limit}")
-
-
 def _check_power_bits(arg: str, value: int, u: Sequence[int], exponent: int) -> None:
     """Refuse powers u_j^exponent of more than MAX_POWER_BITS bits in all
     (u_j^e has at most e bit_length(u_j) bits) before any is computed."""
     bits = exponent * sum(uj.bit_length() for uj in u)
-    _check_size(arg, value, bits, "bits of powers", MAX_POWER_BITS)
+    check_size(arg, value, bits, "bits of powers", MAX_POWER_BITS)
 
 
 # ------------------------------------------------------------------ lattices
@@ -303,11 +290,13 @@ def verify_projection_return(
             raise ValueError("exhaustive sweep needs all ratio denominators >= 6")
     if block < 1 or k < 0 or radius < 0:
         raise ValueError("block >= 1, k >= 0, radius >= 0 required")
+    # blame u where even block 1 at radius 1 overflows, the block where radius 1 does
+    check_size("u", ",".join(map(str, u)), 3 * sum(2 * ((uj - 2) // 6) + 1 for uj in u),
+               "table cells", MAX_SWEEP_CELLS)
     _check_power_bits("block", block, u, block)
     offsets = sum(2 * ((uj ** block - 2) // 6) + 1 for uj in u)
-    # the block is at fault where the table would not fit even at radius 1
     arg, value = ("block", block) if 3 * offsets > MAX_SWEEP_CELLS else ("radius", radius)
-    _check_size(arg, value, offsets * (2 * radius + 1), "table cells", MAX_SWEEP_CELLS)
+    check_size(arg, value, offsets * (2 * radius + 1), "table cells", MAX_SWEEP_CELLS)
     tables = [_axis_table(uj, block, k, radius) for uj in u]
     checked = math.prod(t.window.size for t in tables)
     O = [int(t.nearest_ok.sum()) for t in tables]             # nearest on target
@@ -364,7 +353,9 @@ def verify_half_shrink(
         raise ValueError(
             "half-shrink containment is only claimed off the coarse levels"
         )
-    _check_size("radius", radius, len(u) * (2 * radius + 1), "sweep cells", MAX_SWEEP_CELLS)
+    check_size("radius", radius, len(u) * (2 * radius + 1), "sweep cells", MAX_SWEEP_CELLS)
+    check_size("u", ",".join(map(str, u)), max(u, default=0).bit_length(), "bits in a ratio",
+               MAX_SWEEP_RATIO_BITS)
     checked = 1
     failures = 0
     witness = None
@@ -688,7 +679,7 @@ def child_cover_grid(
         raise ValueError("block >= 1 and k >= 0 required")
     _check_power_bits("block", block, u, block)
     cells = math.prod(2 * ((uj ** block - 2) // 6) + 5 for uj in u)
-    _check_size("block", block, cells, "candidate cells", MAX_GRID_CELLS)
+    check_size("block", block, cells, "candidate cells", MAX_GRID_CELLS)
     _check_power_bits("k", k, u, (k + 1) * block + 1)
     rho = Fraction(rho)
     contraction = DiagonalContraction.from_denominators([int(uj) for uj in u])
@@ -817,7 +808,7 @@ def verify_covering_budget(
     level's integer numerators (StrategyLevel.lattice), the boxes within
     the test half-width of every test center at once.  Before any level is
     counted, a level whose difference array would exceed MAX_AUDIT_CELLS
-    cells raises OracleSizeError naming `extent`.
+    cells raises core.SizeError naming `extent`.
     """
     import numpy as np
 
@@ -852,11 +843,9 @@ def verify_covering_budget(
         spacing = [h / 2 for h in test_half]
         max_index = [int((extent + test_half[j]) / spacing[j]) for j in range(n)]
         cells = math.prod(2 * m + 2 for m in max_index)
-        if lvl.boxes and cells > MAX_AUDIT_CELLS:
-            raise OracleSizeError(
-                "extent", f"level {lvl.level} at extent {extent} needs a {cells}-cell "
-                f"audit grid, over the limit of {MAX_AUDIT_CELLS}"
-            )
+        if lvl.boxes:
+            check_size("extent", extent, cells, f"level-{lvl.level} audit grid cells",
+                       MAX_AUDIT_CELLS)
         grids.append((lvl, test_half, spacing, max_index))
     for lvl, test_half, spacing, max_index in grids:
         k = lvl.level

@@ -268,7 +268,7 @@ def _tail_count(alpha: LogScalar, contraction: DiagonalContraction, c: float, de
         m = cap
     if m <= known or feasible(m):
         m = max(m, known)
-        while m < cap and feasible(m + 1):
+        while m < cap and rhs1_log - c * alpha.log >= math.log(m + 1) - 1e-9 and feasible(m + 1):
             m += 1
         return m
     m -= 1

@@ -25,8 +25,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BoxRegion, Record
+from .core import BoxRegion, Record, check_size
 from .families import RectangleSet, _grid_hits, _LazyRows, _reach
+from .gamesim import MAX_AUDIT_CELLS
 
 __all__ = [
     "PatternQuery",
@@ -279,7 +280,8 @@ def find_homothety(
     The result is a read-only view, stored per scale as the grid's
     translations and the indices that passed; it builds a PatternCandidate
     only when one is read, and compares, hashes and prints like the tuple
-    of candidates.  Its slices are lists.
+    of candidates.  Its slices are lists.  Over gamesim.MAX_AUDIT_CELLS grid cells
+    it raises core.SizeError first (widest scale: "resolution"; all: "lambda_hi").
     """
     family = rect.meta.get("family")
     if family not in ("rco", "rcd"):
@@ -293,9 +295,18 @@ def find_homothety(
         if query.grid_resolution is not None
         else _default_resolution(rect, query.depth)
     )
+    # no scale past 2 / diam fits the pattern in the root box; an axis of spread
+    # s has at most (2 - lambda_lo s) / res + 1 translations, + 1 difference row
+    lo, diam = query.lambda_lo, pattern_diameter(query.points)
+    top = min(query.lambda_hi, 2 / diam) if diam else query.lambda_hi
+    spans = [2 - lo * (max(axis) - min(axis)) for axis in zip(*query.points)]
+    cells = math.prod(int(span / res) + 2 for span in spans) if min(spans) >= 0 else 0
+    check_size("resolution", res, cells, "grid cells", MAX_AUDIT_CELLS)
+    check_size("lambda_hi", query.lambda_hi, ((top - lo) // res + 1) * cells,
+               "grid cells over its scales", MAX_AUDIT_CELLS)
     blocks: list[_ScaleBlock] = []
-    lam = query.lambda_lo
-    while lam <= query.lambda_hi:
+    lam = lo
+    while lam <= top:
         block = _scan_one_scale(lam, query, rect, family, res)
         if block is not None and block.ix:
             blocks.append(block)

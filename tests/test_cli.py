@@ -543,8 +543,14 @@ def test_verify_refuses_ratios_below_2(tmp_path, capsys, body):
     ("projection\nverify.u = 10\nverify.block = 3\nverify.radius = 10000000", "verify.radius"),
     ("projection\nverify.u = 10\nverify.block = 3\nverify.radius = 100000", "verify.radius"),
     ("projection\nverify.u = 10\nverify.block = 7", "verify.block"),
+    # the table would not fit even at block 1 and radius 1
+    ("projection\nverify.u = 10000000\nverify.block = 1", "verify.u"),
+    ("projection\nverify.u = 10000000000000000000\nverify.block = 300", "verify.u"),
     ("half-shrink\nverify.u = 10\nverify.block = 3\nverify.level = 2\n"
      "verify.radius = 100000000000", "verify.radius"),
+    # past the sweep's int64 arithmetic
+    ("half-shrink\nverify.u = 10000000000000000000\nverify.block = 3\nverify.level = 2",
+     "verify.u"),
     ("child-grid\nverify.u = 10,10\nverify.block = 3", "verify.block"),
     ("child-grid\nverify.u = 10\nverify.block = 7", "verify.block"),
     ("child-grid\nverify.u = 10\nverify.block = 30", "verify.block"),
@@ -585,6 +591,17 @@ SIMULATE = "command = simulate\nsimulate.target = 7/8, 9/10\n"
 BUDGET = "command = verify\nverify.check = budget\n"
 
 
+def _patch_geometry_work(monkeypatch):
+    """Make the first step of building a member or a strategy's covers raise."""
+    from gamecert import families
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work before checking the geometry size")
+
+    for name in ("_rect_set", "_rcd_walk", "_cover_piece"):
+        monkeypatch.setattr(families, name, no_work)
+
+
 @pytest.mark.parametrize("body,needle", [
     ("command = generate\n" + RCO_FAMILY + "generate.depth = 12\n", "generate.depth"),
     ("command = generate\nfamily.kind = rcd\nfamily.u = 7\nfamily.v = 4\n"
@@ -601,11 +618,10 @@ BUDGET = "command = verify\nverify.check = budget\n"
     (BUDGET + RCD_GAME + "game.t = 10\n", "game.t"),
     (BUDGET + RCD_GAME + "game.t = 1000000000\n", "game.t"),
 ])
-def test_oversized_geometry_exits_1_at_once(tmp_path, capsys, body, needle):
+def test_oversized_geometry_exits_1_at_once(tmp_path, capsys, monkeypatch, body, needle):
+    _patch_geometry_work(monkeypatch)
     cfg = write_cfg(tmp_path, "cfg", body)
-    start = time.perf_counter()
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert f"error: config: {needle}: " in err and "boxes" in err
     assert not (tmp_path / "out").exists()
@@ -621,15 +637,53 @@ RCD22 = "family.kind = rcd\nfamily.u = 2\nfamily.v = 2\n"
     "command = find-pattern\n" + RCD22 + "generate.depth = 100000\npattern.points = 0,0; 2,0\n"
     "pattern.lambda_lo = 1/49\n",
 ])
-def test_numerator_heavy_geometry_exits_1_at_once(tmp_path, capsys, body):
+def test_numerator_heavy_geometry_exits_1_at_once(tmp_path, capsys, monkeypatch, body):
     # RCD(2,2) has one box a level, so the box limit admits depth 100000, but
     # its numerators grow a bit a level: the numerator-bit limit refuses it
+    _patch_geometry_work(monkeypatch)
     cfg = write_cfg(tmp_path, "cfg", body)
-    start = time.perf_counter()
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "error: config: generate.depth: " in err and "numerator bits" in err
+    assert not (tmp_path / "out").exists()
+
+
+PATTERN = "command = find-pattern\npattern.points = 0,0; 2,0\npattern.lambda_lo = 1/49\n"
+README_PATTERN = PATTERN + "family.kind = rcd\nfamily.u = 7\nfamily.v = 4\ngenerate.depth = 2\n"
+
+
+@pytest.mark.parametrize("body,key", [
+    (README_PATTERN + "pattern.resolution = 1/1000000000\n", "pattern.resolution"),
+    (README_PATTERN + "pattern.resolution = 1/100000\n", "pattern.resolution"),
+    # the default resolution, half the smallest half-width at depth 20
+    (PATTERN + RCD22 + "generate.depth = 20\n", "pattern.resolution"),
+    # each scale fits, but not the 1,960 scales up to 1, past which none fits
+    (README_PATTERN + "pattern.lambda_hi = 100\npattern.resolution = 1/2000\n",
+     "pattern.lambda_hi"),
+    ("command = generate\n" + RCO_FAMILY + "generate.depth = 2\ngenerate.format = csv,pbm\n"
+     "generate.width = 1000000000000\n", "generate.width"),
+    ("command = generate\n" + RCO_FAMILY + "generate.depth = 2\ngenerate.format = csv,pbm\n"
+     "generate.height = 100000000\n", "generate.height"),
+])
+def test_scan_and_raster_refuse_oversized_inputs_before_work(tmp_path, capsys, monkeypatch,
+                                                             body, key):
+    # each exhausts memory at once or builds a grid of tens of GiB; the first
+    # step of the scan and of the raster raises, so a refusal comes before it
+    # and before any file is written
+    import numpy as np
+
+    from gamecert import patterns
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work before checking the input size")
+
+    monkeypatch.setattr(patterns, "_scan_one_scale", no_work)
+    monkeypatch.setattr(np, "linspace", no_work)
+    cfg = write_cfg(tmp_path, "cfg", body)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {key}: "), err
+    assert "over the limit of 67108864" in err, err
     assert not (tmp_path / "out").exists()
 
 

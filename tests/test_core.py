@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamecert import core
+from gamecert import core, gamesim, patterns
 from gamecert.core import (
     EXACT_LIMIT,
     EXACT_LOG_LIMIT,
@@ -23,6 +23,14 @@ from gamecert.core import (
     combine_alphas,
     dominates,
     safe_floor_ratio,
+)
+from gamecert.families import (
+    RcdSpec,
+    RcoSpec,
+    covering_strategy_for_rcd,
+    covering_strategy_for_rco,
+    generate_rcd,
+    generate_rco,
 )
 
 positive_floats = st.floats(min_value=1e-300, max_value=1e300)
@@ -400,3 +408,50 @@ def test_box_region_accepts_infinite_and_positive_half_widths():
     assert BoxRegion((0.0,), (float("inf"),)).contains_point((1e300,))
     for half in (1, 0.5, Fraction(1, 10 ** 30), 2 ** 70):
         assert BoxRegion((Fraction(1, 3),), (half,)).contains_point((Fraction(1, 3),))
+
+
+
+def _scan(lambda_hi, res):
+    query = patterns.PatternQuery(((0, 0), (2, 0)), Fraction(1, 49), lambda_hi, 1, res)
+    return patterns.find_homothety(query, generate_rcd(RcdSpec(7, 4), 1))
+
+
+def _rco_rect():
+    return generate_rco(RcoSpec(4, 5, 2, 1), 1)
+
+
+@pytest.mark.parametrize("arg,call", [
+    ("depth", lambda: generate_rco(RcoSpec(4, 5, 2, 1), 12)),
+    ("depth", lambda: generate_rcd(RcdSpec(2, 2), 100000)),
+    ("t", lambda: covering_strategy_for_rcd(RcdSpec(7, 4), 0.5, 10, 1)),
+    ("depth", lambda: covering_strategy_for_rcd(RcdSpec(7, 4), 0.5, 1, 6)),
+    ("width", lambda: _rco_rect().to_pbm(10 ** 12, 256)),
+    ("height", lambda: _rco_rect().to_pbm(256, 10 ** 12)),
+    ("radius", lambda: gamesim.verify_projection_return([10], 3, radius=10 ** 7)),
+    ("block", lambda: gamesim.verify_projection_return([10], 7)),
+    ("u", lambda: gamesim.verify_projection_return([10 ** 7], 1)),
+    ("radius", lambda: gamesim.verify_half_shrink([10], 2, 3, radius=10 ** 11)),
+    ("u", lambda: gamesim.verify_half_shrink([10, 2 ** 62], 2, 3)),
+    ("block", lambda: gamesim.child_cover_grid([10], 30, [0])),
+    ("k", lambda: gamesim.child_cover_grid([10], 1, [0], k=10 ** 8)),
+    ("level", lambda: gamesim.tuple_overlap_bound([10, 10], 4000, 1, (0, 0))),
+    ("exponent", lambda: gamesim.tuple_overlap_bound([10, 10], 1, 10 ** 8, (0, 0))),
+    ("extent", lambda: gamesim.verify_covering_budget(
+        covering_strategy_for_rco(_rco_rect(), 0.5), extent=100000)),
+    ("resolution", lambda: _scan(Fraction(3, 49), Fraction(1, 10 ** 9))),
+    ("lambda_hi", lambda: _scan(100, Fraction(1, 2000))),
+])
+def test_every_size_refusal_is_one_size_error_naming_its_argument(arg, call):
+    with pytest.raises(core.SizeError) as info:
+        call()
+    assert isinstance(info.value, OverflowError) and info.value.arg == arg
+    assert str(info.value).startswith(f"{arg} = ") and "over the limit of" in str(info.value)
+
+
+def test_a_size_refusal_past_the_int_to_str_limit_still_names_its_argument():
+    with pytest.raises(core.SizeError, match="^depth needs more boxes than the limit of 3$") as err:
+        core.check_size("depth", 10 ** 5000, 10 ** 5000, "boxes", 3)
+    assert err.value.arg == "depth"
+    # a member of 2 * 10^6000 boxes
+    with pytest.raises(core.SizeError, match="^depth needs more boxes than the limit of"):
+        generate_rco(RcoSpec(10 ** 3000, 10 ** 3000, 1, 1), 1)

@@ -19,13 +19,12 @@ from hypothesis import strategies as st
 
 import gamecert
 from gamecert import core, families
-from gamecert.core import BoxRegion, _ceil_powers, _iroot
+from gamecert.core import BoxRegion, SizeError, _ceil_powers, _iroot
 from gamecert.families import (
     MAX_GEOMETRY_BITS,
     MAX_GEOMETRY_BOXES,
     AxisLattice,
     CoverCount,
-    GeometrySizeError,
     RcdSpec,
     RcoSpec,
     RectangleSet,
@@ -839,7 +838,7 @@ def test_geometry_size_check_counts_boxes_exactly(monkeypatch):
         monkeypatch.setattr(families, "MAX_GEOMETRY_BOXES", exact)
         build()
         monkeypatch.setattr(families, "MAX_GEOMETRY_BOXES", exact - 1)
-        with pytest.raises(GeometrySizeError, match="boxes") as info:
+        with pytest.raises(SizeError, match="boxes") as info:
             build()
         assert info.value.arg == arg
         monkeypatch.undo()
@@ -858,7 +857,7 @@ def test_geometry_size_check_counts_numerator_bits(monkeypatch):
         monkeypatch.setattr(families, "MAX_GEOMETRY_BITS", boxes * bits)
         built = build()
         monkeypatch.setattr(families, "MAX_GEOMETRY_BITS", boxes * bits - 1)
-        with pytest.raises(GeometrySizeError, match="numerator bits") as info:
+        with pytest.raises(SizeError, match="numerator bits") as info:
             build()
         assert info.value.arg == "depth"
         monkeypatch.undo()
@@ -871,7 +870,7 @@ def test_geometry_size_check_counts_numerator_bits(monkeypatch):
     for build in (lambda: generate_rcd(RcdSpec(2, 2), 16384),
                   lambda: generate_rcd(RcdSpec(2, 2), 100000),
                   lambda: covering_strategy_for_rcd(RcdSpec(2, 2), 0.5, 1, 100000)):
-        with pytest.raises(GeometrySizeError, match="numerator bits"):
+        with pytest.raises(SizeError, match="numerator bits"):
             build()
     assert time.perf_counter() - start < 1.0
 
@@ -888,7 +887,7 @@ def test_geometry_size_limit_admits_the_roadmap_members():
                        ("t", lambda: covering_strategy_for_rcd(RcdSpec(7, 4), 0.5, 10 ** 9, 1)),
                        ("depth", lambda: covering_strategy_for_rcd(RcdSpec(7, 4), 0.5, 1, 6))):
         start = time.perf_counter()
-        with pytest.raises(GeometrySizeError) as info:
+        with pytest.raises(SizeError) as info:
             build()
         assert info.value.arg == arg and time.perf_counter() - start < 1.0
 

@@ -522,7 +522,7 @@ def test_budget_audit_bounds_its_grid_before_allocating(monkeypatch):
     monkeypatch.setattr(families, "_on_one_lattice", no_allocation)
     monkeypatch.setattr(np, "zeros", no_allocation)
     monkeypatch.setattr(gamesim, "MAX_AUDIT_CELLS", cells - 1)
-    with pytest.raises(OverflowError, match=f"level 1 at extent 2 needs a {cells}-cell"):
+    with pytest.raises(OverflowError, match=f"extent = 2 needs {cells} level-1 audit grid cells"):
         verify_covering_budget(strat, levels=[1], extent=2)
     # the 23 TiB request of extent 100000 is refused at the real limit
     monkeypatch.setattr(gamesim, "MAX_AUDIT_CELLS", MAX_AUDIT_CELLS)

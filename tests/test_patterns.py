@@ -150,6 +150,21 @@ def test_thin_scale_range_single_sample(rcd_rect):
     assert {c.lam for c in cands} == {Fraction(1, 49)}
 
 
+def test_scan_stops_where_the_pattern_no_longer_fits(rcd_rect, monkeypatch):
+    # TWO_POINT has diameter 1, so no scale past 2 fits it in the root box:
+    # a scale range up to 100 scans the 8 scales up to 2, with the same result
+    import gamecert.patterns as patterns
+
+    res = Fraction(1, 4)
+    fits = find_homothety(PatternQuery(TWO_POINT, res, 2, 1, res), rcd_rect)
+    scanned = []
+    scan = patterns._scan_one_scale
+    monkeypatch.setattr(patterns, "_scan_one_scale",
+                        lambda lam, *args: scanned.append(lam) or scan(lam, *args))
+    assert find_homothety(PatternQuery(TWO_POINT, res, 100, 1, res), rcd_rect) == fits
+    assert scanned == [k * res for k in range(1, 9)] and fits
+
+
 def test_depth_beyond_generation_rejected(rcd_rect):
     q = PatternQuery(TWO_POINT, Fraction(1, 49), Fraction(1, 49), 5)
     with pytest.raises(ValueError, match="exceeds generated depth"):
