@@ -837,9 +837,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
-    except SizeError as exc:  # its arg is the last part of the key that sets the input
+    except SizeError as exc:  # its arg names the input, mostly by its key's last part
         moves = command == "simulate" and not cfg.has("generate.depth")  # the default depth
-        key = {"t": "game.t", "depth": "simulate.moves" if moves else "generate.depth"}.get(
+        key = {"t": "game.t", "spec.t": "family.t",
+               "depth": "simulate.moves" if moves else "generate.depth"}.get(
             exc.arg, f"{prefixes[0]}.{exc.arg}")
         print(f"error: config: {key}: {exc}", file=sys.stderr)
         return 1

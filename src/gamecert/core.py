@@ -60,7 +60,8 @@ _SETTLE_PREC = 128
 
 
 class SizeError(OverflowError):
-    """An input over a size limit; `arg` is the last part of its config key."""
+    """An input over a size limit; `arg` names the input: the last part of
+    its config key, or a field of an argument (spec.t, a family's t)."""
 
     def __init__(self, arg: str, message: str) -> None:
         super().__init__(message)

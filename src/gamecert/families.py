@@ -37,8 +37,9 @@ the generators compute on integer numerators and keep them in columns
 (AxisLattice: per axis a denominator and the center and half-width
 numerators, int64 where they fit):
 
-* a RectangleSet keeps a level column, an address column and one
-  AxisLattice per axis over the deepest level's denominators;
+* a RectangleSet keeps a level column, its addresses and one
+  AxisLattice per axis over the deepest level's denominators (a generated
+  cut-out member derives its addresses from the index instead);
 * a StrategyLevel keeps one AxisLattice per axis over its least common
   denominator.
 
@@ -92,6 +93,7 @@ __all__ = [
     "covering_strategy_for_rcd",
     "MAX_GEOMETRY_BOXES",
     "MAX_GEOMETRY_BITS",
+    "MAX_DENOMINATOR_BITS",
 ]
 
 # Most boxes one generated member or covering strategy may hold, counted
@@ -102,8 +104,13 @@ MAX_GEOMETRY_BOXES = 2 ** 26
 # bound on the bits of its deepest level's two denominators, since the
 # numerators grow with the depth.  RCO(4,5,2,1) at depth 5 counts
 # 10,105,260 * 32 and the RCD(7,4) strategy above 2,890,004 * 30; RCD(2,2)
-# at depth d counts d * 2 (d + 1), so its depth stops at 16,383.
+# at depth d counts d * 2 (d + 1), so this limit alone would stop its depth
+# at 16,383; MAX_DENOMINATOR_BITS stops it first, at 13,999.
 MAX_GEOMETRY_BITS = 2 ** 29
+# Most bits of a generated member's widest denominator.  Its CSV writes
+# every coordinate p/q in decimal, and Python converts at most 4,300 digits
+# (2^14,000 < 10^4,300); RCD(2,2) stops at depth 13,999.
+MAX_DENOMINATOR_BITS = 14_000
 
 
 # --------------------------------------------------------------- family specs
@@ -127,7 +134,9 @@ class RcoSpec(Record):
             raise ValueError("need at least one removed box per cell")
         if t < 1:
             raise ValueError("removal depth offset must be >= 1")
-        if m > (u ** t) * (v ** t):
+        # u^t v^t >= 4^t, so m removals fit unless 2t < m.bit_length(): only
+        # then is the power taken, and a huge t costs nothing
+        if 2 * t < m.bit_length() and m > u ** t * v ** t:
             raise ValueError(
                 f"{m} disjoint removals cannot fit in a cell "
                 f"({u ** t * v ** t} slots)"
@@ -289,11 +298,39 @@ def _check_boxes(arg: str, value: int, boxes: int, bits: int = 0) -> None:
     check_size(arg, value, boxes * bits, "numerator bits", MAX_GEOMETRY_BITS)
 
 
+def _den_bits(u: int, q: int, f: int = 1) -> int:
+    """A bound on the bits of the denominator u^q f, read without computing
+    it: u <= 2^b for b = (u - 1).bit_length(), so u^q f has at most
+    q b + f.bit_length() bits."""
+    return q * (u - 1).bit_length() + f.bit_length()
+
+
 def _lattice_bits(u: int, v: int, q: int, fx: int = 1, fy: int = 1) -> int:
-    """A bound on the bits of the denominators (u^q fx, v^q fy), read without
-    computing them: u <= 2^b for b = (u - 1).bit_length(), so u^q fx has at
-    most q b + fx.bit_length() bits."""
-    return q * ((u - 1).bit_length() + (v - 1).bit_length()) + fx.bit_length() + fy.bit_length()
+    """A bound on the bits of the denominators (u^q fx, v^q fy) together."""
+    return _den_bits(u, q, fx) + _den_bits(v, q, fy)
+
+
+def _den_need(u: int, q: int, f: int) -> int:
+    """The bits of the denominator u^q f near MAX_DENOMINATOR_BITS, else a
+    bound on the same side of it.  The upper bound _den_bits is exact only
+    for u a power of two, so where it passes the limit the lower bound
+    q (c - 1) + f.bit_length(), for c = u.bit_length(), is tried; where
+    that fits, the power is taken, at most twice the limit in bits."""
+    high = _den_bits(u, q, f)
+    if high <= MAX_DENOMINATOR_BITS:
+        return high
+    low = q * (u.bit_length() - 1) + f.bit_length()
+    if low > MAX_DENOMINATOR_BITS:
+        return low
+    return (u ** q * f).bit_length()
+
+
+def _check_denominators(arg: str, value: int, u: int, v: int, q: int,
+                        fx: int = 1, fy: int = 1) -> None:
+    """Refuse a member whose denominators (u^q fx, v^q fy) pass
+    MAX_DENOMINATOR_BITS bits, so that its CSV can be written."""
+    check_size(arg, value, max(_den_need(u, q, fx), _den_need(v, q, fy)),
+               "denominator bits", MAX_DENOMINATOR_BITS)
 
 
 def _level_boxes(first: int, ratio: int, depth: int) -> int:
@@ -344,19 +381,25 @@ def _axis_lattice(
 
 
 def _level_axis(den: int, centers: np.ndarray, half: int) -> AxisLattice:
-    """The AxisLattice of a numpy column of center numerators over `den`,
-    every box with half-width numerator `half`, in lowest terms: one
-    np.gcd.reduce finds the common factor.  The columns are array('q')
-    when every reduced numerator fits int64, else tuples of Python ints,
-    as _axis_lattice stores them."""
+    """The AxisLattice of a fresh numpy column of center numerators over
+    `den`, every box with half-width numerator `half`, in lowest terms: one
+    np.gcd.reduce finds the common factor, and only a factor above 1
+    divides the column, in place.  The columns are array('q') when every
+    reduced numerator fits int64 (copied once, from a memoryview of the int64
+    buffer), else tuples of Python ints, as _axis_lattice stores them."""
     import numpy as np
 
     g = math.gcd(den, half, int(np.gcd.reduce(centers)))
-    den, half, centers = den // g, half // g, centers // g
-    try:
-        column = array("q", centers.astype(np.int64).tobytes())
-    except OverflowError:
-        return AxisLattice(den, tuple(centers.tolist()), (half,) * centers.size)
+    if g > 1:
+        den, half = den // g, half // g
+        centers //= g
+    if centers.dtype == object:
+        try:
+            centers = centers.astype(np.int64)
+        except OverflowError:
+            return AxisLattice(den, tuple(centers.tolist()), (half,) * centers.size)
+    column = array("q")
+    column.frombytes(memoryview(centers).cast("B"))
     return AxisLattice(den, column, array("q", [half]) * centers.size)
 
 
@@ -440,16 +483,20 @@ def _cover_counts(
     arrays, every range nonempty and inside the grid).
 
     Each box adds +-1 at the corners of its range in a difference array,
-    whose prefix sums, taken in place, are the counts.
+    whose prefix sums, taken in place, are the counts.  No entry of it
+    ever passes twice the number of boxes in magnitude, so it is int32
+    below 2^30 boxes (half the memory of int64) and int64 above.
     """
     import numpy as np
 
-    diff = np.zeros(tuple(s + 1 for s in shape), dtype=np.int64)
+    dtype = np.int32 if len(starts[0]) < 2 ** 30 else np.int64
+    diff = np.zeros(tuple(s + 1 for s in shape), dtype=dtype)
     for corner in itertools.product((0, 1), repeat=len(shape)):
         index = tuple(stops[j] if up else starts[j] for j, up in enumerate(corner))
-        np.add.at(diff, index, -1 if sum(corner) % 2 else 1)
+        # a scalar of diff's own dtype keeps np.add.at on its uncast loop
+        np.add.at(diff, index, dtype(-1 if sum(corner) % 2 else 1))
     for axis in range(len(shape)):
-        np.cumsum(diff, axis=axis, out=diff)
+        np.cumsum(diff, axis=axis, dtype=dtype, out=diff)
     return diff[(slice(0, -1),) * len(shape)]
 
 
@@ -470,25 +517,45 @@ def _grid_hits(lattice: Sequence[AxisLattice], origin: Sequence[Fraction | int],
                step: Sequence[Fraction | int], reach: Sequence[Fraction | int],
                lo: Sequence[int], hi: Sequence[int], strict: bool = False) -> np.ndarray:
     """For each point origin + i step (step > 0) of the grid lo <= i <= hi,
-    how many boxes reach it as _reach tells: an int64 array of shape
-    hi - lo + 1.  Per axis, all over one denominator, the indices each box
-    reaches run from one floor division to another (on integers a strict
-    bound is the closed one less 1), and _cover_counts adds up the ranges."""
+    how many boxes reach it as _reach tells: an integer array of shape
+    hi - lo + 1 (int32 below 2^30 boxes, see _cover_counts).  Per axis, all
+    over one denominator, the indices each box reaches run from one floor
+    division to another (on integers a strict bound is the closed one less
+    1), and _cover_counts adds up the ranges.
+
+    Each axis works in place on two columns, the first and the last index
+    of every box: new ones over the stored numerators, or the scaled copies
+    that _on_one_lattice made.  Only when some box misses the grid are the
+    boxes that meet it picked out."""
     import numpy as np
 
-    inside, firsts, lasts = True, [], []
+    starts, stops = [], []
     for axis, o, s, r, a, b in zip(lattice, origin, step, reach, lo, hi):
         centers, halves, (o, s, r) = _on_one_lattice(axis, (o, s, r))
-        width = halves + (r - strict) if r != strict else halves
-        near = centers - o if o else centers
-        first = np.maximum(-((width - near) // s), a)   # |i s - near| <= width
-        last = np.minimum((near + width) // s, b)
-        inside = inside & (first <= last)
-        firsts.append(first)
-        lasts.append(last)
-    return _cover_counts(tuple(b - a + 1 for a, b in zip(lo, hi)),
-                         [(f[inside] - a).astype(np.intp) for f, a in zip(firsts, lo)],
-                         [(f[inside] - (a - 1)).astype(np.intp) for f, a in zip(lasts, lo)])
+        r -= strict                       # |i s - (center - o)| <= half + r
+        if halves.flags.writeable:        # scaled copies, not the stored columns
+            first = np.subtract(halves, centers, out=halves)
+            last = np.add(centers, centers, out=centers)
+            last += first                 # c + h = 2c + (h - c)
+        else:
+            first, last = halves - centers, centers + halves
+        first += o + r                    # i >= ceil((center - half - r - o) / s)
+        first //= s
+        np.negative(first, out=first)
+        np.maximum(first, a, out=first)
+        first -= a
+        last += r - o                     # i <= floor((center + half + r - o) / s)
+        last //= s
+        np.minimum(last, b, out=last)
+        last -= a - 1
+        starts.append(first)
+        stops.append(last)
+    inside = np.logical_and.reduce([f < g for f, g in zip(starts, stops)])
+    if not inside.all():
+        starts, stops = [f[inside] for f in starts], [g[inside] for g in stops]
+    if starts[0].dtype != np.intp:      # Python ints past int64
+        starts, stops = [f.astype(np.intp) for f in starts], [g.astype(np.intp) for g in stops]
+    return _cover_counts(tuple(b - a + 1 for a, b in zip(lo, hi)), starts, stops)
 
 
 def _to_floats(den: int, nums: Sequence[int]) -> np.ndarray:
@@ -576,9 +643,12 @@ class RectangleSet(Record):
     levels, the addresses ("kind:path") and, per axis, an AxisLattice of
     center and half-width numerators over one denominator for the whole
     set.  The generators fill the columns directly; a set built from
-    entries (by hand or by from_csv) derives them once.  Either way
-    `entries` is a read-only view that builds a RectEntry, with exact
-    Fraction coordinates, only when one is read.
+    entries (by hand or by from_csv) derives them once.  A set built by
+    hand, by from_csv or by generate_rcd keeps its addresses as a list;
+    one built by generate_rco keeps, instead, a read-only sequence that
+    derives each address from its index (_CutoutAddresses), equal to that
+    list.  Either way `entries` is a read-only view that builds a
+    RectEntry, with exact Fraction coordinates, only when one is read.
 
     Because an address starts with its kind, the entries of one kind at
     one level are one run of indices; of_kind and lattice_of find it by
@@ -817,40 +887,17 @@ def generate_rco(
     has half-widths (1, 1) and a cell (u^t, v^t); the set's lattice is that
     of level `depth`.
 
-    Entries come out in address order without sorting addresses: a cell
-    path "i_j" orders by the text of i and "_", then by the text of j, and
-    a cut "i_j/o" by its cell's path, then by the text of o.  A member over
-    the size limits (_check_boxes) raises core.SizeError first.
+    No per-box object is built (_cutout_columns): the columns repeat short
+    per-level lists, and the addresses are derived from the index on read
+    (_CutoutAddresses).  A member over the size limits (_check_boxes), or
+    whose denominators would pass MAX_DENOMINATOR_BITS (naming spec.t),
+    raises core.SizeError first.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v, m, t = spec.u, spec.v, spec.m, spec.t
     _check_boxes("depth", depth, _level_boxes(m + 1, u * v, depth), _lattice_bits(u, v, depth + t))
-    ut, vt = u ** t, v ** t
-    corner_slots = [(s % ut, s // ut) for s in range(m)]
-    ordinals = sorted(range(m), key=str)
-
-    def blocks() -> Iterator[tuple]:
-        for k in range(1, depth + 1):
-            fx, fy = u ** (depth - k), v ** (depth - k)
-            cx = {i: ((2 * i + 1) * ut - u ** (k + t)) * fx for i in range(u ** k)}
-            cy = {j: ((2 * j + 1) * vt - v ** (k + t)) * fy for j in range(v ** k)}
-            cells = [(i, j) for i in sorted(cx, key=lambda i: f"{i}_") for j in sorted(cy, key=str)]
-            paths = [f"{i}_{j}" for i, j in cells]
-            yield (k, ["cell:" + path for path in paths], [cx[i] for i, _ in cells],
-                   [cy[j] for _, j in cells], ut * fx, vt * fy)
-            if placement == "corner":
-                slots = [corner_slots] * len(cells)
-            else:
-                slots = [_rco_slots(spec, k, path, seed) for path in paths]
-            cuts = [
-                (cx[i] + (2 * a + 1 - ut) * fx, cy[j] + (2 * b + 1 - vt) * fy)
-                for (i, j), slot in zip(cells, slots)
-                for a, b in map(slot.__getitem__, ordinals)
-            ]
-            yield (k, [f"cut:{path}/{o}" for path in paths for o in ordinals],
-                   [x for x, _ in cuts], [y for _, y in cuts], fx, fy)
-
+    _check_denominators("spec.t", t, u, v, depth + t)
     meta = {
         "family": "rco",
         "u": str(u),
@@ -861,7 +908,108 @@ def generate_rco(
         "placement": placement,
         "seed": str(seed),
     }
-    return _rect_set(u ** (depth + t), v ** (depth + t), blocks(), meta)
+    return RectangleSet._on_lattice(*_cutout_columns(spec, depth, placement, seed), meta)
+
+
+def _cutout_columns(
+    spec: RcoSpec, depth: int, placement: str, seed: int
+) -> tuple[array, _CutoutAddresses, tuple[AxisLattice, AxisLattice]]:
+    """The level column, the addresses and the lattice of a cut-out member,
+    in entry order.
+
+    Entries come out in address order without sorting addresses: a cell
+    path "i_j" orders by the text of i and "_", then by the text of j, and
+    a cut "i_j/o" by its cell's path, then by the text of o.  So at level k
+    a cell's x numerator is that of its row i and its y that of its column
+    j, and with corner placement a cut's x depends on (i, o) and its y on
+    (j, o): every column is a short list repeated in C (array('q') * n, or
+    list * n past int64).  Hash placement draws each cell's slots in a loop.
+    """
+    u, v, m, t = spec.u, spec.v, spec.m, spec.t
+    ut, vt = u ** t, v ** t
+    dx, dy = u ** (depth + t), v ** (depth + t)
+    ordinals = sorted(range(m), key=str)
+    corner = [(s % ut, s // ut) for s in ordinals]
+    # int64 columns where the denominators fit, Python ints otherwise
+    col_x, col_y = (partial(array, "q") if den < 2 ** 63 else list for den in (dx, dy))
+    levels, xs, ys, hxs, hys = array("q"), col_x(), col_y(), col_x(), col_y()
+    tables = []
+    for k in range(1, depth + 1):
+        fx, fy = u ** (depth - k), v ** (depth - k)
+        rows = sorted(range(u ** k), key="{}_".format)
+        cols = sorted(range(v ** k), key=str)
+        cx = [((2 * i + 1) * ut - u ** (k + t)) * fx for i in rows]
+        cy = [((2 * j + 1) * vt - v ** (k + t)) * fy for j in cols]
+        cells = len(rows) * len(cols)
+        tables.append((len(levels), list(map(str, rows)), list(map(str, cols))))
+        for x in cx:
+            xs.extend(col_x([x]) * len(cols))
+        ys.extend(col_y(cy) * len(rows))
+        if placement == "corner":
+            for x in cx:
+                xs.extend(col_x([x + (2 * a + 1 - ut) * fx for a, _ in corner]) * len(cols))
+            ys.extend(col_y([y + (2 * b + 1 - vt) * fy for y in cy for _, b in corner])
+                      * len(rows))
+        else:
+            for i, x in zip(rows, cx):
+                for j, y in zip(cols, cy):
+                    slots = _rco_slots(spec, k, f"{i}_{j}", seed)
+                    for a, b in map(slots.__getitem__, ordinals):
+                        xs.append(x + (2 * a + 1 - ut) * fx)
+                        ys.append(y + (2 * b + 1 - vt) * fy)
+        levels.extend(array("q", [k]) * (cells * (m + 1)))
+        hxs.extend(col_x([ut * fx]) * cells)
+        hxs.extend(col_x([fx]) * (cells * m))
+        hys.extend(col_y([vt * fy]) * cells)
+        hys.extend(col_y([fy]) * (cells * m))
+    lattice = (AxisLattice(dx, xs, hxs), AxisLattice(dy, ys, hys))
+    return levels, _CutoutAddresses(tables, list(map(str, ordinals))), lattice
+
+
+class _CutoutAddresses(_ListRows):
+    """The addresses of a generated cut-out member, derived from the index.
+
+    Per level, `tables` holds the index of its first entry and its rows i
+    and columns j as text, each in address order.  Level k's entries are
+    its cells "cell:i_j", row by row, then its cuts "cut:i_j/o", cell by
+    cell, with the ordinals o in text order.  Indexing (the bisections of
+    RectangleSet._spans, and its entries) builds one address; iteration
+    (to_csv) builds them a row of cells at a time.
+    """
+
+    __slots__ = ("_tables", "_ordinals")
+
+    def __init__(self, tables: list[tuple[int, list[str], list[str]]],
+                 ordinals: list[str]) -> None:
+        self._tables, self._ordinals = tables, ordinals
+        length = sum(len(rows) * len(cols) * (len(ordinals) + 1) for _, rows, cols in tables)
+        super().__init__(length, partial(_cutout_address, [start for start, *_ in tables],
+                                         tables, ordinals))
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.chain.from_iterable(self._blocks())
+
+    def _blocks(self) -> Iterator[list[str]]:
+        for _, rows, cols in self._tables:
+            for i in rows:
+                head = f"cell:{i}_"
+                yield [head + j for j in cols]
+            tails = [f"{j}/{o}" for j in cols for o in self._ordinals]
+            for i in rows:
+                head = f"cut:{i}_"
+                yield [head + tail for tail in tails]
+
+
+def _cutout_address(starts: list[int], tables: list[tuple[int, list[str], list[str]]],
+                    ordinals: list[str], index: int) -> str:
+    start, rows, cols = tables[bisect_right(starts, index) - 1]
+    cell, cells = index - start, len(rows) * len(cols)
+    if cell < cells:
+        i, j = divmod(cell, len(cols))
+        return f"cell:{rows[i]}_{cols[j]}"
+    cell, o = divmod(cell - cells, len(ordinals))
+    i, j = divmod(cell, len(cols))
+    return f"cut:{rows[i]}_{cols[j]}/{ordinals[o]}"
 
 
 def _rect_set(dx: int, dy: int, blocks: Iterable[tuple], meta: dict[str, str]) -> RectangleSet:
@@ -953,14 +1101,15 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
 
     Level k lives on the lattice with denominators (u^k (u-1), v^k (v-1)),
     where a component has half-widths (u-1, v-1); the set's lattice is that
-    of level `depth`.  Over the size limits (_check_boxes) it raises
-    core.SizeError first.
+    of level `depth`.  Over the size limits (_check_boxes), or with
+    denominators past MAX_DENOMINATOR_BITS, it raises core.SizeError first.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     u, v = spec.u, spec.v
     _check_boxes("depth", depth, _level_boxes(1, (u - 1) * (v - 1), depth),
                  _lattice_bits(u, v, depth, u - 1, v - 1))
+    _check_denominators("depth", depth, u, v, depth, u - 1, v - 1)
 
     def blocks() -> Iterator[tuple]:
         for k, pieces in enumerate(_rcd_walk(spec, depth), start=1):

@@ -73,8 +73,9 @@ __all__ = [
 
 BUDGET_TOL = 1e-12          # log-domain slack when auditing budget legality
 
-# Largest difference array, in int64 cells, that one budget audit level may
-# build: 512 MiB.  A depth-5 RCO(4,5,2,1) level at extent 1 needs 4102 x 12506.
+# Largest difference array, in cells, that one budget audit level may build:
+# 256 MiB as int32 (512 MiB past 2^30 boxes, as int64; families._cover_counts).
+# A depth-5 RCO(4,5,2,1) level at extent 1 needs 4102 x 12506.
 MAX_AUDIT_CELLS = 2 ** 26
 # Most int64 cells the projection and half-shrink sweeps may build, summed
 # over the axes: 32 MiB, of which a projection table holds a few copies at

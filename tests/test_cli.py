@@ -598,7 +598,7 @@ def _patch_geometry_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("started work before checking the geometry size")
 
-    for name in ("_rect_set", "_rcd_walk", "_cover_piece"):
+    for name in ("_rect_set", "_cutout_columns", "_rcd_walk", "_cover_piece"):
         monkeypatch.setattr(families, name, no_work)
 
 
@@ -645,6 +645,24 @@ def test_numerator_heavy_geometry_exits_1_at_once(tmp_path, capsys, monkeypatch,
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "error: config: generate.depth: " in err and "numerator bits" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body,key", [
+    ("command = generate\nfamily.kind = rco\nfamily.u = 2\nfamily.v = 3\nfamily.m = 1\n"
+     "family.t = 1000000\ngenerate.depth = 1\n", "family.t"),
+    (SIMULATE + "family.kind = rco\nfamily.u = 2\nfamily.v = 3\nfamily.m = 1\n"
+     "family.t = 1000000\ngame.c = 0.5\nsimulate.moves = 1\n", "family.t"),
+    ("command = generate\n" + RCD22 + "generate.depth = 14000\n", "generate.depth"),
+])
+def test_denominators_past_the_digit_limit_exit_1_at_once(tmp_path, capsys, monkeypatch,
+                                                          body, key):
+    # the CSV would need a decimal of over 4,300 digits, which Python refuses
+    _patch_geometry_work(monkeypatch)
+    cfg = write_cfg(tmp_path, "cfg", body)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: config: {key}: " in err and "denominator bits" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -900,6 +918,11 @@ def test_verify_imports_numpy_only_for_the_checks_that_use_it(tmp_path):
     ):
         # numpy loads inspect itself, but nothing here needs dataclasses
         assert "dataclasses" not in _imported_modules(tmp_path, name, body), name
+    # a cut-out member's CSV needs no numpy (its columns repeat in C)
+    generate = ("command = generate\nfamily.kind = rco\nfamily.u = 4\nfamily.v = 5\n"
+                "family.m = 2\nfamily.t = 1\ngenerate.depth = 3\n")
+    loaded = _imported_modules(tmp_path, "generate", generate)
+    assert "gamecert.families" in loaded and "numpy" not in loaded
     budget = ("command = verify\nverify.check = budget\nfamily.kind = rco\nfamily.u = 4\n"
               "family.v = 5\nfamily.m = 2\nfamily.t = 1\ngame.c = 0.5\ngenerate.depth = 1\n")
     assert "numpy" in _imported_packages(tmp_path, "budget", budget)

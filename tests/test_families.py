@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import gamecert
 from gamecert import core, families
 from gamecert.core import BoxRegion, SizeError, _ceil_powers, _iroot
 from gamecert.families import (
+    MAX_DENOMINATOR_BITS,
     MAX_GEOMETRY_BITS,
     MAX_GEOMETRY_BOXES,
     AxisLattice,
@@ -864,7 +866,8 @@ def test_geometry_size_check_counts_numerator_bits(monkeypatch):
     rect_bits = sum(axis.den.bit_length() for axis in generate_rcd(RcdSpec(2, 2), 40).lattice)
     deepest = built.levels[-1].lattice
     assert rect_bits == 2 * 41 and sum(axis.den.bit_length() for axis in deepest) <= 2 * 32
-    # the limit stops RCD(2,2) at depth 16383, and refuses depth 100000 at once
+    # alone, the limit would stop RCD(2,2) at depth 16383 (MAX_DENOMINATOR_BITS
+    # stops it first, at 13999), and it refuses depth 100000 at once
     assert 16383 * 2 * 16384 <= MAX_GEOMETRY_BITS < 16384 * 2 * 16385
     start = time.perf_counter()
     for build in (lambda: generate_rcd(RcdSpec(2, 2), 16384),
@@ -1013,6 +1016,89 @@ def test_rco_lattice_generation_matches_fraction_reference():
                       key=lambda e: (e.level, e.address))
         assert member.entries == want
         assert member.to_csv() == _reference_csv(member.meta, want)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_cutout_columns_match_a_box_by_box_reference(data):
+    # a generated member repeats short per-level columns and derives its
+    # addresses from the index; a set built from Fraction entries, box by
+    # box, must read the same through every accessor.  Past 2^63 (u = 6 and
+    # t = 45, say) the columns are lists of Python ints.
+    u, v, t = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 6)), data.draw(st.integers(1, 45))
+    m = data.draw(st.integers(1, min(12, (u * v) ** t)))
+    top = max(d for d in (1, 2, 3) if (m + 1) * sum((u * v) ** k for k in range(1, d + 1)) <= 2500)
+    depth = data.draw(st.integers(1, top))
+    placement = data.draw(st.sampled_from(["corner", "hash"]))
+    seed = data.draw(st.integers(0, 3))
+    spec = RcoSpec(u, v, m, t)
+    rect = generate_rco(spec, depth, placement, seed)
+    ref = RectangleSet(_reference_rco_entries(spec, depth, placement, seed), dict(rect.meta))
+    assert rect.to_csv() == ref.to_csv()
+    _assert_view_matches(rect.addresses, ref.addresses)
+    index = data.draw(st.integers(-len(ref.addresses), len(ref.addresses) - 1))
+    assert rect.addresses[index] == ref.addresses[index]
+    for kind in ("cell", "cut"):
+        for level in (None, *range(1, depth + 1)):
+            assert rect.of_kind(kind, level) == ref.of_kind(kind, level), (kind, level)
+            levels = None if level is None else [level]
+            got, want = rect.lattice_of(kind, levels), ref.lattice_of(kind, levels)
+            assert [(a.den, list(a.centers), list(a.halves)) for a in got] == \
+                [(a.den, list(a.centers), list(a.halves)) for a in want], (kind, level)
+    wide = u ** (depth + t) >= 2 ** 63
+    assert type(rect.lattice[0].centers) is (list if wide else array)
+
+
+def test_generate_rco_builds_no_per_box_objects():
+    # the depth-4 member keeps about 20 MB of columns (40 bytes a box); with
+    # per-box tuples and stored address strings it peaked at 121 MB
+    tracemalloc.start()
+    try:
+        rect = generate_rco(RcoSpec(4, 5, 2, 1), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rect.entries) == 505_260 and peak < 45 * 2 ** 20, peak
+    # rows sort by the text of "i_" ("9_" last), columns by that of j ("99" last)
+    assert rect.addresses[-1] == "cut:9_99/1" and rect.addresses[20] == "cut:0_0/0"
+    assert rect.addresses[60] == "cell:0_0" and rect.levels[60] == 2
+
+
+def test_rco_spec_fit_check_takes_no_huge_power():
+    # u^t v^t >= 4^t, so m fits unless 2t < m.bit_length(); the power of a
+    # 997-bit u to t = 10^6 never ends, and it must not be taken
+    src = str(Path(gamecert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("from gamecert.families import RcoSpec\n"
+            "print(RcoSpec(10 ** 300, 2, 1, 1000000).m)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=20)
+    assert proc.returncode == 0 and proc.stdout == "1\n", proc.stderr
+    with pytest.raises(ValueError, match=r"17 disjoint removals cannot fit in a cell \(16 slots\)"):
+        RcoSpec(2, 2, 17, 2)
+    assert RcoSpec(2, 2, 16, 2).m == 16
+
+
+def test_generators_refuse_denominators_past_the_csv_digit_limit():
+    # a CSV writes every coordinate in decimal, and Python converts at most
+    # 4,300 digits; RCO(2,2,1,t) at depth 1 has denominators 2^(t+1)
+    widest = generate_rco(RcoSpec(2, 2, 1, MAX_DENOMINATOR_BITS - 2), 1)
+    assert widest.lattice[0].den.bit_length() == MAX_DENOMINATOR_BITS
+    assert widest.to_csv().count("\n") == 9 + 8
+    # the limit counts the real bits: 3^8833 has 14000, 3^8834 has 14002
+    widest = generate_rco(RcoSpec(3, 3, 1, 8832), 1)
+    assert widest.lattice[0].den == 3 ** 8833
+    assert widest.to_csv().count("\n") == 9 + len(widest.entries)
+    for arg, build, need in (
+        ("spec.t", lambda: generate_rco(RcoSpec(2, 2, 1, MAX_DENOMINATOR_BITS - 1), 1), 14001),
+        ("spec.t", lambda: generate_rco(RcoSpec(3, 3, 1, 8833), 1), 14002),
+        ("spec.t", lambda: generate_rco(RcoSpec(2, 3, 1, 1000000), 1), None),
+        ("depth", lambda: generate_rcd(RcdSpec(2, 2), MAX_DENOMINATOR_BITS), 14001),
+    ):
+        with pytest.raises(SizeError, match="denominator bits, over the limit of 14000") as info:
+            build()
+        assert info.value.arg == arg
+        assert need is None or f" needs {need} denominator bits" in str(info.value)
 
 
 def _reference_pbm(rect, width, height):
@@ -1190,6 +1276,23 @@ def test_geometry_dump_is_deterministic(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(manifest)
     for name, digest in manifest.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_grid_hits_leave_the_lattice_unchanged():
+    # the kernel works in place on its columns: at scale 1 the stored int64
+    # ones come as read-only views, and a new denominator scales copies
+    import copy
+
+    for den in (8, 8 * (2 ** 70 + 1)):               # int64, then object columns
+        boxes = [BoxRegion((Fraction(k, 8) + Fraction(1, den), Fraction(-k, 8)),
+                           (Fraction(1, 8), Fraction(3, 8))) for k in range(-3, 4)]
+        lattice = families._derived_lattice(boxes)
+        assert isinstance(lattice[0].centers, array) == (den == 8)
+        before = copy.deepcopy(lattice)
+        for step in (Fraction(1, 8), Fraction(1, 3)):    # scale 1, then scale 3
+            hits = families._grid_hits(lattice, (0, 0), (step, step), (0, 0), (-2, -2), (2, 2))
+            assert hits.sum() > 0
+            assert lattice == before, (den, step)
 
 
 @given(st.data())
