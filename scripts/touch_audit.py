@@ -13,14 +13,14 @@ every level >= 1 of their strategy:
 
 After each step the child prints the step's wall time and its own peak RSS
 so far (ru_maxrss, a high-water mark: a step that stays below an earlier
-peak prints that peak).  The rco job drops the member once its strategy is
-built, since the audit reads only the strategy.  Then, per audited level,
+peak prints that peak).  The rco job keeps the member alive through its
+audit, as a process that goes on to use it would.  Then, per audited level,
 it prints the worst hits of any test box against the touch count that the
 rate formula uses (9m for a cut-out member, 9 (u-1)(v-1) rcd_cover_count
 for a corner-digit one), and whether the level is legal; last, all_legal.
 It exits 2 if a level is illegal or its worst hits pass that count.  The
-rco job peaks below 0.7 GiB and takes a few seconds on a 2-core host; this
-script is not part of Tier-1.
+rco job peaks near 0.8 GiB, the member's 0.47 GiB included, and takes a few
+seconds on a 2-core host; this script is not part of Tier-1.
 """
 from __future__ import annotations
 
@@ -57,7 +57,6 @@ def _run_job(job: str) -> bool:
         print(f"{job}: RCO(4,5,2,1) at depth {depth}, c = 0.5", flush=True)
         member = _step("generate", lambda: generate_rco(spec, depth))
         strategy = _step("strategy", lambda: covering_strategy_for_rco(member, 0.5))
-        del member          # the audit reads only the strategy
         constant, formula = 9 * spec.m, "9m"
     else:
         spec, depth, t = RcdSpec(7, 4), 4, 1

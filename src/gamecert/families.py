@@ -61,14 +61,13 @@ import math
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import abc
 from fractions import Fraction
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .core import (
     EXACT_LIMIT, BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record, _ceil_powers,
-    check_size,
+    _LazyRows, _ListRows, check_size,
 )
 
 if TYPE_CHECKING:
@@ -348,10 +347,12 @@ def _level_boxes(first: int, ratio: int, depth: int) -> int:
 class AxisLattice(NamedTuple):
     """One axis of a run of boxes on an integer lattice.
 
-    Box i has center centers[i] / den and half-width halves[i] / den.  The
-    numerators are an array('q') of int64 when all of them fit, else a
-    tuple (or, in a generated rectangle set, a list) of Python ints.  A
-    strategy level's den is the least common denominator of its axis.
+    Box i has center centers[i] / den and half-width halves[i] / den, or
+    halves[0] / den if halves has length 1, as a strategy level stores the
+    one its boxes share.  The numerators are int64 when all fit, as an
+    array('q') or a read-only memoryview of one, else a tuple (or, in a
+    generated rectangle set, a list) of Python ints.  A strategy level's
+    den is the least common denominator of its axis.
     """
 
     den: int
@@ -359,52 +360,22 @@ class AxisLattice(NamedTuple):
     halves: Sequence[int]
 
 
-def _axis_lattice(
-    den: int, centers: Sequence[int], halves: Sequence[int]
-) -> AxisLattice:
-    """The AxisLattice of numerators over `den`, in lowest terms.  int64
-    columns stay int64 (dividing cannot overflow them); Python ints are
-    stored as int64 when they all fit."""
-    g = math.gcd(den, *set(centers), *set(halves))
+def _axis_lattice(den: int, centers: list[int], halves: list[int]) -> AxisLattice:
+    """The AxisLattice of numerators over `den`, in lowest terms (the centers
+    read only if den and the halves share a factor), int64 if all fit."""
+    g = math.gcd(den, *set(halves))
+    g = math.gcd(g, *set(centers)) if g > 1 else g
     if g > 1:
-        den //= g
-        centers, halves = (
-            array("q", [x // g for x in col]) if isinstance(col, array) else [x // g for x in col]
-            for col in (centers, halves)
-        )
-    if isinstance(centers, array) and isinstance(halves, array):
-        return AxisLattice(den, centers, halves)
+        den, centers, halves = den // g, [x // g for x in centers], [x // g for x in halves]
     try:
         return AxisLattice(den, array("q", centers), array("q", halves))
     except OverflowError:
         return AxisLattice(den, tuple(centers), tuple(halves))
 
 
-def _level_axis(den: int, centers: np.ndarray, half: int) -> AxisLattice:
-    """The AxisLattice of a fresh numpy column of center numerators over
-    `den`, every box with half-width numerator `half`, in lowest terms: one
-    np.gcd.reduce finds the common factor, and only a factor above 1
-    divides the column, in place.  The columns are array('q') when every
-    reduced numerator fits int64 (copied once, from a memoryview of the int64
-    buffer), else tuples of Python ints, as _axis_lattice stores them."""
-    import numpy as np
-
-    g = math.gcd(den, half, int(np.gcd.reduce(centers)))
-    if g > 1:
-        den, half = den // g, half // g
-        centers //= g
-    if centers.dtype == object:
-        try:
-            centers = centers.astype(np.int64)
-        except OverflowError:
-            return AxisLattice(den, tuple(centers.tolist()), (half,) * centers.size)
-    column = array("q")
-    column.frombytes(memoryview(centers).cast("B"))
-    return AxisLattice(den, column, array("q", [half]) * centers.size)
-
-
-def _derived_lattice(boxes: Sequence[BoxRegion]) -> tuple[AxisLattice, ...]:
-    """Per axis, the boxes' coordinates over their least common denominator.
+def _derived_lattice(boxes: Sequence[BoxRegion], shared: bool = False) -> tuple[AxisLattice, ...]:
+    """Per axis, the boxes' coordinates over their least common denominator,
+    with `shared` a half-width every box has stored once.
 
     Fractions and ints give their numerator and denominator; a float counts
     as the exact binary fraction it holds.
@@ -421,7 +392,9 @@ def _derived_lattice(boxes: Sequence[BoxRegion]) -> tuple[AxisLattice, ...]:
         den = math.lcm(*dens)
         scale = {d: den // d for d in dens}
         nums = [x.numerator * scale[x.denominator] for x in coords]
-        axes.append(_axis_lattice(den, nums[:len(boxes)], nums[len(boxes):]))
+        halves = nums[len(boxes):]
+        axes.append(_axis_lattice(den, nums[:len(boxes)],
+                                  halves[:1] if shared and len(set(halves)) == 1 else halves))
     return tuple(axes)
 
 
@@ -434,7 +407,8 @@ def _box_reader(lattice: tuple[AxisLattice, ...]) -> Callable[[int], BoxRegion]:
     def box(i: int) -> BoxRegion:
         return BoxRegion(
             tuple(Fraction(axis.centers[i], axis.den) for axis in lattice),
-            tuple(half(axis.halves[i]) for axis, half in zip(lattice, halves)),
+            tuple(half(axis.halves[i if len(axis.halves) > 1 else 0])
+                  for axis, half in zip(lattice, halves)),
         )
 
     return box
@@ -442,6 +416,7 @@ def _box_reader(lattice: tuple[AxisLattice, ...]) -> Callable[[int], BoxRegion]:
 
 # Numerators below this magnitude go to int64: a sum of eight of them still fits.
 _INT64_SAFE = 2 ** 60
+_GRID_CHUNK = 2 ** 15   # boxes per chunk of _grid_hits: no column it makes is longer
 
 
 def _on_one_lattice(
@@ -449,12 +424,14 @@ def _on_one_lattice(
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """(centers, halves, extra numerators): one axis of a run of boxes and a
     few more rationals (a float counts as the exact binary fraction it
-    holds), all over their least common denominator.
+    holds), all over their least common denominator; a shared half-width
+    stays one entry, which numpy broadcasts to every box.
 
     The numerators stay int64 when the axis stores them so and every scaled
     magnitude, the extras' included, is below 2^60; that is checked on the
-    unscaled maximum before anything is multiplied.  Otherwise they become
-    Python integers in object arrays.
+    unscaled maximum before anything is multiplied, and at scale 1 they are
+    read-only views of the stored columns.  Otherwise they become Python
+    integers in object arrays.
     """
     import numpy as np
 
@@ -463,7 +440,7 @@ def _on_one_lattice(
     scale = den // axis.den
     nums = [x.numerator * (den // x.denominator) for x in extras]
     columns = (axis.centers, axis.halves)
-    if isinstance(axis.centers, array) and isinstance(axis.halves, array):
+    if {type(axis.centers), type(axis.halves)} <= {array, memoryview}:   # int64
         centers, halves = (np.frombuffer(memoryview(c).toreadonly(), dtype=np.int64) for c in columns)
         top = max(-int(centers.min(initial=0)), int(centers.max(initial=0)),
                   int(halves.max(initial=0)))
@@ -476,40 +453,54 @@ def _on_one_lattice(
 
 
 def _cover_counts(
-    shape: tuple[int, ...], starts: Sequence[np.ndarray], stops: Sequence[np.ndarray]
+    shape: tuple[int, ...], boxes: int, ranges: Iterable[tuple[list, list]]
 ) -> np.ndarray:
-    """Per cell of a grid of `shape`, how many boxes cover it, where box b
-    covers the cells [starts[j][b], stops[j][b]) on axis j (intp index
-    arrays, every range nonempty and inside the grid).
+    """Per cell of a grid of `shape`, how many of `boxes` boxes cover it,
+    where `ranges` yields them by chunks as (starts, stops): box b covers
+    the cells [starts[j][b], stops[j][b]) on axis j (intp index arrays,
+    every range nonempty and inside the grid).
 
-    Each box adds +-1 at the corners of its range in a difference array,
-    whose prefix sums, taken in place, are the counts.  No entry of it
-    ever passes twice the number of boxes in magnitude, so it is int32
-    below 2^30 boxes (half the memory of int64) and int64 above.
+    Each box adds +-1 at the corners of its range in one difference array,
+    whose prefix sums, taken in place at the end, are the counts.  No entry
+    of it ever passes twice the number of boxes in magnitude, so it is
+    int32 below 2^30 boxes (half the memory of int64) and int64 above.
     """
     import numpy as np
 
-    dtype = np.int32 if len(starts[0]) < 2 ** 30 else np.int64
+    dtype = np.int32 if boxes < 2 ** 30 else np.int64
     diff = np.zeros(tuple(s + 1 for s in shape), dtype=dtype)
-    for corner in itertools.product((0, 1), repeat=len(shape)):
-        index = tuple(stops[j] if up else starts[j] for j, up in enumerate(corner))
-        # a scalar of diff's own dtype keeps np.add.at on its uncast loop
-        np.add.at(diff, index, dtype(-1 if sum(corner) % 2 else 1))
+    for starts, stops in ranges:
+        for corner in itertools.product((0, 1), repeat=len(shape)):
+            index = tuple(stops[j] if up else starts[j] for j, up in enumerate(corner))
+            # a scalar of diff's own dtype keeps np.add.at on its uncast loop
+            np.add.at(diff, index, dtype(-1 if sum(corner) % 2 else 1))
+        del starts, stops, index          # freed before the next chunk is made
     for axis in range(len(shape)):
         np.cumsum(diff, axis=axis, dtype=dtype, out=diff)
     return diff[(slice(0, -1),) * len(shape)]
 
 
-def _reach(lattice: Sequence[AxisLattice], point: Sequence[Fraction | int],
-           reach: Sequence[Fraction | int], strict: bool = False) -> np.ndarray:
+def _reach(lattice: Sequence[AxisLattice], point: Sequence[Fraction | int | float],
+           reach: Sequence[Fraction | int | float], strict: bool = False) -> np.ndarray:
     """Mask of the boxes within reach[j] of `point` on every axis j:
-    |center_j - point_j| <= half_j + reach[j], or < when strict, compared
-    exactly over one denominator per axis."""
+    |center_j - point_j| <= half_j + reach[j], or < when strict, exactly.
+    With X = point_j den and R = reach[j] den, integers c, h have
+    |c - X| <= h + R just when c <= floor(X + R) + h and c >= ceil(X - R) - h
+    (strictly: ceil(X + R) - 1 + h and floor(X - R) + 1 - h), so the stored
+    centers are compared with integers, a shared h making no column.
+    Against int64 columns, whose values _on_one_lattice checks to lie below
+    2^60, the two bounds are clamped to +-2^62 first."""
     mask = True
     for axis, x, r in zip(lattice, point, reach):
-        centers, halves, (x, r) = _on_one_lattice(axis, (x, r))
-        gap, bound = abs(centers - x), halves + r if r else halves
-        mask = mask & (gap < bound if strict else gap <= bound)
+        centers, halves, _ = _on_one_lattice(axis, ())
+        x, r = Fraction(x), Fraction(r)
+        q = x.denominator * r.denominator   # X +- R = (a +- b) / q
+        a, b = x.numerator * r.denominator * axis.den, r.numerator * x.denominator * axis.den
+        up, down = ((-(-(a + b) // q) - 1, (a - b) // q + 1) if strict
+                    else ((a + b) // q, -(-(a - b) // q)))
+        if centers.dtype != object:
+            up, down = (min(max(t, -4 * _INT64_SAFE), 4 * _INT64_SAFE) for t in (up, down))
+        mask = mask & (centers <= up + halves) & (centers >= down - halves)
     return mask
 
 
@@ -518,27 +509,33 @@ def _grid_hits(lattice: Sequence[AxisLattice], origin: Sequence[Fraction | int],
                lo: Sequence[int], hi: Sequence[int], strict: bool = False) -> np.ndarray:
     """For each point origin + i step (step > 0) of the grid lo <= i <= hi,
     how many boxes reach it as _reach tells: an integer array of shape
-    hi - lo + 1 (int32 below 2^30 boxes, see _cover_counts).  Per axis, all
-    over one denominator, the indices each box reaches run from one floor
-    division to another (on integers a strict bound is the closed one less
-    1), and _cover_counts adds up the ranges.
+    hi - lo + 1 (int32 below 2^30 boxes).  _index_ranges finds the ranges
+    _GRID_CHUNK boxes at a time, and _cover_counts adds them up."""
+    def part(col: Sequence[int], i: int) -> Sequence[int]:
+        view = memoryview(col) if isinstance(col, array) else col
+        return col if len(col) == 1 else view[i:i + _GRID_CHUNK]
 
-    Each axis works in place on two columns, the first and the last index
-    of every box: new ones over the stored numerators, or the scaled copies
-    that _on_one_lattice made.  Only when some box misses the grid are the
-    boxes that meet it picked out."""
+    boxes = len(lattice[0].centers)
+    chunks = (_index_ranges([AxisLattice(axis.den, part(axis.centers, i), part(axis.halves, i))
+                             for axis in lattice], origin, step, reach, lo, hi, strict)
+              for i in range(0, boxes, _GRID_CHUNK))
+    return _cover_counts(tuple(b - a + 1 for a, b in zip(lo, hi)), boxes, chunks)
+
+
+def _index_ranges(lattice: Sequence[AxisLattice], origin: Sequence, step: Sequence,
+                  reach: Sequence, lo: Sequence[int], hi: Sequence[int], strict: bool) -> tuple:
+    """_grid_hits' (starts, stops) for a run of boxes.  Per axis, all over
+    one denominator, the indices each box reaches run from one floor
+    division to another (on integers a strict bound is the closed one less
+    1), in place in two columns; boxes that miss the grid are dropped."""
     import numpy as np
 
     starts, stops = [], []
     for axis, o, s, r, a, b in zip(lattice, origin, step, reach, lo, hi):
         centers, halves, (o, s, r) = _on_one_lattice(axis, (o, s, r))
         r -= strict                       # |i s - (center - o)| <= half + r
-        if halves.flags.writeable:        # scaled copies, not the stored columns
-            first = np.subtract(halves, centers, out=halves)
-            last = np.add(centers, centers, out=centers)
-            last += first                 # c + h = 2c + (h - c)
-        else:
-            first, last = halves - centers, centers + halves
+        first = halves - centers
+        last = np.add(centers, halves, out=centers if centers.flags.writeable else None)
         first += o + r                    # i >= ceil((center - half - r - o) / s)
         first //= s
         np.negative(first, out=first)
@@ -553,9 +550,9 @@ def _grid_hits(lattice: Sequence[AxisLattice], origin: Sequence[Fraction | int],
     inside = np.logical_and.reduce([f < g for f, g in zip(starts, stops)])
     if not inside.all():
         starts, stops = [f[inside] for f in starts], [g[inside] for g in stops]
-    if starts[0].dtype != np.intp:      # Python ints past int64
-        starts, stops = [f.astype(np.intp) for f in starts], [g.astype(np.intp) for g in stops]
-    return _cover_counts(tuple(b - a + 1 for a, b in zip(lo, hi)), starts, stops)
+    # an axis of Python ints past int64 is cast, whatever the other axes hold
+    return ([f.astype(np.intp, copy=False) for f in starts],
+            [g.astype(np.intp, copy=False) for g in stops])
 
 
 def _to_floats(den: int, nums: Sequence[int]) -> np.ndarray:
@@ -572,50 +569,6 @@ def _to_floats(den: int, nums: Sequence[int]) -> np.ndarray:
         if not ints.size or -limit < ints.min() and ints.max() < limit:
             return ints.astype(np.float64) / den
     return np.array([n / den for n in nums], dtype=np.float64)
-
-
-class _LazyRows(abc.Sequence):
-    """A read-only sequence whose items are built only when read.
-
-    Its length, items, iteration, repr and == are those of the tuple (or,
-    in a subclass, the list) of its items; a slice is a plain list.
-    """
-
-    __slots__ = ("_len", "_item")
-    _like: type = tuple
-
-    def __init__(self, length: int, item: Callable[[int], object]) -> None:
-        self._len, self._item = length, item
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index):
-        rows = range(self._len)[index]  # normalizes the index or raises IndexError
-        return [self._item(i) for i in rows] if isinstance(index, slice) else self._item(rows)
-
-    def __iter__(self) -> Iterator:
-        return map(self._item, range(self._len))
-
-    def __repr__(self) -> str:
-        return repr(self._like(self))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _LazyRows) and other._like is self._like \
-                or isinstance(other, self._like):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-
-class _ListRows(_LazyRows):
-    """A _LazyRows that compares and prints like a list, and is unhashable."""
-
-    __slots__ = ()
-    _like = list
-    __hash__ = None  # type: ignore[assignment]
 
 
 # ----------------------------------------------------------- rectangle sets
@@ -812,7 +765,8 @@ class RectangleSet(Record):
         # ys falls down the rows; negated, it rises, and the test is unchanged
         (c0, c1), (r0, r1) = _float_runs(xs, cx, hx), _float_runs(-ys, -cy, hy)
         some = (c0 < c1) & (r0 < r1)
-        covered = _cover_counts((height, width), (r0[some], c0[some]), (r1[some], c1[some])) > 0
+        covered = _cover_counts((height, width), len(r0),
+                                [((r0[some], c0[some]), (r1[some], c1[some]))]) > 0
         keep = ~covered if cuts else covered
         text = np.full((height, 2 * width), ord(" "), dtype=np.uint8)
         text[:, ::2] = keep + ord("0")
@@ -1139,12 +1093,13 @@ class StrategyLevel(Record):
     `preamble` marks a set that precedes any numbered move (the corner-digit
     strategy's level-0 covers; see covering_strategy_for_rcd).  `lattice`
     holds the boxes per axis as integer numerators over their least common
-    denominator (AxisLattice).  The family strategies build a level from
-    its lattice alone (on_lattice): `boxes` is then a read-only view, equal
-    to and printed as the tuple of its boxes, that builds a BoxRegion only
-    when one is read.  A level built from boxes keeps them as given and
-    derives its lattice from them here.  Like DiagonalContraction's cached
-    log_det the lattice is left out of repr and ==.
+    denominator (AxisLattice; a half-width all its boxes share, stored once).
+    The family strategies build a level from its lattice alone
+    (on_lattice): `boxes` is then a read-only view, equal to and printed as
+    the tuple of its boxes, that builds a BoxRegion only when one is read.
+    A level built from boxes keeps them as given and derives its lattice
+    from them here.  Like DiagonalContraction's cached log_det the lattice
+    is left out of repr and ==.
     """
 
     __slots__ = ("level", "exponent", "budget_rate_log", "preamble", "boxes", "lattice")
@@ -1154,7 +1109,7 @@ class StrategyLevel(Record):
                  preamble: bool, boxes: Sequence[BoxRegion],
                  lattice: tuple[AxisLattice, ...] | None = None) -> None:
         super().__init__(level, exponent, budget_rate_log, preamble, boxes,
-                         _derived_lattice(boxes) if lattice is None else lattice)
+                         _derived_lattice(boxes, shared=True) if lattice is None else lattice)
 
     @classmethod
     def on_lattice(cls, level: int, exponent: int, budget_rate_log: float,
@@ -1194,6 +1149,10 @@ def covering_strategy_for_rco(
     boxes with exponent q = k + t; a test box of level-k cell size touches at
     most 3x3 cells and so at most 9m boxes, which is exactly the budget at
     rate a_k = (9m)^(1/c) (uv)^-t, uniformly in k.
+
+    Level k holds the member's level-k cuts over (u^(k+t), v^(k+t)), its
+    denominators without the known factors u^(depth-k), v^(depth-k); the
+    deepest level, most cuts, views the member's int64 columns.
     """
     meta = member.meta
     if meta.get("family") != "rco":
@@ -1202,14 +1161,18 @@ def covering_strategy_for_rco(
     spec = RcoSpec(u, v, m, t)
     alpha = rco_alpha(u, v, m, t, c)
     params = GameParameters(alpha, spec.contraction(), c)
-    levels = tuple(
-        StrategyLevel.on_lattice(k, k + t, alpha.log, False, tuple(
-            _axis_lattice(axis.den, axis.centers, axis.halves)
-            for axis in member.lattice_of("cut", [k])
-        ))
-        for k in range(1, member.max_level() + 1)
-    )
-    return CoveringStrategy(params, "rco", levels)
+    depth, levels = member.max_level(), []
+    for k in range(1, depth + 1):
+        (span,) = member._spans("cut", [k])
+        lattice = []
+        for axis, f in zip(member.lattice, (u ** (depth - k), v ** (depth - k))):
+            cut, half = slice(span.start, span.stop), [axis.halves[span.start] // f]
+            lattice.append(
+                AxisLattice(axis.den, memoryview(axis.centers).toreadonly()[cut], array("q", half))
+                if f == 1 and isinstance(axis.centers, array)
+                else _axis_lattice(axis.den // f, [x // f for x in axis.centers[cut]], half))
+        levels.append(StrategyLevel.on_lattice(k, k + t, alpha.log, False, tuple(lattice)))
+    return CoveringStrategy(params, "rco", tuple(levels))
 
 
 def _tile_axis(lo: int, hi: int, h: int) -> list[int]:
@@ -1257,17 +1220,28 @@ def _cover_piece(
     return opt1 if len(opt1) <= len(opt2) else opt2
 
 
-def _template_column(
-    den: int, starts: Sequence[int], scale: int, offsets: np.ndarray, corners: np.ndarray
-) -> np.ndarray:
-    """One axis of a corner-digit level's cover numerators over `den`:
-    piece p's box b is starts[p] * scale + offsets[corners[p], b], piece
-    by piece.  Every value is at most 2 den in magnitude, so the column is
-    int64 when den is below _INT64_SAFE and Python ints otherwise."""
+def _level_axis(den: int, starts: Sequence[int], scale: int, offsets: np.ndarray,
+                corners: np.ndarray, half: int) -> AxisLattice:
+    """One axis of a corner-digit level over `den`, in lowest terms: piece
+    p's box b has the center numerator starts[p] scale + offsets[corners[p], b]
+    and every box the half-width numerator `half`.  Values are at most
+    2 den in magnitude: below _INT64_SAFE the final array('q') is filled,
+    a corner template at a time, and divided by its gcd in place, through a
+    numpy view; past it, Python ints go to _axis_lattice."""
     import numpy as np
 
-    dtype = np.int64 if den < _INT64_SAFE else object
-    return ((np.array(starts, dtype=dtype) * scale)[:, None] + offsets[corners]).ravel()
+    if den >= _INT64_SAFE:
+        column = (np.array(starts, dtype=object) * scale)[:, None] + offsets[corners]
+        return _axis_lattice(den, column.ravel().tolist(), [half])
+    column = array("q", [0]) * (len(starts) * offsets.shape[1])
+    view = np.frombuffer(column, dtype=np.int64).reshape(len(starts), offsets.shape[1])
+    for corner, template in enumerate(offsets):
+        view[corners == corner] = template
+    view += (np.array(starts, dtype=np.int64) * scale)[:, None]
+    g = math.gcd(den, half, int(np.gcd.reduce(view, axis=None)))
+    if g > 1:
+        view //= g
+    return AxisLattice(den // g, column, array("q", [half // g]))
 
 
 def covering_strategy_for_rcd(
@@ -1287,13 +1261,14 @@ def covering_strategy_for_rcd(
 
     Level k lives on the lattice with denominators (u^q (u-1), v^q (v-1)).
     A piece's cover is its region's center plus one of four corner
-    templates, built once.  Each level is built columnwise: per axis, one
-    numpy step adds every piece's scaled center to its corner's template
-    row, and one gcd reduction takes the column to lowest terms.  The
-    level keeps only those numerators, as its lattice (array('q') columns,
-    or tuples of Python ints past int64); its boxes are read off it on
-    demand.  A strategy over the size limits (_check_boxes), its four
-    templates counted, raises core.SizeError before any box is built.
+    templates, built once.  Each level is built columnwise (_level_axis):
+    per axis, its final column is filled with its pieces' corner templates
+    and their scaled centers added, in place, and one gcd reduction takes it
+    to lowest terms.  The level keeps only those numerators and its one
+    half-width per axis, as its lattice (array('q') columns, or tuples of
+    Python ints past int64); its boxes are read off it on demand.  A
+    strategy over the size limits (_check_boxes), its four templates
+    counted, raises core.SizeError before any box is built.
     """
     import numpy as np
 
@@ -1316,7 +1291,7 @@ def covering_strategy_for_rcd(
     # the cover of a region minus its child, per corner of the child, as
     # offsets from the region's center: the same on every level's lattice.
     # Row 2 (sx < 0) + (sy < 0) of a template table is corner (sx, sy).
-    tx, ty = [], []
+    covers = []
     for signs in itertools.product((1, -1), repeat=2):
         cover = _cover_piece((u * ut, v * vt), ((u - 1) * ut, (v - 1) * vt), signs, (u - 1, v - 1))
         if len(cover) != count.value:
@@ -1324,17 +1299,15 @@ def covering_strategy_for_rcd(
                 f"cover construction produced {len(cover)} boxes, "
                 f"count formula says {count.value}"
             )
-        tx.append([x for x, _ in cover])
-        ty.append([y for _, y in cover])
-    tx, ty = np.array(tx, dtype=np.int64), np.array(ty, dtype=np.int64)
+        covers.append(cover)
+    tx, ty = np.array(covers, dtype=np.int64).transpose(2, 0, 1)  # per axis, corner by box
     levels = []
     for k, pieces in enumerate(_rcd_walk(spec, depth)):
         q = k + 1 + t
         dx, dy = u ** q * (u - 1), v ** q * (v - 1)
         _, lx, ly, sx, sy = zip(*pieces)
         corners = 2 * (np.array(sx) < 0) + (np.array(sy) < 0)
-        xs = _template_column(dx, lx, ut, tx, corners)
-        ys = _template_column(dy, ly, vt, ty, corners)
-        lattice = (_level_axis(dx, xs, u - 1), _level_axis(dy, ys, v - 1))
+        lattice = (_level_axis(dx, lx, ut, tx, corners, u - 1),
+                   _level_axis(dy, ly, vt, ty, corners, v - 1))
         levels.append(StrategyLevel.on_lattice(k, q, alpha.log, k == 0, lattice))
     return CoveringStrategy(params, "rcd", tuple(levels))

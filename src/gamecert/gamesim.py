@@ -33,14 +33,15 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .core import BoxRegion, DiagonalContraction, LogScalar, Record, check_size
+from .core import BoxRegion, DiagonalContraction, LogScalar, Record, _LazyRows, check_size
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from .families import CoveringStrategy
+    from .families import CoveringStrategy, StrategyLevel
 
 __all__ = [
     "Lattice",
@@ -93,6 +94,8 @@ MAX_GRID_CELLS = 2 ** 14
 MAX_POWER_BITS = 2 ** 13
 # Most draws of the transfer check, at about 2 us each.
 MAX_TRANSFER_SAMPLES = 2 ** 18
+# Most preamble lines PlayTranscript.to_text writes (RCD(7,4) at t = 1 grants 468).
+MAX_PREAMBLE_LINES = 2 ** 20
 
 
 def _check_power_bits(arg: str, value: int, u: Sequence[int], exponent: int) -> None:
@@ -400,7 +403,7 @@ class PlayTranscript(NamedTuple):
     c: float
     alpha_log: float
     betas: tuple[Fraction, ...]
-    preamble: tuple[DeletionRecord, ...]
+    preamble: Sequence[DeletionRecord]
     moves: tuple[MoveRecord, ...]
 
     @property
@@ -408,16 +411,21 @@ class PlayTranscript(NamedTuple):
         return self.moves[-1].box
 
     def all_deletions(self) -> tuple[DeletionRecord, ...]:
-        out = list(self.preamble)
-        for move in self.moves:
-            out.extend(move.deletions)
-        return tuple(out)
+        return tuple(itertools.chain(self.preamble, *(move.deletions for move in self.moves)))
 
     def outcome_intersects_deleted(self) -> DeletionRecord | None:
-        for rec in self.all_deletions():
-            if self.outcome_box.intersects(rec.box):
-                return rec
-        return None
+        """The first deletion the outcome box meets (a preamble by lattice)."""
+        box, preamble = self.outcome_box, self.preamble
+        if isinstance(preamble, _Preamble):
+            from .families import _reach
+
+            for lvl, mass_log in zip(preamble.levels, preamble.masses):
+                hits = _reach(lvl.lattice, box.center, box.half)
+                if hits.any():
+                    return DeletionRecord(0, lvl.exponent, lvl.boxes[int(hits.argmax())], mass_log)
+            preamble = ()
+        deletions = itertools.chain(preamble, *(move.deletions for move in self.moves))
+        return next((rec for rec in deletions if box.intersects(rec.box)), None)
 
     def outcome_inside_deleted(self) -> DeletionRecord | None:
         for rec in self.all_deletions():
@@ -433,6 +441,7 @@ class PlayTranscript(NamedTuple):
 
     def to_text(self) -> str:
         """Line-delimited: one move per line, exact rationals where present."""
+        check_size("preamble", "true", len(self.preamble), "preamble lines", MAX_PREAMBLE_LINES)
         lines = [
             "transcript radius=%s c=%.17g alpha_log=%.17g betas=%s"
             % (self._fmt(self.radius), self.c, self.alpha_log,
@@ -457,6 +466,24 @@ class PlayTranscript(NamedTuple):
                    move.budget_cap_log, "true" if move.skipped else "false")
             )
         return "\n".join(lines) + "\n"
+
+
+class _Preamble(_LazyRows):
+    """A play's preamble: a DeletionRecord per box of `levels`, built on read."""
+
+    __slots__ = ("levels", "masses")
+
+    def __init__(self, levels: list[StrategyLevel], masses: list[float]) -> None:
+        self.levels, self.masses = levels, masses
+        super().__init__(sum(len(lvl.boxes) for lvl in levels),
+                         partial(self._record, levels, masses))
+
+    @staticmethod
+    def _record(levels: list[StrategyLevel], masses: list[float], i: int) -> DeletionRecord:
+        for lvl, mass_log in zip(levels, masses):
+            if i < len(lvl.boxes):
+                return DeletionRecord(0, lvl.exponent, lvl.boxes[i], mass_log)
+            i -= len(lvl.boxes)
 
 
 Policy = Callable[[int, BoxRegion], tuple[Fraction, ...]]
@@ -506,7 +533,7 @@ def play_game(
     level-m strategy box that intersects the current play box, provided the
     summed mass fits the budget (alpha prod beta^m)^c; an over-budget answer
     degrades to a recorded skip.  Strategy levels flagged as preamble are
-    granted before move 1 (recorded without a budget charge).
+    granted before move 1 (recorded without a budget charge, built on read).
     """
     from .families import _reach
 
@@ -521,13 +548,8 @@ def play_game(
     c = params.c
     log_det = contraction.log_det()
 
-    preamble: list[DeletionRecord] = []
-    if grant_preamble:
-        for lvl in strategy.levels:
-            if lvl.preamble:
-                mass_log = c * lvl.exponent * log_det
-                for box in lvl.boxes:
-                    preamble.append(DeletionRecord(0, lvl.exponent, box, mass_log))
+    granted = [lvl for lvl in strategy.levels if grant_preamble and lvl.preamble and lvl.boxes]
+    preamble = _Preamble(granted, [c * lvl.exponent * log_det for lvl in granted])
 
     by_level = {lvl.level: lvl for lvl in strategy.levels if not lvl.preamble}
     current = BoxRegion(tuple(Fraction(0) for _ in betas), tuple(r for _ in betas))
@@ -560,7 +582,7 @@ def play_game(
         else:
             moves.append(MoveRecord(m, box, (), -math.inf, cap_log, True))
         current = box
-    return PlayTranscript(r, c, params.alpha.log, betas, tuple(preamble), tuple(moves))
+    return PlayTranscript(r, c, params.alpha.log, betas, preamble, tuple(moves))
 
 
 # ---------------------------------------------------------------- potential

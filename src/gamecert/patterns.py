@@ -323,18 +323,18 @@ def find_homothety(
 
 def candidates_to_csv(candidates: Iterable[PatternCandidate]) -> str:
     """One row per candidate: lambda, x1, x2, max_depth_passed.  A
-    find_homothety view is written from its blocks, without building the
-    candidates: each scale's lambda and each translation coordinate that
-    a candidate uses are formatted once."""
+    find_homothety view is written a block at a time, building no
+    candidate: each scale's lambda and each translation coordinate that a
+    candidate uses are formatted once, and a block's rows joined."""
     if not isinstance(candidates, _Candidates):
         rows = [f"{cand.lam},{cand.x[0]},{cand.x[1]},{cand.max_depth_passed}\n"
                 for cand in candidates]
         return "lambda,x1,x2,max_depth_passed\n" + "".join(rows)
-    rows = ["lambda,x1,x2,max_depth_passed\n"]
+    blocks = ["lambda,x1,x2,max_depth_passed\n"]
     tail = f",{candidates.depth}\n"
     for lam, xs, ys, ix, iy in candidates.blocks:
         head = f"{lam},"
         xt = {i: head + str(xs[i]) + "," for i in set(ix)}
         yt = {j: str(ys[j]) + tail for j in set(iy)}
-        rows.extend([xt[i] + yt[j] for i, j in zip(ix, iy)])
-    return "".join(rows)
+        blocks.append("".join([xt[i] + yt[j] for i, j in zip(ix, iy)]))
+    return "".join(blocks)

@@ -930,3 +930,29 @@ def test_verify_imports_numpy_only_for_the_checks_that_use_it(tmp_path):
     probe = "import sys, gamecert.families, gamecert.gamesim; print('numpy' in sys.modules)"
     proc = _run_module("-c", probe)
     assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr[-2000:]
+
+
+def test_simulate_refuses_a_preamble_of_millions_of_lines_at_once(tmp_path):
+    # RCD(1000,3) at t = 1 grants 4,015,980 level-0 covers before move 1:
+    # the game grants them from the level's lattice, and the transcript
+    # refuses to write that many lines, naming the key that drops them
+    body = ("command = simulate\nfamily.kind = rcd\nfamily.u = 1000\nfamily.v = 3\n"
+            "game.t = 1\ngame.c = 0.001\nsimulate.moves = 1\nsimulate.target = 1/3, 1/3\n")
+    src = str(Path(gamecert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def simulate(text):
+        cfg = write_cfg(tmp_path, "big.cfg", text)
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "gamecert", "--config", cfg, "--out",
+                               str(tmp_path / "out")], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=20)
+        assert time.perf_counter() - start < 10
+        return proc
+
+    proc = simulate(body)
+    assert proc.returncode == 1 and not (tmp_path / "out").exists()
+    assert proc.stderr == ("error: config: simulate.preamble: preamble = true needs 4015980 "
+                           "preamble lines, over the limit of 1048576\n")
+    proc = simulate(body + "simulate.preamble = false\n")
+    assert proc.returncode == 0 and (tmp_path / "out" / "transcript.txt").exists(), proc.stderr

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 from fractions import Fraction
 from pathlib import Path
 
@@ -783,7 +784,8 @@ def test_rcd_lattice_walk_matches_fraction_reference(u, v, rule, seed, t, depth)
 
 def _reference_level_lattices(spec, t, depth):
     """Per level, the lattice built piece by piece as a list of numerators
-    (a region's center plus its corner's template), reduced with math.gcd."""
+    (a region's center plus its corner's template), reduced with math.gcd;
+    the one half-width every box of a level has is stored once."""
     u, v = spec.u, spec.v
     ut, vt = u ** t, v ** t
     tx, ty = {}, {}
@@ -793,7 +795,7 @@ def _reference_level_lattices(spec, t, depth):
 
     def reduced(den, centers, half):
         g = math.gcd(den, *set(centers), half)
-        centers, halves = [x // g for x in centers], [half // g] * len(centers)
+        centers, halves = [x // g for x in centers], [half // g]
         try:
             return AxisLattice(den // g, array("q", centers), array("q", halves))
         except OverflowError:
@@ -905,7 +907,7 @@ def test_rcd_levels_past_int64_keep_python_ints():
     assert max(dens).bit_length() == 66
     kinds = [type(level.lattice[0].centers) for level in strat.levels]
     assert kinds[0] is array and kinds[-1] is tuple
-    assert all(type(axis.halves) is kind
+    assert all(type(axis.halves) is kind and len(axis.halves) == 1
                for level, kind in zip(strat.levels, kinds) for axis in level.lattice)
     *_, (comps, covers) = _reference_rcd_levels(spec, 1, 64)
     assert strat.level(63).boxes == tuple(covers)
@@ -920,10 +922,13 @@ def _derived(level):
 def _assert_lattice_holds_the_boxes(level):
     assert len(level.lattice) == (level.boxes[0].n if level.boxes else 0)
     for j, axis in enumerate(level.lattice):
-        assert len(axis.centers) == len(axis.halves) == len(level.boxes)
-        for box, cn, hn in zip(level.boxes, axis.centers, axis.halves):
-            assert Fraction(cn, axis.den) == box.center[j]
-            assert Fraction(hn, axis.den) == box.half[j]
+        # a half-width that every box has is stored once, others per box
+        shared = len({box.half[j] for box in level.boxes}) == 1
+        assert len(axis.centers) == len(level.boxes)
+        assert len(axis.halves) == (1 if shared else len(level.boxes))
+        for i, box in enumerate(level.boxes):
+            assert Fraction(axis.centers[i], axis.den) == box.center[j]
+            assert Fraction(axis.halves[0 if shared else i], axis.den) == box.half[j]
     assert level.lattice == _derived(level)
     assert "lattice" not in repr(level) and "AxisLattice" not in repr(level)
     # == and hash ignore the lattice
@@ -1328,3 +1333,84 @@ def test_grid_hits_count_the_boxes_reach_finds(data):
                     for j in range(n)) for b in boxes]
         assert mask.tolist() == want, point
         assert hits[tuple(i - a for i, a in zip(index, lo))] == sum(want), point
+
+
+def _reference_mask(lattice, point, reach, strict):
+    """Box by box in Fractions: is each box within reach of the point on
+    every axis?  A half-width column of length 1 serves every box."""
+    mask = []
+    for i in range(len(lattice[0].centers)):
+        inside = True
+        for axis, x, r in zip(lattice, point, reach):
+            center = Fraction(axis.centers[i], axis.den)
+            half = Fraction(axis.halves[i if len(axis.halves) > 1 else 0], axis.den)
+            gap, bound = abs(center - Fraction(x)), half + Fraction(r)
+            inside = inside and (gap < bound if strict else gap <= bound)
+        mask.append(inside)
+    return mask
+
+
+@st.composite
+def _threshold_axis(draw, boxes, shared):
+    """One axis of `boxes` boxes near [-2, 2] in steps of 1/8, nudged by a
+    few units of 1/den: den 2^59 + 8 puts int64 numerators past 2^60 and
+    den 8 (2^70 + 1) puts them past int64; the columns are array('q'), a
+    read-only view into a longer one, or a tuple, and a shared half-width
+    is stored once."""
+    den = draw(st.sampled_from([1, 8, 56, 1000, 2 ** 59 + 8, 8 * (2 ** 70 + 1)]))
+    on_grid = st.builds(lambda a, b: den * a // 8 + b, st.integers(-16, 16), st.integers(-2, 2))
+    centers = draw(st.lists(on_grid, min_size=boxes, max_size=boxes))
+    half = st.builds(lambda a, b: max(den * a // 8 + b, 1), st.integers(0, 8), st.integers(0, 2))
+    halves = draw(st.lists(half, min_size=1 if shared else boxes, max_size=1 if shared else boxes))
+    if max(map(abs, centers + halves)) >= 2 ** 63:
+        return AxisLattice(den, tuple(centers), tuple(halves))
+    store = draw(st.sampled_from(["array", "view", "tuple"]))
+    if store == "tuple":
+        return AxisLattice(den, tuple(centers), tuple(halves))
+    if store == "view":
+        padded = array("q", [7] + centers + [-7])
+        return AxisLattice(den, memoryview(padded).toreadonly()[1:-1], array("q", halves))
+    return AxisLattice(den, array("q", centers), array("q", halves))
+
+
+def _coordinate(on_grid):
+    """A coordinate on the grid of 1/8, nudged by 10^-30 or 1/3, or a
+    float, or one so far out that its thresholds pass +-2^63."""
+    return st.one_of(
+        st.builds(lambda a, e: Fraction(a, 8) + e, on_grid,
+                  st.sampled_from([0, 0, Fraction(1, 10 ** 30), Fraction(-1, 10 ** 30),
+                                   Fraction(1, 3 * 10 ** 20)])),
+        st.floats(-3, 3, allow_nan=False),
+        st.sampled_from([Fraction(10 ** 25, 3), -10 ** 24, -1e30]),
+    )
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_threshold_kernels_match_a_fraction_reference(data):
+    # _reach compares stored columns against integer thresholds and
+    # _grid_hits counts in chunks; both against a box-by-box Fraction loop
+    n = data.draw(st.integers(1, 2))
+    boxes = data.draw(st.integers(1, 9))
+    lattice = tuple(data.draw(_threshold_axis(boxes, data.draw(st.booleans())))
+                    for _ in range(n))
+    strict = data.draw(st.booleans())
+    point = tuple(data.draw(_coordinate(st.integers(-24, 24))) for _ in range(n))
+    reach = tuple(data.draw(st.sampled_from([0, Fraction(1, 8), Fraction(3, 16), 0.25]))
+                  for _ in range(n))
+    mask = families._reach(lattice, point, reach, strict)
+    assert mask.tolist() == _reference_mask(lattice, point, reach, strict)
+
+    origin = tuple(data.draw(_coordinate(st.integers(-8, 8))) for _ in range(n))
+    step = tuple(data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(3, 7), 0.5]))
+                 for _ in range(n))
+    lo = [data.draw(st.integers(-12, 4)) for _ in range(n)]
+    hi = [a + data.draw(st.integers(0, 6)) for a in lo]
+    chunk = data.draw(st.sampled_from([1, 2, 4, families._GRID_CHUNK]))
+    with mock.patch.object(families, "_GRID_CHUNK", chunk):
+        hits = families._grid_hits(lattice, origin, step, reach, lo, hi, strict)
+    assert hits.shape == tuple(b - a + 1 for a, b in zip(lo, hi))
+    for index in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        at = tuple(Fraction(o) + i * Fraction(s) for o, i, s in zip(origin, index, step))
+        want = sum(_reference_mask(lattice, at, reach, strict))
+        assert hits[tuple(i - a for i, a in zip(index, lo))] == want, at

@@ -1,6 +1,8 @@
 """Grid projections, game runs, potential bookkeeping, counting oracles."""
+import gc
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -589,13 +591,51 @@ def test_huge_denominators_take_the_object_path(monkeypatch):
     _assert_deletions_match(tr, strat)
 
 
-def test_tiny_steering_target_takes_the_object_path(monkeypatch):
+def test_steering_targets_keep_int64_levels_on_int64(monkeypatch):
+    # the game compares a level's stored columns against integer thresholds,
+    # so no target, however fine its denominator, turns them into objects
     strat = covering_strategy_for_rco(generate_rco(RcoSpec(4, 5, 2, 1), depth=2), c=0.5)
     seen = _recording_lattice(monkeypatch)
     tr = play_game(steering_policy((Fraction(1, 10 ** 30), Fraction(1, 10 ** 30))), strat, depth=2)
     assert tr.moves[0].box.center == (Fraction(1, 10 ** 30), Fraction(1, 10 ** 30))
-    assert seen and all(dt == object for dt in seen)
-    _assert_deletions_match(tr, strat)
-    seen.clear()
-    play_game(steering_policy((Fraction(1, 8), Fraction(1, 10))), strat, depth=2)
     assert seen and all(dt == np.int64 for dt in seen)
+    _assert_deletions_match(tr, strat)
+    for target in ((Fraction(1, 8), Fraction(1, 10)), (0.1, -0.7),
+                   (Fraction(-1, 3 * 10 ** 40), Fraction(10 ** 40 - 1, 2 * 10 ** 40))):
+        seen.clear()
+        tr = play_game(steering_policy(target), strat, depth=2)
+        assert seen and all(dt == np.int64 for dt in seen)
+        _assert_deletions_match(tr, strat)
+
+
+def _traced(work):
+    """(result, tracemalloc peak above the start, memory still held), MiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = work()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, (peak - start) / 2 ** 20, (held - start) / 2 ** 20
+
+
+def test_strategy_audit_and_game_make_no_level_sized_copies():
+    # the RCD(7,4) strategy at t = 1, depth 3 holds 160,524 boxes: its
+    # levels keep one int64 center column per axis and one half-width, the
+    # audit counts a chunk of boxes at a time, and the game compares the
+    # stored columns against integer thresholds
+    build = lambda: covering_strategy_for_rcd(RcdSpec(7, 4), c=0.5, t=1, depth=3)  # noqa: E731
+    play = lambda: play_game(  # noqa: E731
+        steering_policy((Fraction(7, 8), Fraction(9, 10))), strat, depth=3)
+    build()
+    strat, _, kept = _traced(build)
+    assert sum(len(lv.boxes) for lv in strat.levels) == 160_524
+    assert kept < 3.5, kept
+    verify_covering_budget(strat, levels=[1])
+    audit, peak, _ = _traced(lambda: verify_covering_budget(strat, levels=[1, 2]))
+    assert audit.all_legal and peak < 2.5, peak
+    play()
+    tr, peak, _ = _traced(play)
+    assert any(mv.deletions for mv in tr.moves) and peak < 2, peak
