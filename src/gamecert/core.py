@@ -19,9 +19,8 @@ live here.  Masses like alpha * prod beta^m underflow float64 quickly
 from __future__ import annotations
 
 import math
-from collections import abc
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "REL_MARGIN",
@@ -227,50 +226,6 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class _LazyRows(abc.Sequence):
-    """A read-only sequence whose items are built only when read.
-
-    Its length, items, iteration, repr and == are those of the tuple (or,
-    in a subclass, the list) of its items; a slice is a plain list.
-    """
-
-    __slots__ = ("_len", "_item")
-    _like: type = tuple
-
-    def __init__(self, length: int, item: Callable[[int], object]) -> None:
-        self._len, self._item = length, item
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index):
-        rows = range(self._len)[index]  # normalizes the index or raises IndexError
-        return [self._item(i) for i in rows] if isinstance(index, slice) else self._item(rows)
-
-    def __iter__(self) -> Iterator:
-        return map(self._item, range(self._len))
-
-    def __repr__(self) -> str:
-        return repr(self._like(self))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _LazyRows) and other._like is self._like \
-                or isinstance(other, self._like):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-
-class _ListRows(_LazyRows):
-    """A _LazyRows that compares and prints like a list, and is unhashable."""
-
-    __slots__ = ()
-    _like = list
-    __hash__ = None  # type: ignore[assignment]
 
 
 class DiagonalContraction(Record):

@@ -61,13 +61,14 @@ import math
 import random
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import abc
 from fractions import Fraction
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .core import (
     EXACT_LIMIT, BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record, _ceil_powers,
-    _LazyRows, _ListRows, check_size,
+    check_size,
 )
 
 if TYPE_CHECKING:
@@ -569,6 +570,50 @@ def _to_floats(den: int, nums: Sequence[int]) -> np.ndarray:
         if not ints.size or -limit < ints.min() and ints.max() < limit:
             return ints.astype(np.float64) / den
     return np.array([n / den for n in nums], dtype=np.float64)
+
+
+class _LazyRows(abc.Sequence):
+    """A read-only sequence whose items are built only when read.
+
+    Its length, items, iteration, repr and == are those of the tuple (or,
+    in a subclass, the list) of its items; a slice is a plain list.
+    """
+
+    __slots__ = ("_len", "_item")
+    _like: type = tuple
+
+    def __init__(self, length: int, item: Callable[[int], object]) -> None:
+        self._len, self._item = length, item
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        rows = range(self._len)[index]  # normalizes the index or raises IndexError
+        return [self._item(i) for i in rows] if isinstance(index, slice) else self._item(rows)
+
+    def __iter__(self) -> Iterator:
+        return map(self._item, range(self._len))
+
+    def __repr__(self) -> str:
+        return repr(self._like(self))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _LazyRows) and other._like is self._like \
+                or isinstance(other, self._like):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class _ListRows(_LazyRows):
+    """A _LazyRows that compares and prints like a list, and is unhashable."""
+
+    __slots__ = ()
+    _like = list
+    __hash__ = None  # type: ignore[assignment]
 
 
 # ----------------------------------------------------------- rectangle sets
@@ -1152,10 +1197,12 @@ def covering_strategy_for_rco(
 
     Level k holds the member's level-k cuts over (u^(k+t), v^(k+t)), its
     denominators without the known factors u^(depth-k), v^(depth-k); the
-    deepest level, most cuts, views the member's int64 columns.
+    deepest level, most cuts, views the member's int64 columns.  Only a
+    member from generate_rco has that layout, so any other (one read by
+    from_csv too) raises ValueError.
     """
     meta = member.meta
-    if meta.get("family") != "rco":
+    if meta.get("family") != "rco" or not isinstance(member.addresses, _CutoutAddresses):
         raise ValueError("expected a generated cut-out member")
     u, v, m, t = (int(meta[key]) for key in ("u", "v", "m", "t"))
     spec = RcoSpec(u, v, m, t)

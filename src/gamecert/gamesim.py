@@ -34,9 +34,9 @@ import itertools
 import math
 from fractions import Fraction
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import BoxRegion, DiagonalContraction, LogScalar, Record, _LazyRows, check_size
+from .core import BoxRegion, DiagonalContraction, LogScalar, Record, check_size
 
 if TYPE_CHECKING:
     import numpy as np
@@ -410,28 +410,20 @@ class PlayTranscript(NamedTuple):
     def outcome_box(self) -> BoxRegion:
         return self.moves[-1].box
 
+    def _deletions(self) -> Iterator[DeletionRecord]:
+        """The preamble, then each move's deletions, built as they are read."""
+        return itertools.chain(self.preamble, *(move.deletions for move in self.moves))
+
     def all_deletions(self) -> tuple[DeletionRecord, ...]:
-        return tuple(itertools.chain(self.preamble, *(move.deletions for move in self.moves)))
+        return tuple(self._deletions())
 
     def outcome_intersects_deleted(self) -> DeletionRecord | None:
-        """The first deletion the outcome box meets (a preamble by lattice)."""
-        box, preamble = self.outcome_box, self.preamble
-        if isinstance(preamble, _Preamble):
-            from .families import _reach
-
-            for lvl, mass_log in zip(preamble.levels, preamble.masses):
-                hits = _reach(lvl.lattice, box.center, box.half)
-                if hits.any():
-                    return DeletionRecord(0, lvl.exponent, lvl.boxes[int(hits.argmax())], mass_log)
-            preamble = ()
-        deletions = itertools.chain(preamble, *(move.deletions for move in self.moves))
-        return next((rec for rec in deletions if box.intersects(rec.box)), None)
+        box = self.outcome_box
+        return next((rec for rec in self._deletions() if box.intersects(rec.box)), None)
 
     def outcome_inside_deleted(self) -> DeletionRecord | None:
-        for rec in self.all_deletions():
-            if rec.box.contains_box(self.outcome_box):
-                return rec
-        return None
+        box = self.outcome_box
+        return next((rec for rec in self._deletions() if rec.box.contains_box(box)), None)
 
     @staticmethod
     def _fmt(value) -> str:
@@ -468,22 +460,12 @@ class PlayTranscript(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-class _Preamble(_LazyRows):
-    """A play's preamble: a DeletionRecord per box of `levels`, built on read."""
-
-    __slots__ = ("levels", "masses")
-
-    def __init__(self, levels: list[StrategyLevel], masses: list[float]) -> None:
-        self.levels, self.masses = levels, masses
-        super().__init__(sum(len(lvl.boxes) for lvl in levels),
-                         partial(self._record, levels, masses))
-
-    @staticmethod
-    def _record(levels: list[StrategyLevel], masses: list[float], i: int) -> DeletionRecord:
-        for lvl, mass_log in zip(levels, masses):
-            if i < len(lvl.boxes):
-                return DeletionRecord(0, lvl.exponent, lvl.boxes[i], mass_log)
-            i -= len(lvl.boxes)
+def _preamble_record(levels: list[StrategyLevel], masses: list[float], i: int) -> DeletionRecord:
+    """Row i of the preamble that grants the boxes of `levels` in order."""
+    for lvl, mass_log in zip(levels, masses):
+        if i < len(lvl.boxes):
+            return DeletionRecord(0, lvl.exponent, lvl.boxes[i], mass_log)
+        i -= len(lvl.boxes)
 
 
 Policy = Callable[[int, BoxRegion], tuple[Fraction, ...]]
@@ -535,7 +517,7 @@ def play_game(
     degrades to a recorded skip.  Strategy levels flagged as preamble are
     granted before move 1 (recorded without a budget charge, built on read).
     """
-    from .families import _reach
+    from .families import _LazyRows, _reach
 
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -548,8 +530,9 @@ def play_game(
     c = params.c
     log_det = contraction.log_det()
 
-    granted = [lvl for lvl in strategy.levels if grant_preamble and lvl.preamble and lvl.boxes]
-    preamble = _Preamble(granted, [c * lvl.exponent * log_det for lvl in granted])
+    granted = [lvl for lvl in strategy.levels if grant_preamble and lvl.preamble]
+    preamble = _LazyRows(sum(len(lvl.boxes) for lvl in granted), partial(
+        _preamble_record, granted, [c * lvl.exponent * log_det for lvl in granted]))
 
     by_level = {lvl.level: lvl for lvl in strategy.levels if not lvl.preamble}
     current = BoxRegion(tuple(Fraction(0) for _ in betas), tuple(r for _ in betas))

@@ -612,6 +612,14 @@ def test_pbm_render_shapes():
 # ------------------------------------------------------- covering strategies
 
 
+def test_rco_strategy_refuses_a_member_read_back_from_csv():
+    member = generate_rco(RcoSpec(4, 5, 2, 1), depth=2)
+    back = RectangleSet.from_csv(member.to_csv())
+    assert back == member and back.meta["family"] == "rco"
+    with pytest.raises(ValueError, match="generated cut-out member"):
+        covering_strategy_for_rco(back, c=0.5)
+
+
 def test_rco_strategy_mirrors_member_cutouts():
     member = generate_rco(RcoSpec(4, 5, 2, 1), depth=2)
     strat = covering_strategy_for_rco(member, c=0.5)

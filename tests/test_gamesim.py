@@ -252,6 +252,17 @@ def test_preamble_granted_before_move_one():
     assert tr2.preamble == ()
 
 
+def test_outcome_meets_the_first_deletion_preamble_first():
+    strat = covering_strategy_for_rcd(RcdSpec(7, 4), c=0.5, t=1, depth=2)
+    for grant, move in ((True, 0), (False, 1)):
+        tr = play_game(constant_policy((0, 0)), strat, depth=2, grant_preamble=grant)
+        deletions = list(tr.preamble) + [rec for mv in tr.moves for rec in mv.deletions]
+        first = next(rec for rec in deletions if tr.outcome_box.intersects(rec.box))
+        assert tr.outcome_intersects_deleted() == first and first.move == move
+    tr = play_game(constant_policy((0, 0)), _empty_strategy(), depth=2)
+    assert tr.outcome_intersects_deleted() is None
+
+
 def test_transcript_text_round_shape(rco_strategy):
     member, strat = rco_strategy
     cut = member.of_kind("cut", 1)[0]
