@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time spawn-to-exit of one gamecert process of each command kind.
+"""Time spawn-to-exit, and take the peak RSS, of one gamecert process of
+each command kind.
 
     python3 scripts/cli_cost.py [-n N] [--root CHECKOUT ...]
 
@@ -8,8 +9,14 @@ kind, one per checkout given with --root (default: this one), in an order
 that reverses every round, so kinds and checkouts alternate and host drift
 spreads evenly over them.  After N
 rounds it prints, per kind and checkout, the median and quartiles of the
-wall time from spawn to exit, in ms, and the gamecert modules that kind
-loaded (read from one extra, untimed `python -X importtime` run).
+wall time from spawn to exit, in ms, the median peak RSS, in MB, and the
+gamecert modules that kind loaded (read from one extra, untimed
+`python -X importtime` run).
+
+A child's peak RSS (its maxrss) counts the resident size of the process
+that spawned it, at the spawn.  So each timed process is spawned by a small
+launcher child, which times it and reads its peak from os.wait4; taken in
+this script's own process, the peak would be at least this script's size.
 
 The kinds are those of perfbench's cli-roundtrip workload, plus a bare
 `python -c pass`: a raw `certify`, a family `certify`, the re-validation of
@@ -29,7 +36,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +73,17 @@ KINDS = {
                     "generate.depth = 2\npattern.points = 0,0; 2,0\n"
                     "pattern.lambda_lo = 1/49\npattern.lambda_hi = 3/49\n",
 }
+
+
+# Runs argv[1:], its stdout discarded, and prints its exit code, the seconds
+# from spawn to exit and its peak RSS in KiB.
+LAUNCHER = """\
+import os, subprocess, sys, time
+start = time.perf_counter()
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
+"""
 
 
 def worker_env(root: Path) -> dict[str, str]:
@@ -109,6 +126,15 @@ class Checkout:
             raise SystemExit(f"{' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
         return proc
 
+    def measure(self, kind: str) -> tuple[float, float]:
+        """Spawn-to-exit time (ms) and peak RSS (MB) of one run of `kind`,
+        spawned by the launcher."""
+        proc = self.run(["-c", LAUNCHER, sys.executable, *self.args[kind]])
+        code, seconds, maxrss = proc.stdout.split()
+        if code not in ("0", "2"):
+            raise SystemExit(f"{kind} exited {code}:\n{proc.stderr}")
+        return 1e3 * float(seconds), int(maxrss) / 1024
+
     def modules(self, kind: str) -> list[str]:
         """The gamecert modules a run of `kind` imports, in import order."""
         stderr = self.run(self.args[kind], "-X", "importtime").stderr
@@ -130,21 +156,23 @@ def main() -> int:
             for kind in KINDS:
                 co.run(co.args[kind])
         times: dict[tuple[str, int], list[float]] = {}
+        peaks: dict[tuple[str, int], list[float]] = {}
         order = list(enumerate(checkouts))
         for r in range(args.n):
             for kind in KINDS:
                 for i, co in order if r % 2 == 0 else order[::-1]:
-                    t0 = time.perf_counter()
-                    co.run(co.args[kind])
-                    times.setdefault((kind, i), []).append(1e3 * (time.perf_counter() - t0))
+                    ms, mb = co.measure(kind)
+                    times.setdefault((kind, i), []).append(ms)
+                    peaks.setdefault((kind, i), []).append(mb)
         for kind in KINDS:
             print(kind)
             for i, co in enumerate(checkouts):
                 q1, med, q3 = statistics.quantiles(times[kind, i], n=4, method="inclusive")
+                peak = statistics.median(peaks[kind, i])
                 loaded = " ".join(m.removeprefix("gamecert.") for m in co.modules(kind)
                                   if m != "gamecert")
                 print(f"  {str(co.root):<40} median {med:7.1f} ms  quartiles {q1:7.1f} "
-                      f"{q3:7.1f}  loads: {loaded or '-'}")
+                      f"{q3:7.1f}  peak {peak:5.1f} MB  loads: {loaded or '-'}")
     return 0
 
 

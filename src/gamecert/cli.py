@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .certify import (
     Certificate,
@@ -258,10 +259,28 @@ def _alpha_for(cfg: Config, family: RcoSpec | RcdSpec | None, c: float) -> LogSc
 # ------------------------------------------------------------------ artifacts
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
+def _write(out_dir: Path, name: str, text: str | Iterable[str]) -> Path:
+    """Write `text`, a string or a stream of chunks, to out_dir/name as the
+    chunks arrive.
+
+    The first chunk is taken before the directory is made, so a refusal
+    that a stream raises before its first chunk writes nothing.  The chunks
+    go to name.part, which replaces name only once the stream has ended: an
+    error part-way leaves no partial artifact.
+    """
+    chunks = iter([text] if isinstance(text, str) else text)
+    first = next(chunks, "")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(text)
+    part = out_dir / f"{name}.part"
+    try:
+        with part.open("w") as fh:
+            fh.write(first)
+            fh.writelines(chunks)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     print(f"wrote {path}")
     return path
 
@@ -553,7 +572,7 @@ def _cmd_generate(cfg: Config, out: Path, trace: bool,
     rect = _build_rect(*params)
     raster = rect.to_pbm(width, height) if "pbm" in formats else None   # refused before any file
     if "csv" in formats:
-        _write(out, "rectangles.csv", rect.to_csv())
+        _write(out, "rectangles.csv", rect.csv_chunks())
     if raster is not None:
         _write(out, "raster.pbm", raster)
     print(f"generated {len(rect.entries)} boxes to level {rect.max_level()}")
@@ -594,7 +613,7 @@ def _cmd_simulate(cfg: Config, out: Path, trace: bool,
     except ValueError as exc:
         print(f"error: simulate: {exc}", file=sys.stderr)
         return 1
-    _write(out, "transcript.txt", transcript.to_text())
+    _write(out, "transcript.txt", transcript.text_chunks())
     outcome = transcript.outcome_box
     deleted = transcript.outcome_intersects_deleted() is not None
     skips = sum(1 for mv in transcript.moves if mv.skipped)
@@ -740,7 +759,7 @@ def _cmd_verify(cfg: Config, out: Path, trace: bool,
 
 def _cmd_find_pattern(cfg: Config, out: Path, trace: bool,
                       finish: Callable[[], None]) -> int:
-    from .patterns import PatternQuery, candidates_to_csv, find_homothety  # loads numpy
+    from .patterns import PatternQuery, candidates_csv_chunks, find_homothety  # loads numpy
 
     params = _read_generate(cfg)
     points = cfg.get_points("pattern.points")
@@ -755,7 +774,7 @@ def _cmd_find_pattern(cfg: Config, out: Path, trace: bool,
         candidates = find_homothety(query, rect)
     except ValueError as exc:
         raise ConfigError("pattern", str(exc)) from None
-    _write(out, "candidates.csv", candidates_to_csv(candidates))
+    _write(out, "candidates.csv", candidates_csv_chunks(candidates))
     if not candidates:
         print("no depth-consistent candidates on the scan grid")
         return 2

@@ -18,9 +18,10 @@ live here.  Masses like alpha * prod beta^m underflow float64 quickly
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "REL_MARGIN",
@@ -28,6 +29,8 @@ __all__ = [
     "EXACT_LOG_LIMIT",
     "SizeError",
     "check_size",
+    "CHUNK_LINES",
+    "line_chunks",
     "LogScalar",
     "DiagonalContraction",
     "GameParameters",
@@ -76,6 +79,19 @@ def check_size(arg: str, value: object, need: int, what: str, limit: int) -> Non
         except ValueError:  # a number past Python's int-to-str digit limit
             message = f"{arg} needs more {what} than the limit of {limit}"
         raise SizeError(arg, message)
+
+
+# Most lines in one chunk of an artifact's text stream (RectangleSet.csv_chunks,
+# patterns.candidates_csv_chunks, PlayTranscript.text_chunks): about 2 MB of
+# rectangle rows, so a writer holds a chunk, never the whole text.
+CHUNK_LINES = 2 ** 15
+
+
+def line_chunks(lines: Iterable[str]) -> Iterator[str]:
+    """The lines, each ending in a newline, joined CHUNK_LINES at a time."""
+    lines = iter(lines)
+    while chunk := "".join(itertools.islice(lines, CHUNK_LINES)):
+        yield chunk
 
 
 class LogScalar:

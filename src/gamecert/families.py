@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTu
 
 from .core import (
     EXACT_LIMIT, BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record, _ceil_powers,
-    check_size,
+    check_size, line_chunks,
 )
 
 if TYPE_CHECKING:
@@ -731,19 +731,25 @@ class RectangleSet(Record):
             return Fraction(int(num), int(den))
         return float(s)
 
-    def to_csv(self) -> str:
-        """Meta lines, the header, then one row per entry, every coordinate
-        written p/q in lowest terms."""
-        out = [f"# {key} = {self.meta[key]}\n" for key in sorted(self.meta)]
-        out.append("level,address,cx,cy,hx,hy\n")
+    def csv_chunks(self) -> Iterator[str]:
+        """The text of to_csv as it is formatted, core.CHUNK_LINES lines to
+        a chunk."""
         (x, y) = self.lattice
         rows = zip(
             self.levels, self.addresses,
             _ratio_texts(x.den, x.centers), _ratio_texts(y.den, y.centers),
             _ratio_texts(x.den, x.halves), _ratio_texts(y.den, y.halves),
         )
-        out.extend(f"{a},{b},{c},{d},{e},{f}\n" for a, b, c, d, e, f in rows)
-        return "".join(out)
+        return line_chunks(itertools.chain(
+            [f"# {key} = {self.meta[key]}\n" for key in sorted(self.meta)],
+            ["level,address,cx,cy,hx,hy\n"],
+            (f"{a},{b},{c},{d},{e},{f}\n" for a, b, c, d, e, f in rows),
+        ))
+
+    def to_csv(self) -> str:
+        """Meta lines, the header, then one row per entry, every coordinate
+        written p/q in lowest terms: the join of csv_chunks."""
+        return "".join(self.csv_chunks())
 
     @classmethod
     def from_csv(cls, text: str) -> "RectangleSet":

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import BoxRegion, DiagonalContraction, LogScalar, Record, check_size
+from .core import BoxRegion, DiagonalContraction, LogScalar, Record, check_size, line_chunks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -431,33 +431,35 @@ class PlayTranscript(NamedTuple):
             return str(value)
         return "%.17g" % value
 
-    def to_text(self) -> str:
-        """Line-delimited: one move per line, exact rationals where present."""
+    def text_chunks(self) -> Iterator[str]:
+        """The text of to_text as it is formatted, core.CHUNK_LINES lines to
+        a chunk.  A preamble over MAX_PREAMBLE_LINES lines raises
+        core.SizeError (naming "preamble") here, before any chunk."""
         check_size("preamble", "true", len(self.preamble), "preamble lines", MAX_PREAMBLE_LINES)
-        lines = [
-            "transcript radius=%s c=%.17g alpha_log=%.17g betas=%s"
-            % (self._fmt(self.radius), self.c, self.alpha_log,
-               ",".join(self._fmt(b) for b in self.betas))
-        ]
-        for rec in self.preamble:
-            lines.append(
-                "preamble q=%d center=%s half=%s mass_log=%.17g"
-                % (rec.exponent,
-                   ",".join(self._fmt(x) for x in rec.box.center),
-                   ",".join(self._fmt(x) for x in rec.box.half),
-                   rec.mass_log)
-            )
-        for move in self.moves:
-            lines.append(
-                "move m=%d center=%s half=%s deletions=%d spent_log=%.17g "
-                "cap_log=%.17g skipped=%s"
-                % (move.move,
-                   ",".join(self._fmt(x) for x in move.box.center),
-                   ",".join(self._fmt(x) for x in move.box.half),
-                   len(move.deletions), move.budget_spent_log,
-                   move.budget_cap_log, "true" if move.skipped else "false")
-            )
-        return "\n".join(lines) + "\n"
+        fmt = self._fmt
+        head = ("transcript radius=%s c=%.17g alpha_log=%.17g betas=%s\n"
+                % (fmt(self.radius), self.c, self.alpha_log, ",".join(map(fmt, self.betas))))
+        preamble = (
+            "preamble q=%d center=%s half=%s mass_log=%.17g\n"
+            % (rec.exponent, ",".join(map(fmt, rec.box.center)),
+               ",".join(map(fmt, rec.box.half)), rec.mass_log)
+            for rec in self.preamble
+        )
+        moves = (
+            "move m=%d center=%s half=%s deletions=%d spent_log=%.17g "
+            "cap_log=%.17g skipped=%s\n"
+            % (move.move, ",".join(map(fmt, move.box.center)),
+               ",".join(map(fmt, move.box.half)), len(move.deletions),
+               move.budget_spent_log, move.budget_cap_log,
+               "true" if move.skipped else "false")
+            for move in self.moves
+        )
+        return line_chunks(itertools.chain([head], preamble, moves))
+
+    def to_text(self) -> str:
+        """Line-delimited: one move per line, exact rationals where present;
+        the join of text_chunks."""
+        return "".join(self.text_chunks())
 
 
 def _preamble_record(levels: list[StrategyLevel], masses: list[float], i: int) -> DeletionRecord:

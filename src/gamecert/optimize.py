@@ -487,7 +487,10 @@ def _search(
     def run_grid(ts: Sequence[float], cs: Sequence[float]) -> _Point | None:
         nonlocal probes
         probes += len(ts) * len(cs)
-        # [t, c, alpha, rhs1, count, estimate log] of the cells whose rate is below 1
+        # [t, c, alpha, rhs1, count, estimate log] of the cells whose rate is
+        # below 1 and whose estimate is not below log 1: c log is condition
+        # (1)'s left side at count 1, so fl(rhs1 - c log) < 0 exactly when
+        # the cell fails it there, and can never be counted or witnessed
         cells = []
         for t in ts:
             rate = rate_row(t)
@@ -499,16 +502,15 @@ def _search(
                 if c not in rhs1_at or alpha.is_zero():
                     _require_feasibility_inputs(alpha, contraction, c, delta, 1)
                     rhs1_at[c] = _condition1_rhs_log(contraction, c, delta)
-                rhs1 = rhs1_at[c]
-                cells.append([t, c, alpha, rhs1, None, rhs1 - c * log])
+                estimate = rhs1_at[c] - c * log
+                if estimate >= -1e-9:
+                    cells.append([t, c, alpha, rhs1_at[c], None, estimate])
         if cap == 1:
-            # a cell whose estimate is below log 1 fails condition (1) at count
-            # 1, and one whose verdict fails has no witness: the rest are
+            # a cell whose verdict fails has no witness: the cells are
             # witnessed without verdicts, in the order they would be
-            level = [cell for cell in cells if cell[5] >= -1e-9]
-            for cell in level:
+            for cell in cells:
                 cell[4] = 1
-            return witness(level)
+            return witness(cells)
         # highest estimate first; a cell whose verdict fails at the running top
         # count waits, uncounted, until no cell at the top count has a witness
         top = 0

@@ -23,9 +23,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
-from .core import BoxRegion, Record, check_size
+from . import core
+from .core import BoxRegion, Record, check_size, line_chunks
 from .families import RectangleSet, _grid_hits, _LazyRows, _reach
 from .gamesim import MAX_AUDIT_CELLS
 
@@ -36,6 +35,7 @@ __all__ = [
     "PatternCandidate",
     "find_homothety",
     "candidates_to_csv",
+    "candidates_csv_chunks",
     "pattern_diameter",
     "scale_range_admissible",
 ]
@@ -228,6 +228,8 @@ def _scan_one_scale(
     family: str,
     res: Fraction,
 ) -> _ScaleBlock | None:
+    import numpy as np
+
     # translation grid: x = (ix, iy) * res with every pattern point in the
     # root box; per axis x_j in [-1 - lam*min_b, 1 - lam*max_b]
     lo_idx = []
@@ -321,20 +323,33 @@ def find_homothety(
     return out
 
 
-def candidates_to_csv(candidates: Iterable[PatternCandidate]) -> str:
-    """One row per candidate: lambda, x1, x2, max_depth_passed.  A
-    find_homothety view is written a block at a time, building no
-    candidate: each scale's lambda and each translation coordinate that a
-    candidate uses are formatted once, and a block's rows joined."""
+def candidates_csv_chunks(candidates: Iterable[PatternCandidate]) -> Iterator[str]:
+    """The text of candidates_to_csv as it is formatted: the header, then
+    the rows.  A find_homothety view is written a run at a time, building
+    no candidate: its rows are in row-major grid order, so the rows that
+    share a scale and an x are one run, at most core.CHUNK_LINES of which
+    make one chunk, prefix + prefix.join(y texts); each scale's lambda and
+    each y text that a candidate uses are formatted once per scale.  Other
+    candidates are written a row at a time, core.CHUNK_LINES to a chunk."""
+    yield "lambda,x1,x2,max_depth_passed\n"
     if not isinstance(candidates, _Candidates):
-        rows = [f"{cand.lam},{cand.x[0]},{cand.x[1]},{cand.max_depth_passed}\n"
-                for cand in candidates]
-        return "lambda,x1,x2,max_depth_passed\n" + "".join(rows)
-    blocks = ["lambda,x1,x2,max_depth_passed\n"]
+        yield from line_chunks(f"{cand.lam},{cand.x[0]},{cand.x[1]},{cand.max_depth_passed}\n"
+                               for cand in candidates)
+        return
     tail = f",{candidates.depth}\n"
     for lam, xs, ys, ix, iy in candidates.blocks:
         head = f"{lam},"
-        xt = {i: head + str(xs[i]) + "," for i in set(ix)}
         yt = {j: str(ys[j]) + tail for j in set(iy)}
-        blocks.append("".join([xt[i] + yt[j] for i, j in zip(ix, iy)]))
-    return "".join(blocks)
+        start = 0
+        while start < len(ix):
+            i = ix[start]
+            stop = bisect_right(ix, i, start, min(start + core.CHUNK_LINES, len(ix)))
+            prefix = f"{head}{xs[i]},"
+            yield prefix + prefix.join(map(yt.__getitem__, iy[start:stop]))
+            start = stop
+
+
+def candidates_to_csv(candidates: Iterable[PatternCandidate]) -> str:
+    """One row per candidate: lambda, x1, x2, max_depth_passed; the join of
+    candidates_csv_chunks."""
+    return "".join(candidates_csv_chunks(candidates))

@@ -3,14 +3,22 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gamecert
-from gamecert import gamesim, optimize
+from gamecert import core, gamesim, optimize, patterns
 from gamecert.cli import Config, ConfigError, main
-from gamecert.families import RcdSpec, RcoSpec
+from gamecert.core import BoxRegion
+from gamecert.families import (
+    RcdSpec, RcoSpec, RectangleSet, RectEntry, covering_strategy_for_rcd,
+    covering_strategy_for_rco, generate_rcd, generate_rco,
+)
 
 
 def write_cfg(tmp_path, name, text):
@@ -927,7 +935,8 @@ def test_verify_imports_numpy_only_for_the_checks_that_use_it(tmp_path):
               "family.v = 5\nfamily.m = 2\nfamily.t = 1\ngame.c = 0.5\ngenerate.depth = 1\n")
     assert "numpy" in _imported_packages(tmp_path, "budget", budget)
     # importing the geometry modules loads no numpy either
-    probe = "import sys, gamecert.families, gamecert.gamesim; print('numpy' in sys.modules)"
+    probe = ("import sys, gamecert.families, gamecert.gamesim, gamecert.patterns; "
+             "print('numpy' in sys.modules)")
     proc = _run_module("-c", probe)
     assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr[-2000:]
 
@@ -956,3 +965,169 @@ def test_simulate_refuses_a_preamble_of_millions_of_lines_at_once(tmp_path):
                            "preamble lines, over the limit of 1048576\n")
     proc = simulate(body + "simulate.preamble = false\n")
     assert proc.returncode == 0 and (tmp_path / "out" / "transcript.txt").exists(), proc.stderr
+
+
+# ------------------------------------------------------------ artifact streams
+
+
+def _reference_csv(rect):
+    """RectangleSet.to_csv built as one string per row, each coordinate p/q."""
+    out = [f"# {key} = {rect.meta[key]}\n" for key in sorted(rect.meta)]
+    out.append("level,address,cx,cy,hx,hy\n")
+    for e in rect.entries:
+        coords = (f"{x.numerator}/{x.denominator}" for x in e.box.center + e.box.half)
+        out.append(",".join([str(e.level), e.address, *coords]) + "\n")
+    return "".join(out)
+
+
+def _reference_candidates(candidates):
+    """patterns.candidates_to_csv built as one string per candidate."""
+    return "lambda,x1,x2,max_depth_passed\n" + "".join(
+        f"{c.lam},{c.x[0]},{c.x[1]},{c.max_depth_passed}\n" for c in candidates)
+
+
+def _reference_transcript(tr):
+    """PlayTranscript.to_text built as a list of lines, joined once."""
+    def coords(values):
+        return ",".join(tr._fmt(x) for x in values)
+
+    lines = ["transcript radius=%s c=%.17g alpha_log=%.17g betas=%s"
+             % (tr._fmt(tr.radius), tr.c, tr.alpha_log, coords(tr.betas))]
+    lines += ["preamble q=%d center=%s half=%s mass_log=%.17g"
+              % (r.exponent, coords(r.box.center), coords(r.box.half), r.mass_log)
+              for r in tr.preamble]
+    lines += ["move m=%d center=%s half=%s deletions=%d spent_log=%.17g cap_log=%.17g "
+              "skipped=%s" % (mv.move, coords(mv.box.center), coords(mv.box.half),
+                              len(mv.deletions), mv.budget_spent_log, mv.budget_cap_log,
+                              "true" if mv.skipped else "false")
+              for mv in tr.moves]
+    return "\n".join(lines) + "\n"
+
+
+def _assert_stream(chunks, text):
+    """The chunks join to `text`, and each is whole lines, at most
+    core.CHUNK_LINES of them."""
+    chunks = list(chunks)
+    assert "".join(chunks) == text
+    assert all(c.endswith("\n") and c.count("\n") <= core.CHUNK_LINES for c in chunks)
+
+
+@pytest.fixture(scope="module")
+def artifacts():
+    """(stream, reference text) makers for generated members, a member read
+    back from its CSV, scan results and transcripts with and without a
+    preamble."""
+    rco, rcd = generate_rco(RcoSpec(4, 5, 2, 1), 2), generate_rcd(RcdSpec(7, 4), 2)
+    rects = [rco, rcd, generate_rco(RcoSpec(3, 2, 3, 2), 2, "hash", 9),
+             RectangleSet.from_csv(rco.to_csv())]
+    query = patterns.PatternQuery(((0, 0), (2, 0)), Fraction(1, 49), Fraction(3, 49), 2,
+                                  Fraction(1, 49))
+    empty = patterns.PatternQuery(((0, 0), (60, 0)), Fraction(1, 10), Fraction(1, 10), 1)
+    view = patterns.find_homothety(query, rcd)
+    scans = [view, list(view[:50]), patterns.find_homothety(empty, rcd),
+             patterns.find_homothety(query, generate_rco(RcoSpec(4, 5, 2, 1), 2, "hash", 3))]
+    steer = gamesim.steering_policy((Fraction(7, 8), Fraction(9, 10)))
+    rcd_strategy = covering_strategy_for_rcd(RcdSpec(7, 4), 0.5, 1, 3)
+    games = [gamesim.play_game(steer, rcd_strategy, 3),
+             gamesim.play_game(steer, rcd_strategy, 3, grant_preamble=False),
+             gamesim.play_game(steer, covering_strategy_for_rco(rco, 0.5), 2)]
+    assert len(view) == 11536 and not scans[2] and games[0].preamble and not games[1].preamble
+    return ([(rect.csv_chunks, _reference_csv(rect)) for rect in rects]
+            + [(lambda c=c: patterns.candidates_csv_chunks(c), _reference_candidates(c))
+               for c in scans]
+            + [(tr.text_chunks, _reference_transcript(tr)) for tr in games])
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3, None])
+def test_artifact_streams_join_to_their_strings(artifacts, monkeypatch, lines):
+    if lines is not None:
+        monkeypatch.setattr(core, "CHUNK_LINES", lines)
+    for stream, text in artifacts:
+        _assert_stream(stream(), text)
+
+
+_FRACTIONS = st.fractions(-4, 4, max_denominator=60)
+
+
+@given(lines=st.integers(1, 4),
+       boxes=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["cell", "cut", "comp"]),
+                                st.text("0123_/", max_size=4), _FRACTIONS, _FRACTIONS,
+                                st.fractions(Fraction(1, 60), 2, max_denominator=60),
+                                st.fractions(Fraction(1, 60), 2, max_denominator=60)),
+                      max_size=12),
+       meta=st.dictionaries(st.text("abc_", min_size=1, max_size=4),
+                            st.text("xyz019", max_size=4), max_size=3),
+       candidates=st.lists(st.tuples(_FRACTIONS, _FRACTIONS, _FRACTIONS, st.integers(0, 5)),
+                           max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_hand_built_streams_join_to_their_strings(lines, boxes, meta, candidates):
+    rect = RectangleSet([RectEntry(level, f"{kind}:{path}", BoxRegion((cx, cy), (hx, hy)))
+                         for level, kind, path, cx, cy, hx, hy in boxes], meta)
+    cands = [patterns.PatternCandidate(lam, (x, y), d) for lam, x, y, d in candidates]
+    with mock.patch.object(core, "CHUNK_LINES", lines):
+        _assert_stream(rect.csv_chunks(), _reference_csv(rect))
+        _assert_stream(patterns.candidates_csv_chunks(cands), _reference_candidates(cands))
+
+
+# A launcher that spawns argv[1:] and prints its exit code and peak RSS (KiB).
+# A child's maxrss counts its spawner's resident size at spawn, so the command
+# must be spawned from a small process, not from pytest itself.
+PEAK_LAUNCHER = ("import os, subprocess, sys\n"
+                 "child = subprocess.Popen(sys.argv[1:])\n"
+                 "_, status, usage = os.wait4(child.pid, 0)\n"
+                 "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+
+def test_generate_peak_memory_follows_the_member_not_its_csv(tmp_path):
+    # RCO(4,5,2,1) at depth 4 holds 505,260 boxes and writes a 24 MB CSV;
+    # its rows stream to the file, so the process peaks near 46 MB, where
+    # building the whole text first peaked at 114 MB
+    cfg = write_cfg(tmp_path, "gen.cfg", "command = generate\nfamily.kind = rco\n"
+                    "family.u = 4\nfamily.v = 5\nfamily.m = 2\nfamily.t = 1\n"
+                    "generate.depth = 4\n")
+    out = tmp_path / "out"
+    proc = _run_module("-c", PEAK_LAUNCHER, sys.executable, "-m", "gamecert",
+                       "--config", cfg, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, maxrss_kib = map(int, proc.stdout.split()[-2:])
+    assert code == 0 and (out / "rectangles.csv").stat().st_size > 20_000_000
+    assert maxrss_kib / 1024 < 70
+
+
+def _interrupted(stream):
+    """`stream`, raising after its first chunk."""
+    def chunks(*args):
+        it = stream(*args)
+        yield next(it)
+        raise RuntimeError("interrupted")
+    return chunks
+
+
+@pytest.mark.parametrize("command,owner,attr,name", [
+    ("generate", RectangleSet, "csv_chunks", "rectangles.csv"),
+    ("find-pattern", patterns, "candidates_csv_chunks", "candidates.csv"),
+    ("simulate", gamesim.PlayTranscript, "text_chunks", "transcript.txt"),
+])
+def test_an_interrupted_stream_leaves_no_partial_artifact(tmp_path, monkeypatch,
+                                                          command, owner, attr, name):
+    body = {
+        "generate": "family.kind = rco\nfamily.u = 4\nfamily.v = 5\nfamily.m = 2\n"
+                    "generate.depth = 2\n",
+        "find-pattern": "family.kind = rcd\nfamily.u = 7\nfamily.v = 4\ngenerate.depth = 2\n"
+                        "pattern.points = 0,0; 2,0\npattern.lambda_lo = 1/49\n"
+                        "pattern.lambda_hi = 3/49\n",
+        "simulate": "family.kind = rco\nfamily.u = 4\nfamily.v = 5\nfamily.m = 2\n"
+                    "family.t = 1\ngame.c = 0.5\nsimulate.moves = 3\n"
+                    "simulate.target = 7/8, 9/10\n",
+    }[command]
+    cfg = write_cfg(tmp_path, "run.cfg", f"command = {command}\n{body}")
+    kept = tmp_path / "kept"
+    assert main(["--config", cfg, "--out", str(kept)]) == 0
+    written = (kept / name).read_bytes()
+    monkeypatch.setattr(owner, attr, _interrupted(getattr(owner, attr)))
+    for out in (tmp_path / "fresh", kept):
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main(["--config", cfg, "--out", str(out)])
+    # nothing of the interrupted write remains; an earlier artifact is whole
+    assert list((tmp_path / "fresh").iterdir()) == []
+    assert [p.name for p in kept.iterdir()] == [name] and (kept / name).read_bytes() == written

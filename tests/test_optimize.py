@@ -752,6 +752,23 @@ def test_dimension_only_search_takes_no_verdict(monkeypatch, name):
     assert calls == 0
 
 
+def test_count_search_drops_cells_that_fail_condition_1_at_count_1(monkeypatch):
+    # c log(alpha) is condition (1)'s left side at count 1, so a cell whose
+    # estimate rhs1 - c log(alpha) is negative counts 0 and has no witness:
+    # the grid drops it before any count (3,420 of smallest-u(4,0)'s 4,621
+    # counts were such cells, all 0)
+    estimates = []
+    tail_count = optimize._tail_count
+
+    def recorded(alpha, contraction, c, delta, rhs1_log, cap, known=0):
+        estimates.append(rhs1_log - c * alpha.log)
+        return tail_count(alpha, contraction, c, delta, rhs1_log, cap, known)
+
+    monkeypatch.setattr(optimize, "_tail_count", recorded)
+    optimize.smallest_u_for_patterns(4, 0)
+    assert estimates and min(estimates) >= -1e-9
+
+
 # ------------------------------------------------------------ intersections
 
 
