@@ -582,7 +582,7 @@ def _cmd_generate(cfg: Config, out: Path, trace: bool,
 def _cmd_simulate(cfg: Config, out: Path, trace: bool,
                   finish: Callable[[], None]) -> int:
     from .families import RcdSpec
-    from .gamesim import constant_policy, play_game, steering_policy  # loads numpy
+    from .gamesim import play_game, steering_policy  # loads numpy
 
     params = _read_generate(cfg, default_depth=cfg.get_int("simulate.moves", lo=1))
     family = params[0]
@@ -601,7 +601,7 @@ def _cmd_simulate(cfg: Config, out: Path, trace: bool,
             raise ConfigError("simulate.target", "expected a single 'x,y' point")
         policy = steering_policy(target[0])
     else:
-        policy = constant_policy((Fraction(0), Fraction(0)))
+        policy = steering_policy((0, 0))
     radius = cfg.get_fraction("simulate.radius", Fraction(1), positive=True)
     clamp = cfg.get_bool("simulate.clamp", True)
     preamble = cfg.get_bool("simulate.preamble", True)

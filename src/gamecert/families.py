@@ -52,6 +52,11 @@ back from it, so a float coordinate comes back as the equal exact
 Fraction; a level built by hand keeps its boxes as given.  No generator
 builds more than MAX_GEOMETRY_BOXES boxes, or more than MAX_GEOMETRY_BITS
 numerator bits (it raises core.SizeError first).  Budget rates are LogScalars.
+
+Both corner-digit generators, generate_rcd and covering_strategy_for_rcd,
+read one walk of the component tree (_rcd_levels): per level, its child
+addresses, region centers and corners as plain columns of Python ints,
+the same for either corner rule.
 """
 from __future__ import annotations
 
@@ -88,7 +93,6 @@ __all__ = [
     "rcd_alpha",
     "generate_rco",
     "generate_rcd",
-    "rcd_children",
     "covering_strategy_for_rco",
     "covering_strategy_for_rcd",
     "MAX_GEOMETRY_BOXES",
@@ -178,12 +182,13 @@ class RcdSpec(Record):
         return {"family.kind": "corner", "family.u": str(self.u), "family.v": str(self.v)}
 
     def corner_signs(self, address: str) -> tuple[int, int]:
-        """(+-1, +-1): which corner of its region the child at `address` takes."""
+        """(+-1, +-1): which corner of its region the child at `address` takes,
+        one of four shared tuples, since the corner-digit walk keeps one per
+        child."""
         if self.corner_rule == "fixed":
             return (1, 1)
-        rnd = random.Random(f"{self.corner_seed}|{address}")
-        bits = rnd.randrange(4)
-        return (1 if bits & 1 else -1, 1 if bits & 2 else -1)
+        bits = random.Random(f"{self.corner_seed}|{address}").randrange(4)
+        return ((-1, -1), (1, -1), (-1, 1), (1, 1))[bits]    # x by bit 0, y by bit 1
 
 
 # ------------------------------------------------------------- budget rates
@@ -1017,88 +1022,30 @@ def _cutout_address(starts: list[int], tables: list[tuple[int, list[str], list[s
     return f"cut:{rows[i]}_{cols[j]}/{ordinals[o]}"
 
 
-def _rect_set(dx: int, dy: int, blocks: Iterable[tuple], meta: dict[str, str]) -> RectangleSet:
-    """A generated RectangleSet over the denominators (dx, dy), from blocks
-    (level, addresses, x numerators, y numerators, half x, half y) in entry
-    order; a block's boxes share their half-widths."""
-    levels, addresses = array("q"), []
-    # int64 columns where the denominators fit, Python ints otherwise
-    xs, ys, hxs, hys = (array("q") if den < 2 ** 63 else [] for den in (dx, dy, dx, dy))
-    for k, names, bx, by, hx, hy in blocks:
-        levels.extend([k] * len(names))
-        addresses += names
-        xs.extend(bx)
-        ys.extend(by)
-        hxs.extend([hx] * len(names))
-        hys.extend([hy] * len(names))
-    lattice = (AxisLattice(dx, xs, hxs), AxisLattice(dy, ys, hys))
-    return RectangleSet._on_lattice(levels, addresses, lattice, meta)
+def _rcd_levels(
+    spec: RcdSpec, depth: int
+) -> Iterator[tuple[list[str], list[int], list[int], list[tuple[int, int]]]]:
+    """The component tree of a corner-digit member, level by level, as columns.
 
-
-def _rcd_pieces(
-    spec: RcdSpec, address: str, cx: int | Fraction, cy: int | Fraction
-) -> Iterator[tuple[int, str, int | Fraction, int | Fraction, tuple[int, int]]]:
-    """The (u-1)(v-1) children of one component, on integer lattices.
-
-    (cx, cy) is the component's center as numerators over (u^k (u-1),
-    v^k (v-1)).  Yields (digit, child address, lx, ly, (sx, sy)): the center
-    of region L_digit as numerators over (u^(k+1) (u-1), v^(k+1) (v-1)) and
-    the corner the kept child takes.  On that lattice a region has
-    half-widths (u, v), a child (u-1, v-1), and the child's center is
-    (lx + sx, ly + sy).
+    Yields, for k = 0..depth-1, (addresses, lx, ly, corners) of the level-k
+    pieces: the children of each level-k component, components in the order
+    of the previous level, children by digit i = s + (tt-1)(u-1) (s = 1..u-1,
+    tt = 1..v-1).  A child's address is its parent's plus "/i" and its corner
+    (sx, sy) is spec.corner_signs of it; (lx, ly) is its region's center as
+    numerators over (u^(k+1) (u-1), v^(k+1) (v-1)).  On that lattice a region
+    has half-widths (u, v) and a child (u-1, v-1) centered at (lx + sx, ly + sy).
     """
     u, v = spec.u, spec.v
-    for tt in range(1, v):
-        ly = v * cy + (2 * tt - v) * v
-        for s in range(1, u):
-            digit = s + (tt - 1) * (u - 1)
-            child = f"{address}/{digit}"
-            yield digit, child, u * cx + (2 * s - u) * u, ly, spec.corner_signs(child)
-
-
-def _rcd_walk(spec: RcdSpec, depth: int) -> Iterator[list[tuple[str, int, int, int, int]]]:
-    """The component tree of a corner-digit member, level by level.
-
-    Yields, for k = 0..depth-1, the level-k pieces as (child address, lx,
-    ly, sx, sy) in the order of _rcd_pieces, parents in the order of the
-    previous level.
-    """
-    frontier = [("r", 0, 0)]
+    steps = [(f"/{s + (tt - 1) * (u - 1)}", (2 * s - u) * u, (2 * tt - v) * v)
+             for tt in range(1, v) for s in range(1, u)]
+    # the root as a piece: its child, the level-0 component, is centered on it
+    addresses, lx, ly, corners = ["r"], [0], [0], [(0, 0)]
     for _ in range(depth):
-        pieces = [
-            (child, lx, ly, sx, sy)
-            for address, cx, cy in frontier
-            for _, child, lx, ly, (sx, sy) in _rcd_pieces(spec, address, cx, cy)
-        ]
-        yield pieces
-        frontier = [(child, lx + sx, ly + sy) for child, lx, ly, sx, sy in pieces]
-
-
-def rcd_children(
-    spec: RcdSpec, level: int, address: str, component: BoxRegion
-) -> list[tuple[int, BoxRegion, BoxRegion]]:
-    """(digit, region L_i, kept child box) for one level-`level` component.
-
-    Children are indexed i = s + (tt-1)(u-1), s = 1..u-1, tt = 1..v-1; region
-    centers sit at component_center + ((2s-u)/(u^level (u-1)),
-    (2tt-v)/(v^level (v-1))) with half-widths (1/(u^level (u-1)),
-    1/(v^level (v-1))); the child box (half-widths (u^-(level+1), v^-(level+1)))
-    is flush in the corner chosen by the member's corner rule.
-    """
-    u, v = spec.u, spec.v
-    cx = Fraction(component.center[0]) * (u ** level * (u - 1))
-    cy = Fraction(component.center[1]) * (v ** level * (v - 1))
-    dx, dy = u ** (level + 1) * (u - 1), v ** (level + 1) * (v - 1)
-    region_half = (Fraction(u, dx), Fraction(v, dy))
-    child_half = (Fraction(u - 1, dx), Fraction(v - 1, dy))
-    return [
-        (
-            digit,
-            BoxRegion((Fraction(lx, dx), Fraction(ly, dy)), region_half),
-            BoxRegion((Fraction(lx + sx, dx), Fraction(ly + sy, dy)), child_half),
-        )
-        for digit, _, lx, ly, (sx, sy) in _rcd_pieces(spec, address, cx, cy)
-    ]
+        addresses = [a + tail for a in addresses for tail, _, _ in steps]
+        lx = [u * (x + sx) + ox for x, (sx, _) in zip(lx, corners) for _, ox, _ in steps]
+        ly = [v * (y + sy) + oy for y, (_, sy) in zip(ly, corners) for _, _, oy in steps]
+        corners = list(map(spec.corner_signs, addresses))
+        yield addresses, lx, ly, corners
 
 
 def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
@@ -1106,8 +1053,11 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
 
     Level k lives on the lattice with denominators (u^k (u-1), v^k (v-1)),
     where a component has half-widths (u-1, v-1); the set's lattice is that
-    of level `depth`.  Over the size limits (_check_boxes), or with
-    denominators past MAX_DENOMINATOR_BITS, it raises core.SizeError first.
+    of level `depth`.  Each level's kept children come off the walk's
+    columns (_rcd_levels), sorted by address, into the set's columns:
+    array('q') where the denominators fit in int64, lists of Python ints
+    past it.  Over the size limits (_check_boxes), or with denominators
+    past MAX_DENOMINATOR_BITS, it raises core.SizeError first.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -1115,15 +1065,19 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
     _check_boxes("depth", depth, _level_boxes(1, (u - 1) * (v - 1), depth),
                  _lattice_bits(u, v, depth, u - 1, v - 1))
     _check_denominators("depth", depth, u, v, depth, u - 1, v - 1)
-
-    def blocks() -> Iterator[tuple]:
-        for k, pieces in enumerate(_rcd_walk(spec, depth), start=1):
-            fx, fy = u ** (depth - k), v ** (depth - k)
-            comps = sorted(pieces)  # by address
-            yield (k, ["comp:" + child for child, *_ in comps],
-                   [(lx + sx) * fx for _, lx, _, sx, _ in comps],
-                   [(ly + sy) * fy for _, _, ly, _, sy in comps], (u - 1) * fx, (v - 1) * fy)
-
+    dx, dy = u ** depth * (u - 1), v ** depth * (v - 1)
+    levels, names = array("q"), []
+    # int64 columns where the denominators fit, Python ints otherwise
+    xs, ys, hxs, hys = (array("q") if den < 2 ** 63 else [] for den in (dx, dy, dx, dy))
+    for k, (addresses, lx, ly, corners) in enumerate(_rcd_levels(spec, depth), start=1):
+        fx, fy = u ** (depth - k), v ** (depth - k)
+        order = sorted(range(len(addresses)), key=addresses.__getitem__)
+        levels.extend(array("q", [k]) * len(order))
+        names += ["comp:" + addresses[i] for i in order]
+        xs.extend([(lx[i] + corners[i][0]) * fx for i in order])
+        ys.extend([(ly[i] + corners[i][1]) * fy for i in order])
+        hxs.extend([(u - 1) * fx] * len(order))
+        hys.extend([(v - 1) * fy] * len(order))
     meta = {
         "family": "rcd",
         "u": str(spec.u),
@@ -1132,7 +1086,8 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
         "corner_seed": str(spec.corner_seed),
         "depth": str(depth),
     }
-    return _rect_set(u ** depth * (u - 1), v ** depth * (v - 1), blocks(), meta)
+    lattice = (AxisLattice(dx, xs, hxs), AxisLattice(dy, ys, hys))
+    return RectangleSet._on_lattice(levels, names, lattice, meta)
 
 
 # ----------------------------------------------------- covering strategies
@@ -1313,8 +1268,10 @@ def covering_strategy_for_rcd(
     accounts for them separately.  Exact cover geometry needs integer t.
 
     Level k lives on the lattice with denominators (u^q (u-1), v^q (v-1)).
-    A piece's cover is its region's center plus one of four corner
-    templates, built once.  Each level is built columnwise (_level_axis):
+    Its pieces come off the corner-digit walk (_rcd_levels) that
+    generate_rcd reads too, as columns of region centers and corners.  A
+    piece's cover is its region's center plus the template of its corner,
+    one of four built once.  Each level is built columnwise (_level_axis):
     per axis, its final column is filled with its pieces' corner templates
     and their scaled centers added, in place, and one gcd reduction takes it
     to lowest terms.  The level keeps only those numerators and its one
@@ -1355,12 +1312,11 @@ def covering_strategy_for_rcd(
         covers.append(cover)
     tx, ty = np.array(covers, dtype=np.int64).transpose(2, 0, 1)  # per axis, corner by box
     levels = []
-    for k, pieces in enumerate(_rcd_walk(spec, depth)):
+    for k, (_, lx, ly, corners) in enumerate(_rcd_levels(spec, depth)):
         q = k + 1 + t
         dx, dy = u ** q * (u - 1), v ** q * (v - 1)
-        _, lx, ly, sx, sy = zip(*pieces)
-        corners = 2 * (np.array(sx) < 0) + (np.array(sy) < 0)
-        lattice = (_level_axis(dx, lx, ut, tx, corners, u - 1),
-                   _level_axis(dy, ly, vt, ty, corners, v - 1))
+        rows = np.array([2 * (sx < 0) + (sy < 0) for sx, sy in corners])
+        lattice = (_level_axis(dx, lx, ut, tx, rows, u - 1),
+                   _level_axis(dy, ly, vt, ty, rows, v - 1))
         levels.append(StrategyLevel.on_lattice(k, q, alpha.log, k == 0, lattice))
     return CoveringStrategy(params, "rcd", tuple(levels))

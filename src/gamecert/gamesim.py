@@ -55,7 +55,6 @@ __all__ = [
     "MoveRecord",
     "DeletionRecord",
     "PlayTranscript",
-    "constant_policy",
     "steering_policy",
     "play_game",
     "PotentialRow",
@@ -473,16 +472,12 @@ def _preamble_record(levels: list[StrategyLevel], masses: list[float], i: int) -
 Policy = Callable[[int, BoxRegion], tuple[Fraction, ...]]
 
 
-def constant_policy(center: Sequence[Fraction | int]) -> Policy:
-    """Nesting player keeps one center forever (always legal)."""
-    fixed = tuple(Fraction(x) for x in center)
-    return lambda move, previous: fixed
-
-
 def steering_policy(target: Sequence[Fraction | int]) -> Policy:
     """Nesting player asks for the target center every move; the game clamps
     the request onto the nested range, which drives the box toward the
-    target as fast as the shrinking half-widths allow."""
+    target as fast as the shrinking half-widths allow.  A target at the
+    first box's center (the origin, for simulate.policy = center) is always
+    legal, so the center never moves."""
     goal = tuple(Fraction(x) for x in target)
     return lambda move, previous: goal
 

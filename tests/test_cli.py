@@ -606,7 +606,7 @@ def _patch_geometry_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("started work before checking the geometry size")
 
-    for name in ("_rect_set", "_cutout_columns", "_rcd_walk", "_cover_piece"):
+    for name in ("_cutout_columns", "_rcd_levels", "_cover_piece"):
         monkeypatch.setattr(families, name, no_work)
 
 
@@ -926,11 +926,17 @@ def test_verify_imports_numpy_only_for_the_checks_that_use_it(tmp_path):
     ):
         # numpy loads inspect itself, but nothing here needs dataclasses
         assert "dataclasses" not in _imported_modules(tmp_path, name, body), name
-    # a cut-out member's CSV needs no numpy (its columns repeat in C)
-    generate = ("command = generate\nfamily.kind = rco\nfamily.u = 4\nfamily.v = 5\n"
-                "family.m = 2\nfamily.t = 1\ngenerate.depth = 3\n")
-    loaded = _imported_modules(tmp_path, "generate", generate)
-    assert "gamecert.families" in loaded and "numpy" not in loaded
+    # a member's CSV needs no numpy: a cut-out member's columns repeat in C,
+    # and a corner-digit member's, either corner rule, come off a walk in ints
+    rcd = "command = generate\nfamily.kind = rcd\nfamily.u = 7\nfamily.v = 4\ngenerate.depth = 2\n"
+    for name, generate in (
+        ("generate", "command = generate\nfamily.kind = rco\nfamily.u = 4\nfamily.v = 5\n"
+                     "family.m = 2\nfamily.t = 1\ngenerate.depth = 3\n"),
+        ("generate-rcd", rcd),
+        ("generate-rcd-hash", rcd + "family.corner_rule = hash\nfamily.corner_seed = 5\n"),
+    ):
+        loaded = _imported_modules(tmp_path, name, generate)
+        assert "gamecert.families" in loaded and "numpy" not in loaded, name
     budget = ("command = verify\nverify.check = budget\nfamily.kind = rco\nfamily.u = 4\n"
               "family.v = 5\nfamily.m = 2\nfamily.t = 1\ngame.c = 0.5\ngenerate.depth = 1\n")
     assert "numpy" in _imported_packages(tmp_path, "budget", budget)

@@ -35,14 +35,12 @@ from gamecert.families import (
     StrategyLevel,
     _cover_piece,
     _to_floats,
-    _rcd_walk,
     _rco_slots,
     covering_strategy_for_rcd,
     covering_strategy_for_rco,
     generate_rcd,
     generate_rco,
     rcd_alpha,
-    rcd_children,
     rcd_cover_count,
     rco_alpha,
 )
@@ -542,19 +540,20 @@ def test_generate_rcd_children_are_disjoint_and_nested():
 
 
 def test_rcd_children_regions_tile_the_component():
-    spec = RcdSpec(7, 4)
+    spec = RcdSpec(7, 4, corner_rule="hash", corner_seed=3)
     root = BoxRegion((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-    kids = rcd_children(spec, 0, "r", root)
+    kids = _reference_children(spec, 0, ("r", root))
     assert len(kids) == 18
     area = sum(4 * r.half[0] * r.half[1] for _, r, _ in kids)
     assert area == 4  # regions partition the component (area [-1,1]^2 = 4)
-    for _, region, child in kids:
+    comps = {e.address: e.box for e in generate_rcd(spec, depth=1).of_kind("comp", 1)}
+    assert len(comps) == 18
+    for digit, region, _ in kids:
+        child = comps[f"comp:r/{digit}"]
         assert region.contains_box(child)
         # child is flush: one corner of the child coincides with the region's
-        assert any(
-            abs(region.center[0] - child.center[0]) == region.half[0] - child.half[0]
-            for _ in (0,)
-        )
+        for j in range(2):
+            assert abs(region.center[j] - child.center[j]) == region.half[j] - child.half[j]
 
 
 @given(st.integers(2, 9), st.integers(2, 9), st.integers(0, 3))
@@ -650,7 +649,7 @@ def test_rcd_strategy_covers_exactly_the_removed_slabs():
     spec = RcdSpec(7, 4, corner_rule="hash", corner_seed=5)
     strat = covering_strategy_for_rcd(spec, c=0.5, t=1, depth=1)
     root = BoxRegion((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-    kids = rcd_children(spec, 0, "r", root)
+    kids = _reference_children(spec, 0, ("r", root))
     count = rcd_cover_count(7, 4, 1).value
     boxes = strat.level(0).boxes
     for idx, (digit, region, child) in enumerate(kids):
@@ -786,8 +785,26 @@ def test_rcd_lattice_walk_matches_fraction_reference(u, v, rule, seed, t, depth)
         assert repr(level.boxes) == repr(tuple(covers))
         got = {e.address: e.box for e in member.entries if e.level == k + 1}
         assert repr(got) == repr(dict(sorted(comps.items())))
+
+
+def _reference_pieces(spec, depth):
+    """Per level k, the pieces of the Fraction reference walk as integers:
+    (lx, ly, (sx, sy)), the region's center over (u^(k+1) (u-1),
+    v^(k+1) (v-1)) and the corner its child takes."""
     root = BoxRegion((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-    assert rcd_children(spec, 0, "r", root) == _reference_children(spec, 0, ("r", root))
+    frontier = [("r", root)]
+    for k in range(depth):
+        dens = (spec.u ** (k + 1) * (spec.u - 1), spec.v ** (k + 1) * (spec.v - 1))
+        pieces, nxt = [], []
+        for address, comp in frontier:
+            for digit, region, child in _reference_children(spec, k, (address, comp)):
+                lx, ly = (region.center[j] * den for j, den in enumerate(dens))
+                assert lx.denominator == ly.denominator == 1
+                signs = tuple(1 if child.center[j] > region.center[j] else -1 for j in range(2))
+                pieces.append((int(lx), int(ly), signs))
+                nxt.append((f"{address}/{digit}", child))
+        yield pieces
+        frontier = nxt
 
 
 def _reference_level_lattices(spec, t, depth):
@@ -809,10 +826,10 @@ def _reference_level_lattices(spec, t, depth):
         except OverflowError:
             return AxisLattice(den // g, tuple(centers), tuple(halves))
 
-    for k, pieces in enumerate(_rcd_walk(spec, depth)):
+    for k, pieces in enumerate(_reference_pieces(spec, depth)):
         q = k + 1 + t
-        xs = [lx * ut + ox for _, lx, _, sx, sy in pieces for ox in tx[sx, sy]]
-        ys = [ly * vt + oy for _, _, ly, sx, sy in pieces for oy in ty[sx, sy]]
+        xs = [lx * ut + ox for lx, _, signs in pieces for ox in tx[signs]]
+        ys = [ly * vt + oy for _, ly, signs in pieces for oy in ty[signs]]
         yield reduced(u ** q * (u - 1), xs, u - 1), reduced(v ** q * (v - 1), ys, v - 1)
 
 
@@ -919,6 +936,25 @@ def test_rcd_levels_past_int64_keep_python_ints():
                for level, kind in zip(strat.levels, kinds) for axis in level.lattice)
     *_, (comps, covers) = _reference_rcd_levels(spec, 1, 64)
     assert strat.level(63).boxes == tuple(covers)
+
+
+def test_rcd_columns_past_int64_match_the_fraction_reference():
+    # RCD(2,2) has one piece a level, so both generators cross int64 cheaply:
+    # the member's columns are lists of Python ints from depth 63 on (its
+    # denominators are 2^depth), and the strategy's levels are built from
+    # Python ints from level 58 on (2^(k+2) reaches 2^60 there); both match
+    # the Fraction walk box by box
+    spec = RcdSpec(2, 2)
+    reference = list(_reference_rcd_levels(spec, 1, 64))
+    member = generate_rcd(spec, 64)
+    assert all(type(axis.centers) is list for axis in member.lattice)
+    want = [RectEntry(k + 1, address, box) for k, (comps, _) in enumerate(reference)
+            for address, box in comps.items()]
+    assert member.entries == want
+    assert member.to_csv() == _reference_csv(member.meta, want)
+    strat = covering_strategy_for_rcd(spec, 0.5, 1, 62)
+    for level, (_, covers) in zip(strat.levels, reference[:62], strict=True):
+        assert level.boxes == tuple(covers)
 
 
 def _derived(level):

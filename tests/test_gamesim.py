@@ -27,7 +27,6 @@ from gamecert.gamesim import (
     MAX_AUDIT_CELLS,
     Lattice,
     child_cover_grid,
-    constant_policy,
     play_game,
     potential_chain,
     potential_phi,
@@ -239,27 +238,27 @@ def test_illegal_play_raises_without_clamping(rco_strategy):
 
 def test_origin_play_survives_corner_cuts(rco_strategy):
     _, strat = rco_strategy
-    tr = play_game(constant_policy((0, 0)), strat, depth=4)
+    tr = play_game(steering_policy((0, 0)), strat, depth=4)
     assert tr.outcome_inside_deleted() is None
 
 
 def test_preamble_granted_before_move_one():
     strat = covering_strategy_for_rcd(RcdSpec(7, 4), c=0.5, t=1, depth=2)
-    tr = play_game(constant_policy((0, 0)), strat, depth=2)
+    tr = play_game(steering_policy((0, 0)), strat, depth=2)
     assert len(tr.preamble) == 468           # (7-1)(4-1) * 26 level-0 covers
     assert all(rec.move == 0 for rec in tr.preamble)
-    tr2 = play_game(constant_policy((0, 0)), strat, depth=2, grant_preamble=False)
+    tr2 = play_game(steering_policy((0, 0)), strat, depth=2, grant_preamble=False)
     assert tr2.preamble == ()
 
 
 def test_outcome_meets_the_first_deletion_preamble_first():
     strat = covering_strategy_for_rcd(RcdSpec(7, 4), c=0.5, t=1, depth=2)
     for grant, move in ((True, 0), (False, 1)):
-        tr = play_game(constant_policy((0, 0)), strat, depth=2, grant_preamble=grant)
+        tr = play_game(steering_policy((0, 0)), strat, depth=2, grant_preamble=grant)
         deletions = list(tr.preamble) + [rec for mv in tr.moves for rec in mv.deletions]
         first = next(rec for rec in deletions if tr.outcome_box.intersects(rec.box))
         assert tr.outcome_intersects_deleted() == first and first.move == move
-    tr = play_game(constant_policy((0, 0)), _empty_strategy(), depth=2)
+    tr = play_game(steering_policy((0, 0)), _empty_strategy(), depth=2)
     assert tr.outcome_intersects_deleted() is None
 
 
@@ -282,7 +281,7 @@ def test_game_requires_exact_ratios():
                             DiagonalContraction((0.3, 0.4)), 0.5)
     strat = CoveringStrategy(params, "rco", ())
     with pytest.raises(ValueError, match="exact"):
-        play_game(constant_policy((0, 0)), strat, depth=1)
+        play_game(steering_policy((0, 0)), strat, depth=1)
 
 
 # ---------------------------------------------------------------- potential
@@ -304,7 +303,7 @@ def test_potential_level_one_is_always_zero(rco_strategy):
 
 
 def test_potential_skip_always_game_is_zero_everywhere():
-    tr = play_game(constant_policy((0, 0)), _empty_strategy(), depth=4)
+    tr = play_game(steering_policy((0, 0)), _empty_strategy(), depth=4)
     assert all(mv.skipped for mv in tr.moves)
     for level in (1, 2, 3, 4):
         row = potential_phi(tr, tr.moves[-1].box, level=level, delta=0.5)
