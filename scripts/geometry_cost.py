@@ -13,11 +13,15 @@ best time.  The last child of each checkout then runs one more pass under
 tracemalloc: per op, the peak of traced memory above the op's start while
 it runs, and while its untimed check runs (find_homothety's check writes
 the candidates' CSV), and the memory held after it above the pass's start
-(the op outputs that later ops read stay alive, as in the workload).
+(the op outputs that later ops read stay alive, as in the workload).  Each
+child also reports its peak RSS (ru_maxrss) as it stands after its timed
+passes, before any tracing: the in-process number that perfbench's
+geometry-exact `peak_rss_mb` reads, from a process that ran the same ops.
 
 This prints, per op and checkout, the best time over all rounds in ms, the
 two traced peaks and the memory held in MiB, and the ratios of each
-checkout's time and op peak to the first one's.  Not part of Tier-1.
+checkout's time and op peak to the first one's; then, per checkout, each
+child's peak RSS in MB and their median.  Not part of Tier-1.
 """
 from __future__ import annotations
 
@@ -25,6 +29,8 @@ import argparse
 import gc
 import json
 import os
+import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -89,7 +95,7 @@ def child(args: argparse.Namespace) -> int:
         best: dict[str, float] = {}
         for _ in range(args.n):
             _run_pass(ops, fresh_ctx, best)
-        out = {"best": best}
+        out = {"best": best, "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
         if args.trace:
             out["memory"] = _traced_pass(ops, fresh_ctx)
     json.dump(out, sys.stdout)
@@ -112,6 +118,7 @@ def main() -> int:
     roots = [r.resolve() for r in args.root or [ROOT]]
     best: dict[tuple[str, int], float] = {}
     memory: dict[int, dict] = {}
+    rss: dict[int, list[float]] = {i: [] for i in range(len(roots))}
     order = list(enumerate(roots))
     for r in range(args.rounds):
         for i, root in order if r % 2 == 0 else order[::-1]:
@@ -125,6 +132,7 @@ def main() -> int:
             out = json.loads(proc.stdout)
             for name, secs in out["best"].items():
                 best[name, i] = min(secs, best.get((name, i), secs))
+            rss[i].append(out["rss_mb"])
             if "memory" in out:
                 memory[i] = out["memory"]
     names = list(dict.fromkeys(name for name, _ in best))
@@ -148,6 +156,10 @@ def main() -> int:
                           for m, p in zip(ms[1:], mem[1:]))
         print(f"{name[:44]:<44}" + "".join(f"{v:11.2f}" for v in ms)
               + "".join(f"{m[k] / mib:11.2f}" for k in range(3) for m in mem) + f"   {ratios}")
+    print("peak RSS of each child after its timed passes (ru_maxrss, MB), in round order; median")
+    for i, _ in order:
+        print(f"  [{i}] " + " ".join(f"{x:.2f}" for x in rss[i])
+              + f"; {statistics.median(rss[i]):.2f}")
     return 0
 
 

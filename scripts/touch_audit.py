@@ -19,8 +19,9 @@ it prints the worst hits of any test box against the touch count that the
 rate formula uses (9m for a cut-out member, 9 (u-1)(v-1) rcd_cover_count
 for a corner-digit one), and whether the level is legal; last, all_legal.
 It exits 2 if a level is illegal or its worst hits pass that count.  The
-rco job peaks near 0.8 GiB, the member's 0.47 GiB included, and takes a few
-seconds on a 2-core host; this script is not part of Tier-1.
+rco job peaks near 0.55 GiB, the member's 0.13 GiB (int16 columns)
+included, and takes a few seconds on a 2-core host; this script is not part
+of Tier-1.
 """
 from __future__ import annotations
 

@@ -35,7 +35,7 @@ integer over one denominator per axis (u^(k+t), v^(k+t) for a cut-out
 level, u^q (u-1), v^q (v-1) for a corner-digit level of exponent q), so
 the generators compute on integer numerators and keep them in columns
 (AxisLattice: per axis a denominator and the center and half-width
-numerators, int64 where they fit):
+numerators, each column at the narrowest integer width that holds it):
 
 * a RectangleSet keeps a level column, its addresses and one
   AxisLattice per axis over the deepest level's denominators (a generated
@@ -355,10 +355,12 @@ class AxisLattice(NamedTuple):
 
     Box i has center centers[i] / den and half-width halves[i] / den, or
     halves[0] / den if halves has length 1, as a strategy level stores the
-    one its boxes share.  The numerators are int64 when all fit, as an
-    array('q') or a read-only memoryview of one, else a tuple (or, in a
-    generated rectangle set, a list) of Python ints.  A strategy level's
-    den is the least common denominator of its axis.
+    one its boxes share.  The numerators are an array of the narrowest
+    typecode, 'h', 'i' or 'q', that holds a bound on every |center| + half
+    (_typecode), or a read-only memoryview of one, so center +- half fits
+    the column's own width; past int64 they are a tuple (or, in a generated
+    rectangle set, a list) of Python ints.  A strategy level's den is the
+    least common denominator of its axis.
     """
 
     den: int
@@ -366,22 +368,43 @@ class AxisLattice(NamedTuple):
     halves: Sequence[int]
 
 
-def _axis_lattice(den: int, centers: list[int], halves: list[int]) -> AxisLattice:
+# Signed array typecodes, narrowest first, each with the least magnitude
+# it cannot hold (2^15, 2^31 and 2^63 where 'i' has 4 bytes).
+_TYPECODES = [(code, 2 ** (8 * array(code).itemsize - 1)) for code in "hiq"]
+
+
+def _typecode(bound: int) -> str | None:
+    """The narrowest array typecode that holds every integer in
+    [-bound, bound], or None past int64 (Python ints).  A lattice column
+    takes a bound on its |center| + half, so that center +- half never
+    overflows the column's width: a generated member's denominator (its
+    boxes lie in [-1, 1]^2), a corner-digit strategy level's twice its own
+    (_level_axis), a derived lattice's largest |center| plus largest half."""
+    for code, limit in _TYPECODES:
+        if bound < limit:
+            return code
+    return None
+
+
+def _axis_lattice(den: int, centers: list[int], halves: list[int], bound: int) -> AxisLattice:
     """The AxisLattice of numerators over `den`, in lowest terms (the centers
-    read only if den and the halves share a factor), int64 if all fit."""
+    read only if den and the halves share a factor), its columns of the
+    typecode of `bound`, a bound on their |center| + half, or tuples of
+    Python ints past int64."""
     g = math.gcd(den, *set(halves))
     g = math.gcd(g, *set(centers)) if g > 1 else g
     if g > 1:
         den, centers, halves = den // g, [x // g for x in centers], [x // g for x in halves]
-    try:
-        return AxisLattice(den, array("q", centers), array("q", halves))
-    except OverflowError:
+    code = _typecode(bound)
+    if code is None:
         return AxisLattice(den, tuple(centers), tuple(halves))
+    return AxisLattice(den, array(code, centers), array(code, halves))
 
 
 def _derived_lattice(boxes: Sequence[BoxRegion], shared: bool = False) -> tuple[AxisLattice, ...]:
     """Per axis, the boxes' coordinates over their least common denominator,
-    with `shared` a half-width every box has stored once.
+    with `shared` a half-width every box has stored once, in columns of the
+    width of the largest |center| plus the largest half.
 
     Fractions and ints give their numerator and denominator; a float counts
     as the exact binary fraction it holds.
@@ -398,9 +421,10 @@ def _derived_lattice(boxes: Sequence[BoxRegion], shared: bool = False) -> tuple[
         den = math.lcm(*dens)
         scale = {d: den // d for d in dens}
         nums = [x.numerator * scale[x.denominator] for x in coords]
-        halves = nums[len(boxes):]
-        axes.append(_axis_lattice(den, nums[:len(boxes)],
-                                  halves[:1] if shared and len(set(halves)) == 1 else halves))
+        centers, halves = nums[:len(boxes)], nums[len(boxes):]
+        bound = max(map(abs, centers)) + max(map(abs, halves))
+        axes.append(_axis_lattice(den, centers,
+                                  halves[:1] if shared and len(set(halves)) == 1 else halves, bound))
     return tuple(axes)
 
 
@@ -420,7 +444,8 @@ def _box_reader(lattice: tuple[AxisLattice, ...]) -> Callable[[int], BoxRegion]:
     return box
 
 
-# Numerators below this magnitude go to int64: a sum of eight of them still fits.
+# Numerators below this magnitude are computed on in int64 (a narrower
+# column is widened a chunk at a time): a sum of eight of them still fits.
 _INT64_SAFE = 2 ** 60
 _GRID_CHUNK = 2 ** 15   # boxes per chunk of _grid_hits: no column it makes is longer
 
@@ -433,11 +458,12 @@ def _on_one_lattice(
     holds), all over their least common denominator; a shared half-width
     stays one entry, which numpy broadcasts to every box.
 
-    The numerators stay int64 when the axis stores them so and every scaled
-    magnitude, the extras' included, is below 2^60; that is checked on the
-    unscaled maximum before anything is multiplied, and at scale 1 they are
-    read-only views of the stored columns.  Otherwise they become Python
-    integers in object arrays.
+    Integer columns stay integers when every scaled magnitude, the extras'
+    included, is below 2^60; that is checked on the unscaled maximum before
+    anything is multiplied.  At scale 1 they are read-only views of the
+    stored columns, in the columns' own dtype; a new scale widens them to
+    int64 copies first.  Otherwise they become Python integers in object
+    arrays.
     """
     import numpy as np
 
@@ -446,14 +472,16 @@ def _on_one_lattice(
     scale = den // axis.den
     nums = [x.numerator * (den // x.denominator) for x in extras]
     columns = (axis.centers, axis.halves)
-    if {type(axis.centers), type(axis.halves)} <= {array, memoryview}:   # int64
-        centers, halves = (np.frombuffer(memoryview(c).toreadonly(), dtype=np.int64) for c in columns)
+    if {type(axis.centers), type(axis.halves)} <= {array, memoryview}:
+        centers, halves = (np.frombuffer(view, dtype=view.format)
+                           for view in (memoryview(c).toreadonly() for c in columns))
         top = max(-int(centers.min(initial=0)), int(centers.max(initial=0)),
                   int(halves.max(initial=0)))
         if top * scale < _INT64_SAFE and all(abs(x) < _INT64_SAFE for x in nums):
             if scale == 1:  # read-only views of the stored columns
                 return centers, halves, nums
-            return centers * scale, halves * scale, nums
+            return (np.multiply(centers, scale, dtype=np.int64),
+                    np.multiply(halves, scale, dtype=np.int64), nums)
     centers, halves = (np.array(col, dtype=object) * scale for col in columns)
     return centers, halves, nums
 
@@ -469,18 +497,22 @@ def _cover_counts(
     Each box adds +-1 at the corners of its range in one difference array,
     whose prefix sums, taken in place at the end, are the counts.  No entry
     of it ever passes twice the number of boxes in magnitude, so it is
-    int32 below 2^30 boxes (half the memory of int64) and int64 above.
+    int32 below 2^30 boxes (half the memory of int64) and int64 above.  The
+    corners are added at flat indices into its raveled view, where
+    np.add.at takes one index array instead of one per axis.
     """
     import numpy as np
 
     dtype = np.int32 if boxes < 2 ** 30 else np.int64
     diff = np.zeros(tuple(s + 1 for s in shape), dtype=dtype)
+    flat = diff.ravel()                   # a view: diff is contiguous
     for starts, stops in ranges:
         for corner in itertools.product((0, 1), repeat=len(shape)):
-            index = tuple(stops[j] if up else starts[j] for j, up in enumerate(corner))
             # a scalar of diff's own dtype keeps np.add.at on its uncast loop
-            np.add.at(diff, index, dtype(-1 if sum(corner) % 2 else 1))
-        del starts, stops, index          # freed before the next chunk is made
+            np.add.at(flat, np.ravel_multi_index(
+                tuple(stops[j] if up else starts[j] for j, up in enumerate(corner)), diff.shape),
+                dtype(-1 if sum(corner) % 2 else 1))
+        del starts, stops                 # freed before the next chunk is made
     for axis in range(len(shape)):
         np.cumsum(diff, axis=axis, dtype=dtype, out=diff)
     return diff[(slice(0, -1),) * len(shape)]
@@ -491,22 +523,34 @@ def _reach(lattice: Sequence[AxisLattice], point: Sequence[Fraction | int | floa
     """Mask of the boxes within reach[j] of `point` on every axis j:
     |center_j - point_j| <= half_j + reach[j], or < when strict, exactly.
     With X = point_j den and R = reach[j] den, integers c, h have
-    |c - X| <= h + R just when c <= floor(X + R) + h and c >= ceil(X - R) - h
-    (strictly: ceil(X + R) - 1 + h and floor(X - R) + 1 - h), so the stored
-    centers are compared with integers, a shared h making no column.
-    Against int64 columns, whose values _on_one_lattice checks to lie below
-    2^60, the two bounds are clamped to +-2^62 first."""
+    |c - X| <= h + R just when c - h <= floor(X + R) and c + h > ceil(X - R) - 1
+    (strictly: ceil(X + R) - 1 and floor(X - R)), so the stored columns are
+    compared with integers; a shared h moves the bounds instead, making no
+    column.  An integer column is compared in its own dtype, in which every
+    |c| + h fits (_typecode; _on_one_lattice checks an int64 one below
+    2^60), so c +- h lies strictly inside the dtype's range: clamped to
+    that range, a bound past it still decides every box alike, and no
+    wider copy of the column is made."""
+    import numpy as np
+
     mask = True
     for axis, x, r in zip(lattice, point, reach):
         centers, halves, _ = _on_one_lattice(axis, ())
         x, r = Fraction(x), Fraction(r)
         q = x.denominator * r.denominator   # X +- R = (a +- b) / q
         a, b = x.numerator * r.denominator * axis.den, r.numerator * x.denominator * axis.den
-        up, down = ((-(-(a + b) // q) - 1, (a - b) // q + 1) if strict
-                    else ((a + b) // q, -(-(a - b) // q)))
-        if centers.dtype != object:
-            up, down = (min(max(t, -4 * _INT64_SAFE), 4 * _INT64_SAFE) for t in (up, down))
-        mask = mask & (centers <= up + halves) & (centers >= down - halves)
+        up, below = ((-(-(a + b) // q) - 1, (a - b) // q) if strict
+                     else ((a + b) // q, -(-(a - b) // q) - 1))
+        if len(halves) == 1:       # a shared half-width moves the bounds instead
+            h = int(halves[0])
+            low = high = centers
+            up, below = up + h, below - h
+        else:
+            low, high = centers - halves, centers + halves
+        if low.dtype != object:
+            info = np.iinfo(low.dtype)
+            up, below = (min(max(t, info.min), info.max) for t in (up, below))
+        mask = mask & (low <= up) & (high > below)
     return mask
 
 
@@ -540,8 +584,9 @@ def _index_ranges(lattice: Sequence[AxisLattice], origin: Sequence, step: Sequen
     for axis, o, s, r, a, b in zip(lattice, origin, step, reach, lo, hi):
         centers, halves, (o, s, r) = _on_one_lattice(axis, (o, s, r))
         r -= strict                       # |i s - (center - o)| <= half + r
-        first = halves - centers
-        last = np.add(centers, halves, out=centers if centers.flags.writeable else None)
+        wide = object if centers.dtype == object else np.int64   # a narrow chunk widens here
+        first = np.subtract(halves, centers, dtype=wide)
+        last = np.add(centers, halves, out=centers if centers.flags.writeable else None, dtype=wide)
         first += o + r                    # i >= ceil((center - half - r - o) / s)
         first //= s
         np.negative(first, out=first)
@@ -571,7 +616,7 @@ def _to_floats(den: int, nums: Sequence[int]) -> np.ndarray:
 
     limit = int(EXACT_LIMIT)      # numpy compares int64 with an int faster
     if isinstance(nums, array) and den < limit:
-        ints = np.frombuffer(nums, dtype=np.int64)
+        ints = np.frombuffer(nums, dtype=nums.typecode)
         if not ints.size or -limit < ints.min() and ints.max() < limit:
             return ints.astype(np.float64) / den
     return np.array([n / den for n in nums], dtype=np.float64)
@@ -601,12 +646,18 @@ class _LazyRows(abc.Sequence):
         return map(self._item, range(self._len))
 
     def __repr__(self) -> str:
-        return repr(self._like(self))
+        # the tuple's (or list's) text, building one item at a time
+        body = ", ".join(map(repr, self))
+        if self._like is tuple:
+            return f"({body},)" if self._len == 1 else f"({body})"
+        return f"[{body}]"
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _LazyRows) and other._like is self._like \
                 or isinstance(other, self._like):
-            return list(self) == list(other)
+            # item by item, as list == compares: the same object is equal
+            return len(self) == len(other) and all(
+                a is b or a == b for a, b in zip(self, other))
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -667,7 +718,7 @@ class RectangleSet(Record):
         for e in rows:
             if ":" not in e.address:
                 raise ValueError(f"address {e.address!r} does not read kind:path")
-        empty = (AxisLattice(1, array("q"), array("q")),) * 2
+        empty = (AxisLattice(1, array("h"), array("h")),) * 2
         self._set_columns([e.level for e in rows], [e.address for e in rows],
                           _derived_lattice([e.box for e in rows]) or empty,
                           {} if meta is None else meta)
@@ -932,17 +983,19 @@ def _cutout_columns(
     a cut "i_j/o" by its cell's path, then by the text of o.  So at level k
     a cell's x numerator is that of its row i and its y that of its column
     j, and with corner placement a cut's x depends on (i, o) and its y on
-    (j, o): every column is a short list repeated in C (array('q') * n, or
+    (j, o): every column is a short list repeated in C (array * n, or
     list * n past int64).  Hash placement draws each cell's slots in a loop.
+    Every box lies in [-1, 1]^2, so |center| + half is at most the axis's
+    denominator, whose typecode (_typecode) each axis's columns take; the
+    level column takes that of `depth`.
     """
     u, v, m, t = spec.u, spec.v, spec.m, spec.t
     ut, vt = u ** t, v ** t
     dx, dy = u ** (depth + t), v ** (depth + t)
     ordinals = sorted(range(m), key=str)
     corner = [(s % ut, s // ut) for s in ordinals]
-    # int64 columns where the denominators fit, Python ints otherwise
-    col_x, col_y = (partial(array, "q") if den < 2 ** 63 else list for den in (dx, dy))
-    levels, xs, ys, hxs, hys = array("q"), col_x(), col_y(), col_x(), col_y()
+    col_x, col_y = (partial(array, code) if code else list for code in map(_typecode, (dx, dy)))
+    levels, xs, ys, hxs, hys = array(_typecode(depth)), col_x(), col_y(), col_x(), col_y()
     tables = []
     for k in range(1, depth + 1):
         fx, fy = u ** (depth - k), v ** (depth - k)
@@ -967,7 +1020,7 @@ def _cutout_columns(
                     for a, b in map(slots.__getitem__, ordinals):
                         xs.append(x + (2 * a + 1 - ut) * fx)
                         ys.append(y + (2 * b + 1 - vt) * fy)
-        levels.extend(array("q", [k]) * (cells * (m + 1)))
+        levels.extend(array(levels.typecode, [k]) * (cells * (m + 1)))
         hxs.extend(col_x([ut * fx]) * cells)
         hxs.extend(col_x([fx]) * (cells * m))
         hys.extend(col_y([vt * fy]) * cells)
@@ -1054,10 +1107,12 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
     Level k lives on the lattice with denominators (u^k (u-1), v^k (v-1)),
     where a component has half-widths (u-1, v-1); the set's lattice is that
     of level `depth`.  Each level's kept children come off the walk's
-    columns (_rcd_levels), sorted by address, into the set's columns:
-    array('q') where the denominators fit in int64, lists of Python ints
-    past it.  Over the size limits (_check_boxes), or with denominators
-    past MAX_DENOMINATOR_BITS, it raises core.SizeError first.
+    columns (_rcd_levels), sorted by address, into the set's columns: per
+    axis, arrays of the typecode of its denominator (_typecode), which
+    bounds every |center| + half of a box in [-1, 1]^2, or lists of Python
+    ints past int64; the level column takes the typecode of `depth`.  Over
+    the size limits (_check_boxes), or with denominators past
+    MAX_DENOMINATOR_BITS, it raises core.SizeError first.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -1066,13 +1121,12 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
                  _lattice_bits(u, v, depth, u - 1, v - 1))
     _check_denominators("depth", depth, u, v, depth, u - 1, v - 1)
     dx, dy = u ** depth * (u - 1), v ** depth * (v - 1)
-    levels, names = array("q"), []
-    # int64 columns where the denominators fit, Python ints otherwise
-    xs, ys, hxs, hys = (array("q") if den < 2 ** 63 else [] for den in (dx, dy, dx, dy))
+    levels, names = array(_typecode(depth)), []
+    xs, ys, hxs, hys = (array(code) if code else [] for code in map(_typecode, (dx, dy, dx, dy)))
     for k, (addresses, lx, ly, corners) in enumerate(_rcd_levels(spec, depth), start=1):
         fx, fy = u ** (depth - k), v ** (depth - k)
         order = sorted(range(len(addresses)), key=addresses.__getitem__)
-        levels.extend(array("q", [k]) * len(order))
+        levels.extend(array(levels.typecode, [k]) * len(order))
         names += ["comp:" + addresses[i] for i in order]
         xs.extend([(lx[i] + corners[i][0]) * fx for i in order])
         ys.extend([(ly[i] + corners[i][1]) * fy for i in order])
@@ -1157,10 +1211,11 @@ def covering_strategy_for_rco(
     rate a_k = (9m)^(1/c) (uv)^-t, uniformly in k.
 
     Level k holds the member's level-k cuts over (u^(k+t), v^(k+t)), its
-    denominators without the known factors u^(depth-k), v^(depth-k); the
-    deepest level, most cuts, views the member's int64 columns.  Only a
-    member from generate_rco has that layout, so any other (one read by
-    from_csv too) raises ValueError.
+    denominators without the known factors u^(depth-k), v^(depth-k), in
+    columns of the typecode of those denominators; the deepest level, most
+    cuts, views the member's own array columns.  Only a member from
+    generate_rco has that layout, so any other (one read by from_csv too)
+    raises ValueError.
     """
     meta = member.meta
     if meta.get("family") != "rco" or not isinstance(member.addresses, _CutoutAddresses):
@@ -1175,10 +1230,12 @@ def covering_strategy_for_rco(
         lattice = []
         for axis, f in zip(member.lattice, (u ** (depth - k), v ** (depth - k))):
             cut, half = slice(span.start, span.stop), [axis.halves[span.start] // f]
-            lattice.append(
-                AxisLattice(axis.den, memoryview(axis.centers).toreadonly()[cut], array("q", half))
-                if f == 1 and isinstance(axis.centers, array)
-                else _axis_lattice(axis.den // f, [x // f for x in axis.centers[cut]], half))
+            if f == 1 and isinstance(axis.centers, array):
+                lattice.append(AxisLattice(axis.den, memoryview(axis.centers).toreadonly()[cut],
+                                           array(axis.centers.typecode, half)))
+            else:
+                lattice.append(_axis_lattice(axis.den // f, [x // f for x in axis.centers[cut]],
+                                             half, axis.den // f))
         levels.append(StrategyLevel.on_lattice(k, k + t, alpha.log, False, tuple(lattice)))
     return CoveringStrategy(params, "rco", tuple(levels))
 
@@ -1232,24 +1289,27 @@ def _level_axis(den: int, starts: Sequence[int], scale: int, offsets: np.ndarray
                 corners: np.ndarray, half: int) -> AxisLattice:
     """One axis of a corner-digit level over `den`, in lowest terms: piece
     p's box b has the center numerator starts[p] scale + offsets[corners[p], b]
-    and every box the half-width numerator `half`.  Values are at most
-    2 den in magnitude: below _INT64_SAFE the final array('q') is filled,
-    a corner template at a time, and divided by its gcd in place, through a
-    numpy view; past it, Python ints go to _axis_lattice."""
+    and every box the half-width numerator `half`.  Every |center| + half,
+    and every value on the way, is at most 2 den, the bound whose typecode
+    (_typecode) the column takes: the final array of that width is filled,
+    a corner template at a time, its scaled centers added (in int64, a
+    numpy buffer at a time) and divided by its gcd in place, through a
+    numpy view; past int64, Python ints go to _axis_lattice."""
     import numpy as np
 
-    if den >= _INT64_SAFE:
+    code = _typecode(2 * den)
+    if code is None:
         column = (np.array(starts, dtype=object) * scale)[:, None] + offsets[corners]
-        return _axis_lattice(den, column.ravel().tolist(), [half])
-    column = array("q", [0]) * (len(starts) * offsets.shape[1])
-    view = np.frombuffer(column, dtype=np.int64).reshape(len(starts), offsets.shape[1])
+        return _axis_lattice(den, column.ravel().tolist(), [half], 2 * den)
+    column = array(code, [0]) * (len(starts) * offsets.shape[1])
+    view = np.frombuffer(column, dtype=code).reshape(len(starts), offsets.shape[1])
     for corner, template in enumerate(offsets):
         view[corners == corner] = template
     view += (np.array(starts, dtype=np.int64) * scale)[:, None]
     g = math.gcd(den, half, int(np.gcd.reduce(view, axis=None)))
     if g > 1:
         view //= g
-    return AxisLattice(den // g, column, array("q", [half // g]))
+    return AxisLattice(den // g, column, array(code, [half // g]))
 
 
 def covering_strategy_for_rcd(
@@ -1275,10 +1335,11 @@ def covering_strategy_for_rcd(
     per axis, its final column is filled with its pieces' corner templates
     and their scaled centers added, in place, and one gcd reduction takes it
     to lowest terms.  The level keeps only those numerators and its one
-    half-width per axis, as its lattice (array('q') columns, or tuples of
-    Python ints past int64); its boxes are read off it on demand.  A
-    strategy over the size limits (_check_boxes), its four templates
-    counted, raises core.SizeError before any box is built.
+    half-width per axis, as its lattice (arrays of the typecode of twice
+    its denominator, or tuples of Python ints past int64); its boxes are
+    read off it on demand.  A strategy over the size limits (_check_boxes),
+    its four templates counted, raises core.SizeError before any box is
+    built.
     """
     import numpy as np
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
 from .core import BoxRegion, Record, check_size, line_chunks
-from .families import RectangleSet, _grid_hits, _LazyRows, _reach
+from .families import RectangleSet, _grid_hits, _LazyRows, _reach, _typecode
 from .gamesim import MAX_AUDIT_CELLS
 
 __all__ = [
@@ -175,13 +176,14 @@ class PatternCandidate(NamedTuple):
 class _ScaleBlock(NamedTuple):
     """The candidates of one scale: the translation (xs[ix[i]], ys[iy[i]])
     for each i, where xs and ys are the grid's translation coordinates per
-    axis and ix, iy the grid indices that passed."""
+    axis and ix, iy the grid indices that passed, as array columns of the
+    narrowest typecode that holds the grid's longer side (families._typecode)."""
 
     lam: Fraction
     xs: list[Fraction]
     ys: list[Fraction]
-    ix: list[int]
-    iy: list[int]
+    ix: array
+    iy: array
 
 
 def _candidate(blocks: list[_ScaleBlock], ends: list[int], depth: int, i: int) -> PatternCandidate:
@@ -262,8 +264,9 @@ def _scan_one_scale(
     # one Fraction per grid translation, shared by the candidates on it
     xs = [(lo_idx[0] + i) * res for i in range(shape[0])]
     ys = [(lo_idx[1] + i) * res for i in range(shape[1])]
-    ix, iy = np.nonzero(acc)
-    return _ScaleBlock(lam, xs, ys, ix.tolist(), iy.tolist())
+    code = _typecode(max(shape))
+    ix, iy = (array(code, index.astype(code).tobytes()) for index in np.nonzero(acc))
+    return _ScaleBlock(lam, xs, ys, ix, iy)
 
 
 def find_homothety(

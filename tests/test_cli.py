@@ -1085,9 +1085,10 @@ PEAK_LAUNCHER = ("import os, subprocess, sys\n"
 
 
 def test_generate_peak_memory_follows_the_member_not_its_csv(tmp_path):
-    # RCO(4,5,2,1) at depth 4 holds 505,260 boxes and writes a 24 MB CSV;
-    # its rows stream to the file, so the process peaks near 46 MB, where
-    # building the whole text first peaked at 114 MB
+    # RCO(4,5,2,1) at depth 4 holds 505,260 boxes in int16 columns and
+    # writes a 24 MB CSV; its rows stream to the file, so the process peaks
+    # near 32 MB, where building the whole text first peaked at 114 MB (and
+    # int64 columns at 46 MB)
     cfg = write_cfg(tmp_path, "gen.cfg", "command = generate\nfamily.kind = rco\n"
                     "family.u = 4\nfamily.v = 5\nfamily.m = 2\nfamily.t = 1\n"
                     "generate.depth = 4\n")
@@ -1097,7 +1098,7 @@ def test_generate_peak_memory_follows_the_member_not_its_csv(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     code, maxrss_kib = map(int, proc.stdout.split()[-2:])
     assert code == 0 and (out / "rectangles.csv").stat().st_size > 20_000_000
-    assert maxrss_kib / 1024 < 70
+    assert maxrss_kib / 1024 < 40
 
 
 def _interrupted(stream):

@@ -1,6 +1,7 @@
 """Family geometry and budget-rate formulas against independently derived values."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -20,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gamecert
-from gamecert import core, families
+from gamecert import core, families, patterns
 from gamecert.core import BoxRegion, SizeError, _ceil_powers, _iroot
 from gamecert.families import (
     MAX_DENOMINATOR_BITS,
@@ -807,10 +808,19 @@ def _reference_pieces(spec, depth):
         frontier = nxt
 
 
+def _narrowest(bound):
+    """The typecode of the narrowest signed C integer (16, 32 or 64 bits)
+    that holds every integer in [-bound, bound], or None past 64 bits."""
+    return next((code for code, bits in (("h", 16), ("i", 32), ("q", 64))
+                 if bound <= 2 ** (bits - 1) - 1), None)
+
+
 def _reference_level_lattices(spec, t, depth):
     """Per level, the lattice built piece by piece as a list of numerators
     (a region's center plus its corner's template), reduced with math.gcd;
-    the one half-width every box of a level has is stored once."""
+    the one half-width every box of a level has is stored once.  Its columns
+    take the width of twice the unreduced denominator, a bound on every
+    |center| + half, or are tuples past 64 bits."""
     u, v = spec.u, spec.v
     ut, vt = u ** t, v ** t
     tx, ty = {}, {}
@@ -821,10 +831,10 @@ def _reference_level_lattices(spec, t, depth):
     def reduced(den, centers, half):
         g = math.gcd(den, *set(centers), half)
         centers, halves = [x // g for x in centers], [half // g]
-        try:
-            return AxisLattice(den // g, array("q", centers), array("q", halves))
-        except OverflowError:
+        code = _narrowest(2 * den)
+        if code is None:
             return AxisLattice(den // g, tuple(centers), tuple(halves))
+        return AxisLattice(den // g, array(code, centers), array(code, halves))
 
     for k, pieces in enumerate(_reference_pieces(spec, depth)):
         q = k + 1 + t
@@ -842,9 +852,11 @@ def test_rcd_level_lattices_match_the_per_piece_reference(u, v, rule, seed, t, d
     assume(_cover_boxes(u, v, t, depth) <= 40000)
     spec = RcdSpec(u, v, rule, seed)
     strat = covering_strategy_for_rcd(spec, c=0.5, t=t, depth=depth)
-    # AxisLattice == compares the column types too: array('q') is not a tuple
-    assert [level.lattice for level in strat.levels] == \
-        list(_reference_level_lattices(spec, t, depth))
+    # AxisLattice == compares an array with a tuple as unequal, but arrays of
+    # two typecodes by value, so the typecodes are compared as well
+    want = list(_reference_level_lattices(spec, t, depth))
+    assert [level.lattice for level in strat.levels] == want
+    assert _typecodes(strat.levels) == _typecodes(want)
 
 
 def test_geometry_size_check_counts_boxes_exactly(monkeypatch):
@@ -922,12 +934,20 @@ def test_geometry_size_limit_admits_the_roadmap_members():
         assert info.value.arg == arg and time.perf_counter() - start < 1.0
 
 
+def _typecodes(levels):
+    """Per level (a StrategyLevel or a lattice), each column's typecode, or
+    its type where it is not an array."""
+    return [[getattr(col, "typecode", type(col)) for axis in getattr(level, "lattice", level)
+             for col in axis] for level in levels]
+
+
 def test_rcd_levels_past_int64_keep_python_ints():
     spec = RcdSpec(2, 2)
     strat = covering_strategy_for_rcd(spec, c=0.5, t=1, depth=64)
     assert [len(level.boxes) for level in strat.levels] == [12] * 64
     want = list(_reference_level_lattices(spec, 1, 64))
     assert [level.lattice for level in strat.levels] == want
+    assert _typecodes(strat.levels) == _typecodes(want)
     dens = [level.lattice[0].den for level in strat.levels]
     assert max(dens).bit_length() == 66
     kinds = [type(level.lattice[0].centers) for level in strat.levels]
@@ -942,8 +962,8 @@ def test_rcd_columns_past_int64_match_the_fraction_reference():
     # RCD(2,2) has one piece a level, so both generators cross int64 cheaply:
     # the member's columns are lists of Python ints from depth 63 on (its
     # denominators are 2^depth), and the strategy's levels are built from
-    # Python ints from level 58 on (2^(k+2) reaches 2^60 there); both match
-    # the Fraction walk box by box
+    # Python ints from level 60 on (twice 2^(k+2) reaches 2^63 there); both
+    # match the Fraction walk box by box
     spec = RcdSpec(2, 2)
     reference = list(_reference_rcd_levels(spec, 1, 64))
     member = generate_rcd(spec, 64)
@@ -955,6 +975,109 @@ def test_rcd_columns_past_int64_match_the_fraction_reference():
     strat = covering_strategy_for_rcd(spec, 0.5, 1, 62)
     for level, (_, covers) in zip(strat.levels, reference[:62], strict=True):
         assert level.boxes == tuple(covers)
+
+
+def _assert_kernels_read_the_columns_as_int64(lattice):
+    """_reach and _grid_hits on `lattice` give, at and around both corners
+    (-1, -1) and (1, 1), where boxes are flush with the root box and
+    |center| + half is the denominator, the masks and counts that the
+    Fraction reference gives, and those of the lattice's columns copied to
+    int64 (or left as Python ints past it).  One grid step is 1/den, read
+    at scale 1 in the columns' own dtype, the other 1/(3 den), scaled."""
+    wide = tuple(AxisLattice(axis.den, *(array("q", col) if isinstance(col, array) else col
+                                        for col in axis[1:]))
+                 for axis in lattice)
+    for corner, strict, by in itertools.product((-1, 1), (False, True), (1, 3)):
+        step = tuple(Fraction(1, by * axis.den) for axis in lattice)
+        args = ((corner, corner), step, (0, 0), (-1, -1), (1, 1), strict)
+        hits = families._grid_hits(lattice, *args)
+        assert hits.tolist() == families._grid_hits(wide, *args).tolist()
+        for i, j in itertools.product(range(-1, 2), repeat=2):
+            point = (corner + i * step[0], corner + j * step[1])
+            mask = families._reach(lattice, point, (0, 0), strict).tolist()
+            assert mask == families._reach(wide, point, (0, 0), strict).tolist() == \
+                _reference_mask(lattice, point, (0, 0), strict), (point, strict)
+            assert hits[i + 1, j + 1] == sum(mask)
+
+
+def _column_types(lattice):
+    """Per axis, the typecode its columns share (a view's format), or None
+    for Python ints."""
+    codes = []
+    for axis in lattice:
+        (code,) = {col.format if isinstance(col, memoryview) else getattr(col, "typecode", None)
+                   for col in axis[1:]}
+        codes.append(code)
+    return codes
+
+
+@pytest.mark.parametrize("depth,code", [
+    (14, "h"), (15, "i"), (30, "i"), (31, "q"), (62, "q"), (63, None)])
+def test_rcd_columns_cross_each_width_at_their_denominator(depth, code):
+    # RCD(2,2) at depth d has denominators 2^d, and its deepest component is
+    # flush with the corner (1, 1): its |center| is 2^d - 1, which a width
+    # one step narrower would hold, but its |center| + half is 2^d
+    spec = RcdSpec(2, 2)
+    member = generate_rcd(spec, depth)
+    assert [axis.den for axis in member.lattice] == [2 ** depth] * 2
+    assert _column_types(member.lattice) == [code, code]
+    assert member.levels.typecode == "h"
+    if code is None:
+        assert all(type(col) is list for axis in member.lattice for col in axis[1:])
+    reference = list(_reference_rcd_levels(spec, 1, depth))
+    want = [RectEntry(k + 1, address, box) for k, (comps, _) in enumerate(reference)
+            for address, box in comps.items()]
+    assert member.entries == want
+    assert member.to_csv() == _reference_csv(member.meta, want)
+    _assert_kernels_read_the_columns_as_int64(member.lattice_of("comp"))
+    # read back from its CSV, a set takes the width of the largest |center|
+    # plus the largest half, 2^d - 1 + 2^(d-1) here, as wide as 2^d
+    read = RectangleSet.from_csv(member.to_csv())
+    assert read.entries == want and _column_types(read.lattice) == [code, code]
+
+
+def test_rcd_strategy_levels_cross_each_width_at_twice_their_denominator():
+    # level k of the RCD(2,2) strategy at t = 1 has the denominator 2^(k+2),
+    # and its columns the width of 2^(k+3): int16 to level 11, int32 to 27,
+    # int64 to 59, Python ints from 60 on
+    spec = RcdSpec(2, 2)
+    strat = covering_strategy_for_rcd(spec, 0.5, 1, 62)
+    assert [level.lattice[0].den for level in strat.levels] == [2 ** (k + 2) for k in range(62)]
+    want = ["h"] * 12 + ["i"] * 16 + ["q"] * 32 + [None] * 2
+    assert [_column_types(level.lattice) for level in strat.levels] == [[c, c] for c in want]
+    reference = list(_reference_rcd_levels(spec, 1, 62))
+    for k in (11, 12, 27, 28, 59, 60):
+        assert strat.level(k).boxes == tuple(reference[k][1])
+        _assert_kernels_read_the_columns_as_int64(strat.level(k).lattice)
+
+
+@pytest.mark.parametrize("t,codes", [
+    (7, ["h", "h"]), (8, ["h", "i"]), (12, ["h", "i"]), (13, ["i", "i"]),
+    (17, ["i", "i"]), (18, ["i", "q"]), (28, ["i", "q"]), (29, ["q", "q"]),
+    (37, ["q", "q"]), (38, ["q", None]), (60, ["q", None]), (61, [None, None])])
+def test_rco_columns_cross_each_width_at_their_denominator(t, codes):
+    # RCO(2,3,1,t) at depth 2 has denominators (2^(t+2), 3^(t+2)); with
+    # corner placement a cut is flush with the corner (-1, -1), and a cell
+    # with both corners, so |center| + half reaches the denominator
+    spec = RcoSpec(2, 3, 1, t)
+    member = generate_rco(spec, 2)
+    assert [axis.den for axis in member.lattice] == [2 ** (t + 2), 3 ** (t + 2)]
+    assert _column_types(member.lattice) == codes
+    assert member.levels.typecode == "h"
+    want = sorted(_reference_rco_entries(spec, 2, "corner", 0), key=lambda e: (e.level, e.address))
+    assert member.entries == want
+    assert member.to_csv() == _reference_csv(member.meta, want)
+    read = RectangleSet.from_csv(member.to_csv())     # largest |center| den - 1, half den / 2
+    assert read.entries == want and _column_types(read.lattice) == codes
+    for kind in ("cell", "cut"):
+        _assert_kernels_read_the_columns_as_int64(member.lattice_of(kind))
+    # the deepest strategy level views the member's columns, the other one
+    # takes the width of its own denominators
+    first, deepest = covering_strategy_for_rco(member, c=0.5).levels
+    assert _column_types(deepest.lattice) == codes
+    assert _column_types(first.lattice) == [
+        _narrowest(axis.den) for axis in first.lattice]
+    _assert_kernels_read_the_columns_as_int64(deepest.lattice)
 
 
 def _derived(level):
@@ -1099,15 +1222,16 @@ def test_cutout_columns_match_a_box_by_box_reference(data):
 
 
 def test_generate_rco_builds_no_per_box_objects():
-    # the depth-4 member keeps about 20 MB of columns (40 bytes a box); with
-    # per-box tuples and stored address strings it peaked at 121 MB
+    # the depth-4 member keeps about 5 MB of int16 columns (10 bytes a box;
+    # 20 MB as int64); with per-box tuples and stored address strings it
+    # peaked at 121 MB
     tracemalloc.start()
     try:
         rect = generate_rco(RcoSpec(4, 5, 2, 1), 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(rect.entries) == 505_260 and peak < 45 * 2 ** 20, peak
+    assert len(rect.entries) == 505_260 and peak < 8 * 2 ** 20, peak
     # rows sort by the text of "i_" ("9_" last), columns by that of j ("99" last)
     assert rect.addresses[-1] == "cut:9_99/1" and rect.addresses[20] == "cut:0_0/0"
     assert rect.addresses[60] == "cell:0_0" and rect.levels[60] == 2
@@ -1208,6 +1332,54 @@ def _assert_view_matches(view, eager):
     else:
         with pytest.raises(TypeError):
             hash(view)
+
+
+@functools.cache
+def _small_views() -> dict:
+    """A strategy level's boxes, a member's entries and a find_homothety
+    view, each small, built once."""
+    member = generate_rcd(RcdSpec(4, 3), 2)
+    query = patterns.PatternQuery(((0, 0), (1, 0)), Fraction(1, 16), Fraction(1, 8), 1)
+    return {"boxes": covering_strategy_for_rcd(RcdSpec(3, 3, "hash", 1), 0.5, 1, 2).level(1).boxes,
+            "entries": member.entries, "candidates": patterns.find_homothety(query, member)}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_lazy_rows_print_and_compare_like_their_tuple_and_list(data):
+    # repr and == read a view one item at a time; both must still be those
+    # of the tuple (a _LazyRows) or the list (a _ListRows) of its items
+    source = data.draw(st.sampled_from(["drawn", "boxes", "entries", "candidates"]))
+    if source == "drawn":
+        length = data.draw(st.sampled_from([0, 1, 2, 3, 40]))
+        item = st.one_of(st.integers(), st.fractions(), st.text(max_size=3), st.floats(),
+                         st.tuples(st.integers(), st.booleans()))
+        items, views = data.draw(st.lists(item, min_size=length, max_size=length)), []
+    else:
+        view = _small_views()[source]
+        items, views = list(view), [view]
+        assert len(items) > 2
+    views += [cls(len(items), items.__getitem__)
+              for cls in (families._LazyRows, families._ListRows)]
+    for view in views:
+        like = view._like
+        kind = families._LazyRows if like is tuple else families._ListRows
+        assert repr(view) == repr(like(items))
+        assert view == like(items) and like(items) == view and not view != like(items)
+        assert view != (list if like is tuple else tuple)(items)
+        assert (view == like(items[:-1])) == (not items)
+        for cls in (families._LazyRows, families._ListRows):
+            assert (view == cls(len(items), items.__getitem__)) == (cls._like is like)
+        if not items:
+            continue
+        # a sequence that differs only in its last item, drawn or new
+        for last in (data.draw(st.sampled_from([None, 0, "x", items[0], items[-1]])), object()):
+            changed = items[:-1] + [last]
+            twin = kind(len(changed), changed.__getitem__)
+            assert repr(twin) == repr(like(changed))
+            same = like(items) == like(changed)
+            assert (view == twin) == (twin == view) == (view == like(changed)) == same
+            assert (view != twin) == (not same)
 
 
 @given(

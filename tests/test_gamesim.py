@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -562,14 +563,18 @@ def test_a_move_charges_k_equal_masses_as_their_log_sum(mass_log):
 
 
 def _recording_lattice(monkeypatch):
-    """Patch the lattice helper to record the dtype of every result."""
+    """Patch the lattice helper to record, for every result, its dtype and
+    that of the stored columns (object for a tuple of Python ints)."""
     seen = []
     real = families._on_one_lattice
 
     def spy(axis, extras):
         centers, halves, nums = real(axis, extras)
         assert centers.dtype == halves.dtype
-        seen.append(centers.dtype)
+        stored = {np.dtype(memoryview(col).format) if isinstance(col, (array, memoryview))
+                  else np.dtype(object) for col in axis[1:]}
+        assert len(stored) == 1
+        seen.append((centers.dtype, *stored))
         return centers, halves, nums
 
     monkeypatch.setattr(families, "_on_one_lattice", spy)
@@ -590,31 +595,33 @@ def test_huge_denominators_take_the_object_path(monkeypatch):
     strat = CoveringStrategy(params, "rco", (StrategyLevel(1, 2, params.alpha.log, False, boxes),))
     seen = _recording_lattice(monkeypatch)
     report, = verify_covering_budget(strat, levels=[1]).levels
-    assert seen and all(dt == object for dt in seen)
+    assert seen and all(dt == stored == object for dt, stored in seen)
     assert (report.test_boxes, report.worst_hits, report.worst_center) == \
         _brute_force_audit(strat, 1)
     assert report.worst_hits > 1
     seen.clear()
     tr = play_game(steering_policy((Fraction(1, 10 ** 30), Fraction(-1, 7))), strat, depth=1)
-    assert seen and all(dt == object for dt in seen)
+    assert seen and all(dt == stored == object for dt, stored in seen)
     assert tr.moves[0].deletions
     _assert_deletions_match(tr, strat)
 
 
-def test_steering_targets_keep_int64_levels_on_int64(monkeypatch):
+def test_steering_targets_keep_integer_levels_in_their_own_dtype(monkeypatch):
     # the game compares a level's stored columns against integer thresholds,
-    # so no target, however fine its denominator, turns them into objects
+    # so no target, however fine its denominator, widens them or turns them
+    # into objects: RCO(4,5,2,1) at depth 2 stores int16 columns
     strat = covering_strategy_for_rco(generate_rco(RcoSpec(4, 5, 2, 1), depth=2), c=0.5)
     seen = _recording_lattice(monkeypatch)
     tr = play_game(steering_policy((Fraction(1, 10 ** 30), Fraction(1, 10 ** 30))), strat, depth=2)
     assert tr.moves[0].box.center == (Fraction(1, 10 ** 30), Fraction(1, 10 ** 30))
-    assert seen and all(dt == np.int64 for dt in seen)
+    assert seen and all(dt == stored != object for dt, stored in seen)
+    assert {stored for _, stored in seen} == {np.dtype(np.int16)}
     _assert_deletions_match(tr, strat)
     for target in ((Fraction(1, 8), Fraction(1, 10)), (0.1, -0.7),
                    (Fraction(-1, 3 * 10 ** 40), Fraction(10 ** 40 - 1, 2 * 10 ** 40))):
         seen.clear()
         tr = play_game(steering_policy(target), strat, depth=2)
-        assert seen and all(dt == np.int64 for dt in seen)
+        assert seen and all(dt == stored != object for dt, stored in seen)
         _assert_deletions_match(tr, strat)
 
 
@@ -633,16 +640,16 @@ def _traced(work):
 
 def test_strategy_audit_and_game_make_no_level_sized_copies():
     # the RCD(7,4) strategy at t = 1, depth 3 holds 160,524 boxes: its
-    # levels keep one int64 center column per axis and one half-width, the
-    # audit counts a chunk of boxes at a time, and the game compares the
-    # stored columns against integer thresholds
+    # levels keep one int16 center column per axis (0.61 MiB in all) and one
+    # half-width, the audit counts a chunk of boxes at a time, and the game
+    # compares the stored columns against integer thresholds
     build = lambda: covering_strategy_for_rcd(RcdSpec(7, 4), c=0.5, t=1, depth=3)  # noqa: E731
     play = lambda: play_game(  # noqa: E731
         steering_policy((Fraction(7, 8), Fraction(9, 10))), strat, depth=3)
     build()
     strat, _, kept = _traced(build)
     assert sum(len(lv.boxes) for lv in strat.levels) == 160_524
-    assert kept < 3.5, kept
+    assert kept < 0.7, kept
     verify_covering_budget(strat, levels=[1])
     audit, peak, _ = _traced(lambda: verify_covering_budget(strat, levels=[1, 2]))
     assert audit.all_legal and peak < 2.5, peak
