@@ -36,9 +36,7 @@ from .core import (
     FloorResult,
     LogScalar,
     Record,
-    _shared_step,
     combine_alphas,
-    log_rounding_error,
     safe_floor_ratio,
 )
 
@@ -46,7 +44,6 @@ __all__ = [
     "FeasibilityReport",
     "DimensionBound",
     "PatternBound",
-    "BranchingBound",
     "Certificate",
     "check_ratio_range",
     "default_delta",
@@ -56,7 +53,6 @@ __all__ = [
     "pattern_dim_bound",
     "intersect_certificate",
     "distance_set_certificate",
-    "branching_lower_bound",
 ]
 
 
@@ -396,45 +392,6 @@ def pattern_dim_bound(
     return PatternBound(
         pattern_count, stated, combined, k_m, strengthened, coeff, report
     )
-
-
-class BranchingBound(NamedTuple):
-    """Lower bound on surviving sub-cells per good cell between free blocks.
-
-    value = (prod_j beta_j^-N) * (lhs2 - rhs2), with lhs2 and rhs2 as
-    condition2_parts states them; count = ceil(value) is the splitting
-    number used by the dimension argument.  Tag "exact": count is the true
-    ceiling of value, settled by an enclosure of it.  Tag "approximate":
-    the enclosure straddles a step of the ceiling and count is the ceiling
-    of its lower end, a lower bound, or None when the value exceeds exact
-    integer range.
-    """
-
-    value_log: float
-    count: int | None
-    tag: str                     # "exact" | "approximate"
-
-
-def branching_lower_bound(
-    contraction: DiagonalContraction, delta: float, free_steps: int
-) -> BranchingBound:
-    lhs, rhs = condition2_parts(contraction, delta, free_steps)
-    if not _condition2_holds(lhs, rhs):
-        raise ValueError("condition (2) must hold with margin")
-    if free_steps > (1 << 62):
-        return BranchingBound(math.inf, None, "approximate")
-    steps_log = -free_steps * contraction.log_det()
-    gap_log = math.log(lhs - rhs)
-    value_log = steps_log + gap_log
-    if value_log >= EXACT_LOG_LIMIT:
-        return BranchingBound(value_log, None, "approximate")
-    value = math.exp(value_log)
-    # log_det sums n logs, so its error grows with n.
-    err = value * log_rounding_error(contraction.n * steps_log, gap_log)
-    count = _shared_step(math.ceil, value - err, value + err)
-    if count is not None:
-        return BranchingBound(value_log, count, "exact")
-    return BranchingBound(value_log, math.ceil(value - err), "approximate")
 
 
 # ------------------------------------------------------------- certificates

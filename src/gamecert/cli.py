@@ -714,7 +714,10 @@ def _cmd_verify(cfg: Config, out: Path, trace: bool,
         us = cfg.get_int_list("verify.u", lo=2)
         level = cfg.get_int("verify.level", lo=1)
         exponent = cfg.get_int("verify.exponent", lo=1)
-        center = cfg.get_points("verify.center", ((Fraction(0), Fraction(0)),))[0]
+        points = cfg.get_points("verify.center", ((Fraction(0), Fraction(0)),))
+        if len(points) != 1:
+            raise ConfigError("verify.center", "expected a single 'x,y' point")
+        center = points[0]
         if len(us) != 2:
             raise ConfigError("verify.u", "overlap check is two-dimensional: give two ratios")
         finish()

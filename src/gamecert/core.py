@@ -376,10 +376,6 @@ class BoxRegion(Record):
         """Same center, half-widths scaled by `factor` (0 < factor)."""
         return BoxRegion(self.center, tuple(h * factor for h in self.half))
 
-    def diameter_sup(self) -> Coord:
-        """Diameter in the sup metric = twice the largest half-width."""
-        return 2 * max(self.half)
-
 
 def validate_params(params: GameParameters) -> None:
     """Raise ValueError unless the tuple is game-legal.

@@ -447,7 +447,7 @@ def _box_reader(lattice: tuple[AxisLattice, ...]) -> Callable[[int], BoxRegion]:
 # Numerators below this magnitude are computed on in int64 (a narrower
 # column is widened a chunk at a time): a sum of eight of them still fits.
 _INT64_SAFE = 2 ** 60
-_GRID_CHUNK = 2 ** 15   # boxes per chunk of _grid_hits: no column it makes is longer
+_GRID_CHUNK = 2 ** 15   # boxes per chunk of _grid_hits and to_pbm: neither makes a longer column
 
 
 def _on_one_lattice(
@@ -847,9 +847,10 @@ class RectangleSet(Record):
         1 = kept (black).  A pixel is in a box when |x - cx| <= hx and
         |y - cy| <= hy in floats, with each coordinate the float nearest
         its exact value; x - cx is monotone along a row, so each test holds
-        on one run of columns (rows likewise), found for all boxes at once,
-        and a box paints one rectangle.  A raster over gamesim.MAX_AUDIT_CELLS
-        cells raises core.SizeError first, naming the longer side.
+        on one run of columns (rows likewise), found for _GRID_CHUNK boxes
+        of one level at a time, and a box paints one rectangle.  A raster
+        over gamesim.MAX_AUDIT_CELLS cells raises core.SizeError first,
+        naming the longer side.
         """
         import numpy as np
 
@@ -861,19 +862,25 @@ class RectangleSet(Record):
         check_size(side, value, (height + 1) * (width + 1), "raster cells", MAX_AUDIT_CELLS)
         xs = np.linspace(-1 + 1 / width, 1 - 1 / width, width)
         ys = np.linspace(1 - 1 / height, -1 + 1 / height, height)
-        boxes = self.lattice_of("cut")
-        cuts = len(boxes[0].centers) > 0
+        spans = self._spans("cut", None)
+        cuts = any(spans)
         if not cuts:
-            boxes = self.lattice_of("comp", [self.max_level()])
-        (cx, hx), (cy, hy) = (
-            (_to_floats(axis.den, axis.centers), _to_floats(axis.den, axis.halves))
-            for axis in boxes
-        )
-        # ys falls down the rows; negated, it rises, and the test is unchanged
-        (c0, c1), (r0, r1) = _float_runs(xs, cx, hx), _float_runs(-ys, -cy, hy)
-        some = (c0 < c1) & (r0 < r1)
-        covered = _cover_counts((height, width), len(r0),
-                                [((r0[some], c0[some]), (r1[some], c1[some]))]) > 0
+            spans = self._spans("comp", [self.max_level()])
+
+        def runs(i: int, j: int) -> tuple:
+            # the row and column runs of boxes i..j-1, less those that paint nothing
+            (cx, hx), (cy, hy) = (
+                (_to_floats(axis.den, axis.centers[i:j]), _to_floats(axis.den, axis.halves[i:j]))
+                for axis in self.lattice
+            )
+            # ys falls down the rows; negated, it rises, and the test is unchanged
+            (c0, c1), (r0, r1) = _float_runs(xs, cx, hx), _float_runs(-ys, -cy, hy)
+            some = (c0 < c1) & (r0 < r1)
+            return (r0[some], c0[some]), (r1[some], c1[some])
+
+        chunks = (runs(i, min(i + _GRID_CHUNK, span.stop))
+                  for span in spans for i in range(span.start, span.stop, _GRID_CHUNK))
+        covered = _cover_counts((height, width), sum(map(len, spans)), chunks) > 0
         keep = ~covered if cuts else covered
         text = np.full((height, 2 * width), ord(" "), dtype=np.uint8)
         text[:, ::2] = keep + ord("0")

@@ -58,9 +58,7 @@ __all__ = [
     "steering_policy",
     "play_game",
     "PotentialRow",
-    "PotentialLedger",
     "potential_phi",
-    "potential_chain",
     "ChildGridReport",
     "child_cover_grid",
     "OverlapReport",
@@ -579,11 +577,6 @@ class PotentialRow(NamedTuple):
         return self.phi_log <= self.threshold_log
 
 
-class PotentialLedger(NamedTuple):
-    rows: tuple[PotentialRow, ...]
-    cumulative: tuple[tuple[int, float], ...]   # (move, mass so far) for rows[-1]
-
-
 def potential_phi(
     transcript: PlayTranscript,
     cell: BoxRegion,
@@ -607,39 +600,6 @@ def potential_phi(
     log_det = sum(math.log(float(b)) for b in transcript.betas)
     threshold = transcript.c * (math.log(delta) + level * log_det)
     return PotentialRow(level, cell, phi.log, threshold)
-
-
-def potential_chain(
-    transcript: PlayTranscript,
-    u: Sequence[int],
-    fine_index: Sequence[int],
-    fine_level: int,
-    block: int,
-    delta: float,
-    rho: Fraction | int = 1,
-) -> PotentialLedger:
-    """Potential along the projection chain of one fine cell, plus the
-    move-by-move cumulative mass hitting the finest cell (nondecreasing)."""
-    contraction = DiagonalContraction.from_denominators([int(uj) for uj in u])
-    rows: list[PotentialRow] = []
-    idx = tuple(fine_index)
-    for level in range(fine_level, 0, -1):
-        lattice = Lattice("fine", contraction, level, Fraction(rho))
-        cell = lattice.cell_box(idx)
-        rows.append(potential_phi(transcript, cell, level, delta))
-        if level > 1:
-            idx = project_index(u, level - 1, idx, block)
-    rows.reverse()
-    fine_cell = rows[-1].cell
-    cumulative: list[tuple[int, float]] = []
-    running: list[LogScalar] = []
-    for move in transcript.moves:
-        for rec in move.deletions:
-            if fine_cell.intersects(rec.box):
-                running.append(LogScalar(rec.mass_log))
-        total = LogScalar.sum(running) if running else LogScalar.zero()
-        cumulative.append((move.move, total.log))
-    return PotentialLedger(tuple(rows), tuple(cumulative))
 
 
 # ----------------------------------------------------------- counting oracles
@@ -669,10 +629,9 @@ def child_cover_grid(
     block: int,
     parent: Sequence[int],
     k: int = 0,
-    rho: Fraction | int = 1,
 ) -> ChildGridReport:
     """Construct and exhaustively verify the child grid of the level-kN+1
-    coarse cell with index `parent`, at level (k+1)N+1.
+    coarse cell with index `parent`, at level (k+1)N+1, on the grids of rho = 1.
 
     Geometric checks run in exact rational arithmetic: every constructed
     child must be contained in the parent shrunk to half size, and the
@@ -684,12 +643,11 @@ def child_cover_grid(
     cells = math.prod(2 * ((uj ** block - 2) // 6) + 5 for uj in u)
     check_size("block", block, cells, "candidate cells", MAX_GRID_CELLS)
     _check_power_bits("k", k, u, (k + 1) * block + 1)
-    rho = Fraction(rho)
     contraction = DiagonalContraction.from_denominators([int(uj) for uj in u])
     coarse_level = k * block + 1
     fine_level = (k + 1) * block + 1
-    parent_lat = Lattice("coarse", contraction, coarse_level, rho)
-    child_lat = Lattice("coarse", contraction, fine_level, rho)
+    parent_lat = Lattice("coarse", contraction, coarse_level)
+    child_lat = Lattice("coarse", contraction, fine_level)
     half_parent = parent_lat.cell_box(parent).shrink(Fraction(1, 2))
 
     gammas = tuple(Fraction(uj ** block - 2, 6) for uj in u)
@@ -728,21 +686,19 @@ def tuple_overlap_bound(
     fine_level: int,
     exponent: int,
     center: Sequence[Fraction | int],
-    rho: Fraction | int = 1,
 ) -> OverlapReport:
     if exponent < 1 or fine_level < 1:
         raise ValueError("exponent and fine level must be >= 1")
     _check_power_bits("level", fine_level, u, fine_level)
     _check_power_bits("exponent", exponent, u, exponent)
-    rho = Fraction(rho)
     count = 1
     bound = Fraction(4) ** len(u)
     for j, uj in enumerate(u):
         beta_l = Fraction(1, uj ** fine_level)
         beta_q = Fraction(1, uj ** exponent)
-        # coarse centers 3 rho beta_l p within distance rho (beta_q + beta_l)
-        window = rho * (beta_q + beta_l)
-        spacing = 3 * rho * beta_l
+        # coarse centers 3 beta_l p (rho = 1) within distance beta_q + beta_l
+        window = beta_q + beta_l
+        spacing = 3 * beta_l
         cj = Fraction(center[j])
         lo = -((-(cj - window)) // spacing)   # ceil
         hi = (cj + window) // spacing         # floor

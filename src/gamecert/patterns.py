@@ -38,7 +38,6 @@ __all__ = [
     "candidates_to_csv",
     "candidates_csv_chunks",
     "pattern_diameter",
-    "scale_range_admissible",
 ]
 
 ROOT = BoxRegion((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
@@ -81,16 +80,6 @@ class PatternQuery(Record):
             if grid_resolution <= 0:
                 raise ValueError("grid resolution must be positive")
         super().__init__(points, lambda_lo, lambda_hi, depth, grid_resolution)
-
-
-def scale_range_admissible(query: PatternQuery, scale_coefficient: float) -> bool:
-    """Range comparison against a certificate's admissible scale bound
-    rho2 (1 - beta_max): the whole query interval must sit below
-    scale_coefficient / diam(pattern).  Singletons admit every scale."""
-    diam = pattern_diameter(query.points)
-    if diam == 0:
-        return True
-    return float(query.lambda_hi) < scale_coefficient / float(diam)
 
 
 # ------------------------------------------------------------- exact checks
@@ -269,18 +258,19 @@ def _scan_one_scale(
     return _ScaleBlock(lam, xs, ys, ix, iy)
 
 
-def find_homothety(
-    query: PatternQuery,
-    rect: RectangleSet,
-    cross_check: int = 8,
-) -> Sequence[PatternCandidate]:
+# How many of its first candidates find_homothety re-verifies by the exact
+# per-level checker.
+_CROSS_CHECK = 8
+
+
+def find_homothety(query: PatternQuery, rect: RectangleSet) -> Sequence[PatternCandidate]:
     """Scan scales and grid translations for depth-consistent pattern copies.
 
     Returns every (x, lambda) on the grid whose placed pattern passes the
     full query depth — a necessary-condition filter, not a membership proof.
-    Scales are scanned in increasing order; the first few candidates are
-    re-verified against the exact per-level checker as an internal
-    consistency guard.
+    Scales are scanned in increasing order; the first _CROSS_CHECK (8)
+    candidates are re-verified against the exact per-level checker as an
+    internal consistency guard.
 
     The result is a read-only view, stored per scale as the grid's
     translations and the indices that passed; it builds a PatternCandidate
@@ -317,7 +307,7 @@ def find_homothety(
             blocks.append(block)
         lam += res
     out = _Candidates(blocks, query.depth)
-    for cand in out[:cross_check]:
+    for cand in out[:_CROSS_CHECK]:
         report = verify_containment_depth(cand.x, cand.lam, query.points, rect)
         if not report.consistent_to(query.depth):
             raise AssertionError(

@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from gamecert import certify
 from gamecert.certify import (
     REL_MARGIN,
-    BranchingBound,
     _condition1_rhs_log,
     _pack_constant,
     Certificate,
-    branching_lower_bound,
     check_ratio_range,
     condition2_parts,
     default_delta,
@@ -72,37 +70,6 @@ def test_condition2_parts_frozen():
     lhs, rhs = condition2_parts(B1, 0.001, 2)
     assert lhs == pytest.approx((1.0 - 0.05) / 3.0, rel=1e-15)
     assert rhs == pytest.approx(0.072, rel=1e-15)
-
-
-def test_branching_bound_frozen():
-    # n=1, beta=1/10, N=2, delta=1/1000:
-    #   100 * ((1-0.05)/3 - 0.072) = 24.4666..., so 25 sub-cells.
-    bound = branching_lower_bound(B1, 0.001, 2)
-    assert bound.tag == "exact"
-    assert bound.count == 25
-    assert math.exp(bound.value_log) == pytest.approx(24.46666666666, rel=1e-10)
-
-
-def test_branching_bound_open_enclosure_is_tagged():
-    # value = 25 + 7.07e-13 lies above 25 by more than its own error bound
-    # (about 3.1e-13), so the enclosure settles the ceiling at 26.
-    bound = branching_lower_bound(B1, 0.0009259259259258265, 2)
-    assert bound.tag == "exact"
-    assert bound.count == 26
-    assert math.exp(bound.value_log) == pytest.approx(25.0, rel=2.0**-44)
-    # value = 25 + 3.06e-13 lies within its error bound of 25, so 25 or 26
-    # could be meant: the lower end's ceiling, tagged.
-    bound = branching_lower_bound(B1, 0.0009259259259258816, 2)
-    assert bound.tag == "approximate"
-    assert bound.count == 25
-    assert math.exp(bound.value_log) == pytest.approx(25.0, rel=2.0**-44)
-
-
-def test_branching_bound_huge_is_tagged():
-    bound = branching_lower_bound(B1, 0.001, 30)
-    assert bound.tag == "approximate"
-    assert bound.count is None
-    assert bound.value_log > 53.0 * math.log(2.0)
 
 
 def test_deficit_constant_frozen():

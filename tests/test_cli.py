@@ -525,6 +525,9 @@ def test_smallest_u_trace_is_the_answers_search(tmp_path, capsys):
      "pattern.lambda_lo"),
     ("command = verify\nverify.check = overlap\nverify.u = 10,10\nverify.level = 1\n"
      "verify.exponent = 1\nverify.center = 1e1000000000, 0\n", "verify.center"),
+    ("command = verify\nverify.check = overlap\nverify.u = 10,10\nverify.level = 1\n"
+     "verify.exponent = 1\nverify.center = 1/3, 1/7; 1,1\n",
+     "verify.center: expected a single 'x,y' point"),
 ])
 def test_malformed_configs_exit_1_with_field_path(tmp_path, capsys, body, needle):
     cfg = write_cfg(tmp_path, "cfg", body)
@@ -1088,17 +1091,21 @@ def test_generate_peak_memory_follows_the_member_not_its_csv(tmp_path):
     # RCO(4,5,2,1) at depth 4 holds 505,260 boxes in int16 columns and
     # writes a 24 MB CSV; its rows stream to the file, so the process peaks
     # near 32 MB, where building the whole text first peaked at 114 MB (and
-    # int64 columns at 46 MB)
-    cfg = write_cfg(tmp_path, "gen.cfg", "command = generate\nfamily.kind = rco\n"
-                    "family.u = 4\nfamily.v = 5\nfamily.m = 2\nfamily.t = 1\n"
-                    "generate.depth = 4\n")
-    out = tmp_path / "out"
-    proc = _run_module("-c", PEAK_LAUNCHER, sys.executable, "-m", "gamecert",
-                       "--config", cfg, "--out", str(out))
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    code, maxrss_kib = map(int, proc.stdout.split()[-2:])
-    assert code == 0 and (out / "rectangles.csv").stat().st_size > 20_000_000
-    assert maxrss_kib / 1024 < 40
+    # int64 columns at 46 MB).  Its raster reads the cuts a fixed chunk at a
+    # time and peaks near 47 MB with numpy loaded, where float columns of
+    # every cut at once peaked at 71 MB.
+    for formats, limit_mb in [("csv", 40), ("csv, pbm", 58)]:
+        cfg = write_cfg(tmp_path, "gen.cfg", "command = generate\nfamily.kind = rco\n"
+                        "family.u = 4\nfamily.v = 5\nfamily.m = 2\nfamily.t = 1\n"
+                        f"generate.depth = 4\ngenerate.format = {formats}\n")
+        out = tmp_path / "out"
+        proc = _run_module("-c", PEAK_LAUNCHER, sys.executable, "-m", "gamecert",
+                           "--config", cfg, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        code, maxrss_kib = map(int, proc.stdout.split()[-2:])
+        assert code == 0 and (out / "rectangles.csv").stat().st_size > 20_000_000
+        assert (out / "raster.pbm").exists() == ("pbm" in formats)
+        assert maxrss_kib / 1024 < limit_mb, formats
 
 
 def _interrupted(stream):

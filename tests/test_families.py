@@ -1310,6 +1310,20 @@ def test_pbm_runs_match_dense_reference(size):
         assert member.to_pbm(*size) == _reference_pbm(member, *size)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_pbm_is_the_same_in_any_chunk_size(chunk):
+    # the raster reads each level's boxes _GRID_CHUNK at a time; chunks that
+    # end inside a level, on its last box or past it paint the same pixels
+    members = (
+        generate_rco(RcoSpec(4, 5, 2, 1), depth=2),
+        generate_rcd(RcdSpec(7, 4), depth=2),
+    )
+    for member in members:
+        with mock.patch.object(families, "_GRID_CHUNK", chunk):
+            pbm = member.to_pbm(33, 17)
+        assert pbm == _reference_pbm(member, 33, 17)
+
+
 # ------------------------------------------------------------ lazy views
 
 

@@ -2,9 +2,12 @@
 import gc
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,6 @@ from gamecert.gamesim import (
     Lattice,
     child_cover_grid,
     play_game,
-    potential_chain,
     potential_phi,
     potential_transfer_bound,
     project_chain,
@@ -330,14 +332,42 @@ def test_potential_single_deletion_exact_mass(rco_strategy):
 
 
 def test_potential_chain_cumulative_monotone(rco_strategy):
+    # the projection chain of one level-3 fine cell the game steers through:
+    # each cell's potential only grows move by move (level 1 is zero), and a
+    # parent cell, which contains its child, is charged at least as much
     member, strat = rco_strategy
     cut = member.of_kind("cut", 2)[0]
     tr = play_game(steering_policy(cut.box.center), strat, depth=4)
-    ledger = potential_chain(tr, (4, 5), (1, -2), fine_level=3, block=1, delta=0.01)
-    vals = [v for _, v in ledger.cumulative]
-    assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-    assert len(ledger.rows) == 3
-    assert ledger.rows[0].level == 1 and ledger.rows[0].phi_log == -math.inf
+    contraction = DiagonalContraction.from_denominators([4, 5])
+    idx, chain = (-126, -248), []
+    for level in (3, 2, 1):
+        cell = Lattice("fine", contraction, level).cell_box(idx)
+        chain.append([potential_phi(tr, cell, q, delta=0.01) for q in range(1, 6)])
+        if level > 1:
+            idx = project_index((4, 5), level - 1, idx, 1)
+    for child, parent in zip(chain, chain[1:]):
+        assert parent[0].cell.contains_box(child[0].cell)
+        assert all(p.phi_log >= c.phi_log for c, p in zip(child, parent))
+    for rows in chain:
+        vals = [row.phi_log for row in rows]
+        assert vals[0] == -math.inf and all(a < b for a, b in zip(vals[1:], vals[2:]))
+    assert [rows[q - 1].surviving for rows, q in zip(chain, (3, 2, 1))] == [False, False, True]
+
+
+def test_play_demo_game_script_runs_to_its_verdicts():
+    # the script is the one caller of potential_phi, PotentialRow.surviving
+    # and PlayTranscript.outcome_inside_deleted outside the tests
+    script = Path(__file__).resolve().parents[1] / "scripts" / "play_demo_game.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-6:] == [
+        "outcome swallowed by a deletion: True (move 1, exponent 2)",
+        "potential at level 1: 0  survives threshold: True",
+        "potential at level 2: exp(-2.302585)  survives threshold: False",
+        "potential at level 3: exp(-2.995732)  survives threshold: False",
+        "",
+        "steering to the origin instead: swallowed by a deletion = False",
+    ]
 
 
 # ----------------------------------------------------------- counting oracles

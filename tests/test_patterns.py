@@ -11,7 +11,6 @@ from gamecert.patterns import (
     candidates_to_csv,
     find_homothety,
     pattern_diameter,
-    scale_range_admissible,
     verify_containment_depth,
 )
 
@@ -165,6 +164,47 @@ def test_scan_stops_where_the_pattern_no_longer_fits(rcd_rect, monkeypatch):
     assert scanned == [k * res for k in range(1, 9)] and fits
 
 
+def test_scale_range_admissibility(rcd_rect, monkeypatch):
+    # a pattern of diameter d is admissible up to the scale 2 / d; a
+    # singleton has no diameter and admits every scale of its query
+    import gamecert.patterns as patterns
+
+    res = Fraction(1, 2)
+    scanned = []
+    scan = patterns._scan_one_scale
+    monkeypatch.setattr(patterns, "_scan_one_scale",
+                        lambda lam, *args: scanned.append(lam) or scan(lam, *args))
+    single = PatternQuery(((Fraction(0), Fraction(0)),), res, 3, 1, res)
+    cands = find_homothety(single, rcd_rect)
+    assert scanned == [k * res for k in range(1, 7)]
+    # a point does not move with the scale: every scale keeps the same places
+    assert {c.lam for c in cands} == set(scanned)
+    assert len({frozenset(c.x for c in cands if c.lam == lam) for lam in scanned}) == 1
+    scanned.clear()
+    wide = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(3)))
+    find_homothety(PatternQuery(wide, res, 3, 1, res), rcd_rect)
+    assert scanned == [Fraction(1, 2)]
+
+
+def test_first_candidates_are_cross_checked_by_the_exact_checker(rcd_rect, monkeypatch):
+    import gamecert.patterns as patterns
+
+    calls = []
+    check = patterns.verify_containment_depth
+    monkeypatch.setattr(patterns, "verify_containment_depth",
+                        lambda *args: calls.append(args) or check(*args))
+    q = PatternQuery(TWO_POINT, Fraction(1, 49), Fraction(1, 49), 2)
+    cands = find_homothety(q, rcd_rect)
+    assert len(cands) > patterns._CROSS_CHECK == 8
+    assert [(x, lam) for x, lam, *_ in calls] == [(c.x, c.lam) for c in cands[:8]]
+    # a scan whose first candidate the exact checker refuses is an error:
+    # here the checker is handed each point moved out of the root box
+    monkeypatch.setattr(patterns, "verify_containment_depth",
+                        lambda x, *args: check((x[0] + 5, x[1]), *args))
+    with pytest.raises(AssertionError, match="the exact checker rejects"):
+        find_homothety(q, rcd_rect)
+
+
 def test_depth_beyond_generation_rejected(rcd_rect):
     q = PatternQuery(TWO_POINT, Fraction(1, 49), Fraction(1, 49), 5)
     with pytest.raises(ValueError, match="exceeds generated depth"):
@@ -178,14 +218,6 @@ def test_candidates_csv_format(rcd_rect):
     lines = csv.splitlines()
     assert lines[0] == "lambda,x1,x2,max_depth_passed"
     assert lines[1].startswith("1/49,") and lines[1].endswith(",2")
-
-
-def test_scale_range_admissibility():
-    q = PatternQuery(TWO_POINT, Fraction(1, 49), Fraction(1, 49), 1)
-    assert scale_range_admissible(q, 0.9)
-    assert not scale_range_admissible(q, 0.01)
-    single = PatternQuery(((0, 0),), Fraction(1, 2), Fraction(1, 2), 1)
-    assert scale_range_admissible(single, 1e-12)
 
 
 def test_translation_covariance_exact(rcd_rect):
@@ -210,7 +242,7 @@ def test_random_placements_agree_with_candidate_set(ix, iy, lam):
     res = Fraction(1, 8)
     x = (ix * res, iy * res)
     q = PatternQuery(TWO_POINT, lam, lam, 1, grid_resolution=res)
-    cands = {c.x for c in find_homothety(q, rect, cross_check=0)}
+    cands = {c.x for c in find_homothety(q, rect)}
     ok = verify_containment_depth(x, lam, TWO_POINT, rect).consistent_to(1)
     # the scan's grid covers the root-constrained range; anything outside it
     # cannot be a candidate and must also fail the exact check (off the root)

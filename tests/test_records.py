@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from gamecert.certify import (
-    BranchingBound,
     Certificate,
     DimensionBound,
     FeasibilityReport,
@@ -39,7 +38,6 @@ from gamecert.gamesim import (
     MoveRecord,
     OverlapReport,
     PlayTranscript,
-    PotentialLedger,
     PotentialRow,
     ProjectionAudit,
 )
@@ -105,9 +103,6 @@ CASES = [
       "scale_coefficient", "report"),
      "PatternBound(pattern_count=3, stated=1.5, combined=1.4, constant=2.0, "
      "strengthened_ok=True, scale_coefficient=0.9, report=" + repr(REPORT) + ")"),
-    (BranchingBound(2.5, 13, "exact"), BranchingBound(2.5, 13, "exact"),
-     BranchingBound(2.5, None, "exact"), ("value_log", "count", "tag"),
-     "BranchingBound(value_log=2.5, count=13, tag='exact')"),
     (RcoSpec(4, 5, 2, 1), RcoSpec(4, 5, 2, 1), RcoSpec(4, 5, 2, 2), ("u", "v", "m", "t"),
      "RcoSpec(u=4, v=5, m=2, t=1)"),
     (RcdSpec(7, 4, "hash", 5), RcdSpec(7, 4, "hash", 5), RcdSpec(7, 4, "hash", 6),
@@ -166,9 +161,6 @@ CASES = [
     (ROW, PotentialRow(2, BOX, -4.0, -3.0), PotentialRow(2, BOX, -4.0, -5.0),
      ("level", "cell", "phi_log", "threshold_log"),
      "PotentialRow(level=2, cell=" + repr(BOX) + ", phi_log=-4.0, threshold_log=-3.0)"),
-    (PotentialLedger((ROW,), ((1, -4.0),)), PotentialLedger((ROW,), ((1, -4.0),)),
-     PotentialLedger((ROW,), ((1, -3.0),)), ("rows", "cumulative"),
-     "PotentialLedger(rows=(" + repr(ROW) + ",), cumulative=((1, -4.0),))"),
     (ChildGridReport((Fraction(17, 3), Fraction(2)), 55, 55, 10, True, True),
      ChildGridReport((Fraction(17, 3), Fraction(2)), 55, 55, 10, True, True),
      ChildGridReport((Fraction(17, 3), Fraction(2)), 55, 55, 10, True, False),
