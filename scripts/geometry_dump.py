@@ -35,7 +35,7 @@ from gamecert.families import (  # noqa: E402
 )
 
 REPR_LIMIT = 20000
-RASTERS = ((256, 256), (33, 17))
+RASTERS = ((256, 256), (33, 17), (21, 12))
 TINY = Fraction(1, 10 ** 30)
 
 

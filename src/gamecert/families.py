@@ -45,13 +45,15 @@ numerators, each column at the narrowest integer width that holds it):
 
 Their `entries` and `boxes` are read-only views that build a RectEntry or a
 Fraction BoxRegion only when an item is read; they compare, hash and print
-like the list and tuple of those items.  The CSV and raster writers and
-two kernels, _reach and _grid_hits, read the numerators.  A set
-built by hand from entries derives its lattice once and reads its entries
-back from it, so a float coordinate comes back as the equal exact
-Fraction; a level built by hand keeps its boxes as given.  No generator
-builds more than MAX_GEOMETRY_BOXES boxes, or more than MAX_GEOMETRY_BITS
-numerator bits (it raises core.SizeError first).  Budget rates are LogScalars.
+like the list and tuple of those items.  The CSV writer and two exact
+kernels, _reach and _grid_hits, read the numerators; the raster counts
+its pixels through _grid_hits, so a pixel center on a box's edge is
+inside the box.  A set built by hand from entries derives its lattice
+once and reads its entries back from it, so a float coordinate comes back
+as the equal exact Fraction; a level built by hand keeps its boxes as
+given.  No generator builds more than MAX_GEOMETRY_BOXES boxes, or more
+than MAX_GEOMETRY_BITS numerator bits (it raises core.SizeError first).
+Budget rates are LogScalars.
 
 Both corner-digit generators, generate_rcd and covering_strategy_for_rcd,
 read one walk of the component tree (_rcd_levels): per level, its child
@@ -72,8 +74,8 @@ from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .core import (
-    EXACT_LIMIT, BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record, _ceil_powers,
-    check_size, line_chunks,
+    CHUNK_LINES, EXACT_LIMIT, BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record,
+    _ceil_powers, check_size, line_chunks,
 )
 
 if TYPE_CHECKING:
@@ -447,7 +449,7 @@ def _box_reader(lattice: tuple[AxisLattice, ...]) -> Callable[[int], BoxRegion]:
 # Numerators below this magnitude are computed on in int64 (a narrower
 # column is widened a chunk at a time): a sum of eight of them still fits.
 _INT64_SAFE = 2 ** 60
-_GRID_CHUNK = 2 ** 15   # boxes per chunk of _grid_hits and to_pbm: neither makes a longer column
+_GRID_CHUNK = 2 ** 15   # boxes per chunk of _grid_hits, and so of to_pbm: it makes no longer column
 
 
 def _on_one_lattice(
@@ -556,20 +558,25 @@ def _reach(lattice: Sequence[AxisLattice], point: Sequence[Fraction | int | floa
 
 def _grid_hits(lattice: Sequence[AxisLattice], origin: Sequence[Fraction | int],
                step: Sequence[Fraction | int], reach: Sequence[Fraction | int],
-               lo: Sequence[int], hi: Sequence[int], strict: bool = False) -> np.ndarray:
+               lo: Sequence[int], hi: Sequence[int], strict: bool = False,
+               spans: Sequence[range] | None = None) -> np.ndarray:
     """For each point origin + i step (step > 0) of the grid lo <= i <= hi,
     how many boxes reach it as _reach tells: an integer array of shape
-    hi - lo + 1 (int32 below 2^30 boxes).  _index_ranges finds the ranges
-    _GRID_CHUNK boxes at a time, and _cover_counts adds them up."""
-    def part(col: Sequence[int], i: int) -> Sequence[int]:
+    hi - lo + 1 (int32 below 2^30 boxes).  Only the boxes of `spans`, runs
+    of indices, count (every box when None).  _index_ranges finds the
+    ranges _GRID_CHUNK boxes at a time, reading views of the columns, and
+    _cover_counts adds them up in one difference array."""
+    def part(col: Sequence[int], i: int, stop: int) -> Sequence[int]:
         view = memoryview(col) if isinstance(col, array) else col
-        return col if len(col) == 1 else view[i:i + _GRID_CHUNK]
+        return col if len(col) == 1 else view[i:min(i + _GRID_CHUNK, stop)]
 
-    boxes = len(lattice[0].centers)
-    chunks = (_index_ranges([AxisLattice(axis.den, part(axis.centers, i), part(axis.halves, i))
-                             for axis in lattice], origin, step, reach, lo, hi, strict)
-              for i in range(0, boxes, _GRID_CHUNK))
-    return _cover_counts(tuple(b - a + 1 for a, b in zip(lo, hi)), boxes, chunks)
+    if spans is None:
+        spans = [range(len(lattice[0].centers))]
+    chunks = (_index_ranges([AxisLattice(axis.den, part(axis.centers, i, span.stop),
+                                         part(axis.halves, i, span.stop)) for axis in lattice],
+                            origin, step, reach, lo, hi, strict)
+              for span in spans for i in range(span.start, span.stop, _GRID_CHUNK))
+    return _cover_counts(tuple(b - a + 1 for a, b in zip(lo, hi)), sum(map(len, spans)), chunks)
 
 
 def _index_ranges(lattice: Sequence[AxisLattice], origin: Sequence, step: Sequence,
@@ -606,22 +613,6 @@ def _index_ranges(lattice: Sequence[AxisLattice], origin: Sequence, step: Sequen
             [g.astype(np.intp, copy=False) for g in stops])
 
 
-def _to_floats(den: int, nums: Sequence[int]) -> np.ndarray:
-    """float(Fraction(n, den)) for every numerator n, correctly rounded.
-
-    Below 2^53 numerator and den convert to floats exactly, so one float
-    division rounds correctly; otherwise Python's int division does.
-    """
-    import numpy as np
-
-    limit = int(EXACT_LIMIT)      # numpy compares int64 with an int faster
-    if isinstance(nums, array) and den < limit:
-        ints = np.frombuffer(nums, dtype=nums.typecode)
-        if not ints.size or -limit < ints.min() and ints.max() < limit:
-            return ints.astype(np.float64) / den
-    return np.array([n / den for n in nums], dtype=np.float64)
-
-
 class _LazyRows(abc.Sequence):
     """A read-only sequence whose items are built only when read.
 
@@ -646,8 +637,12 @@ class _LazyRows(abc.Sequence):
         return map(self._item, range(self._len))
 
     def __repr__(self) -> str:
-        # the tuple's (or list's) text, building one item at a time
-        body = ", ".join(map(repr, self))
+        # the tuple's (or list's) text, building one item at a time: its
+        # reprs are joined CHUNK_LINES at a time, then the runs, so the runs
+        # and the whole text are all it holds
+        items = map(repr, self)
+        body = ", ".join(", ".join(itertools.islice(items, CHUNK_LINES))
+                         for _ in range(0, self._len, CHUNK_LINES))
         if self._like is tuple:
             return f"({body},)" if self._len == 1 else f"({body})"
         return f"[{body}]"
@@ -836,7 +831,7 @@ class RectangleSet(Record):
             )
         return cls(entries, meta)
 
-    # -- PBM (visualization only; float arithmetic) ----------------------
+    # -- PBM (visualization only) ---------------------------------------
 
     def to_pbm(self, width: int = 256, height: int = 256) -> str:
         """P1 bitmap of the kept region at the deepest generated level.
@@ -845,10 +840,9 @@ class RectangleSet(Record):
         corner-digit sets (and empty sets) as the union of the deepest
         components.  Pixels are sampled at their centers over [-1,1]^2;
         1 = kept (black).  A pixel is in a box when |x - cx| <= hx and
-        |y - cy| <= hy in floats, with each coordinate the float nearest
-        its exact value; x - cx is monotone along a row, so each test holds
-        on one run of columns (rows likewise), found for _GRID_CHUNK boxes
-        of one level at a time, and a box paints one rectangle.  A raster
+        |y - cy| <= hy, decided exactly, so a center on a box's edge is
+        inside: _grid_hits counts the boxes that reach each pixel center,
+        reading the spans of the set's own columns that hold them.  A raster
         over gamesim.MAX_AUDIT_CELLS cells raises core.SizeError first,
         naming the longer side.
         """
@@ -860,27 +854,16 @@ class RectangleSet(Record):
             raise ValueError("a raster needs at least one pixel per axis")
         side, value = ("width", width) if width >= height else ("height", height)
         check_size(side, value, (height + 1) * (width + 1), "raster cells", MAX_AUDIT_CELLS)
-        xs = np.linspace(-1 + 1 / width, 1 - 1 / width, width)
-        ys = np.linspace(1 - 1 / height, -1 + 1 / height, height)
         spans = self._spans("cut", None)
         cuts = any(spans)
         if not cuts:
             spans = self._spans("comp", [self.max_level()])
-
-        def runs(i: int, j: int) -> tuple:
-            # the row and column runs of boxes i..j-1, less those that paint nothing
-            (cx, hx), (cy, hy) = (
-                (_to_floats(axis.den, axis.centers[i:j]), _to_floats(axis.den, axis.halves[i:j]))
-                for axis in self.lattice
-            )
-            # ys falls down the rows; negated, it rises, and the test is unchanged
-            (c0, c1), (r0, r1) = _float_runs(xs, cx, hx), _float_runs(-ys, -cy, hy)
-            some = (c0 < c1) & (r0 < r1)
-            return (r0[some], c0[some]), (r1[some], c1[some])
-
-        chunks = (runs(i, min(i + _GRID_CHUNK, span.stop))
-                  for span in spans for i in range(span.start, span.stop, _GRID_CHUNK))
-        covered = _cover_counts((height, width), sum(map(len, spans)), chunks) > 0
+        # pixel (row j from the bottom, column i) is centered at
+        # (-1 + (2i + 1)/width, -1 + (2j + 1)/height); the y axis comes first
+        origin = (Fraction(1 - height, height), Fraction(1 - width, width))
+        step = (Fraction(2, height), Fraction(2, width))
+        covered = _grid_hits(self.lattice[::-1], origin, step, (0, 0), (0, 0),
+                             (height - 1, width - 1), spans=spans)[::-1] > 0
         keep = ~covered if cuts else covered
         text = np.full((height, 2 * width), ord(" "), dtype=np.uint8)
         text[:, ::2] = keep + ord("0")
@@ -896,34 +879,6 @@ def _ratio_texts(den: int, nums: Sequence[int]) -> Iterator[str]:
         g = math.gcd(n, den)
         texts[n] = f"{n // g}/{den // g}"
     return map(texts.__getitem__, nums)
-
-
-def _float_runs(
-    grid: np.ndarray, centers: np.ndarray, halves: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per box, the run [start, stop) of the i with |grid[i] - c| <= h in
-    floats, for a rising grid.
-
-    grid[i] - c rises with i, so both ends are thresholds.  A binary search
-    on c -+ h finds each to within rounding; steps of one index then settle
-    it on the float test itself.
-    """
-    import numpy as np
-
-    last = len(grid) - 1
-
-    def settle(index: np.ndarray, holds: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        # the least i where holds(grid[i] - c), which is false and then true
-        while True:
-            back = (index > 0) & holds(grid[np.maximum(index - 1, 0)] - centers)
-            ahead = (index <= last) & ~holds(grid[np.minimum(index, last)] - centers)
-            if not (back.any() or ahead.any()):
-                return index
-            index = index - back + ahead
-
-    start = settle(np.searchsorted(grid, centers - halves), lambda d: d >= -halves)
-    stop = settle(np.searchsorted(grid, centers + halves, side="right"), lambda d: d > halves)
-    return start, stop
 
 
 # ----------------------------------------------------------------- generators

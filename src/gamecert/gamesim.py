@@ -7,6 +7,9 @@ half-widths rho * beta_j^k at level k:
 * the coarse grid: centers on 3 rho A^k(Z^n) + y (pairwise disjoint cells);
   every coarse center is a fine center whose index is divisible by 6.
 
+Lattice builds their cells at rho = 1 and y = 0, the grids every oracle
+here reads.
+
 The level-to-level projection maps a level-(k+1) fine cell to a containing
 level-k cell: normally the one with the per-axis nearest center (ties to the
 smaller index), but on levels congruent to 1 mod N it targets the containing
@@ -106,46 +109,36 @@ def _check_power_bits(arg: str, value: int, u: Sequence[int], exponent: int) -> 
 
 
 class Lattice(Record):
-    """One level of the fine or coarse grid, exact when ratios are 1/U.
+    """One level of the fine or coarse grid of an exact contraction (ratios 1/U).
 
-    kind "fine": centers (rho/2) A^k(Z^n) + origin; kind "coarse": centers
-    3 rho A^k(Z^n) + origin (a subgrid of the fine one, indices times 6).
-    Cells are boxes A^k(B[0, rho]) + center either way.
+    kind "fine": centers (1/2) A^k(Z^n); kind "coarse": centers 3 A^k(Z^n)
+    (a subgrid of the fine one, indices times 6).  Cells are boxes
+    A^k(B[0, 1]) + center either way.
     """
 
-    __slots__ = _fields = ("kind", "contraction", "level", "rho", "origin")
+    __slots__ = _fields = ("kind", "contraction", "level")
 
-    def __init__(self, kind: str, contraction: DiagonalContraction, level: int,
-                 rho: Fraction = Fraction(1),
-                 origin: tuple[Fraction, ...] | None = None) -> None:
+    def __init__(self, kind: str, contraction: DiagonalContraction, level: int) -> None:
         if kind not in ("fine", "coarse"):
             raise ValueError(f"kind must be 'fine' or 'coarse', got {kind!r}")
         if level < 0:
             raise ValueError("level must be >= 0")
-        if origin is None:
-            origin = tuple(Fraction(0) for _ in contraction.betas)
-        super().__init__(kind, contraction, level, rho, origin)
+        contraction.exact_betas()  # raises unless the ratios are unit fractions
+        super().__init__(kind, contraction, level)
 
-    def _ratio_pow(self, j: int) -> Fraction | float:
-        if self.contraction.is_exact:
-            assert self.contraction.denominators is not None
-            return Fraction(1, self.contraction.denominators[j] ** self.level)
-        return self.contraction.betas[j] ** self.level
+    def _ratio_pow(self, j: int) -> Fraction:
+        return Fraction(1, self.contraction.denominators[j] ** self.level)
 
-    def spacing(self, j: int) -> Fraction | float:
+    def spacing(self, j: int) -> Fraction:
         step = self._ratio_pow(j)
-        if self.kind == "fine":
-            return self.rho * step / 2
-        return 3 * self.rho * step
+        return step / 2 if self.kind == "fine" else 3 * step
 
-    def cell_center(self, z: Sequence[int]) -> tuple[Fraction | float, ...]:
-        return tuple(
-            self.origin[j] + self.spacing(j) * z[j] for j in range(self.contraction.n)
-        )
+    def cell_center(self, z: Sequence[int]) -> tuple[Fraction, ...]:
+        return tuple(self.spacing(j) * z[j] for j in range(self.contraction.n))
 
     def cell_box(self, z: Sequence[int]) -> BoxRegion:
-        half = tuple(self.rho * self._ratio_pow(j) for j in range(self.contraction.n))
-        return BoxRegion(self.cell_center(z), half)
+        return BoxRegion(self.cell_center(z),
+                         tuple(self._ratio_pow(j) for j in range(self.contraction.n)))
 
 
 def round_half_down(num: int, den: int) -> int:

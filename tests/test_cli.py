@@ -1091,9 +1091,9 @@ def test_generate_peak_memory_follows_the_member_not_its_csv(tmp_path):
     # RCO(4,5,2,1) at depth 4 holds 505,260 boxes in int16 columns and
     # writes a 24 MB CSV; its rows stream to the file, so the process peaks
     # near 32 MB, where building the whole text first peaked at 114 MB (and
-    # int64 columns at 46 MB).  Its raster reads the cuts a fixed chunk at a
-    # time and peaks near 47 MB with numpy loaded, where float columns of
-    # every cut at once peaked at 71 MB.
+    # int64 columns at 46 MB).  Its raster counts the cuts through
+    # _grid_hits a fixed chunk at a time and peaks near 46 MB with numpy
+    # loaded, where float columns of every cut at once peaked at 71 MB.
     for formats, limit_mb in [("csv", 40), ("csv, pbm", 58)]:
         cfg = write_cfg(tmp_path, "gen.cfg", "command = generate\nfamily.kind = rco\n"
                         "family.u = 4\nfamily.v = 5\nfamily.m = 2\nfamily.t = 1\n"

@@ -35,7 +35,6 @@ from gamecert.families import (
     RectEntry,
     StrategyLevel,
     _cover_piece,
-    _to_floats,
     _rco_slots,
     covering_strategy_for_rcd,
     covering_strategy_for_rco,
@@ -1275,29 +1274,38 @@ def test_generators_refuse_denominators_past_the_csv_digit_limit():
 
 
 def _reference_pbm(rect, width, height):
-    """The dense boxes-by-pixels raster, kept as the reference."""
+    """The raster painted box by box in Fractions.  On an axis of n pixels,
+    pixel i is centered at -1 + (2i + 1)/n, so a box [c - h, c + h] holds
+    the pixels from ceil(((c - h + 1) n - 1)/2) to floor(((c + h + 1) n - 1)/2)."""
     import numpy as np
 
-    xs = np.linspace(-1 + 1 / width, 1 - 1 / width, width)
-    ys = np.linspace(1 - 1 / height, -1 + 1 / height, height)
-    gx, gy = np.meshgrid(xs, ys)
+    def pixels(c, h, n):
+        c, h = Fraction(c), Fraction(h)
+        first = math.ceil(((c - h + 1) * n - 1) / 2)
+        last = math.floor(((c + h + 1) * n - 1) / 2)
+        return slice(max(first, 0), max(min(last, n - 1) + 1, 0))
+
     cuts = rect.of_kind("cut")
-    if cuts:
-        keep = np.ones((height, width), dtype=bool)
-        for e in cuts:
-            cx, cy = (float(c) for c in e.box.center)
-            hx, hy = (float(h) for h in e.box.half)
-            keep &= ~((np.abs(gx - cx) <= hx) & (np.abs(gy - cy) <= hy))
-    else:
-        keep = np.zeros((height, width), dtype=bool)
-        for e in rect.of_kind("comp", rect.max_level()):
-            cx, cy = (float(c) for c in e.box.center)
-            hx, hy = (float(h) for h in e.box.half)
-            keep |= (np.abs(gx - cx) <= hx) & (np.abs(gy - cy) <= hy)
+    painted = np.zeros((height, width), dtype=bool)       # row 0 at the bottom
+    for e in cuts or rect.of_kind("comp", rect.max_level()):
+        (cx, cy), (hx, hy) = e.box.center, e.box.half
+        painted[pixels(cy, hy, height), pixels(cx, hx, width)] = True
+    keep = ~painted[::-1] if cuts else painted[::-1]
     lines = [f"P1\n{width} {height}"]
     for row in keep.astype(int):
         lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
+
+
+def test_pbm_counts_a_pixel_center_on_a_box_edge_as_inside():
+    # the 3 pixel centers of an axis are -2/3, 0 and 2/3: the box [0, 2/3]^2
+    # holds 0 and 2/3 on both axes, each on one of its edges
+    half = (Fraction(1, 3), Fraction(1, 3))
+    one = RectangleSet([RectEntry(1, "comp:0", BoxRegion(half, half))])
+    assert one.to_pbm(3, 3) == "P1\n3 3\n0 1 1\n0 1 1\n0 0 0\n"
+    # at 21 x 12, pixel centers fall on many component edges of RCD(7, 4)
+    member = generate_rcd(RcdSpec(7, 4), depth=2)
+    assert member.to_pbm(21, 12) == _reference_pbm(member, 21, 12)
 
 
 @pytest.mark.parametrize("size", [(8, 8), (33, 17), (256, 256)])
@@ -1460,19 +1468,8 @@ def test_strategy_and_members_build_no_box_until_one_is_read(monkeypatch):
 def test_pbm_floats_round_like_fractions_past_2_53():
     member = generate_rco(RcoSpec(2, 2, 1, 60), depth=1)
     assert len(member.entries) == 8
-    for axis in member.lattice:
-        assert axis.den == 2 ** 61
-        for col in (axis.centers, axis.halves):
-            assert _to_floats(axis.den, col).tolist() == [float(Fraction(n, axis.den)) for n in col]
+    assert [axis.den for axis in member.lattice] == [2 ** 61] * 2
     assert member.to_pbm(64, 48) == _reference_pbm(member, 64, 48)
-    # here a float division of the floats of n and den rounds twice
-    n, den = -738703391925352938, 3 * 2 ** 60 + 1
-    assert float(n) / float(den) != float(Fraction(n, den))
-    for col in (array("q", [n, 2 ** 53 + 1, -3]), [n, 2 ** 70 + 5, -3]):
-        assert _to_floats(den, col).tolist() == [float(Fraction(x, den)) for x in col]
-    # small numerators over a small den take the float division
-    assert _to_floats(7, array("q", [1, -3, 2 ** 53 - 1])).tolist() == \
-        [float(Fraction(x, 7)) for x in (1, -3, 2 ** 53 - 1)]
 
 
 def test_empty_rectangle_set_has_level_0_and_draws_the_empty_union():
@@ -1507,7 +1504,7 @@ def test_geometry_dump_is_deterministic(tmp_path):
                     str(tmp_path), "--small"], check=True)
     lines = (here / "data" / "geometry_dump_small.sha256").read_text().splitlines()
     manifest = {name: digest for digest, name in (line.split("  ") for line in lines)}
-    assert len(manifest) == 42
+    assert len(manifest) == 45
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(manifest)
     for name, digest in manifest.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

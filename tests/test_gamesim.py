@@ -82,15 +82,15 @@ def test_lattice_frozen_centers():
     assert coarse.cell_center([2]) == fine.cell_center([12])
 
 
-def test_lattice_origin_shift_and_validation():
+def test_lattice_validation():
     con = DiagonalContraction.from_denominators([10, 12])
-    lat = Lattice("fine", con, 1, origin=(Fraction(1, 3), Fraction(-1, 2)))
-    c = lat.cell_center([2, -1])
-    assert c == (Fraction(1, 3) + Fraction(1, 10), Fraction(-1, 2) - Fraction(1, 24))
     with pytest.raises(ValueError):
         Lattice("medium", con, 1)
     with pytest.raises(ValueError):
         Lattice("fine", con, -1)
+    # its cells are exact: a contraction not built from unit fractions has none
+    with pytest.raises(ValueError, match="not built from unit fractions"):
+        Lattice("fine", DiagonalContraction((0.1, 0.3)), 1)
 
 
 # -------------------------------------------------------------- projections

@@ -129,11 +129,9 @@ CASES = [
      SmallestU(6, RESULT, RESULT, 7), ("u", "result", "below", "probes"),
      "SmallestU(u=5, result=" + repr(RESULT) + ", below=" + repr(RESULT) + ", probes=7)"),
     (Lattice("fine", CONTRACTION, 2),
-     Lattice("fine", DiagonalContraction((0.1, 1 / 12), (10, 12)), 2, Fraction(1),
-             (Fraction(0), Fraction(0))),
-     Lattice("coarse", CONTRACTION, 2), ("kind", "contraction", "level", "rho", "origin"),
-     "Lattice(kind='fine', contraction=" + repr(CONTRACTION) + ", level=2, rho=Fraction(1, 1), "
-     "origin=(Fraction(0, 1), Fraction(0, 1)))"),
+     Lattice("fine", DiagonalContraction((0.1, 1 / 12), (10, 12)), 2),
+     Lattice("coarse", CONTRACTION, 2), ("kind", "contraction", "level"),
+     "Lattice(kind='fine', contraction=" + repr(CONTRACTION) + ", level=2)"),
     (ProjectionAudit((6, 7), 2, 0, 3, 49, 0, None), ProjectionAudit((6, 7), 2, 0, 3, 49, 0, None),
      ProjectionAudit((6, 7), 2, 0, 3, 49, 1, None),
      ("u", "block", "k", "radius", "checked", "failures", "witness"),
