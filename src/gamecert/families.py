@@ -46,14 +46,16 @@ numerators, each column at the narrowest integer width that holds it):
 Their `entries` and `boxes` are read-only views that build a RectEntry or a
 Fraction BoxRegion only when an item is read; they compare, hash and print
 like the list and tuple of those items.  The CSV writer and two exact
-kernels, _reach and _grid_hits, read the numerators; the raster counts
-its pixels through _grid_hits, so a pixel center on a box's edge is
-inside the box.  A set built by hand from entries derives its lattice
-once and reads its entries back from it, so a float coordinate comes back
-as the equal exact Fraction; a level built by hand keeps its boxes as
-given.  No generator builds more than MAX_GEOMETRY_BOXES boxes, or more
-than MAX_GEOMETRY_BITS numerator bits (it raises core.SizeError first).
-Budget rates are LogScalars.
+kernels, _reach and _grid_hits, read the numerators.  Which points a set
+keeps at a depth is stated once, by RectangleSet._kept_region: the root
+box minus the open interiors of its cuts, or the union of its closed
+components.  The raster and the pattern code read it, so a pixel center
+on a cut's edge is kept.  A set built by hand from entries derives its
+lattice once and reads its entries back from it, so a float coordinate
+comes back as the equal exact Fraction; a level built by hand keeps its
+boxes as given.  No generator builds more than MAX_GEOMETRY_BOXES boxes,
+or more than MAX_GEOMETRY_BITS numerator bits (it raises core.SizeError
+first).  Budget rates are LogScalars.
 
 Both corner-digit generators, generate_rcd and covering_strategy_for_rcd,
 read one walk of the component tree (_rcd_levels): per level, its child
@@ -566,17 +568,23 @@ def _grid_hits(lattice: Sequence[AxisLattice], origin: Sequence[Fraction | int],
     of indices, count (every box when None).  _index_ranges finds the
     ranges _GRID_CHUNK boxes at a time, reading views of the columns, and
     _cover_counts adds them up in one difference array."""
-    def part(col: Sequence[int], i: int, stop: int) -> Sequence[int]:
-        view = memoryview(col) if isinstance(col, array) else col
-        return col if len(col) == 1 else view[i:min(i + _GRID_CHUNK, stop)]
-
     if spans is None:
         spans = [range(len(lattice[0].centers))]
-    chunks = (_index_ranges([AxisLattice(axis.den, part(axis.centers, i, span.stop),
-                                         part(axis.halves, i, span.stop)) for axis in lattice],
+    chunks = (_index_ranges(_span_lattice(lattice, i, min(i + _GRID_CHUNK, span.stop)),
                             origin, step, reach, lo, hi, strict)
               for span in spans for i in range(span.start, span.stop, _GRID_CHUNK))
     return _cover_counts(tuple(b - a + 1 for a, b in zip(lo, hi)), sum(map(len, spans)), chunks)
+
+
+def _span_lattice(lattice: Sequence[AxisLattice], start: int,
+                  stop: int) -> tuple[AxisLattice, ...]:
+    """Boxes start..stop of a lattice, copying no column: a memoryview of
+    an array, or a list slice past int64; a shared half-width stays whole."""
+    def view(col: Sequence[int]) -> Sequence[int]:
+        return col if len(col) == 1 else (
+            memoryview(col) if isinstance(col, array) else col)[start:stop]
+
+    return tuple(AxisLattice(axis.den, view(axis.centers), view(axis.halves)) for axis in lattice)
 
 
 def _index_ranges(lattice: Sequence[AxisLattice], origin: Sequence, step: Sequence,
@@ -751,6 +759,19 @@ class RectangleSet(Record):
         spans = self._spans(kind, None if level is None else [level])
         return [self.entries[i] for span in spans for i in span]
 
+    def _kept_region(self, depth: int) -> tuple[list[range], bool]:
+        """The kept region at `depth`, the one rule the raster, the pattern
+        scan and the per-level checker read: the index runs of the boxes
+        that decide it, and whether they cut it.  A set with cuts keeps the
+        root box minus the open interiors of its cuts of levels 1..depth
+        (cuts delete open boxes, so their edges stay kept); any other set
+        keeps the union of its closed level-`depth` components.  A generated
+        member stores no level-0 component: its level 0 is the root box."""
+        cuts = self._spans("cut", range(self.max_level() + 1))
+        if any(cuts):
+            return cuts[1:depth + 1], True
+        return self._spans("comp", [depth]), False
+
     def lattice_of(
         self, kind: str | None = None, levels: Iterable[int] | None = None
     ) -> tuple[AxisLattice, ...]:
@@ -834,17 +855,15 @@ class RectangleSet(Record):
     # -- PBM (visualization only) ---------------------------------------
 
     def to_pbm(self, width: int = 256, height: int = 256) -> str:
-        """P1 bitmap of the kept region at the deepest generated level.
+        """P1 bitmap of the kept region (_kept_region) at the deepest level.
 
-        Cut-out sets render as the root box minus all removed boxes;
-        corner-digit sets (and empty sets) as the union of the deepest
-        components.  Pixels are sampled at their centers over [-1,1]^2;
-        1 = kept (black).  A pixel is in a box when |x - cx| <= hx and
-        |y - cy| <= hy, decided exactly, so a center on a box's edge is
-        inside: _grid_hits counts the boxes that reach each pixel center,
-        reading the spans of the set's own columns that hold them.  A raster
-        over gamesim.MAX_AUDIT_CELLS cells raises core.SizeError first,
-        naming the longer side.
+        Pixels are sampled at their centers over [-1,1]^2; 1 = kept (black).
+        _grid_hits counts, exactly, the deciding boxes that reach each pixel
+        center, reading the spans of the set's own columns that hold them:
+        so a center on a cut's edge is kept, and one on a component's edge
+        is inside.  An empty set draws the empty union.  A raster over
+        gamesim.MAX_AUDIT_CELLS cells raises core.SizeError first, naming
+        the longer side.
         """
         import numpy as np
 
@@ -854,19 +873,17 @@ class RectangleSet(Record):
             raise ValueError("a raster needs at least one pixel per axis")
         side, value = ("width", width) if width >= height else ("height", height)
         check_size(side, value, (height + 1) * (width + 1), "raster cells", MAX_AUDIT_CELLS)
-        spans = self._spans("cut", None)
-        cuts = any(spans)
-        if not cuts:
-            spans = self._spans("comp", [self.max_level()])
+        spans, cut = self._kept_region(self.max_level())
         # pixel (row j from the bottom, column i) is centered at
         # (-1 + (2i + 1)/width, -1 + (2j + 1)/height); the y axis comes first
         origin = (Fraction(1 - height, height), Fraction(1 - width, width))
         step = (Fraction(2, height), Fraction(2, width))
-        covered = _grid_hits(self.lattice[::-1], origin, step, (0, 0), (0, 0),
-                             (height - 1, width - 1), spans=spans)[::-1] > 0
-        keep = ~covered if cuts else covered
         text = np.full((height, 2 * width), ord(" "), dtype=np.uint8)
-        text[:, ::2] = keep + ord("0")
+        digits = text[:, ::2]   # 1 where no cut holds the center, or a component does
+        (np.equal if cut else np.greater)(
+            _grid_hits(self.lattice[::-1], origin, step, (0, 0), (0, 0),
+                       (height - 1, width - 1), cut, spans)[::-1], 0, out=digits)
+        digits += ord("0")
         text[:, -1] = ord("\n")
         return f"P1\n{width} {height}\n" + text.tobytes().decode()
 

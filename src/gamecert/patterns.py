@@ -4,14 +4,15 @@ Membership at finite depth is a necessary condition only — a candidate pair
 (x, lambda) passing depth k means every pattern point lambda*b + x lies in
 the kept region of the depth-k approximation ("depth-k consistent"), nothing
 more.  Checks are exact: box coordinates, scales, and translations are
-rationals, and the member's integer numerators (RectangleSet.lattice_of)
-are read by the kernels of families, so no candidate is lost or spuriously
-admitted to rounding: the grid scan counts by _grid_hits' floor divisions,
-and the per-level checker that re-verifies it compares by _reach directly.
+rationals, and the member's integer numerators are read by the kernels of
+families, so no candidate is lost or spuriously admitted to rounding: the
+grid scan counts by _grid_hits' floor divisions, and the per-level checker
+that re-verifies it compares by _reach directly.
 
-The kept region at depth k is, for cut-out members, the root box minus the
+Both read the kept region at depth k from RectangleSet._kept_region, the
+rule the raster reads too: for cut-out members, the root box minus the
 open interiors of all cuts at levels 1..k; for corner-digit members, the
-union of the level-k component boxes.  Both shrink as k grows, so passing
+union of the closed level-k components.  Both shrink as k grows, so passing
 the full query depth implies passing every shallower depth.
 """
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
 from .core import BoxRegion, Record, check_size, line_chunks
-from .families import RectangleSet, _grid_hits, _LazyRows, _reach, _typecode
+from .families import RectangleSet, _grid_hits, _LazyRows, _reach, _span_lattice, _typecode
 from .gamesim import MAX_AUDIT_CELLS
 
 __all__ = [
@@ -85,24 +86,6 @@ class PatternQuery(Record):
 # ------------------------------------------------------------- exact checks
 
 
-def _holds(point: Sequence[Fraction], rect: RectangleSet, kind: str, level: int,
-           strict: bool) -> bool:
-    """Whether a `kind` box of `level` holds the point: in its open interior
-    when strict, else in the closed box."""
-    return bool(_reach(rect.lattice_of(kind, [level]), point, (0, 0), strict).any())
-
-
-def _kept_at_level(point: tuple[Fraction, Fraction], rect: RectangleSet,
-                   family: str, level: int) -> bool:
-    if level == 0:
-        return ROOT.contains_point(point)
-    if family == "rco":
-        return ROOT.contains_point(point) and not _holds(point, rect, "cut", level, True)
-    if family == "rcd":
-        return _holds(point, rect, "comp", level, False)
-    raise ValueError(f"unknown family {family!r}")
-
-
 class ContainmentReport(NamedTuple):
     """Per-level membership of one placed pattern copy."""
 
@@ -130,26 +113,24 @@ def verify_containment_depth(
 ) -> ContainmentReport:
     """Exact per-level check that every lambda*b + x is in the kept region.
 
-    Level k of a cut-out member keeps what no cut of level <= k deletes
-    (cuts delete open boxes, so boundaries stay kept); level k of a
-    corner-digit member keeps the union of its level-k components.  Levels
-    run 0..max generated level.
+    Level 0 keeps the root box; level k >= 1 keeps the points of the root
+    box that RectangleSet._kept_region at depth k keeps: in no cut's open
+    interior, or in a closed component, as _reach decides on the region's
+    boxes.  Levels run 0..max generated level.
     """
-    family = rect.meta.get("family")
-    if family not in ("rco", "rcd"):
+    if rect.meta.get("family") not in ("rco", "rcd"):
         raise ValueError("rectangle set lacks family metadata")
     lam = Fraction(lam)
     placed = [
         (Fraction(x[0]) + lam * Fraction(p[0]), Fraction(x[1]) + lam * Fraction(p[1]))
         for p in points
     ]
-    levels: list[bool] = []
-    for k in range(rect.max_level() + 1):
-        ok = all(_kept_at_level(p, rect, family, k) for p in placed)
-        if family == "rco" and k >= 1:
-            # cuts accumulate: level k keeps only what level k-1 kept
-            ok = ok and levels[k - 1]
-        levels.append(ok)
+    levels = [all(map(ROOT.contains_point, placed))]
+    for k in range(1, rect.max_level() + 1):
+        spans, cut = rect._kept_region(k)
+        runs = [_span_lattice(rect.lattice, span.start, span.stop) for span in spans]
+        levels.append(levels[0] and all(
+            any(_reach(run, p, (0, 0), cut).any() for run in runs) != cut for p in placed))
     return ContainmentReport(tuple(levels))
 
 
@@ -197,11 +178,6 @@ class _Candidates(_LazyRows):
         ends = list(itertools.accumulate(len(b.ix) for b in blocks))
         super().__init__(ends[-1] if ends else 0, partial(_candidate, blocks, ends, depth))
 
-    def __iter__(self) -> Iterator[PatternCandidate]:
-        for lam, xs, ys, ix, iy in self.blocks:
-            for i, j in zip(ix, iy):
-                yield PatternCandidate(lam, (xs[i], ys[j]), self.depth)
-
 
 def _default_resolution(rect: RectangleSet, depth: int) -> Fraction:
     halves = [
@@ -216,7 +192,6 @@ def _scan_one_scale(
     lam: Fraction,
     query: PatternQuery,
     rect: RectangleSet,
-    family: str,
     res: Fraction,
 ) -> _ScaleBlock | None:
     import numpy as np
@@ -237,18 +212,14 @@ def _scan_one_scale(
             return None
     shape = (hi_idx[0] - lo_idx[0] + 1, hi_idx[1] - lo_idx[1] + 1)
     acc = np.ones(shape, dtype=bool)
-    if family == "rco":
-        # clear the open interior of every cut, per pattern point
-        boxes, strict = rect.lattice_of("cut", range(1, query.depth + 1)), True
-    else:
-        # intersect per pattern point the union of level-depth components
-        boxes, strict = rect.lattice_of("comp", [query.depth]), False
     if query.depth >= 1:
+        spans, cut = rect._kept_region(query.depth)
         for p in query.points:
-            # the boxes holding the placed point lam * p + i * res
-            hits = _grid_hits(boxes, [lam * x for x in p], (res, res), (0, 0),
-                              lo_idx, hi_idx, strict) > 0
-            acc &= ~hits if strict else hits
+            # per pattern point, the deciding boxes that reach the placed
+            # point lam * p + i * res: a cut deletes it, a component keeps it
+            acc &= (np.equal if cut else np.greater)(
+                _grid_hits(rect.lattice, [lam * x for x in p], (res, res), (0, 0),
+                           lo_idx, hi_idx, cut, spans), 0)
 
     # one Fraction per grid translation, shared by the candidates on it
     xs = [(lo_idx[0] + i) * res for i in range(shape[0])]
@@ -278,8 +249,7 @@ def find_homothety(query: PatternQuery, rect: RectangleSet) -> Sequence[PatternC
     of candidates.  Its slices are lists.  Over gamesim.MAX_AUDIT_CELLS grid cells
     it raises core.SizeError first (widest scale: "resolution"; all: "lambda_hi").
     """
-    family = rect.meta.get("family")
-    if family not in ("rco", "rcd"):
+    if rect.meta.get("family") not in ("rco", "rcd"):
         raise ValueError("rectangle set lacks family metadata")
     if query.depth > rect.max_level():
         raise ValueError(
@@ -302,7 +272,7 @@ def find_homothety(query: PatternQuery, rect: RectangleSet) -> Sequence[PatternC
     blocks: list[_ScaleBlock] = []
     lam = lo
     while lam <= top:
-        block = _scan_one_scale(lam, query, rect, family, res)
+        block = _scan_one_scale(lam, query, rect, res)
         if block is not None and block.ix:
             blocks.append(block)
         lam += res

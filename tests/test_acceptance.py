@@ -237,6 +237,16 @@ def test_c10_cutout_budget_audit():
     assert audit.worst_hits <= 18  # 9m with m = 2
 
 
+def test_c10_headline_cutout_budget_audits():
+    # two headline cut-out members, audited at their own parameters
+    for spec in (RcoSpec(12, 15, 1, 5), RcoSpec(17, 24, 1, 5)):
+        strategy = covering_strategy_for_rco(generate_rco(spec, depth=2), c=0.99)
+        audit = verify_covering_budget(strategy)
+        assert [level.level for level in audit.levels] == [1, 2]
+        assert audit.all_legal
+        assert audit.worst_hits == 4 <= 9 * spec.m
+
+
 def test_c10_corner_budget_audit():
     strategy = covering_strategy_for_rcd(RcdSpec(7, 4), c=0.5, t=1, depth=3)
     audit = verify_covering_budget(strategy, levels=(1, 2))

@@ -1274,22 +1274,26 @@ def test_generators_refuse_denominators_past_the_csv_digit_limit():
 
 
 def _reference_pbm(rect, width, height):
-    """The raster painted box by box in Fractions.  On an axis of n pixels,
-    pixel i is centered at -1 + (2i + 1)/n, so a box [c - h, c + h] holds
-    the pixels from ceil(((c - h + 1) n - 1)/2) to floor(((c + h + 1) n - 1)/2)."""
+    """The raster painted box by box in Fractions: cuts open, components
+    closed.  On an axis of n pixels, pixel i is centered at -1 + (2i + 1)/n,
+    so a closed box [c - h, c + h] holds the pixels from
+    ceil(((c - h + 1) n - 1)/2) to floor(((c + h + 1) n - 1)/2), and its open
+    interior those strictly between floor of the first bound and ceil of
+    the second."""
     import numpy as np
 
-    def pixels(c, h, n):
+    def pixels(c, h, n, open_box):
         c, h = Fraction(c), Fraction(h)
-        first = math.ceil(((c - h + 1) * n - 1) / 2)
-        last = math.floor(((c + h + 1) * n - 1) / 2)
+        low, high = ((c - h + 1) * n - 1) / 2, ((c + h + 1) * n - 1) / 2
+        first, last = ((math.floor(low) + 1, math.ceil(high) - 1) if open_box
+                       else (math.ceil(low), math.floor(high)))
         return slice(max(first, 0), max(min(last, n - 1) + 1, 0))
 
     cuts = rect.of_kind("cut")
     painted = np.zeros((height, width), dtype=bool)       # row 0 at the bottom
     for e in cuts or rect.of_kind("comp", rect.max_level()):
         (cx, cy), (hx, hy) = e.box.center, e.box.half
-        painted[pixels(cy, hy, height), pixels(cx, hx, width)] = True
+        painted[pixels(cy, hy, height, bool(cuts)), pixels(cx, hx, width, bool(cuts))] = True
     keep = ~painted[::-1] if cuts else painted[::-1]
     lines = [f"P1\n{width} {height}"]
     for row in keep.astype(int):
@@ -1306,6 +1310,34 @@ def test_pbm_counts_a_pixel_center_on_a_box_edge_as_inside():
     # at 21 x 12, pixel centers fall on many component edges of RCD(7, 4)
     member = generate_rcd(RcdSpec(7, 4), depth=2)
     assert member.to_pbm(21, 12) == _reference_pbm(member, 21, 12)
+
+
+def test_pbm_keeps_a_pixel_center_on_a_cut_edge():
+    # a cut deletes the open box (0, 2/3)^2, which holds none of the pixel
+    # centers -2/3, 0, 2/3 (its comp twin holds the four on its edges, as
+    # the test above asserts)
+    half = (Fraction(1, 3), Fraction(1, 3))
+    cut = RectangleSet([RectEntry(1, "cut:0", BoxRegion(half, half))])
+    assert cut.to_pbm(3, 3) == "P1\n3 3\n1 1 1\n1 1 1\n1 1 1\n"
+
+
+@pytest.mark.parametrize("member, sizes", [
+    (generate_rco(RcoSpec(4, 5, 2, 1), depth=2), [(21, 12), (33, 17), (9, 9)]),
+    (generate_rco(RcoSpec(2, 3, 1, 1), depth=2), [(21, 12), (33, 17), (9, 9)]),
+    (generate_rcd(RcdSpec(7, 4), depth=2), [(21, 12)]),
+])
+def test_pbm_pixel_is_kept_just_when_the_containment_checker_keeps_its_center(member, sizes):
+    # the raster and the per-level checker read one kept-region rule; the
+    # checker decides each pixel center by _reach, apart from _grid_hits
+    depth = member.max_level()
+    for width, height in sizes:
+        rows = member.to_pbm(width, height).splitlines()[2:]
+        for r, row in enumerate(rows):
+            j = height - 1 - r                                 # row 0 is the top
+            for i, bit in enumerate(row.split()):
+                center = (Fraction(2 * i + 1, width) - 1, Fraction(2 * j + 1, height) - 1)
+                report = patterns.verify_containment_depth(center, 1, [(0, 0)], member)
+                assert (bit == "1") == report.consistent_to(depth), (width, height, i, j)
 
 
 @pytest.mark.parametrize("size", [(8, 8), (33, 17), (256, 256)])
