@@ -6,33 +6,3 @@ non-emptiness, Hausdorff-dimension lower bounds, pattern containment and
 intersection bounds, and exposes the underlying lattice/projection/counting
 machinery as exhaustively testable oracles.
 """
-from __future__ import annotations
-
-from .core import (
-    REL_MARGIN,
-    BoxRegion,
-    DiagonalContraction,
-    FloorResult,
-    GameParameters,
-    LogScalar,
-    combine_alphas,
-    dominates,
-    safe_floor_ratio,
-    validate_params,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "REL_MARGIN",
-    "BoxRegion",
-    "DiagonalContraction",
-    "FloorResult",
-    "GameParameters",
-    "LogScalar",
-    "combine_alphas",
-    "dominates",
-    "safe_floor_ratio",
-    "validate_params",
-    "__version__",
-]

@@ -40,6 +40,7 @@ __all__ = [
     "dominates",
     "combine_alphas",
     "combine_logs",
+    "log_sum_exp",
     "safe_floor_ratio",
     "log_rounding_error",
 ]
@@ -97,10 +98,9 @@ def line_chunks(lines: Iterable[str]) -> Iterator[str]:
 class LogScalar:
     """A nonnegative real carried as its natural log (-inf encodes 0).
 
-    Multiplication, division and powers are exact log-domain operations;
-    addition uses log-sum-exp with the inputs sorted descending, which makes
-    sums independent of argument order.  Comparisons compare logs.  Not a
-    Record: the search builds one per probe, so it keeps this plain __init__.
+    Equality and hash compare logs; sums of logs go through log_sum_exp.
+    Not a Record: the search builds one per probe, so it keeps this plain
+    __init__.
     """
 
     __slots__ = ("log",)
@@ -108,23 +108,11 @@ class LogScalar:
     def __init__(self, log: float):
         self.log = float(log)
 
-    # -- constructors -------------------------------------------------
-
     @classmethod
     def from_value(cls, x: float) -> "LogScalar":
         if x < 0:
             raise ValueError(f"LogScalar represents nonnegative reals, got {x!r}")
         return cls(math.log(x)) if x > 0 else cls(float("-inf"))
-
-    @classmethod
-    def zero(cls) -> "LogScalar":
-        return cls(float("-inf"))
-
-    @classmethod
-    def one(cls) -> "LogScalar":
-        return cls(0.0)
-
-    # -- queries -------------------------------------------------------
 
     @property
     def value(self) -> float:
@@ -139,38 +127,6 @@ class LogScalar:
     def is_zero(self) -> bool:
         return self.log == float("-inf")
 
-    # -- arithmetic ----------------------------------------------------
-
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        return LogScalar(self.log + other.log)
-
-    def __truediv__(self, other: "LogScalar") -> "LogScalar":
-        if other.is_zero():
-            raise ZeroDivisionError("LogScalar division by zero")
-        if self.is_zero():
-            return LogScalar.zero()
-        return LogScalar(self.log - other.log)
-
-    def __pow__(self, exponent: float) -> "LogScalar":
-        if self.is_zero():
-            if exponent <= 0:
-                raise ValueError("0 ** nonpositive exponent")
-            return LogScalar.zero()
-        return LogScalar(self.log * exponent)
-
-    @staticmethod
-    def sum(terms: Iterable["LogScalar"]) -> "LogScalar":
-        """Order-independent log-sum-exp: sort descending, then accumulate."""
-        return LogScalar(log_sum_exp(t.log for t in terms))
-
-    # -- comparisons (total order via logs) -----------------------------
-
-    def __lt__(self, other: "LogScalar") -> bool:
-        return self.log < other.log
-
-    def __le__(self, other: "LogScalar") -> bool:
-        return self.log <= other.log
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LogScalar) and self.log == other.log
 
@@ -182,8 +138,8 @@ class LogScalar:
 
 
 def log_sum_exp(logs: Iterable[float]) -> float:
-    """ln(sum_i exp(logs_i)) as LogScalar.sum takes it: the logs sorted
-    descending, then accumulated, so the sum is independent of their order."""
+    """ln(sum_i exp(logs_i)), -inf for no logs: the logs sorted descending,
+    then accumulated, so the sum is independent of their order."""
     logs = sorted(logs, reverse=True)
     if not logs or logs[0] == float("-inf"):
         return float("-inf")
@@ -316,10 +272,6 @@ class GameParameters(Record):
         super().__init__(alpha, contraction, c, rho2, rho1)
         validate_params(self)
 
-    @property
-    def n(self) -> int:
-        return self.contraction.n
-
 
 class BoxRegion(Record):
     """Closed axis-aligned box: {x : |x_j - center_j| <= half_j for all j}.
@@ -347,12 +299,6 @@ class BoxRegion(Record):
     @property
     def n(self) -> int:
         return len(self.center)
-
-    def low(self, j: int) -> Coord:
-        return self.center[j] - self.half[j]
-
-    def high(self, j: int) -> Coord:
-        return self.center[j] + self.half[j]
 
     def contains_point(self, point: Sequence[Coord]) -> bool:
         return all(
@@ -429,7 +375,7 @@ def combine_alphas(alphas: Sequence[LogScalar | float], c: float) -> LogScalar:
         s = a if isinstance(a, LogScalar) else LogScalar.from_value(a)
         if s.is_zero():
             raise ValueError("budget rates must be positive")
-        terms.append((s ** c).log)
+        terms.append(s.log * c)
     return LogScalar(combine_logs(terms, c))
 
 

@@ -683,10 +683,6 @@ class RectEntry(NamedTuple):
     address: str        # "kind:path", kind in {cell, cut, comp, cover}
     box: BoxRegion
 
-    @property
-    def kind(self) -> str:
-        return self.address.split(":", 1)[0]
-
 
 def _rect_entry(levels: Sequence[int], addresses: Sequence[str],
                 box: Callable[[int], BoxRegion], i: int) -> RectEntry:
@@ -741,10 +737,11 @@ class RectangleSet(Record):
         return rect
 
     def _spans(self, kind: str | None, levels: Iterable[int] | None) -> list[range]:
-        """Per level (every level when `levels` is None), the index run of
-        its entries of `kind` (of any kind when `kind` is None)."""
+        """Per level (each from the set's lowest to its highest when `levels`
+        is None, found by bisection like any other), the index run of its
+        entries of `kind` (of any kind when `kind` is None)."""
         if levels is None:
-            levels = dict.fromkeys(self.levels)
+            levels = range(self.levels[0], self.levels[-1] + 1) if self.levels else ()
         spans = []
         for k in levels:
             lo = bisect_left(self.levels, k)

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import BoxRegion, DiagonalContraction, LogScalar, Record, check_size, line_chunks
+from .core import BoxRegion, DiagonalContraction, Record, check_size, line_chunks, log_sum_exp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -542,7 +542,7 @@ def play_game(
                 for i in _reach(level.lattice, box.center, box.half).nonzero()[0]
             ]
         if deletions:
-            # k equal masses: LogScalar.sum's accumulator is exactly k
+            # k equal masses: log_sum_exp's accumulator is exactly k
             spent_log = mass_log + math.log(len(deletions))
             if spent_log <= cap_log + BUDGET_TOL:
                 moves.append(
@@ -582,17 +582,16 @@ def potential_phi(
     `level` whose box intersects the cell; level 1 is always zero.  The cell
     survives while the total stays at or below (delta prod beta^level)^c.
     """
-    masses: list[LogScalar] = []
+    mass_logs: list[float] = []
     for move in transcript.moves:
         if move.move >= level:
             break
         for rec in move.deletions:
             if cell.intersects(rec.box):
-                masses.append(LogScalar(rec.mass_log))
-    phi = LogScalar.sum(masses) if masses else LogScalar.zero()
+                mass_logs.append(rec.mass_log)
     log_det = sum(math.log(float(b)) for b in transcript.betas)
     threshold = transcript.c * (math.log(delta) + level * log_det)
-    return PotentialRow(level, cell, phi.log, threshold)
+    return PotentialRow(level, cell, log_sum_exp(mass_logs), threshold)
 
 
 # ----------------------------------------------------------- counting oracles

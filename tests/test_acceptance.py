@@ -3,13 +3,19 @@
 Quantitative targets (1-7, 12, 13) pin the certified pattern counts and
 dimension bounds for the stock instances; property suites (8-11) replay the
 combinatorial facts the certificates lean on, exhaustively where the domain
-is finite and with seeded random sweeps where it is not.
+is finite and with seeded random sweeps where it is not; 14 holds each
+dimension bound below the exact dimension of a member it covers, and 15
+runs README's library block.
 """
+import collections
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from gamecert.certify import REL_MARGIN, default_delta, feasibility_report
@@ -20,6 +26,7 @@ from gamecert.families import (
     RcoSpec,
     covering_strategy_for_rcd,
     covering_strategy_for_rco,
+    generate_rcd,
     generate_rco,
 )
 from gamecert.gamesim import (
@@ -65,6 +72,12 @@ def headline():
     runs["c7c"] = optimize_intersection(
         [RcoSpec(425, 365, 10, 3), RcoSpec(425, 365, 1, 2)])
     return runs
+
+
+@pytest.fixture(scope="module")
+def smallest_u():
+    """smallest_u_for_patterns(M, 0) for M = 2..6, run once."""
+    return {m: smallest_u_for_patterns(m, 0) for m in range(2, 7)}
 
 
 # --------------------------------------------------------- 1-7: stock bounds
@@ -295,8 +308,8 @@ def test_c11_overlap_bound_dominates_10k_draws():
 # ------------------------------------------------ 12: smallest certifying u
 
 
-def test_c12_smallest_u_for_four_points():
-    answer = smallest_u_for_patterns(4, 0)
+def test_c12_smallest_u_for_four_points(smallest_u):
+    answer = smallest_u[4]
     assert answer.u == 176924670080
     assert answer.result.pattern_count >= 4
     assert answer.below.pattern_count < 4
@@ -336,3 +349,101 @@ def test_c13_repeated_runs_byte_identical(headline):
         first = headline[key]
         assert rerun.certificate is not None and first.certificate is not None
         assert rerun.certificate.to_text() == first.certificate.to_text(), key
+
+
+# --------------------------------------------- 14: exact dimension ceilings
+#
+# A certificate's bound holds for every member of its families, and an
+# intersection lies in each of its members, so a bound must lie below the
+# exact dimension of any member whose dimension has a closed form:
+# - the fixed-rule RCD(u, v) member keeps the high-corner child of every
+#   region, so it is the product of two Cantor sets with u - 1 (v - 1) maps
+#   of ratio 1/u (1/v): log(u-1)/log u + log(v-1)/log v (Hutchinson; the
+#   product formula, Falconer, Fractal Geometry, ch. 7);
+# - the corner RCO(u, v, m, 1) member is a Bedford-McMullen carpet, plus the
+#   kept edges of its cuts, of dimension at most 1: McMullen's
+#   log_a sum_j t_j^(log_b a), a = min(u, v), b = max(u, v), t_j the kept
+#   subcells in column j along the a axis (McMullen, Nagoya Math. J. 96).
+# Cut-out members with t >= 2 are sofic carpets, with no closed form here.
+# The ceilings are computed in 100-bit mpmath, apart from core and certify.
+
+
+def _rco_corner_slots(u, v, m):
+    """The (x, y) subcell slots that corner placement cuts from every cell at
+    t = 1: slot s is (s mod u, s div u), row-major from the low corner."""
+    return {(s % u, s // u) for s in range(m)}
+
+
+def _dim_ceiling(spec):
+    """The exact dimension of the fixed-rule RCD member, or of the corner
+    RCO member with t = 1; None for any other family."""
+    with mpmath.workprec(100):
+        if isinstance(spec, RcdSpec):
+            return sum(mpmath.log(w - 1) / mpmath.log(w) for w in (spec.u, spec.v))
+        if spec.t != 1:
+            return None
+        a, b = sorted((spec.u, spec.v))
+        axis = 0 if spec.u <= spec.v else 1
+        cut = collections.Counter(slot[axis] for slot in _rco_corner_slots(spec.u, spec.v, spec.m))
+        theta = mpmath.log(a) / mpmath.log(b)
+        total = (a - len(cut)) * mpmath.mpf(b) ** theta + mpmath.fsum(
+            mpmath.mpf(b - n) ** theta for n in cut.values())
+        return mpmath.log(total) / mpmath.log(a)
+
+
+def test_c14_dimension_bounds_lie_below_the_exact_dimension(headline, smallest_u):
+    covered = [
+        (headline["c3"], [RcoSpec(271828, 314159, 2, 1)]),
+        (headline["c4"], [RcdSpec(2**37, 2**38)]),
+        (headline["c5"], [RcdSpec(U5, V5)]),
+        (headline["c6"], [RcdSpec(U5, V5)] + [RcoSpec(U5, V5, 4, k) for k in range(1, 6)]),
+        (headline["c7a"], [RcdSpec(2**37, 2**36), RcoSpec(2**37, 2**36, 1, 2),
+                           RcoSpec(2**37, 2**36, 1, 6)]),
+        (headline["c7b"], [RcdSpec(2**36, 2**40), RcoSpec(2**36, 2**40, 1, 1)]),
+    ]
+    for answer in smallest_u.values():
+        covered += [(answer.result, [RcdSpec(answer.u, answer.u)]),
+                    (answer.below, [RcdSpec(answer.u - 1, answer.u - 1)])]
+    for result, members in covered:
+        fields = result.certificate.fields
+        ceiling = min(d for d in map(_dim_ceiling, members) if d is not None)
+        assert fields["feasible"] and mpmath.mpf(fields["dim_lower_bound"]) < ceiling, members
+
+
+def test_c14_members_have_the_structure_their_dimension_formula_reads():
+    # fixed-rule RCD(7, 4) at level 3: every pair of 6^3 x-intervals and
+    # 3^3 y-intervals, and each factor the level-3 image of the w - 1 maps
+    # x -> x/w + d_s, d_s = (2s - w + 1)/(w - 1) - 1/w (the high-corner
+    # child of region s), whose images lie 2/(w - 1) > 2/w apart
+    comps = [e.box.center for e in generate_rcd(RcdSpec(7, 4), 3).of_kind("comp", 3)]
+    xs, ys = sorted({x for x, _ in comps}), sorted({y for _, y in comps})
+    assert (len(xs), len(ys)) == (216, 27) and sorted(comps) == list(itertools.product(xs, ys))
+    for axis, w in ((xs, 7), (ys, 4)):
+        d = [Fraction(2 * s - w + 1, w - 1) - Fraction(1, w) for s in range(1, w)]
+        assert axis == sorted(a + b / w + c / w ** 2 for a, b, c in itertools.product(d, repeat=3))
+    # corner RCO(u, v, m, 1): every level-k cell loses exactly the slots
+    # _rco_corner_slots names, which fix the column counts t_j
+    for u, v, m in ((4, 5, 2), (5, 3, 7), (3, 3, 4), (2, 6, 3)):
+        member = generate_rco(RcoSpec(u, v, m, 1), 2)
+        for k in (1, 2):
+            cells = collections.defaultdict(set)
+            for cut in member.of_kind("cut", k):
+                # slot index along each axis, in units of the cut's width
+                sx, sy = ((c + 1) * w ** (k + 1) / 2 - Fraction(1, 2)
+                          for c, w in zip(cut.box.center, (u, v)))
+                assert sx.denominator == sy.denominator == 1
+                cells[int(sx) // u, int(sy) // v].add((int(sx) % u, int(sy) % v))
+            assert len(cells) == (u * v) ** k
+            assert all(slots == _rco_corner_slots(u, v, m) for slots in cells.values())
+
+
+# ------------------------------------------------- 15: README's library block
+
+
+def test_c15_readme_library_block_prints_what_its_comments_state(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    stated = [line.split("#", 1)[1].strip() for line in block.splitlines()
+              if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert stated and capsys.readouterr().out.splitlines() == stated

@@ -643,6 +643,14 @@ def test_rcd_strategy_cover_counts_match_formula():
     assert len(lv1.boxes) == 18 * 18 * count
 
 
+def _low(box, j):
+    return box.center[j] - box.half[j]
+
+
+def _high(box, j):
+    return box.center[j] + box.half[j]
+
+
 def test_rcd_strategy_covers_exactly_the_removed_slabs():
     """Completeness at level 0: region minus child is inside the cover union,
     and covers stay inside the region (slab decomposition, exact arithmetic)."""
@@ -658,14 +666,14 @@ def test_rcd_strategy_covers_exactly_the_removed_slabs():
             assert region.contains_box(b)
         # slab decomposition of region by all cover edges and child edges
         xs = sorted(
-            {region.low(0), region.high(0), child.low(0), child.high(0)}
-            | {b.low(0) for b in cover}
-            | {b.high(0) for b in cover}
+            {_low(region, 0), _high(region, 0), _low(child, 0), _high(child, 0)}
+            | {_low(b, 0) for b in cover}
+            | {_high(b, 0) for b in cover}
         )
         ys = sorted(
-            {region.low(1), region.high(1), child.low(1), child.high(1)}
-            | {b.low(1) for b in cover}
-            | {b.high(1) for b in cover}
+            {_low(region, 1), _high(region, 1), _low(child, 1), _high(child, 1)}
+            | {_low(b, 1) for b in cover}
+            | {_high(b, 1) for b in cover}
         )
         for x0, x1 in zip(xs, xs[1:]):
             for y0, y1 in zip(ys, ys[1:]):
@@ -721,13 +729,13 @@ def _reference_cover_piece(region, child, hx, hy):
     sx = 1 if child.center[0] > region.center[0] else -1
     sy = 1 if child.center[1] > region.center[1] else -1
     if sx > 0:
-        xs_lo, xs_hi = region.low(0), child.low(0)
+        xs_lo, xs_hi = _low(region, 0), _low(child, 0)
     else:
-        xs_lo, xs_hi = child.high(0), region.high(0)
+        xs_lo, xs_hi = _high(child, 0), _high(region, 0)
     if sy > 0:
-        ys_lo, ys_hi = region.low(1), child.low(1)
+        ys_lo, ys_hi = _low(region, 1), _low(child, 1)
     else:
-        ys_lo, ys_hi = child.high(1), region.high(1)
+        ys_lo, ys_hi = _high(child, 1), _high(region, 1)
 
     def rect_cover(x0, x1, y0, y1):
         return [
@@ -736,11 +744,11 @@ def _reference_cover_piece(region, child, hx, hy):
             for cy in _reference_tile_axis(y0, y1, hy)
         ]
 
-    opt1 = rect_cover(xs_lo, xs_hi, region.low(1), region.high(1)) + rect_cover(
-        child.low(0), child.high(0), ys_lo, ys_hi
+    opt1 = rect_cover(xs_lo, xs_hi, _low(region, 1), _high(region, 1)) + rect_cover(
+        _low(child, 0), _high(child, 0), ys_lo, ys_hi
     )
-    opt2 = rect_cover(region.low(0), region.high(0), ys_lo, ys_hi) + rect_cover(
-        xs_lo, xs_hi, child.low(1), child.high(1)
+    opt2 = rect_cover(_low(region, 0), _high(region, 0), ys_lo, ys_hi) + rect_cover(
+        xs_lo, xs_hi, _low(child, 1), _high(child, 1)
     )
     return opt1 if len(opt1) <= len(opt2) else opt2
 
@@ -1144,6 +1152,39 @@ def test_hand_built_levels_derive_their_lattice():
     assert huge.lattice[0] == (den, (2 ** 64,), (1,))
     _assert_lattice_holds_the_boxes(huge)
     assert StrategyLevel(0, 1, -1.0, True, ()).lattice == ()
+
+
+def _gap_set():
+    """A hand-built set whose levels are 1, 2 and 5: none at 0, 3 or 4."""
+    box = lambda x, h: BoxRegion((Fraction(x), Fraction(-x)), (Fraction(h), Fraction(h)))
+    return RectangleSet([
+        RectEntry(5, "comp:b", box(Fraction(1, 3), Fraction(1, 9))),
+        RectEntry(1, "cut:a", box(0, Fraction(1, 2))),
+        RectEntry(2, "comp:a", box(Fraction(-1, 2), Fraction(1, 4))),
+        RectEntry(5, "cut:c", box(Fraction(2, 3), Fraction(1, 27))),
+        RectEntry(1, "comp:a", box(Fraction(1, 2), Fraction(1, 6))),
+    ])
+
+
+@pytest.mark.parametrize("rect", [
+    generate_rco(RcoSpec(4, 5, 2, 1), 2),
+    generate_rco(RcoSpec(3, 2, 3, 2), 2, placement="hash", seed=3),
+    generate_rcd(RcdSpec(7, 4), 2),
+    generate_rcd(RcdSpec(3, 4, "hash", 21), 2),
+    _gap_set(),
+])
+def test_whole_set_queries_join_their_per_level_queries(rect):
+    # of_kind and lattice_of without levels read every level of the set,
+    # lowest first, and a level the set lacks adds nothing
+    levels = sorted(set(rect.levels))
+    for kind in ("cell", "comp", "cut", "cover"):
+        assert rect.of_kind(kind) == [e for k in levels for e in rect.of_kind(kind, k)]
+        parts = [rect.lattice_of(kind, [k]) for k in levels]
+        for j, axis in enumerate(rect.lattice_of(kind)):
+            assert axis.den == rect.lattice[j].den
+            for col in ("centers", "halves"):
+                assert list(getattr(axis, col)) == [
+                    n for part in parts for n in getattr(part[j], col)]
 
 
 def _reference_rco_entries(spec, depth, placement, seed):

@@ -217,7 +217,7 @@ def test_max_pattern_size_rejects_a_zero_rate_before_any_verdict(monkeypatch):
     monkeypatch.setattr(optimize, "pattern_feasible", None)
     for cap in (1, 1 << 40):
         with pytest.raises(ValueError, match="budget rate must be positive"):
-            max_pattern_size(LogScalar.zero(), B1, 0.5, cap)
+            max_pattern_size(LogScalar(-math.inf), B1, 0.5, cap)
 
 
 def test_count_search_makes_few_reports_per_probe(monkeypatch):
