@@ -10,9 +10,11 @@ and one CLI config per command and per `verify` check (CONFIGS), each
 certificate a config writes re-validated by a `certify` run that reads it.
 Each run's exit code must be the one CONFIGS states.  Then prints, as
 module:qualname, each function or method defined in src/gamecert whose
-body none of them entered; operators count like any other method.  Their
-outputs go to a temporary directory.  Takes a few seconds; not part of
-Tier-1.
+body none of them entered, with the reason KEPT gives for keeping it;
+operators count like any other method.  Exits 1, naming each, when a
+printed function has no KEPT entry, or a KEPT entry names a function that
+the traffic now enters or that is gone.  Their outputs go to a temporary
+directory.  Takes a few seconds; not part of Tier-1.
 """
 from __future__ import annotations
 
@@ -69,6 +71,33 @@ CONFIGS = {
                      "generate.depth = 2\npattern.points = 0,0; 2,0\npattern.lambda_lo = 1/49\n"
                      "pattern.lambda_hi = 3/49\n", 0),
     "smallest-u": ("command = smallest-u\nsmallest.pattern_count = 2\nsmallest.gap = 0\n", 0),
+}
+
+# Each function the traffic may leave unentered, and why it stays: it
+# checks input, gives a value its semantics (==, hash, frozen fields), is a
+# test reference that README names, or perfbench runs it.
+KEPT = {
+    "cli:ConfigError.__init__": "input validation: a config key at fault",
+    "core:SizeError.__init__": "input validation: an input over a size limit",
+    "core:LogScalar.__eq__": "value semantics",
+    "core:LogScalar.__hash__": "value semantics",
+    "core:Record._astuple": "value semantics: Record's == and hash read it",
+    "core:Record.__eq__": "value semantics",
+    "core:Record.__hash__": "value semantics",
+    "core:Record.__reduce__": "value semantics: pickling",
+    "core:Record.__setattr__": "value semantics: a record is frozen",
+    "core:Record.__delattr__": "value semantics: a record is frozen",
+    "core:dominates": "README-named test reference",
+    "families:_derived_lattice": "perfbench control: RectangleSet(entries, meta) derives it",
+    "families:_LazyRows.__eq__": "value semantics",
+    "families:RectangleSet.__init__": "perfbench control: geometry-exact's short member",
+    "gamesim:round_half_down": "README-named test reference: project_chain's step",
+    "gamesim:project_index": "README-named test reference: project_chain's step",
+    "gamesim:project_chain": "README-named test reference",
+    "gamesim:PlayTranscript.all_deletions": "perfbench: geometry-exact's play_game check",
+    "optimize:SearchConfigError.__init__": "input validation: a search setting at fault",
+    "optimize:SearchConfigError.__str__": "input validation: a search setting at fault",
+    "optimize:max_pattern_size": "README-named test reference",
 }
 
 
@@ -141,9 +170,17 @@ def main() -> int:
             _traffic(Path(tmp))
         finally:
             sys.settrace(None)
-    for key in sorted(functions.keys() - entered):
-        print(functions[key])
-    return 0
+    unentered = [functions[key] for key in sorted(functions.keys() - entered)]
+    for name in unentered:
+        print(f"{name}  # {KEPT.get(name, 'no KEPT entry')}")
+    defined = set(functions.values())
+    problems = [f"{name}: entered by no caller and not in KEPT"
+                for name in unentered if name not in KEPT]
+    problems += [f"{name}: in KEPT but {'entered' if name in defined else 'gone'}"
+                 for name in KEPT.keys() - set(unentered)]
+    for problem in sorted(problems):
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -402,7 +402,6 @@ _CERT_KEYS = (
     "kind",
     "n",
     "c",
-    "t",
     "rho2",
     "delta",
     "pattern_count",
@@ -488,6 +487,22 @@ class Certificate(Record):
             else:
                 extras[key] = raw
         return cls(kind, fields, extras)
+
+
+_ECHO_FIELDS = ("kind", "u", "v", "m", "t")     # an RcoSpec's; an RcdSpec's are kind, u, v
+_ECHO_KEYS = {"betas", "member_count", *(f"family.{name}" for name in _ECHO_FIELDS)}
+
+
+def is_echo_key(key: str, member_count: int) -> bool:
+    """Whether `key` is an extras key that echoes a certificate's family or
+    members, the only extras re-validation keeps: family.<field>, betas,
+    member_count, or member.<i>.<field or alpha_log> for 1 <= i <=
+    member_count, a field being kind, u, v, m or t."""
+    head, _, rest = key.partition(".")
+    index, _, name = rest.partition(".")
+    if head == "member" and index.isascii() and index.isdigit() and index[0] != "0":
+        return name in (*_ECHO_FIELDS, "alpha_log") and int(index) <= member_count
+    return key in _ECHO_KEYS
 
 
 _INT_KEYS = {"n", "pattern_count", "free_steps"}

@@ -13,6 +13,7 @@ malformed config (reported with the offending field path).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import random
@@ -29,6 +30,7 @@ from .certify import (
     dimension_certificate,
     distance_set_certificate,
     intersect_certificate,
+    is_echo_key,
     pattern_certificate,
 )
 from .core import DiagonalContraction, LogScalar, SizeError
@@ -405,7 +407,8 @@ def _cmd_certify(cfg: Config, out: Path, trace: bool,
 
 
 def _recertify(cert: Certificate) -> Certificate:
-    """Recompute a certificate from its own stated parameters."""
+    """Recompute a certificate from its own stated parameters, keeping of its
+    extras only the family and member echoes (certify.is_echo_key)."""
     extras = cert.extras
     # intersection members share cell ratios, so the first member's suffice
     echo = next((p for p in ("family", "member.1") if f"{p}.u" in extras), None)
@@ -421,17 +424,16 @@ def _recertify(cert: Certificate) -> Certificate:
     c = cert.fields["c"]
     delta = cert.fields["delta"]
     rho2 = cert.fields.get("rho2", 1.0)
+    members = int(extras.get("member_count", 0))
     if cert.kind == "intersection":
-        count = int(extras["member_count"])
         alphas = [LogScalar(float(extras[f"member.{i}.alpha_log"]))
-                  for i in range(1, count + 1)]
+                  for i in range(1, members + 1)]
         fresh = intersect_certificate(alphas, contraction, c, delta, rho2)
     else:
         fresh = _certificate(cert.kind, LogScalar(cert.fields["alpha_log"]), contraction,
                              c, delta, cert.fields.get("pattern_count"), rho2)
-    if "t" in cert.fields:
-        fresh.fields.setdefault("t", cert.fields["t"])
-    return Certificate(fresh.kind, fresh.fields, dict(cert.extras))
+    echoes = {key: value for key, value in extras.items() if is_echo_key(key, members)}
+    return Certificate(fresh.kind, fresh.fields, echoes)
 
 
 def _revalidate(cfg: Config, out: Path, finish: Callable[[], None]) -> int:
@@ -449,7 +451,8 @@ def _revalidate(cfg: Config, out: Path, finish: Callable[[], None]) -> int:
         return 2
     if fresh.to_text() != text:
         print("certificate does not re-validate: recomputation differs")
-        for old, new in zip(text.splitlines(), fresh.to_text().splitlines()):
+        for old, new in itertools.zip_longest(text.splitlines(), fresh.to_text().splitlines(),
+                                              fillvalue="(no line)"):
             if old != new:
                 print(f"  stated:     {old}")
                 print(f"  recomputed: {new}")

@@ -11,10 +11,10 @@ tuples (q_i, y_i) must satisfy
 for a fixed exponent c > 0 (for c = 0 a single tuple with
 prod_j beta_j^q <= alpha * prod_j beta_j^m is allowed instead).
 
-Everything downstream is phrased in terms of the tuple
-(alpha, A, c, rho2, rho1), so that record plus a log-domain scalar type
-live here.  Masses like alpha * prod beta^m underflow float64 quickly
-(moves in the hundreds), hence the log representation.
+Everything downstream is phrased in terms of the tuple (alpha, A, c) at
+first-move radius rho2 = rho1 = 1, so that record plus a log-domain
+scalar type live here.  Masses like alpha * prod beta^m underflow float64
+quickly (moves in the hundreds), hence the log representation.
 """
 from __future__ import annotations
 
@@ -258,18 +258,17 @@ class DiagonalContraction(Record):
 
 
 class GameParameters(Record):
-    """Winning tuple (alpha, A, c, rho2, rho1) for the box-deletion game.
+    """Winning tuple (alpha, A, c) for the box-deletion game at radius 1.
 
     Winning for a set means: the nesting player can force the limit point
     to land in the set no matter how the deleting player spends the alpha
-    budget at exponent c, for any first-move radius in [rho2, rho1].
+    budget at exponent c, when the first move has radius 1.
     """
 
-    __slots__ = _fields = ("alpha", "contraction", "c", "rho2", "rho1")
+    __slots__ = _fields = ("alpha", "contraction", "c")
 
-    def __init__(self, alpha: LogScalar, contraction: DiagonalContraction, c: float,
-                 rho2: float = 1.0, rho1: float = 1.0) -> None:
-        super().__init__(alpha, contraction, c, rho2, rho1)
+    def __init__(self, alpha: LogScalar, contraction: DiagonalContraction, c: float) -> None:
+        super().__init__(alpha, contraction, c)
         validate_params(self)
 
 
@@ -326,7 +325,7 @@ class BoxRegion(Record):
 def validate_params(params: GameParameters) -> None:
     """Raise ValueError unless the tuple is game-legal.
 
-    Game-legal means alpha > 0, c in [0, 1), 0 < rho2 <= rho1.  (c = 0 is a
+    Game-legal means alpha > 0 and c in [0, 1); the radius is 1.  (c = 0 is a
     legal game; the certifier separately refuses it because its feasibility
     inequalities divide by c.  beta_j < 1/5 is likewise a certifier-side
     restriction, not a game-side one.)
@@ -335,27 +334,18 @@ def validate_params(params: GameParameters) -> None:
         raise ValueError("alpha must be positive")
     if not (0.0 <= params.c < 1.0):
         raise ValueError(f"c must lie in [0,1), got {params.c!r}")
-    if not (0.0 < params.rho2 <= params.rho1):
-        raise ValueError(
-            f"radii must satisfy 0 < rho2 <= rho1, got {params.rho2!r}, {params.rho1!r}"
-        )
 
 
 def dominates(weaker: GameParameters, stronger: GameParameters) -> bool:
     """True if winning at `weaker` implies winning at `stronger`.
 
-    Monotonicity: a win transfers to any larger budget rate alpha' >= alpha,
-    any larger exponent c' >= c, and any radius interval contained in the
-    original one.  The contraction must be identical.
+    Monotonicity: a win transfers to any larger budget rate alpha' >= alpha
+    and any larger exponent c' >= c, both at first-move radius 1.  The
+    contraction must be identical.
     """
     if weaker.contraction != stronger.contraction:
         return False
-    return (
-        stronger.alpha.log >= weaker.alpha.log
-        and stronger.c >= weaker.c
-        and weaker.rho2 <= stronger.rho2
-        and stronger.rho1 <= weaker.rho1
-    )
+    return stronger.alpha.log >= weaker.alpha.log and stronger.c >= weaker.c
 
 
 def combine_alphas(alphas: Sequence[LogScalar | float], c: float) -> LogScalar:

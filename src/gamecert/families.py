@@ -43,19 +43,19 @@ numerators, each column at the narrowest integer width that holds it):
 * a StrategyLevel keeps one AxisLattice per axis over its least common
   denominator.
 
-Their `entries` and `boxes` are read-only views that build a RectEntry or a
-Fraction BoxRegion only when an item is read; they compare, hash and print
-like the list and tuple of those items.  The CSV writer and two exact
-kernels, _reach and _grid_hits, read the numerators.  Which points a set
-keeps at a depth is stated once, by RectangleSet._kept_region: the root
-box minus the open interiors of its cuts, or the union of its closed
-components.  The raster and the pattern code read it, so a pixel center
-on a cut's edge is kept.  A set built by hand from entries derives its
-lattice once and reads its entries back from it, so a float coordinate
-comes back as the equal exact Fraction; a level built by hand keeps its
-boxes as given.  No generator builds more than MAX_GEOMETRY_BOXES boxes,
-or more than MAX_GEOMETRY_BITS numerator bits (it raises core.SizeError
-first).  Budget rates are LogScalars.
+Their `entries` and `boxes` are read-only views that build a RectEntry or
+a Fraction BoxRegion only when an item is read; they compare and print
+like the list and tuple of those items, and do not hash.  The CSV writer
+and two exact kernels, _reach and _grid_hits, read the numerators.  Which
+points a set keeps at a depth is stated once, by
+RectangleSet._kept_region: the root box minus the open interiors of its
+cuts, or the union of its closed components.  The raster and the pattern
+code read it, so a pixel center on a cut's edge is kept.  A set built by
+hand from entries derives its lattice once and reads its entries back
+from it, so a float coordinate comes back as the equal exact Fraction; a
+level built by hand keeps its boxes as given.  No generator builds more
+than MAX_GEOMETRY_BOXES boxes, or more than MAX_GEOMETRY_BITS numerator
+bits (it raises core.SizeError first).  Budget rates are LogScalars.
 
 Both corner-digit generators, generate_rcd and covering_strategy_for_rcd,
 read one walk of the component tree (_rcd_levels): per level, its child
@@ -64,7 +64,6 @@ the same for either corner rule.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import random
@@ -625,7 +624,8 @@ class _LazyRows(abc.Sequence):
     """A read-only sequence whose items are built only when read.
 
     Its length, items, iteration, repr and == are those of the tuple (or,
-    in a subclass, the list) of its items; a slice is a plain list.
+    in a subclass, the list) of its items; a slice is a plain list.  It
+    does not hash (a hash would build every item).
     """
 
     __slots__ = ("_len", "_item")
@@ -663,16 +663,12 @@ class _LazyRows(abc.Sequence):
                 a is b or a == b for a, b in zip(self, other))
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
 
 class _ListRows(_LazyRows):
-    """A _LazyRows that compares and prints like a list, and is unhashable."""
+    """A _LazyRows that compares and prints like a list."""
 
     __slots__ = ()
     _like = list
-    __hash__ = None  # type: ignore[assignment]
 
 
 # ----------------------------------------------------------- rectangle sets
@@ -690,14 +686,14 @@ def _rect_entry(levels: Sequence[int], addresses: Sequence[str],
 
 
 class RectangleSet(Record):
-    """A finite collection of labelled planar boxes, CSV/PBM serializable.
+    """A finite collection of labelled planar boxes, written as CSV or PBM.
 
     Entries are ordered by level, then address, and stored as columns: the
     levels, the addresses ("kind:path") and, per axis, an AxisLattice of
     center and half-width numerators over one denominator for the whole
     set.  The generators fill the columns directly; a set built from
-    entries (by hand or by from_csv) derives them once.  A set built by
-    hand, by from_csv or by generate_rcd keeps its addresses as a list;
+    entries derives them once.  A set built from entries or by
+    generate_rcd keeps its addresses as a list;
     one built by generate_rco keeps, instead, a read-only sequence that
     derives each address from its index (_CutoutAddresses), equal to that
     list.  Either way `entries` is a read-only view that builds a
@@ -793,13 +789,6 @@ class RectangleSet(Record):
 
     # -- CSV ------------------------------------------------------------
 
-    @staticmethod
-    def _parse(s: str) -> Fraction | float:
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return float(s)
-
     def csv_chunks(self) -> Iterator[str]:
         """The text of to_csv as it is formatted, core.CHUNK_LINES lines to
         a chunk."""
@@ -819,35 +808,6 @@ class RectangleSet(Record):
         """Meta lines, the header, then one row per entry, every coordinate
         written p/q in lowest terms: the join of csv_chunks."""
         return "".join(self.csv_chunks())
-
-    @classmethod
-    def from_csv(cls, text: str) -> "RectangleSet":
-        meta: dict[str, str] = {}
-        rows: list[str] = []
-        for line in text.splitlines():
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, val = body.split("=", 1)
-                    meta[key.strip()] = val.strip()
-            elif line.strip():
-                rows.append(line)
-        if not rows or rows[0] != "level,address,cx,cy,hx,hy":
-            raise ValueError("missing rectangle-set CSV header")
-        entries = []
-        for row in csv.reader(rows[1:]):
-            level, address, cx, cy, hx, hy = row
-            entries.append(
-                RectEntry(
-                    int(level),
-                    address,
-                    BoxRegion(
-                        (cls._parse(cx), cls._parse(cy)),
-                        (cls._parse(hx), cls._parse(hy)),
-                    ),
-                )
-            )
-        return cls(entries, meta)
 
     # -- PBM (visualization only) ---------------------------------------
 
@@ -1132,7 +1092,8 @@ class StrategyLevel(Record):
     denominator (AxisLattice; a half-width all its boxes share, stored once).
     The family strategies build a level from its lattice alone
     (on_lattice): `boxes` is then a read-only view, equal to and printed as
-    the tuple of its boxes, that builds a BoxRegion only when one is read.
+    the tuple of its boxes, that builds a BoxRegion only when one is read;
+    it does not hash, so neither does the level.
     A level built from boxes keeps them as given and derives its lattice
     from them here.  Like DiagonalContraction's cached log_det the lattice
     is left out of repr and ==.
@@ -1190,8 +1151,8 @@ def covering_strategy_for_rco(
     denominators without the known factors u^(depth-k), v^(depth-k), in
     columns of the typecode of those denominators; the deepest level, most
     cuts, views the member's own array columns.  Only a member from
-    generate_rco has that layout, so any other (one read by from_csv too)
-    raises ValueError.
+    generate_rco has that layout, so any other (one built from the same
+    entries too) raises ValueError.
     """
     meta = member.meta
     if meta.get("family") != "rco" or not isinstance(member.addresses, _CutoutAddresses):

@@ -7,8 +7,8 @@ half-widths rho * beta_j^k at level k:
 * the coarse grid: centers on 3 rho A^k(Z^n) + y (pairwise disjoint cells);
   every coarse center is a fine center whose index is divisible by 6.
 
-Lattice builds their cells at rho = 1 and y = 0, the grids every oracle
-here reads.
+Every oracle here reads them at rho = 1 and y = 0, for ratios 1/u_j with
+integers u_j >= 2 (so a cell's half-widths are 1 / u_j^k).
 
 The level-to-level projection maps a level-(k+1) fine cell to a containing
 level-k cell: normally the one with the per-axis nearest center (ties to the
@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import BoxRegion, DiagonalContraction, Record, check_size, line_chunks, log_sum_exp
+from .core import BoxRegion, check_size, line_chunks, log_sum_exp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,7 +47,6 @@ if TYPE_CHECKING:
     from .families import CoveringStrategy, StrategyLevel
 
 __all__ = [
-    "Lattice",
     "round_half_down",
     "project_index",
     "project_chain",
@@ -103,42 +102,6 @@ def _check_power_bits(arg: str, value: int, u: Sequence[int], exponent: int) -> 
     (u_j^e has at most e bit_length(u_j) bits) before any is computed."""
     bits = exponent * sum(uj.bit_length() for uj in u)
     check_size(arg, value, bits, "bits of powers", MAX_POWER_BITS)
-
-
-# ------------------------------------------------------------------ lattices
-
-
-class Lattice(Record):
-    """One level of the fine or coarse grid of an exact contraction (ratios 1/U).
-
-    kind "fine": centers (1/2) A^k(Z^n); kind "coarse": centers 3 A^k(Z^n)
-    (a subgrid of the fine one, indices times 6).  Cells are boxes
-    A^k(B[0, 1]) + center either way.
-    """
-
-    __slots__ = _fields = ("kind", "contraction", "level")
-
-    def __init__(self, kind: str, contraction: DiagonalContraction, level: int) -> None:
-        if kind not in ("fine", "coarse"):
-            raise ValueError(f"kind must be 'fine' or 'coarse', got {kind!r}")
-        if level < 0:
-            raise ValueError("level must be >= 0")
-        contraction.exact_betas()  # raises unless the ratios are unit fractions
-        super().__init__(kind, contraction, level)
-
-    def _ratio_pow(self, j: int) -> Fraction:
-        return Fraction(1, self.contraction.denominators[j] ** self.level)
-
-    def spacing(self, j: int) -> Fraction:
-        step = self._ratio_pow(j)
-        return step / 2 if self.kind == "fine" else 3 * step
-
-    def cell_center(self, z: Sequence[int]) -> tuple[Fraction, ...]:
-        return tuple(self.spacing(j) * z[j] for j in range(self.contraction.n))
-
-    def cell_box(self, z: Sequence[int]) -> BoxRegion:
-        return BoxRegion(self.cell_center(z),
-                         tuple(self._ratio_pow(j) for j in range(self.contraction.n)))
 
 
 def round_half_down(num: int, den: int) -> int:
@@ -631,16 +594,20 @@ def child_cover_grid(
     """
     if block < 1 or k < 0:
         raise ValueError("block >= 1 and k >= 0 required")
+    if not u or min(u) < 2:
+        raise ValueError(f"every u_j must be >= 2, got {tuple(u)}")
     _check_power_bits("block", block, u, block)
     cells = math.prod(2 * ((uj ** block - 2) // 6) + 5 for uj in u)
     check_size("block", block, cells, "candidate cells", MAX_GRID_CELLS)
     _check_power_bits("k", k, u, (k + 1) * block + 1)
-    contraction = DiagonalContraction.from_denominators([int(uj) for uj in u])
-    coarse_level = k * block + 1
+
+    def coarse_cell(level: int, z: Sequence[int]) -> BoxRegion:
+        # center 3 z_j / u_j^level, half-width 1 / u_j^level
+        return BoxRegion(tuple(Fraction(3 * zj, uj ** level) for zj, uj in zip(z, u)),
+                         tuple(Fraction(1, uj ** level) for uj in u))
+
     fine_level = (k + 1) * block + 1
-    parent_lat = Lattice("coarse", contraction, coarse_level)
-    child_lat = Lattice("coarse", contraction, fine_level)
-    half_parent = parent_lat.cell_box(parent).shrink(Fraction(1, 2))
+    half_parent = coarse_cell(k * block + 1, parent).shrink(Fraction(1, 2))
 
     gammas = tuple(Fraction(uj ** block - 2, 6) for uj in u)
     floors = tuple(g.numerator // g.denominator for g in gammas)
@@ -651,13 +618,13 @@ def child_cover_grid(
     anchors = [uj ** block * parent[j] for j, uj in enumerate(u)]
     grid = set(itertools.product(*(range(a - f, a + f + 1) for a, f in zip(anchors, floors))))
     all_inside = all(
-        half_parent.contains_box(child_lat.cell_box(p)) for p in grid
+        half_parent.contains_box(coarse_cell(fine_level, p)) for p in grid
     )
 
     # exhaustive enumeration: scan two extra rings beyond the construction
     found = {
         p for p in itertools.product(*(range(a - f - 2, a + f + 3) for a, f in zip(anchors, floors)))
-        if half_parent.contains_box(child_lat.cell_box(p))
+        if half_parent.contains_box(coarse_cell(fine_level, p))
     }
     return ChildGridReport(
         gammas, len(found), formula, floor_prod, all_inside, found == grid

@@ -169,7 +169,7 @@ class _Candidates(_LazyRows):
     """The candidates of a scan, stored as one _ScaleBlock per scale.
 
     A read-only sequence: a PatternCandidate is built only when one is
-    read, and it compares, hashes and prints like the tuple of them."""
+    read, and it compares and prints like the tuple of them, unhashable."""
 
     __slots__ = ("blocks", "depth")
 
@@ -245,8 +245,8 @@ def find_homothety(query: PatternQuery, rect: RectangleSet) -> Sequence[PatternC
 
     The result is a read-only view, stored per scale as the grid's
     translations and the indices that passed; it builds a PatternCandidate
-    only when one is read, and compares, hashes and prints like the tuple
-    of candidates.  Its slices are lists.  Over gamesim.MAX_AUDIT_CELLS grid cells
+    only when one is read, and compares and prints like the tuple of
+    candidates, unhashable.  Its slices are lists.  Over gamesim.MAX_AUDIT_CELLS grid cells
     it raises core.SizeError first (widest scale: "resolution"; all: "lambda_hi").
     """
     if rect.meta.get("family") not in ("rco", "rcd"):

@@ -27,6 +27,7 @@ from gamecert.certify import (
     distance_set_certificate,
     feasibility_report,
     intersect_certificate,
+    is_echo_key,
     pattern_certificate,
     pattern_dim_bound,
     pattern_feasible,
@@ -389,6 +390,18 @@ BUILDERS = {
     "intersection": lambda rho2: intersect_certificate(
         [LogScalar.from_value(1e-24)] * 2, B2, 0.5, default_delta(B2), rho2),
 }
+
+
+@pytest.mark.parametrize("key, echo", [
+    ("family.kind", True), ("family.t", True), ("betas", True), ("member_count", True),
+    ("member.1.u", True), ("member.2.alpha_log", True), ("member.2.m", True),
+    ("t", False), ("zzz.note", False), ("family.alpha_log", False), ("family.u.x", False),
+    ("member.3.u", False), ("member.0.u", False), ("member.01.u", False),
+    ("member.1", False), ("member.1.note", False), ("member.\u0661.u", False),
+])
+def test_echo_keys_are_the_family_and_member_lines(key, echo):
+    # members 1 and 2 of member_count = 2, each index written as str(i)
+    assert is_echo_key(key, 2) is echo
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))

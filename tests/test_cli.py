@@ -203,6 +203,77 @@ def test_certificate_edited_to_a_bad_radius_does_not_revalidate(tmp_path, capsys
     assert "Traceback" not in out + err
 
 
+def _recheck(tmp_path, capsys, cert):
+    """Exit code and stdout of re-validating the certificate file `cert`."""
+    recheck = write_cfg(tmp_path, "recheck.cfg",
+                        f"command = certify\ncertify.certificate = {cert}\n")
+    capsys.readouterr()
+    code = main(["--config", recheck])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda text: text.replace("\nrho2 = ", "\nt = 123.5\nrho2 = "), "t = 123.5"),
+    (lambda text: text + "zzz.note = anything\n", "zzz.note = anything"),
+], ids=["stated-t", "appended-line"])
+def test_certificate_with_a_line_nothing_checks_does_not_revalidate(tmp_path, capsys, edit,
+                                                                   named):
+    # re-validation keeps of the stated lines only those it recomputes and
+    # the family echoes, so any other line makes the texts differ; the
+    # message names the first line that differs, here the stated one
+    cfg = write_cfg(tmp_path, "max.cfg", MAXIMIZE_CFG.replace("17", "12").replace("24", "15"))
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    cert = tmp_path / "certificate.txt"
+    text = cert.read_text()
+    assert "family.u = 12\n" in text and "family.v = 15\n" in text
+    assert _recheck(tmp_path, capsys, cert)[0] == 0
+    cert.write_text(edit(text))
+    code, out = _recheck(tmp_path, capsys, cert)
+    assert code == 2 and "does not re-validate: recomputation differs" in out
+    assert f"  stated:     {named}\n" in out
+
+
+def test_intersection_certificate_with_a_stray_member_line_does_not_revalidate(tmp_path, capsys):
+    # member.9 is past member_count = 2, so no member echoes it
+    cfg = write_cfg(tmp_path, "int.cfg", """
+        command = intersect
+        member.1.kind = rcd
+        member.1.u = 68719476736
+        member.1.v = 1099511627776
+        member.2.kind = rco
+        member.2.u = 68719476736
+        member.2.v = 1099511627776
+        member.2.m = 1
+        member.2.t = 1
+    """)
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    cert = tmp_path / "certificate.txt"
+    text = cert.read_text()
+    assert "kind = intersection" in text and "member_count = 2\n" in text
+    assert _recheck(tmp_path, capsys, cert)[0] == 0
+    stray = "member.9.alpha_log = -40\n"
+    cert.write_text(text.replace("member_count = 2\n", "member_count = 2\n" + stray))
+    code, out = _recheck(tmp_path, capsys, cert)
+    assert code == 2 and f"  stated:     {stray}" in out
+
+
+def test_every_search_dump_certificate_revalidates(tmp_path, capsys):
+    # the small search dump's certificates: each recomputes to its own text,
+    # and only the infeasible ones (below smallest-u) say so
+    here = Path(__file__).resolve().parent
+    subprocess.run([sys.executable, str(here.parent / "scripts" / "search_dump.py"),
+                    str(tmp_path / "dump"), "--small"], check=True)
+    certs = sorted((tmp_path / "dump").glob("*certificate.txt"))
+    assert len(certs) == 7
+    for cert in certs:
+        code, out = _recheck(tmp_path, capsys, cert)
+        if "feasible = true\n" in cert.read_text():
+            assert code == 0 and out.startswith("certificate re-validates"), cert.name
+        else:
+            assert code == 2 and out.startswith("certificate re-validates but records an "
+                                                "infeasible run"), cert.name
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = write_cfg(tmp_path, "max.cfg", MAXIMIZE_CFG)
     assert main(["--config", cfg, "--out", str(tmp_path / "a")]) == 0
@@ -579,7 +650,7 @@ def test_verify_refuses_oversized_inputs_before_work(tmp_path, capsys, monkeypat
     def no_work(*args, **kwargs):
         raise AssertionError("started work before checking the input size")
 
-    for name in ("_axis_table", "_rhd_array", "Lattice", "Fraction", "potential_transfer_bound"):
+    for name in ("_axis_table", "_rhd_array", "Fraction", "potential_transfer_bound"):
         monkeypatch.setattr(gamesim, name, no_work)
     cfg = write_cfg(tmp_path, "cfg", f"command = verify\nverify.check = {body}\n")
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -1023,12 +1094,12 @@ def _assert_stream(chunks, text):
 
 @pytest.fixture(scope="module")
 def artifacts():
-    """(stream, reference text) makers for generated members, a member read
-    back from its CSV, scan results and transcripts with and without a
-    preamble."""
+    """(stream, reference text) makers for generated members, a member
+    rebuilt from its entries, scan results and transcripts with and without
+    a preamble."""
     rco, rcd = generate_rco(RcoSpec(4, 5, 2, 1), 2), generate_rcd(RcdSpec(7, 4), 2)
     rects = [rco, rcd, generate_rco(RcoSpec(3, 2, 3, 2), 2, "hash", 9),
-             RectangleSet.from_csv(rco.to_csv())]
+             RectangleSet(rco.entries, rco.meta)]
     query = patterns.PatternQuery(((0, 0), (2, 0)), Fraction(1, 49), Fraction(3, 49), 2,
                                   Fraction(1, 49))
     empty = patterns.PatternQuery(((0, 0), (60, 0)), Fraction(1, 10), Fraction(1, 10), 1)

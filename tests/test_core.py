@@ -96,10 +96,8 @@ def test_contraction_rejects_bad_entries():
 # ------------------------------------------------------------ GameParameters
 
 
-def _params(alpha=0.5, betas=(0.1,), c=0.5, rho2=1.0, rho1=1.0):
-    return GameParameters(
-        LogScalar.from_value(alpha), DiagonalContraction(betas), c, rho2, rho1
-    )
+def _params(alpha=0.5, betas=(0.1,), c=0.5):
+    return GameParameters(LogScalar.from_value(alpha), DiagonalContraction(betas), c)
 
 
 def test_validate_params_accepts_c_zero():
@@ -110,10 +108,6 @@ def test_validate_params_rejects_bad_tuples():
     with pytest.raises(ValueError):
         _params(c=1.0)
     with pytest.raises(ValueError):
-        _params(rho2=2.0, rho1=1.0)
-    with pytest.raises(ValueError):
-        _params(rho2=0.0)
-    with pytest.raises(ValueError):
         GameParameters(LogScalar(-math.inf), DiagonalContraction((0.1,)), 0.5)
 
 
@@ -123,11 +117,6 @@ def test_dominates_direction():
     assert dominates(base, _params(alpha=0.5, c=0.9))
     assert not dominates(base, _params(alpha=0.3, c=0.5))
     assert not dominates(base, _params(alpha=0.5, c=0.1))
-    # shrinking the radius interval is fine, enlarging it is not
-    wide = _params(rho2=0.5, rho1=2.0)
-    narrow = _params(rho2=1.0, rho1=1.5)
-    assert dominates(wide, narrow)
-    assert not dominates(narrow, wide)
 
 
 @given(

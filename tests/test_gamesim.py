@@ -29,7 +29,6 @@ from gamecert import core, families, gamesim
 from gamecert.gamesim import (
     BUDGET_TOL,
     MAX_AUDIT_CELLS,
-    Lattice,
     child_cover_grid,
     play_game,
     potential_phi,
@@ -64,33 +63,6 @@ def test_round_half_down_is_nearest_with_low_ties(num, den):
     assert 2 * abs(num - den * w) <= den
     if 2 * abs(num - den * w) == den:
         assert num - den * w > 0   # at a tie the kept residue is +den/2
-
-
-# ----------------------------------------------------------------- lattices
-
-
-def test_lattice_frozen_centers():
-    con = DiagonalContraction.from_denominators([10])
-    fine = Lattice("fine", con, 2)
-    assert fine.cell_center([3]) == (Fraction(3, 200),)   # 0.015
-    assert fine.cell_box([3]).half == (Fraction(1, 100),)
-    coarse = Lattice("coarse", con, 2)
-    assert coarse.cell_center([1]) == (Fraction(3, 100),)  # 0.03
-    assert coarse.cell_box([1]).half == (Fraction(1, 100),)
-    # index 0 sits at the origin; coarse centers are fine centers (x6 index)
-    assert coarse.cell_center([0]) == fine.cell_center([0]) == (Fraction(0),)
-    assert coarse.cell_center([2]) == fine.cell_center([12])
-
-
-def test_lattice_validation():
-    con = DiagonalContraction.from_denominators([10, 12])
-    with pytest.raises(ValueError):
-        Lattice("medium", con, 1)
-    with pytest.raises(ValueError):
-        Lattice("fine", con, -1)
-    # its cells are exact: a contraction not built from unit fractions has none
-    with pytest.raises(ValueError, match="not built from unit fractions"):
-        Lattice("fine", DiagonalContraction((0.1, 0.3)), 1)
 
 
 # -------------------------------------------------------------- projections
@@ -338,10 +310,11 @@ def test_potential_chain_cumulative_monotone(rco_strategy):
     member, strat = rco_strategy
     cut = member.of_kind("cut", 2)[0]
     tr = play_game(steering_policy(cut.box.center), strat, depth=4)
-    contraction = DiagonalContraction.from_denominators([4, 5])
     idx, chain = (-126, -248), []
     for level in (3, 2, 1):
-        cell = Lattice("fine", contraction, level).cell_box(idx)
+        # the fine cell: center idx_j / (2 u_j^level), half-width 1 / u_j^level
+        cell = BoxRegion(tuple(Fraction(z, 2 * u ** level) for z, u in zip(idx, (4, 5))),
+                         (Fraction(1, 4 ** level), Fraction(1, 5 ** level)))
         chain.append([potential_phi(tr, cell, q, delta=0.01) for q in range(1, 6)])
         if level > 1:
             idx = project_index((4, 5), level - 1, idx, 1)
@@ -401,6 +374,13 @@ def test_child_grid_two_dim_product():
     assert rep.count == 3 * 3 and rep.matches_enumeration
     rep2 = child_cover_grid((10, 10), 2, (-1, 2), k=1)
     assert rep2.count == 33 * 33 and rep2.all_inside_half_parent
+
+
+@pytest.mark.parametrize("u", [(1,), (0,), (10, 1), ()])
+def test_child_grid_refuses_a_ratio_below_2(u):
+    # u_j = 1 is no contraction, and no u_j is no axis
+    with pytest.raises(ValueError, match="every u_j must be >= 2"):
+        child_cover_grid(u, 1, (0,) * len(u))
 
 
 @given(st.integers(6, 14), st.integers(1, 2), st.integers(-1000, 1000))
@@ -518,17 +498,20 @@ def _brute_force_deletions(transcript, strategy):
 
 def _assert_deletions_match(transcript, strategy):
     """Each move deletes exactly the brute-force boxes, or skips them when
-    they are none or over budget."""
+    they are none or over budget.  Returns the number of over-budget skips."""
     exponents = {lv.level: lv.exponent for lv in strategy.levels}
     log_det = strategy.params.contraction.log_det()
+    over_budget = 0
     for mv, want in zip(transcript.moves, _brute_force_deletions(transcript, strategy)):
         if mv.skipped:
             assert mv.deletions == ()
             if want:
                 mass_log = strategy.params.c * exponents[mv.move] * log_det
                 assert core.log_sum_exp([mass_log] * len(want)) > mv.budget_cap_log + BUDGET_TOL
+                over_budget += 1
         else:
             assert want and [d.box for d in mv.deletions] == want
+    return over_budget
 
 
 @pytest.mark.parametrize("strategy_args, level, extent, rho1", [
@@ -583,6 +566,25 @@ def test_play_game_deletions_match_brute_force(target):
     tr = play_game(steering_policy(target), strat, depth=2)
     assert any(mv.deletions for mv in tr.moves)
     _assert_deletions_match(tr, strat)
+
+
+def test_play_game_skips_an_answer_over_its_budget():
+    # level 1 answers move 1 with two boxes of exponent 2 that meet the play
+    # box, of mass 2 (1/20)^(2c) = e^-2.31 at c = 1/2, but the cap at
+    # alpha = e^-5 is (alpha / 20)^c = e^-4.00; the third box is far off
+    half = (Fraction(1, 16), Fraction(1, 25))
+    boxes = tuple(BoxRegion(center, half) for center in (
+        (Fraction(0), Fraction(0)), (Fraction(1, 8), Fraction(0)),
+        (Fraction(3, 4), Fraction(3, 4))))
+    params = GameParameters(LogScalar(-5.0), DiagonalContraction.from_denominators([4, 5]), 0.5)
+    strat = CoveringStrategy(params, "rco", (StrategyLevel(1, 2, -5.0, False, boxes),))
+    tr = play_game(steering_policy((Fraction(0), Fraction(0))), strat, depth=2)
+    first = tr.moves[0]
+    assert first.skipped and first.deletions == () and first.budget_spent_log == -math.inf
+    assert first.budget_cap_log == pytest.approx(0.5 * (-5.0 + math.log(1 / 20)))
+    assert tr.to_text().splitlines()[1].endswith(" skipped=true")
+    assert tr.all_deletions() == ()
+    assert _assert_deletions_match(tr, strat) == 1
 
 
 @pytest.mark.parametrize("mass_log", [-0.7, -13.862943611198906, -1e-300, -700.0])

@@ -34,7 +34,6 @@ from gamecert.gamesim import (
     ChildGridReport,
     DeletionRecord,
     HalfShrinkAudit,
-    Lattice,
     MoveRecord,
     OverlapReport,
     PlayTranscript,
@@ -46,7 +45,7 @@ from gamecert.patterns import ContainmentReport, PatternCandidate, PatternQuery
 
 BOX = BoxRegion((Fraction(1, 3), Fraction(0)), (Fraction(1, 9), Fraction(1, 4)))
 CONTRACTION = DiagonalContraction.from_denominators((10, 12))
-PARAMS = GameParameters(LogScalar(-3.0), DiagonalContraction((0.1, 0.125)), 0.5, 1.0, 2.0)
+PARAMS = GameParameters(LogScalar(-3.0), DiagonalContraction((0.1, 0.125)), 0.5)
 
 
 def _report(notes: tuple[str, ...] = ("a note",)) -> FeasibilityReport:
@@ -70,11 +69,11 @@ CASES = [
     (CONTRACTION, DiagonalContraction((0.1, 1 / 12), (10, 12)), DiagonalContraction((0.1, 1 / 12)),
      ("betas", "denominators"),
      "DiagonalContraction(betas=(0.1, 0.08333333333333333), denominators=(10, 12))"),
-    (PARAMS, GameParameters(LogScalar(-3.0), DiagonalContraction((0.1, 0.125)), 0.5, 1.0, 2.0),
-     GameParameters(LogScalar(-3.0), DiagonalContraction((0.1, 0.125)), 0.5, 1.0, 3.0),
-     ("alpha", "contraction", "c", "rho2", "rho1"),
+    (PARAMS, GameParameters(LogScalar(-3.0), DiagonalContraction((0.1, 0.125)), 0.5),
+     GameParameters(LogScalar(-3.0), DiagonalContraction((0.1, 0.125)), 0.6),
+     ("alpha", "contraction", "c"),
      "GameParameters(alpha=LogScalar(log=-3.0), contraction=DiagonalContraction("
-     "betas=(0.1, 0.125), denominators=None), c=0.5, rho2=1.0, rho1=2.0)"),
+     "betas=(0.1, 0.125), denominators=None), c=0.5)"),
     (BOX, BoxRegion((Fraction(1, 3), Fraction(0)), (Fraction(1, 9), Fraction(1, 4))),
      BoxRegion((Fraction(1, 3), Fraction(0)), (Fraction(1, 9), Fraction(1, 5))),
      ("center", "half"),
@@ -128,10 +127,6 @@ CASES = [
     (SmallestU(5, RESULT, RESULT, 7), SmallestU(5, RESULT, RESULT, 7),
      SmallestU(6, RESULT, RESULT, 7), ("u", "result", "below", "probes"),
      "SmallestU(u=5, result=" + repr(RESULT) + ", below=" + repr(RESULT) + ", probes=7)"),
-    (Lattice("fine", CONTRACTION, 2),
-     Lattice("fine", DiagonalContraction((0.1, 1 / 12), (10, 12)), 2),
-     Lattice("coarse", CONTRACTION, 2), ("kind", "contraction", "level"),
-     "Lattice(kind='fine', contraction=" + repr(CONTRACTION) + ", level=2)"),
     (ProjectionAudit((6, 7), 2, 0, 3, 49, 0, None), ProjectionAudit((6, 7), 2, 0, 3, 49, 0, None),
      ProjectionAudit((6, 7), 2, 0, 3, 49, 1, None),
      ("u", "block", "k", "radius", "checked", "failures", "witness"),
