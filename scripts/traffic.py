@@ -89,7 +89,7 @@ KEPT = {
     "core:Record.__delattr__": "value semantics: a record is frozen",
     "core:dominates": "README-named test reference",
     "families:_derived_lattice": "perfbench control: RectangleSet(entries, meta) derives it",
-    "families:_LazyRows.__eq__": "value semantics",
+    "core:_LazyRows.__eq__": "value semantics",
     "families:RectangleSet.__init__": "perfbench control: geometry-exact's short member",
     "gamesim:round_half_down": "README-named test reference: project_chain's step",
     "gamesim:project_index": "README-named test reference: project_chain's step",

@@ -14,12 +14,16 @@ prod_j beta_j^q <= alpha * prod_j beta_j^m is allowed instead).
 Everything downstream is phrased in terms of the tuple (alpha, A, c) at
 first-move radius rho2 = rho1 = 1, so that record plus a log-domain
 scalar type live here.  Masses like alpha * prod beta^m underflow float64
-quickly (moves in the hundreds), hence the log representation.
+quickly (moves in the hundreds), hence the log representation.  So do
+the text streams of the artifacts (line_chunks) and the read-only views
+that build their items only when read (_LazyRows), which the geometry,
+game and pattern modules share.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import abc
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -93,6 +97,57 @@ def line_chunks(lines: Iterable[str]) -> Iterator[str]:
     lines = iter(lines)
     while chunk := "".join(itertools.islice(lines, CHUNK_LINES)):
         yield chunk
+
+
+class _LazyRows(abc.Sequence):
+    """A read-only sequence whose items are built only when read.
+
+    Its length, items, iteration, repr and == are those of the tuple (or,
+    in a subclass, the list) of its items; a slice is a plain list.  It
+    does not hash (a hash would build every item).
+    """
+
+    __slots__ = ("_len", "_item")
+    _like: type = tuple
+
+    def __init__(self, length: int, item: Callable[[int], object]) -> None:
+        self._len, self._item = length, item
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        rows = range(self._len)[index]  # normalizes the index or raises IndexError
+        return [self._item(i) for i in rows] if isinstance(index, slice) else self._item(rows)
+
+    def __iter__(self) -> Iterator:
+        return map(self._item, range(self._len))
+
+    def __repr__(self) -> str:
+        # the tuple's (or list's) text, building one item at a time: its
+        # reprs are joined CHUNK_LINES at a time, then the runs, so the runs
+        # and the whole text are all it holds
+        items = map(repr, self)
+        body = ", ".join(", ".join(itertools.islice(items, CHUNK_LINES))
+                         for _ in range(0, self._len, CHUNK_LINES))
+        if self._like is tuple:
+            return f"({body},)" if self._len == 1 else f"({body})"
+        return f"[{body}]"
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _LazyRows) and other._like is self._like \
+                or isinstance(other, self._like):
+            # item by item, as list == compares: the same object is equal
+            return len(self) == len(other) and all(
+                a is b or a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
+class _ListRows(_LazyRows):
+    """A _LazyRows that compares and prints like a list."""
+
+    __slots__ = ()
+    _like = list
 
 
 class LogScalar:

@@ -58,9 +58,10 @@ than MAX_GEOMETRY_BOXES boxes, or more than MAX_GEOMETRY_BITS numerator
 bits (it raises core.SizeError first).  Budget rates are LogScalars.
 
 Both corner-digit generators, generate_rcd and covering_strategy_for_rcd,
-read one walk of the component tree (_rcd_levels): per level, its child
-addresses, region centers and corners as plain columns of Python ints,
-the same for either corner rule.
+read one walk of the component tree (_rcd_levels): per level, its region
+centers and corners as plain columns of Python ints, and its child
+addresses where something reads them (generate_rcd's names, the hash
+rule's corner seeds).
 """
 from __future__ import annotations
 
@@ -69,14 +70,13 @@ import math
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import abc
 from fractions import Fraction
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .core import (
-    CHUNK_LINES, EXACT_LIMIT, BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record,
-    _ceil_powers, check_size, line_chunks,
+    EXACT_LIMIT, BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record, _ceil_powers,
+    _LazyRows, _ListRows, check_size, line_chunks,
 )
 
 if TYPE_CHECKING:
@@ -462,7 +462,8 @@ def _on_one_lattice(
     stays one entry, which numpy broadcasts to every box.
 
     Integer columns stay integers when every scaled magnitude, the extras'
-    included, is below 2^60; that is checked on the unscaled maximum before
+    included, is below 2^60; that is checked on the bound of the columns'
+    width or, where that is too loose, on their unscaled maximum, before
     anything is multiplied.  At scale 1 they are read-only views of the
     stored columns, in the columns' own dtype; a new scale widens them to
     int64 copies first.  Otherwise they become Python integers in object
@@ -478,8 +479,12 @@ def _on_one_lattice(
     if {type(axis.centers), type(axis.halves)} <= {array, memoryview}:
         centers, halves = (np.frombuffer(view, dtype=view.format)
                            for view in (memoryview(c).toreadonly() for c in columns))
-        top = max(-int(centers.min(initial=0)), int(centers.max(initial=0)),
-                  int(halves.max(initial=0)))
+        # the columns' widths bound every magnitude; only when that bound is
+        # too loose are the columns read for their largest one
+        top = 2 ** (8 * max(centers.itemsize, halves.itemsize) - 1)
+        if top * scale >= _INT64_SAFE:
+            top = max(-int(centers.min(initial=0)), int(centers.max(initial=0)),
+                      int(halves.max(initial=0)))
         if top * scale < _INT64_SAFE and all(abs(x) < _INT64_SAFE for x in nums):
             if scale == 1:  # read-only views of the stored columns
                 return centers, halves, nums
@@ -495,27 +500,35 @@ def _cover_counts(
     """Per cell of a grid of `shape`, how many of `boxes` boxes cover it,
     where `ranges` yields them by chunks as (starts, stops): box b covers
     the cells [starts[j][b], stops[j][b]) on axis j (intp index arrays,
-    every range nonempty and inside the grid).
+    every range nonempty and inside the grid, which it scales in place).
 
     Each box adds +-1 at the corners of its range in one difference array,
     whose prefix sums, taken in place at the end, are the counts.  No entry
     of it ever passes twice the number of boxes in magnitude, so it is
     int32 below 2^30 boxes (half the memory of int64) and int64 above.  The
     corners are added at flat indices into its raveled view, where
-    np.add.at takes one index array instead of one per axis.
+    np.add.at takes one index array instead of one per axis: each chunk's
+    index arrays are scaled in place by their axis's stride, and a corner's
+    are summed, one index array at a time.  That costs less than
+    np.ravel_multi_index, whose bounds checks the ranges make needless.
     """
     import numpy as np
 
     dtype = np.int32 if boxes < 2 ** 30 else np.int64
     diff = np.zeros(tuple(s + 1 for s in shape), dtype=dtype)
     flat = diff.ravel()                   # a view: diff is contiguous
+    strides = [math.prod(diff.shape[j + 1:]) for j in range(len(shape))]
     for starts, stops in ranges:
+        for j, stride in enumerate(strides[:-1]):   # the last axis's stride is 1
+            starts[j] *= stride
+            stops[j] *= stride
         for corner in itertools.product((0, 1), repeat=len(shape)):
+            index = (stops if corner[0] else starts)[0]
+            for j, up in enumerate(corner[1:], 1):
+                index = index + (stops if up else starts)[j]
             # a scalar of diff's own dtype keeps np.add.at on its uncast loop
-            np.add.at(flat, np.ravel_multi_index(
-                tuple(stops[j] if up else starts[j] for j, up in enumerate(corner)), diff.shape),
-                dtype(-1 if sum(corner) % 2 else 1))
-        del starts, stops                 # freed before the next chunk is made
+            np.add.at(flat, index, dtype(-1 if sum(corner) % 2 else 1))
+        del starts, stops, index          # freed before the next chunk is made
     for axis in range(len(shape)):
         np.cumsum(diff, axis=axis, dtype=dtype, out=diff)
     return diff[(slice(0, -1),) * len(shape)]
@@ -618,57 +631,6 @@ def _index_ranges(lattice: Sequence[AxisLattice], origin: Sequence, step: Sequen
     # an axis of Python ints past int64 is cast, whatever the other axes hold
     return ([f.astype(np.intp, copy=False) for f in starts],
             [g.astype(np.intp, copy=False) for g in stops])
-
-
-class _LazyRows(abc.Sequence):
-    """A read-only sequence whose items are built only when read.
-
-    Its length, items, iteration, repr and == are those of the tuple (or,
-    in a subclass, the list) of its items; a slice is a plain list.  It
-    does not hash (a hash would build every item).
-    """
-
-    __slots__ = ("_len", "_item")
-    _like: type = tuple
-
-    def __init__(self, length: int, item: Callable[[int], object]) -> None:
-        self._len, self._item = length, item
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index):
-        rows = range(self._len)[index]  # normalizes the index or raises IndexError
-        return [self._item(i) for i in rows] if isinstance(index, slice) else self._item(rows)
-
-    def __iter__(self) -> Iterator:
-        return map(self._item, range(self._len))
-
-    def __repr__(self) -> str:
-        # the tuple's (or list's) text, building one item at a time: its
-        # reprs are joined CHUNK_LINES at a time, then the runs, so the runs
-        # and the whole text are all it holds
-        items = map(repr, self)
-        body = ", ".join(", ".join(itertools.islice(items, CHUNK_LINES))
-                         for _ in range(0, self._len, CHUNK_LINES))
-        if self._like is tuple:
-            return f"({body},)" if self._len == 1 else f"({body})"
-        return f"[{body}]"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _LazyRows) and other._like is self._like \
-                or isinstance(other, self._like):
-            # item by item, as list == compares: the same object is equal
-            return len(self) == len(other) and all(
-                a is b or a == b for a, b in zip(self, other))
-        return NotImplemented
-
-
-class _ListRows(_LazyRows):
-    """A _LazyRows that compares and prints like a list."""
-
-    __slots__ = ()
-    _like = list
 
 
 # ----------------------------------------------------------- rectangle sets
@@ -792,16 +754,20 @@ class RectangleSet(Record):
     def csv_chunks(self) -> Iterator[str]:
         """The text of to_csv as it is formatted, core.CHUNK_LINES lines to
         a chunk."""
-        (x, y) = self.lattice
+        (x, y), levels = self.lattice, self.levels
+        texts, i = {}, 0
+        while i < len(levels):    # one text per level, found by bisection
+            texts[levels[i]] = str(levels[i])
+            i = bisect_right(levels, levels[i], i)
         rows = zip(
-            self.levels, self.addresses,
+            map(texts.__getitem__, levels), self.addresses,
             _ratio_texts(x.den, x.centers), _ratio_texts(y.den, y.centers),
-            _ratio_texts(x.den, x.halves), _ratio_texts(y.den, y.halves),
+            _ratio_texts(x.den, x.halves), _ratio_texts(y.den, y.halves, "\n"),
         )
         return line_chunks(itertools.chain(
             [f"# {key} = {self.meta[key]}\n" for key in sorted(self.meta)],
             ["level,address,cx,cy,hx,hy\n"],
-            (f"{a},{b},{c},{d},{e},{f}\n" for a, b, c, d, e, f in rows),
+            map(",".join, rows),
         ))
 
     def to_csv(self) -> str:
@@ -845,13 +811,15 @@ class RectangleSet(Record):
         return f"P1\n{width} {height}\n" + text.tobytes().decode()
 
 
-def _ratio_texts(den: int, nums: Sequence[int]) -> Iterator[str]:
-    """The text p/q of every n/den, in lowest terms; each distinct
-    numerator is reduced once."""
+def _ratio_texts(den: int, nums: Sequence[int], end: str = "",
+                 whole: bool = False) -> Iterator[str]:
+    """The text p/q of every n/den, in lowest terms, then `end`; with
+    `whole` a whole number is written as str(Fraction) writes it, without
+    "/1".  Each distinct numerator is reduced once."""
     texts = {}
     for n in set(nums):
         g = math.gcd(n, den)
-        texts[n] = f"{n // g}/{den // g}"
+        texts[n] = f"{n // g}{end}" if whole and g == den else f"{n // g}/{den // g}{end}"
     return map(texts.__getitem__, nums)
 
 
@@ -1012,8 +980,8 @@ def _cutout_address(starts: list[int], tables: list[tuple[int, list[str], list[s
 
 
 def _rcd_levels(
-    spec: RcdSpec, depth: int
-) -> Iterator[tuple[list[str], list[int], list[int], list[tuple[int, int]]]]:
+    spec: RcdSpec, depth: int, named: bool = False
+) -> Iterator[tuple[list[str] | None, list[int], list[int], list[tuple[int, int]]]]:
     """The component tree of a corner-digit member, level by level, as columns.
 
     Yields, for k = 0..depth-1, (addresses, lx, ly, corners) of the level-k
@@ -1023,17 +991,25 @@ def _rcd_levels(
     (sx, sy) is spec.corner_signs of it; (lx, ly) is its region's center as
     numerators over (u^(k+1) (u-1), v^(k+1) (v-1)).  On that lattice a region
     has half-widths (u, v) and a child (u-1, v-1) centered at (lx + sx, ly + sy).
+
+    The addresses are built only where something reads them: when `named`
+    (generate_rcd's names) or under the hash rule, whose corners they seed;
+    otherwise addresses is None and every corner is the fixed rule's (1, 1).
     """
     u, v = spec.u, spec.v
-    steps = [(f"/{s + (tt - 1) * (u - 1)}", (2 * s - u) * u, (2 * tt - v) * v)
-             for tt in range(1, v) for s in range(1, u)]
+    hashed = spec.corner_rule == "hash"
+    # per child digit: its address tail and its region's offsets from the
+    # scaled center of its parent component
+    tails, ox, oy = zip(*[(f"/{s + (tt - 1) * (u - 1)}", (2 * s - u) * u, (2 * tt - v) * v)
+                          for tt in range(1, v) for s in range(1, u)])
     # the root as a piece: its child, the level-0 component, is centered on it
-    addresses, lx, ly, corners = ["r"], [0], [0], [(0, 0)]
+    addresses, lx, ly, corners = ["r"] if named or hashed else None, [0], [0], [(0, 0)]
     for _ in range(depth):
-        addresses = [a + tail for a in addresses for tail, _, _ in steps]
-        lx = [u * (x + sx) + ox for x, (sx, _) in zip(lx, corners) for _, ox, _ in steps]
-        ly = [v * (y + sy) + oy for y, (_, sy) in zip(ly, corners) for _, _, oy in steps]
-        corners = list(map(spec.corner_signs, addresses))
+        if addresses is not None:
+            addresses = [a + tail for a in addresses for tail in tails]
+        lx = [c + o for c in [u * (x + sx) for x, (sx, _) in zip(lx, corners)] for o in ox]
+        ly = [c + o for c in [v * (y + sy) for y, (_, sy) in zip(ly, corners)] for o in oy]
+        corners = list(map(spec.corner_signs, addresses)) if hashed else [(1, 1)] * len(lx)
         yield addresses, lx, ly, corners
 
 
@@ -1059,7 +1035,7 @@ def generate_rcd(spec: RcdSpec, depth: int) -> RectangleSet:
     dx, dy = u ** depth * (u - 1), v ** depth * (v - 1)
     levels, names = array(_typecode(depth)), []
     xs, ys, hxs, hys = (array(code) if code else [] for code in map(_typecode, (dx, dy, dx, dy)))
-    for k, (addresses, lx, ly, corners) in enumerate(_rcd_levels(spec, depth), start=1):
+    for k, (addresses, lx, ly, corners) in enumerate(_rcd_levels(spec, depth, True), start=1):
         fx, fy = u ** (depth - k), v ** (depth - k)
         order = sorted(range(len(addresses)), key=addresses.__getitem__)
         levels.extend(array(levels.typecode, [k]) * len(order))
@@ -1243,7 +1219,11 @@ def _level_axis(den: int, starts: Sequence[int], scale: int, offsets: np.ndarray
     for corner, template in enumerate(offsets):
         view[corners == corner] = template
     view += (np.array(starts, dtype=np.int64) * scale)[:, None]
-    g = math.gcd(den, half, int(np.gcd.reduce(view, axis=None)))
+    # the first piece's gcd is a multiple of the column's; a pass of % tells
+    # whether they are equal, which spares the slow gcd reduction
+    g = math.gcd(den, half, *map(int, view[0]))
+    if g > 1 and (view % g).any():
+        g = math.gcd(g, int(np.gcd.reduce(view, axis=None)))
     if g > 1:
         view //= g
     return AxisLattice(den // g, column, array(code, [half // g]))
@@ -1266,7 +1246,8 @@ def covering_strategy_for_rcd(
 
     Level k lives on the lattice with denominators (u^q (u-1), v^q (v-1)).
     Its pieces come off the corner-digit walk (_rcd_levels) that
-    generate_rcd reads too, as columns of region centers and corners.  A
+    generate_rcd reads too, as columns of region centers and corners; the
+    walk builds their addresses only under the hash rule.  A
     piece's cover is its region's center plus the template of its corner,
     one of four built once.  Each level is built columnwise (_level_axis):
     per axis, its final column is filled with its pieces' corner templates
@@ -1298,9 +1279,10 @@ def covering_strategy_for_rcd(
     ut, vt = u ** t, v ** t
     # the cover of a region minus its child, per corner of the child, as
     # offsets from the region's center: the same on every level's lattice.
-    # Row 2 (sx < 0) + (sy < 0) of a template table is corner (sx, sy).
-    covers = []
+    # Row row_of[(sx, sy)] of a template table is corner (sx, sy).
+    covers, row_of = [], {}
     for signs in itertools.product((1, -1), repeat=2):
+        row_of[signs] = len(covers)
         cover = _cover_piece((u * ut, v * vt), ((u - 1) * ut, (v - 1) * vt), signs, (u - 1, v - 1))
         if len(cover) != count.value:
             raise AssertionError(
@@ -1313,7 +1295,7 @@ def covering_strategy_for_rcd(
     for k, (_, lx, ly, corners) in enumerate(_rcd_levels(spec, depth)):
         q = k + 1 + t
         dx, dy = u ** q * (u - 1), v ** q * (v - 1)
-        rows = np.array([2 * (sx < 0) + (sy < 0) for sx, sy in corners])
+        rows = np.fromiter(map(row_of.__getitem__, corners), np.intp, len(corners))
         lattice = (_level_axis(dx, lx, ut, tx, rows, u - 1),
                    _level_axis(dy, ly, vt, ty, rows, v - 1))
         levels.append(StrategyLevel.on_lattice(k, q, alpha.log, k == 0, lattice))

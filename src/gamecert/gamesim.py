@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import BoxRegion, check_size, line_chunks, log_sum_exp
+from .core import BoxRegion, _LazyRows, check_size, line_chunks, log_sum_exp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,6 +96,10 @@ MAX_POWER_BITS = 2 ** 13
 MAX_TRANSFER_SAMPLES = 2 ** 18
 # Most preamble lines PlayTranscript.to_text writes (RCD(7,4) at t = 1 grants 468).
 MAX_PREAMBLE_LINES = 2 ** 20
+# Boxes per table of numerator texts when the preamble is written: its
+# 1,048,540 lines for RCD(510,3) at t = 1 then peak at 10.9 MiB traced,
+# against 12.9 MiB at 2^15.
+_TEXT_CHUNK = 2 ** 12
 
 
 def _check_power_bits(arg: str, value: int, u: Sequence[int], exponent: int) -> None:
@@ -340,87 +345,157 @@ class DeletionRecord(NamedTuple):
     mass_log: float
 
 
+class _Deletions(_LazyRows):
+    """Deletion records, built only when read: a read-only view that
+    compares and prints like the tuple of its records, and does not hash.
+
+    It holds runs (move, level, rows, mass_log), in order: the records of
+    the strategy level's boxes at the indices `rows` (all of them when
+    None), charged to `move` at mass_log each.  first_reached searches the
+    runs' lattices, so the outcome queries build only the record they
+    return.
+    """
+
+    __slots__ = ("_runs", "_ends")
+
+    def __init__(self, runs: list[tuple[int, StrategyLevel, np.ndarray | None, float]]) -> None:
+        self._runs = runs
+        self._ends = list(itertools.accumulate(
+            len(lvl.boxes) if rows is None else len(rows) for _, lvl, rows, _ in runs))
+        # a function of the runs, not a bound method: the view is then no
+        # reference cycle, and is freed as soon as it is dropped
+        super().__init__(self._ends[-1] if runs else 0,
+                         partial(_deletion_record, runs, self._ends))
+
+    def first_reached(self, point: Sequence[Fraction],
+                      reach: Sequence[Fraction]) -> DeletionRecord | None:
+        """The first record whose box lies within reach[j] of `point` on
+        every axis j, as families._reach decides on its level's lattice
+        (a negative reach asks for a box that holds B[point, -reach])."""
+        from .families import _reach
+
+        start = 0
+        for (_, lvl, rows, _), end in zip(self._runs, self._ends):
+            if end > start:
+                mask = _reach(lvl.lattice, point, reach)
+                hits = (mask if rows is None else mask[rows]).nonzero()[0]
+                if len(hits):
+                    return self._item(start + int(hits[0]))
+            start = end
+        return None
+
+    def text_lines(self) -> Iterator[str]:
+        """The transcript's preamble lines for these records, written from
+        the levels' numerators as str(Fraction) writes each coordinate, so a
+        whole number has no "/1".  A half-width a level's boxes share is
+        written once; the other columns _TEXT_CHUNK boxes at a time, each
+        distinct numerator of a chunk reduced once.  Every run must hold all
+        its level's boxes."""
+        from .families import _ratio_texts
+
+        for _, lvl, _, mass_log in self._runs:
+            columns = [(axis.den, axis.centers) for axis in lvl.lattice]
+            halves = []
+            for axis in lvl.lattice:
+                if len(axis.halves) == 1:
+                    halves.append(next(_ratio_texts(axis.den, axis.halves, whole=True)))
+                else:
+                    columns.append((axis.den, axis.halves))
+                    halves.append("{}")
+            template = "preamble q=%d center=%s half=%s mass_log=%.17g\n" % (
+                lvl.exponent, ",".join(["{}"] * len(lvl.lattice)), ",".join(halves), mass_log)
+            for start in range(0, len(lvl.boxes), _TEXT_CHUNK):
+                yield from map(template.format, *(
+                    _ratio_texts(den, col[start:start + _TEXT_CHUNK], whole=True)
+                    for den, col in columns))
+
+
+def _deletion_record(runs: list, ends: list[int], i: int) -> DeletionRecord:
+    """Record i of the runs of a _Deletions view, where ends[r] is the
+    number of records in runs 0..r."""
+    r = bisect_right(ends, i)
+    move, lvl, rows, mass_log = runs[r]
+    i -= ends[r - 1] if r else 0
+    return DeletionRecord(move, lvl.exponent, lvl.boxes[i if rows is None else rows[i]], mass_log)
+
+
 class MoveRecord(NamedTuple):
     move: int
     box: BoxRegion            # the nested box played this move
-    deletions: tuple[DeletionRecord, ...]
+    deletions: Sequence[DeletionRecord]   # a _Deletions view, or () if skipped
     budget_spent_log: float   # ln of the summed deleted mass (-inf if none)
     budget_cap_log: float     # ln((alpha prod beta^move)^c)
     skipped: bool             # empty response (nothing intersected, or illegal)
 
 
 class PlayTranscript(NamedTuple):
-    """Full record of one finite play: boxes, deletions, budgets, outcome."""
+    """Full record of one finite play: boxes, deletions, budgets, outcome.
+
+    The preamble and each answered move's deletions are the read-only views
+    play_game builds (_Deletions): a DeletionRecord, and its Fraction box,
+    is built only when one is read.  A view compares and prints like the
+    tuple of its records but does not hash, so neither does a MoveRecord or
+    transcript that holds one.  The outcome queries search the strategy
+    levels' integer numerators and build only the record they return; the
+    text writes the preamble from those numerators too.
+    """
 
     radius: Fraction
     c: float
     alpha_log: float
     betas: tuple[Fraction, ...]
-    preamble: Sequence[DeletionRecord]
+    preamble: Sequence[DeletionRecord]    # a _Deletions view
     moves: tuple[MoveRecord, ...]
 
     @property
     def outcome_box(self) -> BoxRegion:
         return self.moves[-1].box
 
-    def _deletions(self) -> Iterator[DeletionRecord]:
-        """The preamble, then each move's deletions, built as they are read."""
-        return itertools.chain(self.preamble, *(move.deletions for move in self.moves))
-
     def all_deletions(self) -> tuple[DeletionRecord, ...]:
-        return tuple(self._deletions())
+        return tuple(itertools.chain(self.preamble, *(move.deletions for move in self.moves)))
+
+    def _first_deleted(self, reach: Sequence[Fraction]) -> DeletionRecord | None:
+        """The first deletion, the preamble's first and then each move's in
+        order, whose box is within `reach` of the outcome box's center."""
+        center = self.outcome_box.center
+        for view in (self.preamble, *(move.deletions for move in self.moves)):
+            hit = view.first_reached(center, reach) if view else None
+            if hit is not None:
+                return hit
+        return None
 
     def outcome_intersects_deleted(self) -> DeletionRecord | None:
-        box = self.outcome_box
-        return next((rec for rec in self._deletions() if box.intersects(rec.box)), None)
+        """The first deletion whose closed box meets the outcome box."""
+        return self._first_deleted(self.outcome_box.half)
 
     def outcome_inside_deleted(self) -> DeletionRecord | None:
-        box = self.outcome_box
-        return next((rec for rec in self._deletions() if rec.box.contains_box(box)), None)
-
-    @staticmethod
-    def _fmt(value) -> str:
-        if isinstance(value, Fraction):
-            return str(value)
-        return "%.17g" % value
+        """The first deletion whose closed box holds the outcome box:
+        |center - outcome center| <= half - outcome half on every axis."""
+        return self._first_deleted(tuple(-h for h in self.outcome_box.half))
 
     def text_chunks(self) -> Iterator[str]:
         """The text of to_text as it is formatted, core.CHUNK_LINES lines to
         a chunk.  A preamble over MAX_PREAMBLE_LINES lines raises
         core.SizeError (naming "preamble") here, before any chunk."""
         check_size("preamble", "true", len(self.preamble), "preamble lines", MAX_PREAMBLE_LINES)
-        fmt = self._fmt
         head = ("transcript radius=%s c=%.17g alpha_log=%.17g betas=%s\n"
-                % (fmt(self.radius), self.c, self.alpha_log, ",".join(map(fmt, self.betas))))
-        preamble = (
-            "preamble q=%d center=%s half=%s mass_log=%.17g\n"
-            % (rec.exponent, ",".join(map(fmt, rec.box.center)),
-               ",".join(map(fmt, rec.box.half)), rec.mass_log)
-            for rec in self.preamble
-        )
+                % (self.radius, self.c, self.alpha_log, ",".join(map(str, self.betas))))
         moves = (
             "move m=%d center=%s half=%s deletions=%d spent_log=%.17g "
             "cap_log=%.17g skipped=%s\n"
-            % (move.move, ",".join(map(fmt, move.box.center)),
-               ",".join(map(fmt, move.box.half)), len(move.deletions),
+            % (move.move, ",".join(map(str, move.box.center)),
+               ",".join(map(str, move.box.half)), len(move.deletions),
                move.budget_spent_log, move.budget_cap_log,
                "true" if move.skipped else "false")
             for move in self.moves
         )
+        preamble = self.preamble.text_lines() if self.preamble else ()
         return line_chunks(itertools.chain([head], preamble, moves))
 
     def to_text(self) -> str:
         """Line-delimited: one move per line, exact rationals where present;
         the join of text_chunks."""
         return "".join(self.text_chunks())
-
-
-def _preamble_record(levels: list[StrategyLevel], masses: list[float], i: int) -> DeletionRecord:
-    """Row i of the preamble that grants the boxes of `levels` in order."""
-    for lvl, mass_log in zip(levels, masses):
-        if i < len(lvl.boxes):
-            return DeletionRecord(0, lvl.exponent, lvl.boxes[i], mass_log)
-        i -= len(lvl.boxes)
 
 
 Policy = Callable[[int, BoxRegion], tuple[Fraction, ...]]
@@ -466,9 +541,14 @@ def play_game(
     level-m strategy box that intersects the current play box, provided the
     summed mass fits the budget (alpha prod beta^m)^c; an over-budget answer
     degrades to a recorded skip.  Strategy levels flagged as preamble are
-    granted before move 1 (recorded without a budget charge, built on read).
+    granted before move 1, recorded without a budget charge.
+
+    families._reach finds a move's boxes on its level's integer numerators,
+    and the move keeps their indices: its deletions, like the preamble, are
+    a read-only view that builds a DeletionRecord, with its Fraction box,
+    only when one is read (see PlayTranscript).
     """
-    from .families import _LazyRows, _reach
+    from .families import _reach
 
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -481,10 +561,8 @@ def play_game(
     c = params.c
     log_det = contraction.log_det()
 
-    granted = [lvl for lvl in strategy.levels if grant_preamble and lvl.preamble]
-    preamble = _LazyRows(sum(len(lvl.boxes) for lvl in granted), partial(
-        _preamble_record, granted, [c * lvl.exponent * log_det for lvl in granted]))
-
+    preamble = _Deletions([(0, lvl, None, c * lvl.exponent * log_det)
+                           for lvl in strategy.levels if grant_preamble and lvl.preamble])
     by_level = {lvl.level: lvl for lvl in strategy.levels if not lvl.preamble}
     current = BoxRegion(tuple(Fraction(0) for _ in betas), tuple(r for _ in betas))
     moves: list[MoveRecord] = []
@@ -497,24 +575,15 @@ def play_game(
         box = BoxRegion(center, half)
         level = by_level.get(m)
         cap_log = c * (params.alpha.log + m * log_det)
-        deletions: list[DeletionRecord] = []
+        deletions, spent_log = (), -math.inf
         if level is not None and level.boxes:
+            rows = _reach(level.lattice, box.center, box.half).nonzero()[0]
             mass_log = c * level.exponent * log_det
-            deletions = [
-                DeletionRecord(m, level.exponent, level.boxes[i], mass_log)
-                for i in _reach(level.lattice, box.center, box.half).nonzero()[0]
-            ]
-        if deletions:
             # k equal masses: log_sum_exp's accumulator is exactly k
-            spent_log = mass_log + math.log(len(deletions))
-            if spent_log <= cap_log + BUDGET_TOL:
-                moves.append(
-                    MoveRecord(m, box, tuple(deletions), spent_log, cap_log, False)
-                )
-            else:
-                moves.append(MoveRecord(m, box, (), -math.inf, cap_log, True))
-        else:
-            moves.append(MoveRecord(m, box, (), -math.inf, cap_log, True))
+            if len(rows) and mass_log + math.log(len(rows)) <= cap_log + BUDGET_TOL:
+                deletions = _Deletions([(m, level, rows, mass_log)])
+                spent_log = mass_log + math.log(len(rows))
+        moves.append(MoveRecord(m, box, deletions, spent_log, cap_log, not deletions))
         current = box
     return PlayTranscript(r, c, params.alpha.log, betas, preamble, tuple(moves))
 

@@ -26,8 +26,8 @@ from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
-from .core import BoxRegion, Record, check_size, line_chunks
-from .families import RectangleSet, _grid_hits, _LazyRows, _reach, _span_lattice, _typecode
+from .core import BoxRegion, Record, _LazyRows, check_size, line_chunks
+from .families import RectangleSet, _grid_hits, _reach, _span_lattice, _typecode
 from .gamesim import MAX_AUDIT_CELLS
 
 __all__ = [
@@ -147,13 +147,20 @@ class _ScaleBlock(NamedTuple):
     """The candidates of one scale: the translation (xs[ix[i]], ys[iy[i]])
     for each i, where xs and ys are the grid's translation coordinates per
     axis and ix, iy the grid indices that passed, as array columns of the
-    narrowest typecode that holds the grid's longer side (families._typecode)."""
+    narrowest typecode that holds the grid's longer side (families._typecode).
+    xs and ys are read-only views: coordinate i is (lo + i) res, a Fraction
+    built only when it is read."""
 
     lam: Fraction
-    xs: list[Fraction]
-    ys: list[Fraction]
+    xs: Sequence[Fraction]
+    ys: Sequence[Fraction]
     ix: array
     iy: array
+
+
+def _translation(lo: int, res: Fraction, i: int) -> Fraction:
+    """(lo + i) res, normalized once."""
+    return Fraction((lo + i) * res.numerator, res.denominator)
 
 
 def _candidate(blocks: list[_ScaleBlock], ends: list[int], depth: int, i: int) -> PatternCandidate:
@@ -221,11 +228,12 @@ def _scan_one_scale(
                 _grid_hits(rect.lattice, [lam * x for x in p], (res, res), (0, 0),
                            lo_idx, hi_idx, cut, spans), 0)
 
-    # one Fraction per grid translation, shared by the candidates on it
-    xs = [(lo_idx[0] + i) * res for i in range(shape[0])]
-    ys = [(lo_idx[1] + i) * res for i in range(shape[1])]
+    xs, ys = (_LazyRows(n, partial(_translation, lo, res)) for n, lo in zip(shape, lo_idx))
     code = _typecode(max(shape))
-    ix, iy = (array(code, index.astype(code).tobytes()) for index in np.nonzero(acc))
+    # the passing cells in row-major order, as np.nonzero(acc) lists them
+    # (a flat scan and one divmod take a third of its time)
+    ix, iy = (array(code, index.astype(code).tobytes())
+              for index in np.divmod(np.flatnonzero(acc), shape[1]))
     return _ScaleBlock(lam, xs, ys, ix, iy)
 
 

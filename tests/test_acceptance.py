@@ -5,7 +5,7 @@ dimension bounds for the stock instances; property suites (8-11) replay the
 combinatorial facts the certificates lean on, exhaustively where the domain
 is finite and with seeded random sweeps where it is not; 14 holds each
 dimension bound below the exact dimension of a member it covers, and 15
-runs README's library block.
+runs README's library block and its config blocks.
 """
 import collections
 import itertools
@@ -19,7 +19,7 @@ import mpmath
 import pytest
 
 from gamecert.certify import REL_MARGIN, default_delta, feasibility_report
-from gamecert.cli import _recertify
+from gamecert.cli import _recertify, main
 from gamecert.core import DiagonalContraction, LogScalar
 from gamecert.families import (
     RcdSpec,
@@ -447,3 +447,17 @@ def test_c15_readme_library_block_prints_what_its_comments_state(capsys):
               if line.startswith("print(")]
     exec(compile(block, "README.md", "exec"), {})
     assert stated and capsys.readouterr().out.splitlines() == stated
+
+
+def test_c15_readme_config_blocks_run_in_order_and_exit_0(tmp_path, monkeypatch):
+    # in one directory, so the certify block re-validates what the maximize
+    # block wrote to run/; the simulate and find-pattern blocks read views
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block for block in re.findall(r"^```\n(.*?)^```$", readme, re.S | re.M)
+              if block.startswith("command =")]
+    commands = [block.split("\n", 1)[0].split("= ")[1] for block in blocks]
+    assert {"maximize", "certify", "generate", "simulate", "find-pattern"} <= set(commands)
+    monkeypatch.chdir(tmp_path)
+    for i, block in enumerate(blocks):
+        (tmp_path / f"block-{i}.cfg").write_text(block)
+        assert main(["--config", f"block-{i}.cfg", "--out", "run"]) == 0, block

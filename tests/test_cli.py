@@ -1069,10 +1069,10 @@ def _reference_candidates(candidates):
 def _reference_transcript(tr):
     """PlayTranscript.to_text built as a list of lines, joined once."""
     def coords(values):
-        return ",".join(tr._fmt(x) for x in values)
+        return ",".join(map(str, values))
 
     lines = ["transcript radius=%s c=%.17g alpha_log=%.17g betas=%s"
-             % (tr._fmt(tr.radius), tr.c, tr.alpha_log, coords(tr.betas))]
+             % (tr.radius, tr.c, tr.alpha_log, coords(tr.betas))]
     lines += ["preamble q=%d center=%s half=%s mass_log=%.17g"
               % (r.exponent, coords(r.box.center), coords(r.box.half), r.mass_log)
               for r in tr.preamble]

@@ -28,6 +28,7 @@ from gamecert.core import GameParameters
 from gamecert import core, families, gamesim
 from gamecert.gamesim import (
     BUDGET_TOL,
+    DeletionRecord,
     MAX_AUDIT_CELLS,
     child_cover_grid,
     play_game,
@@ -585,6 +586,104 @@ def test_play_game_skips_an_answer_over_its_budget():
     assert tr.to_text().splitlines()[1].endswith(" skipped=true")
     assert tr.all_deletions() == ()
     assert _assert_deletions_match(tr, strat) == 1
+
+
+def _eager_plays(strategy, plays):
+    """For each (grant_preamble, transcript) of `strategy`, its preamble and
+    per-move deletions as play_game built them before its views: every
+    DeletionRecord built, each move's found by a loop over its level's
+    boxes, which are built once for all the plays."""
+    params = strategy.params
+    log_det = params.contraction.log_det()
+    preambles, found = [[] for _ in plays], [[[] for _ in tr.moves] for _, tr in plays]
+    for lvl in strategy.levels:
+        mass_log = params.c * lvl.exponent * log_det
+        granted = [pre for pre, (grant, _) in zip(preambles, plays) if grant and lvl.preamble]
+        meets = [] if lvl.preamble else [
+            (recs, mv.box) for rows, (_, tr) in zip(found, plays)
+            for recs, mv in zip(rows, tr.moves) if mv.move == lvl.level]
+        for box in lvl.boxes:
+            for pre in granted:
+                pre.append(DeletionRecord(0, lvl.exponent, box, mass_log))
+            for recs, play_box in meets:
+                if play_box.intersects(box):
+                    recs.append(DeletionRecord(lvl.level, lvl.exponent, box, mass_log))
+    return [(tuple(pre), [
+        tuple(recs) if recs and recs[0].mass_log + math.log(len(recs))
+        <= mv.budget_cap_log + BUDGET_TOL else () for mv, recs in zip(tr.moves, rows)])
+        for pre, (_, tr), rows in zip(preambles, plays, found)]
+
+
+def _edge_targets(strategy, depth):
+    """For a game of `depth` moves at radius 1: the origin, then targets
+    about the last box B of the level of highest exponent up to `depth`
+    (B is at least the outcome box's size): B's center, an outcome box
+    touching B's low face, one touching its low corner, and one flush
+    inside B's high corner."""
+    half = [b ** depth for b in strategy.params.contraction.exact_betas()]
+    box = max((lvl for lvl in strategy.levels if lvl.exponent <= depth),
+              key=lambda lvl: lvl.exponent).boxes[-1]
+    (cx, cy), (hx, hy) = box.center, box.half
+    return [(0, 0), (cx, cy), (cx - hx - half[0], cy), (cx - hx - half[0], cy - hy - half[1]),
+            (cx + hx - half[0], cy + hy - half[1])]
+
+
+@pytest.mark.parametrize("build, depth, targets, grants, cases", [
+    (lambda: covering_strategy_for_rco(generate_rco(RcoSpec(4, 5, 2, 1), 3), 0.5), 3, 5,
+     (True, False), {"meets edge", "meets strict", "inside edge", "inside none"}),
+    # its level 2 holds 151,632 boxes: two plays keep the reference loop short
+    (lambda: covering_strategy_for_rcd(RcdSpec(7, 4), 0.5, 1, 3), 3, 2, (True,),
+     {"meets edge", "meets strict"}),
+    (lambda: covering_strategy_for_rcd(RcdSpec(5, 3, "hash", 8), 0.5, 1, 3), 3, 5,
+     (True, False), {"meets edge", "meets strict", "meets none", "inside edge"}),
+    # numerators past int64, in tuples of Python ints
+    (lambda: covering_strategy_for_rcd(RcdSpec(2, 2), 0.5, 1, 64), 64, 5, (True, False),
+     {"meets edge", "meets strict"}),
+], ids=["rco-4-5-2-1", "rcd-7-4", "rcd-5-3-hash", "rcd-2-2-depth64"])
+def test_lazy_transcript_matches_its_eager_reference(build, depth, targets, grants, cases):
+    # the views equal the records the box loop builds, and the outcome
+    # queries return what a loop over those records returns, for play boxes
+    # that overlap a deletion, touch one at a face or a corner only, sit
+    # flush inside one, or meet none
+    strategy = build()
+    plays = [(grant, play_game(steering_policy(target), strategy, depth, grant_preamble=grant))
+             for target in _edge_targets(strategy, depth)[:targets] for grant in grants]
+    seen = set()
+    for (grant, tr), (preamble, moves) in zip(plays, _eager_plays(strategy, plays)):
+        assert tr.preamble == preamble and [mv.deletions for mv in tr.moves] == moves
+        assert tr.all_deletions() == preamble + sum(moves, ())
+        out = tr.outcome_box
+        for name, query, test, sign in (
+                ("meets", tr.outcome_intersects_deleted, out.intersects, 1),
+                ("inside", tr.outcome_inside_deleted, lambda box: box.contains_box(out), -1)):
+            want = next((rec for rec in itertools.chain(preamble, *moves) if test(rec.box)), None)
+            assert query() == want
+            # |center gap| = half + sign * outcome half on some axis: an edge case
+            edge = want is not None and any(
+                abs(a - b) == h + sign * o
+                for a, b, h, o in zip(out.center, want.box.center, want.box.half, out.half))
+            seen.add(f"{name} {'none' if want is None else 'edge' if edge else 'strict'}")
+    assert cases <= seen, seen
+
+
+def test_preamble_lines_write_each_box_as_str_writes_its_fractions():
+    # the lines come off the levels' numerators: the first level keeps a
+    # half-width per box and the second one it shares, and a whole number
+    # is written without "/1", as str(Fraction) writes it
+    boxes = (BoxRegion((Fraction(0), Fraction(-3, 5)), (Fraction(1), Fraction(1, 5))),
+             BoxRegion((Fraction(1, 2), Fraction(2)), (Fraction(1, 4), Fraction(2, 25))),
+             BoxRegion((Fraction(-7, 8), Fraction(1, 10)), (Fraction(1, 8), Fraction(3))))
+    params = GameParameters(LogScalar(-5.0), DiagonalContraction.from_denominators([4, 5]), 0.5)
+    strat = CoveringStrategy(params, "rco", (StrategyLevel(0, 1, -5.0, True, boxes),
+                                             StrategyLevel(0, 2, -5.0, True, boxes[2:])))
+    tr = play_game(steering_policy((0, 0)), strat, depth=1)
+    lines = tr.to_text().splitlines()[1:-1]
+    assert lines == ["preamble q=%d center=%s half=%s mass_log=%.17g" % (
+        rec.exponent, ",".join(map(str, rec.box.center)), ",".join(map(str, rec.box.half)),
+        rec.mass_log) for rec in tr.preamble]
+    assert lines[:2] == ["preamble q=1 center=0,-3/5 half=1,1/5 mass_log=-1.4978661367769954",
+                         "preamble q=1 center=1/2,2 half=1/4,2/25 mass_log=-1.4978661367769954"]
+    assert lines[3].startswith("preamble q=2 center=-7/8,1/10 half=1/8,3 ")
 
 
 @pytest.mark.parametrize("mass_log", [-0.7, -13.862943611198906, -1e-300, -700.0])
