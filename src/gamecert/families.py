@@ -46,7 +46,8 @@ numerators, each column at the narrowest integer width that holds it):
 Their `entries` and `boxes` are read-only views that build a RectEntry or
 a Fraction BoxRegion only when an item is read; they compare and print
 like the list and tuple of those items, and do not hash.  The CSV writer
-and two exact kernels, _reach and _grid_hits, read the numerators.  Which
+(a generated cut-out member's from per-level row templates) and two exact
+kernels, _reach_rows and _grid_hits, read the numerators.  Which
 points a set keeps at a depth is stated once, by
 RectangleSet._kept_region: the root box minus the open interiors of its
 cuts, or the union of its closed components.  The raster and the pattern
@@ -74,6 +75,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
+from . import core
 from .core import (
     EXACT_LIMIT, BoxRegion, DiagonalContraction, GameParameters, LogScalar, Record, _ceil_powers,
     _LazyRows, _ListRows, check_size, line_chunks,
@@ -537,36 +539,48 @@ def _cover_counts(
 def _reach(lattice: Sequence[AxisLattice], point: Sequence[Fraction | int | float],
            reach: Sequence[Fraction | int | float], strict: bool = False) -> np.ndarray:
     """Mask of the boxes within reach[j] of `point` on every axis j:
-    |center_j - point_j| <= half_j + reach[j], or < when strict, exactly.
+    |center_j - point_j| <= half_j + reach[j], or < when strict, exactly;
+    the one row of _reach_rows."""
+    return _reach_rows(lattice, [point], reach, strict)[0]
+
+
+def _reach_rows(lattice: Sequence[AxisLattice], points: Sequence[Sequence[Fraction | int | float]],
+                reach: Sequence[Fraction | int | float], strict: bool = False) -> np.ndarray:
+    """_reach for each of `points` in one pass over the columns: a boolean
+    array with one row per point and one column per box.
     With X = point_j den and R = reach[j] den, integers c, h have
     |c - X| <= h + R just when c - h <= floor(X + R) and c + h > ceil(X - R) - 1
     (strictly: ceil(X + R) - 1 and floor(X - R)), so the stored columns are
-    compared with integers; a shared h moves the bounds instead, making no
-    column.  An integer column is compared in its own dtype, in which every
-    |c| + h fits (_typecode; _on_one_lattice checks an int64 one below
-    2^60), so c +- h lies strictly inside the dtype's range: clamped to
-    that range, a bound past it still decides every box alike, and no
-    wider copy of the column is made."""
+    compared with integers, one pair per point; a shared h moves the
+    bounds instead, making no column.  An integer column is compared in
+    its own dtype, in which every |c| + h fits (_typecode; _on_one_lattice
+    checks an int64 one below 2^60), so c +- h lies strictly inside the
+    dtype's range: clamped to that range, a bound past it still decides
+    every box alike, and no wider copy of the column is made."""
     import numpy as np
 
     mask = True
-    for axis, x, r in zip(lattice, point, reach):
+    for j, (axis, r) in enumerate(zip(lattice, reach)):
         centers, halves, _ = _on_one_lattice(axis, ())
-        x, r = Fraction(x), Fraction(r)
-        q = x.denominator * r.denominator   # X +- R = (a +- b) / q
-        a, b = x.numerator * r.denominator * axis.den, r.numerator * x.denominator * axis.den
-        up, below = ((-(-(a + b) // q) - 1, (a - b) // q) if strict
-                     else ((a + b) // q, -(-(a - b) // q) - 1))
+        r = Fraction(r)
+        bounds = []
+        for point in points:
+            x = Fraction(point[j])
+            q = x.denominator * r.denominator   # X +- R = (a +- b) / q
+            a, b = x.numerator * r.denominator * axis.den, r.numerator * x.denominator * axis.den
+            bounds.append(((-(-(a + b) // q) - 1, (a - b) // q) if strict
+                           else ((a + b) // q, -(-(a - b) // q) - 1)))
         if len(halves) == 1:       # a shared half-width moves the bounds instead
             h = int(halves[0])
             low = high = centers
-            up, below = up + h, below - h
+            bounds = [(up + h, below - h) for up, below in bounds]
         else:
             low, high = centers - halves, centers + halves
         if low.dtype != object:
             info = np.iinfo(low.dtype)
-            up, below = (min(max(t, info.min), info.max) for t in (up, below))
-        mask = mask & (low <= up) & (high > below)
+            bounds = [[min(max(t, info.min), info.max) for t in pair] for pair in bounds]
+        bounds = np.array(bounds, dtype=low.dtype)
+        mask = mask & (low <= bounds[:, :1]) & (high > bounds[:, 1:])
     return mask
 
 
@@ -752,8 +766,15 @@ class RectangleSet(Record):
     # -- CSV ------------------------------------------------------------
 
     def csv_chunks(self) -> Iterator[str]:
-        """The text of to_csv as it is formatted, core.CHUNK_LINES lines to
-        a chunk."""
+        """The text of to_csv as it is formatted, at most core.CHUNK_LINES
+        lines to a chunk: the meta lines and the header, then the rows.  A
+        generated cut-out member's rows come from per-level row templates
+        (_cutout_csv); any other set's are written a row at a time, each
+        distinct numerator of a column reduced once (_ratio_texts)."""
+        head = [f"# {key} = {self.meta[key]}\n" for key in sorted(self.meta)]
+        head.append("level,address,cx,cy,hx,hy\n")
+        if isinstance(self.addresses, _CutoutAddresses):
+            return itertools.chain(line_chunks(head), _cutout_csv(self.lattice, self.addresses))
         (x, y), levels = self.lattice, self.levels
         texts, i = {}, 0
         while i < len(levels):    # one text per level, found by bisection
@@ -764,11 +785,7 @@ class RectangleSet(Record):
             _ratio_texts(x.den, x.centers), _ratio_texts(y.den, y.centers),
             _ratio_texts(x.den, x.halves), _ratio_texts(y.den, y.halves, "\n"),
         )
-        return line_chunks(itertools.chain(
-            [f"# {key} = {self.meta[key]}\n" for key in sorted(self.meta)],
-            ["level,address,cx,cy,hx,hy\n"],
-            map(",".join, rows),
-        ))
+        return line_chunks(itertools.chain(head, map(",".join, rows)))
 
     def to_csv(self) -> str:
         """Meta lines, the header, then one row per entry, every coordinate
@@ -821,6 +838,69 @@ def _ratio_texts(den: int, nums: Sequence[int], end: str = "",
         g = math.gcd(n, den)
         texts[n] = f"{n // g}{end}" if whole and g == den else f"{n // g}/{den // g}{end}"
     return map(texts.__getitem__, nums)
+
+
+def _cutout_csv(lattice: tuple[AxisLattice, AxisLattice],
+                addresses: _CutoutAddresses) -> Iterator[str]:
+    """The rows of a generated cut-out member's CSV, level by level: its
+    cells, then its cuts (_CutoutAddresses).
+
+    At level k a cell's x is that of its row i and its y that of its column
+    j (_cutout_columns), so one template of a row's lines, with j, the y
+    texts and the half-widths written in, is filled once per row with
+    "k,cell:i_" and the row's x text.  With corner placement a cut's x
+    depends on (i, o) and its y on (j, o), so the cuts' template takes the
+    row's x text of each ordinal o in turn.  Every text is read off the
+    set's own columns, at one index that holds it.  Hash placement draws
+    each cell's cuts, so its cuts are written a row at a time."""
+    (x, y), ordinals = lattice, addresses._ordinals
+    m = len(ordinals)
+
+    def halves(i: int) -> str:     # the end of entry i's line
+        return "".join(f",{text}" for axis in lattice
+                       for text in _ratio_texts(axis.den, axis.halves[i:i + 1])) + "\n"
+
+    for k, (start, rows, cols) in enumerate(addresses._tables, 1):
+        n = len(cols)
+        cut = start + len(rows) * n
+        stop = cut + (cut - start) * m
+        end = halves(start)
+        lines = [f"%s{j},%s,{yt}{end}"
+                 for j, yt in zip(cols, _ratio_texts(y.den, y.centers[start:start + n]))]
+        yield from _template_chunks(lines, [f"{k},cell:{i}_" for i in rows],
+                                    [list(_ratio_texts(x.den, x.centers[start:cut:n]))])
+        end = halves(cut)
+        heads = [f"{k},cut:{i}_" for i in rows]
+        tails = [f"{j}/{o}" for j in cols for o in ordinals]
+        if not addresses._corner:
+            lines = (head + tail for head in heads for tail in tails)
+            yield from line_chunks(map(",".join, zip(
+                lines, _ratio_texts(x.den, x.centers[cut:stop]),
+                _ratio_texts(y.den, y.centers[cut:stop], end))))
+            continue
+        lines = [f"%s{tail},%s,{yt}{end}"
+                 for tail, yt in zip(tails, _ratio_texts(y.den, y.centers[cut:cut + n * m]))]
+        yield from _template_chunks(lines, heads, [
+            list(_ratio_texts(x.den, x.centers[cut + o:stop:n * m])) for o in range(m)])
+
+
+def _template_chunks(lines: list[str], heads: list[str],
+                     fills: list[list[str]]) -> Iterator[str]:
+    """The %-templates `lines`, one row's lines, filled for each row r:
+    line l's two %s fields take heads[r] and fills[l % len(fills)][r].  At
+    most core.CHUNK_LINES lines go to a chunk: a longer template is cut at
+    that bound, and a shorter one fills as many whole rows as a chunk
+    holds.  No CSV text holds a '%', so only the fields are replaced."""
+    step = core.CHUNK_LINES
+    reps = len(lines) // len(fills)
+    # per row, the values of its fields, in order: (head, x_0, head, x_1, ...) * reps
+    values = (tuple(itertools.chain.from_iterable((head, x) for x in xs)) * reps
+              for head, xs in zip(heads, zip(*fills)))
+    pieces = [(2 * a, 2 * (a + step), "".join(lines[a:a + step]))
+              for a in range(0, len(lines), step)]
+    while rows := list(itertools.islice(values, max(step // len(lines), 1))):
+        for a, b, piece in pieces:
+            yield "".join([piece % row[a:b] for row in rows])
 
 
 # ----------------------------------------------------------------- generators
@@ -930,7 +1010,8 @@ def _cutout_columns(
         hys.extend(col_y([vt * fy]) * cells)
         hys.extend(col_y([fy]) * (cells * m))
     lattice = (AxisLattice(dx, xs, hxs), AxisLattice(dy, ys, hys))
-    return levels, _CutoutAddresses(tables, list(map(str, ordinals))), lattice
+    addresses = _CutoutAddresses(tables, list(map(str, ordinals)), placement == "corner")
+    return levels, addresses, lattice
 
 
 class _CutoutAddresses(_ListRows):
@@ -940,31 +1021,20 @@ class _CutoutAddresses(_ListRows):
     and columns j as text, each in address order.  Level k's entries are
     its cells "cell:i_j", row by row, then its cuts "cut:i_j/o", cell by
     cell, with the ordinals o in text order.  Indexing (the bisections of
-    RectangleSet._spans, and its entries) builds one address; iteration
-    (to_csv) builds them a row of cells at a time.
+    RectangleSet._spans, and its entries) builds one address.  The CSV
+    writer reads the tables themselves (_cutout_csv), and `corner` says
+    whether the cuts have corner placement, so that row templates can
+    write them too.
     """
 
-    __slots__ = ("_tables", "_ordinals")
+    __slots__ = ("_tables", "_ordinals", "_corner")
 
     def __init__(self, tables: list[tuple[int, list[str], list[str]]],
-                 ordinals: list[str]) -> None:
-        self._tables, self._ordinals = tables, ordinals
+                 ordinals: list[str], corner: bool) -> None:
+        self._tables, self._ordinals, self._corner = tables, ordinals, corner
         length = sum(len(rows) * len(cols) * (len(ordinals) + 1) for _, rows, cols in tables)
         super().__init__(length, partial(_cutout_address, [start for start, *_ in tables],
                                          tables, ordinals))
-
-    def __iter__(self) -> Iterator[str]:
-        return itertools.chain.from_iterable(self._blocks())
-
-    def _blocks(self) -> Iterator[list[str]]:
-        for _, rows, cols in self._tables:
-            for i in rows:
-                head = f"cell:{i}_"
-                yield [head + j for j in cols]
-            tails = [f"{j}/{o}" for j in cols for o in self._ordinals]
-            for i in rows:
-                head = f"cut:{i}_"
-                yield [head + tail for tail in tails]
 
 
 def _cutout_address(starts: list[int], tables: list[tuple[int, list[str], list[str]]],

@@ -7,7 +7,13 @@ more.  Checks are exact: box coordinates, scales, and translations are
 rationals, and the member's integer numerators are read by the kernels of
 families, so no candidate is lost or spuriously admitted to rounding: the
 grid scan counts by _grid_hits' floor divisions, and the per-level checker
-that re-verifies it compares by _reach directly.
+that re-verifies it compares by _reach_rows directly.
+
+The scan counts each offset class once: a placed point lam b + i res lies
+on the grid of step res through its offset phi, lam b mod res, so the
+pairs (lam, b) that share phi read one _grid_hits count over the union of
+their translation ranges (_kept_masks).  When every lam b is a multiple
+of res, all pairs share the offset 0.
 
 Both read the kept region at depth k from RectangleSet._kept_region, the
 rule the raster reads too: for cut-out members, the root box minus the
@@ -23,12 +29,15 @@ from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
 from .core import BoxRegion, Record, _LazyRows, check_size, line_chunks
-from .families import RectangleSet, _grid_hits, _reach, _span_lattice, _typecode
+from .families import RectangleSet, _grid_hits, _reach_rows, _span_lattice, _typecode
 from .gamesim import MAX_AUDIT_CELLS
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PatternQuery",
@@ -115,8 +124,9 @@ def verify_containment_depth(
 
     Level 0 keeps the root box; level k >= 1 keeps the points of the root
     box that RectangleSet._kept_region at depth k keeps: in no cut's open
-    interior, or in a closed component, as _reach decides on the region's
-    boxes.  Levels run 0..max generated level.
+    interior, or in a closed component, as _reach_rows decides on the
+    region's boxes, every placed point in one pass over each run of them.
+    Levels run 0..max generated level.
     """
     if rect.meta.get("family") not in ("rco", "rcd"):
         raise ValueError("rectangle set lacks family metadata")
@@ -128,9 +138,11 @@ def verify_containment_depth(
     levels = [all(map(ROOT.contains_point, placed))]
     for k in range(1, rect.max_level() + 1):
         spans, cut = rect._kept_region(k)
-        runs = [_span_lattice(rect.lattice, span.start, span.stop) for span in spans]
+        # per run, one pass decides every placed point: is a box of it in reach?
+        hit = [_reach_rows(_span_lattice(rect.lattice, span.start, span.stop), placed,
+                           (0, 0), cut).any(axis=1) for span in spans]
         levels.append(levels[0] and all(
-            any(_reach(run, p, (0, 0), cut).any() for run in runs) != cut for p in placed))
+            any(h[i] for h in hit) != cut for i in range(len(placed))))
     return ContainmentReport(tuple(levels))
 
 
@@ -195,45 +207,83 @@ def _default_resolution(rect: RectangleSet, depth: int) -> Fraction:
     return min(halves, default=Fraction(1)) / 2
 
 
-def _scan_one_scale(
-    lam: Fraction,
-    query: PatternQuery,
-    rect: RectangleSet,
-    res: Fraction,
-) -> _ScaleBlock | None:
+def _scale_grid(lam: Fraction, query: PatternQuery,
+                res: Fraction) -> tuple[list[int], list[int]] | None:
+    """The translation grid of one scale: per axis the indices lo..hi of
+    the translations i res that keep every lam b + i res in the root box,
+    x_j in [-1 - lam min_b, 1 - lam max_b]; None when an axis has none."""
+    lo_idx, hi_idx = [], []
+    for axis in zip(*query.points):
+        lo_idx.append(math.ceil((-1 - lam * min(axis)) / res))
+        hi_idx.append(math.floor((1 - lam * max(axis)) / res))
+        if lo_idx[-1] > hi_idx[-1]:
+            return None
+    return lo_idx, hi_idx
+
+
+def _kept_masks(grids: list[tuple[Fraction, list[int], list[int]]], query: PatternQuery,
+                rect: RectangleSet, res: Fraction) -> list[np.ndarray]:
+    """Per scale (lam, lo, hi), the mask of the translations i res, lo <= i
+    <= hi, whose placed pattern the kept region at the query depth keeps.
+
+    A pattern point b placed at lam b + i res is the point phi + (i + k) res
+    of a grid with offset phi, where lam b = k res + phi and 0 <= phi < res
+    per axis.  So the pairs (lam, b) that share phi, an offset class, read
+    one _grid_hits count over the union of their index ranges, and each
+    scale ANDs its slices of those masks.  A class's pairs, in scan order,
+    join one union while it has no more cells than their ranges have in
+    all, nor more than MAX_AUDIT_CELLS, and start another past that: so no
+    count is larger than the limit, and the counts take no more cells than
+    one per pair would.  Every scale's mask is held until the end: their
+    cells add up to at most what find_homothety's size check allows over
+    all scales."""
     import numpy as np
 
-    # translation grid: x = (ix, iy) * res with every pattern point in the
-    # root box; per axis x_j in [-1 - lam*min_b, 1 - lam*max_b]
-    lo_idx = []
-    hi_idx = []
-    for j in range(2):
-        coords = [p[j] for p in query.points]
-        lo = Fraction(-1) - lam * min(coords)
-        hi = Fraction(1) - lam * max(coords)
-        if lo > hi:
-            return None
-        lo_idx.append(math.ceil(lo / res))
-        hi_idx.append(math.floor(hi / res))
-        if lo_idx[j] > hi_idx[j]:
-            return None
-    shape = (hi_idx[0] - lo_idx[0] + 1, hi_idx[1] - lo_idx[1] + 1)
-    acc = np.ones(shape, dtype=bool)
-    if query.depth >= 1:
-        spans, cut = rect._kept_region(query.depth)
-        for p in query.points:
-            # per pattern point, the deciding boxes that reach the placed
-            # point lam * p + i * res: a cut deletes it, a component keeps it
-            acc &= (np.equal if cut else np.greater)(
-                _grid_hits(rect.lattice, [lam * x for x in p], (res, res), (0, 0),
-                           lo_idx, hi_idx, cut, spans), 0)
+    masks = [np.ones((hi[0] - lo[0] + 1, hi[1] - lo[1] + 1), dtype=bool) for _, lo, hi in grids]
+    if query.depth < 1:
+        return masks
+    spans, cut = rect._kept_region(query.depth)
+    classes: dict[tuple[Fraction, ...], list[tuple[list[int], list[int], int, list]]] = {}
+    for s, (lam, lo, hi) in enumerate(grids):
+        for point in query.points:
+            shift = [lam * x // res for x in point]
+            phi = tuple(lam * x - k * res for x, k in zip(point, shift))
+            first = [a + k for a, k in zip(lo, shift)]
+            last = [b + k for b, k in zip(hi, shift)]
+            unions = classes.setdefault(phi, [])
+            cells = masks[s].size
+            if unions:
+                ulo, uhi, total, pairs = unions[-1]
+                wide = list(map(min, ulo, first)), list(map(max, uhi, last))
+                if math.prod(b - a + 1 for a, b in zip(*wide)) <= min(total + cells,
+                                                                      MAX_AUDIT_CELLS):
+                    unions[-1] = (*wide, total + cells, pairs)
+                    pairs.append((s, first))
+                    continue
+            unions.append((first, last, cells, [(s, first)]))
+    for phi, unions in classes.items():
+        for ulo, uhi, _, pairs in unions:
+            # a cut deletes a placed point its box reaches; a component keeps it
+            keep = (np.equal if cut else np.greater)(
+                _grid_hits(rect.lattice, phi, (res, res), (0, 0), ulo, uhi, cut, spans), 0)
+            for s, first in pairs:
+                mask = masks[s]
+                (a, b), (n, m) = (f - u for f, u in zip(first, ulo)), mask.shape
+                mask &= keep[a:a + n, b:b + m]
+    return masks
 
-    xs, ys = (_LazyRows(n, partial(_translation, lo, res)) for n, lo in zip(shape, lo_idx))
+
+def _scale_block(lam: Fraction, lo: list[int], res: Fraction, mask: np.ndarray) -> _ScaleBlock:
+    """The candidates of one scale whose translation grid starts at lo."""
+    import numpy as np
+
+    shape = mask.shape
+    xs, ys = (_LazyRows(n, partial(_translation, a, res)) for n, a in zip(shape, lo))
     code = _typecode(max(shape))
-    # the passing cells in row-major order, as np.nonzero(acc) lists them
+    # the passing cells in row-major order, as np.nonzero(mask) lists them
     # (a flat scan and one divmod take a third of its time)
     ix, iy = (array(code, index.astype(code).tobytes())
-              for index in np.divmod(np.flatnonzero(acc), shape[1]))
+              for index in np.divmod(np.flatnonzero(mask), shape[1]))
     return _ScaleBlock(lam, xs, ys, ix, iy)
 
 
@@ -247,9 +297,11 @@ def find_homothety(query: PatternQuery, rect: RectangleSet) -> Sequence[PatternC
 
     Returns every (x, lambda) on the grid whose placed pattern passes the
     full query depth — a necessary-condition filter, not a membership proof.
-    Scales are scanned in increasing order; the first _CROSS_CHECK (8)
-    candidates are re-verified against the exact per-level checker as an
-    internal consistency guard.
+    Scales are taken in increasing order, each one's translation grid found
+    by _scale_grid; the kept region is counted once per offset class of
+    the placed points, not once per scale and point (_kept_masks).  The
+    first _CROSS_CHECK (8) candidates are re-verified against the exact
+    per-level checker as an internal consistency guard.
 
     The result is a read-only view, stored per scale as the grid's
     translations and the indices that passed; it builds a PatternCandidate
@@ -277,13 +329,16 @@ def find_homothety(query: PatternQuery, rect: RectangleSet) -> Sequence[PatternC
     check_size("resolution", res, cells, "grid cells", MAX_AUDIT_CELLS)
     check_size("lambda_hi", query.lambda_hi, ((top - lo) // res + 1) * cells,
                "grid cells over its scales", MAX_AUDIT_CELLS)
-    blocks: list[_ScaleBlock] = []
+    grids = []
     lam = lo
     while lam <= top:
-        block = _scan_one_scale(lam, query, rect, res)
-        if block is not None and block.ix:
-            blocks.append(block)
+        grid = _scale_grid(lam, query, res)
+        if grid is not None:
+            grids.append((lam, *grid))
         lam += res
+    masks = _kept_masks(grids, query, rect, res)
+    blocks = [_scale_block(lam, lo_idx, res, mask)
+              for (lam, lo_idx, _), mask in zip(grids, masks) if mask.any()]
     out = _Candidates(blocks, query.depth)
     for cand in out[:_CROSS_CHECK]:
         report = verify_containment_depth(cand.x, cand.lam, query.points, rect)

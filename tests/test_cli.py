@@ -777,7 +777,7 @@ def test_scan_and_raster_refuse_oversized_inputs_before_work(tmp_path, capsys, m
     def no_work(*args, **kwargs):
         raise AssertionError("started work before checking the input size")
 
-    monkeypatch.setattr(patterns, "_scan_one_scale", no_work)
+    monkeypatch.setattr(patterns, "_scale_grid", no_work)
     monkeypatch.setattr(np, "linspace", no_work)
     cfg = write_cfg(tmp_path, "cfg", body)
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -1099,7 +1099,8 @@ def artifacts():
     a preamble."""
     rco, rcd = generate_rco(RcoSpec(4, 5, 2, 1), 2), generate_rcd(RcdSpec(7, 4), 2)
     rects = [rco, rcd, generate_rco(RcoSpec(3, 2, 3, 2), 2, "hash", 9),
-             RectangleSet(rco.entries, rco.meta)]
+             RectangleSet(rco.entries, rco.meta), generate_rco(RcoSpec(3, 3, 33, 2), 2),
+             generate_rco(RcoSpec(3, 3, 33, 2), 2, "hash", 1)]
     query = patterns.PatternQuery(((0, 0), (2, 0)), Fraction(1, 49), Fraction(3, 49), 2,
                                   Fraction(1, 49))
     empty = patterns.PatternQuery(((0, 0), (60, 0)), Fraction(1, 10), Fraction(1, 10), 1)

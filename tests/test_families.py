@@ -1006,6 +1006,28 @@ def _assert_kernels_read_the_columns_as_int64(lattice):
             assert hits[i + 1, j + 1] == sum(mask)
 
 
+def test_int64_columns_below_2_60_stay_on_the_integer_path():
+    # an int64 ('q') column's width bounds it by 2^63, too loose for the
+    # 2^60 rule, so _on_one_lattice reads its largest magnitude instead:
+    # small numerators stay int64 (read-only views at scale 1, copies at a
+    # new scale), and only numerators past 2^60 once scaled become objects
+    import numpy as np
+
+    rect = generate_rco(RcoSpec(2, 2, 1, 40), 1)
+    axis = rect.lattice[0]
+    assert axis.den == 2 ** 41 and axis.centers.typecode == axis.halves.typecode == "q"
+    centers, halves, nums = families._on_one_lattice(axis, ())
+    assert centers.dtype == halves.dtype == np.int64 and not centers.flags.writeable
+    assert (centers.tolist(), halves.tolist(), nums) == (list(axis.centers), list(axis.halves), [])
+    centers, halves, nums = families._on_one_lattice(axis, (Fraction(1, 3 * 2 ** 41),))
+    assert centers.dtype == halves.dtype == np.int64 and nums == [1]
+    assert centers.tolist() == [3 * c for c in axis.centers]
+    centers, halves, nums = families._on_one_lattice(axis, (Fraction(1, 2 ** 61),))
+    assert centers.dtype == halves.dtype == object and nums == [1]
+    assert centers.tolist() == [2 ** 20 * c for c in axis.centers]
+    _assert_kernels_read_the_columns_as_int64(rect.lattice)
+
+
 def _column_types(lattice):
     """Per axis, the typecode its columns share (a view's format), or None
     for Python ints."""
@@ -1223,7 +1245,10 @@ def _reference_csv(meta, entries):
 
 
 def test_rco_lattice_generation_matches_fraction_reference():
-    for spec, placement in ((RcoSpec(4, 5, 2, 1), "corner"), (RcoSpec(3, 2, 3, 2), "hash")):
+    # with m = 33 a row of cuts' CSV template takes 33 x texts, one per
+    # ordinal, whose ordinals sort as text ("10" before "2")
+    for spec, placement in ((RcoSpec(4, 5, 2, 1), "corner"), (RcoSpec(3, 2, 3, 2), "hash"),
+                            (RcoSpec(3, 3, 33, 2), "corner"), (RcoSpec(3, 3, 33, 2), "hash")):
         member = generate_rco(spec, 2, placement=placement, seed=9)
         want = sorted(_reference_rco_entries(spec, 2, placement, 9),
                       key=lambda e: (e.level, e.address))
@@ -1239,7 +1264,8 @@ def test_cutout_columns_match_a_box_by_box_reference(data):
     # box, must read the same through every accessor.  Past 2^63 (u = 6 and
     # t = 45, say) the columns are lists of Python ints.
     u, v, t = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 6)), data.draw(st.integers(1, 45))
-    m = data.draw(st.integers(1, min(12, (u * v) ** t)))
+    slots = (u * v) ** t
+    m = data.draw(st.integers(1, min(12, slots)) | st.integers(min(32, slots), min(40, slots)))
     top = max(d for d in (1, 2, 3) if (m + 1) * sum((u * v) ** k for k in range(1, d + 1)) <= 2500)
     depth = data.draw(st.integers(1, top))
     placement = data.draw(st.sampled_from(["corner", "hash"]))

@@ -1,11 +1,14 @@
 """Pattern containment checks and the homothety grid scan."""
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gamecert import families
 from gamecert.families import RcdSpec, RcoSpec, generate_rcd, generate_rco
 from gamecert.patterns import (
+    PatternCandidate,
     PatternQuery,
     _default_resolution,
     candidates_to_csv,
@@ -157,8 +160,8 @@ def test_scan_stops_where_the_pattern_no_longer_fits(rcd_rect, monkeypatch):
     res = Fraction(1, 4)
     fits = find_homothety(PatternQuery(TWO_POINT, res, 2, 1, res), rcd_rect)
     scanned = []
-    scan = patterns._scan_one_scale
-    monkeypatch.setattr(patterns, "_scan_one_scale",
+    scan = patterns._scale_grid
+    monkeypatch.setattr(patterns, "_scale_grid",
                         lambda lam, *args: scanned.append(lam) or scan(lam, *args))
     assert find_homothety(PatternQuery(TWO_POINT, res, 100, 1, res), rcd_rect) == fits
     assert scanned == [k * res for k in range(1, 9)] and fits
@@ -171,8 +174,8 @@ def test_scale_range_admissibility(rcd_rect, monkeypatch):
 
     res = Fraction(1, 2)
     scanned = []
-    scan = patterns._scan_one_scale
-    monkeypatch.setattr(patterns, "_scan_one_scale",
+    scan = patterns._scale_grid
+    monkeypatch.setattr(patterns, "_scale_grid",
                         lambda lam, *args: scanned.append(lam) or scan(lam, *args))
     single = PatternQuery(((Fraction(0), Fraction(0)),), res, 3, 1, res)
     cands = find_homothety(single, rcd_rect)
@@ -308,3 +311,49 @@ def test_gapped_query_skips_only_the_empty_scales(hashed_rect):
     assert [lams.count(lam) for lam in sorted(set(lams))] == [6, 3, 3, 2]
     rows = candidates_to_csv(view).splitlines()
     assert rows[1:] == [f"{c.lam},{c.x[0]},{c.x[1]},2" for c in view]
+
+
+def _per_scale_reference(query, rect, res):
+    """The candidates as one _grid_hits count per scale and pattern point,
+    on the grid of translations of that scale, whose origin is the placed
+    point lam b itself: every translation all placed points pass, in scan
+    order."""
+    import numpy as np
+
+    spans, cut = rect._kept_region(query.depth)
+    out = []
+    lam = query.lambda_lo
+    while lam <= query.lambda_hi:
+        lo = [math.ceil((-1 - lam * min(axis)) / res) for axis in zip(*query.points)]
+        hi = [math.floor((1 - lam * max(axis)) / res) for axis in zip(*query.points)]
+        if all(a <= b for a, b in zip(lo, hi)):
+            keep = np.ones([b - a + 1 for a, b in zip(lo, hi)], dtype=bool)
+            for point in query.points:
+                hits = families._grid_hits(rect.lattice, [lam * x for x in point], (res, res),
+                                           (0, 0), lo, hi, cut, spans)
+                keep &= (hits == 0) if cut else (hits > 0)
+            out += [PatternCandidate(lam, ((lo[0] + int(i)) * res, (lo[1] + int(j)) * res),
+                                     query.depth) for i, j in np.argwhere(keep)]
+        lam += res
+    return out
+
+
+@pytest.mark.parametrize("which", ["rcd", "rco"])
+def test_offset_classes_match_a_per_scale_reference(rcd_rect, rco_rect, which, monkeypatch):
+    # at the scales n/37, (0, 0) sits at offset 0 of the grid of step 1/37
+    # and (1/3, 2) at offset ((n mod 3)/111, 0): three offset classes, each
+    # counted over the union of its pairs' ranges instead of once per pair
+    import gamecert.patterns as patterns
+
+    rect = rcd_rect if which == "rcd" else rco_rect
+    res = Fraction(1, 37)
+    query = PatternQuery(((0, 0), (Fraction(1, 3), 2)), res, 9 * res, 2, res)
+    origins = []
+    hits = patterns._grid_hits
+    monkeypatch.setattr(patterns, "_grid_hits",
+                        lambda lattice, origin, *args: origins.append(tuple(origin))
+                        or hits(lattice, origin, *args))
+    view = find_homothety(query, rect)
+    assert set(origins) == {(0, 0), (Fraction(1, 111), 0), (Fraction(2, 111), 0)}
+    assert len(origins) < 2 * 9
+    assert list(view) == _per_scale_reference(query, rect, res) and view
