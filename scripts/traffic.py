@@ -44,6 +44,9 @@ CONFIGS = {
                              "game.c = 0.9\ngame.t = 1\n", 2),
     "maximize": ("command = maximize\nfamily.kind = rco\nfamily.u = 17\nfamily.v = 24\n"
                  "family.m = 1\nfamily.t = 5\n", 0),
+    "maximize dimension": ("command = maximize\nfamily.kind = rco\nfamily.u = 17\n"
+                           "family.v = 24\nfamily.m = 1\nfamily.t = 5\n"
+                           "maximize.objective = dimension\n", 0),
     "intersect": ("command = intersect\nmember.1.kind = rcd\nmember.1.u = 68719476736\n"
                   "member.1.v = 1099511627776\nmember.2.kind = rco\nmember.2.u = 68719476736\n"
                   "member.2.v = 1099511627776\nmember.2.m = 1\nmember.2.t = 1\n", 0),
@@ -70,6 +73,10 @@ CONFIGS = {
     "find-pattern": ("command = find-pattern\nfamily.kind = rcd\nfamily.u = 7\nfamily.v = 4\n"
                      "generate.depth = 2\npattern.points = 0,0; 2,0\npattern.lambda_lo = 1/49\n"
                      "pattern.lambda_hi = 3/49\n", 0),
+    "find-pattern shallow": ("command = find-pattern\nfamily.kind = rcd\nfamily.u = 7\n"
+                             "family.v = 4\ngenerate.depth = 2\npattern.points = 0,0; 2,0\n"
+                             "pattern.lambda_lo = 1/49\npattern.lambda_hi = 3/49\n"
+                             "pattern.depth = 1\n", 0),
     "smallest-u": ("command = smallest-u\nsmallest.pattern_count = 2\nsmallest.gap = 0\n", 0),
 }
 
@@ -95,8 +102,6 @@ KEPT = {
     "gamesim:project_index": "README-named test reference: project_chain's step",
     "gamesim:project_chain": "README-named test reference",
     "gamesim:PlayTranscript.all_deletions": "perfbench: geometry-exact's play_game check",
-    "optimize:SearchConfigError.__init__": "input validation: a search setting at fault",
-    "optimize:SearchConfigError.__str__": "input validation: a search setting at fault",
     "optimize:max_pattern_size": "README-named test reference",
 }
 

@@ -37,7 +37,7 @@ from .core import DiagonalContraction, LogScalar, SizeError
 
 if TYPE_CHECKING:  # the commands import families and optimize where they use them
     from .families import RcdSpec, RcoSpec
-    from .optimize import SearchConfig, SearchResult
+    from .optimize import SearchResult
 
 COMMANDS = (
     "certify",
@@ -316,30 +316,6 @@ def _write_search(out: Path, result: SearchResult, trace: bool) -> None:
             "t=%.17g c=%.17g count=%d dim=%.17g delta=%.17g\n" % row for row in result.trace))
 
 
-def _search_config(cfg: Config, base: SearchConfig) -> SearchConfig:
-    from .optimize import SearchConfig, SearchConfigError
-
-    # every SearchConfig field, base's by default; its checks name the key
-    fields = dict(
-        c_count=cfg.get_int("optimizer.c_count", base.c_count),
-        c_s_lo=cfg.get_float("optimizer.c_s_lo", base.c_s_lo),
-        c_s_hi=cfg.get_float("optimizer.c_s_hi", base.c_s_hi),
-        refine_passes=cfg.get_int("optimizer.refine_passes", base.refine_passes),
-        refine_points=cfg.get_int("optimizer.refine_points", base.refine_points),
-        t_lo=cfg.get_float("optimizer.t_lo", base.t_lo),
-        t_hi=cfg.get_float("optimizer.t_hi", base.t_hi),
-        t_step=cfg.get_float("optimizer.t_step", base.t_step),
-        pattern_cap=cfg.get_int("optimizer.pattern_cap", base.pattern_cap),
-    )
-    try:
-        return SearchConfig(**fields)
-    except SearchConfigError as exc:
-        if exc.field is None:
-            raise ConfigError("optimizer", exc.text) from None
-        text = f"{exc.text} optimizer.{exc.other}" if exc.other else exc.text
-        raise ConfigError(f"optimizer.{exc.field}", text) from None
-
-
 # ------------------------------------------------------------------- commands
 
 
@@ -468,18 +444,16 @@ def _revalidate(cfg: Config, out: Path, finish: Callable[[], None]) -> int:
 
 def _cmd_maximize(cfg: Config, out: Path, trace: bool,
                   finish: Callable[[], None]) -> int:
-    from .optimize import DEFAULT_CONFIG, optimize_pattern_count
+    from .optimize import optimize_pattern_count
 
     family = _family_from(cfg)
     objective = cfg.get_str("maximize.objective", "pattern-count",
                             choices=("pattern-count", "dimension"))
-    search = _search_config(cfg, DEFAULT_CONFIG)
     rho2 = cfg.get_float("game.rho2", 1.0, lo=0.0, open_ends=True)
     finish()
     if _ineligible(family.contraction()):
         return 2
-    result = optimize_pattern_count(family, search, rho2,
-                                    want_patterns=objective == "pattern-count")
+    result = optimize_pattern_count(family, rho2, want_patterns=objective == "pattern-count")
     _write_search(out, result, trace)
     if not result.feasible:
         print("not certified: no feasible parameters found in the search region")
@@ -491,7 +465,7 @@ def _cmd_maximize(cfg: Config, out: Path, trace: bool,
 
 def _cmd_intersect(cfg: Config, out: Path, trace: bool,
                    finish: Callable[[], None]) -> int:
-    from .optimize import DEFAULT_CONFIG, optimize_intersection
+    from .optimize import optimize_intersection
 
     members: list[RcoSpec | RcdSpec] = []
     i = 1
@@ -501,7 +475,6 @@ def _cmd_intersect(cfg: Config, out: Path, trace: bool,
     if not members:
         raise ConfigError("member.1.kind", "required key is missing")
     want_patterns = cfg.get_bool("intersect.want_patterns", False)
-    search = _search_config(cfg, DEFAULT_CONFIG)
     rho2 = cfg.get_float("game.rho2", 1.0, lo=0.0, open_ends=True)
     finish()
     # mismatched denominators stay a config error, reported by the search below
@@ -510,7 +483,7 @@ def _cmd_intersect(cfg: Config, out: Path, trace: bool,
             and _ineligible(shared)):
         return 2
     try:
-        result = optimize_intersection(members, search, want_patterns, rho2)
+        result = optimize_intersection(members, want_patterns, rho2)
     except ValueError as exc:
         raise ConfigError("member", str(exc)) from None
     _write_search(out, result, trace)
@@ -605,17 +578,10 @@ def _cmd_simulate(cfg: Config, out: Path, trace: bool,
         policy = steering_policy(target[0])
     else:
         policy = steering_policy((0, 0))
-    radius = cfg.get_fraction("simulate.radius", Fraction(1), positive=True)
-    clamp = cfg.get_bool("simulate.clamp", True)
     preamble = cfg.get_bool("simulate.preamble", True)
     finish()
     strategy = _build_strategy(params, c, t, "family")
-    try:
-        transcript = play_game(policy, strategy, moves, radius=radius,
-                               grant_preamble=preamble, clamp=clamp)
-    except ValueError as exc:
-        print(f"error: simulate: {exc}", file=sys.stderr)
-        return 1
+    transcript = play_game(policy, strategy, moves, grant_preamble=preamble)
     _write(out, "transcript.txt", transcript.text_chunks())
     outcome = transcript.outcome_box
     deleted = transcript.outcome_intersects_deleted() is not None
@@ -791,14 +757,13 @@ def _cmd_find_pattern(cfg: Config, out: Path, trace: bool,
 
 def _cmd_smallest_u(cfg: Config, out: Path, trace: bool,
                     finish: Callable[[], None]) -> int:
-    from .optimize import SMALLEST_U_CONFIG, smallest_u_for_patterns
+    from .optimize import smallest_u_for_patterns
 
     count = cfg.get_int("smallest.pattern_count", lo=1)
     gap = cfg.get_int("smallest.gap", 0, lo=0)
-    search = _search_config(cfg, SMALLEST_U_CONFIG)
     finish()
     try:
-        answer = smallest_u_for_patterns(count, gap, search)
+        answer = smallest_u_for_patterns(count, gap)
     except (ValueError, RuntimeError) as exc:
         raise ConfigError("smallest", str(exc)) from None
     rows = [
@@ -820,13 +785,13 @@ def _cmd_smallest_u(cfg: Config, out: Path, trace: bool,
 
 _DISPATCH: dict[str, tuple[Callable, tuple[str, ...]]] = {
     "certify": (_cmd_certify, ("certify", "family", "game")),
-    "maximize": (_cmd_maximize, ("maximize", "family", "game", "optimizer")),
-    "intersect": (_cmd_intersect, ("intersect", "member", "game", "optimizer")),
+    "maximize": (_cmd_maximize, ("maximize", "family", "game")),
+    "intersect": (_cmd_intersect, ("intersect", "member", "game")),
     "generate": (_cmd_generate, ("generate", "family")),
     "simulate": (_cmd_simulate, ("simulate", "generate", "family", "game")),
     "verify": (_cmd_verify, ("verify", "generate", "family", "game")),
     "find-pattern": (_cmd_find_pattern, ("pattern", "generate", "family")),
-    "smallest-u": (_cmd_smallest_u, ("smallest", "optimizer")),
+    "smallest-u": (_cmd_smallest_u, ("smallest",)),
 }
 
 

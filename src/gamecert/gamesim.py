@@ -440,7 +440,7 @@ class PlayTranscript(NamedTuple):
     text writes the preamble from those numerators too.
     """
 
-    radius: Fraction
+    radius: Fraction          # of the first box: always 1
     c: float
     alpha_log: float
     betas: tuple[Fraction, ...]
@@ -529,19 +529,17 @@ def play_game(
     policy: Policy,
     strategy: CoveringStrategy,
     depth: int,
-    radius: Fraction | int = 1,
     grant_preamble: bool = True,
-    clamp: bool = True,
 ) -> PlayTranscript:
-    """Run the game to `depth` moves.
+    """Run the game to `depth` moves, from the box of radius 1 at the origin.
 
-    The nesting player's policy proposes a center each move; with clamp=True
-    the proposal is projected onto the legal (nested) range, otherwise an
-    illegal proposal raises.  The deleting player answers move m with every
-    level-m strategy box that intersects the current play box, provided the
-    summed mass fits the budget (alpha prod beta^m)^c; an over-budget answer
-    degrades to a recorded skip.  Strategy levels flagged as preamble are
-    granted before move 1, recorded without a budget charge.
+    The nesting player's policy proposes a center each move, and the
+    proposal is projected onto the legal (nested) range.  The deleting
+    player answers move m with every level-m strategy box that intersects
+    the current play box, provided the summed mass fits the budget
+    (alpha prod beta^m)^c; an over-budget answer degrades to a recorded
+    skip.  Strategy levels flagged as preamble are granted before move 1,
+    recorded without a budget charge.
 
     families._reach finds a move's boxes on its level's integer numerators,
     and the move keeps their indices: its deletions, like the preamble, are
@@ -556,7 +554,6 @@ def play_game(
     contraction = params.contraction
     if not contraction.is_exact:
         raise ValueError("game runs require exact contraction ratios")
-    r = Fraction(radius)
     betas = contraction.exact_betas()
     c = params.c
     log_det = contraction.log_det()
@@ -564,14 +561,12 @@ def play_game(
     preamble = _Deletions([(0, lvl, None, c * lvl.exponent * log_det)
                            for lvl in strategy.levels if grant_preamble and lvl.preamble])
     by_level = {lvl.level: lvl for lvl in strategy.levels if not lvl.preamble}
-    current = BoxRegion(tuple(Fraction(0) for _ in betas), tuple(r for _ in betas))
+    current = BoxRegion(tuple(Fraction(0) for _ in betas), tuple(Fraction(1) for _ in betas))
     moves: list[MoveRecord] = []
     for m in range(1, depth + 1):
-        half = tuple(r * b ** m for b in betas)
+        half = tuple(b ** m for b in betas)
         desired = tuple(Fraction(x) for x in policy(m, current))
         center = _clamp_center(desired, current, half)
-        if not clamp and center != desired:
-            raise ValueError(f"illegal play at move {m}: box not nested")
         box = BoxRegion(center, half)
         level = by_level.get(m)
         cap_log = c * (params.alpha.log + m * log_det)
@@ -585,7 +580,7 @@ def play_game(
                 spent_log = mass_log + math.log(len(rows))
         moves.append(MoveRecord(m, box, deletions, spent_log, cap_log, not deletions))
         current = box
-    return PlayTranscript(r, c, params.alpha.log, betas, preamble, tuple(moves))
+    return PlayTranscript(Fraction(1), c, params.alpha.log, betas, preamble, tuple(moves))
 
 
 # ---------------------------------------------------------------- potential

@@ -22,13 +22,13 @@ The certificates leave four knobs open, searched as follows:
   below each integer, where the ceiling counts in the slab cover drop and
   the budget rate improves discontinuously.
 
-All searches are deterministic: fixed grids from the config, ties broken
-toward smaller (c, delta, t).  Rates are taken per row of the grid: a row
-fetches each family's c-free parts (RateParts, cached per t) once, and each
-probe in it costs a few float operations.  Members of an intersection with
-equal parts, as its corner members are, share one rate per probe.  The
-ranking puts the count first, so only cells at a pass's top
-count K can win: cells are counted highest estimate exp(rhs1 - c log alpha)
+All searches are deterministic: one fixed grid per command (_Grid), ties
+broken toward smaller (c, delta, t).  Rates are taken per row of the grid:
+a row fetches each family's c-free parts (RateParts, cached per t) once,
+and each probe in it costs a few float operations.  Members of an
+intersection with equal parts, as its corner members are, share one rate
+per probe.  The ranking puts the count first, so only cells at a pass's
+top count K can win: cells are counted highest estimate exp(rhs1 - c log alpha)
 first; one whose verdict fails at K, and from the first estimate below K
 every cell, has a count below K (feasibility is antitone in M) and is
 counted only if no cell at K has a witness.  With the count pinned to 1 no
@@ -64,122 +64,43 @@ from .core import REL_MARGIN, DiagonalContraction, LogScalar, combine_logs
 from .families import RateParts, RcdSpec, RcoSpec, rcd_rate_parts, rco_rate_parts
 
 __all__ = [
-    "SearchConfig",
-    "SearchConfigError",
     "SearchResult",
     "SmallestU",
     "max_pattern_size",
     "optimize_pattern_count",
     "optimize_intersection",
     "smallest_u_for_patterns",
-    "DEFAULT_CONFIG",
-    "MAX_SEARCH_CELLS",
-    "search_cells",
 ]
 
 MAX_PATTERN_CAP = 1 << 40
+# the range of s = 1 - c that every c grid spans, geometrically
+C_S_LO, C_S_HI = 1e-4, 0.6
 # t probes just below each integer, where the slab cover count drops
 T_INTEGER_OFFSETS = (1e-5, 1e-8)
 # the refine ladder below the integer a near-integer winner sits under
 T_REFINE_OFFSETS = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 1e-7, 1e-8)
-# most (c, t) cells one search may probe, over its grid and refine passes
-MAX_SEARCH_CELLS = 1 << 20
 
 
-def search_cells(config: SearchConfig) -> float:
-    """An upper bound on the (c, t) cells a search with `config` probes,
-    read from the config alone, before any grid is built.
+class _Grid(NamedTuple):
+    """The grid one command searches: c_count values of s = 1 - c, spaced
+    geometrically over [C_S_LO, C_S_HI], times the t values from t_lo to
+    t_hi in steps of t_step plus the probes below each integer; then
+    refine_passes passes of refine_points values per axis around the winner."""
 
-    The first pass probes at most c_count c values times the t grid's
-    (t_hi - t_lo)/t_step + 1 points plus its probes below each integer up
-    to t_hi; each refine pass at most refine_points c values times
-    max(refine_points, ladder length) t values.  Integer fields are clamped
-    just past MAX_SEARCH_CELLS, so huge ones cannot overflow a float.
-    """
-    limit = MAX_SEARCH_CELLS + 1
-    t_points = ((config.t_hi - config.t_lo) / config.t_step + 1.0
-                + len(T_INTEGER_OFFSETS) * config.t_hi)
-    c_points = min(config.c_count, limit)
-    refine = min(config.refine_points, limit) * max(
-        min(config.refine_points, limit), len(T_REFINE_OFFSETS))
-    return c_points * t_points + min(config.refine_passes, limit) * refine
+    c_count: int
+    refine_passes: int
+    refine_points: int
+    t_lo: float
+    t_hi: float
+    t_step: float
 
 
-class SearchConfigError(ValueError):
-    """A SearchConfig that fails a check.  `field` is the field at fault,
-    or None when the grid as a whole is too large; `text` says what is
-    wrong, and `other` names the field it is compared with, if any."""
-
-    def __init__(self, field: str | None, text: str, other: str | None = None) -> None:
-        super().__init__(field, text, other)
-        self.field, self.text, self.other = field, text, other
-
-    def __str__(self) -> str:
-        text = f"{self.text} {self.other}" if self.other else self.text
-        return f"{self.field}: {text}" if self.field else text
-
-
-# Both stay dataclasses: perfbench calls dataclasses.replace on a SearchResult
-# and scripts/search_dump.py reads its dataclasses.fields; the tests call
-# replace on a SearchConfig to show that a copy is checked too.
-@dataclass(frozen=True)
-class SearchConfig:
-    """Deterministic search grids; every field has a reproducible default.
-
-    A config is checked when it is made: its floats must be finite, c_s_lo
-    and c_s_hi in (0, 1) with c_s_lo below c_s_hi, t_lo, t_hi and t_step
-    positive with t_lo at most t_hi, c_count at least 2, refine_points at
-    least 3, refine_passes at least 0, pattern_cap in [1, MAX_PATTERN_CAP],
-    and its grids may hold at most MAX_SEARCH_CELLS cells (search_cells).
-    A failed check raises SearchConfigError, a ValueError.
-    """
-
-    c_count: int = 32                     # points in the coarse 1-c grid
-    c_s_lo: float = 1e-4                  # smallest 1-c
-    c_s_hi: float = 0.6                   # largest 1-c
-    refine_passes: int = 2                # zoom passes around the winner
-    refine_points: int = 9                # points per refined axis
-    t_lo: float = 0.25
-    t_hi: float = 6.0
-    t_step: float = 0.25
-    pattern_cap: int = MAX_PATTERN_CAP    # never search beyond this count
-
-    def __post_init__(self) -> None:
-        for name in ("c_s_lo", "c_s_hi", "t_lo", "t_hi", "t_step"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise SearchConfigError(name, f"must be a finite number, got {value!r}")
-        for name in ("c_s_lo", "c_s_hi"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise SearchConfigError(name, f"must lie in (0, 1), got {value!r}")
-        for name in ("t_lo", "t_hi", "t_step"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise SearchConfigError(name, f"must be > 0, got {value!r}")
-        for name, least in (("c_count", 2), ("refine_points", 3), ("refine_passes", 0),
-                            ("pattern_cap", 1)):
-            value = getattr(self, name)
-            if value < least:
-                raise SearchConfigError(name, f"must be >= {least}, got {value!r}")
-        if self.pattern_cap > MAX_PATTERN_CAP:
-            raise SearchConfigError(
-                "pattern_cap", f"must be <= {MAX_PATTERN_CAP}, got {self.pattern_cap!r}")
-        if not self.c_s_lo < self.c_s_hi:
-            raise SearchConfigError("c_s_lo", "must be below", "c_s_hi")
-        if self.t_lo > self.t_hi:
-            raise SearchConfigError("t_lo", "must not exceed", "t_hi")
-        cells = search_cells(self)
-        if cells > MAX_SEARCH_CELLS:
-            raise SearchConfigError(
-                None,
-                f"the search grid has up to {cells:.4g} cells, over the limit of "
-                f"{MAX_SEARCH_CELLS} (raise t_step, or lower c_count, refine_points "
-                f"or refine_passes)",
-            )
-
-
-DEFAULT_CONFIG = SearchConfig()
+# maximize and intersect
+_SEARCH_GRID = _Grid(c_count=32, refine_passes=2, refine_points=9,
+                     t_lo=0.25, t_hi=6.0, t_step=0.25)
+# smallest-u, which runs one search per u it tries
+_SMALLEST_U_GRID = _Grid(c_count=12, refine_passes=1, refine_points=7,
+                         t_lo=0.5, t_hi=3.0, t_step=0.5)
 
 
 def _k_minimizer(lhs: float, pack: float) -> float:
@@ -280,19 +201,19 @@ def _tail_count(alpha: LogScalar, contraction: DiagonalContraction, c: float, de
 # ------------------------------------------------------------ grid builders
 
 
-def _c_grid(config: SearchConfig) -> tuple[float, ...]:
-    s_values = _geom(config.c_s_lo, config.c_s_hi, config.c_count)
+def _c_grid(grid: _Grid) -> tuple[float, ...]:
+    s_values = _geom(C_S_LO, C_S_HI, grid.c_count)
     return tuple(sorted({1.0 - s for s in s_values if 0.0 < 1.0 - s < 1.0}))
 
 
-def _t_grid(config: SearchConfig) -> tuple[float, ...]:
+def _t_grid(grid: _Grid) -> tuple[float, ...]:
     values: set[float] = set()
-    steps = math.floor((config.t_hi - config.t_lo) / config.t_step + 1e-9)
+    steps = math.floor((grid.t_hi - grid.t_lo) / grid.t_step + 1e-9)
     for i in range(steps + 1):
-        values.add(config.t_lo + i * config.t_step)
-    for j in range(1, int(config.t_hi) + 1):
+        values.add(grid.t_lo + i * grid.t_step)
+    for j in range(1, int(grid.t_hi) + 1):
         for off in T_INTEGER_OFFSETS:
-            if config.t_lo <= j - off <= config.t_hi:
+            if grid.t_lo <= j - off <= grid.t_hi:
                 values.add(j - off)
     return tuple(sorted(values))
 
@@ -418,6 +339,8 @@ class _Point(NamedTuple):
     alpha_log: float
 
 
+# A dataclass: perfbench calls dataclasses.replace on a SearchResult and
+# scripts/search_dump.py reads its dataclasses.fields.
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of a parameter search, with the certificate of the winner."""
@@ -456,10 +379,10 @@ def _search(
     contraction: DiagonalContraction,
     rate_row: RateRow,
     t_values: Sequence[float],
-    config: SearchConfig,
+    grid: _Grid,
     want_patterns: bool,
 ) -> tuple[_Point | None, int, list[tuple]]:
-    cap = config.pattern_cap if want_patterns else 1
+    cap = MAX_PATTERN_CAP if want_patterns else 1
     delta = _tail(contraction.n)[0]
     rhs1_at: dict[float, float] = {}
     probes = 0
@@ -532,13 +455,13 @@ def _search(
                 return local
         return None
 
-    best = run_grid(t_values, _c_grid(config))
+    best = run_grid(t_values, _c_grid(grid))
     if best is None:
         return None, probes, trace
-    c_grid, t_grid = list(_c_grid(config)), list(t_values)
-    for _ in range(config.refine_passes):
-        cs = _refine_c(best.c, c_grid, config.refine_points)
-        ts = _refine_t(best.t, t_grid, config.refine_points) if len(t_grid) > 1 else tuple(t_grid)
+    c_grid, t_grid = list(_c_grid(grid)), list(t_values)
+    for _ in range(grid.refine_passes):
+        cs = _refine_c(best.c, c_grid, grid.refine_points)
+        ts = _refine_t(best.t, t_grid, grid.refine_points) if len(t_grid) > 1 else tuple(t_grid)
         best = _better(best, run_grid(ts, cs))
         c_grid = sorted(set(c_grid) | set(cs))
         t_grid = sorted(set(t_grid) | set(ts))
@@ -597,21 +520,26 @@ def _family_rates(family: RcoSpec | RcdSpec) -> RateRow:
 
 def optimize_pattern_count(
     family: RcoSpec | RcdSpec,
-    config: SearchConfig = DEFAULT_CONFIG,
     rho2: float = 1.0,
     want_patterns: bool = True,
 ) -> SearchResult:
     """Largest certifiable pattern count for one family, with best dimension
     among the parameter choices attaining it.  With want_patterns=False the
     count is pinned to 1 and only the dimension bound is optimized."""
+    return _family_search(family, _SEARCH_GRID, rho2, want_patterns)
+
+
+def _family_search(family: RcoSpec | RcdSpec, grid: _Grid, rho2: float = 1.0,
+                   want_patterns: bool = True) -> SearchResult:
+    """optimize_pattern_count over `grid`."""
     if isinstance(family, RcoSpec):
         t_values: tuple[float, ...] = (float(family.t),)
         kind = "cutout"
     else:
-        t_values = _t_grid(config)
+        t_values = _t_grid(grid)
         kind = "corner"
     contraction = family.contraction()
-    point, probes, trace = _search(contraction, _family_rates(family), t_values, config,
+    point, probes, trace = _search(contraction, _family_rates(family), t_values, grid,
                                    want_patterns)
     return _result_from_point(
         kind, point, probes, trace, contraction, rho2, family.extras(),
@@ -657,7 +585,6 @@ def _intersection_rates(
 
 def optimize_intersection(
     members: Sequence[RcoSpec | RcdSpec],
-    config: SearchConfig = DEFAULT_CONFIG,
     want_patterns: bool = False,
     rho2: float = 1.0,
 ) -> SearchResult:
@@ -675,8 +602,9 @@ def optimize_intersection(
             raise ValueError("intersection members must share their denominators u, v")
     rate_row, member_alphas = _intersection_rates(members)
     has_corner = any(isinstance(sp, RcdSpec) for sp in members)
-    t_values = _t_grid(config) if has_corner else (0.0,)
-    point, probes, trace = _search(contraction, rate_row, t_values, config, want_patterns)
+    t_values = _t_grid(_SEARCH_GRID) if has_corner else (0.0,)
+    point, probes, trace = _search(contraction, rate_row, t_values, _SEARCH_GRID,
+                                   want_patterns)
     extras = {"member_count": str(len(members))}
     for i, sp in enumerate(members, start=1):
         for key, value in sp.extras().items():
@@ -685,16 +613,6 @@ def optimize_intersection(
         "intersection", point, probes, trace, contraction, rho2,
         extras, member_alphas=member_alphas if not want_patterns else None,
     )
-
-
-SMALLEST_U_CONFIG = SearchConfig(
-    c_count=12,
-    refine_passes=1,
-    refine_points=7,
-    t_lo=0.5,
-    t_hi=3.0,
-    t_step=0.5,
-)
 
 
 class SmallestU(NamedTuple):
@@ -709,11 +627,10 @@ class SmallestU(NamedTuple):
 def smallest_u_for_patterns(
     pattern_count: int,
     gap: int,
-    config: SearchConfig = SMALLEST_U_CONFIG,
 ) -> SmallestU:
     """A denominator u at which the corner family (u, u+gap) starts to
     certify the requested pattern count, in the bracket sense: the search at
-    u certifies it and the search at u - 1 does not.
+    u, over the smallest-u grid, certifies it and the search at u - 1 does not.
 
     Doubling then bisection finds one such bracket; both endpoints' searches
     are returned.  It need not be the least certifying u: the budget rate
@@ -729,7 +646,7 @@ def smallest_u_for_patterns(
     def run(u: int) -> SearchResult:
         nonlocal probes
         if u not in cache:
-            cache[u] = optimize_pattern_count(RcdSpec(u, u + gap), config)
+            cache[u] = _family_search(RcdSpec(u, u + gap), _SMALLEST_U_GRID)
             probes += 1
         return cache[u]
 

@@ -33,7 +33,14 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import core
 from .core import BoxRegion, Record, _LazyRows, check_size, line_chunks
-from .families import RectangleSet, _grid_hits, _reach_rows, _span_lattice, _typecode
+from .families import (
+    RectangleSet,
+    _grid_hits,
+    _ratio_texts,
+    _reach_rows,
+    _span_lattice,
+    _typecode,
+)
 from .gamesim import MAX_AUDIT_CELLS
 
 if TYPE_CHECKING:
@@ -156,32 +163,27 @@ class PatternCandidate(NamedTuple):
 
 
 class _ScaleBlock(NamedTuple):
-    """The candidates of one scale: the translation (xs[ix[i]], ys[iy[i]])
-    for each i, where xs and ys are the grid's translation coordinates per
+    """The candidates of one scale: the translation ((lo[0] + ix[i]) res,
+    (lo[1] + iy[i]) res) for each i, where lo is the grid's first index per
     axis and ix, iy the grid indices that passed, as array columns of the
-    narrowest typecode that holds the grid's longer side (families._typecode).
-    xs and ys are read-only views: coordinate i is (lo + i) res, a Fraction
-    built only when it is read."""
+    narrowest typecode that holds the grid's longer side (families._typecode)."""
 
     lam: Fraction
-    xs: Sequence[Fraction]
-    ys: Sequence[Fraction]
+    lo: list[int]
+    res: Fraction
     ix: array
     iy: array
-
-
-def _translation(lo: int, res: Fraction, i: int) -> Fraction:
-    """(lo + i) res, normalized once."""
-    return Fraction((lo + i) * res.numerator, res.denominator)
 
 
 def _candidate(blocks: list[_ScaleBlock], ends: list[int], depth: int, i: int) -> PatternCandidate:
     """Candidate i of the blocks, where ends[b] is the number of candidates
     in blocks 0..b."""
     b = bisect_right(ends, i)
-    lam, xs, ys, ix, iy = blocks[b]
+    lam, lo, res, ix, iy = blocks[b]
     i -= ends[b - 1] if b else 0
-    return PatternCandidate(lam, (xs[ix[i]], ys[iy[i]]), depth)
+    num, den = res.numerator, res.denominator
+    return PatternCandidate(lam, (Fraction((lo[0] + ix[i]) * num, den),
+                                  Fraction((lo[1] + iy[i]) * num, den)), depth)
 
 
 class _Candidates(_LazyRows):
@@ -278,13 +280,12 @@ def _scale_block(lam: Fraction, lo: list[int], res: Fraction, mask: np.ndarray) 
     import numpy as np
 
     shape = mask.shape
-    xs, ys = (_LazyRows(n, partial(_translation, a, res)) for n, a in zip(shape, lo))
     code = _typecode(max(shape))
     # the passing cells in row-major order, as np.nonzero(mask) lists them
     # (a flat scan and one divmod take a third of its time)
     ix, iy = (array(code, index.astype(code).tobytes())
               for index in np.divmod(np.flatnonzero(mask), shape[1]))
-    return _ScaleBlock(lam, xs, ys, ix, iy)
+    return _ScaleBlock(lam, lo, res, ix, iy)
 
 
 # How many of its first candidates find_homothety re-verifies by the exact
@@ -349,28 +350,37 @@ def find_homothety(query: PatternQuery, rect: RectangleSet) -> Sequence[PatternC
     return out
 
 
+def _translation_texts(lo: int, res: Fraction, indices: Iterable[int],
+                       end: str) -> dict[int, str]:
+    """index i -> the text of the translation (lo + i) res, as str(Fraction)
+    writes it, then `end`, for each distinct i of `indices`."""
+    distinct = list(set(indices))
+    return dict(zip(distinct, _ratio_texts(
+        res.denominator, [(lo + i) * res.numerator for i in distinct], end, whole=True)))
+
+
 def candidates_csv_chunks(candidates: Iterable[PatternCandidate]) -> Iterator[str]:
     """The text of candidates_to_csv as it is formatted: the header, then
     the rows.  A find_homothety view is written a run at a time, building
     no candidate: its rows are in row-major grid order, so the rows that
     share a scale and an x are one run, at most core.CHUNK_LINES of which
     make one chunk, prefix + prefix.join(y texts); each scale's lambda and
-    each y text that a candidate uses are formatted once per scale.  Other
+    each x and y text that a candidate uses are formatted once per scale,
+    from the integer translations (families._ratio_texts).  Other
     candidates are written a row at a time, core.CHUNK_LINES to a chunk."""
     yield "lambda,x1,x2,max_depth_passed\n"
     if not isinstance(candidates, _Candidates):
         yield from line_chunks(f"{cand.lam},{cand.x[0]},{cand.x[1]},{cand.max_depth_passed}\n"
                                for cand in candidates)
         return
-    tail = f",{candidates.depth}\n"
-    for lam, xs, ys, ix, iy in candidates.blocks:
-        head = f"{lam},"
-        yt = {j: str(ys[j]) + tail for j in set(iy)}
+    for lam, lo, res, ix, iy in candidates.blocks:
+        xt = _translation_texts(lo[0], res, ix, ",")
+        yt = _translation_texts(lo[1], res, iy, f",{candidates.depth}\n")
         start = 0
         while start < len(ix):
             i = ix[start]
             stop = bisect_right(ix, i, start, min(start + core.CHUNK_LINES, len(ix)))
-            prefix = f"{head}{xs[i]},"
+            prefix = f"{lam},{xt[i]}"
             yield prefix + prefix.join(map(yt.__getitem__, iy[start:stop]))
             start = stop
 

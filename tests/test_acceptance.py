@@ -5,13 +5,15 @@ dimension bounds for the stock instances; property suites (8-11) replay the
 combinatorial facts the certificates lean on, exhaustively where the domain
 is finite and with seeded random sweeps where it is not; 14 holds each
 dimension bound below the exact dimension of a member it covers, and 15
-runs README's library block and its config blocks.
+runs README's library block and its config blocks, and checks that README
+names every config key a command reads.
 """
 import collections
 import itertools
 import math
 import random
 import re
+import runpy
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import mpmath
 import pytest
 
 from gamecert.certify import REL_MARGIN, default_delta, feasibility_report
-from gamecert.cli import _recertify, main
+from gamecert.cli import Config, _recertify, main
 from gamecert.core import DiagonalContraction, LogScalar
 from gamecert.families import (
     RcdSpec,
@@ -461,3 +463,39 @@ def test_c15_readme_config_blocks_run_in_order_and_exit_0(tmp_path, monkeypatch)
     for i, block in enumerate(blocks):
         (tmp_path / f"block-{i}.cfg").write_text(block)
         assert main(["--config", f"block-{i}.cfg", "--out", "run"]) == 0, block
+
+
+def _member_keys(text):
+    """`text` with each numbered member's key prefix member.<n>. as member.<i>."""
+    return re.sub(r"\bmember\.\d+\.", "member.<i>.", text)
+
+
+def test_c15_readme_names_every_key_a_command_reads(tmp_path, monkeypatch):
+    # one config per command and per verify check (scripts/traffic.py's
+    # CONFIGS), each certificate they write re-validated: every key a run
+    # asks Config.raw for, set or not, is named in README
+    root = Path(__file__).resolve().parents[1]
+    configs = runpy.run_path(str(root / "scripts" / "traffic.py"))["CONFIGS"]
+    asked = set()
+    raw = Config.raw
+
+    def recorded(self, key, *args):
+        asked.add(key)
+        return raw(self, key, *args)
+
+    monkeypatch.setattr(Config, "raw", recorded)
+    for i, (config, want) in enumerate(configs.values()):
+        out = tmp_path / f"run-{i}"
+        (tmp_path / f"run-{i}.cfg").write_text(config)
+        assert main(["--config", str(tmp_path / f"run-{i}.cfg"), "--out", str(out)]) == want
+        if (out / "certificate.txt").exists():
+            (tmp_path / f"again-{i}.cfg").write_text(
+                f"command = certify\ncertify.certificate = {out / 'certificate.txt'}\n")
+            assert main(["--config", str(tmp_path / f"again-{i}.cfg"),
+                         "--out", str(out / "again")]) == want
+    readme = _member_keys((root / "README.md").read_text())
+    keys = {_member_keys(key) for key in asked}
+    assert {"maximize.objective", "member.<i>.corner_rule", "certify.certificate"} <= keys
+    unnamed = sorted(key for key in keys
+                     if not re.search(r"(?<![\w.])" + re.escape(key) + r"(?!\w)", readme))
+    assert unnamed == []

@@ -131,6 +131,23 @@ def test_maximize_reaches_232_and_revalidates(tmp_path, capsys):
     assert "re-validates" in capsys.readouterr().out
 
 
+def test_maximize_dimension_objective_pins_the_count_and_revalidates(tmp_path, capsys):
+    # with the count pinned to 1 the bound beats the default run's, which
+    # certifies 232 points
+    for objective, count, dim in (("pattern-count", 232, "1.9999999028691064"),
+                                  ("dimension", 1, "1.9999999491818308")):
+        cfg = write_cfg(tmp_path, f"{objective}.cfg",
+                        MAXIMIZE_CFG + f"maximize.objective = {objective}\n")
+        out = tmp_path / objective
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        search = (out / "search.txt").read_text().splitlines()
+        assert f"pattern_count = {count}" in search and f"dim_bound = {dim}" in search
+        recheck = write_cfg(tmp_path, "recheck.cfg",
+                            f"command = certify\ncertify.certificate = {out / 'certificate.txt'}\n")
+        assert main(["--config", recheck]) == 0
+        assert "certificate re-validates: kind=pattern" in capsys.readouterr().out
+
+
 def test_tampered_certificate_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "max.cfg", MAXIMIZE_CFG)
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
@@ -476,6 +493,30 @@ def test_verify_transfer_samples(tmp_path):
     assert "failures = 0" in (tmp_path / "report.txt").read_text()
 
 
+def test_find_pattern_below_the_generated_depth(tmp_path, capsys):
+    # at one scale and one grid step, the depth-1 kept region keeps every
+    # candidate the depth-2 one does, and more; each file's depth column
+    # reads its query depth
+    rows = {}
+    for depth in (1, 2):
+        cfg = write_cfg(tmp_path, f"pat{depth}.cfg", f"""
+            command = find-pattern
+            family.kind = rcd
+            family.u = 7
+            family.v = 4
+            generate.depth = 2
+            pattern.points = 0,0; 2,0
+            pattern.lambda_lo = 1/49
+            pattern.resolution = 1/98
+            pattern.depth = {depth}
+        """)
+        assert main(["--config", cfg, "--out", str(tmp_path / str(depth))]) == 0
+        lines = (tmp_path / str(depth) / "candidates.csv").read_text().splitlines()[1:]
+        assert lines and {line.rsplit(",", 1)[1] for line in lines} == {str(depth)}
+        rows[depth] = {line.rsplit(",", 1)[0] for line in lines}
+    assert rows[2] < rows[1]
+
+
 def test_find_pattern_and_clean_empty(tmp_path, capsys):
     found = write_cfg(tmp_path, "pat.cfg", """
         command = find-pattern
@@ -577,16 +618,6 @@ def test_smallest_u_trace_is_the_answers_search(tmp_path, capsys):
      "duplicate"),
     ("family.kind = rcd\nfamily.u = 7\nfamily.v = 4\ngenerate.depth = 1\n",
      "no command given"),
-    (MAXIMIZE_CFG + "optimizer.pattern_cap = 1099511627777\n", "optimizer.pattern_cap"),
-    (MAXIMIZE_CFG + "optimizer.t_lo = 3.0\noptimizer.t_hi = 2.0\n", "optimizer.t_lo"),
-    # SearchConfig alone checks each optimizer value
-    (MAXIMIZE_CFG + "optimizer.t_hi = 0\n", "optimizer.t_hi"),
-    (MAXIMIZE_CFG + "optimizer.t_step = 0\n", "optimizer.t_step"),
-    (MAXIMIZE_CFG + "optimizer.c_s_lo = 0\n", "optimizer.c_s_lo"),
-    (MAXIMIZE_CFG + "optimizer.c_s_hi = 1\n", "optimizer.c_s_hi"),
-    (MAXIMIZE_CFG + "optimizer.c_count = 1\n", "optimizer.c_count"),
-    (MAXIMIZE_CFG + "optimizer.refine_points = 2\n", "optimizer.refine_points"),
-    (MAXIMIZE_CFG + "optimizer.refine_passes = -1\n", "optimizer.refine_passes"),
     ("command = verify\nverify.check = budget\nfamily.kind = rco\nfamily.u = 4\n"
      "family.v = 5\nfamily.m = 2\nfamily.t = 1\ngame.c = 0.5\ngenerate.depth = 2\n"
      "verify.extent = 100000\n", "verify.extent"),
@@ -787,14 +818,6 @@ def test_scan_and_raster_refuse_oversized_inputs_before_work(tmp_path, capsys, m
     assert not (tmp_path / "out").exists()
 
 
-RCD_MAXIMIZE_CFG = """
-command = maximize
-family.kind = rcd
-family.u = 7
-family.v = 4
-"""
-
-
 @pytest.mark.parametrize("raw", ["nan", "-nan", "inf", "-inf", "1e999"])
 def test_config_floats_must_be_finite(raw):
     cfg = Config({"game.c": raw, "game.t": raw}, "test")
@@ -805,12 +828,22 @@ def test_config_floats_must_be_finite(raw):
 
 
 @pytest.mark.parametrize("body,needle", [
-    (RCD_MAXIMIZE_CFG + "optimizer.t_hi = nan\n", "optimizer.t_hi"),
-    (RCD_MAXIMIZE_CFG + "optimizer.t_lo = nan\n", "optimizer.t_lo"),
     ("command = certify\nfamily.kind = raw\nfamily.betas = 0.1\n"
      "family.alpha_log = nan\ngame.c = 0.5\n", "family.alpha_log"),
     ("command = certify\nfamily.kind = raw\nfamily.betas = 0.1\n"
      "family.alpha_log = -inf\ngame.c = 0.5\n", "family.alpha_log"),
+    ("command = certify\nfamily.kind = raw\nfamily.betas = 0.1\n"
+     "family.alpha = nan\ngame.c = 0.5\n", "family.alpha"),
+    ("command = certify\nfamily.kind = raw\nfamily.betas = 0.1\n"
+     "family.alpha = 0.01\ngame.c = nan\n", "game.c"),
+    ("command = certify\nfamily.kind = raw\nfamily.betas = 0.1\n"
+     "family.alpha = 0.01\ngame.c = 0.5\ngame.delta = inf\n", "game.delta"),
+    ("command = certify\nfamily.kind = rcd\nfamily.u = 7\nfamily.v = 4\n"
+     "game.c = 0.5\ngame.t = nan\n", "game.t"),
+    # the search commands read their floats through the same checks
+    (MAXIMIZE_CFG + "game.rho2 = nan\n", "game.rho2"),
+    (TRACED_RUNS["intersect"][0] + "game.rho2 = inf\n", "game.rho2"),
+    (SIMULATE + RCO_FAMILY + "game.c = nan\nsimulate.moves = 2\n", "game.c"),
 ])
 def test_non_finite_config_floats_exit_1(tmp_path, capsys, body, needle):
     cfg = write_cfg(tmp_path, "cfg", body)
@@ -820,31 +853,49 @@ def test_non_finite_config_floats_exit_1(tmp_path, capsys, body, needle):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("extra", [
-    "optimizer.t_step = 1e-9\n",                       # about 5.75e9 t values
-    "optimizer.t_hi = 1e300\n",                        # the probes below each integer
-    "optimizer.c_count = 2000000\n",
-    "optimizer.c_count = %d\n" % 10 ** 400,
-    "optimizer.refine_points = 2000\n",
-    "optimizer.refine_passes = %d\n" % 10 ** 30,
-])
-def test_search_grid_bound_is_checked_before_any_grid(tmp_path, capsys, monkeypatch, extra):
-    def no_grid(*args):
-        raise AssertionError("a grid was built before the bound was checked")
+# grid settings under optimizer.*: every search command refuses each as an
+# unknown key, since each command searches one fixed grid
+FORMER_SEARCH_KEYS = ["c_count", "c_s_lo", "c_s_hi", "refine_passes", "refine_points",
+                      "t_lo", "t_hi", "t_step", "pattern_cap"]
 
-    monkeypatch.setattr(optimize, "_t_grid", no_grid)
-    monkeypatch.setattr(optimize, "_c_grid", no_grid)
-    cfg = write_cfg(tmp_path, "cfg", RCD_MAXIMIZE_CFG + extra)
+
+@pytest.mark.parametrize("key", FORMER_SEARCH_KEYS)
+def test_former_search_grid_keys_are_unknown(tmp_path, capsys, key):
+    for body, _ in TRACED_RUNS.values():
+        cfg = write_cfg(tmp_path, "cfg", body + f"optimizer.{key} = 2\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert f"error: config: optimizer.{key}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["radius", "clamp"])
+def test_former_game_keys_are_unknown(tmp_path, capsys, key):
+    # the game always starts from the radius-1 box and always clamps, so
+    # simulate reads neither key
+    cfg = write_cfg(tmp_path, "cfg", SIMULATE + RCO_GAME + f"simulate.moves = 2\nsimulate.{key} = 1\n")
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert f"over the limit of {optimize.MAX_SEARCH_CELLS}" in err
+    assert (f"error: config: simulate.{key}: key was not consumed by this command"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
-def test_default_search_grids_are_well_inside_the_bound():
-    for config in (optimize.DEFAULT_CONFIG, optimize.SMALLEST_U_CONFIG):
-        assert len(optimize._t_grid(config)) * len(optimize._c_grid(config)) \
-            <= optimize.search_cells(config) <= optimize.MAX_SEARCH_CELLS // 100
+@pytest.mark.parametrize("command", list(TRACED_RUNS))
+def test_each_search_command_runs_its_fixed_grid(tmp_path, capsys, monkeypatch, command):
+    # maximize and intersect search the one search grid, smallest-u each of
+    # its searches on the smaller grid
+    grids = []
+    search = optimize._search
+
+    def recorded(contraction, rate_row, t_values, grid, want_patterns):
+        grids.append(grid)
+        return search(contraction, rate_row, t_values, grid, want_patterns)
+
+    monkeypatch.setattr(optimize, "_search", recorded)
+    cfg = write_cfg(tmp_path, "run.cfg", TRACED_RUNS[command][0])
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    want = optimize._SMALLEST_U_GRID if command == "smallest-u" else optimize._SEARCH_GRID
+    assert grids and set(grids) == {want}
+    assert (command == "smallest-u") == (len(grids) > 1)
 
 
 def test_command_conflict_between_argv_and_config(tmp_path, capsys):

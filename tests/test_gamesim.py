@@ -205,11 +205,21 @@ def test_boxes_stay_nested_and_sized(rco_strategy):
         prev = mv.box
 
 
-def test_illegal_play_raises_without_clamping(rco_strategy):
+@pytest.mark.parametrize("target", [(7, -9), (-7, 9), (-7, -9), (7, 9),
+                                    (Fraction(1, 8), 50)])
+def test_far_plays_are_clamped_onto_the_nested_range(rco_strategy, target):
+    # each move's center is the target projected onto the range that keeps
+    # the box in the last one: past the root box on an axis, every box
+    # touches its edge on the target's side; inside it, the center stays
     _, strat = rco_strategy
-    with pytest.raises(ValueError, match="not nested"):
-        play_game(steering_policy((Fraction(7), Fraction(-9))), strat, depth=2,
-                  clamp=False)
+    tr = play_game(steering_policy(target), strat, depth=4)
+    for mv in tr.moves:
+        for j, goal in enumerate(map(Fraction, target)):
+            if abs(goal) > 1:
+                side = 1 if goal > 0 else -1
+                assert mv.box.center[j] + side * mv.box.half[j] == side
+            else:
+                assert mv.box.center[j] == goal
 
 
 def test_origin_play_survives_corner_cuts(rco_strategy):

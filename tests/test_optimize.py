@@ -6,7 +6,6 @@ import math
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,11 +18,9 @@ from gamecert.certify import feasibility_report, pattern_dim_bound
 from gamecert.core import REL_MARGIN, DiagonalContraction, LogScalar, combine_alphas
 from gamecert.families import RcdSpec, RcoSpec, rcd_alpha, rcd_cover_count, rco_alpha
 from gamecert.optimize import (
-    DEFAULT_CONFIG,
+    _SEARCH_GRID,
+    _SMALLEST_U_GRID,
     MAX_PATTERN_CAP,
-    SMALLEST_U_CONFIG,
-    SearchConfig,
-    SearchConfigError,
     _best_witness,
     _c_grid,
     _dim_ceiling,
@@ -384,84 +381,37 @@ def test_witness_choice_certifies_few_candidates_per_probe(monkeypatch):
 
 
 def test_c_grid_shape():
-    grid = _c_grid(DEFAULT_CONFIG)
-    assert len(grid) == DEFAULT_CONFIG.c_count
-    assert all(0.0 < c < 1.0 for c in grid)
-    assert grid == tuple(sorted(grid))
-    assert max(grid) == pytest.approx(1.0 - 1e-4)
-    assert min(grid) == pytest.approx(0.4)
+    for grid in (_SEARCH_GRID, _SMALLEST_U_GRID):
+        c_grid = _c_grid(grid)
+        assert len(c_grid) == grid.c_count
+        assert all(0.0 < c < 1.0 for c in c_grid)
+        assert c_grid == tuple(sorted(c_grid))
+        assert max(c_grid) == pytest.approx(1.0 - 1e-4)
+        assert min(c_grid) == pytest.approx(0.4)
+    # (c_count, refine_passes, refine_points, t_lo, t_hi, t_step), as README states
+    assert _SEARCH_GRID == (32, 2, 9, 0.25, 6.0, 0.25)
+    assert _SMALLEST_U_GRID == (12, 1, 7, 0.5, 3.0, 0.5)
 
 
 def test_t_grid_contains_near_integer_probes():
-    grid = _t_grid(DEFAULT_CONFIG)
+    grid = _t_grid(_SEARCH_GRID)
     assert 1.0 in grid and 6.0 in grid
     for j in (1, 2, 3, 4, 5, 6):
         assert any(abs(t - (j - 1e-5)) < 1e-12 for t in grid)
         assert any(abs(t - (j - 1e-8)) < 1e-12 for t in grid)
+    # 24 steps of 0.25 from 0.25 to 6, and two probes below each of 1..6;
+    # smallest-u's 6 steps of 0.5 from 0.5 to 3, and two below each of 1..3
+    assert len(grid) == 36
+    assert len(_t_grid(_SMALLEST_U_GRID)) == 12
 
 
 def test_t_grid_stays_inside_its_range():
-    config = SearchConfig(t_lo=2.5, t_hi=4.0)
-    grid = _t_grid(config)
+    grid = _t_grid(_SEARCH_GRID._replace(t_lo=2.5, t_hi=4.0))
     assert min(grid) == 2.5 and max(grid) == 4.0
     assert 3.0 - 1e-5 in grid and 4.0 - 1e-8 in grid
     assert 1.0 - 1e-5 not in grid and 2.0 - 1e-5 not in grid
-    # an inverted range is rejected when the config is made (see below)
-    with pytest.raises(ValueError, match="^t_lo: must not exceed t_hi$"):
-        SearchConfig(t_lo=3.0, t_hi=2.0)
     # a step that does not divide the range stops short of t_hi
-    assert max(_t_grid(SearchConfig(t_lo=0.25, t_hi=1.2))) == 1.0
-
-
-@pytest.mark.parametrize("fields,message", [
-    ({"t_hi": math.nan}, "t_hi: must be a finite number, got nan"),
-    ({"t_lo": -math.inf}, "t_lo: must be a finite number, got -inf"),
-    ({"c_s_lo": math.nan}, "c_s_lo: must be a finite number, got nan"),
-    ({"c_s_hi": math.inf}, "c_s_hi: must be a finite number, got inf"),
-    ({"t_step": math.nan}, "t_step: must be a finite number, got nan"),
-    ({"t_step": 0.0}, "t_step: must be > 0, got 0.0"),
-    ({"c_s_lo": 0.6, "c_s_hi": 0.6}, "c_s_lo: must be below c_s_hi"),
-    ({"t_lo": 2.0, "t_hi": 1.0}, "t_lo: must not exceed t_hi"),
-    # 0 would divide c_s_hi / c_s_lo by zero in _c_grid, a negative one
-    # would raise a negative ratio to a fractional power
-    ({"c_s_lo": 0.0}, "c_s_lo: must lie in (0, 1), got 0.0"),
-    ({"c_s_lo": -0.1}, "c_s_lo: must lie in (0, 1), got -0.1"),
-    ({"c_s_hi": 1.0}, "c_s_hi: must lie in (0, 1), got 1.0"),
-    ({"t_lo": 0.0}, "t_lo: must be > 0, got 0.0"),
-    ({"c_count": 1}, "c_count: must be >= 2, got 1"),
-    ({"refine_points": 2}, "refine_points: must be >= 3, got 2"),
-    ({"refine_passes": -1}, "refine_passes: must be >= 0, got -1"),
-    ({"pattern_cap": 0}, "pattern_cap: must be >= 1, got 0"),
-    ({"pattern_cap": MAX_PATTERN_CAP + 1},
-     f"pattern_cap: must be <= {MAX_PATTERN_CAP}, got {MAX_PATTERN_CAP + 1}"),
-])
-def test_search_config_rejects_bad_fields(fields, message):
-    with pytest.raises(SearchConfigError) as info:
-        SearchConfig(**fields)
-    assert str(info.value) == message
-    # the field at fault is data, not only text
-    assert info.value.field == message.partition(":")[0]
-    # replace() makes a config too, so it cannot slip one past the checks
-    with pytest.raises(ValueError):
-        replace(DEFAULT_CONFIG, **fields)
-
-
-@pytest.mark.parametrize("fields", [
-    {"t_step": 1e-9},                  # about 5.75e9 t values
-    {"t_hi": 1e300},                   # the probes below each integer
-    {"c_count": 2_000_000},
-    {"refine_points": 2000},
-    {"refine_passes": 10 ** 30},
-])
-def test_search_config_bound_is_checked_before_any_grid(monkeypatch, fields):
-    def no_grid(*args):
-        raise AssertionError("a grid was built before the bound was checked")
-
-    monkeypatch.setattr(optimize, "_t_grid", no_grid)
-    monkeypatch.setattr(optimize, "_c_grid", no_grid)
-    with pytest.raises(ValueError, match=f"over the limit of {optimize.MAX_SEARCH_CELLS}") as info:
-        SearchConfig(**fields)
-    assert info.value.field is None
+    assert max(_t_grid(_SEARCH_GRID._replace(t_hi=1.2))) == 1.0
 
 
 # --------------------------------------------------- frozen family searches
@@ -497,20 +447,22 @@ def test_dimension_only_search_pins_count_to_one():
     assert res.certificate is not None
 
 
+def test_pattern_cap_is_honoured(monkeypatch):
+    # uncapped this family certifies 232; under a cap of 100 (the module
+    # constant, lowered) the cap must bind exactly
+    monkeypatch.setattr(optimize, "MAX_PATTERN_CAP", 100)
+    res = optimize_pattern_count(RcoSpec(17, 24, 1, 5))
+    assert res.pattern_count == 100
+    assert res.certificate is not None
+    assert res.certificate.fields["pattern_count"] == 100
+
+
 def test_search_is_deterministic():
     a = optimize_pattern_count(RcoSpec(12, 15, 1, 5))
     b = optimize_pattern_count(RcoSpec(12, 15, 1, 5))
     assert a.certificate is not None and b.certificate is not None
     assert a.certificate.to_text() == b.certificate.to_text()
     assert (a.pattern_count, a.c, a.t, a.delta) == (b.pattern_count, b.c, b.t, b.delta)
-
-
-def test_pattern_cap_is_honoured():
-    # uncapped this family certifies 232; the cap must bind exactly
-    res = optimize_pattern_count(RcoSpec(17, 24, 1, 5), SearchConfig(pattern_cap=100))
-    assert res.pattern_count == 100
-    assert res.certificate is not None
-    assert res.certificate.fields["pattern_count"] == 100
 
 
 U5, V5 = 900019043105, 999921083009
@@ -530,14 +482,15 @@ HEADLINE = {
 }
 
 
-def _headline_search(members, config, want_patterns):
+def _headline_search(members, want_patterns):
     if len(members) == 1:
-        return optimize_pattern_count(members[0], config, want_patterns=want_patterns)
-    return optimize_intersection(members, config, want_patterns=want_patterns)
+        return optimize_pattern_count(members[0], want_patterns=want_patterns)
+    return optimize_intersection(members, want_patterns=want_patterns)
 
 
 @pytest.mark.parametrize("name, want_patterns, cap", [
     ("RCO(12,15,1,5)", True, MAX_PATTERN_CAP),
+    ("RCO(17,24,1,5)", True, MAX_PATTERN_CAP),
     ("RCO(17,24,1,5)", True, 100),
     ("RCD(U5,V5)", True, MAX_PATTERN_CAP),
     ("RCD+5xRCO(m=4)", True, MAX_PATTERN_CAP),
@@ -546,6 +499,7 @@ def _headline_search(members, config, want_patterns):
 def test_trace_rows_are_the_witnessed_cells(monkeypatch, name, want_patterns, cap):
     # the trace is the _best_witness calls that found a witness, in call
     # order, each row at the (c, t) of its cell's rate; the winner is a row
+    monkeypatch.setattr(optimize, "MAX_PATTERN_CAP", cap)
     calls = []
     best_witness = optimize._best_witness
 
@@ -557,7 +511,7 @@ def test_trace_rows_are_the_witnessed_cells(monkeypatch, name, want_patterns, ca
 
     monkeypatch.setattr(optimize, "_best_witness", recorded)
     members = HEADLINE[name]
-    res = _headline_search(members, SearchConfig(pattern_cap=cap), want_patterns)
+    res = _headline_search(members, want_patterns)
     assert res.feasible and len(res.trace) == len(calls) > 0
     assert [row[1:] for row in res.trace] == [call[1:] for call in calls]
     covers = {}
@@ -580,7 +534,7 @@ def test_pruned_search_falls_to_the_next_count(monkeypatch, spec, blocked):
 
     monkeypatch.setattr(optimize, "_best_witness", no_top_witness)
     res = optimize_pattern_count(spec)
-    point, probes = _reference_search([spec], DEFAULT_CONFIG, True, blocked)
+    point, probes = _reference_search([spec], _SEARCH_GRID, True, blocked)
     assert res.probes == probes
     assert (res.pattern_count, res.c, res.t, res.delta, res.free_steps,
             res.alpha_log, res.dim_bound, res.dim_bound_combined) == point
@@ -604,7 +558,8 @@ def _reference_rate(members, c, t, covers):
     return combine_alphas(alphas, c)
 
 
-def _reference_search(members, config, want_patterns, blocked=None, counted=None):
+def _reference_search(members, grid, want_patterns, blocked=None, counted=None,
+                      cap=MAX_PATTERN_CAP):
     """(SearchResult fields the search decides, probes) of a brute-force
     search that shares no code with _search's pruning: every cell is counted
     with max_pattern_size on rates from _reference_rate, every counted cell
@@ -612,15 +567,15 @@ def _reference_search(members, config, want_patterns, blocked=None, counted=None
     the winner is the largest by _better's key, the first on ties.  Cells
     whose count is `blocked` or more get no witness.  `counted`, if given,
     receives (alpha, c, count, stated bounds of the clearing candidates) of
-    every other cell with a count."""
+    every other cell with a count.  Counts stop at `cap`."""
     contraction = members[0].contraction()
     if len(members) == 1 and isinstance(members[0], RcoSpec):
         t_values = (float(members[0].t),)
     elif any(isinstance(sp, RcdSpec) for sp in members):
-        t_values = _t_grid(config)
+        t_values = _t_grid(grid)
     else:
         t_values = (0.0,)
-    cap = config.pattern_cap if want_patterns else 1
+    cap = cap if want_patterns else 1
     witness, minimizer = _tail(contraction.n)
     shave = math.log1p(-REL_MARGIN)
     covers = {}
@@ -653,14 +608,14 @@ def _reference_search(members, config, want_patterns, blocked=None, counted=None
                              bound.stated, bound.combined)))
         return max(points, key=lambda p: p[0], default=None)
 
-    probes = len(t_values) * len(_c_grid(config))
-    best = best_of(t_values, _c_grid(config))
+    probes = len(t_values) * len(_c_grid(grid))
+    best = best_of(t_values, _c_grid(grid))
     if best is None:
         return None, probes
-    c_grid, t_grid = list(_c_grid(config)), list(t_values)
-    for _ in range(config.refine_passes):
-        cs = _refine_c(best[1][1], c_grid, config.refine_points)
-        ts = _refine_t(best[1][2], t_grid, config.refine_points) if len(t_grid) > 1 else t_grid
+    c_grid, t_grid = list(_c_grid(grid)), list(t_values)
+    for _ in range(grid.refine_passes):
+        cs = _refine_c(best[1][1], c_grid, grid.refine_points)
+        ts = _refine_t(best[1][2], t_grid, grid.refine_points) if len(t_grid) > 1 else t_grid
         probes += len(ts) * len(cs)
         candidate = best_of(ts, cs)
         if candidate is not None and candidate[0] > best[0]:
@@ -687,16 +642,33 @@ REFERENCE_CASES += [(f"{name} dimension-only", members, False)
 @pytest.mark.parametrize("name, members, want_patterns", REFERENCE_CASES,
                          ids=[case[0] for case in REFERENCE_CASES])
 def test_search_equals_a_brute_force_reference(name, members, want_patterns):
-    # with want_patterns=False the cap is unused, so one cap suffices
-    for cap in (MAX_PATTERN_CAP, 100) if want_patterns else (MAX_PATTERN_CAP,):
-        config = SearchConfig(pattern_cap=cap)
-        point, probes = _reference_search(members, config, want_patterns)
-        res = _headline_search(members, config, want_patterns)
-        assert res.probes == probes
-        assert res.feasible == (point is not None)
-        if point is not None:
-            assert (res.pattern_count, res.c, res.t, res.delta, res.free_steps,
-                    res.alpha_log, res.dim_bound, res.dim_bound_combined) == point
+    point, probes = _reference_search(members, _SEARCH_GRID, want_patterns)
+    res = _headline_search(members, want_patterns)
+    assert res.probes == probes
+    assert res.feasible == (point is not None)
+    if point is not None:
+        assert (res.pattern_count, res.c, res.t, res.delta, res.free_steps,
+                res.alpha_log, res.dim_bound, res.dim_bound_combined) == point
+
+
+CAPPED_CASES = [case for case in REFERENCE_CASES if case[2]]
+
+
+@pytest.mark.parametrize("name, members, want_patterns", CAPPED_CASES,
+                         ids=[case[0] for case in CAPPED_CASES])
+def test_capped_search_equals_a_brute_force_reference(monkeypatch, name, members,
+                                                      want_patterns):
+    # the counts stop at the cap: MAX_PATTERN_CAP lowered to 100, below the
+    # uncapped count of RCO(17,24,1,5)
+    monkeypatch.setattr(optimize, "MAX_PATTERN_CAP", 100)
+    point, probes = _reference_search(members, _SEARCH_GRID, want_patterns, cap=100)
+    res = _headline_search(members, want_patterns)
+    assert res.probes == probes
+    assert res.feasible == (point is not None)
+    if point is not None:
+        assert res.pattern_count <= 100
+        assert (res.pattern_count, res.c, res.t, res.delta, res.free_steps,
+                res.alpha_log, res.dim_bound, res.dim_bound_combined) == point
 
 
 @pytest.mark.parametrize("name, members, want_patterns", REFERENCE_CASES,
@@ -705,7 +677,7 @@ def test_dim_ceiling_bounds_every_reference_cell(name, members, want_patterns):
     # every cell the brute-force reference counts, at its count: the ceiling
     # is at least each clearing candidate's bound, so -inf only where none clears
     counted = []
-    _reference_search(members, DEFAULT_CONFIG, want_patterns, counted=counted)
+    _reference_search(members, _SEARCH_GRID, want_patterns, counted=counted)
     contraction = members[0].contraction()
     assert counted
     for alpha, c, count, stated in counted:
@@ -728,9 +700,9 @@ def test_each_pass_witnesses_few_cells(monkeypatch, name, members, want_patterns
         return best_witness(*args)
 
     monkeypatch.setattr(optimize, "_best_witness", counted)
-    res = _headline_search(members, DEFAULT_CONFIG, want_patterns)
+    res = _headline_search(members, want_patterns)
     assert res.feasible
-    assert 0 < calls <= 2 * (1 + DEFAULT_CONFIG.refine_passes)
+    assert 0 < calls <= 2 * (1 + _SEARCH_GRID.refine_passes)
 
 
 @pytest.mark.parametrize("name", ["RCD(2^37,2^38)", "2xRCD(2^37,2^36)+RCO(1,2)+RCO(1,6)",
@@ -747,7 +719,7 @@ def test_dimension_only_search_takes_no_verdict(monkeypatch, name):
         return feasible(*args)
 
     monkeypatch.setattr(optimize, "pattern_feasible", counted)
-    res = _headline_search(HEADLINE[name], DEFAULT_CONFIG, want_patterns=False)
+    res = _headline_search(HEADLINE[name], want_patterns=False)
     assert res.feasible and res.pattern_count == 1
     assert calls == 0
 
@@ -859,9 +831,9 @@ def test_intersection_rows_are_the_combined_rate_bit_for_bit(name):
     members = HEADLINE[name]
     rate_row, member_alphas = _intersection_rates(members)
     has_corner = any(isinstance(sp, RcdSpec) for sp in members)
-    for t in _t_grid(DEFAULT_CONFIG) if has_corner else (0.0,):
+    for t in _t_grid(_SEARCH_GRID) if has_corner else (0.0,):
         rate = rate_row(t)
-        for c in _c_grid(DEFAULT_CONFIG):
+        for c in _c_grid(_SEARCH_GRID):
             alphas = member_alphas(c, t)
             assert alphas == [rcd_alpha(sp.u, sp.v, c, t) if isinstance(sp, RcdSpec)
                               else rco_alpha(sp.u, sp.v, sp.m, sp.t, c) for sp in members]
@@ -874,10 +846,10 @@ def test_intersection_rows_are_the_combined_rate_bit_for_bit(name):
                                     RcoSpec(17, 24, 1, 5), RcoSpec(271828, 314159, 2, 1)])
 def test_family_rows_are_the_rate_bit_for_bit(family):
     rate_row = _family_rates(family)
-    ts = _t_grid(DEFAULT_CONFIG) if isinstance(family, RcdSpec) else (float(family.t),)
+    ts = _t_grid(_SEARCH_GRID) if isinstance(family, RcdSpec) else (float(family.t),)
     for t in ts:
         rate = rate_row(t)
-        for c in _c_grid(DEFAULT_CONFIG):
+        for c in _c_grid(_SEARCH_GRID):
             want = (rcd_alpha(family.u, family.v, c, t) if isinstance(family, RcdSpec)
                     else rco_alpha(family.u, family.v, family.m, family.t, c))
             assert rate(c) == want.log, (family, t, c)

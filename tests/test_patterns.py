@@ -223,6 +223,31 @@ def test_candidates_csv_format(rcd_rect):
     assert lines[1].startswith("1/49,") and lines[1].endswith(",2")
 
 
+@pytest.mark.parametrize("kind, points, lam_lo, lam_hi, depth, res", [
+    ("rcd", TWO_POINT, Fraction(2, 49), Fraction(6, 49), 1, Fraction(2, 49)),
+    ("rcd", ((0, 0), (Fraction(1, 3), 2)), Fraction(1, 37), Fraction(3, 37), 2,
+     Fraction(1, 37)),
+    ("rcd", ((0, 0), (1, 1)), Fraction(1, 2), Fraction(1), 1, Fraction(1, 2)),
+    ("rco", TWO_POINT, Fraction(1, 20), Fraction(1, 10), 2, Fraction(1, 40)),
+    ("rco", ((-1, 0), (0, 1)), Fraction(1, 4), Fraction(1, 2), 1, Fraction(1, 4)),
+    ("rco", ((0, 0), (1, 0), (0, 1)), Fraction(3, 10), Fraction(3, 5), 2, Fraction(3, 20)),
+])
+def test_candidate_rows_are_the_candidates_fractions(rcd_rect, rco_rect, kind, points,
+                                                     lam_lo, lam_hi, depth, res):
+    # a scan's rows are written from its integer translations; each reads
+    # as str() of the candidate's Fractions, whole and negative ones too
+    rect = rcd_rect if kind == "rcd" else rco_rect
+    cands = find_homothety(PatternQuery(points, lam_lo, lam_hi, depth, res), rect)
+    lines = candidates_to_csv(cands).splitlines()
+    assert len(lines) == len(cands) + 1
+    for line, cand in zip(lines[1:], cands):
+        assert line == f"{cand.lam},{cand.x[0]},{cand.x[1]},{depth}"
+        assert all((x / res).denominator == 1 for x in cand.x)
+    xs = [x for cand in cands for x in cand.x]
+    assert len({cand.lam for cand in cands}) > 1
+    assert any(x.denominator == 1 for x in xs) and any(x < 0 for x in xs)
+
+
 def test_translation_covariance_exact(rcd_rect):
     lam = Fraction(1, 49)
     shift = (Fraction(1, 2), Fraction(-1, 3))
