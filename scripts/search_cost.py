@@ -21,7 +21,9 @@ counters, and this prints what that pass did:
   their t, integer, on the q <= 64 grid (t = p/q) or off it, and by the step
   that settled them: the float enclosure (core._float_step, or
   families._float_ceilings in a checkout from before it moved to core),
-  mpmath's power, or else integer roots;
+  core's exp and log kernel (core._log_bounds, labelled "kernel"), or in a
+  checkout from before the kernel mpmath's power (labelled "mpmath"), or
+  else integer roots;
 - certify.pattern_feasible calls per search.
 """
 from __future__ import annotations
@@ -65,14 +67,12 @@ def _searches(seed: int) -> dict:
 def _counted_pass(runs: dict) -> dict:
     """Run each search once with the cover counts' steps and the optimizer's
     pattern_feasible wrapped; return what the wrappers counted."""
-    import mpmath
-    from mpmath import libmp
-
     from gamecert import core, families, optimize
 
     steps: Counter = Counter()
     feasible: Counter = Counter()
-    seen = {"float": False, "mpmath": False}
+    late = "kernel" if hasattr(core, "_log_bounds") else "mpmath"
+    seen = {"float": False, late: False}
 
     def wrap(owner, name, before, after=None):
         real = getattr(owner, name)
@@ -86,17 +86,16 @@ def _counted_pass(runs: dict) -> dict:
         setattr(owner, name, wrapper)
         return real
 
-    def saw_mpmath(args):
-        seen["mpmath"] = True
+    def saw_late(args):
+        seen[late] = True
 
     def reset(args):
-        seen.update(float=False, mpmath=False)
+        seen.update({"float": False, late: False})
 
     def classify(args, out):
         q = args[1].as_integer_ratio()[1]
         where = "integer t" if q == 1 else "grid t" if q <= 64 else "off-grid t"
-        step = ("mpmath" if seen["mpmath"] else "float" if seen["float"]
-                else "integer root")
+        step = late if seen[late] else "float" if seen["float"] else "integer root"
         steps[f"{where}: {step}"] += 1
 
     def saw_float(args, out):
@@ -109,8 +108,14 @@ def _counted_pass(runs: dict) -> dict:
         wrap(core, "_float_step", lambda args: None, saw_float)
     elif hasattr(families, "_float_ceilings"):
         wrap(families, "_float_ceilings", lambda args: None, saw_float)
-    wrap(libmp, "mpf_pow", saw_mpmath)     # the mpmath step of this checkout,
-    wrap(mpmath, "power", saw_mpmath)      # or of one that calls mpmath.power
+    if late == "kernel":
+        wrap(core, "_log_bounds", saw_late)    # one call per round of the kernel step
+    else:
+        import mpmath
+        from mpmath import libmp
+
+        wrap(libmp, "mpf_pow", saw_late)       # the mpmath step of this checkout,
+        wrap(mpmath, "power", saw_late)        # or of one that calls mpmath.power
     for name, run in runs.items():
         real = wrap(optimize, "pattern_feasible", lambda args, name=name: feasible.update([name]))
         run()

@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .core import (
-    EXACT_LOG_LIMIT,
     REL_MARGIN,
     DiagonalContraction,
     FloorResult,
@@ -233,10 +232,7 @@ def feasibility_report(
 
     free = safe_floor_ratio(delta, LogScalar(combined_log))
     if free.tag == "approximate":
-        if math.log(delta) - combined_log >= EXACT_LOG_LIMIT:
-            notes.append("free-step floor is a lower surrogate (ratio >= 2^53)")
-        else:
-            notes.append("free-step floor is a lower surrogate (ratio enclosure left it open)")
+        notes.append("free-step floor is a lower surrogate (ratio >= 2^53)")
     if free.value < 1:
         lhs2, rhs2 = 0.0, _pack_constant(n) * delta
         cond2 = False

@@ -62,10 +62,6 @@ EXACT_LOG_LIMIT = math.log(EXACT_LIMIT)       # 53 ln 2, bit for bit
 _CEIL_LIMIT = 2.0 ** 50
 _CEIL_LOG_LIMIT = math.log(_CEIL_LIMIT)
 
-# Working precision, in bits, of the mpmath enclosure that settles a floor
-# the float step leaves open.
-_SETTLE_PREC = 128
-
 
 class SizeError(OverflowError):
     """An input over a size limit; `arg` names the input: the last part of
@@ -438,10 +434,8 @@ class FloorResult(Record):
     to 4 because the float 0.1 lies above 1/10.
 
     tag == "exact":        value >= 1 is the true floor of the quotient,
-                           which lies below 2^53; an enclosure of the
-                           quotient has settled it.
-    tag == "approximate":  the quotient is at or above 2^53, or its enclosure
-                           straddles a step of the floor; value is a safe
+                           which lies below 2^53.
+    tag == "approximate":  the quotient is at or above 2^53; value is a safe
                            lower surrogate (true floor >= value).
     tag == "infeasible":   value = 0: the quotient is below 1, or not shown
                            to reach 1; downstream conditions that need one
@@ -469,16 +463,6 @@ def log_rounding_error(x: float, y: float) -> float:
     return (abs(x) + abs(y) + 8.0) * 2.0 ** -50
 
 
-def _shared_step(step: Callable[[float | Fraction], int], lo: float | Fraction,
-                 hi: float | Fraction, limit: float = math.inf) -> int | None:
-    """step(lo), step being math.floor or math.ceil, where step(hi) is the
-    same and hi is below limit, else None."""
-    value = step(lo)
-    if hi >= limit or value != step(hi):
-        return None
-    return value
-
-
 def _float_step(step: Callable[[float], int], x: float, y: float, limit: float,
                 log_limit: float) -> int | None:
     """step(exp(x + y)), step being math.floor or math.ceil, where every
@@ -496,40 +480,73 @@ def _float_step(step: Callable[[float], int], x: float, y: float, limit: float,
     moves the log by at most 1.0001 u/2), and fl(x + y) within u(|x| + |y|)/2
     of x + y: the true log L is within e = (|x| + |y|) 2^-51 + u of the sum,
     up to O(u^2), and v = fl(exp(fl(x + y))) within a relative e + u + O(e^2)
-    of exp(L).  E = (|x| + |y| + 8) 2^-50 covers that, plus the relative
-    half-width of _ceil_powers' step-4 bracket (at most 10^-15, around a
-    power good to 2^-100) and the half ulp by which each end of v (1 +- E)
-    rounds: the constant parts sum to under 2 2^-50 (u, u, 10^-15 < 1.13
-    2^-50, u/2).  So the true value, and every value that bracket could
-    hold, lies in [v (1 - E), v (1 + E)], and a step that range shares is
-    the one the exact steps would settle.
+    of exp(L).  E = (|x| + |y| + 8) 2^-50 covers that, twice over in its
+    part that grows with |x| + |y|, plus the half ulp by which each end of
+    v (1 +- E) rounds: the constant parts sum to 2.5u, under 1 2^-50 of the
+    8 2^-50 allowed.  So the true value lies in [v (1 - E), v (1 + E)], and
+    a step that range shares is the true one.
     """
     log = x + y
     if log >= log_limit:
         return None
     v = math.exp(log)
     err = v * log_rounding_error(x, y)
-    return _shared_step(step, v - err, v + err, limit)
+    value = step(v - err)
+    return value if v + err < limit and value == step(v + err) else None
 
 
-def _exp_enclosure(log: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational lower and upper bounds on exp(log), correctly directed."""
-    from mpmath import libmp  # only the rare undecided floor needs mpmath
+def _exp_bounds(lo: int, hi: int, shift: int, bits: int) -> tuple[int, int, int]:
+    """(a, b, w) with a / 2^w <= exp(x) <= b / 2^w for every x in [lo, hi] /
+    2^shift, lo <= hi of one sign; b - a is below a 2^-bits.
 
-    x = libmp.from_rational(log.numerator, log.denominator, _SETTLE_PREC, libmp.round_floor)
-    y = libmp.from_rational(log.numerator, log.denominator, _SETTLE_PREC, libmp.round_ceiling)
-    lo = libmp.mpf_exp(x, _SETTLE_PREC, libmp.round_floor)
-    hi = libmp.mpf_exp(y, _SETTLE_PREC, libmp.round_ceiling)
-    return Fraction(*libmp.to_rational(lo)), Fraction(*libmp.to_rational(hi))
+    For x >= 0 (Brent and Zimmermann, Modern Computer Arithmetic, 2010, ch.
+    4), a is the Taylor series of y = x 2^-j <= 2^-r, r about sqrt(bits)/2,
+    at lo and scale 2^w, w = bits + j + guard, each term rounded down, then
+    squared j times rounding down.  Its radius d counts 2 units a term (a
+    term is at most 1/2 of the last), 1 for the tail and 2 a unit of [lo,
+    hi]'s width; squaring s <= S <= s + d gives S^2/2^w <= floor(s^2/2^w) +
+    floor((2s + d) d/2^w) + 2.  For x < 0, exp(x) = 1 / exp(-x).
+    """
+    if hi < 0:
+        a, b, w = _exp_bounds(-hi, -lo, shift, bits)
+        one = 1 << w + b.bit_length()
+        return one // b, -(-one // a), b.bit_length()
+    j = max(hi.bit_length() - shift + math.isqrt(bits) // 2 + 2, 0)
+    w, sh = bits + j + bits.bit_length() + 4, shift + j
+    if sh > w:  # round the reduced argument outward to w fraction bits
+        lo, hi, sh = lo >> sh - w, -(-hi >> sh - w), w
+    s = term = 1 << w
+    k = 0
+    while term:
+        k += 1
+        term = (term * lo >> sh) // k
+        s += term
+    d = 2 * k + 1 + (hi - lo << w - sh + 1)
+    for _ in range(j):
+        d, s = ((2 * s + d) * d >> w) + 2, s * s >> w
+    return s, s + d, w
 
 
-def _nearest_power(base: int, t: float, digits: int) -> tuple[int, int]:
-    """(man, exp) with man 2^exp = base^t at `digits` digits, rounded to nearest."""
-    from mpmath import libmp  # only exponents the exact steps leave need it
-
-    _, man, exp, _ = libmp.mpf_pow(libmp.from_int(base), libmp.from_float(t),
-                                   libmp.dps_to_prec(digits), libmp.round_nearest)
-    return int(man), exp
+def _log_bounds(n: int, bits: int) -> tuple[int, int, int]:
+    """(a, b, w) with a / 2^w <= ln n <= b / 2^w for an integer n >= 2, and
+    b - a below 2^-bits: ln n = y + ln(1 + z), y = fl(ln n) dyadic, 1 + z =
+    n / exp(y) bounded by _exp_bounds, |z| about 2^-46.  The series of ln(1
+    + z) at z's lower end, each |z|^k rounded down, has each term within 3
+    units and the tail within 4, and ln's slope is below 2 over z's width.
+    """
+    a, den = math.log(n).as_integer_ratio()
+    w = max(bits, 53) + 10  # y >= ln 2 has at most 53 fraction bits
+    e_lo, e_hi, we = _exp_bounds(a, a, den.bit_length() - 1, w)
+    num, one = n << w + we, 1 << w
+    z = num // e_hi - one
+    dz = -(-num // e_lo) - one - z
+    power, total, k = abs(z), 0, 0
+    while power:
+        k += 1
+        total += power // k if z > 0 and k % 2 else -(power // k)
+        power = power * abs(z) >> w
+    y = (a << w - den.bit_length() + 1) + total
+    return y - 3 * k - 4, y + 3 * k + 4 + 2 * dz, w
 
 
 def safe_floor_ratio(delta: float | LogScalar, alpha: float | LogScalar) -> FloorResult:
@@ -538,12 +555,12 @@ def safe_floor_ratio(delta: float | LogScalar, alpha: float | LogScalar) -> Floo
     A float argument stands for its own value and a LogScalar for exp(log).
     The quotient is estimated in log domain by _float_step.  When every
     quotient in that enclosure has the same floor it is the answer;
-    otherwise the floor is settled on the exact quotient of two floats, or
-    on a 128-bit mpmath enclosure when a LogScalar is involved, and an
-    enclosure that still straddles a step gives its floored lower end,
-    tagged approximate.  Estimates >= 2^53 cannot be floored exactly in
-    float64; the result is tagged and lowered by one as a conservative
-    surrogate.
+    otherwise the quotient is part exp(log), part and log rational.  With
+    log != 0 it is irrational (Muller, Elementary Functions, 3rd ed., 2016),
+    so neither an integer nor 2^53, and _exp_bounds at 64, 128, ... bits
+    ends once its bounds share a floor or both lie at or above 2^53.
+    Estimates >= 2^53 cannot be floored exactly in float64; the result is
+    tagged and lowered by one as a conservative surrogate.
     """
     d = delta if isinstance(delta, LogScalar) else LogScalar.from_value(delta)
     a = alpha if isinstance(alpha, LogScalar) else LogScalar.from_value(alpha)
@@ -575,11 +592,14 @@ def safe_floor_ratio(delta: float | LogScalar, alpha: float | LogScalar) -> Floo
                 log += sign * Fraction(x.log)
             else:
                 part *= Fraction(x) ** sign
-        lo, hi = (part, part) if log == 0 else tuple(part * e for e in _exp_enclosure(log))
-        value = _shared_step(math.floor, lo, hi, EXACT_LIMIT)
-        if value is None:
-            return FloorResult(math.floor(lo), "approximate") if lo >= 1 else FloorResult(0, "infeasible")
-    return FloorResult(value, "exact") if value else FloorResult(0, "infeasible")
+        num, den = log.as_integer_ratio()
+        lo, hi, bits = (part, part, 64) if log == 0 else (0, 1, 64)  # 0, 1: no bound yet
+        while math.floor(lo) != math.floor(hi) and lo < EXACT_LIMIT:
+            e_lo, e_hi, w = _exp_bounds(num, num, den.bit_length() - 1, bits)
+            lo, hi, bits = part * e_lo / (1 << w), part * e_hi / (1 << w), 2 * bits
+        value = math.floor(lo)
+    tag = "approximate" if value >= EXACT_LIMIT else "exact" if value else "infeasible"
+    return FloorResult(value, tag)
 
 
 def _iroot(x: int, q: int) -> int:
@@ -602,13 +622,11 @@ def _iroot(x: int, q: int) -> int:
         r = s
 
 
-def _ceil_powers(
-    base: int, t: float, ratios: tuple[tuple[int, int], ...]
-) -> tuple[list[int], bool]:
-    """[ceil(base^t * num / den) for (num, den) in ratios], and whether all
-    of them are certified exact.
+def _ceil_powers(base: int, t: float, ratios: tuple[tuple[int, int], ...]) -> list[int]:
+    """[ceil(base^t * num / den) for (num, den) in ratios], each one exact.
 
-    Every float t is exactly a rational p/q.  The steps, first to settle wins:
+    Every float t is exactly a rational p/q in lowest terms, q a power of
+    two.  The steps, first to settle wins:
 
     1. integer t (q = 1): integer roots, as in step 3;
     2. base below 2^53: _float_step on each ratio in turn, which settles
@@ -618,17 +636,11 @@ def _ceil_powers(
        with r the floor q-th root of X = base^p num^q, ceil(base^(p/q) num)
        is r, plus 1 unless r^q = X, and the ceiling division by den follows
        (ceil(y/den) = ceil(ceil(y)/den));
-    4. mpmath evaluates base^t once (_nearest_power), at (magnitude + 40)
-       digits rounded to nearest, and the rest is integer arithmetic: the
-       power is read as man * 2^exp, and both ends of the bracket x (1 +-
-       eps), eps = 10^-(digits - 15), of each x = base^t num / den are
-       exact ceiling divisions.  Agreement certifies the value, disagreement
-       returns the upper one, not exact (larger cover counts only weaken the
-       certificate, so rounding up is the conservative direction).
-
-    Steps 1-3 only settle exact values, and step 2 only where step 4 would
-    have settled the same ones, so every value and flag is step 4's wherever
-    step 4 would run.
+    4. where base is a perfect q-th power r^q, base^t = r^p and the
+       ceilings are integer divisions.  Elsewhere base^t is irrational, so
+       no value is an integer, and bounds on exp(t ln base) from _log_bounds
+       and _exp_bounds at (magnitude + 24) bits, then twice as many and so
+       on, end once the two ends of each value share a ceiling.
     """
     p, q = t.as_integer_ratio()
     if q != 1 and base < EXACT_LIMIT:
@@ -640,7 +652,7 @@ def _ceil_powers(
                 break
             values.append(value)
         else:
-            return values, True
+            return values
     top = max(num for num, _ in ratios)
     magnitude = p / q * math.log10(base) + math.log10(top)
     if q == 1 or (q <= 64 and magnitude * q <= 20000):
@@ -651,18 +663,15 @@ def _ceil_powers(
                 x = power * num ** q
                 r = _iroot(x, q)
                 roots[num] = r if r ** q == x else r + 1
-        return [-(-roots[num] // den) for num, den in ratios], True
-    digits = max(30, int(magnitude) + 40)
-    man, exp = _nearest_power(base, t, digits)
-    # x (1 +- eps) = man num (scale +- 1) 2^exp / (den scale); the ceiling
-    # is monotone, so the bracket shares one where its ends' ceilings do
-    scale = 10 ** (digits - 15)
-    man <<= max(exp, 0)
-    unit = 1 << max(-exp, 0)
-    values, exact = [], True
-    for num, den in ratios:
-        y, z = man * num, den * scale * unit
-        hi = -(-y * (scale + 1) // z)
-        values.append(hi)
-        exact = exact and _shared_step(math.ceil, -(-y * (scale - 1) // z), hi) is not None
-    return values, exact
+        return [-(-roots[num] // den) for num, den in ratios]
+    if q < base.bit_length() and (root := _iroot(base, q)) ** q == base:
+        power = root ** p
+        return [-(-power * num // den) for num, den in ratios]
+    bits = int(magnitude / math.log10(2)) + 24
+    while True:
+        a, b, w = _log_bounds(base, bits + int(t).bit_length() + 1)  # t ln base to 2^-bits
+        lo, hi, w = _exp_bounds(p * a, p * b, q.bit_length() - 1 + w, bits)
+        values = [-(-hi * num // (den << w)) for num, den in ratios]
+        if values == [-(-lo * num // (den << w)) for num, den in ratios]:
+            return values
+        bits *= 2

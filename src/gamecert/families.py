@@ -233,9 +233,8 @@ def rco_rate_parts(u: int, v: int, m: int, t: float) -> RateParts:
 class CoverCount(Record):
     """Number of equal boxes covering one region-minus-child slab pair.
 
-    tag: "exact" | "approximate" (value >= 2^53, or a ceiling whose step-4
-    bracket in core._ceil_powers straddles an integer, rounded up); option:
-    1 = x-strip full height first, 2 = transposed.
+    tag: "exact" | "approximate" (value >= 2^53; every ceiling is exact
+    either way); option: 1 = x-strip full height first, 2 = transposed.
     """
 
     __slots__ = _fields = ("value", "tag", "option")
@@ -267,16 +266,12 @@ def rcd_cover_count(u: int, v: int, t: float) -> CoverCount:
         raise ValueError("subdivision counts must be >= 2")
     if not 0 < t < math.inf:
         raise ValueError("cover depth offset must be positive")
-    (a, cu, a2), exact_u = _ceil_powers(u, t, ((1, u - 1), (1, 1), (u, u - 1)))
-    if u == v:
-        (d, cv, b), exact_v = (a, cu, a2), exact_u
-    else:
-        (d, cv, b), exact_v = _ceil_powers(v, t, ((1, v - 1), (1, 1), (v, v - 1)))
+    a, cu, a2 = _ceil_powers(u, t, ((1, u - 1), (1, 1), (u, u - 1)))
+    d, cv, b = (a, cu, a2) if u == v else _ceil_powers(v, t, ((1, v - 1), (1, 1), (v, v - 1)))
     n1 = a * b + cu * d
     n2 = a2 * d + cv * a
     value, option = (n1, 1) if n1 <= n2 else (n2, 2)
-    tag = "exact" if exact_u and exact_v and value < EXACT_LIMIT else "approximate"
-    return CoverCount(value, tag, option)
+    return CoverCount(value, "exact" if value < EXACT_LIMIT else "approximate", option)
 
 
 def rcd_alpha(

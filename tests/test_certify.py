@@ -5,6 +5,7 @@ import hashlib
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -261,9 +262,23 @@ def test_feasible_report_respects_margin_invariant(a, c):
         assert rep.free_steps.value >= 1
 
 
+# float64's least subnormal is 2^-1074, so beta^N underflows where N ln beta
+# passes -1074 ln 2 = -744.44
+_UNDERFLOW_LOG = -1074 * math.log(2.0)
+
+
 @given(
     st.floats(min_value=1e-9, max_value=0.5),
-    st.floats(min_value=30.0, max_value=53.0, exclude_max=True),
+    st.one_of(
+        # B1's beta = 1/10, with N from 2^30 to 2^53
+        st.tuples(st.just(0.1), st.floats(min_value=30.0, max_value=53.0, exclude_max=True)),
+        # beta within 2^-30 below 1/5
+        st.tuples(st.floats(min_value=0.2 - 2.0**-30, max_value=0.2, exclude_max=True),
+                  st.floats(min_value=30.0, max_value=53.0, exclude_max=True)),
+        # N where beta^N crosses float64's underflow, N ln beta within 8 of it
+        st.tuples(st.floats(min_value=1e-6, max_value=0.199), st.floats(min_value=-8.0, max_value=8.0))
+        .map(lambda bo: (bo[0], math.log2((_UNDERFLOW_LOG + bo[1]) / math.log(bo[0])))),
+    ),
     st.integers(min_value=1, max_value=50),
     st.one_of(
         st.floats(min_value=0.05, max_value=0.95),
@@ -273,12 +288,15 @@ def test_feasible_report_respects_margin_invariant(a, c):
 )
 # a raw cli-roundtrip draw (seed 9, draw 3): the quotient lies 0.013 under
 # 499325958263, within relative 2^-45 of it
-@example(6.22624972582995e-06, 38.861190953200506, 1, 0.7809633168855947)
-def test_report_free_steps_floor_the_stated_delta(delta, log2_ratio, m, c):
+@example(6.22624972582995e-06, (0.1, 38.861190953200506), 1, 0.7809633168855947)
+def test_report_free_steps_floor_the_stated_delta(delta, beta_ratio, m, c):
     # N must be the floor of delta as the certificate states it, a float,
-    # over the combined rate.
+    # over the combined rate; the report raises nothing, and a feasible one
+    # holds condition (2) in exact arithmetic
+    beta, log2_ratio = beta_ratio
+    contraction = DiagonalContraction((beta,))
     alpha = LogScalar(math.log(delta) - log2_ratio * math.log(2.0) - math.log(m) / c)
-    rep = feasibility_report(alpha, B1, c, delta, m)
+    rep = feasibility_report(alpha, contraction, c, delta, m)
     free = rep.free_steps
     with mpmath.workdps(60):
         ratio = mpmath.mpf(delta) / mpmath.exp(mpmath.mpf(rep.combined_alpha_log))
@@ -287,16 +305,22 @@ def test_report_free_steps_floor_the_stated_delta(delta, log2_ratio, m, c):
         assert free.value == true_floor
     else:
         assert free.tag == "approximate"
-        assert free.value <= true_floor
+        assert free.value <= true_floor and ratio >= 2**53
+    if rep.feasible:
+        # beta^N <= 2^(-k N) <= 2^-min(k N, 1100), 2^-k the least power of
+        # two at or above beta
+        k = (Fraction(beta).denominator // Fraction(beta).numerator).bit_length() - 1
+        lhs2 = Fraction(1, 3) * (1 - 5 * Fraction(1, 2 ** min(k * free.value, 1100)))
+        assert lhs2 > _pack_constant(1) * Fraction(delta)
 
 
-def test_report_notes_each_kind_of_approximate_floor():
+def test_report_notes_every_approximate_floor_as_at_least_2_53():
     # The float estimate of delta/rate falls just below 2^53 and the true
-    # quotient just above it, so the enclosure leaves the floor open.
+    # quotient just above it: the kernel's bounds place it at or above 2^53.
     rep = feasibility_report(LogScalar(-508.0313200683746), B1, 0.5, 2.0863676033243013e-205)
     assert rep.free_steps.tag == "approximate"
     assert 2**53 <= rep.free_steps.value <= 9007199254741021
-    assert rep.notes == ("free-step floor is a lower surrogate (ratio enclosure left it open)",)
+    assert rep.notes == ("free-step floor is a lower surrogate (ratio >= 2^53)",)
     rep = feasibility_report(LogScalar(-60.0), B1, 0.5, 0.5)
     assert rep.free_steps.tag == "approximate"
     assert rep.notes == ("free-step floor is a lower surrogate (ratio >= 2^53)",)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gamecert import core, gamesim, patterns
@@ -256,7 +256,73 @@ def test_safe_floor_ratio_float_delta_logscalar_rate(delta, log2_ratio):
         assert res.value == true_floor
     else:
         assert res.tag == "approximate"
-        assert 1 <= res.value <= true_floor
+        assert 1 <= res.value <= true_floor and ratio >= 2**53
+
+
+@pytest.mark.parametrize("delta", [2.0**60, 1e300])
+@pytest.mark.parametrize("k", [5, 1000, 499325958263, 2**40 + 3])
+def test_safe_floor_ratio_settles_a_large_float_over_a_logscalar(delta, k):
+    # delta / exp(fl(ln(delta / k))) lies within relative 2^-40 of k, where
+    # the float step leaves it; the float part delta alone is past 2^53
+    alpha = LogScalar(math.log(delta / k))
+    with mpmath.workdps(80):
+        true_floor = int(mpmath.floor(mpmath.mpf(delta) / mpmath.exp(mpmath.mpf(alpha.log))))
+    assert safe_floor_ratio(delta, alpha) == FloorResult(true_floor, "exact")
+
+
+def test_safe_floor_ratio_pins_its_surrogate_past_2_1000():
+    # certificates print the surrogate, so it is pinned: exp(800) ~ 2^1154.2
+    # is built as a 53-bit mantissa shifted by 1102 bits, then lowered by one,
+    # and it lies within relative 2^-40 under the true quotient
+    res = safe_floor_ratio(LogScalar(800.0), LogScalar(0.0))
+    assert res == FloorResult((5017995885666776 << 1102) - 1, "approximate")
+    with mpmath.workdps(400):
+        truth = mpmath.exp(800)
+        assert truth * (1 - mpmath.mpf(2) ** -40) < res.value < truth
+
+
+# ------------------------------------------------------------------ the kernel
+
+
+def _mp_fraction(x) -> Fraction:
+    """An mpmath number's exact value."""
+    return Fraction(int(x.man)) * Fraction(2) ** int(x.exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-750.0, max_value=750.0), st.integers(min_value=0, max_value=340),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=340),
+       st.sampled_from([64, 128, 256]))
+@example(0.0, 0, 0, 0, 64)
+@example(-750.0, 52, 0, 0, 256)
+def test_exp_bounds_enclose_exp(x, shift, width, at, bits):
+    # [lo, hi] / 2^shift: x rounded down at shift fraction bits, widened by
+    # width units of 2^-at (of 2^-shift where at > shift), against 400-bit
+    # mpmath: the bounds hold both ends, and a point's are 2^-bits apart
+    lo = math.floor(Fraction(x) * 2 ** shift)
+    hi = lo + (width << max(shift - at, 0))
+    assume(lo >= 0 or hi <= 0)
+    a, b, w = core._exp_bounds(lo, hi, shift, bits)
+    with mpmath.workprec(400):
+        below = _mp_fraction(mpmath.exp(mpmath.ldexp(lo, -shift)))
+        above = _mp_fraction(mpmath.exp(mpmath.ldexp(hi, -shift)))
+    assert Fraction(a, 1 << w) <= below and above <= Fraction(b, 1 << w)
+    if lo == hi:
+        assert b - a <= a >> bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(min_value=2, max_value=2 ** 64),
+                 st.integers(min_value=2, max_value=64).map(lambda k: 2 ** k - 1)),
+       st.sampled_from([64, 128, 256]))
+@example(2, 64)
+@example(2 ** 64, 256)
+def test_log_bounds_enclose_log(n, bits):
+    a, b, w = core._log_bounds(n, bits)
+    with mpmath.workprec(400):
+        truth = _mp_fraction(mpmath.log(n))
+    assert Fraction(a, 1 << w) <= truth <= Fraction(b, 1 << w)
+    assert b - a <= 1 << w - bits
 
 
 # ------------------------------------------------------------ the float step
@@ -339,9 +405,9 @@ def _importers(package: str) -> set[str]:
     return importers
 
 
-def test_only_core_imports_mpmath():
-    # every integer settled on an mpmath enclosure is settled in core
-    assert _importers("mpmath") == {"core.py"}
+def test_no_module_imports_mpmath():
+    # every integer past the float step is settled on core's own kernel
+    assert _importers("mpmath") == set()
 
 
 def test_only_optimize_imports_dataclasses():

@@ -146,23 +146,12 @@ def test_cover_ceilings_match_exact_exponents_where_t_plus_1_rounds():
             ts.append(t)
     for base in (5, 7, 12, 2 ** 37, 900019043105, 999921083009):
         for t in ts:
-            got, _ = _ceil_powers(base, t, ((1, base - 1), (1, 1), (base, base - 1)))
+            got = _ceil_powers(base, t, ((1, base - 1), (1, 1), (base, base - 1)))
             assert got == _reference_ceilings(base, t), (base, t)
     for u, v in ((7, 4), (2 ** 37, 2 ** 38), (900019043105, 999921083009)):
         for t in ts[:8]:
             got = rcd_cover_count(u, v, t)
             assert (got.value, got.option) == _reference_cover_count(u, v, t), (u, v, t)
-
-
-def _reference_values(base, t):
-    """[base^t/(base-1), base^t, base^(t+1)/(base-1)] as mpmath numbers, at
-    120 digits past the magnitude, with the precision they were taken at."""
-    import mpmath
-
-    digits = int((t + 1) * math.log10(base)) + 120
-    with mpmath.workdps(digits):
-        power = mpmath.power(base, mpmath.mpf(t))
-        return [power / (base - 1), power, power * base / (base - 1)], digits
 
 
 _OFF_GRID_T = st.one_of(
@@ -175,21 +164,12 @@ _OFF_GRID_T = st.one_of(
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=4, max_value=2 ** 40), _OFF_GRID_T)
-def test_off_grid_cover_ceilings_are_settled_or_rounded_up(base, t):
-    # t off the q <= 64 grid takes the integer bracket around mpmath's power
+def test_off_grid_cover_ceilings_are_settled(base, t):
+    # t off the q <= 64 grid takes the kernel's bounds where the float step
+    # leaves it, and they are raised until every ceiling is settled
     assume(Fraction(t).denominator > 64)
-    got, exact = _ceil_powers(base, t, ((1, base - 1), (1, 1), (base, base - 1)))
-    want = _reference_ceilings(base, t)
-    if exact:
-        assert got == want, (base, t)
-    else:
-        assert all(g >= w for g, w in zip(got, want)), (base, t)
-        # the bracket is only left open next to an integer
-        import mpmath
-
-        values, digits = _reference_values(base, t)
-        with mpmath.workdps(digits):
-            assert any(abs(x - mpmath.nint(x)) < mpmath.mpf(10) ** -20 for x in values)
+    got = _ceil_powers(base, t, ((1, base - 1), (1, 1), (base, base - 1)))
+    assert got == _reference_ceilings(base, t), (base, t)
 
 
 _FLOAT_STEP_T = st.one_of(
@@ -224,50 +204,72 @@ def test_float_step_settles_only_true_ceilings(case):
     want = _reference_ceilings(base, t)
     with pytest.MonkeyPatch.context() as patch:
         calls = _spy_on_steps(patch)
-        got, exact = _ceil_powers(base, t, ratios)
+        got = _ceil_powers(base, t, ratios)
     if base >= 2 ** 53:
         assert calls["float"] == []
     if calls["float"] and None not in calls["float"]:
         assert calls["float"] == want, (base, t)
-        assert (got, exact) == (want, True), (base, t)
-    elif exact:
-        assert got == want, (base, t)
+    assert got == want, (base, t)
 
 
 def _spy_on_steps(monkeypatch):
-    """Record the float step's answers and the mpmath step's calls."""
-    calls = {"float": [], "mpmath": 0}
-    float_step, nearest_power = core._float_step, core._nearest_power
+    """Record the float step's answers and the kernel step's rounds (one
+    _log_bounds call each)."""
+    calls = {"float": [], "kernel": 0}
+    float_step, log_bounds = core._float_step, core._log_bounds
 
     def float_spy(*args):
         calls["float"].append(float_step(*args))
         return calls["float"][-1]
 
-    def mpmath_spy(*args):
-        calls["mpmath"] += 1
-        return nearest_power(*args)
+    def kernel_spy(*args):
+        calls["kernel"] += 1
+        return log_bounds(*args)
 
     monkeypatch.setattr(core, "_float_step", float_spy)
-    monkeypatch.setattr(core, "_nearest_power", mpmath_spy)
+    monkeypatch.setattr(core, "_log_bounds", kernel_spy)
     return calls
 
 
-@pytest.mark.parametrize("base, t", [
-    (7, math.log(50) / math.log(7)),      # 7^t lies within an ulp or so of 50
-    (2 ** 40, 1.3),                       # 2^52 = ceil(2^(40 t)) >= 2^50
+@pytest.mark.parametrize("base, t, rounds", [
+    # 7^t lies within an ulp or so of 50, closer than the first round's
+    # 24 guard bits resolve, so the kernel's precision is raised once
+    (7, math.log(50) / math.log(7), 2),
+    (2 ** 40, 1.3, 1),                    # 2^52 = ceil(2^(40 t)) >= 2^50
 ])
-def test_float_step_leaves_straddles_and_large_ceilings_to_mpmath(monkeypatch, base, t):
+def test_float_step_leaves_straddles_and_large_ceilings_to_the_kernel(monkeypatch, base, t,
+                                                                      rounds):
     assert Fraction(t).denominator > 64
     calls = _spy_on_steps(monkeypatch)
     ratios = ((1, base - 1), (1, 1), (base, base - 1))
-    got, exact = _ceil_powers(base, t, ratios)
-    assert calls["float"][-1] is None and calls["mpmath"] == 1
-    assert exact and got == _reference_ceilings(base, t)
+    got = _ceil_powers(base, t, ratios)
+    assert calls["float"][-1] is None and calls["kernel"] == rounds
+    assert got == _reference_ceilings(base, t)
+
+
+@pytest.mark.parametrize("base, t, power", [
+    (7, 370 + 1 / 64, None),       # q = 64, magnitude x q past step 3's 20000
+    (4, 20000.5, (2, 40001)),      # 4 = 2^2: base^t = 2^40001
+    (3 ** 64, 400 + 1 / 64, (3, 25601)),   # a perfect 64th power: 3^25601
+])
+def test_grid_t_past_the_integer_roots_takes_the_kernel_or_a_perfect_power(monkeypatch, base, t,
+                                                                          power):
+    # a perfect q-th power base is settled in integers (an mpmath power
+    # rounded above the integer base^t would ceil one too high), any other
+    # base by one round of the kernel
+    calls = _spy_on_steps(monkeypatch)
+    ratios = ((1, base - 1), (1, 1), (base, base - 1))
+    got = _ceil_powers(base, t, ratios)
+    if power is None:
+        assert calls["kernel"] == 1 and got == _reference_ceilings(base, t)
+    else:
+        want = [-(-power[0] ** power[1] * num // den) for num, den in ratios]
+        assert calls["kernel"] == 0 and got == want
 
 
 @pytest.mark.parametrize("u, v, t", [
     (2, 2, 1024.5),              # 2^t past the float range; integer roots settle it
-    (2 ** 40, 2 ** 40, 25.7),    # 2^(40 t) past the float range; mpmath settles it
+    (2 ** 40, 2 ** 40, 25.7),    # 2^(40 t) past the float range; the kernel settles it
     (7, 4, 400.123),             # 7^t past the float range, t off the grid
 ])
 def test_float_step_leaves_powers_past_the_float_range_to_later_steps(monkeypatch, u, v, t):
@@ -283,7 +285,7 @@ def test_float_step_leaves_powers_past_the_float_range_to_later_steps(monkeypatc
 def test_float_step_settles_an_off_grid_cover_count(monkeypatch):
     calls = _spy_on_steps(monkeypatch)
     got = rcd_cover_count(7, 4, 1.2345)
-    assert calls["mpmath"] == 0 and calls["float"] and None not in calls["float"]
+    assert calls["kernel"] == 0 and calls["float"] and None not in calls["float"]
     assert (got.value, got.option) == _reference_cover_count(7, 4, 1.2345)
 
 
@@ -301,11 +303,11 @@ def test_equal_bases_raise_the_base_to_t_once(monkeypatch):
         got = rcd_cover_count(u, u, t)
         assert calls == [u]
         ratios = ((1, u - 1), (1, 1), (u, u - 1))
-        (a, cu, a2), exact_u = real(u, t, ratios)
-        (d, cv, b), exact_v = real(u, t, ratios)
+        a, cu, a2 = real(u, t, ratios)
+        d, cv, b = real(u, t, ratios)
         n1, n2 = a * b + cu * d, a2 * d + cv * a
         value, option = (n1, 1) if n1 <= n2 else (n2, 2)
-        tag = "exact" if exact_u and exact_v and value < 2 ** 53 else "approximate"
+        tag = "exact" if value < 2 ** 53 else "approximate"
         assert got == CoverCount(value, tag, option), (u, t)
     calls.clear()
     rcd_cover_count(7, 4, 1.2345)
